@@ -10,7 +10,6 @@ use scope_sim::{replay_traffic, Job, TrafficConfig, WorkloadConfig, WorkloadGene
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 use tasq::models::{NnTrainConfig, XgbTrainConfig};
 use tasq::pipeline::{
     JobRepository, ModelChoice, ModelStore, PipelineConfig, ScoringConfig, TasqPipeline,
@@ -94,9 +93,10 @@ fn pump(server: &ScoringServer, traffic: &[Job]) {
 }
 
 fn bench_batched_vs_unbatched(c: &mut Criterion) {
-    // Recurring traffic with the cache disabled: the difference is the
-    // worker pool coalescing micro-batches (scoring each distinct plan
-    // signature once per batch) versus scoring one request at a time.
+    // Recurring traffic with the cache disabled: the difference is
+    // `max_batch` — how much backlog one registry snapshot and one dedup
+    // scope may cover (each distinct plan signature scored once per
+    // batch) versus one request per dispatch.
     let traffic = replay_traffic(
         &jobs(20, 107),
         &TrafficConfig { requests: 200, repeat_fraction: 0.8, seed: 9 },
@@ -109,9 +109,6 @@ fn bench_batched_vs_unbatched(c: &mut Criterion) {
                 ServeConfig {
                     workers: 2,
                     max_batch,
-                    // Tight fill deadline: the stream is short, so the
-                    // default 500 µs would dominate the tail batches.
-                    max_delay: Duration::from_micros(100),
                     cache: CacheConfig { enabled: false, ..Default::default() },
                     ..Default::default()
                 },

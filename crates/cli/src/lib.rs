@@ -179,7 +179,7 @@ USAGE:
     tasq-cli flight   --workload <file> [--faults none|mild|production|adversarial]
                       [--sample N] [--seed N]
     tasq-cli serve    --workload <file> [--model-dir <dir>] [--model nn|xgb-ss|xgb-pl]
-                      [--workers N] [--max-batch N] [--max-delay-us N] [--cache on|off]
+                      [--workers N] [--max-batch N] [--cache on|off]
                       [--requests N] [--repeat FRAC] [--seed N]
                       [--listen <addr>] [--shards N] [--autoscale on|off]
                       [--min-workers N] [--max-workers N] [--scale-up FRAC]

@@ -3,8 +3,8 @@
 //! Turns the in-process [`tasq_serve::ScoringServer`] into an actual
 //! network server, std-only and dependency-free down to the syscall:
 //!
-//! - [`sys`] — direct `epoll`/`accept4`/`read`/`write` syscalls (no
-//!   libc), `EINTR` retry, typed [`sys::NetError`].
+//! - [`sys`] — direct `epoll`/`accept4`/`setsockopt`/`read`/`write`
+//!   syscalls (no libc), `EINTR` retry, typed [`sys::NetError`].
 //! - [`http`] — incremental HTTP/1.1 parsing (request line + headers +
 //!   `Content-Length` bodies, keep-alive) that survives torn and
 //!   pipelined delivery.

@@ -9,9 +9,14 @@
 //! driven edge-triggered (`EPOLLET`): each readiness event drains the
 //! socket to `EAGAIN`, locates every complete request as *spans* into
 //! the receive buffer (no per-request copies), submits them all to the
-//! scoring server (letting the micro-batcher coalesce pipelined bursts),
-//! then resolves tickets in arrival order so responses never reorder
-//! within a connection.
+//! scoring server, then resolves tickets in arrival order so responses
+//! never reorder within a connection. Dispatch in the pool is
+//! work-conserving, so a wake's misses are scored concurrently by the
+//! workers while the shard submits the rest; by the time it blocks on the
+//! first ticket it waits about one score time, not a batch-timer period.
+//! Measured, the wire costs ≈ 0.4 of in-process capacity and ≈ 20 µs of
+//! p50 on the recurring mix; DESIGN.md, "Why there is no batch timer",
+//! has the reconciliation and what of that gap is still unexplained.
 //!
 //! The response path is syscall-lean: every response resolved in one
 //! readiness event is rendered into a buffer checked out of the shard's
@@ -355,6 +360,11 @@ fn accept_burst(
                     sys::close(fd);
                     continue;
                 }
+                // Best effort: without it a response that leaves in more
+                // than one write (`coalesce_writes: false`, or a partial
+                // flush) stalls on Nagle × the peer's delayed ACK. A
+                // socket that refuses the option still serves.
+                let _ = sys::setsockopt(fd, sys::IPPROTO_TCP, sys::TCP_NODELAY, 1);
                 if sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, fd, BASE_INTEREST).is_err() {
                     sys::close(fd);
                     continue;
@@ -428,10 +438,13 @@ fn ready_frame(pool: &mut BufPool, status: FrameStatus, payload: &[u8]) -> Pendi
 
 /// Submit every located request (borrowing payloads straight out of the
 /// receive buffer — the only copy left is the `Job` decode at the
-/// scoring boundary), then resolve tickets in arrival order so pipelined
-/// bursts hit the micro-batcher together but responses keep their order
-/// on the wire. Responses render into pooled buffers and ride the write
-/// queue whole; the caller flushes them in one `writev`.
+/// scoring boundary), then resolve tickets in arrival order: the worker
+/// pool starts on a wake's misses as they are submitted and scores them
+/// concurrently, while resolving in submission order is what keeps
+/// responses in request order on the wire. The shard blocks on a ticket
+/// for at most the scoring still outstanding ahead of it. Responses
+/// render into pooled buffers and ride the write queue whole; the caller
+/// flushes them in one `writev`.
 fn serve_spans(
     extracted: ExtractedSpans,
     conn: &mut Conn,

@@ -1,12 +1,12 @@
 //! Thin, libc-free syscall layer for the event loop.
 //!
 //! The workspace's vendored-deps policy rules out `libc`, `mio`, and
-//! `tokio`, and `std` exposes no readiness API — so the five calls the
+//! `tokio`, and `std` exposes no readiness API — so the calls the
 //! server needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `accept4`,
-//! plus `read`/`write`/`close` on raw fds) are issued directly via inline
-//! assembly. Socket *setup* (bind/listen/connect) stays on `std::net`,
-//! which hands us raw fds to drive; only the hot readiness/IO path goes
-//! through here.
+//! `setsockopt`, plus `read`/`write`/`close` on raw fds) are issued
+//! directly via inline assembly. Socket *setup* (bind/listen/connect)
+//! stays on `std::net`, which hands us raw fds to drive; only the hot
+//! readiness/IO path goes through here.
 //!
 //! Every wrapper retries `EINTR` internally and maps failures to the
 //! typed [`NetError`], with `EAGAIN`/`EWOULDBLOCK` surfaced as
@@ -94,6 +94,12 @@ pub const SOCK_NONBLOCK: i32 = 0o4000;
 /// `accept4` flag: the accepted socket is close-on-exec.
 pub const SOCK_CLOEXEC: i32 = 0o2000000;
 
+/// `setsockopt` level: TCP options.
+pub const IPPROTO_TCP: i32 = 6;
+/// `setsockopt` TCP option: send segments as soon as they are written
+/// (no Nagle coalescing).
+pub const TCP_NODELAY: i32 = 1;
+
 /// One `struct epoll_event`. The kernel ABI packs this to 12 bytes on
 /// x86_64 (and only there); `data` carries the registered fd.
 #[derive(Clone, Copy)]
@@ -171,6 +177,7 @@ mod raw {
     pub const SYS_EPOLL_CTL: usize = 233;
     pub const SYS_ACCEPT4: usize = 288;
     pub const SYS_EPOLL_CREATE1: usize = 291;
+    pub const SYS_SETSOCKOPT: usize = 54;
     /// x86_64 has a real `epoll_wait`; no pwait fallback needed.
     pub const HAS_EPOLL_WAIT: bool = true;
     pub const SYS_EPOLL_PWAIT: usize = 281;
@@ -220,6 +227,7 @@ mod raw {
     pub const SYS_EPOLL_CTL: usize = 21;
     pub const SYS_ACCEPT4: usize = 242;
     pub const SYS_EPOLL_CREATE1: usize = 20;
+    pub const SYS_SETSOCKOPT: usize = 208;
     pub const HAS_EPOLL_WAIT: bool = false;
     pub const SYS_EPOLL_PWAIT: usize = 22;
 
@@ -265,6 +273,7 @@ mod raw {
     pub const SYS_EPOLL_CTL: usize = 0;
     pub const SYS_ACCEPT4: usize = 0;
     pub const SYS_EPOLL_CREATE1: usize = 0;
+    pub const SYS_SETSOCKOPT: usize = 0;
     pub const HAS_EPOLL_WAIT: bool = true;
     pub const SYS_EPOLL_PWAIT: usize = 0;
 
@@ -313,6 +322,8 @@ pub struct SyscallCounters {
     pub epoll_ctl: Counter,
     /// `epoll_create1(2)` attempts.
     pub epoll_create1: Counter,
+    /// `setsockopt(2)` attempts.
+    pub setsockopt: Counter,
 }
 
 impl SyscallCounters {
@@ -326,6 +337,7 @@ impl SyscallCounters {
             + self.epoll_wait.get()
             + self.epoll_ctl.get()
             + self.epoll_create1.get()
+            + self.setsockopt.get()
     }
 }
 
@@ -349,6 +361,7 @@ pub fn syscall_counters() -> &'static SyscallCounters {
             epoll_wait: op("epoll_wait"),
             epoll_ctl: op("epoll_ctl"),
             epoll_create1: op("epoll_create1"),
+            setsockopt: op("setsockopt"),
         }
     })
 }
@@ -365,6 +378,7 @@ fn count_syscall(call: &'static str) {
         "epoll_wait" | "epoll_pwait" => counters.epoll_wait.inc(),
         "epoll_ctl" => counters.epoll_ctl.inc(),
         "epoll_create1" => counters.epoll_create1.inc(),
+        "setsockopt" => counters.setsockopt.inc(),
         _ => {}
     }
 }
@@ -469,6 +483,26 @@ pub fn accept4(listener: i32) -> Result<i32, NetError> {
         )
     }
     .map(|fd| fd as i32)
+}
+
+/// `setsockopt(fd, level, name, &value, 4)` for integer-valued options
+/// (e.g. [`IPPROTO_TCP`] / [`TCP_NODELAY`]).
+pub fn setsockopt(fd: i32, level: i32, name: i32, value: i32) -> Result<(), NetError> {
+    // SAFETY: `value` lives across the call and the declared length is
+    // exactly its size; the kernel only reads it.
+    unsafe {
+        retrying(
+            "setsockopt",
+            raw::SYS_SETSOCKOPT,
+            fd as usize,
+            level as usize,
+            name as usize,
+            std::ptr::from_ref(&value) as usize,
+            std::mem::size_of::<i32>(),
+            0,
+        )
+    }
+    .map(|_| ())
 }
 
 /// Nonblocking `read`; `Ok(0)` means EOF.
@@ -665,6 +699,31 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         assert_eq!(accept4(listener.as_raw_fd()), Err(NetError::WouldBlock));
+    }
+
+    #[test]
+    fn setsockopt_sets_nodelay_on_a_socket_and_rejects_a_pipe() {
+        if !supported() {
+            assert_eq!(setsockopt(0, IPPROTO_TCP, TCP_NODELAY, 1), Err(NetError::Unsupported));
+            return;
+        }
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let client =
+            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let conn = accept4(listener.as_raw_fd()).expect("accept4");
+        let before = syscall_counters().setsockopt.get();
+        assert_eq!(setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, 1), Ok(()));
+        assert!(syscall_counters().setsockopt.get() > before);
+        close(conn);
+        drop(client);
+
+        // A pipe is a valid fd but not a socket: ENOTSOCK, typed.
+        let (pipe_rx, _pipe_tx) = std::io::pipe().expect("pipe");
+        assert_eq!(
+            setsockopt(pipe_rx.as_raw_fd(), IPPROTO_TCP, TCP_NODELAY, 1),
+            Err(NetError::Sys { call: "setsockopt", errno: 88 })
+        );
     }
 
     #[test]

@@ -97,6 +97,69 @@ fn binary_framing_round_trips_and_preserves_order() {
 }
 
 #[test]
+fn pipelined_bursts_keep_wire_order_and_match_direct_scoring() {
+    use tasq_net::frame::{self, FrameResponse, FrameResponseParse};
+
+    let net = start_net(NetConfig::default());
+    let addr = net.local_addr().to_string();
+    let service = registry().current();
+    // 32 never-seen plans per connection, each burst written whole before
+    // any answer is read: every frame is a miss and several share a wake.
+    let bursts = [jobs(32, 7010), jobs(32, 7011)];
+    let mut streams = Vec::new();
+    for burst in &bursts {
+        let mut stream = TcpStream::connect(&addr).expect("connects");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let mut wire = vec![tasq_net::BINARY_PREAMBLE];
+        for job in burst {
+            frame::write_request_frame(&mut wire, &tasq::codec::to_bytes(job).expect("encode"));
+        }
+        stream.write_all(&wire).expect("send");
+        streams.push(stream);
+    }
+    let strip = |r: &tasq::pipeline::ScoreResponse| {
+        tasq::codec::to_bytes(&tasq::pipeline::ScoreResponse { job_id: 0, ..r.clone() })
+            .expect("encode")
+    };
+    for (burst, stream) in bursts.iter().zip(&mut streams) {
+        let mut rbuf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut answered = 0;
+        while answered < burst.len() {
+            match frame::parse_response_frame(&rbuf, 0) {
+                FrameResponseParse::Complete(FrameResponse::Ok(score), consumed) => {
+                    rbuf.drain(..consumed);
+                    let job = &burst[answered];
+                    assert_eq!(score.job_id, job.id, "response {answered} out of request order");
+                    assert_eq!(
+                        strip(&score),
+                        strip(&service.service().score(job)),
+                        "wire answer {answered} differs from direct scoring"
+                    );
+                    answered += 1;
+                }
+                FrameResponseParse::Complete(FrameResponse::Error(status), _) => {
+                    panic!("request {answered} refused with {status:?}")
+                }
+                FrameResponseParse::NeedMore => {
+                    let n = stream.read(&mut chunk).expect("recv");
+                    assert!(n > 0, "server closed after {answered} responses");
+                    rbuf.extend_from_slice(&chunk[..n]);
+                }
+                FrameResponseParse::Malformed(why) => panic!("malformed response: {why}"),
+            }
+        }
+    }
+    drop(streams);
+    let stats = net.shutdown();
+    assert_eq!(stats.model_scored, 64, "every frame was a never-seen plan");
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.rejected + stats.worker_lost + stats.deadline_timeouts
+    );
+}
+
+#[test]
 fn oversized_http_body_is_rejected_with_413() {
     let config = NetConfig {
         http_limits: HttpLimits { max_body_bytes: 512, ..Default::default() },
