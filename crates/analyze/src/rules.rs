@@ -25,12 +25,11 @@ pub const ALL_RULES: [&str; 5] =
     [NO_PANIC, FLOAT_EQ, UNSEEDED_RNG, WALL_CLOCK, UNBOUNDED_CHANNEL];
 
 /// Paths never linted: vendored stand-ins and integration-test /
-/// benchmark / example trees (unit tests are excluded by the scanner's
+/// example trees (unit tests are excluded by the scanner's
 /// `#[cfg(test)]` tracking instead).
 pub fn path_is_exempt(path: &str) -> bool {
     path.contains("vendor/")
         || path.contains("/tests/")
-        || path.contains("/benches/")
         || path.contains("/examples/")
         || path.ends_with("build.rs")
 }

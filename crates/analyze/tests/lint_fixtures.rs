@@ -96,7 +96,6 @@ fn vendored_and_test_trees_are_never_linted() {
     let src = include_str!("fixtures/panics_positive.rs");
     assert!(rules_only("vendor/rand/src/fixture.rs", src).is_empty());
     assert!(rules_only("crates/core/tests/fixture.rs", src).is_empty());
-    assert!(rules_only("crates/bench/benches/fixture.rs", src).is_empty());
 }
 
 #[test]

@@ -2,10 +2,10 @@
 
 use crate::options::Options;
 use crate::resume::{
-    fold_bits, run_checkpointed_train, shear_log_tail, RunEnd, TrainEngineConfig, TrainSummary,
+    run_checkpointed_train, shear_log_tail, RunEnd, TrainEngineConfig, TrainSummary,
 };
 use crate::CliError;
-use scope_sim::flight::{filter_non_anomalous, flight_job, flight_workload, FlightConfig};
+use scope_sim::flight::{filter_non_anomalous, flight_job, FlightConfig};
 use scope_sim::{
     replay_traffic, FaultPlan, Job, NoiseModel, RecoveryPolicy, TrafficConfig, WorkloadConfig,
     WorkloadGenerator,
@@ -609,16 +609,10 @@ fn build_registry(
         .map_err(|e| CliError::Usage(e.to_string()))
 }
 
-/// Push a request stream through a server with a bounded in-flight window
-/// (and optional token-bucket pacing at `qps`), returning the wall-clock
-/// time and per-path counts of `(cache, model, shed, rejected)`. The
-/// achieved rate is `requests / elapsed`; callers record it next to the
-/// target so a pacer that can't keep up is visible in the report.
-fn drive(
-    server: &ScoringServer,
-    traffic: Vec<Job>,
-    qps: f64,
-) -> (Duration, (u64, u64, u64, u64)) {
+/// Push a request stream through a server with a bounded in-flight
+/// window, returning the wall-clock time and per-path counts of
+/// `(cache, model, shed, rejected)`.
+fn drive(server: &ScoringServer, traffic: Vec<Job>) -> (Duration, (u64, u64, u64, u64)) {
     let mut counts = (0u64, 0u64, 0u64, 0u64);
     let mut settle = |served: Option<tasq_serve::ServedResponse>| {
         if let Some(served) = served {
@@ -629,14 +623,9 @@ fn drive(
             }
         }
     };
-    // Burst of one: a paced run emits at a steady cadence rather than
-    // slamming an accumulated backlog after any stall.
-    let mut pacer =
-        if qps > 0.0 { TokenBucket::new(qps, 1.0) } else { TokenBucket::unlimited() };
     let start = Instant::now();
     let mut window: VecDeque<tasq_serve::Ticket> = VecDeque::new();
     for job in traffic {
-        pacer.acquire();
         if window.len() >= 64 {
             if let Some(ticket) = window.pop_front() {
                 settle(ticket.wait());
@@ -658,7 +647,7 @@ fn drive(
 ///  [--requests N] [--repeat FRAC] [--seed N]
 ///  [--listen <addr>] [--shards N] [--deadline-ms N] [--autoscale on|off]
 ///  [--min-workers N] [--max-workers N] [--scale-up FRAC] [--scale-down FRAC]
-///  [--cooldown-secs SECS]`
+///  [--cooldown-secs SECS] [--burn-up FRAC]`
 ///
 /// One-shot embedding of the concurrent scoring server: replays the
 /// workload as recurring-job traffic through the full serving stack
@@ -750,7 +739,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
     }
     let traffic =
         replay_traffic(&jobs, &TrafficConfig { requests, repeat_fraction: repeat, seed });
-    let (elapsed, (cache_hits, model, shed, rejected)) = drive(&server, traffic, 0.0);
+    let (elapsed, (cache_hits, model, shed, rejected)) = drive(&server, traffic);
     let stats = server.shutdown();
 
     let mut out = String::new();
@@ -839,8 +828,7 @@ impl WireClient {
 /// Networked load generator: replays recurring-job traffic against a
 /// `serve --listen` process over persistent connections (round-robin
 /// across `--connections`), optionally token-bucket paced at `--qps`,
-/// and prints a one-line JSON report so a parent process (the `loadgen
-/// --networked` orchestrator) can aggregate across client processes.
+/// and prints a one-line JSON report a parent process can parse.
 pub fn netgen(args: &[String]) -> Result<String, CliError> {
     let opts = Options::parse(
         args,
@@ -917,892 +905,6 @@ pub fn netgen(args: &[String]) -> Result<String, CliError> {
         latency.quantile(0.99),
         latency.mean(),
     ))
-}
-
-/// Aggregated result of one networked benchmark round (one server
-/// process count).
-struct NetBenchRound {
-    server_procs: usize,
-    clients: usize,
-    mode: String,
-    requests: u64,
-    ok: u64,
-    rejected: u64,
-    aggregate_rps: f64,
-    p50_us: f64,
-    p99_us: f64,
-    /// Entries retained across the servers' `/debug/slowest` endpoints.
-    slowest_entries: u64,
-    /// Largest fast-window burn rate reported by any server's `/slo`.
-    slo_max_fast_burn: f64,
-}
-
-impl NetBenchRound {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"server_procs\": {}, \"clients\": {}, \"mode\": \"{}\", \
-             \"requests\": {}, \"ok\": {}, \"rejected\": {}, \"aggregate_rps\": {:.1}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"slowest_entries\": {}, \
-             \"slo_max_fast_burn\": {:.4}}}",
-            self.server_procs,
-            self.clients,
-            self.mode,
-            self.requests,
-            self.ok,
-            self.rejected,
-            self.aggregate_rps,
-            self.p50_us,
-            self.p99_us,
-            self.slowest_entries,
-            self.slo_max_fast_burn,
-        )
-    }
-}
-
-/// Read lines from a spawned server's stdout until the `listening on `
-/// handshake appears, returning the resolved address.
-fn read_handshake(reader: &mut std::io::BufReader<std::process::ChildStdout>) -> Result<String, CliError> {
-    use std::io::BufRead as _;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(CliError::Usage(
-                "server process exited before printing its listening address".to_string(),
-            ));
-        }
-        if let Some(addr) = line.trim().strip_prefix("listening on ") {
-            return Ok(addr.to_string());
-        }
-    }
-}
-
-fn json_f64(value: &tasq_obs::json::JsonValue, key: &str) -> Result<f64, CliError> {
-    value
-        .get(key)
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| CliError::Usage(format!("netgen report missing numeric `{key}`")))
-}
-
-/// One multi-process networked benchmark round: spawn `server_procs`
-/// copies of this binary as `serve --listen 127.0.0.1:0`, read their
-/// handshakes, fan `clients` netgen processes out across them, drain the
-/// servers over the wire, and aggregate the per-client JSON reports.
-#[allow(clippy::too_many_arguments)]
-fn networked_round(
-    workload: &str,
-    model_dir: Option<&str>,
-    server_procs: usize,
-    clients: usize,
-    requests: usize,
-    repeat: f64,
-    qps: f64,
-    seed: u64,
-    mode: &str,
-) -> Result<NetBenchRound, CliError> {
-    let exe = std::env::current_exe()?;
-    let mut servers = Vec::with_capacity(server_procs);
-    let mut addrs = Vec::with_capacity(server_procs);
-    for _ in 0..server_procs {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args([
-            "serve", "--workload", workload, "--listen", "127.0.0.1:0", "--workers", "2",
-            "--shards", "2",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null());
-        if let Some(dir) = model_dir {
-            cmd.args(["--model-dir", dir]);
-        }
-        let mut child = cmd.spawn()?;
-        let stdout = child.stdout.take().ok_or_else(|| {
-            CliError::Usage("server process spawned without a captured stdout".to_string())
-        })?;
-        let mut reader = std::io::BufReader::new(stdout);
-        let addr = read_handshake(&mut reader)?;
-        addrs.push(addr);
-        servers.push((child, reader));
-    }
-
-    let per_client = (requests / clients.max(1)).max(1);
-    let per_client_qps = if qps > 0.0 { qps / clients.max(1) as f64 } else { 0.0 };
-    let mut client_procs = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let child = std::process::Command::new(&exe)
-            .args([
-                "netgen",
-                "--addr",
-                &addrs[c % addrs.len()],
-                "--workload",
-                workload,
-                "--requests",
-                &per_client.to_string(),
-                "--repeat",
-                &repeat.to_string(),
-                "--qps",
-                &per_client_qps.to_string(),
-                "--seed",
-                &(seed ^ (c as u64 + 1)).to_string(),
-                "--mode",
-                mode,
-                "--connections",
-                "2",
-            ])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()?;
-        client_procs.push(child);
-    }
-
-    let (mut total, mut ok, mut rejected) = (0u64, 0u64, 0u64);
-    let mut aggregate_rps = 0.0f64;
-    let (mut p50_weighted, mut p99_max) = (0.0f64, 0.0f64);
-    for child in client_procs {
-        let out = child.wait_with_output()?;
-        if !out.status.success() {
-            return Err(CliError::Usage(format!(
-                "netgen client process failed with {}",
-                out.status
-            )));
-        }
-        let text = String::from_utf8_lossy(&out.stdout);
-        let line = text
-            .lines()
-            .find(|l| l.trim_start().starts_with('{'))
-            .ok_or_else(|| CliError::Usage("netgen client printed no JSON report".to_string()))?;
-        let report = tasq_obs::json::parse(line)
-            .map_err(|e| CliError::Usage(format!("bad netgen report: {e}")))?;
-        let client_requests = json_f64(&report, "requests")? as u64;
-        total += client_requests;
-        ok += json_f64(&report, "ok")? as u64;
-        rejected += json_f64(&report, "rejected")? as u64;
-        aggregate_rps += json_f64(&report, "achieved_rps")?;
-        p50_weighted += json_f64(&report, "p50_us")? * client_requests as f64;
-        p99_max = p99_max.max(json_f64(&report, "p99_us")?);
-    }
-
-    // Pull each server's tail-latency and SLO views, then drain it over
-    // the wire (the HTTP control plane works even when the benchmark
-    // traffic was binary-framed) and reap it.
-    let (mut slowest_entries, mut slo_max_fast_burn) = (0u64, 0.0f64);
-    for addr in &addrs {
-        let mut control = HttpClient::connect(addr)?;
-        control.set_timeout(Duration::from_secs(60))?;
-        let slowest = control.request("GET", "/debug/slowest", b"")?;
-        if slowest.status == 200 {
-            if let Ok(parsed) = tasq_obs::json::parse(&String::from_utf8_lossy(&slowest.body)) {
-                slowest_entries += parsed
-                    .get("slowest")
-                    .and_then(|v| v.as_array())
-                    .map(|entries| entries.len() as u64)
-                    .unwrap_or(0);
-            }
-        }
-        let slo = control.request("GET", "/slo", b"")?;
-        if slo.status == 200 {
-            if let Ok(parsed) = tasq_obs::json::parse(&String::from_utf8_lossy(&slo.body)) {
-                let burns = parsed
-                    .get("objectives")
-                    .and_then(|v| v.as_array())
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|objective| objective.get("windows").and_then(|w| w.as_array()))
-                    .flatten()
-                    .filter(|w| {
-                        w.get("window").and_then(|v| v.as_str()) == Some("fast")
-                    })
-                    .filter_map(|w| w.get("burn_rate").and_then(|v| v.as_f64()));
-                for burn in burns {
-                    slo_max_fast_burn = slo_max_fast_burn.max(burn);
-                }
-            }
-        }
-        let ack = control.request("POST", "/drain", b"")?;
-        if ack.status != 200 {
-            return Err(CliError::Usage(format!(
-                "drain of {addr} answered HTTP {}",
-                ack.status
-            )));
-        }
-    }
-    for (mut child, mut reader) in servers {
-        let mut rest = String::new();
-        let _ = std::io::Read::read_to_string(&mut reader, &mut rest);
-        let status = child.wait()?;
-        if !status.success() {
-            return Err(CliError::Usage(format!("server process failed with {status}")));
-        }
-    }
-
-    Ok(NetBenchRound {
-        server_procs,
-        clients,
-        mode: mode.to_string(),
-        requests: total,
-        ok,
-        rejected,
-        aggregate_rps,
-        p50_us: p50_weighted / (total.max(1)) as f64,
-        p99_us: p99_max,
-        slowest_entries,
-        slo_max_fast_burn,
-    })
-}
-
-/// In-flight request depth of the pipelined hot-path client. Deep
-/// enough that a wake's worth of responses exercises the coalesced
-/// flush, shallow enough to stay inside default socket buffers.
-const HOT_PATH_DEPTH: usize = 32;
-
-/// Result of the syscall-lean hot-path benchmark: the same pipelined
-/// binary traffic against two in-process servers that differ only in
-/// `coalesce_writes`, so the syscall deltas isolate the `writev` win.
-struct HotPathReport {
-    requests: u64,
-    rps_write: f64,
-    rps_writev: f64,
-    p50_us: f64,
-    p99_us: f64,
-    syscalls_per_request_write: f64,
-    syscalls_per_request_writev: f64,
-    fastpath_hits: u64,
-}
-
-impl HotPathReport {
-    fn json(&self) -> String {
-        format!(
-            "  \"hot_path\": {{\n    \"requests\": {},\n    \"pipeline_depth\": {HOT_PATH_DEPTH},\n    \
-             \"repeat_fraction\": 0.9,\n    \"rps_write\": {:.1},\n    \"rps_writev\": {:.1},\n    \
-             \"p50_us\": {:.1},\n    \"p99_us\": {:.1},\n    \
-             \"syscalls_per_request_write\": {:.3},\n    \
-             \"syscalls_per_request_writev\": {:.3},\n    \"fastpath_hits\": {}\n  }}",
-            self.requests,
-            self.rps_write,
-            self.rps_writev,
-            self.p50_us,
-            self.p99_us,
-            self.syscalls_per_request_write,
-            self.syscalls_per_request_writev,
-            self.fastpath_hits,
-        )
-    }
-}
-
-/// Drive one hot-path arm: a single-shard in-process [`NetServer`]
-/// (`coalesce` selects one-`write`-per-buffer vs one gathered `writev`
-/// per flush), a pipelined binary client [`HOT_PATH_DEPTH`] requests
-/// deep over one persistent connection, and `serial` depth-1 requests
-/// for honest latency numbers. The syscall figure is the delta of the
-/// process-global [`tasq_net::syscall_counters`] across the pipelined
-/// window divided by its request count — only the server's event loop
-/// issues raw syscalls, so the delta is exactly its kernel crossings.
-fn hot_path_arm(
-    registry: &std::sync::Arc<ModelRegistry>,
-    traffic: &[Job],
-    coalesce: bool,
-    serial: usize,
-) -> Result<(f64, f64, tasq_obs::Histogram, ServerStatsSnapshot), CliError> {
-    use std::io::Write as _;
-    let server = ScoringServer::start(
-        registry.clone(),
-        ServeConfig {
-            workers: 1,
-            cache: CacheConfig { enabled: true, ..Default::default() },
-            ..Default::default()
-        },
-    );
-    let net = NetServer::bind(
-        "127.0.0.1:0",
-        NetConfig { shards: 1, coalesce_writes: coalesce, ..Default::default() },
-        server,
-    )?;
-    let addr = net.local_addr().to_string();
-
-    // Pre-encode every request frame so client-side encoding stays out
-    // of the measured window.
-    let mut frames: Vec<Vec<u8>> = Vec::with_capacity(traffic.len());
-    for job in traffic {
-        let payload = codec::to_bytes(job)?;
-        let mut wire = Vec::with_capacity(payload.len() + 4);
-        tasq_net::frame::write_request_frame(&mut wire, &payload);
-        frames.push(wire);
-    }
-
-    let mut stream = std::net::TcpStream::connect(&addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.write_all(&[tasq_net::BINARY_PREAMBLE])?;
-
-    // One warm-up exchange so the accept/preamble syscalls land outside
-    // the measured window (and the first signature enters the cache).
-    let mut rbuf: Vec<u8> = Vec::new();
-    exchange_pipelined(&mut stream, &frames[..1], &mut rbuf)?;
-
-    let counters = tasq_net::syscall_counters();
-    let before = counters.total();
-    let start = Instant::now();
-    let mut answered = 0u64;
-    for chunk in frames.chunks(HOT_PATH_DEPTH) {
-        answered += exchange_pipelined(&mut stream, chunk, &mut rbuf)?;
-    }
-    let elapsed = start.elapsed();
-    let syscalls = (counters.total() - before) as f64 / frames.len().max(1) as f64;
-    let rps = answered as f64 / elapsed.as_secs_f64().max(1e-9);
-    drop(stream);
-
-    // Serial depth-1 pass: per-request wire latency without pipelining.
-    let latency = tasq_obs::Histogram::new();
-    let mut client = BinaryClient::connect(&addr)?;
-    client.set_timeout(Duration::from_secs(60))?;
-    for job in traffic.iter().take(serial) {
-        let sent = Instant::now();
-        let _ = client.score(job)?;
-        latency.record(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-    drop(client);
-
-    net.trigger_drain();
-    net.wait_for_drain();
-    Ok((rps, syscalls, latency, net.shutdown()))
-}
-
-/// Write `chunk`'s request frames in one burst, then read until every
-/// response frame came back. Returns the number answered `Ok`+rejected.
-fn exchange_pipelined(
-    stream: &mut std::net::TcpStream,
-    chunk: &[Vec<u8>],
-    rbuf: &mut Vec<u8>,
-) -> Result<u64, CliError> {
-    use std::io::{Read as _, Write as _};
-    use tasq_net::frame::FrameResponseParse;
-    let mut burst = Vec::with_capacity(chunk.iter().map(Vec::len).sum());
-    for frame in chunk {
-        burst.extend_from_slice(frame);
-    }
-    stream.write_all(&burst)?;
-    let mut answered = 0u64;
-    let mut consumed = 0usize;
-    rbuf.clear();
-    while (answered as usize) < chunk.len() {
-        match tasq_net::frame::parse_response_frame(rbuf, consumed) {
-            FrameResponseParse::Complete(_, used) => {
-                consumed += used;
-                answered += 1;
-            }
-            FrameResponseParse::NeedMore => {
-                let mut buf = [0u8; 16384];
-                let n = stream.read(&mut buf)?;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "server closed the connection mid-benchmark".to_string(),
-                    ));
-                }
-                rbuf.extend_from_slice(&buf[..n]);
-            }
-            FrameResponseParse::Malformed(why) => {
-                return Err(CliError::Usage(format!("malformed response frame: {why}")))
-            }
-        }
-    }
-    Ok(answered)
-}
-
-/// Both hot-path arms over the same repeat-heavy traffic, one shared
-/// registry. The `write` arm runs first so the cache state entering
-/// each pipelined window is identical (each arm has its own server and
-/// therefore its own cold cache).
-fn hot_path_report(
-    jobs: &[Job],
-    model_dir: Option<&str>,
-    requests: usize,
-    seed: u64,
-) -> Result<HotPathReport, CliError> {
-    let registry =
-        std::sync::Arc::new(build_registry(jobs, model_dir, ModelChoice::Nn)?);
-    let traffic = replay_traffic(
-        jobs,
-        &TrafficConfig { requests, repeat_fraction: 0.9, seed: seed ^ 0x5ca1ab1e },
-    );
-    let serial = requests.min(200);
-    let (rps_write, sys_write, _, _) = hot_path_arm(&registry, &traffic, false, 0)?;
-    let (rps_writev, sys_writev, latency, stats) =
-        hot_path_arm(&registry, &traffic, true, serial)?;
-    Ok(HotPathReport {
-        requests: traffic.len() as u64,
-        rps_write,
-        rps_writev,
-        p50_us: latency.quantile(0.50),
-        p99_us: latency.quantile(0.99),
-        syscalls_per_request_write: sys_write,
-        syscalls_per_request_writev: sys_writev,
-        fastpath_hits: stats.fastpath_hits,
-    })
-}
-
-/// The `latency_attribution` section of BENCH_serve.json: per-segment
-/// p50/p99 plus each segment's share of total end-to-end time, read from
-/// the process-global registry (which every in-process server feeds).
-/// The serve-side segments are contiguous per request, so their sums
-/// must reproduce `serve_latency_us`'s sum — `sum_ratio` is that check
-/// (slightly under 1.0 is expected: each segment truncates to whole µs).
-fn latency_attribution_json() -> String {
-    let r = tasq_obs::Registry::global();
-    let total = r
-        .histogram("serve_latency_us", "end-to-end request latency in microseconds")
-        .sum();
-    let segments = [
-        ("fastpath_probe", "segment_fastpath_probe_us"),
-        ("queue_wait", "segment_queue_wait_us"),
-        ("batch_wait", "segment_batch_wait_us"),
-        ("score_primary", "segment_score_primary_us"),
-        ("score_fallback", "segment_score_fallback_us"),
-        ("score_analytic", "segment_score_analytic_us"),
-        ("flush", "segment_flush_us"),
-    ];
-    let mut segment_sum = 0u64;
-    let mut parts = Vec::with_capacity(segments.len());
-    for (label, name) in segments {
-        let h = r.histogram(name, "");
-        segment_sum += h.sum();
-        parts.push(format!(
-            "    \"{label}\": {{\"count\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"share\": {:.4}}}",
-            h.count(),
-            h.quantile(0.50),
-            h.quantile(0.99),
-            h.sum() as f64 / total.max(1) as f64,
-        ));
-    }
-    let ratio = segment_sum as f64 / total.max(1) as f64;
-    format!(
-        "  \"latency_attribution\": {{\n{},\n    \"segment_sum_us\": {segment_sum},\n    \
-         \"end_to_end_sum_us\": {total},\n    \"sum_ratio\": {ratio:.4},\n    \
-         \"sum_check\": \"{}\"\n  }}",
-        parts.join(",\n"),
-        if (0.90..=1.02).contains(&ratio) { "ok" } else { "off" },
-    )
-}
-
-fn phase_json(label: &str, elapsed: Duration, stats: &ServerStatsSnapshot) -> String {
-    format!(
-        "  \"{label}\": {{\n    \"elapsed_ms\": {:.3},\n    \"throughput_rps\": {:.1},\n    \
-         \"p50_us\": {:.1},\n    \"p95_us\": {:.1},\n    \"p99_us\": {:.1},\n    \"mean_us\": {:.1},\n    \
-         \"mean_batch_size\": {:.2},\n    \"cache_hit_rate\": {:.4}\n  }}",
-        elapsed.as_secs_f64() * 1e3,
-        stats.completed as f64 / elapsed.as_secs_f64().max(1e-9),
-        stats.latency.p50_us,
-        stats.latency.p95_us,
-        stats.latency.p99_us,
-        stats.latency.mean_us,
-        stats.mean_batch_size(),
-        stats.cache.hit_rate(),
-    )
-}
-
-/// `tasq loadgen --workload <file> [--model-dir <dir>] [--requests N]
-///  [--repeat FRAC] [--qps N] [--out <json>] [--seed N]
-///  [--networked on|off] [--server-procs N,M,...] [--clients N]
-///  [--mode http|binary]`
-///
-/// The serving benchmark: replays recurring-job traffic through the
-/// server twice (signature cache off, then on), runs two overload bursts
-/// against deliberately tiny queues (one sized to reject, one to shed),
-/// and writes the whole report as JSON (default `BENCH_serve.json`).
-///
-/// With `--networked on` it additionally benchmarks over real TCP: for
-/// each count in `--server-procs` it spawns that many `serve --listen`
-/// copies of this binary, fans `--clients` `netgen` processes out across
-/// them, drains the servers over the wire, and appends the aggregated
-/// per-round numbers as the report's `networked` section.
-pub fn loadgen(args: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(
-        args,
-        &[
-            "workload", "model-dir", "requests", "repeat", "qps", "out", "seed", "networked",
-            "server-procs", "clients", "mode",
-        ],
-    )?;
-    let jobs = read_workload(opts.required("workload")?)?;
-    let requests = opts.number::<usize>("requests", 2000)?;
-    let repeat = opts.number::<f64>("repeat", 0.8)?;
-    let qps = opts.number::<f64>("qps", 0.0)?;
-    let out_path = opts.get("out").unwrap_or("BENCH_serve.json").to_string();
-    let seed = opts.number::<u64>("seed", 0)?;
-    let model_dir = opts.get("model-dir");
-    let networked = match opts.get("networked").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!("--networked must be on|off, got {other}")))
-        }
-    };
-    let server_procs: Vec<usize> = opts
-        .get("server-procs")
-        .unwrap_or("1,2")
-        .split(',')
-        .map(|s| {
-            s.trim().parse::<usize>().map_err(|_| {
-                CliError::Usage(format!("--server-procs must be comma-separated counts, got {s}"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let clients = opts.number::<usize>("clients", 2)?.max(1);
-    let net_mode = opts.get("mode").unwrap_or("binary");
-
-    let traffic =
-        replay_traffic(&jobs, &TrafficConfig { requests, repeat_fraction: repeat, seed });
-
-    // Cached-vs-uncached comparison: one worker so the uncached run
-    // reflects the true per-request inference cost.
-    let measure = |enabled: bool| -> Result<(Duration, ServerStatsSnapshot, String), CliError> {
-        let registry = build_registry(&jobs, model_dir, ModelChoice::Nn)?;
-        let server = ScoringServer::start(
-            std::sync::Arc::new(registry),
-            ServeConfig {
-                workers: 1,
-                cache: CacheConfig { enabled, ..Default::default() },
-                ..Default::default()
-            },
-        );
-        let (elapsed, _) = drive(&server, traffic.clone(), qps);
-        // The SLO view is read before drain so it reflects the run, not
-        // the post-drain idle window.
-        let slo = server.slo_json();
-        // Drain, don't shut down: the benchmark must count every admitted
-        // request, so the server stops accepting and answers its backlog
-        // before the stats are read.
-        Ok((elapsed, server.drain(), slo))
-    };
-    let (uncached_elapsed, uncached, _) = measure(false)?;
-    let (cached_elapsed, cached, cached_slo) = measure(true)?;
-    let speedup = uncached_elapsed.as_secs_f64() / cached_elapsed.as_secs_f64().max(1e-9);
-
-    // Overload bursts: fresh (0%-repeat) traffic into deliberately tiny
-    // queues. The first config has no shed band, so the burst must be
-    // rejected; the second sheds to the analytic tier below capacity.
-    let burst_traffic = replay_traffic(
-        &jobs,
-        &TrafficConfig { requests: 300, repeat_fraction: 0.0, seed: seed ^ 0xb0b0 },
-    );
-    let burst = |queue_capacity: usize,
-                 shed_watermark: usize|
-     -> Result<ServerStatsSnapshot, CliError> {
-        let registry = build_registry(&jobs, model_dir, ModelChoice::Nn)?;
-        let server = ScoringServer::start(
-            std::sync::Arc::new(registry),
-            ServeConfig {
-                workers: 1,
-                max_batch: 2,
-                queue_capacity,
-                shed_watermark,
-                cache: CacheConfig { enabled: false, ..Default::default() },
-                ..Default::default()
-            },
-        );
-        let (_, _) = drive(&server, burst_traffic.clone(), 0.0);
-        Ok(server.drain())
-    };
-    let reject_burst = burst(8, 8)?;
-    let shed_burst = burst(1024, 4)?;
-
-    // The achieved rate of the paced (cached) run: a token bucket that
-    // can't keep up shows as qps_achieved < qps_target in the report
-    // rather than silently recording the target as fact.
-    let qps_achieved = requests as f64 / cached_elapsed.as_secs_f64().max(1e-9);
-
-    let mut networked_rounds = Vec::new();
-    if networked {
-        let workload_path = opts.required("workload")?;
-        for &procs in &server_procs {
-            networked_rounds.push(networked_round(
-                workload_path,
-                model_dir,
-                procs.max(1),
-                clients,
-                requests,
-                repeat,
-                qps,
-                seed,
-                net_mode,
-            )?);
-        }
-    }
-    let networked_section = if networked_rounds.is_empty() {
-        String::new()
-    } else {
-        let rounds: Vec<String> = networked_rounds.iter().map(NetBenchRound::json).collect();
-        format!(",\n  \"networked\": [\n{}\n  ]", rounds.join(",\n"))
-    };
-
-    // The syscall-lean hot path needs the raw-syscall shim; skip the
-    // section (rather than fail the whole report) where it's absent.
-    let hot_path = if tasq_net::sys::supported() {
-        Some(hot_path_report(&jobs, model_dir, requests.min(2000), seed)?)
-    } else {
-        None
-    };
-    let hot_path_section =
-        hot_path.as_ref().map(|h| format!(",\n{}", h.json())).unwrap_or_default();
-
-    // Attribution reads the process-global registry, so it is computed
-    // after every in-process serving phase (cached/uncached, bursts, hot
-    // path) has fed its segments.
-    let attribution = latency_attribution_json();
-    let json = format!(
-        "{{\n  \"requests\": {requests},\n  \"repeat_fraction\": {repeat},\n  \
-         \"qps_target\": {qps},\n  \"qps_achieved\": {qps_achieved:.1},\n{},\n{},\n  \
-         \"speedup\": {speedup:.2},\n{attribution},\n  \"slo\": {cached_slo},\n  \
-         \"overload\": {{\n    \"reject_burst\": {{\"submitted\": {}, \"rejected\": {}, \
-         \"queue_capacity\": 8, \"peak_queue_depth\": {}}},\n    \
-         \"shed_burst\": {{\"submitted\": {}, \"shed\": {}, \"shed_watermark\": 4, \
-         \"peak_queue_depth\": {}}}\n  }}{networked_section}{hot_path_section}\n}}\n",
-        phase_json("uncached", uncached_elapsed, &uncached),
-        phase_json("cached", cached_elapsed, &cached),
-        reject_burst.submitted,
-        reject_burst.rejected,
-        reject_burst.peak_queue_depth,
-        shed_burst.submitted,
-        shed_burst.shed,
-        shed_burst.peak_queue_depth,
-    );
-    std::fs::write(&out_path, &json)?;
-
-    // Publish the cached-phase snapshot as gauges and dump the whole
-    // process-global registry (server counters, cache stats, fault/retry
-    // totals) as Prometheus text exposition.
-    let registry = tasq_obs::Registry::global();
-    cached.publish(registry);
-
-    let mut networked_summary = String::new();
-    if let Some(h) = &hot_path {
-        let _ = writeln!(
-            networked_summary,
-            "hot path (pipelined binary, depth {HOT_PATH_DEPTH}): {:.0} req/s writev vs \
-             {:.0} req/s write, {:.2} vs {:.2} syscalls/request, {} fastpath hits",
-            h.rps_writev,
-            h.rps_write,
-            h.syscalls_per_request_writev,
-            h.syscalls_per_request_write,
-            h.fastpath_hits,
-        );
-    }
-    for round in &networked_rounds {
-        let _ = writeln!(
-            networked_summary,
-            "networked: {} server procs x {} clients ({}) -> {:.0} req/s aggregate, \
-             p50 {:.0} us, p99 {:.0} us",
-            round.server_procs,
-            round.clients,
-            round.mode,
-            round.aggregate_rps,
-            round.p50_us,
-            round.p99_us,
-        );
-    }
-
-    Ok(format!(
-        "loadgen: {requests} requests at {:.0}% repeat\n\
-         uncached: {:.1} ms ({:.0} req/s)\ncached:   {:.1} ms ({:.0} req/s, {:.0}% hit rate)\n\
-         speedup: {speedup:.2}x\n\
-         overload: {} rejected of {} (reject burst), {} shed of {} (shed burst)\n\
-         {networked_summary}wrote {out_path}\n\
-         \nmetrics exposition:\n{}",
-        repeat * 100.0,
-        uncached_elapsed.as_secs_f64() * 1e3,
-        uncached.completed as f64 / uncached_elapsed.as_secs_f64().max(1e-9),
-        cached_elapsed.as_secs_f64() * 1e3,
-        cached.completed as f64 / cached_elapsed.as_secs_f64().max(1e-9),
-        100.0 * cached.cache.hit_rate(),
-        reject_burst.rejected,
-        reject_burst.submitted,
-        shed_burst.shed,
-        shed_burst.submitted,
-        registry.render_prometheus(),
-    ))
-}
-
-/// One timed run of the offline training pipeline at a given thread count.
-struct TrainBenchRun {
-    threads: usize,
-    generate_ms: f64,
-    flight_ms: f64,
-    featurize_ms: f64,
-    fit_ms: f64,
-    total_ms: f64,
-    /// Order-sensitive digest of every float the run produced; equal
-    /// digests across thread counts prove the parallel pipeline is
-    /// bit-identical to the sequential one.
-    fingerprint: u64,
-}
-
-fn elapsed_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Run generate → flight → featurize → fit once on a pool of `threads`
-/// workers, timing each phase and fingerprinting every numeric output.
-fn run_train_bench(num_jobs: usize, seed: u64, threads: usize, quick: bool) -> TrainBenchRun {
-    let pool = tasq_par::Pool::new(threads);
-    let run_start = Instant::now();
-    let mut fingerprint = 0u64;
-
-    // Phase 1: workload generation (inherently sequential; timed so the
-    // per-phase breakdown accounts for all wall time).
-    let t = Instant::now();
-    let jobs = WorkloadGenerator::new(WorkloadConfig {
-        num_jobs,
-        seed,
-        ..Default::default()
-    })
-    .generate();
-    let generate_ms = elapsed_ms(t);
-
-    // Phase 2: flight every job over the (allocation × repetition) grid.
-    let t = Instant::now();
-    let refs: Vec<u32> = jobs.iter().map(|j| j.requested_tokens.max(4)).collect();
-    let flight_cfg = FlightConfig {
-        noise: NoiseModel::mild(),
-        seed,
-        repetitions: if quick { 2 } else { 3 },
-        ..Default::default()
-    };
-    let flighted = flight_workload(&jobs, &refs, &flight_cfg, &pool);
-    for fj in flighted.iter().flatten() {
-        for f in &fj.flights {
-            fold_bits(&mut fingerprint, f.runtime_secs.to_bits());
-            fold_bits(&mut fingerprint, f.token_seconds.to_bits());
-        }
-    }
-    let flight_ms = elapsed_ms(t);
-
-    // Phase 3: dataset preparation (execution, AREPAS augmentation,
-    // featurization, target-PCC fitting), fanned out per job.
-    let t = Instant::now();
-    let dataset =
-        tasq::dataset::Dataset::build_with_pool(&jobs, &tasq::augment::AugmentConfig::default(), &pool);
-    for example in &dataset.examples {
-        fold_bits(&mut fingerprint, example.observed_runtime.to_bits());
-        fold_bits(&mut fingerprint, example.target_pcc.a.to_bits());
-        fold_bits(&mut fingerprint, example.target_pcc.b.to_bits());
-    }
-    let featurize_ms = elapsed_ms(t);
-
-    // Phase 4: model fitting — GBDT with parallel per-feature split
-    // search, and k-means with parallel restarts.
-    let t = Instant::now();
-    let (rows, targets) = dataset.xgb_rows();
-    let booster = tasq_ml::gbdt::Booster::train_with_pool(
-        &rows,
-        &targets,
-        &tasq_ml::gbdt::BoosterConfig {
-            num_rounds: if quick { 15 } else { 60 },
-            ..Default::default()
-        },
-        &pool,
-    );
-    for pred in booster.predict(&rows) {
-        fold_bits(&mut fingerprint, pred.to_bits());
-    }
-    let features = tasq_ml::Matrix::from_rows(&dataset.job_feature_rows());
-    let km = tasq_ml::kmeans::kmeans_restarts(
-        &features,
-        &tasq_ml::kmeans::KMeansConfig { k: 5.min(dataset.len().max(1)), ..Default::default() },
-        seed,
-        if quick { 4 } else { 8 },
-        &pool,
-    );
-    fold_bits(&mut fingerprint, km.inertia.to_bits());
-    let fit_ms = elapsed_ms(t);
-
-    TrainBenchRun {
-        threads,
-        generate_ms,
-        flight_ms,
-        featurize_ms,
-        fit_ms,
-        total_ms: elapsed_ms(run_start),
-        fingerprint,
-    }
-}
-
-/// `tasq bench-train [--out <json>] [--jobs N] [--seed N] [--threads N]
-///  [--quick true]`
-///
-/// The offline-training benchmark: runs the end-to-end pipeline
-/// (generate → flight → featurize → fit) sequentially and on
-/// work-stealing pools of 2 and `--threads` workers, verifies the
-/// parallel runs are bit-identical to the sequential one, and writes the
-/// timing trajectory as JSON (default `BENCH_train.json`).
-pub fn bench_train(args: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(args, &["out", "jobs", "seed", "threads", "quick"])?;
-    let quick = matches!(opts.get("quick").unwrap_or("false"), "true" | "1" | "on");
-    let out_path = opts.get("out").unwrap_or("BENCH_train.json").to_string();
-    let num_jobs = opts.number::<usize>("jobs", if quick { 10 } else { 48 })?;
-    let seed = opts.number::<u64>("seed", 0)?;
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_threads = opts.number::<usize>("threads", hardware_threads.max(4))?.max(1);
-
-    let mut thread_counts = vec![1usize, 2, max_threads];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
-    let runs: Vec<TrainBenchRun> = thread_counts
-        .iter()
-        .map(|&threads| run_train_bench(num_jobs, seed, threads, quick))
-        .collect();
-    let baseline = &runs[0];
-    let bit_identical = runs.iter().all(|r| r.fingerprint == baseline.fingerprint);
-
-    let mut runs_json = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            runs_json,
-            "    {{\"threads\": {}, \"generate_ms\": {:.3}, \"flight_ms\": {:.3}, \
-             \"featurize_ms\": {:.3}, \"fit_ms\": {:.3}, \"total_ms\": {:.3}, \
-             \"speedup_vs_sequential\": {:.3}}}{}",
-            r.threads,
-            r.generate_ms,
-            r.flight_ms,
-            r.featurize_ms,
-            r.fit_ms,
-            r.total_ms,
-            baseline.total_ms / r.total_ms.max(1e-9),
-            if i + 1 < runs.len() { ",\n" } else { "" },
-        );
-    }
-    let json = format!(
-        "{{\n  \"benchmark\": \"train-pipeline\",\n  \"jobs\": {num_jobs},\n  \
-         \"seed\": {seed},\n  \"quick\": {quick},\n  \
-         \"hardware_threads\": {hardware_threads},\n  \"bit_identical\": {bit_identical},\n  \
-         \"runs\": [\n{runs_json}\n  ]\n}}\n",
-    );
-    std::fs::write(&out_path, &json)?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench-train: {num_jobs} jobs, seed {seed}, {hardware_threads} hardware thread(s)"
-    );
-    for r in &runs {
-        let _ = writeln!(
-            out,
-            "  {} thread(s): {:>8.1} ms total (generate {:.1}, flight {:.1}, featurize {:.1}, \
-             fit {:.1}) — {:.2}x vs sequential",
-            r.threads,
-            r.total_ms,
-            r.generate_ms,
-            r.flight_ms,
-            r.featurize_ms,
-            r.fit_ms,
-            baseline.total_ms / r.total_ms.max(1e-9),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "parallel output bit-identical to sequential: {bit_identical}"
-    );
-    let _ = writeln!(out, "wrote {out_path}");
-    Ok(out)
 }
 
 /// `tasq analyze [--root <dir>] [--mode full|static] [--pass <name>]`
@@ -1951,6 +1053,25 @@ mod tests {
         let err = serve(&strings(&["--workload", "w.bin", &flag, "500"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "usage error, got {err}");
         assert!(err.to_string().contains(&format!("unknown flag {flag}")), "{err}");
+    }
+
+    #[test]
+    fn retired_benchmark_commands_are_unknown_and_usage_lists_every_serve_flag() {
+        for retired in ["loadgen", "bench-train"] {
+            let err = crate::run(&strings(&[retired])).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "usage error, got {err}");
+            assert!(err.to_string().contains(&format!("unknown command `{retired}`")), "{err}");
+            assert!(!crate::USAGE.contains(retired), "USAGE still names {retired}");
+        }
+        // The unknown-flag error spells out serve's allowed list.
+        let err = serve(&strings(&["--bogus", "1"])).unwrap_err().to_string();
+        let allowed = err.split_once("(allowed: ").expect("allowed list").1.trim_end_matches(')');
+        let serve_usage =
+            crate::USAGE.split("tasq-cli serve").nth(1).and_then(|s| s.split("tasq-cli ").next());
+        let serve_usage = serve_usage.expect("USAGE has a serve block");
+        for flag in allowed.split(", ") {
+            assert!(serve_usage.contains(&format!("{flag} ")), "USAGE omits serve's {flag}");
+        }
     }
 
     #[test]
@@ -2123,97 +1244,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("paths: 0 cache"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_train_writes_a_bit_identical_report() {
-        let dir = temp_dir("benchtrain");
-        let report = dir.join("BENCH_train.json");
-        let out = bench_train(&strings(&[
-            "--out",
-            report.to_str().unwrap(),
-            "--jobs",
-            "6",
-            "--threads",
-            "4",
-            "--quick",
-            "true",
-        ]))
-        .unwrap();
-        assert!(out.contains("bench-train: 6 jobs"), "{out}");
-        assert!(out.contains("bit-identical to sequential: true"), "{out}");
-
-        let json = std::fs::read_to_string(&report).unwrap();
-        for key in [
-            "\"benchmark\": \"train-pipeline\"",
-            "\"hardware_threads\"",
-            "\"bit_identical\": true",
-            "\"flight_ms\"",
-            "\"featurize_ms\"",
-            "\"fit_ms\"",
-            "\"speedup_vs_sequential\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn loadgen_writes_a_bench_report() {
-        let dir = temp_dir("loadgen");
-        let workload = dir.join("w.bin");
-        let report = dir.join("BENCH_serve.json");
-        let workload_str = workload.to_str().unwrap().to_string();
-        generate(&strings(&["--out", &workload_str, "--jobs", "12", "--seed", "13"])).unwrap();
-
-        let out = loadgen(&strings(&[
-            "--workload",
-            &workload_str,
-            "--requests",
-            "300",
-            "--out",
-            report.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("speedup:"), "{out}");
-        assert!(out.contains("wrote"), "{out}");
-
-        let json = std::fs::read_to_string(&report).unwrap();
-        for key in [
-            "\"uncached\"",
-            "\"cached\"",
-            "\"throughput_rps\"",
-            "\"p99_us\"",
-            "\"speedup\"",
-            "\"reject_burst\"",
-            "\"shed_burst\"",
-            "\"cache_hit_rate\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        if tasq_net::sys::supported() {
-            for key in [
-                "\"hot_path\"",
-                "\"syscalls_per_request_write\"",
-                "\"syscalls_per_request_writev\"",
-                "\"fastpath_hits\"",
-            ] {
-                assert!(json.contains(key), "missing {key} in {json}");
-            }
-        }
-        // The report is one well-formed JSON object (braces balance).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-
-        // The run ends with a Prometheus text exposition covering the
-        // server, cache, and fault/retry metric families.
-        assert!(out.contains("metrics exposition:"), "{out}");
-        for family in ["serve_submitted", "serve_cache_hits", "serve_latency_us"] {
-            assert!(out.contains(family), "missing {family} in exposition:\n{out}");
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Library backing the `tasq` command-line binary.
 //!
-//! Twelve subcommands drive the pipeline from files on disk, with
+//! Ten subcommands drive the pipeline from files on disk, with
 //! workloads and model artifacts serialized through the workspace's
 //! binary codec:
 //!
@@ -21,14 +21,6 @@
 //! * `netgen`   — networked load-generation client: replay recurring-job
 //!   traffic against a listening server over persistent connections and
 //!   report latency/throughput as JSON.
-//! * `loadgen`  — drive recurring-job replay traffic through the server,
-//!   cached and uncached, plus overload bursts; write `BENCH_serve.json`.
-//!   With `--networked on` it also benchmarks over real sockets:
-//!   N spawned server processes, M client processes, aggregated into the
-//!   report's `networked` section.
-//! * `bench-train` — time the offline pipeline (generate → flight →
-//!   featurize → fit) sequentially and on work-stealing pools, verify the
-//!   parallel runs are bit-identical, and write `BENCH_train.json`.
 //! * `chaos`    — the deterministic chaos harness: kill the checkpointed
 //!   trainer mid-run (with a torn tail), resume it, prove the artifacts
 //!   bit-identical, then drive the supervised server through planted
@@ -154,8 +146,6 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
         "flight" => commands::flight(rest),
         "serve" => commands::serve(rest),
         "netgen" => commands::netgen(rest),
-        "loadgen" => commands::loadgen(rest),
-        "bench-train" => commands::bench_train(rest),
         "chaos" => commands::chaos(rest),
         "analyze" => commands::analyze(rest),
         "metrics" => commands::metrics(rest),
@@ -181,15 +171,12 @@ USAGE:
     tasq-cli serve    --workload <file> [--model-dir <dir>] [--model nn|xgb-ss|xgb-pl]
                       [--workers N] [--max-batch N] [--cache on|off]
                       [--requests N] [--repeat FRAC] [--seed N]
-                      [--listen <addr>] [--shards N] [--autoscale on|off]
-                      [--min-workers N] [--max-workers N] [--scale-up FRAC]
-                      [--scale-down FRAC] [--cooldown-secs SECS]
+                      [--listen <addr>] [--shards N] [--deadline-ms N]
+                      [--autoscale on|off] [--min-workers N] [--max-workers N]
+                      [--scale-up FRAC] [--scale-down FRAC] [--cooldown-secs SECS]
+                      [--burn-up FRAC]
     tasq-cli netgen   --addr <host:port> --workload <file> [--requests N] [--repeat FRAC]
                       [--qps N] [--seed N] [--mode http|binary] [--connections N]
-    tasq-cli loadgen  --workload <file> [--model-dir <dir>] [--requests N] [--repeat FRAC]
-                      [--qps N] [--out <json>] [--seed N] [--networked on|off]
-                      [--server-procs N,M,...] [--clients N] [--mode http|binary]
-    tasq-cli bench-train [--out <json>] [--jobs N] [--seed N] [--threads N] [--quick true]
     tasq-cli chaos    --preset none|mild|production|adversarial [--seed N] [--jobs N]
                       [--requests N] [--dir <dir>] [--out <json>]
     tasq-cli analyze  [--root <dir>] [--mode full|static] [--pass lints|lock-order|

@@ -48,8 +48,8 @@ const STAGE_GBDT: &str = "gbdt";
 const STAGE_NN: &str = "nn";
 const STAGE_DONE: &str = "done";
 
-/// Mix `bits` into an order-sensitive digest (shared with `bench-train`).
-pub fn fold_bits(fingerprint: &mut u64, bits: u64) {
+/// Mix `bits` into an order-sensitive digest.
+fn fold_bits(fingerprint: &mut u64, bits: u64) {
     *fingerprint = fingerprint.rotate_left(7) ^ bits;
 }
 

@@ -338,15 +338,15 @@ impl Conn {
     }
 
     /// Write until the queue empties or the socket blocks, gathering
-    /// all queued responses into single `writev` calls when `coalesce`
-    /// is set (a lone buffer uses plain `write`). Returns the bytes
-    /// written this pass; `pending_write() > 0` afterwards means the
-    /// caller must arm `EPOLLOUT` and retry on writability.
-    pub fn flush(&mut self, pool: &mut BufPool, coalesce: bool) -> Result<usize, NetError> {
+    /// all queued responses into single `writev` calls (a lone buffer
+    /// uses plain `write`). Returns the bytes written this pass;
+    /// `pending_write() > 0` afterwards means the caller must arm
+    /// `EPOLLOUT` and retry on writability.
+    pub fn flush(&mut self, pool: &mut BufPool) -> Result<usize, NetError> {
         let mut pass = 0usize;
         let mut iovs: Vec<IoVec> = Vec::new();
         while let Some(front) = self.wqueue.front() {
-            let wrote = if coalesce && self.wqueue.len() > 1 {
+            let wrote = if self.wqueue.len() > 1 {
                 self.gather(&mut iovs);
                 sys::writev(self.fd, &iovs)
             } else {
@@ -628,7 +628,7 @@ mod tests {
         let mut received = Vec::new();
         let mut scratch = [0u8; 16 * 1024];
         while conn.pending_write() > 0 {
-            conn.flush(&mut pool, true).expect("flush");
+            conn.flush(&mut pool).expect("flush");
             while received.len() < expected.len() {
                 match std::io::Read::read(&mut reader, &mut scratch) {
                     Ok(0) => panic!("writer closed early"),

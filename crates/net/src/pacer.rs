@@ -1,11 +1,9 @@
 //! Token-bucket pacing for load generation.
 //!
-//! `loadgen --qps` previously recorded its target as 0 and never
-//! enforced it; this is the missing pacer. Tokens accrue at `rate` per
-//! second up to `burst`; each request takes one token, and `acquire`
-//! sleeps until one is available. Time is injected through a monotonic
-//! clock closure so the refill math is unit-testable without real
-//! sleeps.
+//! The pacer behind `netgen --qps`. Tokens accrue at `rate` per second
+//! up to `burst`; each request takes one token, and `acquire` sleeps
+//! until one is available. Time is injected through a monotonic clock
+//! closure so the refill math is unit-testable without real sleeps.
 
 use std::time::{Duration, Instant};
 

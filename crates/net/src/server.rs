@@ -21,10 +21,10 @@
 //! The response path is syscall-lean: every response resolved in one
 //! readiness event is rendered into a buffer checked out of the shard's
 //! [`BufPool`] and queued; one `writev` then flushes the whole burst in
-//! a single syscall (`NetConfig::coalesce_writes`), resuming exactly
-//! across partial writes. Signature-cache hits short-circuit on the
-//! event-loop thread itself via `try_score_cached` — no queue hop, no
-//! worker wakeup — and are counted as `serve_fastpath_hits_total`.
+//! a single syscall, resuming exactly across partial writes.
+//! Signature-cache hits short-circuit on the event-loop thread itself
+//! via `try_score_cached` — no queue hop, no worker wakeup — and are
+//! counted as `serve_fastpath_hits_total`.
 //!
 //! Backpressure is inherited, not reinvented: `submit_with_deadline`
 //! still applies the shed watermark and bounded-queue admission, and the
@@ -63,11 +63,6 @@ pub struct NetConfig {
     pub http_limits: HttpLimits,
     /// Per-request deadline budget passed to `submit_with_deadline`.
     pub deadline: Option<Duration>,
-    /// Gather all queued responses on a connection into a single
-    /// `writev` per flush (the default). `false` falls back to one
-    /// `write` per buffer — kept as a knob so the benchmark harness can
-    /// measure the syscall savings honestly.
-    pub coalesce_writes: bool,
 }
 
 impl Default for NetConfig {
@@ -77,7 +72,6 @@ impl Default for NetConfig {
             max_connections_per_shard: 1024,
             http_limits: HttpLimits::default(),
             deadline: None,
-            coalesce_writes: true,
         }
     }
 }
@@ -257,7 +251,7 @@ fn shard_loop_inner(
     let mut pool = BufPool::new(POOL_RETAINED_BUFFERS);
     loop {
         if drain.load(Ordering::SeqCst) {
-            flush_remaining(&mut slots, &mut pool, config.coalesce_writes);
+            flush_remaining(&mut slots, &mut pool);
             return Ok(());
         }
         let n = sys::epoll_wait(epfd, &mut events, 50)?;
@@ -297,7 +291,7 @@ fn shard_loop_inner(
             // Every response resolved in this wake leaves in one flush —
             // a single writev when more than one buffer is queued.
             let flush_start = Instant::now();
-            match slot.conn.flush(&mut pool, config.coalesce_writes) {
+            match slot.conn.flush(&mut pool) {
                 Ok(bytes) => {
                     if bytes > 0 {
                         net_metrics()
@@ -361,9 +355,9 @@ fn accept_burst(
                     continue;
                 }
                 // Best effort: without it a response that leaves in more
-                // than one write (`coalesce_writes: false`, or a partial
-                // flush) stalls on Nagle × the peer's delayed ACK. A
-                // socket that refuses the option still serves.
+                // than one write (a partial flush) stalls on Nagle × the
+                // peer's delayed ACK. A socket that refuses the option
+                // still serves.
                 let _ = sys::setsockopt(fd, sys::IPPROTO_TCP, sys::TCP_NODELAY, 1);
                 if sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, fd, BASE_INTEREST).is_err() {
                     sys::close(fd);
@@ -383,11 +377,11 @@ fn accept_burst(
 
 /// Best-effort flush of pending responses (the drain ack, mostly) before
 /// a shard exits. Bounded so a stuck peer cannot wedge shutdown.
-fn flush_remaining(slots: &mut HashMap<i32, Slot>, pool: &mut BufPool, coalesce: bool) {
+fn flush_remaining(slots: &mut HashMap<i32, Slot>, pool: &mut BufPool) {
     let deadline = Instant::now() + Duration::from_secs(1);
     for slot in slots.values_mut() {
         while slot.conn.pending_write() > 0 && Instant::now() < deadline {
-            match slot.conn.flush(pool, coalesce) {
+            match slot.conn.flush(pool) {
                 Ok(bytes) => {
                     net_metrics().bytes_written.add(bytes as u64);
                     if slot.conn.pending_write() > 0 {
@@ -722,7 +716,7 @@ fn wire_span(ctx: TraceContext, name: &'static str) -> tasq_obs::SpanGuard {
 }
 
 /// Hand-rolled JSON for the `/stats` endpoint (no serde_json in the
-/// workspace; mirrors the counters the CLI's loadgen reports).
+/// workspace; the same counters `serve --listen` prints when drained).
 fn stats_json(stats: &ServerStatsSnapshot) -> String {
     format!(
         "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"fastpath_hits\":{},\

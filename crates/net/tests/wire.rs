@@ -5,41 +5,14 @@
 //! expensive part); every test binds its own ephemeral-port server so
 //! they can run concurrently.
 
-use scope_sim::{Job, WorkloadConfig, WorkloadGenerator};
+mod common;
+
+use common::{jobs, read_scores, registry};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use tasq::models::{NnTrainConfig, XgbTrainConfig};
-use tasq::pipeline::{
-    JobRepository, ModelChoice, ModelStore, PipelineConfig, ScoringConfig, TasqPipeline,
-};
 use tasq_net::{BinaryClient, HttpClient, HttpLimits, NetConfig, NetServer, ScoreOutcome};
-use tasq_serve::{ModelRegistry, ScoringServer, ServeConfig};
-
-fn jobs(n: usize, seed: u64) -> Vec<Job> {
-    WorkloadGenerator::new(WorkloadConfig { num_jobs: n, seed, ..Default::default() }).generate()
-}
-
-fn registry() -> Arc<ModelRegistry> {
-    static REGISTRY: OnceLock<Arc<ModelRegistry>> = OnceLock::new();
-    Arc::clone(REGISTRY.get_or_init(|| {
-        let repo = JobRepository::new();
-        repo.ingest(jobs(20, 7001));
-        let store = ModelStore::new();
-        TasqPipeline::new(PipelineConfig {
-            xgb: XgbTrainConfig { num_rounds: 15, ..Default::default() },
-            nn: NnTrainConfig { epochs: 8, ..Default::default() },
-            ..Default::default()
-        })
-        .train(&repo, &store)
-        .expect("pipeline trains");
-        Arc::new(
-            ModelRegistry::deploy(&store, ModelChoice::Nn, ScoringConfig::default())
-                .expect("registry deploys"),
-        )
-    }))
-}
+use tasq_serve::{ScoringServer, ServeConfig};
 
 fn start_net(config: NetConfig) -> NetServer {
     let scoring = ScoringServer::start(registry(), ServeConfig::default());
@@ -98,7 +71,7 @@ fn binary_framing_round_trips_and_preserves_order() {
 
 #[test]
 fn pipelined_bursts_keep_wire_order_and_match_direct_scoring() {
-    use tasq_net::frame::{self, FrameResponse, FrameResponseParse};
+    use tasq_net::frame;
 
     let net = start_net(NetConfig::default());
     let addr = net.local_addr().to_string();
@@ -122,32 +95,14 @@ fn pipelined_bursts_keep_wire_order_and_match_direct_scoring() {
             .expect("encode")
     };
     for (burst, stream) in bursts.iter().zip(&mut streams) {
-        let mut rbuf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut answered = 0;
-        while answered < burst.len() {
-            match frame::parse_response_frame(&rbuf, 0) {
-                FrameResponseParse::Complete(FrameResponse::Ok(score), consumed) => {
-                    rbuf.drain(..consumed);
-                    let job = &burst[answered];
-                    assert_eq!(score.job_id, job.id, "response {answered} out of request order");
-                    assert_eq!(
-                        strip(&score),
-                        strip(&service.service().score(job)),
-                        "wire answer {answered} differs from direct scoring"
-                    );
-                    answered += 1;
-                }
-                FrameResponseParse::Complete(FrameResponse::Error(status), _) => {
-                    panic!("request {answered} refused with {status:?}")
-                }
-                FrameResponseParse::NeedMore => {
-                    let n = stream.read(&mut chunk).expect("recv");
-                    assert!(n > 0, "server closed after {answered} responses");
-                    rbuf.extend_from_slice(&chunk[..n]);
-                }
-                FrameResponseParse::Malformed(why) => panic!("malformed response: {why}"),
-            }
+        let scores = read_scores(stream, burst.len());
+        for (answered, (job, score)) in burst.iter().zip(&scores).enumerate() {
+            assert_eq!(score.job_id, job.id, "response {answered} out of request order");
+            assert_eq!(
+                strip(score),
+                strip(&service.service().score(job)),
+                "wire answer {answered} differs from direct scoring"
+            );
         }
     }
     drop(streams);

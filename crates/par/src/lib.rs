@@ -707,6 +707,23 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         let doubled = pool.par_map_grain(&items, 1, |i, &x| i + x).unwrap();
         assert_eq!(doubled.len(), 64);
+        // Collection is process-global, so pools of tests running beside
+        // this one record `par_task` spans too (under no parent). This
+        // map's tasks are therefore checked by coverage: the spans
+        // parented onto `root` account for every one of its 64 items.
+        let tasks = tasq_obs::span::take_collected();
+        let bound = |task: &tasq_obs::span::SpanEvent, key: &str| {
+            task.fields.iter().find_map(|(name, value)| match value {
+                FieldValue::U64(v) if *name == key => Some(*v),
+                _ => None,
+            })
+        };
+        let covered: u64 = tasks
+            .iter()
+            .filter(|t| t.name == "par_task" && t.parent == root_id)
+            .map(|t| bound(t, "hi").unwrap() - bound(t, "lo").unwrap())
+            .sum();
+        assert_eq!(covered, 64, "workers parent onto the caller");
         // A captured task panic must not corrupt the caller's span stack.
         let err = pool
             .par_map_grain(&items, 1, |i, &x| {
@@ -720,9 +737,9 @@ mod tests {
         let events = tasq_obs::span::take_collected();
         tasq_obs::subscriber_off();
         let root_event = events.iter().find(|e| e.name == "par_root").unwrap();
-        let tasks: Vec<_> = events.iter().filter(|e| e.name == "par_task").collect();
-        assert!(!tasks.is_empty());
-        assert!(tasks.iter().all(|t| t.parent == root_id), "workers parent onto the caller");
+        let tasks: Vec<_> =
+            events.iter().filter(|e| e.name == "par_task" && e.parent == root_id).collect();
+        assert!(!tasks.is_empty(), "the panicking map's tasks are collected too");
         assert!(tasks.iter().all(|t| t.start_us >= root_event.start_us));
         assert!(metrics().tasks.get() >= 64);
     }

@@ -23,8 +23,8 @@
 //! Everything is std-threads + channels + atomics over the workspace's
 //! vendored dependencies; there is no async runtime and no network
 //! surface *in this crate* — the server embeds into a host process
-//! (the `tasq` CLI `serve` / `loadgen` subcommands), and `tasq-net`
-//! puts it on a socket.
+//! (the `tasq` CLI `serve` subcommand), and `tasq-net` puts it on a
+//! socket.
 
 #![warn(missing_docs)]
 

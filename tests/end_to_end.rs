@@ -170,19 +170,18 @@ fn scoring_service_is_thread_safe() {
     let incoming = workload(24, 14);
     let sequential: Vec<u32> = incoming.iter().map(|j| service.score(j).optimal_tokens).collect();
 
-    let concurrent: Vec<u32> = crossbeam::scope(|scope| {
+    let concurrent: Vec<u32> = std::thread::scope(|scope| {
         let handles: Vec<_> = incoming
             .chunks(6)
             .map(|chunk| {
                 let service = std::sync::Arc::clone(&service);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     chunk.iter().map(|j| service.score(j).optimal_tokens).collect::<Vec<_>>()
                 })
             })
             .collect();
         handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
     assert_eq!(sequential, concurrent);
 }
 
