@@ -68,7 +68,7 @@ pub fn evaluate_model(model: &dyn PccPredictor, dataset: &Dataset) -> ModelRow {
     for example in &dataset.examples {
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: example.observed_tokens,
         };
         let predicted = model.predict(&input);
@@ -104,7 +104,7 @@ pub fn runtime_ape_samples(model: &dyn PccPredictor, dataset: &Dataset) -> Vec<f
         .map(|example| {
             let input = ScoringInput {
                 features: &example.features,
-                op_features: &example.op_features,
+                op_features: Some(&example.op_features),
                 reference_tokens: example.observed_tokens,
             };
             let predicted = model.predict(&input).predict(example.observed_tokens);

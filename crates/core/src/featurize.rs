@@ -46,27 +46,42 @@ pub struct OperatorFeatures {
     pub edges: Vec<(usize, usize)>,
 }
 
+/// Number of per-operator features that aggregate by mean.
+const NUM_SCALAR: usize = NUM_CONTINUOUS + NUM_DISCRETE;
+
+/// The continuous (log1p-compressed) then discrete features of one
+/// operator, in row order.
+fn scalar_features(node: &OperatorNode) -> [f64; NUM_SCALAR] {
+    [
+        node.est_output_cardinality.max(0.0).ln_1p(),
+        node.est_leaf_input_cardinality.max(0.0).ln_1p(),
+        node.est_children_input_cardinality.max(0.0).ln_1p(),
+        node.avg_row_length.max(0.0).ln_1p(),
+        node.est_subtree_cost.max(0.0).ln_1p(),
+        node.est_exclusive_cost.max(0.0).ln_1p(),
+        node.est_total_cost.max(0.0).ln_1p(),
+        node.num_partitions as f64,
+        node.num_partitioning_columns as f64,
+        node.num_sort_columns as f64,
+    ]
+}
+
+/// Row positions of the two one-hot bits an operator sets: its physical
+/// operator and its partitioning method.
+fn one_hot_positions(node: &OperatorNode) -> [usize; 2] {
+    [
+        NUM_SCALAR + node.op.one_hot_index(),
+        NUM_SCALAR + ALL_OPERATORS.len() + node.partitioning.one_hot_index(),
+    ]
+}
+
 /// The continuous + discrete + one-hot row for a single operator.
 fn operator_row(node: &OperatorNode) -> Vec<f64> {
-    let mut row = Vec::with_capacity(OP_FEATURE_DIM);
-    // Continuous (log1p-compressed).
-    row.push(node.est_output_cardinality.max(0.0).ln_1p());
-    row.push(node.est_leaf_input_cardinality.max(0.0).ln_1p());
-    row.push(node.est_children_input_cardinality.max(0.0).ln_1p());
-    row.push(node.avg_row_length.max(0.0).ln_1p());
-    row.push(node.est_subtree_cost.max(0.0).ln_1p());
-    row.push(node.est_exclusive_cost.max(0.0).ln_1p());
-    row.push(node.est_total_cost.max(0.0).ln_1p());
-    // Discrete.
-    row.push(node.num_partitions as f64);
-    row.push(node.num_partitioning_columns as f64);
-    row.push(node.num_sort_columns as f64);
-    // One-hot.
-    let mut onehot = [0.0; NUM_ONEHOT];
-    onehot[node.op.one_hot_index()] = 1.0;
-    onehot[ALL_OPERATORS.len() + node.partitioning.one_hot_index()] = 1.0;
-    row.extend_from_slice(&onehot);
-    debug_assert_eq!(row.len(), OP_FEATURE_DIM);
+    let mut row = vec![0.0; OP_FEATURE_DIM];
+    row[..NUM_SCALAR].copy_from_slice(&scalar_features(node));
+    for position in one_hot_positions(node) {
+        row[position] = 1.0;
+    }
     row
 }
 
@@ -82,18 +97,18 @@ pub fn featurize_operators(plan: &JobPlan) -> OperatorFeatures {
 ///
 /// Continuous and discrete features aggregate by mean; one-hot categories
 /// aggregate by frequency count; operator and stage counts are appended.
+/// Accumulates straight from the operators, adding what a sum over
+/// [`featurize_operators`] rows would add in the same order (a one-hot
+/// zero adds nothing), so the vector is bit-identical to that sum.
 pub fn featurize_job(plan: &JobPlan, num_stages: usize) -> JobFeatures {
     let n = plan.operators.len().max(1) as f64;
     let mut values = vec![0.0; JOB_FEATURE_DIM];
     for node in &plan.operators {
-        let row = operator_row(node);
-        // Means for continuous + discrete.
-        for i in 0..NUM_CONTINUOUS + NUM_DISCRETE {
-            values[i] += row[i] / n;
+        for (mean, feature) in values.iter_mut().zip(scalar_features(node)) {
+            *mean += feature / n;
         }
-        // Frequency counts for one-hot categories.
-        for i in NUM_CONTINUOUS + NUM_DISCRETE..OP_FEATURE_DIM {
-            values[i] += row[i];
+        for position in one_hot_positions(node) {
+            values[position] += 1.0;
         }
     }
     values[OP_FEATURE_DIM] = plan.operators.len() as f64;

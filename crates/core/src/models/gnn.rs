@@ -248,8 +248,14 @@ impl PccPredictor for GnnPcc {
         "GNN"
     }
 
+    /// Without operator features there is nothing to predict from: the
+    /// answer is a NaN power law, which fails every monotonicity check and
+    /// so falls through a serving tier chain to the next tier.
     fn predict(&self, input: &ScoringInput<'_>) -> PredictedPcc {
-        PredictedPcc::PowerLaw(self.predict_pcc(input.op_features))
+        PredictedPcc::PowerLaw(match input.op_features {
+            Some(op_features) => self.predict_pcc(op_features),
+            None => PowerLawPcc { a: f64::NAN, b: f64::NAN },
+        })
     }
 
     fn param_count(&self) -> usize {
@@ -328,7 +334,7 @@ mod tests {
         let e = &ds.examples[0];
         let input = ScoringInput {
             features: &e.features,
-            op_features: &e.op_features,
+            op_features: Some(&e.op_features),
             reference_tokens: e.observed_tokens,
         };
         let via_trait = model.predict(&input).power_law().unwrap();

@@ -28,8 +28,12 @@ use tasq_ml::spline::SmoothingSpline;
 pub struct ScoringInput<'a> {
     /// Aggregated job-level features.
     pub features: &'a JobFeatures,
-    /// Operator-level features + DAG (used by the GNN).
-    pub op_features: &'a OperatorFeatures,
+    /// Operator-level features + DAG. Only the GNN reads them, and no
+    /// [`crate::pipeline::ModelChoice`] deploys the GNN, so
+    /// [`crate::pipeline::ScoringService::score`] passes `None` rather than
+    /// build a row per operator for nobody; offline evaluation passes
+    /// `Some`.
+    pub op_features: Option<&'a OperatorFeatures>,
     /// Reference token count (the submitted/observed allocation); XGBoost
     /// SS/PL build their local curves around it.
     pub reference_tokens: u32,

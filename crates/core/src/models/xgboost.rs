@@ -269,7 +269,7 @@ mod tests {
         let example = &ds.examples[0];
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: example.observed_tokens,
         };
         let ss_pred = ss.predict(&input);
@@ -310,7 +310,7 @@ mod tests {
         let example = &ds.examples[0];
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: 1,
         };
         let ss = XgboostSs::new(model);

@@ -23,7 +23,7 @@
 
 use crate::augment::AugmentConfig;
 use crate::dataset::Dataset;
-use crate::featurize::{featurize_job, featurize_operators};
+use crate::featurize::featurize_job;
 use crate::models::{
     NnPcc, NnTrainConfig, PccPredictor, PredictedPcc, ScoringInput, XgbRuntime, XgbTrainConfig,
     XgboostPl, XgboostSs,
@@ -628,8 +628,8 @@ const MONOTONE_TOLERANCE: f64 = 0.05;
 /// then an analytic Amdahl baseline computed from the submitted plan
 /// itself. A prediction is rejected — falling through to the next tier —
 /// when it is non-finite or violates PCC monotonicity beyond
-/// [`MONOTONE_TOLERANCE`]. [`ScoringService::score`] therefore never
-/// panics and always produces a response.
+/// [`MONOTONE_TOLERANCE`]. [`ScoringService::score`] therefore always
+/// produces a response for a structurally sound plan.
 pub struct ScoringService {
     tiers: Vec<(ServedTier, Box<dyn PccPredictor + Send + Sync>)>,
     config: ScoringConfig,
@@ -714,41 +714,39 @@ impl ScoringService {
         }
     }
 
-    /// Score a submitted job from its compile-time plan. Never panics:
-    /// predictions that fail validation fall through the tier chain, and
-    /// the analytic Amdahl tier always produces a usable curve.
+    /// Score a submitted job from its compile-time plan. Predictions that
+    /// fail validation fall through the tier chain, and the analytic
+    /// Amdahl tier always produces a usable curve, so every structurally
+    /// sound plan gets a response.
+    ///
+    /// Each tier's inputs are built when that tier is reached and not
+    /// before: the trained tiers read the 51 job-level features (of the
+    /// stage structure, only the stage *count*), the analytic tier reads
+    /// the stage graph with its seeded task durations, and operator-level
+    /// features are read by no deployable model and never built.
+    ///
+    /// # Panics
+    /// Panics on a plan that fails [`scope_sim::check_structure`] (empty,
+    /// an edge out of range, a cycle). [`JobPlan::new`](scope_sim::JobPlan::new)
+    /// cannot build one but a decoder can: check decoded jobs before
+    /// scoring them, as the serving front end does at admission.
     pub fn score(&self, job: &Job) -> ScoreResponse {
-        let stage_graph = StageGraph::from_plan(&job.plan, job.seed);
-        let num_stages = stage_graph.num_stages();
-        let features = featurize_job(&job.plan, num_stages);
-        let op_features = featurize_operators(&job.plan);
-        let reference_tokens = job.requested_tokens.max(1);
-        let input = ScoringInput {
-            features: &features,
-            op_features: &op_features,
-            reference_tokens,
-        };
-        let (served_tier, predicted) = self.predict_degrading(&input, &stage_graph);
-        let min_tokens = self.config.min_tokens.max(1);
-        let max_tokens = self.config.max_tokens.max(min_tokens);
-        let ceiling = if self.config.cap_at_request {
-            max_tokens.min(reference_tokens).max(min_tokens)
+        let trained = if self.tiers.is_empty() {
+            // The analytic service reads no features at all.
+            None
         } else {
-            max_tokens
+            Self::with_trained_input(job, |input| {
+                self.tiers.iter().find_map(|(tier, model)| {
+                    let predicted = model.predict(input);
+                    Self::usable(&predicted, input.reference_tokens).then_some((*tier, predicted))
+                })
+            })
         };
-        let optimal_tokens = self.optimal_tokens(&predicted, min_tokens, ceiling);
-        let decision = if self.config.automatic {
-            AllocationDecision::Automatic { tokens: optimal_tokens }
-        } else {
-            AllocationDecision::ShowCurve { curve: self.sample_curve(&predicted) }
-        };
-        ScoreResponse {
-            job_id: job.id,
-            predicted_runtime_at_request: predicted.predict(reference_tokens),
-            optimal_tokens,
-            decision,
-            served_tier,
-        }
+        let (served_tier, predicted) = trained.unwrap_or_else(|| {
+            let stage_graph = StageGraph::from_plan(&job.plan, job.seed);
+            (ServedTier::Analytic, Self::analytic_pcc(&stage_graph))
+        });
+        self.respond(job, served_tier, &predicted)
     }
 
     /// Evaluate the *primary* tier's raw prediction for a job on a token
@@ -764,32 +762,51 @@ impl ScoringService {
         if *tier != ServedTier::Primary {
             return None;
         }
-        let stage_graph = StageGraph::from_plan(&job.plan, job.seed);
-        let features = featurize_job(&job.plan, stage_graph.num_stages());
-        let op_features = featurize_operators(&job.plan);
-        let input = ScoringInput {
-            features: &features,
-            op_features: &op_features,
-            reference_tokens: job.requested_tokens.max(1),
-        };
-        let predicted = model.predict(&input);
+        let predicted = Self::with_trained_input(job, |input| model.predict(input));
         Some(tokens.iter().map(|&t| (t, predicted.predict(t.max(1)))).collect())
     }
 
-    /// Walk the tier chain until a prediction passes validation; the
-    /// analytic tier is the unconditional last resort.
-    fn predict_degrading(
+    /// Hand `predict` what a deployable trained model reads of a job: the
+    /// job-level features, with the stage count taken without building
+    /// the stage graph, and no operator-level features.
+    fn with_trained_input<R>(job: &Job, predict: impl FnOnce(&ScoringInput<'_>) -> R) -> R {
+        let features = featurize_job(&job.plan, StageGraph::count_stages(&job.plan));
+        predict(&ScoringInput {
+            features: &features,
+            op_features: None,
+            reference_tokens: job.requested_tokens.max(1),
+        })
+    }
+
+    /// Turn the serving tier's curve into the response: the optimal token
+    /// count within the configured range and the scheduler-facing decision.
+    fn respond(
         &self,
-        input: &ScoringInput<'_>,
-        stage_graph: &StageGraph,
-    ) -> (ServedTier, PredictedPcc) {
-        for (tier, model) in &self.tiers {
-            let predicted = model.predict(input);
-            if Self::usable(&predicted, input.reference_tokens) {
-                return (*tier, predicted);
-            }
+        job: &Job,
+        served_tier: ServedTier,
+        predicted: &PredictedPcc,
+    ) -> ScoreResponse {
+        let reference_tokens = job.requested_tokens.max(1);
+        let min_tokens = self.config.min_tokens.max(1);
+        let max_tokens = self.config.max_tokens.max(min_tokens);
+        let ceiling = if self.config.cap_at_request {
+            max_tokens.min(reference_tokens).max(min_tokens)
+        } else {
+            max_tokens
+        };
+        let optimal_tokens = self.optimal_tokens(predicted, min_tokens, ceiling);
+        let decision = if self.config.automatic {
+            AllocationDecision::Automatic { tokens: optimal_tokens }
+        } else {
+            AllocationDecision::ShowCurve { curve: self.sample_curve(predicted) }
+        };
+        ScoreResponse {
+            job_id: job.id,
+            predicted_runtime_at_request: predicted.predict(reference_tokens),
+            optimal_tokens,
+            decision,
+            served_tier,
         }
-        (ServedTier::Analytic, Self::analytic_pcc(stage_graph))
     }
 
     /// Serve-time validation: finite at the reference allocation and
@@ -1234,5 +1251,218 @@ mod tests {
         assert_eq!(response.served_tier, ServedTier::Analytic);
         assert_eq!(response.optimal_tokens, 1);
         assert!(response.predicted_runtime_at_request.is_finite());
+    }
+}
+
+/// Differential oracle for lazy scoring: `ScoringService::score` builds
+/// each tier's inputs only when that tier is reached, and this module
+/// keeps the *eager* recipe it replaced — stage graph first, stage count
+/// read off the graph, one feature row per operator, job features as the
+/// aggregate of those rows, operator features handed to every tier — as
+/// the reference. The two must agree bit for bit on every generator
+/// archetype, for every served model family and both degradation routes.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::featurize::{
+        featurize_operators, JobFeatures, OperatorFeatures, JOB_FEATURE_DIM, NUM_CONTINUOUS,
+        NUM_DISCRETE, OP_FEATURE_DIM,
+    };
+    use crate::models::{GnnPcc, GnnTrainConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use scope_sim::{Archetype, JobMeta, WorkloadConfig, WorkloadGenerator};
+
+    const SEEDS_PER_ARCHETYPE: u64 = 32;
+
+    /// Every archetype at 32 seeded sizes and allocations.
+    fn jobs_of_every_archetype() -> Vec<Job> {
+        let mut jobs = Vec::new();
+        for archetype in Archetype::ALL {
+            for seed in 0..SEEDS_PER_ARCHETYPE {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((archetype.index() as u64) << 32));
+                let size_factor = rng.gen_range(0.05..20.0);
+                let requested_tokens = rng.gen_range(1..=2000);
+                jobs.push(Job {
+                    id: jobs.len() as u64,
+                    plan: archetype.build_plan(rng.gen(), size_factor, requested_tokens),
+                    requested_tokens,
+                    seed: rng.gen(),
+                    meta: JobMeta { archetype, recurring_template: None, size_factor },
+                });
+            }
+        }
+        jobs
+    }
+
+    /// Job features as the aggregate of materialised operator rows: means of
+    /// the continuous and discrete columns, sums of the one-hot columns.
+    fn aggregate_rows(op_features: &OperatorFeatures, num_stages: usize) -> JobFeatures {
+        let n = op_features.rows.len().max(1) as f64;
+        let mut values = vec![0.0; JOB_FEATURE_DIM];
+        for row in &op_features.rows {
+            for i in 0..NUM_CONTINUOUS + NUM_DISCRETE {
+                values[i] += row[i] / n;
+            }
+            for i in NUM_CONTINUOUS + NUM_DISCRETE..OP_FEATURE_DIM {
+                values[i] += row[i];
+            }
+        }
+        values[OP_FEATURE_DIM] = op_features.rows.len() as f64;
+        values[OP_FEATURE_DIM + 1] = num_stages as f64;
+        JobFeatures { values }
+    }
+
+    /// The eager recipe: every input of every tier built up front.
+    fn eager_score(service: &ScoringService, job: &Job) -> ScoreResponse {
+        let stage_graph = StageGraph::from_plan(&job.plan, job.seed);
+        let op_features = featurize_operators(&job.plan);
+        let features = aggregate_rows(&op_features, stage_graph.num_stages());
+        let reference_tokens = job.requested_tokens.max(1);
+        let input =
+            ScoringInput { features: &features, op_features: Some(&op_features), reference_tokens };
+        let (served_tier, predicted) = service
+            .tiers
+            .iter()
+            .find_map(|(tier, model)| {
+                let predicted = model.predict(&input);
+                ScoringService::usable(&predicted, reference_tokens).then_some((*tier, predicted))
+            })
+            .unwrap_or_else(|| (ServedTier::Analytic, ScoringService::analytic_pcc(&stage_graph)));
+        service.respond(job, served_tier, &predicted)
+    }
+
+    fn bits(features: &JobFeatures) -> Vec<u64> {
+        features.values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn trained_store(seed: u64) -> ModelStore {
+        let repo = JobRepository::new();
+        repo.ingest(
+            WorkloadGenerator::new(WorkloadConfig { num_jobs: 24, seed, ..Default::default() })
+                .generate(),
+        );
+        let store = ModelStore::new();
+        TasqPipeline::new(PipelineConfig {
+            xgb: XgbTrainConfig { num_rounds: 12, ..Default::default() },
+            nn: NnTrainConfig { epochs: 8, ..Default::default() },
+            ..Default::default()
+        })
+        .train(&repo, &store)
+        .expect("trains");
+        store
+    }
+
+    #[test]
+    fn stage_count_and_job_features_match_the_eager_recipe_bit_for_bit() {
+        for job in jobs_of_every_archetype() {
+            let graph = StageGraph::from_plan(&job.plan, job.seed);
+            let count = StageGraph::count_stages(&job.plan);
+            assert_eq!(count, graph.num_stages(), "{:?} job {}", job.meta.archetype, job.id);
+            assert_eq!(count, job.num_stages());
+            let reference = aggregate_rows(&featurize_operators(&job.plan), graph.num_stages());
+            assert_eq!(
+                bits(&featurize_job(&job.plan, count)),
+                bits(&reference),
+                "{:?} job {}",
+                job.meta.archetype,
+                job.id
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_score_answers_as_the_eager_recipe_did_for_every_tier_and_degradation_route() {
+        let store = trained_store(301);
+        let config = ScoringConfig::default;
+        let deploy = |choice| ScoringService::deploy(&store, choice, config()).expect("deploys");
+        // A primary artifact that no longer decodes: the fallback tier answers.
+        let corrupt = trained_store(303);
+        corrupt.register(XGB_MODEL_NAME, &0xDEAD_BEEFu64).expect("registers");
+        let services = [
+            ("nn", deploy(ModelChoice::Nn), ServedTier::Primary),
+            ("xgb-pl", deploy(ModelChoice::XgboostPl), ServedTier::Primary),
+            ("xgb-ss", deploy(ModelChoice::XgboostSs), ServedTier::Primary),
+            ("analytic", ScoringService::analytic(config()), ServedTier::Analytic),
+            (
+                "corrupt primary",
+                ScoringService::deploy_degraded(&corrupt, ModelChoice::XgboostPl, config()),
+                ServedTier::Fallback,
+            ),
+            (
+                "empty store",
+                ScoringService::deploy_degraded(&ModelStore::new(), ModelChoice::Nn, config()),
+                ServedTier::Analytic,
+            ),
+            // The user-facing decision samples the curve instead of one point.
+            (
+                "nn, curve shown",
+                ScoringService::deploy(
+                    &store,
+                    ModelChoice::Nn,
+                    ScoringConfig { automatic: false, cap_at_request: false, ..config() },
+                )
+                .expect("deploys"),
+                ServedTier::Primary,
+            ),
+        ];
+        let jobs = jobs_of_every_archetype();
+        for (name, service, usual_tier) in &services {
+            let mut served_by_usual_tier = 0;
+            for job in &jobs {
+                let lazy = service.score(job);
+                served_by_usual_tier += (lazy.served_tier == *usual_tier) as usize;
+                assert_eq!(
+                    codec::to_bytes(&lazy).expect("encodes"),
+                    codec::to_bytes(&eager_score(service, job)).expect("encodes"),
+                    "{name}: {:?} job {}",
+                    job.meta.archetype,
+                    job.id
+                );
+            }
+            // XGBoost curves may be rejected job by job (that route is compared
+            // too); the named tier must still be the one mostly exercised.
+            assert!(served_by_usual_tier * 2 > jobs.len(), "{name}: {served_by_usual_tier}");
+        }
+    }
+
+    #[test]
+    fn a_gnn_without_operator_features_is_unusable_and_with_them_predicts_as_predict_pcc() {
+        let train =
+            WorkloadGenerator::new(WorkloadConfig { num_jobs: 8, seed: 307, ..Default::default() })
+                .generate();
+        let dataset = Dataset::build(&train, &AugmentConfig::default());
+        let gnn = GnnPcc::train(
+            &dataset,
+            &GnnTrainConfig {
+                gcn_dims: vec![8],
+                head_hidden: vec![8],
+                epochs: 2,
+                ..Default::default()
+            },
+        );
+        let example = &dataset.examples[0];
+        let reference_tokens = example.observed_tokens;
+        let mut input =
+            ScoringInput { features: &example.features, op_features: None, reference_tokens };
+        assert!(!ScoringService::usable(&gnn.predict(&input), reference_tokens));
+        input.op_features = Some(&example.op_features);
+        assert_eq!(gnn.predict(&input).power_law(), Some(gnn.predict_pcc(&example.op_features)));
+
+        // Served, it is the "every trained tier rejected" route: `score`
+        // passes no operator features, so the analytic tier answers.
+        let service = ScoringService {
+            tiers: vec![(ServedTier::Primary, Box::new(gnn))],
+            config: ScoringConfig::default(),
+        };
+        let analytic = ScoringService::analytic(ScoringConfig::default());
+        for job in &train {
+            let response = service.score(job);
+            assert_eq!(response.served_tier, ServedTier::Analytic);
+            assert_eq!(
+                codec::to_bytes(&response).expect("encodes"),
+                codec::to_bytes(&analytic.score(job)).expect("encodes")
+            );
+        }
     }
 }

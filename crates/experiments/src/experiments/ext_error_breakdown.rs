@@ -33,7 +33,7 @@ pub fn run(args: &Args) -> String {
     for (job, example) in workbench.test_jobs.iter().zip(&workbench.test.examples) {
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: example.observed_tokens,
         };
         let actual = example.observed_runtime;

@@ -27,12 +27,12 @@ fn runs_for_workload(
         }
         let (baseline_alloc, baseline_rt) = curve[0];
         let job = &fj.job;
-        let num_stages = StageGraph::from_plan(&job.plan, job.seed).num_stages();
+        let num_stages = StageGraph::count_stages(&job.plan);
         let features = featurize_job(&job.plan, num_stages);
         let op_features = featurize_operators(&job.plan);
         let input = ScoringInput {
             features: &features,
-            op_features: &op_features,
+            op_features: Some(&op_features),
             reference_tokens: fj.reference_tokens,
         };
         let prediction = model.predict(&input);

@@ -68,7 +68,7 @@ pub fn run(args: &Args) -> String {
     for example in &test.examples {
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: example.observed_tokens,
         };
         let _ = xgb_pl.predict(&input);

@@ -52,7 +52,8 @@ pub enum FrameStatus {
     WorkerLost = 3,
     /// The request's deadline elapsed before completion.
     DeadlineExceeded = 4,
-    /// The request payload did not decode as a `Job`.
+    /// The request payload did not decode as a `Job`, or decoded to a job
+    /// whose plan cannot be staged.
     BadRequest = 5,
     /// The declared frame length exceeded [`MAX_FRAME_BYTES`].
     TooLarge = 6,
@@ -78,6 +79,7 @@ impl FrameStatus {
         match error {
             SubmitError::Overloaded { .. } => Self::Overloaded,
             SubmitError::ShuttingDown => Self::ShuttingDown,
+            SubmitError::InvalidPlan { .. } => Self::BadRequest,
         }
     }
 

@@ -611,6 +611,9 @@ fn submit_http(
                                 tasq_serve::SubmitError::ShuttingDown => {
                                     (503, "Service Unavailable")
                                 }
+                                tasq_serve::SubmitError::InvalidPlan { .. } => {
+                                    (400, "Bad Request")
+                                }
                             };
                             ready_http(
                                 pool,

@@ -191,6 +191,70 @@ fn torn_and_garbage_bytes_never_wedge_the_server() {
     net.shutdown();
 }
 
+/// Three jobs the codec decodes happily and no plan constructor would
+/// build: no operators, an edge off the end of the operator list, a cycle.
+fn unstageable_jobs(seed: u64) -> Vec<scope_sim::Job> {
+    let template = jobs(1, seed).remove(0);
+    let mut empty = template.clone();
+    empty.plan.operators.clear();
+    empty.plan.edges.clear();
+    let mut out_of_range = template.clone();
+    out_of_range.plan.edges.push((0, out_of_range.plan.operators.len()));
+    let mut cyclic = template;
+    let &(from, to) = cyclic.plan.edges.first().expect("generated plans have edges");
+    cyclic.plan.edges.push((to, from));
+    vec![empty, out_of_range, cyclic]
+}
+
+/// Three hostile requests, then a good one, through one connection's
+/// `score`: three refusals, then the answer direct scoring gives — the
+/// shard thread that refused them is still serving.
+fn refused_then_served(
+    framing: &str,
+    mut score: impl FnMut(&scope_sim::Job) -> ScoreOutcome,
+    good: &scope_sim::Job,
+    expected: &tasq::pipeline::ScoreResponse,
+) {
+    for (i, job) in unstageable_jobs(7020).iter().enumerate() {
+        match score(job) {
+            ScoreOutcome::Rejected(status) => assert_eq!(status, 400, "{framing} {i}"),
+            ScoreOutcome::Ok(answer) => panic!("{framing} {i} was scored: {answer:?}"),
+        }
+    }
+    match score(good) {
+        ScoreOutcome::Ok(answer) => assert_eq!(
+            tasq::codec::to_bytes(&answer).expect("encode"),
+            tasq::codec::to_bytes(expected).expect("encode"),
+            "{framing}: wire answer differs from direct scoring"
+        ),
+        ScoreOutcome::Rejected(status) => panic!("{framing}: good plan refused, {status}"),
+    }
+}
+
+#[test]
+fn decodable_but_unstageable_plans_are_refused_not_panicked_on() {
+    let net = start_net(NetConfig::default());
+    let addr = net.local_addr().to_string();
+    let good = jobs(1, 7021).remove(0);
+    let expected = registry().current().service().score(&good);
+
+    let mut binary = BinaryClient::connect(&addr).expect("connects");
+    binary.set_timeout(Duration::from_secs(10)).expect("timeout");
+    let answered = "a refusal is still a response";
+    refused_then_served("binary", |job| binary.score(job).expect(answered), &good, &expected);
+    let mut http = HttpClient::connect(&addr).expect("connects");
+    http.set_timeout(Duration::from_secs(10)).expect("timeout");
+    refused_then_served("http", |job| http.score(job).expect(answered), &good, &expected);
+
+    let stats = net.shutdown();
+    assert_eq!(stats.rejected, 6, "each unstageable plan is a counted refusal");
+    assert_eq!(stats.worker_lost, 0, "nothing reached a worker to kill it");
+    assert_eq!(
+        stats.submitted,
+        stats.completed + stats.rejected + stats.worker_lost + stats.deadline_timeouts
+    );
+}
+
 #[test]
 fn drain_over_the_wire_keeps_exact_accounting() {
     let net = start_net(NetConfig::default());

@@ -63,7 +63,7 @@ impl Job {
 
     /// Number of stages (a job-level feature in the paper).
     pub fn num_stages(&self) -> usize {
-        StageGraph::from_plan(&self.plan, self.seed).num_stages()
+        StageGraph::count_stages(&self.plan)
     }
 }
 

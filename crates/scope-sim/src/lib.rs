@@ -73,6 +73,6 @@ pub use skyline::Skyline;
 pub use stage::{Stage, StageGraph};
 pub use trace::{chrome_track, EventLog, EventTrace, ExecTrace, TraceEvent, TraceOp};
 pub use validate::{
-    validate_job, validate_plan, validate_stage_graph, JobValidationError, PlanViolation,
-    StageViolation,
+    check_structure, validate_job, validate_plan, validate_stage_graph, JobValidationError,
+    PlanViolation, StageViolation,
 };

@@ -52,6 +52,18 @@ pub struct StageGraph {
 }
 
 impl StageGraph {
+    /// Number of stages of a plan — `from_plan(plan, _).num_stages()`
+    /// without the graph: the union-find pass alone, with no RNG, no
+    /// topological order and no task durations. The count is the one
+    /// job-level feature the trained models read of the stage structure.
+    ///
+    /// # Panics
+    /// Panics if an edge references a missing node
+    /// ([`crate::validate::check_structure`] is the precondition).
+    pub fn count_stages(plan: &JobPlan) -> usize {
+        union_stages(plan).1
+    }
+
     /// Derive the stage graph from a plan.
     ///
     /// Operators connected by non-exchange edges share a stage (union-find
@@ -60,33 +72,21 @@ impl StageGraph {
     /// count; per-task durations split the stage's cost-derived work with
     /// deterministic skew controlled by `seed` and the partitioning
     /// methods involved.
+    ///
+    /// # Panics
+    /// Panics if the plan is empty, an edge references a missing node or
+    /// the edges form a cycle ([`crate::validate::check_structure`] is the
+    /// precondition; [`JobPlan::new`] enforces it at construction).
     pub fn from_plan(plan: &JobPlan, seed: u64) -> Self {
         let n = plan.num_operators();
         assert!(n > 0, "StageGraph::from_plan: empty plan");
         let mut rng = StdRng::seed_from_u64(seed);
-
-        // Union-find over non-boundary edges.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let root = find(parent, parent[i]);
-                parent[i] = root;
-            }
-            parent[i]
-        }
-        for &(from, to) in &plan.edges {
-            if !plan.operators[from].op.is_stage_boundary() {
-                let a = find(&mut parent, from);
-                let b = find(&mut parent, to);
-                if a != b {
-                    parent[a] = b;
-                }
-            }
-        }
+        let (mut parent, stage_count) = union_stages(plan);
 
         // Map union roots to dense stage ids, ordered by the plan's
         // topological order so stage indices are already topological.
-        // lint: allow(no-panic) — JobPlan::new rejects cyclic graphs, so a
+        // lint: allow(no-panic) — JobPlan::new rejects cyclic graphs and
+        // decoded plans pass `check_structure` before they are scored, so a
         // plan that reaches stage extraction always has a topological order.
         let topo = plan.topological_order().expect("plan validated acyclic");
         let mut stage_id: Vec<Option<usize>> = vec![None; n];
@@ -111,6 +111,7 @@ impl StageGraph {
 
         // Dependencies from boundary edges (and any cross-stage edge).
         let num_stages = members.len();
+        debug_assert_eq!(num_stages, stage_count, "count_stages drifted from the graph");
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); num_stages];
         for &(from, to) in &plan.edges {
             let (sf, st) = (node_stage[from], node_stage[to]);
@@ -195,6 +196,36 @@ impl StageGraph {
     }
 }
 
+/// The union-find pass `count_stages` and `from_plan` share: operators
+/// joined by a non-boundary edge land in one set. Returns the parent
+/// forest and the number of sets (= stages).
+fn union_stages(plan: &JobPlan) -> (Vec<usize>, usize) {
+    let n = plan.num_operators();
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut sets = n;
+    for &(from, to) in &plan.edges {
+        if !plan.operators[from].op.is_stage_boundary() {
+            let a = find(&mut parent, from);
+            let b = find(&mut parent, to);
+            if a != b {
+                parent[a] = b;
+                sets -= 1;
+            }
+        }
+    }
+    (parent, sets)
+}
+
+/// Root of `i`'s set, halving the path on the way up. Iterative: a plan
+/// decoded off the wire can chain as many operators as a frame holds.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +255,7 @@ mod tests {
     fn exchange_splits_stages() {
         let graph = StageGraph::from_plan(&two_stage_plan(), 1);
         assert_eq!(graph.num_stages(), 2);
+        assert_eq!(StageGraph::count_stages(&two_stage_plan()), 2);
         // Stage 0: scan + exchange (exchange belongs upstream).
         assert_eq!(graph.stages[0].operator_indices.len(), 2);
         assert_eq!(graph.stages[0].width(), 8);
@@ -240,6 +272,7 @@ mod tests {
         );
         let graph = StageGraph::from_plan(&plan, 0);
         assert_eq!(graph.num_stages(), 1);
+        assert_eq!(StageGraph::count_stages(&plan), 1);
         assert_eq!(graph.stages[0].width(), 4);
     }
 
@@ -291,6 +324,7 @@ mod tests {
             vec![(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6)],
         );
         let graph = StageGraph::from_plan(&plan, 0);
+        assert_eq!(StageGraph::count_stages(&plan), graph.num_stages());
         // Stage for union must depend on both branches.
         let union_stage = (0..graph.num_stages())
             .find(|&s| {
@@ -300,5 +334,19 @@ mod tests {
             })
             .unwrap();
         assert_eq!(graph.deps[union_stage].len(), 2);
+    }
+
+    #[test]
+    fn a_chain_as_long_as_a_frame_holds_does_not_exhaust_the_stack() {
+        // 200 000 filters in one stage, edges listed root-first so every
+        // union hangs the growing set under a new root: the recursive
+        // `find` this replaced overflowed the stack here.
+        let n = 200_000;
+        let plan = JobPlan {
+            operators: vec![node(Op::Filter, 1, 1.0); n],
+            edges: (1..n).rev().map(|i| (i, i - 1)).collect(),
+        };
+        assert_eq!(StageGraph::count_stages(&plan), 1);
+        assert_eq!(StageGraph::from_plan(&plan, 0).num_stages(), 1);
     }
 }

@@ -271,6 +271,34 @@ fn numeric_features(node: &crate::plan::OperatorNode) -> [(&'static str, f64); 7
     ]
 }
 
+/// The structural precondition of stage extraction
+/// ([`StageGraph::count_stages`], [`StageGraph::from_plan`]): at least one
+/// operator, every edge endpoint in range, no cycle. [`JobPlan::new`]
+/// asserts the same at construction; a plan that was *decoded* has met
+/// no constructor, so whoever accepts plans from outside the process
+/// calls this first. Reports the first defect only and runs in time
+/// linear in operators plus edges.
+pub fn check_structure(plan: &JobPlan) -> Result<(), PlanViolation> {
+    let n = plan.operators.len();
+    if n == 0 {
+        return Err(PlanViolation::EmptyPlan);
+    }
+    let mut ascending = true;
+    for &(from, to) in &plan.edges {
+        if from >= n || to >= n {
+            return Err(PlanViolation::EdgeOutOfRange { from, to, operators: n });
+        }
+        ascending &= from < to;
+    }
+    // Plan builders number a node after its inputs, and edges that all
+    // ascend cannot close a cycle; only other numberings pay for the sort.
+    if ascending || plan.topological_order().is_some() {
+        Ok(())
+    } else {
+        Err(PlanViolation::Cycle)
+    }
+}
+
 /// Check every plan-level invariant, collecting all violations.
 pub fn validate_plan(plan: &JobPlan) -> Result<(), Vec<PlanViolation>> {
     let mut out = Vec::new();
@@ -543,11 +571,25 @@ mod tests {
     }
 
     #[test]
+    fn structure_check_accepts_any_numbering_of_a_dag_and_refuses_an_empty_plan() {
+        assert_eq!(check_structure(&valid_plan()), Ok(()));
+        // The same chain numbered root-first: every edge descends, so the
+        // ascending shortcut does not apply and the sort decides.
+        let mut reversed = valid_plan();
+        reversed.operators.reverse();
+        reversed.edges = vec![(2, 1), (1, 0)];
+        assert_eq!(check_structure(&reversed), Ok(()));
+        let empty = JobPlan { operators: Vec::new(), edges: Vec::new() };
+        assert_eq!(check_structure(&empty), Err(PlanViolation::EmptyPlan));
+    }
+
+    #[test]
     fn cycle_is_reported() {
         let mut plan = valid_plan();
         plan.edges.push((2, 0)); // close the loop, bypassing JobPlan::new
         let errs = validate_plan(&plan).expect_err("cycle must be rejected");
         assert!(errs.contains(&PlanViolation::Cycle), "{errs:?}");
+        assert_eq!(check_structure(&plan), Err(PlanViolation::Cycle));
         // The scan also gained an input, which is its own violation.
         assert!(
             errs.iter().any(|v| matches!(v, PlanViolation::ScanWithInputs { node: 0, .. })),
@@ -559,6 +601,10 @@ mod tests {
     fn out_of_range_edge_is_reported_without_panicking() {
         let mut plan = valid_plan();
         plan.edges.push((0, 99));
+        assert_eq!(
+            check_structure(&plan),
+            Err(PlanViolation::EdgeOutOfRange { from: 0, to: 99, operators: 3 })
+        );
         let errs = validate_plan(&plan).expect_err("bad edge");
         assert!(
             errs.iter().any(|v| matches!(v, PlanViolation::EdgeOutOfRange { to: 99, .. })),

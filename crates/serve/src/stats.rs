@@ -105,7 +105,7 @@ pub struct ServerStatsSnapshot {
     pub model_scored: u64,
     /// Requests shed to the analytic tier under queue pressure.
     pub shed: u64,
-    /// Requests rejected with `Overloaded`.
+    /// Requests refused at admission: `Overloaded`, or `InvalidPlan`.
     pub rejected: u64,
     /// Micro-batches executed by the worker pool.
     pub batches: u64,
@@ -169,7 +169,7 @@ impl ServerStatsSnapshot {
         );
         g("serve_model_scored", "requests scored by the worker pool", self.model_scored as f64);
         g("serve_shed", "requests shed to the analytic tier", self.shed as f64);
-        g("serve_rejected", "requests rejected as overloaded", self.rejected as f64);
+        g("serve_rejected", "requests refused at admission", self.rejected as f64);
         g("serve_batches", "micro-batches executed", self.batches as f64);
         g("serve_batched_requests", "requests carried by micro-batches", self.batched_requests as f64);
         g("serve_peak_queue_depth", "highest queue depth observed", self.peak_queue_depth as f64);

@@ -44,7 +44,7 @@ fn main() {
             Dataset::prepare_example(job, &AugmentConfig::default()).expect("featurizable");
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: job.requested_tokens,
         };
         let pcc = model.predict(&input).power_law().expect("NN predicts a power law");

@@ -67,7 +67,7 @@ fn all_four_models_train_and_predict_on_same_dataset() {
         for example in dataset.examples.iter().take(5) {
             let input = ScoringInput {
                 features: &example.features,
-                op_features: &example.op_features,
+                op_features: Some(&example.op_features),
                 reference_tokens: example.observed_tokens,
             };
             let prediction = model.predict(&input);
@@ -83,7 +83,7 @@ fn all_four_models_train_and_predict_on_same_dataset() {
     for example in &dataset.examples {
         let input = ScoringInput {
             features: &example.features,
-            op_features: &example.op_features,
+            op_features: Some(&example.op_features),
             reference_tokens: example.observed_tokens,
         };
         assert!(models[2].predict(&input).is_non_increasing(1e-9));
