@@ -257,7 +257,7 @@ fn traced_server_log(requests: usize, seed: u64) -> Result<scope_sim::EventLog, 
         .filter_map(|job| server.submit(job).ok())
         .collect();
     for ticket in tickets {
-        let _ = ticket.wait();
+        let _ = ticket.outcome();
     }
     server.shutdown();
     Ok(trace.snapshot())

@@ -52,7 +52,7 @@ fn traced_run(requests: usize, seed: u64) -> EventLog {
     let tickets: Vec<Ticket> =
         jobs.into_iter().map(|j| server.submit(j).expect("admitted")).collect();
     for ticket in tickets {
-        assert!(ticket.wait().is_some(), "every admitted request must be answered");
+        assert!(ticket.outcome().is_ok(), "every admitted request must be answered");
     }
     server.shutdown();
     trace.snapshot()

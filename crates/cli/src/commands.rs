@@ -614,8 +614,8 @@ fn build_registry(
 /// `(cache, model, shed, rejected)`.
 fn drive(server: &ScoringServer, traffic: Vec<Job>) -> (Duration, (u64, u64, u64, u64)) {
     let mut counts = (0u64, 0u64, 0u64, 0u64);
-    let mut settle = |served: Option<tasq_serve::ServedResponse>| {
-        if let Some(served) = served {
+    let mut settle = |outcome: Result<tasq_serve::ServedResponse, tasq_serve::RequestError>| {
+        if let Ok(served) = outcome {
             match served.via {
                 ServedVia::Cache => counts.0 += 1,
                 ServedVia::Model => counts.1 += 1,
@@ -628,7 +628,7 @@ fn drive(server: &ScoringServer, traffic: Vec<Job>) -> (Duration, (u64, u64, u64
     for job in traffic {
         if window.len() >= 64 {
             if let Some(ticket) = window.pop_front() {
-                settle(ticket.wait());
+                settle(ticket.outcome());
             }
         }
         match server.submit(job) {
@@ -637,7 +637,7 @@ fn drive(server: &ScoringServer, traffic: Vec<Job>) -> (Duration, (u64, u64, u64
         }
     }
     for ticket in window {
-        settle(ticket.wait());
+        settle(ticket.outcome());
     }
     (start.elapsed(), counts)
 }

@@ -16,10 +16,11 @@
 //! - [`pool`] — bounded per-shard [`BufPool`] of reusable IO buffers,
 //!   checked out on accept / per response and restored on close/flush.
 //! - [`server`] — [`NetServer`]: sharded edge-triggered epoll event
-//!   loops feeding `submit_with_deadline`, so admission control, shed,
-//!   circuit breaking, and exact-accounting drain carry over to the
-//!   wire unchanged; signature-cache hits answer inline on the event
-//!   loop (`serve_fastpath_hits_total`), and every readiness event's
+//!   loops feeding `ScoringServer::submit` — once per decoded request,
+//!   the same entry point in-process callers use — so admission
+//!   control, shed, circuit breaking, and exact-accounting drain carry
+//!   over to the wire unchanged; signature-cache hits come back already
+//!   resolved, answered on the event loop, and every readiness event's
 //!   responses leave in a single `writev` (`net_syscalls_total{op}`).
 //! - [`client`] — blocking persistent-connection clients for both
 //!   framings (tests + load generation).

@@ -22,14 +22,17 @@
 //! readiness event is rendered into a buffer checked out of the shard's
 //! [`BufPool`] and queued; one `writev` then flushes the whole burst in
 //! a single syscall, resuming exactly across partial writes.
-//! Signature-cache hits short-circuit on the event-loop thread itself
-//! via `try_score_cached` — no queue hop, no worker wakeup — and are
-//! counted as `serve_fastpath_hits_total`.
 //!
-//! Backpressure is inherited, not reinvented: `submit_with_deadline`
-//! still applies the shed watermark and bounded-queue admission, and the
-//! wire simply translates `SubmitError`/`RequestError` into 429/503 (or
-//! binary status bytes). Draining arrives over the wire too — `POST
+//! Each decoded request goes through `ScoringServer::submit` exactly
+//! once — the same door in-process callers use, so a wire request pays
+//! one plan signature and one cache probe. A signature-cache hit comes
+//! back as an already-resolved ticket, answered on the event-loop thread
+//! itself — no queue hop, no worker wakeup.
+//!
+//! Backpressure is inherited, not reinvented: `submit` still applies the
+//! shed watermark and bounded-queue admission, and the wire simply
+//! translates `SubmitError`/`RequestError` into 429/503 (or binary
+//! status bytes). Draining arrives over the wire too — `POST
 //! /drain` acks, flips a flag, and the owner thread joins the shards and
 //! runs the scoring server's exact-accounting drain.
 
@@ -48,7 +51,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use tasq_obs::metrics::{Counter, Histogram, Registry};
 use tasq_obs::{FieldValue, Level, TraceContext};
-use tasq_serve::{ScoringServer, ServerStatsSnapshot, Ticket};
+use tasq_serve::{ScoreRequest, ScoringServer, ServerStatsSnapshot, Ticket};
 
 /// Tuning knobs for the network front-end.
 #[derive(Debug, Clone)]
@@ -61,7 +64,7 @@ pub struct NetConfig {
     pub max_connections_per_shard: usize,
     /// HTTP header/body size caps.
     pub http_limits: HttpLimits,
-    /// Per-request deadline budget passed to `submit_with_deadline`.
+    /// Per-request deadline budget, carried as `ScoreRequest::deadline`.
     pub deadline: Option<Duration>,
 }
 
@@ -401,10 +404,10 @@ fn flush_remaining(slots: &mut HashMap<i32, Slot>, pool: &mut BufPool) {
 enum PendingReply {
     /// Bytes already rendered (health, metrics, admission errors, …).
     Ready(Vec<u8>),
-    /// An admitted HTTP scoring request awaiting its ticket.
-    HttpTicket { ticket: Box<Ticket>, keep_alive: bool, parsed_at: Instant },
-    /// An admitted binary scoring request awaiting its ticket.
-    BinaryTicket { ticket: Box<Ticket>, parsed_at: Instant },
+    /// An admitted HTTP scoring request (a cache hit's ticket is already resolved).
+    HttpTicket { ticket: Ticket, keep_alive: bool, parsed_at: Instant },
+    /// An admitted binary scoring request, likewise.
+    BinaryTicket { ticket: Ticket, parsed_at: Instant },
 }
 
 /// Render a complete HTTP response into a pooled buffer. Single exit:
@@ -553,11 +556,11 @@ fn serve_spans(
     }
 }
 
-/// Route one HTTP request: scoring goes through the inline cache fast
-/// path and then admission control; the introspection endpoints answer
-/// inline. Returns the reply plus whether the connection must close
-/// after the flush (the caller owns the connection state; the body
-/// borrowed from its receive buffer keeps it immutable here).
+/// Route one HTTP request: scoring goes through `submit`; the
+/// introspection endpoints answer inline. Returns the reply plus whether
+/// the connection must close after the flush (the caller owns the
+/// connection state; the body borrowed from its receive buffer keeps it
+/// immutable here).
 fn submit_http(
     head: &HttpHead,
     body: &[u8],
@@ -577,53 +580,27 @@ fn submit_http(
                 // carried a sampled `traceparent`; the serve-side spans
                 // parent from the same context below it.
                 let _span = wire_span(ctx, "net_http_request");
-                // Fast path: a signature-cache hit is rendered right here
-                // on the event-loop thread — no queue slot, no worker.
-                if let Some(served) = server.try_score_cached_traced(&job, ctx) {
-                    match tasq::codec::to_bytes(&served.response) {
-                        Ok(enc) => {
-                            ready_http(pool, 200, "OK", "application/octet-stream", &enc, close)
-                        }
-                        Err(_) => ready_http(
-                            pool,
-                            500,
-                            "Internal Server Error",
-                            "text/plain",
-                            b"response encoding failed\n",
-                            close,
-                        ),
+                match server.submit(ScoreRequest { job, deadline: config.deadline, trace: ctx }) {
+                    Ok(ticket) => {
+                        let reply = PendingReply::HttpTicket { ticket, keep_alive, parsed_at };
+                        return (reply, close);
                     }
-                } else {
-                    match server.submit_traced(job, config.deadline, ctx) {
-                        Ok(ticket) => {
-                            let reply = PendingReply::HttpTicket {
-                                ticket: Box::new(ticket),
-                                keep_alive,
-                                parsed_at,
-                            };
-                            return (reply, close);
-                        }
-                        Err(e) => {
-                            let (status, reason) = match &e {
-                                tasq_serve::SubmitError::Overloaded { .. } => {
-                                    (429, "Too Many Requests")
-                                }
-                                tasq_serve::SubmitError::ShuttingDown => {
-                                    (503, "Service Unavailable")
-                                }
-                                tasq_serve::SubmitError::InvalidPlan { .. } => {
-                                    (400, "Bad Request")
-                                }
-                            };
-                            ready_http(
-                                pool,
-                                status,
-                                reason,
-                                "text/plain",
-                                format!("{e}\n").as_bytes(),
-                                close,
-                            )
-                        }
+                    Err(e) => {
+                        let (status, reason) = match &e {
+                            tasq_serve::SubmitError::Overloaded { .. } => {
+                                (429, "Too Many Requests")
+                            }
+                            tasq_serve::SubmitError::ShuttingDown => (503, "Service Unavailable"),
+                            tasq_serve::SubmitError::InvalidPlan { .. } => (400, "Bad Request"),
+                        };
+                        ready_http(
+                            pool,
+                            status,
+                            reason,
+                            "text/plain",
+                            format!("{e}\n").as_bytes(),
+                            close,
+                        )
                     }
                 }
             }
@@ -667,9 +644,9 @@ fn submit_http(
     (reply, close)
 }
 
-/// Decode and submit one binary frame payload, answering cache hits
-/// inline on the event-loop thread. `ctx` is the trace context carried
-/// in the frame preamble ([`TraceContext::NONE`] when absent).
+/// Decode and submit one binary frame payload. `ctx` is the trace
+/// context carried in the frame preamble ([`TraceContext::NONE`] when
+/// absent).
 fn submit_binary(
     payload: &[u8],
     ctx: TraceContext,
@@ -681,18 +658,9 @@ fn submit_binary(
     let reply = match tasq::codec::from_bytes::<Job>(payload) {
         Ok(job) => {
             let _span = wire_span(ctx, "net_binary_request");
-            if let Some(served) = server.try_score_cached_traced(&job, ctx) {
-                match tasq::codec::to_bytes(&served.response) {
-                    Ok(enc) => ready_frame(pool, FrameStatus::Ok, &enc),
-                    Err(_) => ready_frame(pool, FrameStatus::BadRequest, &[]),
-                }
-            } else {
-                match server.submit_traced(job, config.deadline, ctx) {
-                    Ok(ticket) => {
-                        return PendingReply::BinaryTicket { ticket: Box::new(ticket), parsed_at }
-                    }
-                    Err(e) => ready_frame(pool, FrameStatus::from_submit_error(&e), &[]),
-                }
+            match server.submit(ScoreRequest { job, deadline: config.deadline, trace: ctx }) {
+                Ok(ticket) => return PendingReply::BinaryTicket { ticket, parsed_at },
+                Err(e) => ready_frame(pool, FrameStatus::from_submit_error(&e), &[]),
             }
         }
         Err(_) => {
@@ -722,14 +690,12 @@ fn wire_span(ctx: TraceContext, name: &'static str) -> tasq_obs::SpanGuard {
 /// workspace; the same counters `serve --listen` prints when drained).
 fn stats_json(stats: &ServerStatsSnapshot) -> String {
     format!(
-        "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"fastpath_hits\":{},\
-         \"model_scored\":{},\
+        "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"model_scored\":{},\
          \"shed\":{},\"rejected\":{},\"worker_lost\":{},\"deadline_timeouts\":{},\
          \"resolved\":{},\"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1}}}",
         stats.submitted,
         stats.completed,
         stats.cache_hits,
-        stats.fastpath_hits,
         stats.model_scored,
         stats.shed,
         stats.rejected,

@@ -71,6 +71,6 @@ fn pipelined_recurring_traffic_costs_under_three_syscalls_per_request() {
 
     let stats = net.shutdown();
     assert!(per_request < 3.0, "{per_request:.2} syscalls per request on the pipelined hot path");
-    assert!(stats.fastpath_hits >= 1, "recurring plans must hit the inline cache path: {stats:?}");
+    assert!(stats.cache_hits >= 1, "recurring plans must hit the inline cache path: {stats:?}");
     assert_eq!(stats.submitted, stats.resolved(), "drain must account for every request");
 }

@@ -8,9 +8,11 @@
 mod common;
 
 use common::{jobs, read_scores, registry};
+use scope_sim::Job;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+use tasq::pipeline::ScoreResponse;
 use tasq_net::{BinaryClient, HttpClient, HttpLimits, NetConfig, NetServer, ScoreOutcome};
 use tasq_serve::{ScoringServer, ServeConfig};
 
@@ -69,6 +71,39 @@ fn binary_framing_round_trips_and_preserves_order() {
     assert_eq!(final_stats.submitted, final_stats.resolved());
 }
 
+/// Read `n` pipelined HTTP responses off `stream`, in wire order; any
+/// status but 200 or an early close fails the test.
+fn read_http_scores(stream: &mut TcpStream, n: usize) -> Vec<ScoreResponse> {
+    let mut scores = Vec::with_capacity(n);
+    let mut rbuf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 16384];
+    while scores.len() < n {
+        let complete = rbuf.windows(4).position(|w| w == b"\r\n\r\n").and_then(|head_end| {
+            let head = String::from_utf8_lossy(&rbuf[..head_end]).into_owned();
+            assert!(head.starts_with("HTTP/1.1 200 "), "request {} refused: {head}", scores.len());
+            let length: usize = head
+                .lines()
+                .find_map(|line| line.strip_prefix("content-length: "))
+                .and_then(|v| v.parse().ok())
+                .expect("content-length");
+            let body = head_end + 4;
+            (rbuf.len() >= body + length).then_some((body, body + length))
+        });
+        match complete {
+            Some((body, end)) => {
+                scores.push(tasq::codec::from_bytes(&rbuf[body..end]).expect("decode"));
+                rbuf.drain(..end);
+            }
+            None => {
+                let read = stream.read(&mut chunk).expect("recv");
+                assert!(read > 0, "server closed after {} responses", scores.len());
+                rbuf.extend_from_slice(&chunk[..read]);
+            }
+        }
+    }
+    scores
+}
+
 #[test]
 fn pipelined_bursts_keep_wire_order_and_match_direct_scoring() {
     use tasq_net::frame;
@@ -76,38 +111,89 @@ fn pipelined_bursts_keep_wire_order_and_match_direct_scoring() {
     let net = start_net(NetConfig::default());
     let addr = net.local_addr().to_string();
     let service = registry().current();
-    // 32 never-seen plans per connection, each burst written whole before
-    // any answer is read: every frame is a miss and several share a wake.
-    let bursts = [jobs(32, 7010), jobs(32, 7011)];
-    let mut streams = Vec::new();
-    for burst in &bursts {
-        let mut stream = TcpStream::connect(&addr).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-        let mut wire = vec![tasq_net::BINARY_PREAMBLE];
-        for job in burst {
-            frame::write_request_frame(&mut wire, &tasq::codec::to_bytes(job).expect("encode"));
-        }
-        stream.write_all(&wire).expect("send");
-        streams.push(stream);
-    }
-    let strip = |r: &tasq::pipeline::ScoreResponse| {
-        tasq::codec::to_bytes(&tasq::pipeline::ScoreResponse { job_id: 0, ..r.clone() })
-            .expect("encode")
-    };
-    for (burst, stream) in bursts.iter().zip(&mut streams) {
-        let scores = read_scores(stream, burst.len());
-        for (answered, (job, score)) in burst.iter().zip(&scores).enumerate() {
-            assert_eq!(score.job_id, job.id, "response {answered} out of request order");
-            assert_eq!(
-                strip(score),
-                strip(&service.service().score(job)),
-                "wire answer {answered} differs from direct scoring"
+    // One connection per framing; `binary` says which.
+    let encode = |binary: bool, wire: &mut Vec<u8>, job: &Job| {
+        let payload = tasq::codec::to_bytes(job).expect("encode");
+        if binary {
+            frame::write_request_frame(wire, &payload);
+        } else {
+            wire.extend_from_slice(
+                format!("POST /score HTTP/1.1\r\ncontent-length: {}\r\n\r\n", payload.len())
+                    .as_bytes(),
             );
+            wire.extend_from_slice(&payload);
         }
-    }
+    };
+    let mut streams: Vec<(bool, TcpStream)> = [true, false]
+        .into_iter()
+        .map(|binary| {
+            let mut stream = TcpStream::connect(&addr).expect("connects");
+            stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            if binary {
+                stream.write_all(&[tasq_net::BINARY_PREAMBLE]).expect("preamble");
+            }
+            (binary, stream)
+        })
+        .collect();
+    let strip = |r: &ScoreResponse| {
+        tasq::codec::to_bytes(&ScoreResponse { job_id: 0, ..r.clone() }).expect("encode")
+    };
+    // Each burst is written whole on every connection before any answer
+    // is read, so several frames share a wake and the two connections'
+    // requests interleave in the server.
+    let mut exchange = |bursts: &[Vec<Job>; 2]| {
+        for (burst, (binary, stream)) in bursts.iter().zip(&mut streams) {
+            let mut wire = Vec::new();
+            burst.iter().for_each(|job| encode(*binary, &mut wire, job));
+            stream.write_all(&wire).expect("send");
+        }
+        for (burst, (binary, stream)) in bursts.iter().zip(&mut streams) {
+            let scores = if *binary {
+                read_scores(stream, burst.len())
+            } else {
+                read_http_scores(stream, burst.len())
+            };
+            for (answered, (job, score)) in burst.iter().zip(&scores).enumerate() {
+                assert_eq!(score.job_id, job.id, "response {answered} out of request order");
+                assert_eq!(
+                    strip(score),
+                    strip(&service.service().score(job)),
+                    "wire answer {answered} differs from direct scoring"
+                );
+            }
+        }
+    };
+
+    // Round one: 32 never-seen plans per connection, every frame a miss.
+    let first = [jobs(32, 7010), jobs(32, 7011)];
+    exchange(&first);
+    // Round two: 32 more never-seen plans per connection, each followed
+    // by a resubmission (fresh job id) of a plan the *other* connection
+    // sent in round one — cached by now, since a worker fills the cache
+    // before it replies and every round-one reply has been read.
+    let fresh = [jobs(32, 7012), jobs(32, 7013)];
+    let second = [0, 1].map(|conn| {
+        fresh[conn]
+            .iter()
+            .zip(&first[1 - conn])
+            .flat_map(|(new, seen)| [new.clone(), Job { id: seen.id + 1_000_000, ..seen.clone() }])
+            .collect::<Vec<Job>>()
+    });
+    exchange(&second);
     drop(streams);
+
+    let never_seen: Vec<&Job> = first.iter().chain(&fresh).flatten().collect();
+    let distinct: std::collections::HashSet<_> =
+        never_seen.iter().map(|job| tasq_serve::PlanSignature::of_job(job)).collect();
+    assert_eq!(distinct.len(), never_seen.len(), "the never-seen plans must all differ");
     let stats = net.shutdown();
-    assert_eq!(stats.model_scored, 64, "every frame was a never-seen plan");
+    assert_eq!(stats.model_scored, never_seen.len() as u64);
+    assert_eq!(stats.cache_hits, 64, "every resubmission is answered from the cache");
+    assert_eq!(
+        stats.cache.misses,
+        never_seen.len() as u64,
+        "a wire request probes the cache once: only never-seen plans miss"
+    );
     assert_eq!(
         stats.submitted,
         stats.completed + stats.rejected + stats.worker_lost + stats.deadline_timeouts

@@ -10,11 +10,13 @@
 //!   with hit/miss/eviction counters.
 //! - [`registry`] — an atomically hot-swappable model deployment with
 //!   probe validation and rollback-by-not-swapping.
-//! - [`server`] — the worker pool itself: work-conserving dispatch (a
-//!   worker scores the moment it holds a request; backlog, capped at
-//!   `max_batch`, is what forms a micro-batch — there is no batch
-//!   timer), bounded-queue admission control with shed-to-analytic-tier
-//!   degradation, and lock-free latency stats ([`stats`]).
+//! - [`server`] — the worker pool itself, behind one entry point
+//!   ([`ScoringServer::submit`], taking a [`ScoreRequest`] or a bare
+//!   job): work-conserving dispatch (a worker scores the moment it holds
+//!   a request; backlog, capped at `max_batch`, is what forms a
+//!   micro-batch — there is no batch timer), bounded-queue admission
+//!   control with shed-to-analytic-tier degradation, and lock-free
+//!   latency stats ([`stats`]).
 //!
 //! - [`scaling`] — queue-utilization worker autoscaling (min/max pool
 //!   bounds, up/down thresholds, cooldown) applied through the server's
@@ -41,7 +43,8 @@ pub use registry::{
     ActiveModel, DurableDeployError, ManifestRecord, ModelRegistry, SwapError,
 };
 pub use server::{
-    RequestError, ScoringServer, ServeConfig, ServedResponse, ServedVia, SubmitError, Ticket,
+    RequestError, ScoreRequest, ScoringServer, ServeConfig, ServedResponse, ServedVia,
+    SubmitError, Ticket,
 };
 pub use signature::PlanSignature;
 pub use stats::{

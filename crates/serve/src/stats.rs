@@ -96,16 +96,16 @@ pub struct ServerStatsSnapshot {
     pub submitted: u64,
     /// Requests answered (any path).
     pub completed: u64,
-    /// Requests answered from the signature cache.
+    /// Requests answered from the signature cache, always on the thread
+    /// that called `submit` (a network shard's event loop included).
     pub cache_hits: u64,
-    /// Cache hits answered inline on a serving event-loop thread via
-    /// `try_score_cached` (a subset of `cache_hits`).
-    pub fastpath_hits: u64,
     /// Requests scored by the model worker pool.
     pub model_scored: u64,
     /// Requests shed to the analytic tier under queue pressure.
     pub shed: u64,
-    /// Requests refused at admission: `Overloaded`, or `InvalidPlan`.
+    /// Requests refused after being counted as submitted: `Overloaded`,
+    /// `InvalidPlan`, or a `ShuttingDown` that lost the race with worker
+    /// teardown.
     pub rejected: u64,
     /// Micro-batches executed by the worker pool.
     pub batches: u64,
@@ -134,7 +134,7 @@ pub struct ServerStatsSnapshot {
 
 impl ServerStatsSnapshot {
     /// Submissions that resolved to *some* terminal outcome: a response
-    /// (`completed`), an overload rejection, a typed `WorkerLost`, or a
+    /// (`completed`), a refusal (`rejected`), a typed `WorkerLost`, or a
     /// typed deadline timeout. The zero-silent-loss invariant the chaos
     /// harness enforces is `submitted == resolved()`.
     pub fn resolved(&self) -> u64 {
@@ -162,11 +162,6 @@ impl ServerStatsSnapshot {
         g("serve_submitted", "requests accepted by submit", self.submitted as f64);
         g("serve_completed", "requests answered on any path", self.completed as f64);
         g("serve_cache_hits", "requests answered from the signature cache", self.cache_hits as f64);
-        g(
-            "serve_fastpath_hits",
-            "cache hits answered inline on the serving event loop",
-            self.fastpath_hits as f64,
-        );
         g("serve_model_scored", "requests scored by the worker pool", self.model_scored as f64);
         g("serve_shed", "requests shed to the analytic tier", self.shed as f64);
         g("serve_rejected", "requests refused at admission", self.rejected as f64);
