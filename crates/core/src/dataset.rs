@@ -50,10 +50,9 @@ impl Dataset {
     /// Build a dataset from jobs: execute each once (deterministically) at
     /// its requested tokens, augment, featurize. Work fans out over a
     /// work-stealing [`tasq_par::Pool`] sized to the available hardware
-    /// parallelism (capped at 8 workers).
+    /// parallelism ([`tasq_par::Pool::with_available_parallelism`]).
     pub fn build(jobs: &[Job], config: &AugmentConfig) -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        Self::build_with_pool(jobs, config, &tasq_par::Pool::new(threads))
+        Self::build_with_pool(jobs, config, &tasq_par::Pool::with_available_parallelism())
     }
 
     /// [`Dataset::build`] on a caller-supplied pool. Example order always

@@ -13,10 +13,11 @@ use crate::pcc::{ParamScaler, PowerLawPcc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use tasq_ml::gnn::{GnnGrads, GnnModel, GraphData};
+use tasq_ml::gnn::{GnnModel, GraphData};
 use tasq_ml::matrix::Matrix;
 use tasq_ml::optim::AdamConfig;
 use tasq_ml::rand_ext;
+use tasq_par::Pool;
 
 /// GNN training configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -78,7 +79,8 @@ impl GnnPcc {
         Self::train_with_teacher(dataset, config, None)
     }
 
-    /// Train, optionally with per-example teacher run times for LF3.
+    /// Train, optionally with per-example teacher run times for LF3, on
+    /// a pool sized to the available hardware parallelism.
     ///
     /// # Panics
     /// Panics on an empty dataset or teacher-length mismatch.
@@ -86,6 +88,21 @@ impl GnnPcc {
         dataset: &Dataset,
         config: &GnnTrainConfig,
         teacher_runtimes: Option<&[f64]>,
+    ) -> Self {
+        let pool = Pool::with_available_parallelism();
+        Self::train_with_pool(dataset, config, teacher_runtimes, &pool)
+    }
+
+    /// [`GnnPcc::train_with_teacher`] on a caller-supplied pool. The
+    /// graphs of each minibatch fan out over `pool`
+    /// ([`GnnModel::train_batch`]); the trained model — weights, loss
+    /// histories, everything serialized — is bit-identical at any thread
+    /// count.
+    pub fn train_with_pool(
+        dataset: &Dataset,
+        config: &GnnTrainConfig,
+        teacher_runtimes: Option<&[f64]>,
+        pool: &Pool,
     ) -> Self {
         assert!(!dataset.is_empty(), "GnnPcc::train: empty dataset");
         if let Some(t) = teacher_runtimes {
@@ -142,6 +159,11 @@ impl GnnPcc {
             order = (0..n).collect();
         }
 
+        let graph_loss = |i: usize, out: &[f64], d_out: &mut [f64]| {
+            let eval = loss::evaluate(&config.loss, &param_scaler, out[0], out[1], &samples[i]);
+            d_out.copy_from_slice(&[eval.grad_o1, eval.grad_o2]);
+            eval.loss
+        };
         let mut training_loss = Vec::with_capacity(config.epochs);
         let mut validation_loss = Vec::with_capacity(config.epochs);
         let mut best: Option<(f64, GnnModel)> = None;
@@ -149,28 +171,8 @@ impl GnnPcc {
         for _ in 0..config.epochs {
             rand_ext::shuffle(&mut rng, &mut order);
             let mut epoch_loss = 0.0;
-            // Per-graph passes are independent, but plan graphs are tiny
-            // (≈5–20 operators): fanning a 16-graph batch over threads was
-            // measured ~1.7x *slower* than this sequential loop (spawn +
-            // reduce overhead dominates microsecond-scale passes), so the
-            // batch stays sequential by design.
             for batch in order.chunks(config.batch_size.max(1)) {
-                let mut batch_grads = GnnGrads::zeros_like(&model);
-                for &i in batch {
-                    let (out, cache) = model.forward_cached(&graphs[i]);
-                    let eval = loss::evaluate(
-                        &config.loss,
-                        &param_scaler,
-                        out[(0, 0)],
-                        out[(0, 1)],
-                        &samples[i],
-                    );
-                    epoch_loss += eval.loss;
-                    let d = Matrix::from_vec(1, 2, vec![eval.grad_o1, eval.grad_o2]);
-                    batch_grads.accumulate(&model.backward(&graphs[i], &cache, &d));
-                }
-                batch_grads.scale(1.0 / batch.len() as f64);
-                model.apply_grads(&mut opt, batch_grads);
+                model.train_batch(&mut opt, &graphs, batch, pool, graph_loss, &mut epoch_loss);
             }
             training_loss.push(epoch_loss / order.len() as f64);
 
@@ -313,6 +315,31 @@ mod tests {
             m1.predict_pcc(&ds.examples[0].op_features),
             m2.predict_pcc(&ds.examples[0].op_features)
         );
+    }
+
+    /// The whole artifact — weights, scalers, loss histories — serializes
+    /// to the same bytes whether the minibatches ran inline or fanned out,
+    /// validation split and early stopping included.
+    #[test]
+    fn train_with_pool_serializes_identically_at_any_thread_count() {
+        for seed in [61u64, 67, 71] {
+            let ds = dataset(21, seed);
+            let config = GnnTrainConfig {
+                batch_size: 8,
+                validation_fraction: 0.2,
+                early_stopping_patience: Some(2),
+                seed,
+                ..quick(4)
+            };
+            let artifact = |threads: usize| {
+                let model = GnnPcc::train_with_pool(&ds, &config, None, &Pool::new(threads));
+                crate::codec::to_bytes(&model).unwrap()
+            };
+            let sequential = artifact(1);
+            for threads in [2, 3, 8] {
+                assert_eq!(artifact(threads), sequential, "seed {seed}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -151,6 +151,7 @@ impl NnPcc {
         let raw_rows = dataset.job_feature_rows();
         let feature_scaler = FeatureScaler::fit(&raw_rows);
         let rows = feature_scaler.transform_all(&raw_rows);
+        let dim = feature_scaler.dim();
         let param_scaler = ParamScaler::fit(&dataset.target_pccs());
 
         let samples: Vec<LossSample> = dataset
@@ -237,6 +238,10 @@ impl NnPcc {
                 0usize,
             )
         };
+        // Per-step buffers, reused for the whole run: the batch, the forward
+        // caches, the weight transposes and the gradients.
+        let (mut x, mut d_out) = (Matrix::default(), Matrix::default());
+        let (mut cache, mut weights_t, mut grads) = Default::default();
         for epoch in start_epoch..config.epochs {
             // Early stopping is checked at the top of the iteration (rather
             // than breaking mid-epoch) so a resumed run that restored
@@ -257,11 +262,12 @@ impl NnPcc {
             rand_ext::shuffle(&mut rng, &mut order);
             let mut epoch_loss = 0.0;
             for batch in order.chunks(config.batch_size.max(1)) {
-                let x = Matrix::from_rows(
-                    &batch.iter().map(|&i| rows[i].clone()).collect::<Vec<_>>(),
-                );
-                let (out, cache) = mlp.forward_cached(&x);
-                let mut d_out = Matrix::zeros(batch.len(), 2);
+                x.reset_zeros(batch.len(), dim);
+                for (bi, &i) in batch.iter().enumerate() {
+                    x.row_mut(bi).copy_from_slice(&rows[i]);
+                }
+                let out = mlp.forward_cached(&x, &mut cache);
+                d_out.reset_zeros(batch.len(), 2);
                 for (bi, &i) in batch.iter().enumerate() {
                     let eval = loss::evaluate(
                         &config.loss,
@@ -275,8 +281,10 @@ impl NnPcc {
                     d_out[(bi, 0)] = eval.grad_o1 * inv;
                     d_out[(bi, 1)] = eval.grad_o2 * inv;
                 }
-                let grads = mlp.backward(&cache, &d_out);
-                mlp.apply_grads(&mut adam, &ids, grads);
+                // The batch is data: nobody reads its gradient.
+                mlp.transpose_weights_into(&mut weights_t);
+                mlp.backward(&mut cache, &weights_t, &d_out, &mut grads, None);
+                mlp.apply_grads(&mut adam, &ids, &grads);
             }
             training_loss.push(epoch_loss / order.len() as f64);
 

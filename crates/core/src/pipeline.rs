@@ -454,8 +454,7 @@ impl TasqPipeline {
         repository: &JobRepository,
         store: &ModelStore,
     ) -> Result<Dataset, PipelineError> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-        self.train_with_pool(repository, store, &tasq_par::Pool::new(threads))
+        self.train_with_pool(repository, store, &tasq_par::Pool::with_available_parallelism())
     }
 
     /// [`TasqPipeline::train`] with dataset preparation (execution,

@@ -406,29 +406,43 @@ mod tests {
         assert_eq!(b1.predict(&rows), b2.predict(&rows));
     }
 
+    /// `train_with_pool` equals `train` to the bit on both sides of the
+    /// fan-out threshold: at the benchmark's shape, where every node now
+    /// searches sequentially, and at a shape whose root and upper nodes
+    /// still take the one-task-per-feature arm.
     #[test]
     fn parallel_split_search_bit_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(11);
-        // Wide rows so indices.len() * num_features clears the parallel
-        // threshold at the root and shallow nodes.
-        let rows: Vec<Vec<f64>> = (0..300)
-            .map(|_| (0..20).map(|_| rng.gen_range(-5.0..5.0)).collect())
-            .collect();
-        let targets: Vec<f64> =
-            rows.iter().map(|r| r[0] * 3.0 - r[7] * r[7] + r[13].sin() * 4.0).collect();
-        let config =
-            BoosterConfig { num_rounds: 12, subsample: 0.8, seed: 7, ..Default::default() };
-        let seq = Booster::train(&rows, &targets, &config);
-        for threads in [2, 4] {
-            let par =
-                Booster::train_with_pool(&rows, &targets, &config, &tasq_par::Pool::new(threads));
-            let seq_preds = seq.predict(&rows);
-            let par_preds = par.predict(&rows);
-            let seq_bits: Vec<u64> = seq_preds.iter().map(|p| p.to_bits()).collect();
-            let par_bits: Vec<u64> = par_preds.iter().map(|p| p.to_bits()).collect();
-            assert_eq!(seq_bits, par_bits, "threads={threads}");
-            assert_eq!(seq.total_nodes(), par.total_nodes());
-            assert_eq!(seq.feature_importance(), par.feature_importance());
+        use super::super::tree::split_search_fans_out;
+        let pool2 = tasq_par::Pool::new(2);
+        for (num_rows, num_features, fans_out) in [(2400, 51, false), (4200, 128, true)] {
+            assert_eq!(split_search_fans_out(&pool2, num_rows, num_features), fans_out);
+            assert!(!split_search_fans_out(&tasq_par::Pool::sequential(), num_rows, num_features));
+
+            let mut rng = StdRng::seed_from_u64(11);
+            let rows: Vec<Vec<f64>> = (0..num_rows)
+                .map(|_| (0..num_features).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                .collect();
+            let targets: Vec<f64> =
+                rows.iter().map(|r| r[0] * 3.0 - r[7] * r[7] + r[13].sin() * 4.0).collect();
+            // Every row in every round, so the root is `num_rows` wide.
+            let config = BoosterConfig {
+                num_rounds: 3,
+                max_depth: 3,
+                subsample: 1.0,
+                seed: 7,
+                ..Default::default()
+            };
+            let seq = Booster::train(&rows, &targets, &config);
+            for threads in [2, 4] {
+                let pool = tasq_par::Pool::new(threads);
+                let par = Booster::train_with_pool(&rows, &targets, &config, &pool);
+                let bits = |b: &Booster| -> Vec<u64> {
+                    b.predict(&rows[..200]).iter().map(|p| p.to_bits()).collect()
+                };
+                assert_eq!(bits(&seq), bits(&par), "{num_rows}x{num_features}, threads={threads}");
+                assert_eq!(seq.total_nodes(), par.total_nodes());
+                assert_eq!(seq.feature_importance(), par.feature_importance());
+            }
         }
     }
 

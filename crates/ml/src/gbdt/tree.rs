@@ -5,9 +5,26 @@ use serde::{Deserialize, Serialize};
 use tasq_par::Pool;
 
 /// Below this many (sample x feature) histogram accumulations the split
-/// search runs sequentially even on a multi-thread pool: at deep nodes
-/// with few rows the fan-out costs more than the scan.
-const PAR_SPLIT_MIN_WORK: usize = 4096;
+/// search of a node runs sequentially even on a multi-thread pool.
+///
+/// Derived from the pool's dispatch cost, not tuned: one fan-out is a
+/// scoped spawn + join, measured at ≈ 55 µs per call with two threads
+/// (≈ 85 µs with four) on the 2-vCPU reference box, and the sequential
+/// scan does an accumulation in ≈ 1.5 ns. Two threads break even at
+/// `2 x 55 µs / 1.5 ns ≈ 73k` accumulations and only with both vCPUs
+/// schedulable; when the second is stolen the whole dispatch is loss.
+/// At `2^19` (≈ 0.8 ms of scan, 14 dispatches) the fanned-out arm returns
+/// ≥ 1.7x on two threads and costs ≤ 7 % when it gets no second thread.
+/// The old value, 4096, sent 6 µs scans through an 80 µs dispatch at
+/// every node of every tree (`par.ratio.gbdt` 0.34–0.50). A paper-sized
+/// fit (2 400 rows x 51 features = 122k at the root) now never fans out.
+const PAR_SPLIT_MIN_WORK: usize = 1 << 19;
+
+/// Whether a node of `rows` samples searches its split on `pool`'s
+/// threads (one task per feature) or on the caller alone.
+pub(super) fn split_search_fans_out(pool: &Pool, rows: usize, num_features: usize) -> bool {
+    pool.threads() > 1 && rows * num_features >= PAR_SPLIT_MIN_WORK
+}
 
 /// A node in a [`Tree`]. Leaves carry a weight; internal nodes carry a
 /// split on `feature <= threshold`.
@@ -232,7 +249,7 @@ impl Tree {
         let max_bins = (0..num_features).map(|f| mapper.num_bins(f)).max()?;
 
         let mut best: Option<SplitCandidate> = None;
-        if pool.threads() > 1 && indices.len() * num_features >= PAR_SPLIT_MIN_WORK {
+        if split_search_fans_out(pool, indices.len(), num_features) {
             // One task per feature, each with its own histogram buffers;
             // candidates come back in feature order for the deterministic
             // lowest-feature-wins reduction below.

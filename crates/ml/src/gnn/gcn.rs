@@ -17,13 +17,24 @@ pub struct GcnLayer {
     pub activation: Activation,
 }
 
-/// Forward cache for one graph.
-#[derive(Debug, Clone)]
+/// Reusable forward buffers for one graph: what [`GcnLayer::backward`]
+/// reads, plus the layer output itself (the next layer's input). They take
+/// their shape from each graph and keep their allocation between graphs.
+#[derive(Debug, Clone, Default)]
 pub struct GcnCache {
     /// `Â H` — the aggregated input (N x in_dim).
     aggregated: Matrix,
     /// Pre-activation `Â H W + b` (N x out_dim).
     pre_activation: Matrix,
+    /// `act(Â H W + b)` (N x out_dim).
+    output: Matrix,
+}
+
+impl GcnCache {
+    /// The layer output of the last [`GcnLayer::forward_cached`].
+    pub fn output(&self) -> &Matrix {
+        &self.output
+    }
 }
 
 impl GcnLayer {
@@ -46,36 +57,83 @@ impl GcnLayer {
 
     /// Forward pass: `act(Â H W + b)`.
     pub fn forward(&self, norm_adj: &Matrix, h: &Matrix) -> Matrix {
-        let aggregated = norm_adj.matmul(h);
-        let mut pre = aggregated.matmul(&self.weight);
-        pre.add_row_broadcast(self.bias.as_slice());
-        self.activation.apply(&pre)
+        let mut cache = GcnCache::default();
+        self.forward_cached(norm_adj, h, &mut cache);
+        cache.output
     }
 
-    /// Forward pass with cache.
-    pub fn forward_cached(&self, norm_adj: &Matrix, h: &Matrix) -> (Matrix, GcnCache) {
-        let aggregated = norm_adj.matmul(h);
-        let mut pre = aggregated.matmul(&self.weight);
-        pre.add_row_broadcast(self.bias.as_slice());
-        let out = self.activation.apply(&pre);
-        (out, GcnCache { aggregated, pre_activation: pre })
+    /// Forward pass into `cache`; returns the layer output.
+    pub fn forward_cached<'c>(
+        &self,
+        norm_adj: &Matrix,
+        h: &Matrix,
+        cache: &'c mut GcnCache,
+    ) -> &'c Matrix {
+        norm_adj.matmul_into(h, &mut cache.aggregated);
+        cache.aggregated.matmul_into(&self.weight, &mut cache.pre_activation);
+        cache.pre_activation.add_row_broadcast(self.bias.as_slice());
+        self.activation.apply_into(&cache.pre_activation, &mut cache.output);
+        &cache.output
     }
 
-    /// Backward pass.
+    /// Backward pass, in place on the gradient buffer `d`.
     ///
-    /// Returns `(dW, db, dH)` where `dH` is the gradient w.r.t. the layer's
-    /// input node embeddings. Uses the symmetry of `Â` (so `Â^T = Â`).
+    /// On entry `d` is the gradient w.r.t. the layer output. `(dW, db)`
+    /// are written into `grads`. With `weight_t` (this layer's `W^T`) the
+    /// gradient w.r.t. the layer's *input* node embeddings is left in `d`
+    /// (`scratch` holds the intermediate `d(ÂH)`), using the symmetry of
+    /// `Â` (so `Â^T = Â`); the first layer of a model, whose input is the
+    /// graph's features, passes `None` and skips both products.
     pub fn backward(
         &self,
         norm_adj: &Matrix,
         cache: &GcnCache,
+        weight_t: Option<&Matrix>,
+        d: &mut Matrix,
+        scratch: &mut Matrix,
+        grads: &mut (Matrix, Matrix),
+    ) {
+        self.activation.scale_by_derivative(&cache.pre_activation, d);
+        cache.aggregated.t_matmul_into(d, &mut grads.0);
+        d.col_sums_into(&mut grads.1);
+        if let Some(weight_t) = weight_t {
+            // d(ÂH) = d_pre W^T ; dH = Â^T d(ÂH) = Â d(ÂH).
+            d.matmul_into(weight_t, scratch);
+            norm_adj.matmul_into(scratch, d);
+        }
+    }
+}
+
+/// The allocating forward/backward as it stood at b3c2ea3; see
+/// `nn::mlp::reference`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{GcnLayer, Matrix};
+
+    pub struct Cache {
+        aggregated: Matrix,
+        pre_activation: Matrix,
+    }
+
+    pub fn forward_cached(layer: &GcnLayer, norm_adj: &Matrix, h: &Matrix) -> (Matrix, Cache) {
+        let aggregated = norm_adj.matmul(h);
+        let mut pre = aggregated.matmul(&layer.weight);
+        pre.add_row_broadcast(layer.bias.as_slice());
+        let out = layer.activation.apply(&pre);
+        (out, Cache { aggregated, pre_activation: pre })
+    }
+
+    /// Returns `(dW, db, dH)`.
+    pub fn backward(
+        layer: &GcnLayer,
+        norm_adj: &Matrix,
+        cache: &Cache,
         d_out: &Matrix,
     ) -> (Matrix, Matrix, Matrix) {
-        let d_pre = d_out.hadamard(&self.activation.derivative(&cache.pre_activation));
+        let d_pre = d_out.hadamard(&layer.activation.derivative(&cache.pre_activation));
         let d_weight = cache.aggregated.t_matmul(&d_pre);
         let d_bias = Matrix::row_vector(&d_pre.col_sums());
-        // d(ÂH) = d_pre W^T ; dH = Â^T d(ÂH) = Â d(ÂH).
-        let d_aggregated = d_pre.matmul_t(&self.weight);
+        let d_aggregated = d_pre.matmul_t(&layer.weight);
         let d_h = norm_adj.matmul(&d_aggregated);
         (d_weight, d_bias, d_h)
     }
@@ -116,8 +174,12 @@ mod tests {
                 .sum()
         };
 
-        let (out, cache) = layer.forward_cached(&g.norm_adjacency, &g.features);
-        let (dw, db, dh) = layer.backward(&g.norm_adjacency, &cache, &out.scale(2.0));
+        let (mut cache, mut scratch, mut grads) = Default::default();
+        let mut dh = layer.forward_cached(&g.norm_adjacency, &g.features, &mut cache).scale(2.0);
+        let weight_t = layer.weight.transpose();
+        let adj = &g.norm_adjacency;
+        layer.backward(adj, &cache, Some(&weight_t), &mut dh, &mut scratch, &mut grads);
+        let (dw, db) = grads;
 
         let h = 1e-6;
         for i in 0..layer.weight.len() {

@@ -12,7 +12,9 @@
 //!    embedding to the two PCC parameters.
 //!
 //! All gradients are computed manually; [`GnnModel::backward`] mirrors the
-//! forward pass in reverse.
+//! forward pass in reverse. Training runs through reusable buffers (one
+//! workspace per in-flight graph) and [`GnnModel::train_batch`] fans the
+//! graphs of a minibatch out over a pool.
 
 mod attention;
 mod gcn;
@@ -22,4 +24,4 @@ mod model;
 pub use attention::{AttentionCache, AttentionPool};
 pub use gcn::{GcnCache, GcnLayer};
 pub use graph::GraphData;
-pub use model::{GnnCache, GnnGrads, GnnModel, GnnOptimizer};
+pub use model::{GnnModel, GnnOptimizer};

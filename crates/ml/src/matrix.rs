@@ -6,26 +6,26 @@
 //! so a cache-friendly row-major layout with straightforward triple loops is
 //! both fast enough and easy to audit. Matmuls are written `ikj`-ordered so
 //! the inner loop streams contiguous memory.
+//!
+//! Every kernel a training step runs has an `_into` / in-place form that
+//! writes a caller-owned matrix (reshaped in place, allocation reused), so
+//! a trainer that keeps its buffers in a workspace allocates nothing per
+//! step. The allocating forms are thin wrappers over the same loops: there
+//! is one kernel per operation, and a result never depends on which form
+//! computed it.
+//!
+//! The products are single-threaded by design: at this workspace's sizes
+//! (≤ 136 x 64 operands, microseconds per product) a pool's per-call
+//! dispatch costs more than any product; training parallelises one level
+//! up, over the graphs of a minibatch.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Products below this many scalar multiply-adds run sequentially even on
-/// a multi-thread pool — fan-out costs more than it saves.
-const PAR_GEMM_MIN_FLOPS: usize = 32 * 32 * 32;
-
-/// The gemm kernels themselves cannot panic on shape-checked inputs, so a
-/// `ParError` here means a runtime bug; re-raise it as a panic rather
-/// than forcing every matmul call site to thread a `Result`.
-fn propagate_par_error(result: Result<(), tasq_par::ParError>) {
-    if let Err(e) = result {
-        std::panic::resume_unwind(Box::new(e.to_string()));
-    }
-}
-
-/// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// A dense row-major matrix of `f64`. The default is the empty `0 x 0`
+/// matrix: what a reusable buffer is before its first `_into` kernel.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -181,13 +181,36 @@ impl Matrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
+    /// Become a `rows x cols` matrix of zeros, reusing the allocation.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Become a copy of `src`, reusing the allocation.
+    pub fn copy_from(&mut self, src: &Matrix) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// Transpose into a new matrix.
+    pub fn transpose(&self) -> Matrix {
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Transpose into `out`, reusing its allocation.
     ///
     /// Tiled so both the read and write sides stay within a cache-line
     /// window per block instead of striding the full matrix per element.
-    pub fn transpose(&self) -> Matrix {
+    pub fn transpose_into(&self, out: &mut Matrix) {
         const TILE: usize = 32;
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        out.reset_zeros(self.cols, self.rows);
         for rb in (0..self.rows).step_by(TILE) {
             let r_end = (rb + TILE).min(self.rows);
             for cb in (0..self.cols).step_by(TILE) {
@@ -200,7 +223,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Matrix product `self * rhs`.
@@ -208,12 +230,25 @@ impl Matrix {
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// `self * rhs` written into `out`, reusing its allocation.
+    ///
+    /// With `rhs = W^T` this is also how training computes `d · W^T`
+    /// (see [`Matrix::matmul_t`] for why the two agree to the bit).
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: inner dimensions mismatch ({}x{} * {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        out.reset_zeros(self.rows, rhs.cols);
         // ikj loop order: inner loop streams rhs row + out row contiguously.
         for i in 0..self.rows {
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
@@ -230,17 +265,23 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// `self^T * rhs` without materializing the transpose.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.t_matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// `self^T * rhs` written into `out`, reusing its allocation.
+    pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul: dimensions mismatch ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        out.reset_zeros(self.cols, rhs.cols);
         for i in 0..self.rows {
             let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
             let b_row = &rhs.data[i * rhs.cols..(i + 1) * rhs.cols];
@@ -255,10 +296,25 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// `self * rhs^T` without materializing the transpose.
+    ///
+    /// Training does not call this: its `d · W^T` products run as
+    /// `d.matmul_into(&W^T, ..)` over a transpose taken once per
+    /// optimizer step, which vectorises across the output row where this
+    /// kernel's dot products are a serial add chain, and skips the exact
+    /// zeros a ReLU leaves in `d`. The two are **bit-identical** whenever
+    /// `rhs` is finite. Per output element both start from `+0.0` and add
+    /// the products `a[i][k] * rhs[j][k]` in ascending `k`; the only
+    /// difference is that the `ikj` kernel omits the terms whose `a` is
+    /// `±0.0`. Such a term is `±0.0` (finite `rhs`), and adding `±0.0`
+    /// never changes a running sum that is not `-0.0` — and the sum is
+    /// never `-0.0`: it starts at `+0.0`, `x + y` is `-0.0` only when both
+    /// operands are, and an exact cancellation rounds to `+0.0`. An
+    /// infinite or NaN weight would break this (`0 * inf` is NaN, not a
+    /// zero to skip); such a model has already diverged. This kernel stays
+    /// as the oracle the differential tests compare that path with.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
@@ -277,114 +333,6 @@ impl Matrix {
                 out.data[i * rhs.rows + j] = acc;
             }
         }
-        out
-    }
-
-    /// Row-blocked parallel `self * rhs`.
-    ///
-    /// Output rows are partitioned into contiguous blocks (one stealable
-    /// task per block); every block runs the same `ikj` kernel as
-    /// [`Matrix::matmul`] in the same accumulation order, so the result
-    /// is **bit-identical** to the sequential product at any thread
-    /// count. Small products fall back to the sequential kernel where
-    /// fan-out overhead would dominate.
-    pub fn matmul_par(&self, rhs: &Matrix, pool: &tasq_par::Pool) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul_par: inner dimensions mismatch ({}x{} * {}x{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        if pool.threads() == 1 || self.rows * self.cols * rhs.cols < PAR_GEMM_MIN_FLOPS {
-            return self.matmul(rhs);
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let block_rows = self.rows.div_ceil(pool.threads() * 2).max(1);
-        let lhs = self;
-        let result = pool.par_for_chunks(&mut out.data, block_rows * rhs.cols, |bi, chunk| {
-            for (local_r, out_row) in chunk.chunks_mut(rhs.cols).enumerate() {
-                let i = bi * block_rows + local_r;
-                for k in 0..lhs.cols {
-                    let a = lhs.data[i * lhs.cols + k];
-                    // lint: allow(float-eq) — exact-zero skip as in `matmul`.
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                    for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
-        propagate_par_error(result);
-        out
-    }
-
-    /// Row-blocked parallel `self^T * rhs` (blocks over *output* rows,
-    /// i.e. columns of `self`); bit-identical to [`Matrix::t_matmul`].
-    pub fn t_matmul_par(&self, rhs: &Matrix, pool: &tasq_par::Pool) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "t_matmul_par: dimensions mismatch ({}x{})^T * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        if pool.threads() == 1 || self.rows * self.cols * rhs.cols < PAR_GEMM_MIN_FLOPS {
-            return self.t_matmul(rhs);
-        }
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        let block_rows = self.cols.div_ceil(pool.threads() * 2).max(1);
-        let lhs = self;
-        let result = pool.par_for_chunks(&mut out.data, block_rows * rhs.cols, |bi, chunk| {
-            for (local_k, out_row) in chunk.chunks_mut(rhs.cols).enumerate() {
-                let k = bi * block_rows + local_k;
-                // Same i-ascending accumulation order as the sequential
-                // kernel, restricted to this block's output rows.
-                for i in 0..lhs.rows {
-                    let a = lhs.data[i * lhs.cols + k];
-                    // lint: allow(float-eq) — exact-zero skip as in `matmul`.
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &rhs.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        });
-        propagate_par_error(result);
-        out
-    }
-
-    /// Row-blocked parallel `self * rhs^T`; bit-identical to
-    /// [`Matrix::matmul_t`].
-    pub fn matmul_t_par(&self, rhs: &Matrix, pool: &tasq_par::Pool) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_t_par: dimensions mismatch {}x{} * ({}x{})^T",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        if pool.threads() == 1 || self.rows * self.cols * rhs.rows < PAR_GEMM_MIN_FLOPS {
-            return self.matmul_t(rhs);
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        let block_rows = self.rows.div_ceil(pool.threads() * 2).max(1);
-        let lhs = self;
-        let result = pool.par_for_chunks(&mut out.data, block_rows * rhs.rows, |bi, chunk| {
-            for (local_r, out_row) in chunk.chunks_mut(rhs.rows).enumerate() {
-                let i = bi * block_rows + local_r;
-                let a_row = &lhs.data[i * lhs.cols..(i + 1) * lhs.cols];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                    let mut acc = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            }
-        });
-        propagate_par_error(result);
         out
     }
 
@@ -461,25 +409,34 @@ impl Matrix {
 
     /// Sum of each column as a `Vec` of length `cols`.
     pub fn col_sums(&self) -> Vec<f64> {
-        let mut sums = vec![0.0; self.cols];
+        let mut sums = Matrix::default();
+        self.col_sums_into(&mut sums);
+        sums.data
+    }
+
+    /// Sum of each column as a `1 x cols` row written into `out`.
+    pub fn col_sums_into(&self, out: &mut Matrix) {
+        out.reset_zeros(1, self.cols);
         for row in self.rows_iter() {
-            for (s, &x) in sums.iter_mut().zip(row) {
+            for (s, &x) in out.data.iter_mut().zip(row) {
                 *s += x;
             }
         }
-        sums
     }
 
     /// Mean of each column as a `Vec` of length `cols`.
     pub fn col_means(&self) -> Vec<f64> {
-        let mut sums = self.col_sums();
+        let mut means = Matrix::default();
+        self.col_means_into(&mut means);
+        means.data
+    }
+
+    /// Mean of each column as a `1 x cols` row written into `out`.
+    pub fn col_means_into(&self, out: &mut Matrix) {
+        self.col_sums_into(out);
         if self.rows > 0 {
-            let inv = 1.0 / self.rows as f64;
-            for s in &mut sums {
-                *s *= inv;
-            }
+            out.scale_inplace(1.0 / self.rows as f64);
         }
-        sums
     }
 
     /// Sum of all elements.
@@ -678,17 +635,144 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_gemm_bit_identical_to_sequential() {
-        let a = Matrix::from_fn(67, 45, |r, c| ((r * 31 + c * 7) % 13) as f64 * 0.37 - 1.0);
-        let b = Matrix::from_fn(45, 52, |r, c| ((r * 5 + c * 11) % 17) as f64 * 0.21 - 0.8);
-        let bt = b.transpose();
-        for threads in [1, 2, 4] {
-            let pool = tasq_par::Pool::new(threads);
-            assert_eq!(a.matmul_par(&b, &pool).as_slice(), a.matmul(&b).as_slice());
-            assert_eq!(a.t_matmul_par(&a, &pool).as_slice(), a.t_matmul(&a).as_slice());
-            assert_eq!(a.matmul_t_par(&bt, &pool).as_slice(), a.matmul_t(&bt).as_slice());
+    /// The allocating kernels as they stood before the `_into` forms
+    /// (commit b3c2ea3), kept as the oracle: the wrappers now share their
+    /// loops with the `_into` forms, so comparing those two would prove
+    /// nothing.
+    mod parent {
+        use super::Matrix;
+
+        pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for k in 0..a.cols() {
+                    let x = a[(i, k)];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..b.cols() {
+                        out[(i, j)] += x * b[(k, j)];
+                    }
+                }
+            }
+            out
         }
+
+        pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.cols(), b.cols());
+            for i in 0..a.rows() {
+                for k in 0..a.cols() {
+                    let x = a[(i, k)];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..b.cols() {
+                        out[(k, j)] += x * b[(i, j)];
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn col_sums(a: &Matrix) -> Vec<f64> {
+            let mut sums = vec![0.0; a.cols()];
+            for row in a.rows_iter() {
+                for (s, &x) in sums.iter_mut().zip(row) {
+                    *s += x;
+                }
+            }
+            sums
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Seeded differential oracle for every kernel a training step runs:
+    /// the `_into` / in-place form equals its allocating predecessor by
+    /// `to_bits`, and `d.matmul_into(W^T)` equals `d.matmul_t(W)`, on
+    /// dense, ReLU-sparse (exact `0.0`) and `-0.0`-bearing operands.
+    #[test]
+    fn into_kernels_are_bit_identical_to_their_allocating_predecessors() {
+        use crate::nn::Activation;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        #[derive(Clone, Copy)]
+        enum Fill {
+            Dense,
+            ReluSparse,
+            SignedZeros,
+        }
+        fn random(rng: &mut StdRng, rows: usize, cols: usize, fill: Fill) -> Matrix {
+            Matrix::from_fn(rows, cols, |_, _| {
+                let x: f64 = rng.gen_range(-2.0..2.0);
+                match fill {
+                    Fill::Dense => x,
+                    Fill::ReluSparse => x.max(0.0),
+                    // Zeros of both signs, and tiny values whose pairwise
+                    // products underflow to signed zeros.
+                    Fill::SignedZeros => match rng.gen_range(0..6) {
+                        0 | 1 => -0.0,
+                        2 => 0.0,
+                        3 => x * 1e-200,
+                        _ => x,
+                    },
+                }
+            })
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x6b65_726e);
+        // Buffers deliberately reused across shapes: a stale larger
+        // allocation must never leak into a smaller result.
+        let (mut out, mut wt, mut row) = (Matrix::default(), Matrix::default(), Matrix::default());
+        let mut saw_negative_zero = false;
+        for case in 0..240 {
+            let (n, k, m) = match case {
+                0 => (136, 64, 64),
+                1 => (1, 64, 64),
+                2 => (1, 1, 1),
+                _ => (rng.gen_range(1..=136), rng.gen_range(1..=64), rng.gen_range(1..=64)),
+            };
+            let fill = [Fill::Dense, Fill::ReluSparse, Fill::SignedZeros][case % 3];
+            let d = random(&mut rng, n, m, fill);
+            let x = random(&mut rng, n, k, fill);
+            let w = random(&mut rng, k, m, if case % 2 == 0 { Fill::Dense } else { fill });
+
+            x.matmul_into(&w, &mut out);
+            assert_eq!(bits(&out), bits(&parent::matmul(&x, &w)), "matmul {n}x{k}x{m}");
+            x.t_matmul_into(&d, &mut out);
+            assert_eq!(bits(&out), bits(&parent::t_matmul(&x, &d)), "t_matmul {n}x{k}x{m}");
+
+            // d · W^T through the transpose: same bits as matmul_t.
+            w.transpose_into(&mut wt);
+            assert_eq!(wt.shape(), (m, k));
+            assert!((0..k).all(|r| (0..m).all(|c| wt[(c, r)].to_bits() == w[(r, c)].to_bits())));
+            d.matmul_into(&wt, &mut out);
+            let oracle = d.matmul_t(&w);
+            assert_eq!(bits(&out), bits(&oracle), "d·W^T {n}x{m}x{k}");
+            saw_negative_zero |= d.as_slice().iter().any(|v| v.to_bits() == (-0.0f64).to_bits());
+            assert!(oracle.as_slice().iter().all(|v| v.to_bits() != (-0.0f64).to_bits()));
+
+            d.col_sums_into(&mut row);
+            assert_eq!(row.shape(), (1, m));
+            let sums = parent::col_sums(&d);
+            assert_eq!(bits(&row), sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>());
+            d.col_means_into(&mut row);
+            let inv = 1.0 / n as f64;
+            assert_eq!(bits(&row), sums.iter().map(|s| (s * inv).to_bits()).collect::<Vec<_>>());
+
+            for act in [Activation::Relu, Activation::Tanh, Activation::Identity] {
+                let pre = random(&mut rng, n, m, fill);
+                act.apply_into(&pre, &mut out);
+                assert_eq!(bits(&out), bits(&act.apply(&pre)));
+                out.copy_from(&d);
+                act.scale_by_derivative(&pre, &mut out);
+                assert_eq!(bits(&out), bits(&d.hadamard(&act.derivative(&pre))));
+            }
+        }
+        assert!(saw_negative_zero, "the -0.0 cases must actually occur");
     }
 
     #[test]

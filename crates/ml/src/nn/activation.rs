@@ -67,6 +67,24 @@ impl Activation {
     pub fn derivative(self, pre: &Matrix) -> Matrix {
         pre.map(|x| self.derivative_scalar(x))
     }
+
+    /// `out = act(pre)`, reusing `out`'s allocation.
+    pub fn apply_into(self, pre: &Matrix, out: &mut Matrix) {
+        out.copy_from(pre);
+        out.map_inplace(|x| self.apply_scalar(x));
+    }
+
+    /// `d[i] *= act'(pre[i])`: the backward step
+    /// `d.hadamard(&act.derivative(pre))` without its two temporaries.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn scale_by_derivative(self, pre: &Matrix, d: &mut Matrix) {
+        assert_eq!(pre.shape(), d.shape(), "scale_by_derivative: shape mismatch");
+        for (g, &x) in d.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+            *g *= self.derivative_scalar(x);
+        }
+    }
 }
 
 /// Numerically stable softplus: `ln(1 + e^x)`.

@@ -1,5 +1,7 @@
-//! Fully-connected (affine) layer with explicit forward cache and backward
-//! pass.
+//! Fully-connected (affine) layer. The backward pass of `y = x W + b` is
+//! three products — `dW = x^T dy`, `db` = column sums of `dy`,
+//! `dx = dy W^T` — which [`super::Mlp::backward`] runs per layer straight
+//! on its reusable buffers; the gradient check below pins the formulas.
 
 use crate::matrix::Matrix;
 use crate::rand_ext;
@@ -13,25 +15,6 @@ pub struct Linear {
     pub weight: Matrix,
     /// Bias row vector, `1 x out_dim`.
     pub bias: Matrix,
-}
-
-/// Values cached during [`Linear::forward_cached`] that the backward pass
-/// needs.
-#[derive(Debug, Clone)]
-pub struct LinearCache {
-    /// The layer input (batch x in_dim).
-    pub input: Matrix,
-}
-
-/// Gradients produced by [`Linear::backward`].
-#[derive(Debug, Clone)]
-pub struct LinearGrads {
-    /// dLoss/dW, same shape as `weight`.
-    pub weight: Matrix,
-    /// dLoss/db, same shape as `bias`.
-    pub bias: Matrix,
-    /// dLoss/dInput, same shape as the cached input.
-    pub input: Matrix,
 }
 
 impl Linear {
@@ -67,45 +50,15 @@ impl Linear {
 
     /// Forward pass: `x W + b` for a batch `x: batch x in_dim`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_with(x, &tasq_par::Pool::sequential())
-    }
-
-    /// [`Linear::forward`] with the gemm row-blocked over `pool`
-    /// (bit-identical at any thread count; small batches fall back to the
-    /// sequential kernel automatically).
-    pub fn forward_with(&self, x: &Matrix, pool: &tasq_par::Pool) -> Matrix {
-        let mut out = x.matmul_par(&self.weight, pool);
-        out.add_row_broadcast(self.bias.as_slice());
+        let mut out = Matrix::default();
+        self.forward_into(x, &mut out);
         out
     }
 
-    /// Forward pass that also returns the cache needed for `backward`.
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, LinearCache) {
-        (self.forward(x), LinearCache { input: x.clone() })
-    }
-
-    /// [`Linear::forward_cached`] with a parallel gemm.
-    pub fn forward_cached_with(&self, x: &Matrix, pool: &tasq_par::Pool) -> (Matrix, LinearCache) {
-        (self.forward_with(x, pool), LinearCache { input: x.clone() })
-    }
-
-    /// Backward pass given upstream gradient `d_out: batch x out_dim`.
-    pub fn backward(&self, cache: &LinearCache, d_out: &Matrix) -> LinearGrads {
-        self.backward_with(cache, d_out, &tasq_par::Pool::sequential())
-    }
-
-    /// [`Linear::backward`] with both gemms row-blocked over `pool`.
-    pub fn backward_with(
-        &self,
-        cache: &LinearCache,
-        d_out: &Matrix,
-        pool: &tasq_par::Pool,
-    ) -> LinearGrads {
-        // dW = x^T d_out ; db = column sums of d_out ; dX = d_out W^T
-        let weight = cache.input.t_matmul_par(d_out, pool);
-        let bias = Matrix::row_vector(&d_out.col_sums());
-        let input = d_out.matmul_t_par(&self.weight, pool);
-        LinearGrads { weight, bias, input }
+    /// [`Linear::forward`] written into `out`, reusing its allocation.
+    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.weight, out);
+        out.add_row_broadcast(self.bias.as_slice());
     }
 }
 
@@ -144,9 +97,9 @@ mod tests {
         let loss = |layer: &Linear, x: &Matrix| -> f64 {
             layer.forward(x).as_slice().iter().map(|v| v * v).sum()
         };
-        let (y, cache) = layer.forward_cached(&x);
-        let d_out = y.scale(2.0); // d(sum y^2)/dy = 2y
-        let grads = layer.backward(&cache, &d_out);
+        let d_out = layer.forward(&x).scale(2.0); // d(sum y^2)/dy = 2y
+        let grads =
+            (x.t_matmul(&d_out), d_out.col_sums(), d_out.matmul(&layer.weight.transpose()));
 
         let h = 1e-6;
         // Weight gradients.
@@ -159,9 +112,9 @@ mod tests {
             layer.weight.as_mut_slice()[i] = orig;
             let numeric = (up - down) / (2.0 * h);
             assert!(
-                (numeric - grads.weight.as_slice()[i]).abs() < 1e-4,
+                (numeric - grads.0.as_slice()[i]).abs() < 1e-4,
                 "weight[{i}]: numeric {numeric} vs {}",
-                grads.weight.as_slice()[i]
+                grads.0.as_slice()[i]
             );
         }
         // Bias gradients.
@@ -173,7 +126,7 @@ mod tests {
             let down = loss(&layer, &x);
             layer.bias.as_mut_slice()[i] = orig;
             let numeric = (up - down) / (2.0 * h);
-            assert!((numeric - grads.bias.as_slice()[i]).abs() < 1e-4);
+            assert!((numeric - grads.1[i]).abs() < 1e-4);
         }
         // Input gradients.
         let mut x_pert = x.clone();
@@ -185,7 +138,7 @@ mod tests {
             let down = loss(&layer, &x_pert);
             x_pert.as_mut_slice()[i] = orig;
             let numeric = (up - down) / (2.0 * h);
-            assert!((numeric - grads.input.as_slice()[i]).abs() < 1e-4);
+            assert!((numeric - grads.2.as_slice()[i]).abs() < 1e-4);
         }
     }
 }

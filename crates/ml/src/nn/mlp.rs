@@ -1,7 +1,7 @@
 //! Multi-layer perceptron composed of [`Linear`] layers and activations.
 
 use super::activation::Activation;
-use super::linear::{Linear, LinearCache};
+use super::linear::Linear;
 use crate::matrix::Matrix;
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
@@ -20,21 +20,27 @@ pub struct Mlp {
     output_activation: Activation,
 }
 
-/// Forward cache for one batch: per-layer input caches and pre-activations.
-#[derive(Debug, Clone)]
+/// Reusable training buffers for one batch: the forward caches
+/// [`Mlp::backward`] reads and the scratch it writes. Buffers take their
+/// shape from each call and keep their allocation between calls, so a
+/// trainer that holds one cache allocates nothing per step; reuse never
+/// changes a result.
+#[derive(Debug, Clone, Default)]
 pub struct MlpCache {
-    layer_caches: Vec<LinearCache>,
-    pre_activations: Vec<Matrix>,
+    /// `acts[i]` is the input of layer `i` (`acts[0]` the batch itself);
+    /// the last entry is the network output.
+    acts: Vec<Matrix>,
+    /// Pre-activation of each layer.
+    pre: Vec<Matrix>,
+    /// The gradient flowing backwards, and the buffer its next value is
+    /// computed into.
+    d: Matrix,
+    d_next: Matrix,
 }
 
-/// Per-layer gradients plus the gradient w.r.t. the network input.
-#[derive(Debug, Clone)]
-pub struct MlpGrads {
-    /// `(dW, db)` per layer, front to back.
-    pub layers: Vec<(Matrix, Matrix)>,
-    /// dLoss/dInput for the whole batch.
-    pub input: Matrix,
-}
+/// `(dW, db)` per layer, front to back. Like [`MlpCache`], reused across
+/// steps: [`Mlp::backward`] shapes the entries itself.
+pub type MlpGrads = Vec<(Matrix, Matrix)>;
 
 impl Mlp {
     /// Build an MLP with the given layer sizes, e.g. `[51, 32, 16, 2]`.
@@ -92,69 +98,83 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Forward pass for a batch `x: batch x in_dim`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_with(x, &tasq_par::Pool::sequential())
+    fn activation(&self, layer: usize) -> Activation {
+        if layer + 1 == self.layers.len() {
+            self.output_activation
+        } else {
+            self.hidden_activation
+        }
     }
 
-    /// [`Mlp::forward`] with every layer gemm row-blocked over `pool`
-    /// (bit-identical to the sequential pass at any thread count).
-    pub fn forward_with(&self, x: &Matrix, pool: &tasq_par::Pool) -> Matrix {
+    /// Forward pass for a batch `x: batch x in_dim`.
+    pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut h = x.clone();
-        let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward_with(&h, pool);
-            let act = if i == last { self.output_activation } else { self.hidden_activation };
-            h = act.apply(&pre);
+            h = self.activation(i).apply(&layer.forward(&h));
         }
         h
     }
 
-    /// Forward pass keeping the caches needed by [`Mlp::backward`].
-    pub fn forward_cached(&self, x: &Matrix) -> (Matrix, MlpCache) {
-        self.forward_cached_with(x, &tasq_par::Pool::sequential())
-    }
-
-    /// [`Mlp::forward_cached`] with parallel layer gemms.
-    pub fn forward_cached_with(&self, x: &Matrix, pool: &tasq_par::Pool) -> (Matrix, MlpCache) {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        let mut layer_caches = Vec::with_capacity(self.layers.len());
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
+    /// Forward pass keeping in `cache` what [`Mlp::backward`] needs;
+    /// returns the output (which lives in the cache).
+    pub fn forward_cached<'c>(&self, x: &Matrix, cache: &'c mut MlpCache) -> &'c Matrix {
+        let n = self.layers.len();
+        cache.acts.resize_with(n + 1, Matrix::default);
+        cache.pre.resize_with(n, Matrix::default);
+        cache.acts[0].copy_from(x);
         for (i, layer) in self.layers.iter().enumerate() {
-            let (pre, cache) = layer.forward_cached_with(&h, pool);
-            layer_caches.push(cache);
-            let act = if i == last { self.output_activation } else { self.hidden_activation };
-            h = act.apply(&pre);
-            pre_activations.push(pre);
+            let (input, output) = cache.acts.split_at_mut(i + 1);
+            layer.forward_into(&input[i], &mut cache.pre[i]);
+            self.activation(i).apply_into(&cache.pre[i], &mut output[0]);
         }
-        (h, MlpCache { layer_caches, pre_activations })
+        &cache.acts[n]
     }
 
-    /// Backward pass given the upstream gradient w.r.t. the network output.
-    pub fn backward(&self, cache: &MlpCache, d_output: &Matrix) -> MlpGrads {
-        self.backward_with(cache, d_output, &tasq_par::Pool::sequential())
+    /// `W^T` of every layer into `out`. [`Mlp::backward`] multiplies by
+    /// these instead of walking `W` column-wise (see
+    /// [`Matrix::matmul_t`]); a trainer refreshes them once per optimizer
+    /// step, however many backward passes share the step.
+    pub fn transpose_weights_into(&self, out: &mut Vec<Matrix>) {
+        out.resize_with(self.layers.len(), Matrix::default);
+        for (t, layer) in out.iter_mut().zip(&self.layers) {
+            layer.weight.transpose_into(t);
+        }
     }
 
-    /// [`Mlp::backward`] with parallel layer gemms.
-    pub fn backward_with(
+    /// Backward pass for the batch last run through
+    /// [`Mlp::forward_cached`] on `cache`, given the upstream gradient
+    /// w.r.t. the network output and the current
+    /// [`Mlp::transpose_weights_into`]. Writes `(dW, db)` per layer into
+    /// `grads`, and dLoss/dInput into `d_input` for callers that read it
+    /// (the GNN feeds it to its pooling layer); a trainer whose input is
+    /// data passes `None` and the first layer's `d · W^T` is never
+    /// computed.
+    pub fn backward(
         &self,
-        cache: &MlpCache,
+        cache: &mut MlpCache,
+        weights_t: &[Matrix],
         d_output: &Matrix,
-        pool: &tasq_par::Pool,
-    ) -> MlpGrads {
-        let last = self.layers.len() - 1;
-        let mut grads: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.layers.len());
-        let mut d = d_output.clone();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let act = if i == last { self.output_activation } else { self.hidden_activation };
-            let d_pre = d.hadamard(&act.derivative(&cache.pre_activations[i]));
-            let lg = layer.backward_with(&cache.layer_caches[i], &d_pre, pool);
-            grads.push((lg.weight, lg.bias));
-            d = lg.input;
+        grads: &mut MlpGrads,
+        mut d_input: Option<&mut Matrix>,
+    ) {
+        assert_eq!(weights_t.len(), self.layers.len(), "Mlp::backward: stale transposes");
+        grads.resize_with(self.layers.len(), Default::default);
+        let MlpCache { acts, pre, d, d_next } = cache;
+        d.copy_from(d_output);
+        for i in (0..self.layers.len()).rev() {
+            // d becomes the gradient w.r.t. the pre-activation; then
+            // dW = x^T d, db = column sums of d, dX = d W^T.
+            self.activation(i).scale_by_derivative(&pre[i], d);
+            let (d_weight, d_bias) = &mut grads[i];
+            acts[i].t_matmul_into(d, d_weight);
+            d.col_sums_into(d_bias);
+            if i > 0 {
+                d.matmul_into(&weights_t[i], d_next);
+                std::mem::swap(d, d_next);
+            } else if let Some(d_input) = d_input.take() {
+                d.matmul_into(&weights_t[0], d_input);
+            }
         }
-        grads.reverse();
-        MlpGrads { layers: grads, input: d }
     }
 
     /// Register all parameters with an Adam optimizer; returns the ids in
@@ -171,13 +191,11 @@ impl Mlp {
     }
 
     /// Apply one optimizer step with the given per-layer gradients.
-    pub fn apply_grads(&mut self, adam: &mut Adam, ids: &[(ParamId, ParamId)], grads: MlpGrads) {
+    pub fn apply_grads(&mut self, adam: &mut Adam, ids: &[(ParamId, ParamId)], grads: &MlpGrads) {
         assert_eq!(ids.len(), self.layers.len());
-        assert_eq!(grads.layers.len(), self.layers.len());
-        let mut pairs: Vec<(ParamId, &mut Matrix, Matrix)> = Vec::new();
-        for (layer, (&(wid, bid), (gw, gb))) in
-            self.layers.iter_mut().zip(ids.iter().zip(grads.layers))
-        {
+        assert_eq!(grads.len(), self.layers.len());
+        let mut pairs: Vec<(ParamId, &mut Matrix, &Matrix)> = Vec::new();
+        for (layer, (&(wid, bid), (gw, gb))) in self.layers.iter_mut().zip(ids.iter().zip(grads)) {
             pairs.push((wid, &mut layer.weight, gw));
             pairs.push((bid, &mut layer.bias, gb));
         }
@@ -192,11 +210,129 @@ impl Mlp {
     }
 }
 
+/// The allocating forward/backward recipe as it stood before the reusable
+/// [`MlpCache`] (commit b3c2ea3): a fresh matrix per cache entry, per
+/// temporary and per gradient, `d · W^T` through [`Matrix::matmul_t`], and
+/// an input gradient whether or not anyone reads it. Kept as the oracle
+/// the cache-backed path must match bit for bit (here and, as the GNN's
+/// head, in `gnn::model`).
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Matrix, Mlp};
+
+    pub struct Cache {
+        inputs: Vec<Matrix>,
+        pre_activations: Vec<Matrix>,
+    }
+
+    pub struct Grads {
+        pub layers: Vec<(Matrix, Matrix)>,
+        pub input: Matrix,
+    }
+
+    pub fn forward_cached(mlp: &Mlp, x: &Matrix) -> (Matrix, Cache) {
+        let mut h = x.clone();
+        let mut cache = Cache { inputs: Vec::new(), pre_activations: Vec::new() };
+        for (i, layer) in mlp.layers.iter().enumerate() {
+            cache.inputs.push(h.clone());
+            let mut pre = h.matmul(&layer.weight);
+            pre.add_row_broadcast(layer.bias.as_slice());
+            h = mlp.activation(i).apply(&pre);
+            cache.pre_activations.push(pre);
+        }
+        (h, cache)
+    }
+
+    pub fn backward(mlp: &Mlp, cache: &Cache, d_output: &Matrix) -> Grads {
+        let mut layers = Vec::new();
+        let mut d = d_output.clone();
+        for (i, layer) in mlp.layers.iter().enumerate().rev() {
+            let d_pre = d.hadamard(&mlp.activation(i).derivative(&cache.pre_activations[i]));
+            let weight = cache.inputs[i].t_matmul(&d_pre);
+            let bias = Matrix::row_vector(&d_pre.col_sums());
+            d = d_pre.matmul_t(&layer.weight);
+            layers.push((weight, bias));
+        }
+        layers.reverse();
+        Grads { layers, input: d }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One forward/backward on fresh buffers: `(per-layer grads, dInput)`
+    /// for the upstream gradient `d_of(output)`.
+    fn gradients(mlp: &Mlp, x: &Matrix, d_of: impl Fn(&Matrix) -> Matrix) -> (MlpGrads, Matrix) {
+        let (mut cache, mut weights_t) = (MlpCache::default(), Vec::new());
+        let (mut grads, mut d_input) = (MlpGrads::new(), Matrix::default());
+        let d_output = d_of(mlp.forward_cached(x, &mut cache));
+        mlp.transpose_weights_into(&mut weights_t);
+        mlp.backward(&mut cache, &weights_t, &d_output, &mut grads, Some(&mut d_input));
+        (grads, d_input)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Training through one reused cache equals the allocating reference
+    /// bit for bit — every gradient of every step and the weights at the
+    /// end — over batches that change shape between steps (so stale buffer
+    /// contents would show) and with the input gradient both read and
+    /// skipped.
+    #[test]
+    fn cached_training_is_bit_identical_to_the_allocating_reference() {
+        for seed in [1u64, 2, 3] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cached =
+                Mlp::new(&mut rng, &[51, 32, 16, 2], Activation::Relu, Activation::Identity);
+            let mut allocating = cached.clone();
+            let config = AdamConfig { learning_rate: 0.01, ..Default::default() };
+            let (mut adam, ids) = cached.make_optimizer(config.clone());
+            let (mut ref_adam, ref_ids) = allocating.make_optimizer(config);
+
+            let (mut cache, mut weights_t) = (MlpCache::default(), Vec::new());
+            let (mut grads, mut d_input) = (MlpGrads::new(), Matrix::default());
+            for step in 0..40 {
+                let rows = [32, 1, 17, 32, 8][step % 5];
+                let x = Matrix::from_fn(rows, 51, |_, _| rng.gen_range(-2.0..2.0));
+                let target = Matrix::from_fn(rows, 2, |_, _| rng.gen_range(-1.0..1.0));
+
+                let (y, ref_cache) = reference::forward_cached(&allocating, &x);
+                let expected = reference::backward(&allocating, &ref_cache, &y.sub(&target));
+
+                let d_output = cached.forward_cached(&x, &mut cache).sub(&target);
+                assert_eq!(bits(&d_output), bits(&y.sub(&target)), "seed {seed} step {step}");
+                cached.transpose_weights_into(&mut weights_t);
+                let want_input = step % 2 == 0;
+                cached.backward(
+                    &mut cache,
+                    &weights_t,
+                    &d_output,
+                    &mut grads,
+                    want_input.then_some(&mut d_input),
+                );
+                if want_input {
+                    assert_eq!(bits(&d_input), bits(&expected.input), "seed {seed} step {step}");
+                }
+                for (got, want) in grads.iter().zip(&expected.layers) {
+                    assert_eq!(got.0.shape(), want.0.shape());
+                    assert_eq!(bits(&got.0), bits(&want.0), "seed {seed} step {step}");
+                    assert_eq!(bits(&got.1), bits(&want.1), "seed {seed} step {step}");
+                }
+                cached.apply_grads(&mut adam, &ids, &grads);
+                allocating.apply_grads(&mut ref_adam, &ref_ids, &expected.layers);
+            }
+            for (a, b) in cached.layers.iter().zip(&allocating.layers) {
+                assert_eq!(bits(&a.weight), bits(&b.weight), "seed {seed}");
+                assert_eq!(bits(&a.bias), bits(&b.bias), "seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn shapes_and_param_count() {
@@ -230,11 +366,10 @@ mod tests {
         let loss =
             |mlp: &Mlp, x: &Matrix| -> f64 { mlp.forward(x).as_slice().iter().map(|v| v * v).sum() };
 
-        let (y, cache) = mlp.forward_cached(&x);
-        let grads = mlp.backward(&cache, &y.scale(2.0));
+        let (grads, _) = gradients(&mlp, &x, |y| y.scale(2.0));
 
         let h = 1e-6;
-        for li in 0..mlp.layers.len() {
+        for (li, (d_weight, d_bias)) in grads.iter().enumerate() {
             for i in 0..mlp.layers[li].weight.len() {
                 let orig = mlp.layers[li].weight.as_slice()[i];
                 mlp.layers[li].weight.as_mut_slice()[i] = orig + h;
@@ -243,7 +378,7 @@ mod tests {
                 let down = loss(&mlp, &x);
                 mlp.layers[li].weight.as_mut_slice()[i] = orig;
                 let numeric = (up - down) / (2.0 * h);
-                let analytic = grads.layers[li].0.as_slice()[i];
+                let analytic = d_weight.as_slice()[i];
                 assert!(
                     (numeric - analytic).abs() < 1e-4,
                     "layer {li} weight[{i}]: {numeric} vs {analytic}"
@@ -257,7 +392,7 @@ mod tests {
                 let down = loss(&mlp, &x);
                 mlp.layers[li].bias.as_mut_slice()[i] = orig;
                 let numeric = (up - down) / (2.0 * h);
-                let analytic = grads.layers[li].1.as_slice()[i];
+                let analytic = d_bias.as_slice()[i];
                 assert!((numeric - analytic).abs() < 1e-4);
             }
         }
@@ -280,11 +415,12 @@ mod tests {
             y.sub(&target).as_slice().iter().map(|e| e * e).sum::<f64>() / 64.0
         };
         let initial = mse(&mlp);
+        let (mut cache, mut weights_t, mut grads) = (MlpCache::default(), Vec::new(), Vec::new());
         for _ in 0..500 {
-            let (y, cache) = mlp.forward_cached(&x);
-            let d = y.sub(&target).scale(2.0 / 64.0);
-            let grads = mlp.backward(&cache, &d);
-            mlp.apply_grads(&mut adam, &ids, grads);
+            let d = mlp.forward_cached(&x, &mut cache).sub(&target).scale(2.0 / 64.0);
+            mlp.transpose_weights_into(&mut weights_t);
+            mlp.backward(&mut cache, &weights_t, &d, &mut grads, None);
+            mlp.apply_grads(&mut adam, &ids, &grads);
         }
         let final_loss = mse(&mlp);
         assert!(
@@ -298,9 +434,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mlp = Mlp::new(&mut rng, &[3, 5, 2], Activation::Relu, Activation::Identity);
         let x = Matrix::from_fn(1, 3, |_, _| rng.gen_range(-1.0..1.0));
-        let (y, cache) = mlp.forward_cached(&x);
-        let grads = mlp.backward(&cache, &y.scale(2.0));
-        assert_eq!(grads.input.shape(), (1, 3));
+        let (_, d_input) = gradients(&mlp, &x, |y| y.scale(2.0));
+        assert_eq!(d_input.shape(), (1, 3));
 
         let h = 1e-6;
         let loss =
@@ -314,7 +449,7 @@ mod tests {
             let down = loss(&xp);
             xp.as_mut_slice()[i] = orig;
             let numeric = (up - down) / (2.0 * h);
-            assert!((numeric - grads.input.as_slice()[i]).abs() < 1e-4);
+            assert!((numeric - d_input.as_slice()[i]).abs() < 1e-4);
         }
     }
 }

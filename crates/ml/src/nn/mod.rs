@@ -9,8 +9,8 @@
 
 mod activation;
 mod linear;
-mod mlp;
+pub(crate) mod mlp;
 
 pub use activation::{sigmoid, softplus, softplus_inverse, Activation};
-pub use linear::{Linear, LinearCache, LinearGrads};
+pub use linear::Linear;
 pub use mlp::{Mlp, MlpCache, MlpGrads};

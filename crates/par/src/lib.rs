@@ -146,10 +146,15 @@ impl PanicSlot {
 
 /// A work-stealing pool configured for a fixed number of threads.
 ///
-/// The handle itself is cheap (worker threads are spawned per call and
-/// joined before the call returns, so borrowed inputs need no `'static`
-/// bound). `Pool::new(1)` (or [`Pool::sequential`]) runs everything inline
-/// on the calling thread with identical results and error semantics.
+/// The handle itself is cheap: a call that fans out spawns `threads - 1`
+/// scoped workers, runs worker 0 on the calling thread, and joins before
+/// it returns, so borrowed inputs need no `'static` bound and no thread
+/// outlives the call. That spawn + join is the whole per-call dispatch
+/// cost (measured at ≈ 55 µs per call with two threads on the 2-vCPU
+/// reference box, see DESIGN.md "Parallel offline runtime"); callers with
+/// less than a few hundred microseconds of work should stay sequential.
+/// `Pool::new(1)` (or [`Pool::sequential`]) runs everything inline on the
+/// calling thread with identical results and error semantics.
 #[derive(Debug, Clone)]
 pub struct Pool {
     threads: usize,
@@ -194,10 +199,15 @@ impl Pool {
         Self::new(1)
     }
 
-    /// Pool sized to `std::thread::available_parallelism()`.
+    /// Pool sized to `std::thread::available_parallelism()`, capped at
+    /// eight workers: the one place an offline entry point that was not
+    /// handed a pool (`Dataset::build`, `TasqPipeline::train`,
+    /// `GnnPcc::train`, flight selection) gets its thread count from. The
+    /// offline fan-outs are a few hundred tasks wide, and past eight
+    /// workers the per-call spawns cost more than the extra lanes return.
     pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::new(threads)
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::new(threads.min(8))
     }
 
     /// Number of worker threads this pool fans out to.
@@ -290,16 +300,21 @@ impl Pool {
         };
 
         let partials: Vec<Vec<(usize, U)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
+            let handles: Vec<_> = (1..workers)
                 .map(|w| {
                     let shared = &shared;
                     let f = &f;
                     s.spawn(move || map_worker(w, shared, items, f, grain))
                 })
                 .collect();
-            // Worker bodies catch every task panic, so join() only fails
-            // on a runtime bug; a lost partial surfaces as ResultMissing.
-            handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()
+            // The caller is worker 0: one spawn fewer per call and no
+            // thread that only waits. Worker bodies catch every task
+            // panic (the caller's share included, so the joins below
+            // always run); join() only fails on a runtime bug, and a lost
+            // partial surfaces as ResultMissing.
+            let mut partials = vec![map_worker(0, &shared, items, &f, grain)];
+            partials.extend(handles.into_iter().map(|h| h.join().unwrap_or_default()));
+            partials
         });
 
         if let Some((index, message)) = shared.panic.take() {
@@ -323,8 +338,8 @@ impl Pool {
 
     /// Run `f` over consecutive `chunk_len`-sized mutable chunks of `data`
     /// in parallel. `f` receives `(chunk_index, chunk)`; chunks are
-    /// disjoint, so no synchronization is needed inside `f`. This is the
-    /// building block for the blocked row-parallel gemm in `tasq-ml`.
+    /// disjoint, so no synchronization is needed inside `f`. The GNN
+    /// trainer fans a minibatch out this way, one gradient slot per chunk.
     pub fn par_for_chunks<T, F>(
         &self,
         data: &mut [T],
@@ -621,25 +636,64 @@ mod tests {
         assert_eq!(pool.par_map(&[7u32], |_, &x| x + 1).unwrap(), vec![8]);
     }
 
+    /// The caller runs worker 0's share itself, so a panic there is the
+    /// case to pin: it must come back as a value carrying the panicking
+    /// index, not unwind through the pool.
     #[test]
     fn par_map_propagates_panic_with_index() {
         let items: Vec<u32> = (0..50).collect();
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let err = pool
-                .par_map(&items, |_, &x| {
-                    assert!(x != 33, "boom at {x}");
-                    x
-                })
-                .unwrap_err();
-            match err {
-                ParError::TaskPanicked { index, message } => {
-                    assert_eq!(index, 33, "threads={threads}");
-                    assert!(message.contains("boom at 33"), "message={message}");
+        for threads in [1, 2, 4] {
+            // One index in worker 0's initial range, one in the last
+            // worker's, at every thread count.
+            for bad in [3u32, 47] {
+                let err = Pool::new(threads)
+                    .par_map_grain(&items, 1, |_, &x| {
+                        assert!(x != bad, "boom at {x}");
+                        x
+                    })
+                    .unwrap_err();
+                match err {
+                    ParError::TaskPanicked { index, message } => {
+                        assert_eq!(index, bad as usize, "threads={threads}");
+                        assert!(message.contains(&format!("boom at {bad}")), "message={message}");
+                    }
+                    other => panic!("unexpected error: {other:?}"),
                 }
-                other => panic!("unexpected error: {other:?}"),
             }
         }
+    }
+
+    /// Two panicking tasks, one in the caller's share and one in the
+    /// spawned worker's. The lower index is reported whichever thread
+    /// panicked first, and the call returns only after the spawned
+    /// worker's in-flight task has finished: the caller panics while that
+    /// task is still running, so without the join `finished` would read
+    /// false.
+    #[test]
+    fn caller_panic_reports_lowest_index_and_joins_workers() {
+        let items: Vec<u32> = (0..64).collect();
+        let gate = std::sync::Barrier::new(2);
+        let finished = AtomicBool::new(false);
+        // Grain 32 keeps each initial range whole: 5 runs on the caller,
+        // 40 on the spawned worker, and the barrier makes both in flight
+        // at once so neither is skipped by the other's abort.
+        let err = Pool::new(2)
+            .par_map_grain(&items, 32, |_, &x| {
+                if x == 5 {
+                    gate.wait();
+                    panic!("boom at {x}");
+                }
+                if x == 40 {
+                    gate.wait();
+                    let spun = (0..2_000_000u64).fold(0u64, |a, b| std::hint::black_box(a ^ b));
+                    finished.store(true, Ordering::Release);
+                    panic!("boom at {x} after {spun}");
+                }
+                x
+            })
+            .unwrap_err();
+        assert!(finished.load(Ordering::Acquire), "returned before the worker was joined");
+        assert!(matches!(err, ParError::TaskPanicked { index: 5, .. }), "{err:?}");
     }
 
     #[test]
