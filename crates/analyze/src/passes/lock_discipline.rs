@@ -16,6 +16,13 @@
 //! entering held set is non-empty, plus the same-expression case where a
 //! *temporary* guard is blocked on directly
 //! (`shared.lock().unwrap().recv()`).
+//!
+//! A condvar wait is the one blocking call made *with* a guard on
+//! purpose: `Condvar::wait(guard)` (and `wait_while`, `wait_timeout`,
+//! `wait_timeout_while`) takes the guard by value and releases the lock
+//! while blocked. The guard passed in is therefore not held across the
+//! wait; any other guard still is. The guard the wait hands back is
+//! tracked like one from `lock()`.
 
 use crate::cfg::{Cfg, Edge, EdgeKind, NodeKind};
 use crate::dataflow::{solve, Analysis};
@@ -34,8 +41,20 @@ const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
 const UNWRAPS: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
 
 /// Methods that block the calling thread.
-const BLOCKING_METHODS: [&str; 6] =
-    ["recv", "recv_timeout", "recv_deadline", "park_timeout", "wait", "wait_timeout"];
+const BLOCKING_METHODS: [&str; 8] = [
+    "recv",
+    "recv_timeout",
+    "recv_deadline",
+    "park_timeout",
+    "wait",
+    "wait_timeout",
+    "wait_while",
+    "wait_timeout_while",
+];
+
+/// `Condvar` waits: given a guard as first argument, they release it
+/// while blocked and return it re-acquired.
+const CONDVAR_WAITS: [&str; 4] = ["wait", "wait_while", "wait_timeout", "wait_timeout_while"];
 
 /// Free-function call-path suffixes that block.
 const BLOCKING_CALLS: [[&str; 2]; 8] = [
@@ -67,13 +86,33 @@ fn peel_unwraps(e: &Expr) -> &Expr {
 /// Does this initializer produce a lock guard?
 fn acquires_guard(e: &Expr) -> bool {
     matches!(peel_unwraps(e), Expr::MethodCall { method, args, .. }
-        if GUARD_METHODS.contains(&method.as_str()) && args.is_empty())
+        if (GUARD_METHODS.contains(&method.as_str()) && args.is_empty())
+            || (CONDVAR_WAITS.contains(&method.as_str()) && !args.is_empty()))
 }
 
-/// The blocking operation inside `e`, if any: `(span, description)`.
-/// Closure bodies are skipped — they block *their* caller, not this
-/// function.
-fn blocking_op(e: &Expr) -> Option<(Span, String)> {
+/// The guard a condvar wait releases while blocked: the binding its
+/// first argument names, if the call is one of [`CONDVAR_WAITS`].
+fn released_guard<'e>(method: &str, args: &'e [Expr]) -> Option<&'e str> {
+    if !CONDVAR_WAITS.contains(&method) {
+        return None;
+    }
+    match args.first() {
+        Some(Expr::Path { segs, .. }) if segs.len() == 1 => Some(&segs[0]),
+        _ => None,
+    }
+}
+
+/// A blocking operation: where, what, and the guard it releases while
+/// blocked (a condvar wait's argument).
+struct Blocking {
+    span: Span,
+    desc: String,
+    releases: Option<String>,
+}
+
+/// The blocking operation inside `e`, if any. Closure bodies are skipped
+/// — they block *their* caller, not this function.
+fn blocking_op(e: &Expr) -> Option<Blocking> {
     let mut found = None;
     e.walk_pruned(&mut |x| {
         if found.is_some() || matches!(x, Expr::Closure { .. }) {
@@ -84,14 +123,19 @@ fn blocking_op(e: &Expr) -> Option<(Span, String)> {
                 if BLOCKING_METHODS.contains(&method.as_str())
                     || (method == "join" && args.is_empty()) =>
             {
-                found = Some((*span, format!(".{method}()")));
+                found = Some(Blocking {
+                    span: *span,
+                    desc: format!(".{method}()"),
+                    releases: released_guard(method, args).map(str::to_string),
+                });
             }
             Expr::Call { callee, span, .. } => {
                 if let Expr::Path { segs, .. } = &**callee {
                     let n = segs.len();
                     for suffix in BLOCKING_CALLS {
                         if n >= 2 && segs[n - 2] == suffix[0] && segs[n - 1] == suffix[1] {
-                            found = Some((*span, segs.join("::")));
+                            let desc = segs.join("::");
+                            found = Some(Blocking { span: *span, desc, releases: None });
                         }
                     }
                 }
@@ -243,8 +287,11 @@ pub fn run(cfg: &Cfg) -> Vec<Finding> {
         };
         // A guard acquired *by this very node* is not yet held while its
         // initializer runs, and the lock() call itself is not blocking.
-        if let Some((span, desc)) = blocking_op(expr) {
+        if let Some(Blocking { span, desc, releases }) = blocking_op(expr) {
             for (g, (line, col)) in fact {
+                if releases.as_deref() == Some(g.as_str()) {
+                    continue;
+                }
                 out.push(Finding {
                     rule: RULE,
                     severity: Severity::Deny,
@@ -351,6 +398,30 @@ mod tests {
         let src = "fn f(m: &M) {\n    let g = m.lock().unwrap();\n    let h = spawn(move || rx.recv().unwrap());\n    g.track(h);\n}\n";
         let f = findings(src);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn condvar_wait_releases_the_guard_it_is_given() {
+        let src = "fn f(m: &M, cv: &C) {\n    let mut g = m.lock().unwrap();\n    while g.is_empty() {\n        g = cv.wait(g).unwrap();\n    }\n    let h = cv.wait_while(g, |q| q.is_empty()).unwrap();\n    h.pop();\n}\n";
+        let f = findings(src);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn other_guard_across_condvar_wait_flagged() {
+        let src = "fn f(a: &M, b: &M, cv: &C) {\n    let held = a.lock().unwrap();\n    let mut g = b.lock().unwrap();\n    g = cv.wait(g).unwrap();\n    held.note(g.len());\n}\n";
+        let f = findings(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("`held`"), "{}", f[0].message);
+        assert_eq!(f[0].line, 4);
+    }
+
+    #[test]
+    fn guard_reacquired_by_a_wait_stays_tracked() {
+        let src = "fn f(m: &M, cv: &C, rx: &R) {\n    let g = m.lock().unwrap();\n    let g = cv.wait(g).unwrap();\n    let job = rx.recv().unwrap();\n    g.push(job);\n}\n";
+        let f = findings(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("recv"), "{}", f[0].message);
     }
 
     #[test]

@@ -28,6 +28,9 @@ fn planted_defects_are_flagged_at_exact_spans() {
             ("resource-leak", 17, 5),
             ("unsafe-boundary", 23, 5),
             ("lock-discipline", 28, 22),
+            // The condvar wait on line 36 releases `g` while blocked; the
+            // receive after it does not.
+            ("lock-discipline", 38, 16),
         ],
         "{found:#?}"
     );
@@ -35,6 +38,7 @@ fn planted_defects_are_flagged_at_exact_spans() {
     assert!(found[1].3.contains("double close"), "{found:#?}");
     assert!(found[2].3.contains("outside the audited boundary"), "{found:#?}");
     assert!(found[3].3.contains("guard `g`") && found[3].3.contains("sys::read"), "{found:#?}");
+    assert!(found[4].3.contains("guard `g`") && found[4].3.contains(".recv()"), "{found:#?}");
 }
 
 #[test]

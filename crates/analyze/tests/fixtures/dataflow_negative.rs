@@ -1,7 +1,7 @@
 //! Negative dataflow-pass fixture: correct resource, lock, and unsafe
-//! handling the pipeline must stay silent on. Analyzed under an
-//! allowlisted path (`crates/net/src/sys.rs`) so the justified `unsafe`
-//! is in bounds.
+//! handling (a condvar wait included) the pipeline must stay silent on.
+//! Analyzed under an allowlisted path (`crates/net/src/sys.rs`) so the
+//! justified `unsafe` is in bounds.
 
 pub fn closes_on_both_paths() -> io::Result<()> {
     let fd = sys::socket()?;
@@ -49,4 +49,12 @@ pub fn waived_leak_is_silent() -> io::Result<i32> {
     let fd = sys::socket()?;
     register(fd);
     Ok(0)
+}
+
+pub fn waits_on_a_condvar(m: &Mutex<u32>, cv: &Condvar) -> u32 {
+    let mut g = m.lock();
+    while *g == 0 {
+        g = cv.wait(g);
+    }
+    *g
 }

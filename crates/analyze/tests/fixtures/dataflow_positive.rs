@@ -29,3 +29,12 @@ pub fn holds_guard_across_read(m: &Mutex<u32>, fd: i32, buf: &mut [u8]) -> io::R
     drop(g);
     Ok(n)
 }
+
+pub fn waits_then_receives(m: &Mutex<u32>, cv: &Condvar, rx: &Receiver<u32>) -> u32 {
+    let mut g = m.lock();
+    while *g == 0 {
+        g = cv.wait(g);
+    }
+    let n = rx.recv();
+    *g + n
+}

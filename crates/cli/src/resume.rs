@@ -65,7 +65,7 @@ fn digest_bytes(bytes: &[u8]) -> u64 {
 }
 
 fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>, CliError> {
-    Ok(codec::to_bytes(value)?.to_vec())
+    Ok(codec::to_bytes(value)?)
 }
 
 fn decode<T: serde::de::DeserializeOwned>(payload: &[u8]) -> Result<T, CliError> {

@@ -11,16 +11,25 @@
 //! Not interchange-grade: both sides must agree on the Rust type (like
 //! `postcard`/`bincode` in their non-self-describing modes).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
 use serde::{ser, Serialize};
 use std::fmt;
 
+/// Initial capacity of an encoding buffer: a wire job is about 0.8 KB,
+/// so a request or a response is written without growing the buffer.
+const INITIAL_CAPACITY: usize = 1024;
+
 /// Serialize a value to bytes.
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Bytes, CodecError> {
-    let mut serializer = BinSerializer { out: BytesMut::with_capacity(256) };
+///
+/// `to_bytes::<T>` and `from_bytes::<T>` are monomorphised in the calling
+/// crate. Every non-generic method on the serialize and deserialize path
+/// below is therefore `#[inline]`: without it (the release profile has no
+/// LTO), each field of a value is an out-of-line call back into this
+/// crate.
+pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
+    let mut serializer = BinSerializer { out: Vec::with_capacity(INITIAL_CAPACITY) };
     value.serialize(&mut serializer)?;
-    Ok(serializer.out.freeze())
+    Ok(serializer.out)
 }
 
 /// Deserialize a value from bytes.
@@ -72,13 +81,30 @@ impl de::Error for CodecError {
 }
 
 struct BinSerializer {
-    out: BytesMut,
+    out: Vec<u8>,
 }
 
 impl BinSerializer {
-    fn put_len(&mut self, len: usize) {
-        self.out.put_u64_le(len as u64);
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
     }
+
+    #[inline]
+    fn put_len(&mut self, len: usize) {
+        self.put(&(len as u64).to_le_bytes());
+    }
+}
+
+/// Serializer methods that append one little-endian primitive.
+macro_rules! impl_ser_primitive {
+    ($($method:ident($t:ty)),* $(,)?) => {$(
+        #[inline]
+        fn $method(self, v: $t) -> Result<(), CodecError> {
+            self.put(&v.to_le_bytes());
+            Ok(())
+        }
+    )*};
 }
 
 impl ser::Serializer for &mut BinSerializer {
@@ -92,85 +118,66 @@ impl ser::Serializer for &mut BinSerializer {
     type SerializeStruct = Self;
     type SerializeStructVariant = Self;
 
+    impl_ser_primitive!(
+        serialize_i8(i8),
+        serialize_i16(i16),
+        serialize_i32(i32),
+        serialize_i64(i64),
+        serialize_u8(u8),
+        serialize_u16(u16),
+        serialize_u32(u32),
+        serialize_u64(u64),
+        serialize_f32(f32),
+        serialize_f64(f64),
+    );
+
+    #[inline]
     fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.put_u8(v as u8);
+        self.put(&[v as u8]);
         Ok(())
     }
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.out.put_i8(v);
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.out.put_i16_le(v);
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.out.put_i32_le(v);
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.put_i64_le(v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.out.put_u8(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.out.put_u16_le(v);
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.out.put_u32_le(v);
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.out.put_u64_le(v);
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.put_f32_le(v);
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.put_f64_le(v);
-        Ok(())
-    }
+    #[inline]
     fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.out.put_u32_le(v as u32);
+        self.put(&(v as u32).to_le_bytes());
         Ok(())
     }
+    #[inline]
     fn serialize_str(self, v: &str) -> Result<(), CodecError> {
         self.put_len(v.len());
-        self.out.put_slice(v.as_bytes());
+        self.put(v.as_bytes());
         Ok(())
     }
+    #[inline]
     fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
         self.put_len(v.len());
-        self.out.put_slice(v);
+        self.put(v);
         Ok(())
     }
+    #[inline]
     fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.put_u8(0);
+        self.put(&[0]);
         Ok(())
     }
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.put_u8(1);
+        self.put(&[1]);
         value.serialize(self)
     }
+    #[inline]
     fn serialize_unit(self) -> Result<(), CodecError> {
         Ok(())
     }
+    #[inline]
     fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
         Ok(())
     }
+    #[inline]
     fn serialize_unit_variant(
         self,
         _name: &'static str,
         variant_index: u32,
         _variant: &'static str,
     ) -> Result<(), CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put(&variant_index.to_le_bytes());
         Ok(())
     }
     fn serialize_newtype_struct<T: Serialize + ?Sized>(
@@ -187,20 +194,24 @@ impl ser::Serializer for &mut BinSerializer {
         _variant: &'static str,
         value: &T,
     ) -> Result<(), CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put(&variant_index.to_le_bytes());
         value.serialize(self)
     }
+    #[inline]
     fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
         let len = len.ok_or(CodecError::Invalid("sequences require a known length"))?;
         self.put_len(len);
         Ok(self)
     }
+    #[inline]
     fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
         Ok(self)
     }
+    #[inline]
     fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
         Ok(self)
     }
+    #[inline]
     fn serialize_tuple_variant(
         self,
         _name: &'static str,
@@ -208,17 +219,20 @@ impl ser::Serializer for &mut BinSerializer {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put(&variant_index.to_le_bytes());
         Ok(self)
     }
+    #[inline]
     fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
         let len = len.ok_or(CodecError::Invalid("maps require a known length"))?;
         self.put_len(len);
         Ok(self)
     }
+    #[inline]
     fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
         Ok(self)
     }
+    #[inline]
     fn serialize_struct_variant(
         self,
         _name: &'static str,
@@ -226,7 +240,7 @@ impl ser::Serializer for &mut BinSerializer {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put(&variant_index.to_le_bytes());
         Ok(self)
     }
 }
@@ -239,6 +253,7 @@ macro_rules! impl_seq_like {
             fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
                 value.serialize(&mut **self)
             }
+            #[inline]
             fn end(self) -> Result<(), CodecError> {
                 Ok(())
             }
@@ -260,6 +275,7 @@ impl ser::SerializeMap for &mut BinSerializer {
     fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
         value.serialize(&mut **self)
     }
+    #[inline]
     fn end(self) -> Result<(), CodecError> {
         Ok(())
     }
@@ -275,6 +291,7 @@ impl ser::SerializeStruct for &mut BinSerializer {
     ) -> Result<(), CodecError> {
         value.serialize(&mut **self)
     }
+    #[inline]
     fn end(self) -> Result<(), CodecError> {
         Ok(())
     }
@@ -290,6 +307,7 @@ impl ser::SerializeStructVariant for &mut BinSerializer {
     ) -> Result<(), CodecError> {
         value.serialize(&mut **self)
     }
+    #[inline]
     fn end(self) -> Result<(), CodecError> {
         Ok(())
     }
@@ -300,6 +318,7 @@ struct BinDeserializer<'de> {
 }
 
 impl<'de> BinDeserializer<'de> {
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
         if self.input.len() < n {
             return Err(CodecError::UnexpectedEof);
@@ -309,19 +328,32 @@ impl<'de> BinDeserializer<'de> {
         Ok(head)
     }
 
+    /// The next `N` bytes, for a fixed-width little-endian read.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, tail) = self.input.split_first_chunk::<N>().ok_or(CodecError::UnexpectedEof)?;
+        self.input = tail;
+        Ok(*head)
+    }
+
+    #[inline]
     fn get_len(&mut self) -> Result<usize, CodecError> {
-        let mut bytes = self.take(8)?;
-        Ok(bytes.get_u64_le() as usize)
+        Ok(u64::from_le_bytes(self.array()?) as usize)
+    }
+
+    #[inline]
+    fn get_tag(&mut self) -> Result<u8, CodecError> {
+        Ok(self.array::<1>()?[0])
     }
 }
 
+/// Deserializer methods that read one little-endian primitive.
 macro_rules! impl_de_primitive {
-    ($method:ident, $visit:ident, $n:expr, $get:ident) => {
+    ($($method:ident, $visit:ident, $t:ty;)*) => {$(
         fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            let mut bytes = self.take($n)?;
-            visitor.$visit(bytes.$get())
+            visitor.$visit(<$t>::from_le_bytes(self.array()?))
         }
-    };
+    )*};
 }
 
 impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
@@ -332,27 +364,28 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 
     fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
+        match self.get_tag()? {
             0 => visitor.visit_bool(false),
             1 => visitor.visit_bool(true),
             _ => Err(CodecError::Invalid("bool tag")),
         }
     }
 
-    impl_de_primitive!(deserialize_i8, visit_i8, 1, get_i8);
-    impl_de_primitive!(deserialize_i16, visit_i16, 2, get_i16_le);
-    impl_de_primitive!(deserialize_i32, visit_i32, 4, get_i32_le);
-    impl_de_primitive!(deserialize_i64, visit_i64, 8, get_i64_le);
-    impl_de_primitive!(deserialize_u8, visit_u8, 1, get_u8);
-    impl_de_primitive!(deserialize_u16, visit_u16, 2, get_u16_le);
-    impl_de_primitive!(deserialize_u32, visit_u32, 4, get_u32_le);
-    impl_de_primitive!(deserialize_u64, visit_u64, 8, get_u64_le);
-    impl_de_primitive!(deserialize_f32, visit_f32, 4, get_f32_le);
-    impl_de_primitive!(deserialize_f64, visit_f64, 8, get_f64_le);
+    impl_de_primitive! {
+        deserialize_i8, visit_i8, i8;
+        deserialize_i16, visit_i16, i16;
+        deserialize_i32, visit_i32, i32;
+        deserialize_i64, visit_i64, i64;
+        deserialize_u8, visit_u8, u8;
+        deserialize_u16, visit_u16, u16;
+        deserialize_u32, visit_u32, u32;
+        deserialize_u64, visit_u64, u64;
+        deserialize_f32, visit_f32, f32;
+        deserialize_f64, visit_f64, f64;
+    }
 
     fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let mut bytes = self.take(4)?;
-        let code = bytes.get_u32_le();
+        let code = u32::from_le_bytes(self.array()?);
         visitor.visit_char(char::from_u32(code).ok_or(CodecError::Invalid("char"))?)
     }
 
@@ -376,7 +409,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.take(1)?[0] {
+        match self.get_tag()? {
             0 => visitor.visit_none(),
             1 => visitor.visit_some(self),
             _ => Err(CodecError::Invalid("option tag")),
@@ -479,6 +512,7 @@ impl<'de> de::SeqAccess<'de> for CountedAccess<'_, 'de> {
         seed.deserialize(&mut *self.de).map(Some)
     }
 
+    #[inline]
     fn size_hint(&self) -> Option<usize> {
         Some(self.remaining)
     }
@@ -505,6 +539,7 @@ impl<'de> de::MapAccess<'de> for CountedAccess<'_, 'de> {
         seed.deserialize(&mut *self.de)
     }
 
+    #[inline]
     fn size_hint(&self) -> Option<usize> {
         Some(self.remaining)
     }
@@ -522,8 +557,7 @@ impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
         self,
         seed: V,
     ) -> Result<(V::Value, Self::Variant), CodecError> {
-        let mut bytes = self.de.take(4)?;
-        let index = bytes.get_u32_le();
+        let index = u32::from_le_bytes(self.de.array()?);
         let value = seed.deserialize(index.into_deserializer())?;
         Ok((value, self.de))
     }
@@ -532,6 +566,7 @@ impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
 impl<'de> de::VariantAccess<'de> for &mut BinDeserializer<'de> {
     type Error = CodecError;
 
+    #[inline]
     fn unit_variant(self) -> Result<(), CodecError> {
         Ok(())
     }
@@ -662,7 +697,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_error() {
-        let mut bytes = to_bytes(&42u32).unwrap().to_vec();
+        let mut bytes = to_bytes(&42u32).unwrap();
         bytes.push(0);
         let result: Result<u32, _> = from_bytes(&bytes);
         assert_eq!(result, Err(CodecError::TrailingBytes(1)));

@@ -225,7 +225,7 @@ pub struct Artifact {
     /// Monotonically increasing version within a model name.
     pub version: u32,
     /// Serialized model bytes.
-    pub bytes: bytes::Bytes,
+    pub bytes: Vec<u8>,
 }
 
 /// Versioned, thread-safe store of serialized model artifacts

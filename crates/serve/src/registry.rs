@@ -156,9 +156,7 @@ fn decode_record(payload: &[u8]) -> Result<ManifestRecord, ResilError> {
 }
 
 fn encode_record(record: &ManifestRecord) -> Result<Vec<u8>, ResilError> {
-    tasq::codec::to_bytes(record)
-        .map(|bytes| bytes.to_vec())
-        .map_err(|_| ResilError::Decode { context: "manifest record" })
+    tasq::codec::to_bytes(record).map_err(|_| ResilError::Decode { context: "manifest record" })
 }
 
 /// The registry: one active deployment, swappable under traffic.

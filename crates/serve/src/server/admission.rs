@@ -2,15 +2,13 @@
 //! the request value it takes, the [`Ticket`] it returns and the typed
 //! errors either can resolve to.
 
-use super::{
-    worker, ScoringServer, CHAN_QUEUE, CHAN_REPLY_BASE, RES_REQUEST_BASE, RES_RESPONSE_BASE,
-};
+use super::{ScoringServer, CHAN_QUEUE, CHAN_REPLY_BASE, RES_REQUEST_BASE, RES_RESPONSE_BASE};
 use crate::signature::PlanSignature;
 use scope_sim::{EventTrace, Job, TraceOp};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 use tasq::pipeline::ScoreResponse;
 use tasq_obs::{FieldValue, Level, TraceContext};
@@ -127,6 +125,83 @@ impl fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+/// What an admitted request resolves to.
+type Outcome = Result<ServedResponse, RequestError>;
+
+/// A one-shot reply slot: the one answer a worker gives one request, and
+/// the wake for the ticket waiting on it. One allocation per request.
+pub(super) struct ReplySlot {
+    /// Each update under this lock is one complete step, so a poisoned
+    /// guard is recovered, not propagated.
+    state: std::sync::Mutex<SlotState>,
+    answered: Condvar,
+}
+
+struct SlotState {
+    outcome: Option<Outcome>,
+    /// The ticket is parked on `answered`; only then does an answer
+    /// notify, so answering a request nobody waits on yet costs no
+    /// syscall.
+    waiting: bool,
+}
+
+impl ReplySlot {
+    /// A fresh slot, with the answering half to put in the envelope.
+    pub(super) fn new() -> (Reply, Arc<Self>) {
+        let slot = Arc::new(Self {
+            state: std::sync::Mutex::new(SlotState { outcome: None, waiting: false }),
+            answered: Condvar::new(),
+        });
+        (Reply { slot: Some(Arc::clone(&slot)) }, slot)
+    }
+
+    fn fill(&self, outcome: Outcome) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.outcome = Some(outcome);
+        let wake = state.waiting;
+        drop(state);
+        if wake {
+            self.answered.notify_one();
+        }
+    }
+
+    fn wait(&self) -> Outcome {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(outcome) = state.outcome.take() {
+                return outcome;
+            }
+            state.waiting = true;
+            state = self.answered.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The answering half of a [`ReplySlot`], carried by the envelope.
+/// Dropping it unanswered — a worker torn down mid-batch, an envelope
+/// refused at shutdown — resolves the ticket to
+/// [`RequestError::WorkerLost`], so [`Ticket::outcome`] never hangs.
+pub(super) struct Reply {
+    slot: Option<Arc<ReplySlot>>,
+}
+
+impl Reply {
+    /// Answer the request.
+    pub(super) fn send(mut self, outcome: Outcome) {
+        if let Some(slot) = self.slot.take() {
+            slot.fill(outcome);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            slot.fill(Err(RequestError::WorkerLost));
+        }
+    }
+}
+
 /// Handle to an in-flight (or already answered) request.
 pub struct Ticket {
     inner: TicketInner,
@@ -135,7 +210,7 @@ pub struct Ticket {
 enum TicketInner {
     Ready(ServedResponse),
     Pending {
-        rx: mpsc::Receiver<Result<ServedResponse, RequestError>>,
+        reply: Arc<ReplySlot>,
         trace: Option<EventTrace>,
         seq: u64,
     },
@@ -150,13 +225,13 @@ impl Ticket {
     /// Wait for the typed resolution of this request: the response, or
     /// the reason no response was produced. Never hangs on a dead worker:
     /// a panicked worker's in-flight requests resolve to
-    /// [`RequestError::WorkerLost`] (either replied by the unwinding
-    /// batch guard or observed as reply-channel hangup).
+    /// [`RequestError::WorkerLost`] (replied by the unwinding batch
+    /// guard, or by the reply slot's sender being dropped unanswered).
     pub fn outcome(self) -> Result<ServedResponse, RequestError> {
         match self.inner {
             TicketInner::Ready(response) => Ok(response),
-            TicketInner::Pending { rx, trace, seq } => {
-                let outcome = rx.recv().unwrap_or(Err(RequestError::WorkerLost));
+            TicketInner::Pending { reply, trace, seq } => {
+                let outcome = reply.wait();
                 // Only successful replies traced: the worker records the
                 // matching Send/Write solely on the response path, and the
                 // checker requires every Recv to pair with a Send.
@@ -182,15 +257,15 @@ pub(super) struct Envelope {
     pub(super) submitted: Instant,
     /// When the envelope entered the queue (end of the fastpath probe).
     pub(super) enqueued: Instant,
-    /// When a worker pulled it off its channel; stamped by the worker's
-    /// `collect_batch`, equal to `enqueued` until then.
+    /// When a worker took it off the queue; stamped by the worker's
+    /// `next_batch`, equal to `enqueued` until then.
     pub(super) dequeued: Instant,
-    /// Request trace identity, carried across the channel hop so the
+    /// Request trace identity, carried across the queue hop so the
     /// worker-side spans parent under the submitter's span instead of
     /// starting a fresh root.
     pub(super) ctx: TraceContext,
     pub(super) deadline: Option<Duration>,
-    pub(super) reply: mpsc::SyncSender<Result<ServedResponse, RequestError>>,
+    pub(super) reply: Reply,
 }
 
 /// Sampling decision for a request entering the server: a context carried
@@ -211,7 +286,7 @@ impl ScoringServer {
     /// callers and both wire framings alike. Returns a [`Ticket`]
     /// immediately; a signature-cache hit (and a shed) is answered here on
     /// the caller's thread and its ticket comes back already resolved: no
-    /// queue slot, no channel, no worker wake, so a network shard can call
+    /// queue slot, no reply slot, no worker wake, so a network shard can call
     /// this from its event loop.
     pub fn submit(&self, request: impl Into<ScoreRequest>) -> Result<Ticket, SubmitError> {
         self.admit(request.into())
@@ -286,10 +361,7 @@ impl ScoringServer {
             .peak_queue_depth
             .fetch_max(depth as u64 + 1, Ordering::Relaxed);
 
-        // Exactly one response ever travels per reply channel, so a bound
-        // of one makes the reply path provably non-blocking while keeping
-        // the allocation fixed-size.
-        let (reply, rx) = mpsc::sync_channel(1);
+        let (reply, slot) = ReplySlot::new();
         let seq = shared.counters.trace_seq.fetch_add(1, Ordering::Relaxed);
         if let Some(trace) = &config.trace {
             let actor = trace.register_actor();
@@ -307,16 +379,76 @@ impl ScoringServer {
         let enqueued = Instant::now();
         let envelope =
             Envelope { job, key, seq, submitted, enqueued, dequeued: enqueued, ctx, deadline, reply };
-        if worker::send_envelope(shared, envelope).is_err() {
-            // Every worker is gone: shutdown won the race with the check
-            // at the top. Counted as submitted, so counted as refused —
-            // and, like `InvalidPlan`, without burning availability budget.
+        if !shared.queue.push(envelope) {
+            // The last worker has left and closed the queue: shutdown won
+            // the race with the check at the top. Counted as submitted, so
+            // counted as refused — and, like `InvalidPlan`, without burning
+            // availability budget.
             shared.depth.fetch_sub(1, Ordering::SeqCst);
             shared.counters.rejected.count();
             return Err(SubmitError::ShuttingDown);
         }
         Ok(Ticket {
-            inner: TicketInner::Pending { rx, trace: config.trace.clone(), seq },
+            inner: TicketInner::Pending { reply: slot, trace: config.trace.clone(), seq },
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scope_sim::{WorkloadConfig, WorkloadGenerator};
+
+    fn pending(reply: Arc<ReplySlot>) -> Ticket {
+        Ticket { inner: TicketInner::Pending { reply, trace: None, seq: 0 } }
+    }
+
+    /// Spin until a ticket is parked on `slot`, so the answer below takes
+    /// the wake path.
+    fn await_parked(slot: &ReplySlot) {
+        while !slot.state.lock().expect("slot lock").waiting {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn dropping_an_unanswered_envelope_resolves_its_ticket_to_worker_lost() {
+        let config = WorkloadConfig { num_jobs: 1, seed: 5, ..Default::default() };
+        let job = WorkloadGenerator::new(config).generate().remove(0);
+        let (reply, slot) = ReplySlot::new();
+        let now = Instant::now();
+        let envelope = Envelope {
+            job,
+            key: 0,
+            seq: 0,
+            submitted: now,
+            enqueued: now,
+            dequeued: now,
+            ctx: TraceContext::NONE,
+            deadline: None,
+            reply,
+        };
+        let parked = Arc::clone(&slot);
+        let waiter = std::thread::spawn(move || pending(slot).outcome());
+        await_parked(&parked);
+        drop(envelope);
+        assert!(matches!(waiter.join().expect("waiter"), Err(RequestError::WorkerLost)));
+    }
+
+    #[test]
+    fn an_answer_reaches_its_ticket_before_or_during_the_wait() {
+        let late = |us| RequestError::DeadlineExceeded { budget: Duration::from_micros(us) };
+        let (reply, slot) = ReplySlot::new();
+        reply.send(Err(late(1)));
+        assert_eq!(pending(slot).outcome().err(), Some(late(1)));
+
+        let (reply, slot) = ReplySlot::new();
+        let parked = Arc::clone(&slot);
+        let answer = std::thread::spawn(move || {
+            await_parked(&parked);
+            reply.send(Err(late(2)));
+        });
+        assert_eq!(pending(slot).outcome().err(), Some(late(2)));
+        answer.join().expect("answering thread");
     }
 }

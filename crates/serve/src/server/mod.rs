@@ -11,9 +11,11 @@
 //!    work-conserving: a worker blocks only while it holds nothing, then
 //!    takes whatever backlog is already queued (up to `max_batch`) as one
 //!    micro-batch — no timer, so an idle server adds no wait and batches
-//!    form exactly when there is backlog. A batch dedupes identical
-//!    signatures, scores against one registry snapshot, fans results back
-//!    out over per-request channels, and populates the cache.
+//!    form exactly when there is backlog. All workers take from one
+//!    queue, so whichever worker is free takes the next request. A batch
+//!    dedupes identical signatures, scores against one registry snapshot,
+//!    answers each request through its one-shot reply slot, and populates
+//!    the cache.
 //! 3. **Admission control** — when the queue passes the shed watermark
 //!    the request is answered inline from the analytic Amdahl tier
 //!    (cheap, model-free, clearly marked); at full capacity it is
@@ -32,8 +34,9 @@
 //! counter and the latency segment chain; this file the configuration,
 //! the shared state and the server's lifecycle.
 //!
-//! All coordination is std-only (threads + mpsc channels + atomics), in
-//! keeping with the workspace's vendored offline dependencies.
+//! All coordination is std-only (threads, one mutex-and-condvar queue,
+//! one-shot reply slots, atomics), in keeping with the workspace's
+//! vendored offline dependencies.
 
 mod admission;
 mod attribution;
@@ -51,12 +54,12 @@ use attribution::Counters;
 use parking_lot::Mutex;
 use scope_sim::EventTrace;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 use tasq::pipeline::ScoringService;
 use tasq_obs::{SloConfig, SloEngine};
 use tasq_resil::{BreakerConfig, BreakerState, ChaosPlan, CircuitBreaker};
-use worker::{resize_pool, scaler_loop};
+use worker::{resize_pool, scaler_loop, WorkQueue};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -156,23 +159,11 @@ struct Shared {
     /// Primary-tier circuit breaker, ticked by request sequence number.
     breaker: Mutex<CircuitBreaker>,
     config: ServeConfig,
-    /// Desired worker-pool size; surplus workers exit cooperatively at
-    /// their next idle poll.
-    target_workers: AtomicUsize,
-    /// Workers currently alive (incremented at spawn, CAS-decremented by
-    /// a worker electing itself to exit).
-    live_workers: AtomicUsize,
+    /// The one queue every worker takes admitted requests from, with the
+    /// pool's target and live sizes under its lock.
+    queue: WorkQueue,
     /// Monotonic worker slot numbering across resizes.
     next_slot: AtomicUsize,
-    /// Send handles of every live worker's private request channel,
-    /// keyed by worker slot. `worker::send_envelope` round-robins admitted
-    /// envelopes across them *under this lock*, and a retiring worker
-    /// deregisters its entry under the same lock before sweeping its
-    /// channel — that ordering is what makes cooperative scale-down
-    /// unable to strand an admitted request.
-    senders: Mutex<Vec<(usize, mpsc::SyncSender<admission::Envelope>)>>,
-    /// Round-robin cursor over `senders`.
-    rr: AtomicUsize,
     /// Autoscaler scale-up actions applied.
     scale_ups: AtomicU64,
     /// Autoscaler scale-down actions applied.
@@ -208,11 +199,8 @@ impl ScoringServer {
             draining: AtomicBool::new(false),
             breaker: Mutex::new(CircuitBreaker::new(config.breaker)),
             config: config.clone(),
-            target_workers: AtomicUsize::new(config.workers.max(1)),
-            live_workers: AtomicUsize::new(0),
+            queue: WorkQueue::new(),
             next_slot: AtomicUsize::new(0),
-            senders: Mutex::new(Vec::new()),
-            rr: AtomicUsize::new(0),
             scale_ups: AtomicU64::new(0),
             scale_downs: AtomicU64::new(0),
             slo: SloEngine::new(config.slo.clone()),
@@ -291,6 +279,7 @@ impl ScoringServer {
 
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.queue.wake_all();
         // Joining happens outside the lock (the autoscaler thread takes
         // it to push workers), and loops in case a resize raced the
         // shutdown flag and pushed a handle after the first sweep.
@@ -308,17 +297,18 @@ impl ScoringServer {
         }
     }
 
-    /// Workers currently alive (the autoscaler's cooperative scale-down
-    /// lands within one idle poll, so this may briefly exceed the
+    /// Workers currently alive (scale-down is cooperative: a busy surplus
+    /// worker leaves after its batch, so this may briefly exceed the
     /// target after a `Down` action).
     pub fn worker_count(&self) -> usize {
-        self.shared.live_workers.load(Ordering::SeqCst)
+        self.shared.queue.live()
     }
 
     /// Resize the worker pool to `target` (clamped to ≥ 1). Growth
     /// spawns supervised workers immediately; shrinkage is cooperative —
-    /// surplus workers exit at their next idle poll without abandoning
-    /// requests they already hold.
+    /// a surplus worker leaves between batches, never abandoning
+    /// requests it already holds, and leaves what is queued to the rest
+    /// of the pool.
     pub fn resize_workers(&self, target: usize) {
         resize_pool(&self.shared, &self.workers, target);
     }
@@ -642,7 +632,7 @@ mod tests {
                 .into_iter()
                 .map(|job| {
                     let served = score(&server, job);
-                    tasq::codec::to_bytes(&served.response).expect("encodes").to_vec()
+                    tasq::codec::to_bytes(&served.response).expect("encodes")
                 })
                 .collect();
             (start.elapsed(), server.shutdown(), answers)
@@ -723,8 +713,8 @@ mod tests {
     #[test]
     fn a_submit_that_loses_the_race_with_shutdown_is_counted_as_refused() {
         let mut server = ScoringServer::start(registry(101), ServeConfig::default());
-        // The race, forced: every worker has exited and hung up its channel,
-        // but this submit read the flag before shutdown set it.
+        // The race, forced: every worker has left and the last one closed
+        // the queue, but this submit read the flag before shutdown set it.
         server.stop_and_join();
         server.shared.shutdown.store(false, Ordering::SeqCst);
         let refused = server.submit(jobs(1, 103).remove(0));
@@ -780,6 +770,78 @@ mod tests {
         assert_eq!(stats.worker_respawns, 1, "supervisor respawned the panicked worker");
         assert_eq!(stats.worker_lost, 1);
         assert_eq!(stats.submitted, stats.resolved(), "zero silent loss");
+    }
+
+    #[test]
+    fn handoff_stress_resolves_every_ticket_once_across_resizes_and_panics() {
+        // Each round: a burst of 3 × max_batch into a queue that holds two
+        // batches, the pool resized 4 → 1 → 3 while it fills, and one
+        // planted worker panic on an admitted request; then a drain. No
+        // admitted request may hang or resolve twice, and the accounting
+        // identity and the queue bound must hold every time.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const ROUNDS: u64 = 200;
+        const MAX_BATCH: usize = 4;
+        const BURST: usize = 3 * MAX_BATCH;
+        const CAPACITY: usize = 2 * MAX_BATCH;
+        let registry = registry(191);
+        let population = jobs(16, 193);
+        let mut rng = StdRng::seed_from_u64(197);
+        for round in 0..ROUNDS {
+            // At least `CAPACITY` requests are admitted, so the panic fires.
+            let panic_at = rng.gen_range(0..CAPACITY as u64);
+            let server = ScoringServer::start(
+                Arc::clone(&registry),
+                ServeConfig {
+                    workers: 4,
+                    max_batch: MAX_BATCH,
+                    queue_capacity: CAPACITY,
+                    shed_watermark: CAPACITY,
+                    cache: CacheConfig { enabled: false, ..Default::default() },
+                    chaos: Some(panic_plan(vec![panic_at])),
+                    ..Default::default()
+                },
+            );
+            let mut tickets = Vec::new();
+            let mut refused = 0u64;
+            for i in 0..BURST {
+                if i == BURST / 3 {
+                    server.resize_workers(1);
+                } else if i == 2 * BURST / 3 {
+                    server.resize_workers(3);
+                }
+                let template = &population[rng.gen_range(0..population.len())];
+                let job = Job { id: round * 100 + i as u64, ..template.clone() };
+                match server.submit(job) {
+                    Ok(ticket) => tickets.push(ticket),
+                    Err(SubmitError::Overloaded { .. }) => refused += 1,
+                    Err(other) => panic!("round {round}: unexpected refusal {other}"),
+                }
+            }
+            let stats = server.drain();
+            let (mut served, mut lost) = (0u64, 0u64);
+            for ticket in tickets {
+                match ticket.outcome() {
+                    Ok(_) => served += 1,
+                    Err(RequestError::WorkerLost) => lost += 1,
+                    Err(other) => panic!("round {round}: no deadline was set: {other}"),
+                }
+            }
+            assert_eq!(stats.submitted, BURST as u64, "round {round}");
+            assert_eq!(
+                (stats.completed, stats.worker_lost, stats.rejected, stats.deadline_timeouts),
+                (served, lost, refused, 0),
+                "round {round}: every ticket resolves once, as counted"
+            );
+            assert_eq!(stats.submitted, stats.resolved(), "round {round}: zero silent loss");
+            assert!(lost >= 1, "round {round}: the planted panic loses its request");
+            assert_eq!(stats.worker_respawns, 1, "round {round}");
+            assert!(
+                stats.peak_queue_depth <= CAPACITY as u64,
+                "round {round}: queue peaked at {}",
+                stats.peak_queue_depth
+            );
+        }
     }
 
     #[test]
@@ -889,8 +951,8 @@ mod tests {
         assert_eq!(server.worker_count(), 5, "scale-up spawns immediately");
 
         server.resize_workers(1);
-        // Scale-down is cooperative: surplus workers exit at their next
-        // idle poll.
+        // Scale-down is cooperative: surplus workers leave between
+        // batches (an idle one as soon as the resize wakes it).
         await_worker_count(&server, 1);
 
         // The shrunken pool still serves.

@@ -1,83 +1,185 @@
-//! Workers: routing an admitted envelope to a worker ([`send_envelope`]),
-//! work-conserving batching ([`collect_batch`]), the panic boundary and
-//! pool resizing ([`supervise_worker`], [`resize_pool`]) and scoring
-//! through the circuit breaker ([`process_batch`]).
+//! Workers: the one queue all of them take from ([`WorkQueue`]),
+//! work-conserving batching ([`WorkQueue::next_batch`]), the panic
+//! boundary and pool resizing ([`supervise_worker`], [`resize_pool`]) and
+//! scoring through the circuit breaker ([`process_batch`]).
 
 use super::admission::Envelope;
 use super::attribution::StageClock;
 use super::{
-    RequestError, ServeConfig, ServedResponse, ServedVia, Shared, CHAN_QUEUE, CHAN_REPLY_BASE,
+    RequestError, ServedResponse, ServedVia, Shared, CHAN_QUEUE, CHAN_REPLY_BASE,
     RES_REQUEST_BASE, RES_RESPONSE_BASE,
 };
 use crate::scaling::{AutoScaler, ScaleAction};
 use parking_lot::Mutex;
 use scope_sim::{EventTrace, TraceOp};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 use tasq::pipeline::ScoreResponse;
 use tasq_obs::{FieldValue, Level};
 
-/// How long an idle worker sleeps between shutdown checks.
-const IDLE_POLL: Duration = Duration::from_millis(20);
+/// The request queue every worker takes from. Admission bounds it: the
+/// `depth` counter claims a slot before [`WorkQueue::push`], so the queue
+/// keeps no bound of its own. Pool membership lives under the same lock,
+/// which is what makes scale-down and shutdown unable to strand an
+/// admitted request: a push and a worker's decision to leave are ordered
+/// by the lock, and a worker leaves only where the rest of the pool (or,
+/// for the last one out, the closed flag) covers what is queued.
+pub(super) struct WorkQueue {
+    /// Every update under this lock is one complete step, so a guard
+    /// poisoned by a panicking holder is recovered, not propagated.
+    pending: std::sync::Mutex<QueueState>,
+    /// Signalled by a push while a worker is parked, and on resize and
+    /// shutdown for every parked worker.
+    ready: Condvar,
+}
 
-/// Per-worker request-channel bound. In the worst case every admitted
-/// envelope round-robins onto one worker, so each private channel's bound
-/// must exceed the admission bound on its own — that is what keeps the
-/// lock-held send in [`send_envelope`] provably non-blocking: depth
-/// accounting rejects before any channel can fill.
-fn worker_channel_bound(config: &ServeConfig) -> usize {
-    config.queue_capacity + config.max_batch.max(1) + 1
+struct QueueState {
+    envelopes: VecDeque<Envelope>,
+    /// Pool size the workers converge on.
+    target: usize,
+    /// Workers spawned and not yet left.
+    live: usize,
+    /// Workers parked on `ready`; a push wakes one only while this is
+    /// non-zero, so a push while every worker is busy costs no syscall.
+    idle: usize,
+    /// Set by the last worker out at shutdown; `push` refuses from then on.
+    closed: bool,
+}
+
+impl QueueState {
+    /// Leave the pool at shutdown. The last worker out closes the queue
+    /// and hands back whatever is still in it.
+    fn leave(&mut self) -> Vec<Envelope> {
+        self.live = self.live.saturating_sub(1);
+        if self.live > 0 {
+            return Vec::new();
+        }
+        self.closed = true;
+        self.envelopes.drain(..).collect()
+    }
+}
+
+impl WorkQueue {
+    pub(super) fn new() -> Self {
+        let state =
+            QueueState { envelopes: VecDeque::new(), target: 0, live: 0, idle: 0, closed: false };
+        Self { pending: std::sync::Mutex::new(state), ready: Condvar::new() }
+    }
+
+    /// Queue one admitted envelope, waking a parked worker if there is
+    /// one; a busy worker takes it after its batch. False once the last
+    /// worker has left: the envelope is dropped, which resolves its reply
+    /// slot as lost.
+    pub(super) fn push(&self, envelope: Envelope) -> bool {
+        let mut state = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.closed {
+            return false;
+        }
+        state.envelopes.push_back(envelope);
+        let wake = state.idle > 0;
+        drop(state);
+        if wake {
+            self.ready.notify_one();
+        }
+        true
+    }
+
+    /// Block until this worker holds work or should leave: the oldest
+    /// queued envelopes, up to `max_batch` (a worker never sleeps while
+    /// work is queued, and whichever worker is free takes it), or `None`
+    /// once the worker has left the pool — surplus to the target, or
+    /// shutdown with nothing left queued.
+    fn next_batch(&self, max_batch: usize, shutdown: &AtomicBool) -> Option<Vec<Envelope>> {
+        let mut state = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if state.live > state.target {
+                // Scale-down, between batches. What is queued is the rest
+                // of the pool's; if this worker took the wake meant for
+                // it, pass the wake on.
+                state.live -= 1;
+                let wake = state.idle > 0 && !state.envelopes.is_empty();
+                drop(state);
+                if wake {
+                    self.ready.notify_one();
+                }
+                return None;
+            }
+            if !state.envelopes.is_empty() {
+                let take = state.envelopes.len().min(max_batch.max(1));
+                let mut batch: Vec<Envelope> = state.envelopes.drain(..take).collect();
+                drop(state);
+                let dequeued = Instant::now();
+                for envelope in &mut batch {
+                    envelope.dequeued = dequeued;
+                }
+                return Some(batch);
+            }
+            if shutdown.load(Ordering::SeqCst) {
+                // The queue is empty, so the last worker out closes it
+                // with nothing to hand back.
+                state.leave();
+                return None;
+            }
+            state.idle += 1;
+            state = self.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.idle -= 1;
+        }
+    }
+
+    /// Set the pool size the workers converge on and return how many
+    /// workers to spawn to reach it. Parked workers wake to re-check: a
+    /// surplus one leaves.
+    fn resize(&self, target: usize) -> usize {
+        let mut state = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        state.target = target;
+        let spawn = target.saturating_sub(state.live);
+        state.live += spawn;
+        drop(state);
+        self.ready.notify_all();
+        spawn
+    }
+
+    /// Wake every parked worker to re-check the shutdown flag. Taking the
+    /// lock orders this after any worker's check of the flag, so no
+    /// worker parks past it.
+    pub(super) fn wake_all(&self) {
+        drop(self.pending.lock().unwrap_or_else(PoisonError::into_inner));
+        self.ready.notify_all();
+    }
+
+    /// Leave the pool from outside [`WorkQueue::next_batch`] (a worker
+    /// that panicked during shutdown); see [`QueueState::leave`].
+    fn leave(&self) -> Vec<Envelope> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner).leave()
+    }
+
+    /// Workers spawned and not yet left.
+    pub(super) fn live(&self) -> usize {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner).live
+    }
+
+    /// The pool size the workers converge on.
+    pub(super) fn target(&self) -> usize {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner).target
+    }
 }
 
 /// Set the pool's target size and spawn workers up to it. Serialized on
-/// the handles lock so concurrent resizes cannot overshoot. Each new
-/// worker gets a private bounded request channel; it owns the `Receiver`
-/// outright (no shared `Mutex<Receiver>`), and its `SyncSender` is
-/// registered under the worker's slot for [`send_envelope`] to route to.
+/// the handles lock so concurrent resizes cannot overshoot. Shrinking
+/// spawns nothing: surplus workers leave between batches.
 pub(super) fn resize_pool(
     shared: &Arc<Shared>,
     handles: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     target: usize,
 ) {
-    let target = target.max(1);
     let mut guard = handles.lock();
-    shared.target_workers.store(target, Ordering::SeqCst);
-    while shared.live_workers.load(Ordering::SeqCst) < target {
-        shared.live_workers.fetch_add(1, Ordering::SeqCst);
+    for _ in 0..shared.queue.resize(target.max(1)) {
         let slot = shared.next_slot.fetch_add(1, Ordering::SeqCst);
-        let (tx, rx) = mpsc::sync_channel::<Envelope>(worker_channel_bound(&shared.config));
-        shared.senders.lock().push((slot, tx));
         let worker_shared = Arc::clone(shared);
-        guard.push(std::thread::spawn(move || supervise_worker(&worker_shared, rx, slot)));
+        guard.push(std::thread::spawn(move || supervise_worker(&worker_shared, slot)));
     }
-}
-
-/// Route one admitted envelope to a worker, round-robin over the live
-/// send handles. The send happens *under* the senders lock so it is
-/// ordered against worker retirement: an envelope either lands before
-/// the worker deregisters (and is swept by that worker's post-retirement
-/// drain) or sees the updated handle list. `SyncSender::send` cannot
-/// block here — each channel's bound exceeds the admission bound (see
-/// [`worker_channel_bound`]) — so the guard is held only for the enqueue
-/// itself. Handles with a hung-up receiver (a worker torn down at
-/// shutdown) are pruned in place and the envelope is re-routed; when no
-/// handle is left the envelope is handed back for the caller to refuse.
-pub(super) fn send_envelope(shared: &Shared, envelope: Envelope) -> Result<(), ()> {
-    let mut envelope = envelope;
-    let mut senders = shared.senders.lock();
-    while !senders.is_empty() {
-        let i = shared.rr.fetch_add(1, Ordering::Relaxed) % senders.len();
-        match senders[i].1.send(envelope) {
-            Ok(()) => return Ok(()),
-            Err(mpsc::SendError(returned)) => {
-                envelope = returned;
-                senders.remove(i);
-            }
-        }
-    }
-    Err(())
 }
 
 /// How often the autoscaler samples queue utilization.
@@ -97,91 +199,21 @@ pub(super) fn scaler_loop(
         let utilization = depth as f64 / shared.config.queue_capacity.max(1) as f64;
         // Decide against the *target* (not live) count so a pending
         // cooperative scale-down isn't re-decided every poll.
-        let current = shared.target_workers.load(Ordering::SeqCst);
+        let current = shared.queue.target();
         // The SLO burn rate is the leading scale-up signal: latency
         // violations burn budget before the queue visibly saturates.
         let now_us = tasq_obs::clock::now_micros();
         let burn = shared.slo.max_fast_burn(now_us);
         shared.slo.publish(tasq_obs::Registry::global(), now_us);
-        match scaler.tick_with_burn(epoch.elapsed(), utilization, burn, current) {
-            ScaleAction::Hold => {}
-            ScaleAction::Up(n) => {
-                resize_pool(shared, handles, n);
-                shared.scale_ups.fetch_add(1, Ordering::Relaxed);
-                tasq_obs::event(
-                    Level::Info,
-                    "serve_scale_up",
-                    &[("workers", FieldValue::U64(n as u64))],
-                );
-            }
-            ScaleAction::Down(n) => {
-                shared.target_workers.store(n.max(1), Ordering::SeqCst);
-                shared.scale_downs.fetch_add(1, Ordering::Relaxed);
-                tasq_obs::event(
-                    Level::Info,
-                    "serve_scale_down",
-                    &[("workers", FieldValue::U64(n as u64))],
-                );
-            }
-        }
-    }
-}
-
-/// Outcome of one [`collect_batch`] attempt.
-enum Collected {
-    /// A non-empty micro-batch to score.
-    Work(Vec<Envelope>),
-    /// The idle poll elapsed with nothing queued; re-check exit
-    /// conditions and try again.
-    Idle,
-    /// Shutdown observed or the channel hung up; the worker should exit.
-    Exit,
-}
-
-/// Collect one micro-batch from this worker's private channel: block for
-/// the first request only, then take what is already queued, up to
-/// `max_batch` — a worker never sleeps while it holds a request. The
-/// worker owns its `Receiver` outright, so the one blocking receive here
-/// runs lock-free — no guard is held anywhere near a blocking call,
-/// which is exactly what the lock-discipline pass verifies.
-fn collect_batch(shared: &Shared, rx: &mpsc::Receiver<Envelope>) -> Collected {
-    let mut first = match rx.recv_timeout(IDLE_POLL) {
-        Ok(envelope) => envelope,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return Collected::Exit;
-            }
-            return Collected::Idle;
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => return Collected::Exit,
-    };
-    first.dequeued = Instant::now();
-    let mut batch = vec![first];
-    while batch.len() < shared.config.max_batch.max(1) {
-        let Ok(mut envelope) = rx.try_recv() else { break };
-        envelope.dequeued = Instant::now();
-        batch.push(envelope);
-    }
-    Collected::Work(batch)
-}
-
-/// Whether this worker should retire to honour a pending scale-down:
-/// true iff the pool is over target and this worker won the CAS race to
-/// be the one that leaves.
-fn elect_to_exit(shared: &Shared) -> bool {
-    loop {
-        let live = shared.live_workers.load(Ordering::SeqCst);
-        let target = shared.target_workers.load(Ordering::SeqCst);
-        if live <= target.max(1) {
-            return false;
-        }
-        if shared
-            .live_workers
-            .compare_exchange(live, live - 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return true;
-        }
+        let action = scaler.tick_with_burn(epoch.elapsed(), utilization, burn, current);
+        let (counter, name, n) = match action {
+            ScaleAction::Hold => continue,
+            ScaleAction::Up(n) => (&shared.scale_ups, "serve_scale_up", n),
+            ScaleAction::Down(n) => (&shared.scale_downs, "serve_scale_down", n),
+        };
+        resize_pool(shared, handles, n);
+        counter.fetch_add(1, Ordering::Relaxed);
+        tasq_obs::event(Level::Info, name, &[("workers", FieldValue::U64(n as u64))]);
     }
 }
 
@@ -190,14 +222,14 @@ fn elect_to_exit(shared: &Shared) -> bool {
 /// A panicking worker cannot hang its in-flight requests: the unwinding
 /// [`BatchGuard`] resolves everything it still holds to
 /// [`RequestError::WorkerLost`].
-fn supervise_worker(shared: &Shared, rx: mpsc::Receiver<Envelope>, slot: usize) {
+fn supervise_worker(shared: &Shared, slot: usize) {
     loop {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(shared, &rx, slot)
-        }));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker_loop(shared)));
         match outcome {
-            // Clean exit: shutdown observed or the queue disconnected.
-            Ok(()) => break,
+            // The worker left the pool: scale-down, or shutdown with
+            // nothing left queued.
+            Ok(()) => return,
             Err(_) => {
                 shared.counters.worker_respawns.count();
                 tasq_obs::event(
@@ -211,15 +243,15 @@ fn supervise_worker(shared: &Shared, rx: mpsc::Receiver<Envelope>, slot: usize) 
             }
         }
     }
-    // Final sweep: anything still sitting in this worker's channel when
-    // it stops receiving (a shutdown race, or a panic after retirement)
-    // resolves to the typed `WorkerLost` with its queue slot released —
-    // never a silent hang, and `drain` cannot wait on a dead channel.
-    while let Ok(envelope) = rx.try_recv() {
+    // Panicked during shutdown: leave the pool here. If this was the last
+    // worker, whatever is still queued resolves to the typed `WorkerLost`
+    // with its queue slot released — never a silent hang, and `drain`
+    // cannot wait on a queue nobody serves.
+    for envelope in shared.queue.leave() {
         shared.depth.fetch_sub(1, Ordering::SeqCst);
         shared.counters.worker_lost.count();
         shared.record_failure();
-        let _ = envelope.reply.send(Err(RequestError::WorkerLost));
+        envelope.reply.send(Err(RequestError::WorkerLost));
     }
 }
 
@@ -238,52 +270,17 @@ impl Drop for BatchGuard<'_> {
         for envelope in self.pending.drain(..) {
             self.shared.counters.worker_lost.count();
             self.shared.record_failure();
-            let _ = envelope.reply.send(Err(RequestError::WorkerLost));
+            envelope.reply.send(Err(RequestError::WorkerLost));
         }
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<Envelope>, slot: usize) {
+fn worker_loop(shared: &Shared) {
     let trace = shared.config.trace.clone();
     let trace_actor = trace.as_ref().map(EventTrace::register_actor);
-    loop {
-        // Cooperative scale-down: only a worker holding no request may
-        // retire, and only between batches.
-        if elect_to_exit(shared) {
-            retire_worker(shared, rx, slot, &trace, trace_actor);
-            return;
-        }
-        match collect_batch(shared, rx) {
-            Collected::Work(batch) => process_batch(shared, batch, &trace, trace_actor),
-            Collected::Idle => {}
-            Collected::Exit => return,
-        }
-    }
-}
-
-/// Retire one worker to honour a scale-down: deregister its send handle
-/// so [`send_envelope`] stops routing here, then sweep and *serve* every
-/// envelope that landed in the channel before deregistration. The sweep
-/// cannot miss one: sends happen under the senders lock, and this
-/// deregistration takes the same lock, so by the time `retain` returns,
-/// any envelope routed to this slot is already in the channel.
-fn retire_worker(
-    shared: &Shared,
-    rx: &mpsc::Receiver<Envelope>,
-    slot: usize,
-    trace: &Option<EventTrace>,
-    trace_actor: Option<u32>,
-) {
-    shared.senders.lock().retain(|entry| entry.0 != slot);
-    let mut stragglers = Vec::new();
-    while let Ok(envelope) = rx.try_recv() {
-        stragglers.push(envelope);
-        if stragglers.len() >= shared.config.max_batch.max(1) {
-            process_batch(shared, std::mem::take(&mut stragglers), trace, trace_actor);
-        }
-    }
-    if !stragglers.is_empty() {
-        process_batch(shared, stragglers, trace, trace_actor);
+    let max_batch = shared.config.max_batch;
+    while let Some(batch) = shared.queue.next_batch(max_batch, &shared.shutdown) {
+        process_batch(shared, batch, &trace, trace_actor);
     }
 }
 
@@ -297,7 +294,7 @@ fn process_batch(
     {
         // Parent the worker-side batch span from the first traced
         // envelope's carried context instead of opening a fresh root, so
-        // the cross-thread channel hop does not sever the trace.
+        // the cross-thread queue hop does not sever the trace.
         let carried = batch.iter().find(|e| e.ctx.sampled).map(|e| e.ctx);
         let batch_fields = [
             ("size", FieldValue::U64(batch.len() as u64)),
@@ -385,7 +382,7 @@ fn process_batch(
                         trace.record(actor, TraceOp::Send { chan, msg: envelope.seq });
                     }
                     // The requester may have dropped its ticket; fine.
-                    let _ = envelope.reply.send(Ok(served));
+                    envelope.reply.send(Ok(served));
                 }
                 Err(err) => {
                     shared.counters.deadline_timeouts.count();
@@ -395,7 +392,7 @@ fn process_batch(
                         "serve_deadline_timeout",
                         &[("seq", FieldValue::U64(envelope.seq))],
                     );
-                    let _ = envelope.reply.send(Err(err));
+                    envelope.reply.send(Err(err));
                 }
             }
         }
