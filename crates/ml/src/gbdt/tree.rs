@@ -77,6 +77,33 @@ struct SplitCandidate {
     left_hess: f64,
 }
 
+/// Reorder `indices` so the ones `goes_left` accepts come first, and
+/// return how many there are. The partition is stable: both sides keep
+/// their original order, as `Iterator::partition` would, which the
+/// ordered `total_grad` / `total_hess` sums of the children depend on.
+/// Accepted indices are compacted forward in place (the write position
+/// never passes the read position); the rest wait in `scratch`, whose
+/// allocation every node of the tree reuses.
+fn stable_partition(
+    indices: &mut [usize],
+    scratch: &mut Vec<usize>,
+    goes_left: impl Fn(usize) -> bool,
+) -> usize {
+    scratch.clear();
+    let mut n_left = 0;
+    for r in 0..indices.len() {
+        let i = indices[r];
+        if goes_left(i) {
+            indices[n_left] = i;
+            n_left += 1;
+        } else {
+            scratch.push(i);
+        }
+    }
+    indices[n_left..].copy_from_slice(scratch);
+    n_left
+}
+
 impl Tree {
     /// Grow a tree on the given (possibly subsampled) sample indices.
     ///
@@ -109,9 +136,13 @@ impl Tree {
         pool: &Pool,
     ) -> Self {
         let mut tree = Tree { nodes: Vec::new() };
-        let root_indices: Vec<usize> = samples.to_vec();
+        // One index buffer for the whole tree: each node owns a contiguous
+        // slice of it, which a split partitions in place into its
+        // children's slices.
+        let mut indices: Vec<usize> = samples.to_vec();
+        let mut scratch = Vec::new();
         tree.nodes.push(Node::Leaf { weight: 0.0 });
-        tree.grow_node(0, data, mapper, grads, hess, root_indices, 0, params, pool);
+        tree.grow_node(0, data, mapper, grads, hess, &mut indices, &mut scratch, 0, params, pool);
         tree
     }
 
@@ -123,7 +154,8 @@ impl Tree {
         mapper: &BinMapper,
         grads: &[f64],
         hess: &[f64],
-        indices: Vec<usize>,
+        indices: &mut [usize],
+        scratch: &mut Vec<usize>,
         depth: usize,
         params: &GrowthParams,
         pool: &Pool,
@@ -142,7 +174,7 @@ impl Tree {
         }
 
         let best = Self::find_best_split(
-            data, mapper, grads, hess, &indices, total_grad, total_hess, params, pool,
+            data, mapper, grads, hess, indices, total_grad, total_hess, params, pool,
         );
         let Some(split) = best else {
             make_leaf(self);
@@ -153,11 +185,11 @@ impl Tree {
             return;
         }
 
-        // Partition the indices.
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-            .into_iter()
-            .partition(|&i| data.bin(split.feature, i) <= split.bin_threshold);
-        debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
+        let n_left = stable_partition(indices, scratch, |i| {
+            data.bin(split.feature, i) <= split.bin_threshold
+        });
+        debug_assert!(n_left > 0 && n_left < indices.len());
+        let (left_idx, right_idx) = indices.split_at_mut(n_left);
 
         let left = self.nodes.len();
         self.nodes.push(Node::Leaf { weight: 0.0 });
@@ -170,8 +202,8 @@ impl Tree {
             left,
             right,
         };
-        self.grow_node(left, data, mapper, grads, hess, left_idx, depth + 1, params, pool);
-        self.grow_node(right, data, mapper, grads, hess, right_idx, depth + 1, params, pool);
+        self.grow_node(left, data, mapper, grads, hess, left_idx, scratch, depth + 1, params, pool);
+        self.grow_node(right, data, mapper, grads, hess, right_idx, scratch, depth + 1, params, pool);
     }
 
     /// Histogram scan of a single feature: fill `hist_grad`/`hist_hess`
@@ -433,5 +465,23 @@ mod tests {
         tree.accumulate_split_counts(&mut counts);
         assert!(counts[0] >= 1, "informative feature must be used");
         assert_eq!(counts[1], 0, "constant feature must never split");
+    }
+
+    #[test]
+    fn stable_partition_matches_iterator_partition() {
+        let mut scratch = vec![99; 3];
+        for n in [0, 1, 2, 7, 64] {
+            let base: Vec<usize> = (0..n).map(|i| (i * 37 + 11) % 101).collect();
+            for m in 1..5 {
+                let goes_left = |i: usize| i.is_multiple_of(m);
+                let (left, right): (Vec<usize>, Vec<usize>) =
+                    base.iter().partition(|&&i| goes_left(i));
+                let mut idx = base.clone();
+                let n_left = stable_partition(&mut idx, &mut scratch, goes_left);
+                assert_eq!(n_left, left.len());
+                assert_eq!(idx[..n_left], left[..]);
+                assert_eq!(idx[n_left..], right[..]);
+            }
+        }
     }
 }

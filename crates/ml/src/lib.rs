@@ -10,6 +10,8 @@
 //!
 //! * [`matrix`] — dense row-major matrices with the linear algebra needed by
 //!   the networks (matmul in all transpose flavours, broadcasting helpers).
+//!   Their dense loops live in the private `kernels` module, compiled for
+//!   the portable target and for AVX2 and picked once per process.
 //! * [`rand_ext`] — normal / lognormal / Pareto / truncated sampling built on
 //!   top of `rand` (so no extra distribution crate is needed).
 //! * [`optim`] — Adam optimizer with bias correction and gradient clipping.
@@ -31,6 +33,7 @@
 
 pub mod gbdt;
 pub mod gnn;
+mod kernels;
 pub mod kmeans;
 pub mod linreg;
 pub mod matrix;

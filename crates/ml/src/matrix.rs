@@ -14,11 +14,16 @@
 //! is one kernel per operation, and a result never depends on which form
 //! computed it.
 //!
+//! The loops themselves live in `crate::kernels`, compiled for the
+//! portable target and for AVX2 and picked at runtime; both arms give the
+//! same bits.
+//!
 //! The products are single-threaded by design: at this workspace's sizes
 //! (≤ 136 x 64 operands, microseconds per product) a pool's per-call
 //! dispatch costs more than any product; training parallelises one level
 //! up, over the graphs of a minibatch.
 
+use crate::kernels::{self, AddRowBroadcast, Axpy, ColSums, Matmul, Scale, TMatmul};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -249,22 +254,14 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.reset_zeros(self.rows, rhs.cols);
-        // ikj loop order: inner loop streams rhs row + out row contiguously.
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                // lint: allow(float-eq) — exact-zero skip: bit-identical
-                // results, just fewer FMAs on sparse rows.
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        kernels::run(Matmul {
+            rows: self.rows,
+            a: &self.data,
+            a_cols: self.cols,
+            b: &rhs.data,
+            b_cols: rhs.cols,
+            out: &mut out.data,
+        });
     }
 
     /// `self^T * rhs` without materializing the transpose.
@@ -282,20 +279,14 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.reset_zeros(self.cols, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let b_row = &rhs.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                // lint: allow(float-eq) — exact-zero skip, as in `matmul`.
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        kernels::run(TMatmul {
+            rows: self.rows,
+            a: &self.data,
+            a_cols: self.cols,
+            b: &rhs.data,
+            b_cols: rhs.cols,
+            out: &mut out.data,
+        });
     }
 
     /// `self * rhs^T` without materializing the transpose.
@@ -380,16 +371,12 @@ impl Matrix {
     /// `self += alpha * rhs` in place.
     pub fn axpy(&mut self, alpha: f64, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "axpy: shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
+        kernels::run(Axpy { y: &mut self.data, alpha, x: &rhs.data });
     }
 
     /// Scale all elements in place.
     pub fn scale_inplace(&mut self, alpha: f64) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
+        kernels::run(Scale { x: &mut self.data, alpha });
     }
 
     /// Scale into a new matrix.
@@ -400,11 +387,7 @@ impl Matrix {
     /// Add a 1 x cols row vector to every row (broadcast), in place.
     pub fn add_row_broadcast(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.cols, "add_row_broadcast: width mismatch");
-        for r in 0..self.rows {
-            for (x, &b) in self.row_mut(r).iter_mut().zip(row) {
-                *x += b;
-            }
-        }
+        kernels::run(AddRowBroadcast { rows: self.rows, m: &mut self.data, row });
     }
 
     /// Sum of each column as a `Vec` of length `cols`.
@@ -417,11 +400,7 @@ impl Matrix {
     /// Sum of each column as a `1 x cols` row written into `out`.
     pub fn col_sums_into(&self, out: &mut Matrix) {
         out.reset_zeros(1, self.cols);
-        for row in self.rows_iter() {
-            for (s, &x) in out.data.iter_mut().zip(row) {
-                *s += x;
-            }
-        }
+        kernels::run(ColSums { m: &self.data, out: &mut out.data });
     }
 
     /// Mean of each column as a `Vec` of length `cols`.

@@ -1,5 +1,6 @@
 //! Element-wise activation functions and their derivatives.
 
+use crate::kernels::{self, Activate, ScaleByDerivative};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -71,7 +72,7 @@ impl Activation {
     /// `out = act(pre)`, reusing `out`'s allocation.
     pub fn apply_into(self, pre: &Matrix, out: &mut Matrix) {
         out.copy_from(pre);
-        out.map_inplace(|x| self.apply_scalar(x));
+        kernels::run(Activate { act: self, x: out.as_mut_slice() });
     }
 
     /// `d[i] *= act'(pre[i])`: the backward step
@@ -81,9 +82,7 @@ impl Activation {
     /// Panics on shape mismatch.
     pub fn scale_by_derivative(self, pre: &Matrix, d: &mut Matrix) {
         assert_eq!(pre.shape(), d.shape(), "scale_by_derivative: shape mismatch");
-        for (g, &x) in d.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-            *g *= self.derivative_scalar(x);
-        }
+        kernels::run(ScaleByDerivative { act: self, pre: pre.as_slice(), d: d.as_mut_slice() });
     }
 }
 

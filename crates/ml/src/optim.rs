@@ -4,6 +4,7 @@
 //! tensor; callers register tensors once (getting back a [`ParamId`]) and
 //! then call [`Adam::step`] with matching gradients each iteration.
 
+use crate::kernels::{self, AdamCoeffs, AdamUpdate};
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -109,30 +110,29 @@ impl Adam {
             None => 1.0,
         };
 
-        let bias1 = 1.0 - self.config.beta1.powi(t);
-        let bias2 = 1.0 - self.config.beta2.powi(t);
-        let lr = self.config.learning_rate;
-        let (b1, b2, eps) = (self.config.beta1, self.config.beta2, self.config.epsilon);
-        let wd = self.config.weight_decay;
+        let c = AdamCoeffs {
+            clip_scale,
+            beta1: self.config.beta1,
+            beta2: self.config.beta2,
+            bias1: 1.0 - self.config.beta1.powi(t),
+            bias2: 1.0 - self.config.beta2.powi(t),
+            learning_rate: self.config.learning_rate,
+            epsilon: self.config.epsilon,
+            weight_decay: self.config.weight_decay,
+        };
 
         for (id, param, grad) in params_and_grads.iter_mut() {
             let m = &mut self.first_moments[id.0];
             let v = &mut self.second_moments[id.0];
             assert_eq!(m.shape(), grad.shape(), "Adam::step: gradient shape mismatch");
             assert_eq!(m.shape(), param.shape(), "Adam::step: parameter shape mismatch");
-
-            // Zipped slices: one bounds check per tensor instead of five
-            // per element. The arithmetic per element is unchanged.
-            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
-            let values = param.as_mut_slice().iter_mut().zip(grad.as_slice());
-            for ((mi, vi), (p, &g)) in moments.zip(values) {
-                let g = g * clip_scale;
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
-                let m_hat = *mi / bias1;
-                let v_hat = *vi / bias2;
-                *p -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * *p);
-            }
+            kernels::run(AdamUpdate {
+                c,
+                m: m.as_mut_slice(),
+                v: v.as_mut_slice(),
+                p: param.as_mut_slice(),
+                g: grad.as_slice(),
+            });
         }
     }
 }
