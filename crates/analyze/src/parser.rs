@@ -560,8 +560,8 @@ impl Token {
 }
 
 /// Multi-character operators, longest first.
-const MULTI_OPS: [&str; 22] = [
-    "..=", "...", "<<=", "::", "->", "=>", "..", "&&", "||", "==", "!=", "<=", ">=", "+=", "-=",
+const MULTI_OPS: [&str; 23] = [
+    "..=", "...", "<<=", ">>=", "::", "->", "=>", "..", "&&", "||", "==", "!=", "<=", ">=", "+=", "-=",
     "*=", "/=", "%=", "^=", "|=", "&=", "<<",
 ];
 
@@ -1120,7 +1120,7 @@ impl<'a> Parser<'a> {
                     let rhs = self.parse_expr_inner(false, structs)?;
                     lhs = Expr::Assign { lhs: Box::new(lhs), rhs: Box::new(rhs), span };
                 }
-                "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "|=" | "&=" | "<<=" => {
+                "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "|=" | "&=" | "<<=" | ">>=" => {
                     self.pos += 1;
                     let rhs = self.parse_expr_inner(false, structs)?;
                     lhs = Expr::Assign { lhs: Box::new(lhs), rhs: Box::new(rhs), span };

@@ -58,3 +58,12 @@ pub fn waits_on_a_condvar(m: &Mutex<u32>, cv: &Condvar) -> u32 {
     }
     *g
 }
+
+pub fn halves_in_place(counters: &mut [u8], mut shift: u32) {
+    for c in counters.iter_mut() {
+        *c >>= 1;
+    }
+    shift <<= 1;
+    shift >>= 2;
+    touch(&shift);
+}

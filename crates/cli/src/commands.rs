@@ -772,11 +772,12 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {} resident",
+        "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {} rejected, {} resident",
         stats.cache.hits,
         stats.cache.misses,
         100.0 * stats.cache.hit_rate(),
         stats.cache.evictions,
+        stats.cache.rejected,
         stats.cache.entries
     );
     let _ = writeln!(out, "model generation: {}", stats.generation);

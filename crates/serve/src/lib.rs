@@ -6,8 +6,9 @@
 //!
 //! - [`signature`] — deterministic 64-bit plan signatures, so recurring
 //!   jobs (the dominant production traffic) are recognizable on arrival.
-//! - [`cache`] — a sharded exact-LRU response cache keyed by signature,
-//!   with hit/miss/eviction counters.
+//! - [`cache`] — a sharded response cache keyed by signature: a CLOCK
+//!   ring per shard behind a frequency-sketch (TinyLFU) admission filter,
+//!   with hit/miss/eviction/rejection counters.
 //! - [`registry`] — an atomically hot-swappable model deployment with
 //!   probe validation and rollback-by-not-swapping.
 //! - [`server`] — the worker pool itself, behind one entry point

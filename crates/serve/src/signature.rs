@@ -73,7 +73,7 @@ impl PlanSignature {
     /// Mix a model-registry generation into the signature, producing the
     /// cache key. Entries cached under an old generation become
     /// unreachable the moment a hot-swap lands, without any coordinated
-    /// invalidation: they simply age out of the LRU.
+    /// invalidation: they are never probed again and age out of the cache.
     pub fn cache_key(self, generation: u64) -> u64 {
         let mut fnv = Fnv::new();
         fnv.write_u64(self.0);

@@ -189,6 +189,7 @@ impl ServerStatsSnapshot {
         g("serve_cache_misses", "signature-cache misses", self.cache.misses as f64);
         g("serve_cache_evictions", "signature-cache evictions", self.cache.evictions as f64);
         g("serve_cache_insertions", "signature-cache insertions", self.cache.insertions as f64);
+        g("serve_cache_rejected", "signature-cache admissions refused", self.cache.rejected as f64);
         g("serve_cache_entries", "signature-cache live entries", self.cache.entries as f64);
         g("serve_cache_hit_rate", "signature-cache hit rate", self.cache.hit_rate());
     }
