@@ -892,7 +892,7 @@ impl<'a> Parser<'a> {
 
     /// Like [`Self::pattern_vars`], but also reports the pattern's
     /// leading constructor — the last path segment before a `(`/`{`
-    /// payload (`Ok(fd)` → `Ok`, `Steal::Success(v)` → `Success`).
+    /// payload (`Ok(fd)` → `Ok`, `Poll::Ready(v)` → `Ready`).
     /// The resource-leak pass uses it to bind only success arms of an
     /// acquiring scrutinee.
     fn pattern_vars_ctor(
@@ -2024,7 +2024,7 @@ mod tests {
 
     #[test]
     fn control_flow_and_labels() {
-        let src = "fn f() {\n    'outer: loop {\n        for off in 1..workers {\n            match d.steal() {\n                Steal::Success(v) => continue 'outer,\n                Steal::Empty => break,\n                Steal::Retry => {}\n            }\n        }\n        if done { break; } else { continue; }\n    }\n}\n";
+        let src = "fn f() {\n    'outer: loop {\n        for off in 1..workers {\n            match d.claim() {\n                Claim::Chunk(v) => continue 'outer,\n                Claim::Empty => break,\n                Claim::Retry => {}\n            }\n        }\n        if done { break; } else { continue; }\n    }\n}\n";
         let f = ok(src);
         let func = &f.functions[0];
         match &func.body.stmts[0] {

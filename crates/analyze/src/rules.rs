@@ -346,8 +346,8 @@ mod tests {
         );
         let bounded = "fn f() { let (tx, rx) = mpsc::sync_channel(8); }\n";
         assert!(rules_hit("crates/serve/src/a.rs", bounded).is_empty());
-        // The work-stealing runtime is a concurrent crate too: its deques
-        // are bounded by construction and its channels must be as well.
+        // The parallel runtime is a concurrent crate too: it hands work
+        // out through one atomic cursor, and any channel must be bounded.
         assert_eq!(
             rules_hit("crates/par/src/a.rs", src),
             vec![UNBOUNDED_CHANNEL.to_string()]

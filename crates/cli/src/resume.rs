@@ -83,7 +83,7 @@ pub struct TrainEngineConfig {
     pub seed: u64,
     /// Flight-grid cells per checkpoint frame.
     pub flight_chunk: usize,
-    /// Work-stealing pool width for featurize and split search.
+    /// Parallel pool width for featurize and split search.
     pub threads: usize,
 }
 

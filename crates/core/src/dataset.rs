@@ -49,7 +49,7 @@ pub struct Dataset {
 impl Dataset {
     /// Build a dataset from jobs: execute each once (deterministically) at
     /// its requested tokens, augment, featurize. Work fans out over a
-    /// work-stealing [`tasq_par::Pool`] sized to the available hardware
+    /// [`tasq_par::Pool`] sized to the available hardware
     /// parallelism ([`tasq_par::Pool::with_available_parallelism`]).
     pub fn build(jobs: &[Job], config: &AugmentConfig) -> Self {
         Self::build_with_pool(jobs, config, &tasq_par::Pool::with_available_parallelism())
@@ -58,9 +58,10 @@ impl Dataset {
     /// [`Dataset::build`] on a caller-supplied pool. Example order always
     /// matches job order regardless of thread count, and a panic inside
     /// job preparation resumes on the caller's stack (as the old scoped-
-    /// thread fan-out did). Work-stealing keeps workers busy even when
-    /// one job's plan is much larger than the rest — the static chunking
-    /// this replaces stalled the whole build on its slowest chunk.
+    /// thread fan-out did). Workers claim small chunks of jobs from a
+    /// shared cursor, so one job whose plan is much larger than the rest
+    /// holds up only its own worker — the static chunking this replaces
+    /// stalled the whole build on its slowest chunk.
     pub fn build_with_pool(jobs: &[Job], config: &AugmentConfig, pool: &tasq_par::Pool) -> Self {
         let prepared = pool
             .par_map(jobs, |_, job| Self::prepare_example(job, config))

@@ -130,7 +130,7 @@ pub fn select_jobs(dataset: &Dataset, config: &SelectionConfig) -> SelectionResu
     // Step 2: cluster the full population on its job-level features.
     let rows = dataset.job_feature_rows();
     let data = Matrix::from_rows(&rows);
-    // Assignment distances are computed on a work-stealing pool;
+    // Assignment distances are computed on a `tasq_par` pool;
     // `kmeans_with_pool` is bit-identical to the sequential fit at any
     // thread count, so selection stays fully deterministic.
     let model: KMeans = tasq_ml::kmeans::kmeans_with_pool(

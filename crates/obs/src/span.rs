@@ -48,7 +48,7 @@ pub enum Level {
     Info = 3,
     /// Per-round / per-epoch / per-batch detail.
     Debug = 4,
-    /// Per-task detail (work-stealing chunks, individual flights).
+    /// Per-task detail (parallel-runtime chunks, individual flights).
     Trace = 5,
 }
 

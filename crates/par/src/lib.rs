@@ -1,4 +1,4 @@
-//! # tasq-par — deterministic work-stealing runtime for the offline pipeline
+//! # tasq-par — deterministic self-scheduling runtime for the offline pipeline
 //!
 //! TASQ's offline loop (flighting every sampled job at several token
 //! counts, featurizing plans, fitting k-means/GBDT/NN models) is
@@ -7,66 +7,42 @@
 //! slice of a data-parallel runtime from scratch on top of `std::thread`:
 //!
 //! * [`Pool`] — a thread-count handle whose [`Pool::par_map`] /
-//!   [`Pool::par_for_chunks`] fan work out over Chase-Lev-style bounded
-//!   per-worker deques ([`deque`]): each worker owns a deque of index
-//!   ranges, pops from the bottom, and steals from the top of its peers.
-//! * [`Pool::scope`] — a crossbeam-style scoped spawn API backed by a
-//!   shared injector queue, for heterogeneous task sets.
+//!   [`Pool::par_for_chunks`] fan a flat index range out over scoped
+//!   workers. Every worker claims `grain` consecutive indices at a time
+//!   from one shared atomic cursor until it passes the end, so a worker
+//!   that finishes early simply claims the next chunk.
 //! * Panic capture — worker panics never cross the pool boundary; they
 //!   are converted into a typed [`ParError`] carrying the lowest task
 //!   index observed panicking and the panic message.
 //!
 //! ## Determinism contract
 //!
-//! Scheduling order is nondeterministic (thieves race), but **results are
-//! not**: every input index owns exactly one output slot, tasks may only
-//! read shared inputs and write their own slot, and any randomness must be
-//! pre-split per task from a base seed (see `tasq_ml::rand_ext::split_seed`)
-//! rather than drawn from a shared stream. Under that contract a
-//! `par_map` at any thread count is bit-identical to the sequential map,
-//! which is what the workspace's same-seed reproducibility tests assert.
+//! Which worker runs which chunk is nondeterministic (claims race), but
+//! **results are not**: every input index owns exactly one output slot,
+//! tasks may only read shared inputs and write their own slot, and any
+//! randomness must be pre-split per task from a base seed (see
+//! `tasq_ml::rand_ext::split_seed`) rather than drawn from a shared
+//! stream. Under that contract a `par_map` at any thread count is
+//! bit-identical to the sequential map, which is what the workspace's
+//! same-seed reproducibility tests assert.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod deque;
-
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-use deque::{Deque, Steal};
-use parking_lot::Mutex;
 use tasq_obs::{span_with_parent, Counter, FieldValue, Level, Registry};
 
-/// Registry-backed runtime counters. Handles are registered once and
-/// incremented with relaxed atomics — steal-loop instrumentation stays
-/// off every lock. The counts are scheduling telemetry only; results are
-/// bit-identical whatever they read.
-struct ParMetrics {
-    tasks: Counter,
-    steals: Counter,
-    steal_retries: Counter,
-    overflow: Counter,
-}
-
-fn metrics() -> &'static ParMetrics {
-    static METRICS: std::sync::OnceLock<ParMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = Registry::global();
-        ParMetrics {
-            tasks: registry
-                .counter("par_tasks_total", "Items executed by the work-stealing runtime"),
-            steals: registry
-                .counter("par_steals_total", "Ranges successfully stolen from a peer deque"),
-            steal_retries: registry
-                .counter("par_steal_retries_total", "Contended steal attempts that retried"),
-            overflow: registry.counter(
-                "par_overflow_total",
-                "Deque-full pushes: the range ran inline instead of becoming stealable",
-            ),
-        }
+/// Items executed, registered once and incremented with a relaxed atomic.
+/// Scheduling telemetry only; results are bit-identical whatever it reads.
+fn tasks_counter() -> &'static Counter {
+    static TASKS: OnceLock<Counter> = OnceLock::new();
+    TASKS.get_or_init(|| {
+        Registry::global().counter("par_tasks_total", "Items executed by the parallel runtime")
     })
 }
 
@@ -77,10 +53,10 @@ fn metrics() -> &'static ParMetrics {
 /// captured and surfaced as a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParError {
-    /// A task panicked. `index` is the input index (for `par_map` /
-    /// `par_for_chunks`) or the spawn sequence number (for `scope`).
+    /// A task panicked.
     TaskPanicked {
-        /// Input index / spawn sequence of the panicking task.
+        /// Input index (for `par_map`) or chunk index (for
+        /// `par_for_chunks`) of the panicking task.
         index: usize,
         /// Stringified panic payload.
         message: String,
@@ -132,19 +108,19 @@ struct PanicSlot {
 impl PanicSlot {
     fn record(&self, index: usize, payload: Box<dyn Any + Send>) {
         let message = panic_message(payload.as_ref());
-        let mut slot = self.slot.lock();
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         match &*slot {
             Some((prev, _)) if *prev <= index => {}
             _ => *slot = Some((index, message)),
         }
     }
 
-    fn take(&self) -> Option<(usize, String)> {
-        self.slot.lock().take()
+    fn take(self) -> Option<(usize, String)> {
+        self.slot.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A work-stealing pool configured for a fixed number of threads.
+/// A self-scheduling pool configured for a fixed number of threads.
 ///
 /// The handle itself is cheap: a call that fans out spawns `threads - 1`
 /// scoped workers, runs worker 0 on the calling thread, and joins before
@@ -166,21 +142,11 @@ impl Default for Pool {
     }
 }
 
-/// Encoded `[lo, hi)` index ranges flow through the deques as `u64`s.
-fn encode_range(lo: usize, hi: usize) -> u64 {
-    ((lo as u64) << 32) | (hi as u64)
-}
-
-fn decode_range(v: u64) -> (usize, usize) {
-    ((v >> 32) as usize, (v & 0xFFFF_FFFF) as usize)
-}
-
 /// Shared state for one `par_map` call.
 struct MapShared {
-    deques: Vec<Deque>,
-    /// Items not yet completed; workers exit when this hits zero.
-    remaining: AtomicUsize,
-    /// Set on the first panic; workers drain out promptly.
+    /// First index no worker has claimed yet.
+    next: AtomicUsize,
+    /// Set on the first panic; workers stop claiming promptly.
     abort: AtomicBool,
     panic: PanicSlot,
     /// Span open on the submitting thread when the call was made; worker
@@ -232,8 +198,8 @@ impl Pool {
         self.par_map_grain(items, grain, f)
     }
 
-    /// [`Pool::par_map`] with an explicit splitting grain: ranges longer
-    /// than `grain` are halved and the upper half made stealable.
+    /// [`Pool::par_map`] with an explicit grain: workers claim `grain`
+    /// consecutive indices at a time (the last chunk may be shorter).
     pub fn par_map_grain<T, U, F>(
         &self,
         items: &[T],
@@ -250,50 +216,11 @@ impl Pool {
             return Ok(Vec::new());
         }
         let grain = grain.max(1);
-        // Ranges are packed into u64 halves; gigantic inputs (never hit by
-        // this workspace) take the inline path instead of overflowing.
-        if self.threads == 1 || n <= grain || n > u32::MAX as usize {
-            let _task_span = span_with_parent(
-                Level::Trace,
-                "par_task",
-                tasq_obs::current_span_id(),
-                &[
-                    ("lo", FieldValue::U64(0)),
-                    ("hi", FieldValue::U64(n as u64)),
-                    ("inline", FieldValue::Bool(true)),
-                ],
-            );
-            let mut out = Vec::with_capacity(n);
-            for (i, item) in items.iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                    Ok(v) => out.push(v),
-                    Err(payload) => {
-                        return Err(ParError::TaskPanicked {
-                            index: i,
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                }
-            }
-            metrics().tasks.add(n as u64);
-            return Ok(out);
-        }
-
-        let workers = self.threads.min(n);
-        let deques: Vec<Deque> = (0..workers)
-            .map(|w| {
-                let lo = w * n / workers;
-                let hi = (w + 1) * n / workers;
-                let d = Deque::new();
-                if lo < hi {
-                    d.seed_initial(encode_range(lo, hi));
-                }
-                d
-            })
-            .collect();
+        let workers = self.threads.min(n.div_ceil(grain));
+        // Alone, the caller takes the whole range as one chunk (one span).
+        let grain = if workers == 1 { n } else { grain };
         let shared = MapShared {
-            deques,
-            remaining: AtomicUsize::new(n),
+            next: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
             panic: PanicSlot::default(),
             parent_span: tasq_obs::current_span_id(),
@@ -350,138 +277,24 @@ impl Pool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        let chunk_len = chunk_len.max(1);
-        if self.threads == 1 || data.len() <= chunk_len {
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
-                    return Err(ParError::TaskPanicked {
-                        index: i,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-            return Ok(());
-        }
         // Hand each chunk to exactly one task through a take-once slot;
-        // the deques deliver every index exactly once, so the lock is
+        // the cursor delivers every index exactly once, so the lock is
         // uncontended and exists only to move `&mut` across threads safely.
         let slots: Vec<Mutex<Option<&mut [T]>>> =
-            data.chunks_mut(chunk_len).map(|c| Mutex::new(Some(c))).collect();
+            data.chunks_mut(chunk_len.max(1)).map(|c| Mutex::new(Some(c))).collect();
         self.par_map_grain(&slots, 1, |i, slot| {
-            if let Some(chunk) = slot.lock().take() {
+            let chunk = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            if let Some(chunk) = chunk {
                 f(i, chunk);
             }
         })
-        .map(|_| ())
-    }
-
-    /// Crossbeam-style scope: `body` may spawn heterogeneous tasks that
-    /// borrow from the caller's stack; all tasks complete (or are
-    /// abandoned after a panic) before `scope` returns. A task panic is
-    /// returned as [`ParError::TaskPanicked`] with the spawn sequence
-    /// number of the first (lowest-sequence) panicking task.
-    pub fn scope<'env, F, R>(&self, body: F) -> Result<R, ParError>
-    where
-        F: FnOnce(&Scope<'_, 'env>) -> R,
-    {
-        let shared = ScopeShared {
-            queue: Mutex::new(VecDeque::new()),
-            pending: AtomicUsize::new(0),
-            done: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
-            panic: PanicSlot::default(),
-            next_seq: AtomicUsize::new(0),
-            parent_span: tasq_obs::current_span_id(),
-        };
-        let result = std::thread::scope(|s| {
-            for _ in 1..self.threads {
-                let shared = &shared;
-                s.spawn(move || scope_worker(shared));
-            }
-            let r = body(&Scope { shared: &shared });
-            shared.done.store(true, Ordering::Release);
-            // The caller drains alongside the helpers (and is the only
-            // executor when the pool is sequential).
-            scope_worker(&shared);
-            r
-        });
-        if let Some((index, message)) = shared.panic.take() {
-            return Err(ParError::TaskPanicked { index, message });
-        }
-        Ok(result)
+        .map(drop)
     }
 }
 
-type ScopeTask<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-struct ScopeShared<'env> {
-    queue: Mutex<VecDeque<(usize, ScopeTask<'env>)>>,
-    pending: AtomicUsize,
-    done: AtomicBool,
-    abort: AtomicBool,
-    panic: PanicSlot,
-    next_seq: AtomicUsize,
-    /// Span open on the thread that entered [`Pool::scope`]; task spans
-    /// parent onto it from whichever worker runs them.
-    parent_span: u64,
-}
-
-/// Spawn handle passed to the closure given to [`Pool::scope`].
-pub struct Scope<'sc, 'env> {
-    shared: &'sc ScopeShared<'env>,
-}
-
-impl<'sc, 'env> Scope<'sc, 'env> {
-    /// Queue `f` for execution by the scope's workers. Tasks run in an
-    /// unspecified order and must follow the determinism contract (own
-    /// their outputs, pre-split their seeds).
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        self.shared.queue.lock().push_back((seq, Box::new(f)));
-    }
-}
-
-fn scope_worker(shared: &ScopeShared<'_>) {
-    loop {
-        let task = shared.queue.lock().pop_front();
-        match task {
-            Some((seq, t)) => {
-                if shared.abort.load(Ordering::Acquire) {
-                    // A task already panicked: drop remaining tasks
-                    // without running them so the scope unwinds quickly.
-                    shared.pending.fetch_sub(1, Ordering::AcqRel);
-                    continue;
-                }
-                let task_span = span_with_parent(
-                    Level::Trace,
-                    "par_scope_task",
-                    shared.parent_span,
-                    &[("seq", FieldValue::U64(seq as u64))],
-                );
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(t)) {
-                    shared.panic.record(seq, payload);
-                    shared.abort.store(true, Ordering::Release);
-                }
-                drop(task_span);
-                metrics().tasks.inc();
-                shared.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-            None => {
-                if shared.done.load(Ordering::Acquire)
-                    && shared.pending.load(Ordering::Acquire) == 0
-                {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
+/// One worker's loop: claim the next `grain` indices from the shared
+/// cursor, run them, and stop once the cursor passes the end or a task
+/// anywhere has panicked. Returns the `(index, output)` pairs it produced.
 fn map_worker<T, U, F>(
     me: usize,
     shared: &MapShared,
@@ -494,108 +307,51 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    let n = items.len();
     let mut local: Vec<(usize, U)> = Vec::new();
-    let workers = shared.deques.len();
-    'outer: loop {
-        if shared.abort.load(Ordering::Acquire) {
+    while !shared.abort.load(Ordering::Acquire) {
+        // Relaxed: the cursor publishes no data, only which indices are
+        // taken; every result travels back to the caller through the join.
+        let lo = shared.next.fetch_add(grain, Ordering::Relaxed);
+        if lo >= n {
             break;
         }
-        if let Some(range) = shared.deques[me].pop() {
-            process_range(me, range, shared, items, f, grain, &mut local);
-            continue;
-        }
-        for off in 1..workers {
-            let victim = (me + off) % workers;
-            let mut spins = 0;
-            loop {
-                match shared.deques[victim].steal() {
-                    Steal::Success(range) => {
-                        metrics().steals.inc();
-                        process_range(me, range, shared, items, f, grain, &mut local);
-                        continue 'outer;
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => {
-                        metrics().steal_retries.inc();
-                        spins += 1;
-                        if spins > 16 {
-                            break;
-                        }
-                        std::hint::spin_loop();
-                    }
+        let hi = (lo + grain).min(n);
+        let _task_span = span_with_parent(
+            Level::Trace,
+            "par_task",
+            shared.parent_span,
+            &[
+                ("lo", FieldValue::U64(lo as u64)),
+                ("hi", FieldValue::U64(hi as u64)),
+                ("worker", FieldValue::U64(me as u64)),
+            ],
+        );
+        let mut executed = 0u64;
+        for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
+            if shared.abort.load(Ordering::Relaxed) {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                Ok(v) => {
+                    local.push((i, v));
+                    executed += 1;
+                }
+                Err(payload) => {
+                    shared.panic.record(i, payload);
+                    shared.abort.store(true, Ordering::Release);
+                    break;
                 }
             }
         }
-        if shared.remaining.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        std::thread::yield_now();
+        tasks_counter().add(executed);
     }
     local
-}
-
-/// Execute one stolen/popped range: repeatedly publish the upper half for
-/// stealing while the range is longer than `grain`, then run the kept
-/// prefix inline. If the deque is full (bounded buffer), the rest of the
-/// range simply runs inline — correctness never depends on a push landing.
-#[allow(clippy::too_many_arguments)]
-fn process_range<T, U, F>(
-    me: usize,
-    range: u64,
-    shared: &MapShared,
-    items: &[T],
-    f: &F,
-    grain: usize,
-    local: &mut Vec<(usize, U)>,
-) where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let (lo, mut hi) = decode_range(range);
-    while hi - lo > grain {
-        let mid = lo + (hi - lo) / 2;
-        if !shared.deques[me].push(encode_range(mid, hi)) {
-            metrics().overflow.inc();
-            break;
-        }
-        hi = mid;
-    }
-    let _task_span = span_with_parent(
-        Level::Trace,
-        "par_task",
-        shared.parent_span,
-        &[
-            ("lo", FieldValue::U64(lo as u64)),
-            ("hi", FieldValue::U64(hi as u64)),
-            ("worker", FieldValue::U64(me as u64)),
-        ],
-    );
-    let mut executed = 0u64;
-    for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
-        if shared.abort.load(Ordering::Relaxed) {
-            break;
-        }
-        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-            Ok(v) => {
-                local.push((i, v));
-                executed += 1;
-                shared.remaining.fetch_sub(1, Ordering::AcqRel);
-            }
-            Err(payload) => {
-                shared.panic.record(i, payload);
-                shared.abort.store(true, Ordering::Release);
-                break;
-            }
-        }
-    }
-    metrics().tasks.add(executed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn par_map_matches_sequential_order() {
@@ -608,13 +364,30 @@ mod tests {
         }
     }
 
+    /// Every index runs exactly once and lands in input order at grains
+    /// that divide `n`, leave a short last chunk, give one chunk per
+    /// index, or leave fewer chunks than threads (`workers` clamps to the
+    /// chunk count).
     #[test]
-    fn par_map_grain_one_forces_stealing() {
-        let items: Vec<usize> = (0..64).collect();
-        let pool = Pool::new(4);
-        let got = pool.par_map_grain(&items, 1, |i, &x| i + x).unwrap();
-        let expected: Vec<usize> = (0..64).map(|i| 2 * i).collect();
-        assert_eq!(got, expected);
+    fn every_index_runs_exactly_once_at_any_grain() {
+        let items: Vec<usize> = (0..97).collect();
+        for threads in [2, 3, 8] {
+            for grain in [1, 3, 7, 96, 97] {
+                let hits: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+                let got = Pool::new(threads)
+                    .par_map_grain(&items, grain, |i, &x| {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                        x * 3
+                    })
+                    .unwrap();
+                let expected: Vec<usize> = items.iter().map(|&x| x * 3).collect();
+                assert_eq!(got, expected, "threads={threads} grain={grain}");
+                for (i, h) in hits.iter().enumerate() {
+                    let runs = h.load(Ordering::Relaxed);
+                    assert_eq!(runs, 1, "index {i}, threads={threads} grain={grain}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -643,8 +416,8 @@ mod tests {
     fn par_map_propagates_panic_with_index() {
         let items: Vec<u32> = (0..50).collect();
         for threads in [1, 2, 4] {
-            // One index in worker 0's initial range, one in the last
-            // worker's, at every thread count.
+            // One index near the front of the range and one near its end,
+            // at every thread count.
             for bad in [3u32, 47] {
                 let err = Pool::new(threads)
                     .par_map_grain(&items, 1, |_, &x| {
@@ -663,20 +436,21 @@ mod tests {
         }
     }
 
-    /// Two panicking tasks, one in the caller's share and one in the
-    /// spawned worker's. The lower index is reported whichever thread
-    /// panicked first, and the call returns only after the spawned
-    /// worker's in-flight task has finished: the caller panics while that
-    /// task is still running, so without the join `finished` would read
-    /// false.
+    /// Two panicking tasks, one on each thread. The lower index is
+    /// reported whichever thread panicked first, and the call returns
+    /// only after the other thread's in-flight task has finished: index 5
+    /// panics while index 40 is still running, so without the join
+    /// `finished` would read false.
     #[test]
     fn caller_panic_reports_lowest_index_and_joins_workers() {
         let items: Vec<u32> = (0..64).collect();
         let gate = std::sync::Barrier::new(2);
         let finished = AtomicBool::new(false);
-        // Grain 32 keeps each initial range whole: 5 runs on the caller,
-        // 40 on the spawned worker, and the barrier makes both in flight
-        // at once so neither is skipped by the other's abort.
+        // Grain 32 makes two chunks, [0, 32) with index 5 and [32, 64)
+        // with index 40. Each waits on the barrier before it can finish,
+        // so no thread can run both: one chunk lands on each thread, both
+        // tasks are in flight at once, and neither is skipped by the
+        // other's abort.
         let err = Pool::new(2)
             .par_map_grain(&items, 32, |_, &x| {
                 if x == 5 {
@@ -708,39 +482,6 @@ mod tests {
         .unwrap();
         let expected: Vec<u64> = (0..1000).collect();
         assert_eq!(data, expected);
-    }
-
-    #[test]
-    fn scope_runs_every_spawn_and_borrows() {
-        let counter = AtomicU64::new(0);
-        let pool = Pool::new(4);
-        pool.scope(|s| {
-            for i in 0..100u64 {
-                let counter = &counter;
-                s.spawn(move || {
-                    counter.fetch_add(i, Ordering::Relaxed);
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn scope_propagates_panic() {
-        let pool = Pool::new(2);
-        let err = pool
-            .scope(|s| {
-                s.spawn(|| {});
-                s.spawn(|| panic!("scope task exploded"));
-            })
-            .unwrap_err();
-        match err {
-            ParError::TaskPanicked { message, .. } => {
-                assert!(message.contains("scope task exploded"));
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
     }
 
     #[test]
@@ -795,7 +536,7 @@ mod tests {
             events.iter().filter(|e| e.name == "par_task" && e.parent == root_id).collect();
         assert!(!tasks.is_empty(), "the panicking map's tasks are collected too");
         assert!(tasks.iter().all(|t| t.start_us >= root_event.start_us));
-        assert!(metrics().tasks.get() >= 64);
+        assert!(tasks_counter().get() >= 64);
     }
 
     #[test]
