@@ -19,7 +19,7 @@
 //! [`build_all`] additionally lowers each closure body as its own
 //! pseudo-function named `parent::{closure@line}`.
 
-use crate::parser::{Block, Expr, Function, Span, Stmt};
+use crate::parser::{walk_stmt, Block, Expr, Function, Span, Stmt};
 
 /// Index of a node within its [`Cfg`].
 pub type NodeId = usize;
@@ -199,7 +199,6 @@ pub fn label(e: &Expr) -> String {
         Expr::Cast { inner, .. } => format!("{} as _", label(inner)),
         Expr::Try { inner, .. } => format!("{}?", label(inner)),
         Expr::BlockExpr(_) => "{..}".to_string(),
-        Expr::Unsafe { .. } => "unsafe {..}".to_string(),
         Expr::If { .. } => "if(..)".to_string(),
         Expr::Match { scrut, .. } => format!("match {}", label(scrut)),
         Expr::Loop { .. } | Expr::While { .. } | Expr::For { .. } => "loop(..)".to_string(),
@@ -554,7 +553,6 @@ impl Builder {
                 Some(after)
             }
             Expr::BlockExpr(b) => self.block(b, cur, EdgeKind::Seq, None, value),
-            Expr::Unsafe { block, .. } => self.block(block, cur, EdgeKind::Seq, None, value),
             Expr::Return { value: rv, span } => {
                 let mut c = cur;
                 if let Some(v) = rv {
@@ -680,7 +678,6 @@ fn is_structured(e: &Expr) -> bool {
             | Expr::While { .. }
             | Expr::For { .. }
             | Expr::BlockExpr(_)
-            | Expr::Unsafe { .. }
     )
 }
 
@@ -726,26 +723,12 @@ pub fn build_all(f: &Function) -> Vec<Cfg> {
     let mut out = vec![build(f)];
     let mut closures: Vec<(Vec<String>, Expr, Span)> = Vec::new();
     for stmt in &f.body.stmts {
-        let collect = &mut |e: &Expr| {
+        walk_stmt(stmt, &mut |e| {
             if let Expr::Closure { params, body, span, .. } = e {
                 closures.push((params.clone(), (**body).clone(), *span));
             }
-        };
-        match stmt {
-            Stmt::Let { init, else_block, .. } => {
-                if let Some(e) = init {
-                    e.walk(collect);
-                }
-                if let Some(b) = else_block {
-                    for s in &b.stmts {
-                        if let Stmt::Expr { expr, .. } = s {
-                            expr.walk(collect);
-                        }
-                    }
-                }
-            }
-            Stmt::Expr { expr, .. } => expr.walk(collect),
-        }
+            true
+        });
     }
     for (params, body, span) in closures {
         let block = match body {
@@ -754,7 +737,6 @@ pub fn build_all(f: &Function) -> Vec<Cfg> {
         };
         let pseudo = Function {
             name: format!("{}::{{closure@{}}}", f.name, span.line),
-            is_unsafe: false,
             span,
             params,
             in_test: f.in_test,

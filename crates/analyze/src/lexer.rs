@@ -1,18 +1,15 @@
-//! A hand-rolled Rust source scanner for the lint engine.
+//! A hand-rolled Rust source scanner, the front end of [`crate::parser`].
 //!
 //! The scanner does not build a syntax tree; it produces, per source line,
 //! the *code text* with comment bodies removed and string/char literal
-//! contents blanked, plus two pieces of context the rules need:
-//!
-//! * whether the line sits inside a `#[cfg(test)]`-gated item, and
-//! * which rules an inline `// lint: allow(rule-id) — reason` comment
-//!   waives on that line.
+//! contents blanked, plus whether the line sits inside a
+//! `#[cfg(test)]`-gated item.
 //!
 //! Blanking literal contents (rather than deleting the literal) keeps
-//! column positions meaningful while guaranteeing that a `panic!` inside a
-//! string, a raw string, or a comment can never trip a rule. Nested block
-//! comments, raw strings with arbitrary `#` fences, byte strings, char
-//! literals, and lifetimes are all handled.
+//! column positions meaningful while guaranteeing that a `.lock()` inside
+//! a string, a raw string, or a comment can never reach a pass. Nested
+//! block comments, raw strings with arbitrary `#` fences, byte strings,
+//! char literals, and lifetimes are all handled.
 
 /// One scanned source line.
 #[derive(Debug, Clone)]
@@ -23,14 +20,6 @@ pub struct ScannedLine {
     pub code: String,
     /// Whether the line is inside a `#[cfg(test)]` item body.
     pub in_test: bool,
-    /// Rule ids waived on this line by inline allow directives. A
-    /// directive on a comment-only line carries forward to the next line
-    /// that holds code.
-    pub allows: Vec<String>,
-    /// Raw comment bodies that ended on this line (`//` text without the
-    /// slashes, block-comment interiors). The parser-driven passes use
-    /// these to find `SAFETY:` justifications and `# Safety` doc sections.
-    pub comments: Vec<String>,
 }
 
 /// A fully scanned source file.
@@ -57,8 +46,6 @@ pub fn scan(source: &str) -> ScannedFile {
     let chars: Vec<char> = source.chars().collect();
     let mut lines: Vec<ScannedLine> = Vec::new();
     let mut code = String::new();
-    let mut comment = String::new();
-    let mut line_comments: Vec<String> = Vec::new();
     let mut line_touched_test = false;
 
     let mut state = State::Code;
@@ -74,16 +61,10 @@ pub fn scan(source: &str) -> ScannedFile {
         let c = chars.get(i).copied();
         if c == Some('\n') || c.is_none() {
             if matches!(state, State::LineComment) {
-                line_comments.push(std::mem::take(&mut comment));
                 state = State::Code;
             }
             let in_test = line_touched_test || test_below.is_some();
-            lines.push(ScannedLine {
-                code: std::mem::take(&mut code),
-                in_test,
-                allows: parse_allows(&line_comments),
-                comments: std::mem::take(&mut line_comments),
-            });
+            lines.push(ScannedLine { code: std::mem::take(&mut code), in_test });
             line_touched_test = test_below.is_some();
             if c.is_none() {
                 break;
@@ -160,25 +141,16 @@ pub fn scan(source: &str) -> ScannedFile {
                     i += 1;
                 }
             }
-            State::LineComment => {
-                comment.push(c);
-                i += 1;
-            }
+            State::LineComment => i += 1,
             State::BlockComment(d) => {
                 let next = chars.get(i + 1).copied();
                 if c == '/' && next == Some('*') {
                     state = State::BlockComment(d + 1);
                     i += 2;
                 } else if c == '*' && next == Some('/') {
-                    if d == 1 {
-                        line_comments.push(std::mem::take(&mut comment));
-                        state = State::Code;
-                    } else {
-                        state = State::BlockComment(d - 1);
-                    }
+                    state = if d == 1 { State::Code } else { State::BlockComment(d - 1) };
                     i += 2;
                 } else {
-                    comment.push(c);
                     i += 1;
                 }
             }
@@ -202,16 +174,6 @@ pub fn scan(source: &str) -> ScannedFile {
                     i += 1;
                 }
             }
-        }
-    }
-
-    // Carry comment-only allow directives forward to the next code line.
-    let mut pending: Vec<String> = Vec::new();
-    for line in &mut lines {
-        if line.code.trim().is_empty() {
-            pending.append(&mut line.allows);
-        } else {
-            line.allows.append(&mut pending);
         }
     }
     ScannedFile { lines }
@@ -262,27 +224,6 @@ fn raw_str_open(chars: &[char], i: usize) -> (u32, usize) {
 /// Does the `"` at `i` close a raw string with `fences` trailing `#`s?
 fn closes_raw(chars: &[char], i: usize, fences: u32) -> bool {
     (1..=fences as usize).all(|k| chars.get(i + k).copied() == Some('#'))
-}
-
-/// Extract rule ids from `lint: allow(rule-a, rule-b)` directives in the
-/// line's comments.
-fn parse_allows(comments: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    for comment in comments {
-        let mut rest = comment.as_str();
-        while let Some(pos) = rest.find("lint: allow(") {
-            let after = &rest[pos + "lint: allow(".len()..];
-            let Some(close) = after.find(')') else { break };
-            for rule in after[..close].split(',') {
-                let rule = rule.trim();
-                if !rule.is_empty() {
-                    out.push(rule.to_string());
-                }
-            }
-            rest = &after[close..];
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -355,14 +296,5 @@ mod tests {
         assert!(!f.lines[0].in_test);
         assert!(f.lines[3].in_test, "inside the test mod");
         assert!(!f.lines[5].in_test, "after the test mod closes");
-    }
-
-    #[test]
-    fn allow_directives_attach_and_carry_forward() {
-        let src = "// lint: allow(no-panic) — reason\nlet a = x.unwrap();\nlet b = y.unwrap(); // lint: allow(no-panic, float-eq)\nlet c = 1;\n";
-        let f = scan(src);
-        assert_eq!(f.lines[1].allows, vec!["no-panic"]);
-        assert_eq!(f.lines[2].allows, vec!["no-panic", "float-eq"]);
-        assert!(f.lines[3].allows.is_empty());
     }
 }

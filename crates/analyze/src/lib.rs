@@ -1,25 +1,21 @@
-//! `tasq-analyze` — the workspace gatekeeper.
+//! `tasq-analyze` — the workspace gatekeeper for what rustc and clippy
+//! cannot check (the source lints are `[workspace.lints]` in the root
+//! `Cargo.toml` and the `clippy.toml` files). Three analysis families run
+//! under one `tasq-analyze check` command:
 //!
-//! Four analysis families run under one `tasq-analyze check` command:
-//!
-//! 1. **Source lints** ([`rules`]): a hand-rolled, string/comment-aware
-//!    scanner ([`lexer`]) drives pluggable rules — panicking constructs
-//!    outside tests, float `==`, unseeded RNG, wall-clock reads in the
-//!    simulator, unbounded channels — with per-path allowlists and inline
-//!    `// lint: allow(rule-id) — reason` waivers.
-//! 2. **Dataflow passes** ([`passes`]): a recursive-descent parser
-//!    ([`parser`]) builds per-function ASTs, a CFG builder ([`cfg`]) adds
-//!    explicit `?`-error and panic edges, and a worklist solver
-//!    ([`dataflow`]) runs the resource-leak, unsafe-boundary, and
-//!    lock-discipline audits over the raw-syscall networking stack.
-//! 3. **Semantic invariants** ([`invariants`]): generated job plans must
+//! 1. **Dataflow passes** ([`passes`]): a string/comment-aware scanner
+//!    ([`lexer`]) feeds a recursive-descent parser ([`parser`]) that
+//!    builds per-function ASTs, a CFG builder ([`cfg`]) adds explicit
+//!    `?`-error and panic edges, and a worklist solver ([`dataflow`]) runs
+//!    the resource-leak, unsafe-boundary (raw-pointer provenance) and
+//!    lock-discipline audits. Lock-discipline's held sets also give the
+//!    lock-order graph, and a cycle in it is a `lock-order` deny.
+//! 2. **Semantic invariants** ([`invariants`]): generated job plans must
 //!    pass [`scope_sim::validate_job`]; measured scaling curves and fitted
 //!    power-law PCCs must pass [`tasq::validate::validate_curve`] /
 //!    [`tasq::validate::validate_pcc`] (positivity, monotonicity,
 //!    Amdahl-consistency).
-//! 4. **Concurrency audits** ([`locks`], [`hb`]): a lock-acquisition-order
-//!    extractor over the serving stack's sources fails on cyclic lock
-//!    graphs, and a vector-clock happens-before checker replays
+//! 3. **Happens-before replay** ([`hb`]): a vector-clock checker replays
 //!    synchronization logs from seeded simulator and server runs to prove
 //!    the recorded executions race-free and deterministic.
 //!
@@ -33,12 +29,11 @@ pub mod dataflow;
 pub mod hb;
 pub mod invariants;
 pub mod lexer;
-pub mod locks;
 pub mod parser;
 pub mod passes;
 pub mod report;
-pub mod rules;
 
+use passes::lock_discipline;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -97,7 +92,7 @@ impl fmt::Display for Diagnostic {
 /// Aggregate result of a `check` run.
 #[derive(Debug, Default)]
 pub struct CheckReport {
-    /// Source files linted.
+    /// Source files read.
     pub files_scanned: usize,
     /// Nested lock-acquisition edges observed.
     pub lock_edges: usize,
@@ -115,7 +110,7 @@ pub struct CheckReport {
     pub functions_unparsed: usize,
     /// Names of the dataflow passes that ran.
     pub passes: Vec<String>,
-    /// Every finding, lint and dynamic alike.
+    /// Every finding, static and dynamic alike.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -132,11 +127,11 @@ pub struct CheckOptions {
     /// Workspace root (the directory holding `crates/`).
     pub root: PathBuf,
     /// Skip the dynamic passes (workload validation, PCC audit,
-    /// happens-before replay); lint and lock analysis only.
+    /// happens-before replay); dataflow passes only.
     pub static_only: bool,
-    /// Run a single analysis family instead of everything: `lints`,
-    /// `lock-order`, or one of the dataflow pass names
-    /// (`resource-leak`, `unsafe-boundary`, `lock-discipline`).
+    /// Run one dataflow pass instead of everything: `resource-leak`,
+    /// `unsafe-boundary` or `lock-discipline` (which includes the
+    /// lock-order audit).
     pub pass: Option<String>,
 }
 
@@ -153,24 +148,18 @@ pub fn run_check(opts: &CheckOptions) -> io::Result<CheckReport> {
 
     // Resolve the pass selection up front so a typo'd --pass errors
     // instead of silently running nothing.
-    let (run_lints, run_locks, pass_names, run_dynamic): (bool, bool, Vec<&'static str>, bool) =
-        match opts.pass.as_deref() {
-            None => (true, true, passes::PASS_NAMES.to_vec(), true),
-            Some("lints") => (true, false, Vec::new(), false),
-            Some("lock-order") => (false, true, Vec::new(), false),
-            Some(p) => match passes::PASS_NAMES.iter().copied().find(|n| *n == p) {
-                Some(name) => (false, false, vec![name], false),
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "unknown pass `{p}` (expected lints, lock-order, {})",
-                            passes::PASS_NAMES.join(", ")
-                        ),
-                    ));
-                }
-            },
-        };
+    let (pass_names, run_dynamic): (Vec<&'static str>, bool) = match opts.pass.as_deref() {
+        None => (passes::PASS_NAMES.to_vec(), true),
+        Some(p) => match passes::PASS_NAMES.iter().copied().find(|n| *n == p) {
+            Some(name) => (vec![name], false),
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("unknown pass `{p}` (expected {})", passes::PASS_NAMES.join(", ")),
+                ));
+            }
+        },
+    };
 
     // A missing `crates/` is an error, not a vacuous pass — a typo'd
     // --root must not go green.
@@ -190,54 +179,39 @@ pub fn run_check(opts: &CheckOptions) -> io::Result<CheckReport> {
     }
     report.files_scanned = sources.len();
 
-    // Phase 1: line-oriented lints over every workspace source file.
-    if run_lints {
-        for (rel, source) in &sources {
-            report.diagnostics.extend(rules::lint_source(rel, source));
+    // Phase 1: parser → CFG → dataflow passes. Integration-test and
+    // fixture trees are exempt — they hold planted defects on purpose.
+    report.passes = pass_names.iter().map(|s| s.to_string()).collect();
+    let mut lock_edges = Vec::new();
+    for (rel, source) in &sources {
+        if path_is_exempt(rel) {
+            continue;
         }
+        let outcome = passes::analyze_file(rel, source, &pass_names);
+        report.functions_parsed += outcome.functions_parsed;
+        report.functions_unparsed += outcome.functions_unparsed;
+        report.diagnostics.extend(outcome.diagnostics);
+        lock_edges.extend(outcome.lock_edges);
     }
 
-    // Phase 2: parser → CFG → dataflow passes. Integration-test and
-    // fixture trees are exempt, same as for the lints — they hold
-    // planted defects on purpose.
-    if !pass_names.is_empty() {
-        report.passes = pass_names.iter().map(|s| s.to_string()).collect();
-        for (rel, source) in &sources {
-            if rules::path_is_exempt(rel) {
-                continue;
-            }
-            let outcome = passes::analyze_file(rel, source, &pass_names);
-            report.functions_parsed += outcome.functions_parsed;
-            report.functions_unparsed += outcome.functions_unparsed;
-            report.diagnostics.extend(outcome.diagnostics);
-        }
+    // Phase 2: lock order across the workspace, from lock-discipline's
+    // edges.
+    report.lock_edges = lock_edges.len();
+    if let Some((cycle, edge)) = lock_discipline::find_cycle(&lock_edges) {
+        report.diagnostics.push(Diagnostic {
+            rule: lock_discipline::ORDER_RULE.into(),
+            severity: Severity::Deny,
+            path: edge.path.clone(),
+            line: edge.at.line,
+            col: edge.at.col,
+            message: format!(
+                "cyclic lock acquisition order (potential deadlock): {}",
+                cycle.join(" -> ")
+            ),
+        });
     }
 
-    // Phase 3: lock-order audit over the concurrent serving stack.
-    if run_locks {
-        let mut graph = locks::LockGraph::default();
-        for (rel, source) in &sources {
-            if rel.starts_with("crates/serve/src") {
-                graph.add_file(rel, source);
-            }
-        }
-        report.lock_edges = graph.edges.len();
-        if let Some(cycle) = graph.find_cycle() {
-            report.diagnostics.push(Diagnostic {
-                rule: "lock-order".into(),
-                severity: Severity::Deny,
-                path: "crates/serve/src".into(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "cyclic lock acquisition order (potential deadlock): {}",
-                    cycle.join(" -> ")
-                ),
-            });
-        }
-    }
-
-    // Phase 4: dynamic invariants + happens-before replay.
+    // Phase 3: dynamic invariants + happens-before replay.
     if run_dynamic && !opts.static_only {
         invariants::run_dynamic_pass(&mut report);
     }
@@ -266,7 +240,15 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// `root`-relative path with `/` separators (what the rules key on).
+/// Paths the passes never analyze: vendored stand-ins and
+/// integration-test / example trees (unit tests are excluded by the
+/// scanner's `#[cfg(test)]` tracking instead).
+fn path_is_exempt(path: &str) -> bool {
+    ["vendor/", "/tests/", "/examples/"].iter().any(|p| path.contains(p))
+        || path.ends_with("build.rs")
+}
+
+/// `root`-relative path with `/` separators (what diagnostics report).
 fn relative_path(root: &Path, file: &Path) -> String {
     let rel = file.strip_prefix(root).unwrap_or(file);
     rel.components()

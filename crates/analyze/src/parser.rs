@@ -37,8 +37,6 @@ impl fmt::Display for Span {
 pub struct Function {
     /// Bare name (`shard_loop`, or `Type::name` when inside an `impl`).
     pub name: String,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
     /// Span of the `fn` keyword.
     pub span: Span,
     /// Parameter binding names (patterns flattened; `self` included).
@@ -194,15 +192,8 @@ pub enum Expr {
         /// Span of the `?`.
         span: Span,
     },
-    /// A plain block expression.
+    /// A block expression, `unsafe { … }` included.
     BlockExpr(Block),
-    /// `unsafe { … }`.
-    Unsafe {
-        /// Body.
-        block: Block,
-        /// Span of the `unsafe` keyword.
-        span: Span,
-    },
     /// `if cond { … } [else …]` (covers `if let`: bindings in `let_vars`).
     If {
         /// Condition (scrutinee for `if let`).
@@ -348,7 +339,6 @@ impl Expr {
             | Expr::Assign { span, .. }
             | Expr::Cast { span, .. }
             | Expr::Try { span, .. }
-            | Expr::Unsafe { span, .. }
             | Expr::If { span, .. }
             | Expr::Match { span, .. }
             | Expr::Loop { span, .. }
@@ -383,21 +373,7 @@ impl Expr {
         }
         let walk_block = |b: &Block, f: &mut dyn FnMut(&Expr) -> bool| {
             for s in &b.stmts {
-                match s {
-                    Stmt::Let { init, else_block, .. } => {
-                        if let Some(e) = init {
-                            e.walk_pruned(f);
-                        }
-                        if let Some(b) = else_block {
-                            for s in &b.stmts {
-                                if let Stmt::Expr { expr, .. } = s {
-                                    expr.walk_pruned(f);
-                                }
-                            }
-                        }
-                    }
-                    Stmt::Expr { expr, .. } => expr.walk_pruned(f),
-                }
+                walk_stmt(s, f);
             }
         };
         match self {
@@ -433,7 +409,6 @@ impl Expr {
                 rhs.walk_pruned(f);
             }
             Expr::BlockExpr(b) => walk_block(b, f),
-            Expr::Unsafe { block, .. } => walk_block(block, f),
             Expr::If { cond, then, els, .. } => {
                 cond.walk_pruned(f);
                 walk_block(then, f);
@@ -1100,7 +1075,6 @@ impl<'a> Parser<'a> {
                 | Expr::While { .. }
                 | Expr::For { .. }
                 | Expr::BlockExpr(_)
-                | Expr::Unsafe { .. }
         );
         if stmt_pos && block_like {
             return Ok(lhs);
@@ -1333,8 +1307,7 @@ impl<'a> Parser<'a> {
                     "loop" | "while" | "for" => self.parse_labelled_loop(None, span),
                     "unsafe" => {
                         self.pos += 1;
-                        let block = self.parse_block()?;
-                        Ok(Expr::Unsafe { block, span })
+                        Ok(Expr::BlockExpr(self.parse_block()?))
                     }
                     "return" => {
                         self.pos += 1;
@@ -1806,26 +1779,15 @@ fn scan_items(p: &mut Parser<'_>, qual: Option<&str>, out: &mut ParsedFile) {
                             p.eat_op("}");
                         }
                     }
-                    "fn" => parse_function(p, qual, false, out),
-                    "unsafe" => {
-                        p.pos += 1;
-                        if p.at_ident("fn") {
-                            parse_function(p, qual, true, out);
-                        }
-                        // `unsafe impl` / `unsafe trait` loop back around.
-                    }
-                    "struct" | "enum" | "union" => {
-                        p.pos += 1;
-                        let _ = p.skip_to_item_end();
-                    }
-                    "use" | "type" | "extern" => {
+                    "fn" => parse_function(p, qual, out),
+                    "struct" | "enum" | "union" | "use" | "type" | "extern" => {
                         p.pos += 1;
                         let _ = p.skip_to_item_end();
                     }
                     "const" | "static" => {
                         p.pos += 1;
                         if p.at_ident("fn") {
-                            parse_function(p, qual, false, out);
+                            parse_function(p, qual, out);
                         } else {
                             let _ = p.skip_to_item_end();
                         }
@@ -1836,7 +1798,9 @@ fn scan_items(p: &mut Parser<'_>, qual: Option<&str>, out: &mut ParsedFile) {
                         let _ = p.ident();
                         let _ = p.skip_to_item_end();
                     }
-                    _ => p.pos += 1, // pub, crate, visibility, doc words…
+                    // pub, crate, visibility, doc words, and the `unsafe` of
+                    // `unsafe fn` / `unsafe impl`, which loop back around.
+                    _ => p.pos += 1,
                 }
             }
             _ => p.pos += 1,
@@ -1845,7 +1809,7 @@ fn scan_items(p: &mut Parser<'_>, qual: Option<&str>, out: &mut ParsedFile) {
 }
 
 /// Parse one `fn` whose `fn` keyword is at the current token.
-fn parse_function(p: &mut Parser<'_>, qual: Option<&str>, is_unsafe: bool, out: &mut ParsedFile) {
+fn parse_function(p: &mut Parser<'_>, qual: Option<&str>, out: &mut ParsedFile) {
     let span = p.here();
     p.pos += 1; // `fn`
     let Ok((bare, _)) = p.ident() else {
@@ -1968,7 +1932,7 @@ fn parse_function(p: &mut Parser<'_>, qual: Option<&str>, is_unsafe: bool, out: 
     }
     let body_start = p.pos;
     match p.parse_block() {
-        Ok(body) => out.functions.push(Function { name, is_unsafe, span, params, in_test, body }),
+        Ok(body) => out.functions.push(Function { name, span, params, in_test, body }),
         Err(e) => {
             out.unparsed.push(Unparsed {
                 name,
@@ -2075,12 +2039,12 @@ mod tests {
     fn unsafe_blocks_and_fns_are_recorded() {
         let src = "unsafe fn raw() -> isize { 0 }\nfn wrap() {\n    let r = unsafe { raw() };\n    touch(r);\n}\n";
         let f = ok(src);
-        assert!(f.functions[0].is_unsafe);
+        assert_eq!(f.functions[0].name, "raw");
         let mut saw_unsafe = false;
         for s in &f.functions[1].body.stmts {
             if let Stmt::Let { init: Some(e), .. } = s {
                 e.walk(&mut |x| {
-                    if matches!(x, Expr::Unsafe { .. }) {
+                    if matches!(x, Expr::BlockExpr(_)) {
                         saw_unsafe = true;
                     }
                 });

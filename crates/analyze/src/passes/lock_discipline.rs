@@ -23,16 +23,28 @@
 //! while blocked. The guard passed in is therefore not held across the
 //! wait; any other guard still is. The guard the wait hands back is
 //! tracked like one from `lock()`.
+//!
+//! The same held sets give the **lock order**: a lock taken while others
+//! are held (or after an earlier temporary guard in the same statement)
+//! gets a [`LockEdge`] from each of them. Unlike blocking calls,
+//! acquisitions inside closures count, since an `and_then` callback runs
+//! under the guard. Locks are named by receiver text (`self.active`), so
+//! same-named locks conflate: stricter, never blinder. `run_check` joins
+//! every file's edges and reports a [`find_cycle`] hit (a potential ABBA
+//! deadlock) as an [`ORDER_RULE`] deny.
 
-use crate::cfg::{Cfg, Edge, EdgeKind, NodeKind};
+use crate::cfg::{label, Cfg, Edge, EdgeKind, NodeKind};
 use crate::dataflow::{solve, Analysis};
 use crate::parser::{Expr, Span};
 use crate::passes::Finding;
 use crate::Severity;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule id reported by this pass.
 pub const RULE: &str = "lock-discipline";
+
+/// Rule id for a cycle in the lock-order graph.
+pub const ORDER_RULE: &str = "lock-order";
 
 /// Guard-producing zero-argument methods.
 const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
@@ -71,7 +83,21 @@ const BLOCKING_CALLS: [[&str; 2]; 8] = [
 /// Pattern constructors that receive a lock result's success payload.
 const OK_CTORS: [&str; 2] = ["Ok", "Some"];
 
-type Fact = BTreeMap<String, (usize, usize)>;
+/// Guard binding → where it was acquired and the lock it holds.
+type Fact = BTreeMap<String, (Span, String)>;
+
+/// One "acquired `to` while holding `from`" edge of the lock-order graph.
+#[derive(Debug)]
+pub struct LockEdge {
+    /// The lock already held.
+    pub from: String,
+    /// The lock acquired under it.
+    pub to: String,
+    /// Workspace-relative path of the acquisition of `to`.
+    pub path: String,
+    /// Where in `path` `to` is acquired.
+    pub at: Span,
+}
 
 fn peel_unwraps(e: &Expr) -> &Expr {
     match e {
@@ -83,11 +109,31 @@ fn peel_unwraps(e: &Expr) -> &Expr {
     }
 }
 
-/// Does this initializer produce a lock guard?
-fn acquires_guard(e: &Expr) -> bool {
-    matches!(peel_unwraps(e), Expr::MethodCall { method, args, .. }
-        if (GUARD_METHODS.contains(&method.as_str()) && args.is_empty())
-            || (CONDVAR_WAITS.contains(&method.as_str()) && !args.is_empty()))
+/// The lock a guard-producing `lock()`/`read()`/`write()` call takes,
+/// named by its receiver's text (`self.state.jobs`).
+fn guard_call(e: &Expr) -> Option<(String, Span)> {
+    match e {
+        Expr::MethodCall { recv, method, args, span }
+            if GUARD_METHODS.contains(&method.as_str()) && args.is_empty() =>
+        {
+            Some((label(recv), *span))
+        }
+        _ => None,
+    }
+}
+
+/// If this initializer produces a lock guard, the lock it holds: a
+/// `lock()` call's receiver, or for a condvar wait the lock of the guard
+/// it was given (named by the argument when that guard is untracked).
+fn acquires_guard(e: &Expr, fact: &Fact) -> Option<String> {
+    let e = peel_unwraps(e);
+    if let Some((lock, _)) = guard_call(e) {
+        return Some(lock);
+    }
+    let Expr::MethodCall { method, args, .. } = e else { return None };
+    let given = args.first().filter(|_| CONDVAR_WAITS.contains(&method.as_str()))?;
+    let held = released_guard(method, args).and_then(|g| fact.get(g));
+    Some(held.map_or_else(|| label(given), |(_, lock)| lock.clone()))
 }
 
 /// The guard a condvar wait releases while blocked: the binding its
@@ -198,20 +244,20 @@ fn drops_of(e: &Expr, fact: &Fact, out: &mut Vec<String>) {
 
 /// The guard a [`NodeKind::Bind`] acquires, looking through the pred
 /// `Branch` scrutinee for `if let Ok(g) = m.lock()` pattern binds.
-fn bind_guard(cfg: &Cfg, node: usize) -> bool {
-    let NodeKind::Bind { vars, init, ctor } = &cfg.nodes[node].kind else { return false };
+fn bind_guard(cfg: &Cfg, node: usize, fact: &Fact) -> Option<String> {
+    let NodeKind::Bind { vars, init, ctor } = &cfg.nodes[node].kind else { return None };
     if vars.len() != 1 {
-        return false;
+        return None;
     }
     if let Some(e) = init {
-        return acquires_guard(e);
+        return acquires_guard(e, fact);
     }
     if !matches!(ctor.as_deref(), Some(c) if OK_CTORS.contains(&c)) {
-        return false;
+        return None;
     }
-    cfg.preds(node).any(|p| {
-        matches!(&cfg.nodes[p.from].kind, NodeKind::Branch { cond: Some(c) }
-            if acquires_guard(c))
+    cfg.preds(node).find_map(|p| match &cfg.nodes[p.from].kind {
+        NodeKind::Branch { cond: Some(c) } => acquires_guard(c, fact),
+        _ => None,
     })
 }
 
@@ -236,14 +282,14 @@ impl Analysis for Held {
                         out.remove(&d);
                     }
                 }
+                let acquired = (edge.kind != EdgeKind::Err && edge.kind != EdgeKind::Panic)
+                    .then(|| bind_guard(cfg, node, fact))
+                    .flatten();
                 for v in vars {
                     out.remove(v);
                 }
-                if edge.kind != EdgeKind::Err
-                    && edge.kind != EdgeKind::Panic
-                    && bind_guard(cfg, node)
-                {
-                    out.insert(vars[0].clone(), (n.span.line, n.span.col));
+                if let Some(lock) = acquired {
+                    out.insert(vars[0].clone(), (n.span, lock));
                 }
             }
             NodeKind::Eval(e) | NodeKind::Ret(e) | NodeKind::Branch { cond: Some(e) } => {
@@ -266,16 +312,18 @@ impl Analysis for Held {
     fn join(&self, a: &Fact, b: &Fact) -> Fact {
         let mut out = a.clone();
         for (k, v) in b {
-            out.entry(k.clone()).or_insert(*v);
+            out.entry(k.clone()).or_insert_with(|| v.clone());
         }
         out
     }
 }
 
-/// Run the pass over one function CFG.
-pub fn run(cfg: &Cfg) -> Vec<Finding> {
+/// Run the pass over one function CFG from the file at `path`: its
+/// findings, and its lock-order edges.
+pub fn run(cfg: &Cfg, path: &str) -> (Vec<Finding>, Vec<LockEdge>) {
     let facts = solve(&Held, cfg);
     let mut out = Vec::new();
+    let mut edges = Vec::new();
     for (id, n) in cfg.nodes.iter().enumerate() {
         let Some(fact) = &facts[id] else { continue };
         let expr = match &n.kind {
@@ -285,10 +333,23 @@ pub fn run(cfg: &Cfg) -> Vec<Finding> {
             | NodeKind::Branch { cond: Some(e) } => e,
             _ => continue,
         };
+        // Each lock the node takes (walked in evaluation order, closures
+        // included) is taken under the held guards and the node's earlier
+        // temporaries.
+        let mut taken: Vec<String> = fact.values().map(|(_, lock)| lock.clone()).collect();
+        expr.walk(&mut |x| {
+            if let Some((to, at)) = guard_call(x) {
+                for from in taken.iter().filter(|from| **from != to) {
+                    let (from, to, path) = (from.clone(), to.clone(), path.to_string());
+                    edges.push(LockEdge { from, to, path, at });
+                }
+                taken.push(to);
+            }
+        });
         // A guard acquired *by this very node* is not yet held while its
         // initializer runs, and the lock() call itself is not blocking.
         if let Some(Blocking { span, desc, releases }) = blocking_op(expr) {
-            for (g, (line, col)) in fact {
+            for (g, (at, _)) in fact {
                 if releases.as_deref() == Some(g.as_str()) {
                     continue;
                 }
@@ -298,8 +359,7 @@ pub fn run(cfg: &Cfg) -> Vec<Finding> {
                     line: span.line,
                     col: span.col,
                     message: format!(
-                        "guard `{g}` (acquired at {line}:{col}) is held across blocking \
-                         `{desc}` in `{}`",
+                        "guard `{g}` (acquired at {at}) is held across blocking `{desc}` in `{}`",
                         cfg.name
                     ),
                 });
@@ -321,20 +381,104 @@ pub fn run(cfg: &Cfg) -> Vec<Finding> {
     }
     out.sort_by_key(|f| (f.line, f.col));
     out.dedup_by(|a, b| a.line == b.line && a.col == b.col && a.message == b.message);
-    out
+    (out, edges)
+}
+
+/// A cycle in the lock-order graph: the lock names along it (the first
+/// repeated at the end), and the edge on it to report.
+pub fn find_cycle(edges: &[LockEdge]) -> Option<(Vec<String>, &LockEdge)> {
+    for start in edges {
+        // Depth-first from the edge's target, for a path back to its source.
+        let mut stack = vec![vec![start.from.as_str(), start.to.as_str()]];
+        let mut seen = BTreeSet::new();
+        while let Some(path) = stack.pop() {
+            let last = path[path.len() - 1];
+            if last == path[0] {
+                return Some((path.iter().map(|s| s.to_string()).collect(), start));
+            }
+            if seen.insert(last) {
+                for e in edges.iter().filter(|e| e.from == last) {
+                    stack.push([&path[..], &[e.to.as_str()]].concat());
+                }
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::build;
+    use crate::cfg::{build, build_all};
     use crate::lexer::scan;
     use crate::parser::parse_file;
 
     fn findings(src: &str) -> Vec<Finding> {
         let parsed = parse_file(&scan(src));
         assert!(parsed.unparsed.is_empty(), "{:?}", parsed.unparsed);
-        run(&build(&parsed.functions[0]))
+        run(&build(&parsed.functions[0]), "x.rs").0
+    }
+
+    /// Lock-order edges of every function (and closure) in `src`.
+    fn edges(src: &str) -> Vec<LockEdge> {
+        let parsed = parse_file(&scan(src));
+        assert!(parsed.unparsed.is_empty(), "{:?}", parsed.unparsed);
+        parsed.functions.iter().flat_map(build_all).flat_map(|cfg| run(&cfg, "x.rs").1).collect()
+    }
+
+    fn pairs(src: &str) -> Vec<(String, String)> {
+        edges(src).into_iter().map(|e| (e.from, e.to)).collect()
+    }
+
+    #[test]
+    fn nested_acquisition_produces_an_edge() {
+        let src =
+            "fn f(&self) {\n    let a = self.alpha.lock();\n    let b = self.beta.lock();\n}\n";
+        let e = edges(src);
+        assert_eq!((e.len(), e[0].from.as_str(), e[0].to.as_str()), (1, "self.alpha", "self.beta"));
+        assert_eq!((e[0].at.line, e[0].at.col), (3, 23));
+        assert!(find_cycle(&e).is_none());
+    }
+
+    #[test]
+    fn scope_end_releases_guards() {
+        let src = "fn f(&self) {\n    {\n        let a = self.alpha.lock();\n    }\n    let b = self.beta.lock();\n}\n";
+        assert!(edges(src).is_empty());
+    }
+
+    #[test]
+    fn explicit_drop_releases_guards() {
+        let src = "fn f(&self) {\n    let a = self.alpha.lock();\n    drop(a);\n    let b = self.beta.lock();\n}\n";
+        assert!(edges(src).is_empty());
+    }
+
+    #[test]
+    fn abba_order_is_a_cycle() {
+        let src = "fn f(&self) {\n    let a = self.alpha.lock();\n    let b = self.beta.lock();\n}\nfn g(&self) {\n    let b = self.beta.lock();\n    let a = self.alpha.lock();\n}\n";
+        let e = edges(src);
+        let (cycle, _) = find_cycle(&e).expect("ABBA must be reported");
+        assert!(cycle.len() >= 3 && cycle.first() == cycle.last(), "{cycle:?}");
+    }
+
+    #[test]
+    fn expression_temporaries_do_not_outlive_their_statement() {
+        let src =
+            "fn f(&self) {\n    self.alpha.lock().push(1);\n    let b = self.beta.lock();\n}\n";
+        assert!(edges(src).is_empty());
+    }
+
+    #[test]
+    fn two_locks_in_one_statement_are_ordered() {
+        let src = "fn f(&self) {\n    use_both(self.alpha.lock(), self.beta.lock());\n}\n";
+        assert_eq!(pairs(src), [("self.alpha".into(), "self.beta".into())]);
+    }
+
+    /// The model registry's hot swap: the manifest is locked inside an
+    /// `and_then` callback run while the active model's write guard is held.
+    #[test]
+    fn closure_under_a_guard_orders_its_lock_after_the_guard() {
+        let src = "fn swap(&self, manifest: &M) -> R {\n    let mut active = self.active.write();\n    let appended = encode(x).and_then(|p| manifest.lock().append(&p).map(|_| ()));\n    *active = next;\n    appended\n}\n";
+        assert_eq!(pairs(src), [("self.active".into(), "manifest".into())]);
     }
 
     #[test]

@@ -1,25 +1,23 @@
 //! Dataflow-driven analysis passes (parser → CFG → worklist solver).
 //!
-//! Where [`crate::rules`] sees one blanked line at a time, these passes
-//! see whole functions: [`crate::parser`] builds per-function ASTs,
-//! [`crate::cfg`] lowers them to control-flow graphs with explicit
-//! `?`-error and panic edges, and [`crate::dataflow`] runs each pass's
-//! transfer function to a fixed point. That is what it takes to prove
-//! statements like "this fd is closed on *every* path" or "no guard is
-//! held when this thread blocks".
+//! These passes check what no compiler lint can, because they need whole
+//! functions: [`crate::parser`] builds per-function ASTs, [`crate::cfg`]
+//! lowers them to control-flow graphs with explicit `?`-error and panic
+//! edges, and [`crate::dataflow`] runs each pass's transfer function to a
+//! fixed point. That is what it takes to prove statements like "this fd
+//! is closed on *every* path" or "no guard is held when this thread
+//! blocks".
 //!
 //! | pass | question it answers |
 //! |------|---------------------|
 //! | [`resource_leak`] | does every acquired fd reach `sys::close` (or an ownership transfer) on all paths, error paths included? |
-//! | [`unsafe_boundary`] | is `unsafe` confined to the audited shim, justified in writing, and free of dangling-pointer patterns? |
-//! | [`lock_discipline`] | is any lock guard held across `recv`/`epoll_wait`/`park`/`join`? |
+//! | [`unsafe_boundary`] | does every raw pointer derive from a named place rather than a temporary? |
+//! | [`lock_discipline`] | is any lock guard held across `recv`/`epoll_wait`/`park`/`join`, and in what order are locks nested? |
 //!
-//! Findings respect the same `// lint: allow(rule) — reason` waivers as
-//! the line-oriented rules, and functions the parser cannot handle are
-//! surfaced as `parse-coverage` diagnostics (deny inside the crates the
-//! passes are contracted to cover, warn elsewhere) instead of being
-//! silently skipped — an analyzer that quietly sees nothing is worse
-//! than none.
+//! Functions the parser cannot handle are surfaced as `parse-coverage`
+//! diagnostics (deny inside the crates the passes are contracted to
+//! cover, warn elsewhere) instead of being silently skipped — an
+//! analyzer that quietly sees nothing is worse than none.
 
 pub mod lock_discipline;
 pub mod resource_leak;
@@ -29,6 +27,7 @@ use crate::cfg::build_all;
 use crate::lexer::scan;
 use crate::parser::parse_file;
 use crate::{Diagnostic, Severity};
+use lock_discipline::LockEdge;
 
 /// Rule id for functions the parser could not handle.
 pub const PARSE_COVERAGE: &str = "parse-coverage";
@@ -63,15 +62,16 @@ pub struct FileOutcome {
     pub functions_parsed: usize,
     /// Non-test functions the parser could not handle.
     pub functions_unparsed: usize,
-    /// Findings, with inline waivers already applied.
+    /// Findings.
     pub diagnostics: Vec<Diagnostic>,
+    /// Lock-order edges (from the lock-discipline pass).
+    pub lock_edges: Vec<LockEdge>,
 }
 
 /// Run the selected passes (`names` ⊆ [`PASS_NAMES`]) over one source
 /// file. `path` is the workspace-relative path findings report.
 pub fn analyze_file(path: &str, source: &str, names: &[&str]) -> FileOutcome {
-    let scanned = scan(source);
-    let parsed = parse_file(&scanned);
+    let parsed = parse_file(&scan(source));
     let mut outcome = FileOutcome {
         functions_parsed: parsed.functions.len(),
         ..FileOutcome::default()
@@ -97,7 +97,7 @@ pub fn analyze_file(path: &str, source: &str, names: &[&str]) -> FileOutcome {
     }
 
     if names.contains(&unsafe_boundary::RULE) {
-        findings.extend(unsafe_boundary::run(path, &scanned, &parsed));
+        findings.extend(unsafe_boundary::run(&parsed));
     }
     let leak = names.contains(&resource_leak::RULE);
     let lock = names.contains(&lock_discipline::RULE);
@@ -111,20 +111,15 @@ pub fn analyze_file(path: &str, source: &str, names: &[&str]) -> FileOutcome {
                     findings.extend(resource_leak::run(&cfg));
                 }
                 if lock {
-                    findings.extend(lock_discipline::run(&cfg));
+                    let (found, edges) = lock_discipline::run(&cfg, path);
+                    findings.extend(found);
+                    outcome.lock_edges.extend(edges);
                 }
             }
         }
     }
 
     for f in findings {
-        let waived = scanned
-            .lines
-            .get(f.line.wrapping_sub(1))
-            .is_some_and(|l| l.allows.iter().any(|a| a == f.rule));
-        if waived {
-            continue;
-        }
         outcome.diagnostics.push(Diagnostic {
             rule: f.rule.to_string(),
             severity: f.severity,
@@ -152,13 +147,6 @@ mod tests {
         let d = &out.diagnostics[0];
         assert_eq!(d.rule, "resource-leak");
         assert_eq!(d.path, "crates/net/src/x.rs");
-    }
-
-    #[test]
-    fn inline_allow_waives_a_pass_finding() {
-        let src = "fn f() -> io::Result<()> {\n    // lint: allow(resource-leak) — fd intentionally inherited by exec.\n    let fd = sys::socket()?;\n    Ok(())\n}\n";
-        let out = analyze_file("crates/net/src/x.rs", src, &PASS_NAMES);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
     }
 
     #[test]

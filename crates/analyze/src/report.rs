@@ -11,13 +11,13 @@
 //!   "functions_parsed": 840,
 //!   "functions_unparsed": 0,
 //!   "passes": ["resource-leak", "unsafe-boundary", "lock-discipline"],
-//!   "lock_edges": 3,
+//!   "lock_edges": 1,
 //!   "jobs_validated": 32,
 //!   "curves_audited": 4,
 //!   "hb_events": 2048,
 //!   "diagnostics": [
-//!     {"rule": "no-panic", "severity": "deny", "path": "crates/x/src/a.rs",
-//!      "line": 10, "col": 5, "message": "`.unwrap()` outside tests"}
+//!     {"rule": "lock-order", "severity": "deny", "path": "crates/x/src/a.rs",
+//!      "line": 10, "col": 5, "message": "cyclic lock acquisition order …"}
 //!   ]
 //! }
 //! ```

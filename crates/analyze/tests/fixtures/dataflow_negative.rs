@@ -1,7 +1,5 @@
 //! Negative dataflow-pass fixture: correct resource, lock, and unsafe
 //! handling (a condvar wait included) the pipeline must stay silent on.
-//! Analyzed under an allowlisted path (`crates/net/src/sys.rs`) so the
-//! justified `unsafe` is in bounds.
 
 pub fn closes_on_both_paths() -> io::Result<()> {
     let fd = sys::socket()?;
@@ -41,14 +39,6 @@ pub fn scoped_guard_then_block(m: &Mutex<u32>, fd: i32, buf: &mut [u8]) -> io::R
         touch(&g);
     }
     sys::read(fd, buf)
-}
-
-pub fn waived_leak_is_silent() -> io::Result<i32> {
-    // lint: allow(resource-leak) — the fd is inherited by a child exec
-    // and closed by the kernel on its exit.
-    let fd = sys::socket()?;
-    register(fd);
-    Ok(0)
 }
 
 pub fn waits_on_a_condvar(m: &Mutex<u32>, cv: &Condvar) -> u32 {

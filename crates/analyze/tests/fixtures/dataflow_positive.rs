@@ -18,8 +18,8 @@ pub fn closes_twice() -> io::Result<()> {
     Ok(())
 }
 
-pub fn peeks_without_justification(buf: &[u8]) -> u8 {
-    let p = buf.as_ptr();
+pub fn peeks_through_a_temporary() -> u8 {
+    let p = make_buf().as_ptr();
     unsafe { *p }
 }
 

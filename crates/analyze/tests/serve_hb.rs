@@ -7,6 +7,8 @@
 //! and demands the checker expose the resulting unordered request-buffer
 //! access.
 
+#![allow(clippy::expect_used)]
+
 use scope_sim::{EventLog, EventTrace, TraceOp, WorkloadConfig, WorkloadGenerator};
 use std::sync::Arc;
 use tasq::models::{NnTrainConfig, XgbTrainConfig};

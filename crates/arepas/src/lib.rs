@@ -21,6 +21,7 @@
 //! truth re-executions.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod sections;
 pub mod simulator;

@@ -26,8 +26,8 @@
 //!   bit-identical, then drive the supervised server through planted
 //!   worker panics, an NN fault window, and a deadline storm; write a
 //!   machine-readable report CI asserts on.
-//! * `analyze`  — run the `tasq-analyze` gatekeeper (source lints, lock
-//!   audit, plan/PCC invariants, happens-before race replay).
+//! * `analyze`  — run the `tasq-analyze` gatekeeper (dataflow passes,
+//!   lock-order audit, plan/PCC invariants, happens-before race replay).
 //! * `metrics`  — dump the process-global metrics registry (Prometheus
 //!   text exposition or JSON).
 //!
@@ -179,8 +179,8 @@ USAGE:
                       [--qps N] [--seed N] [--mode http|binary] [--connections N]
     tasq-cli chaos    --preset none|mild|production|adversarial [--seed N] [--jobs N]
                       [--requests N] [--dir <dir>] [--out <json>]
-    tasq-cli analyze  [--root <dir>] [--mode full|static] [--pass lints|lock-order|
-                      resource-leak|unsafe-boundary|lock-discipline]
+    tasq-cli analyze  [--root <dir>] [--mode full|static]
+                      [--pass resource-leak|unsafe-boundary|lock-discipline]
     tasq-cli metrics  [--format prometheus|json]
     tasq-cli help
 

@@ -5,6 +5,8 @@
 //! `listening on <addr>` handshake, driven by `netgen` client processes
 //! over both wire framings, then drained over the wire.
 
+#![allow(clippy::expect_used, clippy::panic, clippy::float_cmp)]
+
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;

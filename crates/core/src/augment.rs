@@ -69,6 +69,7 @@ pub fn augment_pcc_points(
     let mut points: Vec<AugmentedPoint> = Vec::with_capacity(config.pcc_fractions.len());
     for &fraction in &config.pcc_fractions {
         let tokens = ((observed_tokens as f64 * fraction).round()).max(1.0);
+        #[expect(clippy::float_cmp, reason = "token counts are rounded to whole numbers")]
         if points.iter().any(|p| p.tokens == tokens) {
             continue;
         }
@@ -118,6 +119,7 @@ pub fn augment_xgb_points(
     }];
     for &fraction in &config.xgb_below_fractions {
         let tokens = ((observed_tokens as f64) * fraction).round().max(1.0);
+        #[expect(clippy::float_cmp, reason = "token counts are rounded to whole numbers")]
         if points.iter().any(|p| p.tokens == tokens) {
             continue;
         }
@@ -130,6 +132,7 @@ pub fn augment_xgb_points(
         // unchanged, so the run time is floored at the observed run time.
         for &fraction in &config.xgb_above_peak_fractions {
             let tokens = (peak * fraction).round().max(1.0);
+            #[expect(clippy::float_cmp, reason = "token counts are rounded to whole numbers")]
             if tokens > observed_tokens as f64 || points.iter().any(|p| p.tokens == tokens) {
                 continue;
             }

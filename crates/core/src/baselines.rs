@@ -30,7 +30,7 @@ impl JobSignature {
     /// Compute the signature of a plan.
     pub fn of(plan: &JobPlan) -> Self {
         let mut hasher = DefaultHasher::new();
-        // lint: allow(no-panic) — `JobPlan::new` rejects cyclic edge sets.
+        #[expect(clippy::expect_used, reason = "`JobPlan::new` rejects cyclic edge sets")]
         let order = plan.topological_order().expect("plans are validated acyclic");
         for &i in &order {
             let node = &plan.operators[i];

@@ -64,6 +64,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod augment;
 pub mod baselines;

@@ -149,6 +149,7 @@ fn runtime_term(
     let clamped = log_r.clamp(-30.0, 30.0);
     let r_hat = clamped.exp();
     let loss = (r_hat - reference).abs() / reference;
+    #[expect(clippy::float_cmp, reason = "exact: `clamp` either returns its input or a bound")]
     if clamped != log_r {
         // Exponent clamped: treat as a flat region (no gradient signal).
         return (loss, 0.0, 0.0);

@@ -123,7 +123,10 @@ impl NnPcc {
             true
         }) {
             Some(model) => model,
-            // lint: allow(no-panic) — the always-continue callback above can never halt training
+            #[expect(
+                clippy::unreachable,
+                reason = "the always-continue callback above can never halt training"
+            )]
             None => unreachable!("uninterruptible NN training halted"),
         }
     }

@@ -152,6 +152,7 @@ impl PccPredictor for XgboostSs {
         );
         let xs: Vec<f64> = points.iter().map(|&(t, _)| t as f64).collect();
         let ys: Vec<f64> = points.iter().map(|&(_, r)| r).collect();
+        #[expect(clippy::expect_used, reason = "a two-point grid always fits")]
         let spline = SmoothingSpline::fit(&xs, &ys, self.smoothing_lambda)
             .or_else(|| {
                 // Degenerate grid (one distinct token count): serve the
@@ -160,7 +161,6 @@ impl PccPredictor for XgboostSs {
                 let y = ys.first().copied().unwrap_or(1.0);
                 SmoothingSpline::fit(&[x, x + 1.0], &[y, y], 0.0)
             })
-            // lint: allow(no-panic) — a two-point grid always fits.
             .expect("flat fallback spline fits");
         PredictedPcc::Curve { points, spline }
     }

@@ -48,6 +48,7 @@ impl BinMapper {
                     let idx = ((values.len() - 1) as f64 * q).round() as usize;
                     e.push(values[idx]);
                 }
+                #[expect(clippy::float_cmp, reason = "drops exact repeats of sampled values")]
                 e.dedup_by(|a, b| a == b);
                 e
             };

@@ -125,7 +125,10 @@ impl Booster {
     ) -> Self {
         match Self::train_resumable_with_pool(rows, targets, config, pool, None, &mut |_| true) {
             Some(booster) => booster,
-            // lint: allow(no-panic) — the always-continue callback above can never halt training
+            #[expect(
+                clippy::unreachable,
+                reason = "the always-continue callback above can never halt training"
+            )]
             None => unreachable!("uninterruptible training halted"),
         }
     }

@@ -322,9 +322,9 @@ impl Tree {
         // Reject splits that would leave a child empty of samples (possible
         // when all mass sits in one side's hessians but min_child_weight is 0).
         if let Some(s) = &best {
-            // lint: allow(float-eq) — an empty child accumulates an exact
-            // 0.0 gradient sum; approximate comparison would misclassify
-            // genuinely tiny but populated children.
+            // An empty child accumulates an exact 0.0 gradient sum;
+            // approximate comparison would misclassify genuinely tiny but
+            // populated children.
             if s.left_hess <= 0.0 && s.left_grad == 0.0 {
                 return None;
             }

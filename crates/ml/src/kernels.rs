@@ -35,6 +35,7 @@ pub(crate) trait Kernel {
 
 /// Run `k` on the widest arm this CPU supports.
 #[cfg(target_arch = "x86_64")]
+#[expect(unsafe_code, reason = "the call into the AVX2 arm after runtime detection")]
 pub(crate) fn run(k: impl Kernel) {
     if is_x86_feature_detected!("avx2") {
         // SAFETY: `run_avx2` needs the CPU to support AVX2, and the
@@ -78,8 +79,8 @@ impl Kernel for Matmul<'_> {
             let out_row = &mut out[i * b_cols..(i + 1) * b_cols];
             for k in 0..a_cols {
                 let x = a[i * a_cols + k];
-                // lint: allow(float-eq) — exact-zero skip: bit-identical
-                // results, just fewer multiply-adds on sparse rows.
+                // Exact-zero skip: bit-identical results, just fewer
+                // multiply-adds on sparse rows.
                 if x == 0.0 {
                     continue;
                 }
@@ -111,7 +112,7 @@ impl Kernel for TMatmul<'_> {
             let a_row = &a[i * a_cols..(i + 1) * a_cols];
             let b_row = &b[i * b_cols..(i + 1) * b_cols];
             for (k, &x) in a_row.iter().enumerate() {
-                // lint: allow(float-eq) — exact-zero skip, as in `Matmul`.
+                // Exact-zero skip, as in `Matmul`.
                 if x == 0.0 {
                     continue;
                 }
@@ -293,6 +294,7 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
+    #[expect(unsafe_code, reason = "the call into the AVX2 arm after runtime detection")]
     fn avx2_arm(k: impl Kernel) -> bool {
         if !is_x86_feature_detected!("avx2") {
             return false;

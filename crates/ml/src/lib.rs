@@ -30,6 +30,7 @@
 //! Everything is deterministic given a seed; nothing here does I/O.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod gbdt;
 pub mod gnn;

@@ -118,8 +118,8 @@ fn solve_gaussian(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
         b.swap(col, pivot);
         for row in col + 1..n {
             let factor = a[row][col] / a[col][col];
-            // lint: allow(float-eq) — exact-zero skip of a no-op
-            // elimination row; any nonzero factor must be applied.
+            // Exact-zero skip of a no-op elimination row; any nonzero factor
+            // must be applied.
             if factor == 0.0 {
                 continue;
             }

@@ -196,6 +196,7 @@ fn dedup_sorted(xs: &[f64], ys: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let x = pairs[i].0;
         let mut sum = 0.0;
         let mut count = 0usize;
+        #[expect(clippy::float_cmp, reason = "groups repeated knots, which are exact copies")]
         while i < pairs.len() && pairs[i].0 == x {
             sum += pairs[i].1;
             count += 1;

@@ -413,8 +413,8 @@ mod tests {
         out
     }
 
-    /// Tiny deterministic xorshift for fuzz-style tests (the workspace
-    /// lint bans unseeded RNGs; this needs no dependency at all).
+    /// Tiny deterministic xorshift for fuzz-style tests (the vendored
+    /// `rand` has no unseeded RNG; this needs no dependency at all).
     struct XorShift(u64);
 
     impl XorShift {

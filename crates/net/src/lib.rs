@@ -36,6 +36,7 @@ pub mod http;
 pub mod pacer;
 pub mod pool;
 pub mod server;
+#[expect(unsafe_code, reason = "the audited raw-syscall shim: the workspace's unsafe surface")]
 pub mod sys;
 
 pub use client::{BinaryClient, HttpClient, HttpResponse, ScoreOutcome};

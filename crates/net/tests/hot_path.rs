@@ -4,6 +4,8 @@
 //! process-global, so the measured window must not share a process with
 //! any other server (`wire.rs` runs its tests concurrently).
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 mod common;
 
 use common::{jobs, read_scores, registry};

@@ -5,6 +5,8 @@
 //! expensive part); every test binds its own ephemeral-port server so
 //! they can run concurrently.
 
+#![allow(clippy::expect_used, clippy::panic)]
+
 mod common;
 
 use common::{jobs, read_scores, registry};

@@ -7,7 +7,8 @@
 //! `"M"` (metadata) events naming processes and threads.
 //!
 //! Tracks follow a two-process convention: [`WALL_PID`] carries real
-//! wall-clock spans (one thread row per recording thread), and
+//! wall-clock spans, timestamped by [`crate::clock`] (one thread row per
+//! recording thread), and
 //! [`SIM_PID`] carries the simulator's *virtual* timeline — `scope-sim`
 //! records simulated seconds, which the exporter maps to microseconds so
 //! both timelines are readable in one view (they are different clocks;

@@ -27,10 +27,12 @@
 //!
 //! [`clock`] is the single wall-clock read site: every timestamp in the
 //! workspace's instrumentation flows through it, which keeps the
-//! `tasq-analyze` `wall-clock` lint enforceable everywhere else. [`json`]
+//! wall-clock ban in this crate's `clippy.toml` enforceable everywhere
+//! else. [`json`]
 //! is a minimal parser used by trace-validation tests.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod clock;
 pub mod export;

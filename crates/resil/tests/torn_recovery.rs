@@ -3,6 +3,8 @@
 //! always a typed recovery — the valid frame prefix plus a typed torn
 //! tail — never a panic, a hard error, or silent garbage.
 
+#![allow(clippy::unwrap_used)]
+
 use tasq_resil::frame::{recover_bytes, FrameLog, LOG_HEADER_LEN};
 use tasq_resil::{CheckpointStore, ResilError};
 

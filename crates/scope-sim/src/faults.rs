@@ -179,8 +179,8 @@ impl FaultPlan {
             self.preemption_probability,
             self.queueing_burst_probability,
         ];
-        // lint: allow(float-eq) — these are configured probabilities, not
-        // computed values; exactly zero disables the mechanism.
+        // These are configured probabilities, not computed values; exactly
+        // zero disables the mechanism.
         rates.iter().all(|&p| p == 0.0)
     }
 }

@@ -40,6 +40,7 @@
 //! plan is explicitly enabled.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod adaptive;
 pub mod amdahl;

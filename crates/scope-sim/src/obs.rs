@@ -6,7 +6,8 @@
 //! so flight results stay bit-identical whether or not anyone reads them.
 //! Note also that everything recorded is *simulated* — the counters tally
 //! virtual-cluster events, and no wall-clock is read in this crate (the
-//! `wall-clock` lint enforces that; timestamps live in `tasq_obs::clock`).
+//! `disallowed_methods` ban in its `clippy.toml` enforces that;
+//! timestamps live in `tasq_obs::clock`).
 
 use crate::faults::FaultReport;
 use tasq_obs::{Counter, Registry};

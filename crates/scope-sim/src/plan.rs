@@ -167,8 +167,11 @@ impl JobPlan {
     /// Generators call this after assembling a plan so that the Table 1
     /// features are mutually consistent.
     pub fn recompute_rollups(&mut self) {
-        // lint: allow(no-panic) — `JobPlan::new` rejects cyclic edge sets, so
-        // a constructed plan always has a topological order.
+        #[expect(
+            clippy::expect_used,
+            reason = "`JobPlan::new` rejects cyclic edge sets, so a constructed plan always \
+                      has a topological order"
+        )]
         let order = self.topological_order().expect("validated at construction");
         for &i in &order {
             let children = self.children(i);

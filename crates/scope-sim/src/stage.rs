@@ -85,9 +85,12 @@ impl StageGraph {
 
         // Map union roots to dense stage ids, ordered by the plan's
         // topological order so stage indices are already topological.
-        // lint: allow(no-panic) — JobPlan::new rejects cyclic graphs and
-        // decoded plans pass `check_structure` before they are scored, so a
-        // plan that reaches stage extraction always has a topological order.
+        #[expect(
+            clippy::expect_used,
+            reason = "JobPlan::new rejects cyclic graphs and decoded plans pass \
+                      `check_structure` before they are scored, so a plan that reaches stage \
+                      extraction always has a topological order"
+        )]
         let topo = plan.topological_order().expect("plan validated acyclic");
         let mut stage_id: Vec<Option<usize>> = vec![None; n];
         let mut members: Vec<Vec<usize>> = Vec::new();
@@ -104,9 +107,12 @@ impl StageGraph {
             };
             members[id].push(node);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the topological order above visits every node, so every union root \
+                      received a stage id"
+        )]
         let node_stage: Vec<usize> =
-            // lint: allow(no-panic) — the topological order above visits
-            // every node, so every union root received a stage id.
             (0..n).map(|i| stage_id[find(&mut parent, i)].expect("all nodes assigned")).collect();
 
         // Dependencies from boundary edges (and any cross-stage edge).

@@ -30,6 +30,7 @@
 //! socket.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod cache;
 pub mod registry;

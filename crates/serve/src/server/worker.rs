@@ -326,8 +326,11 @@ fn process_batch(
         let mut guard = BatchGuard { shared, pending: batch.into() };
         while let Some(envelope) = guard.pending.front() {
             let seq = envelope.seq;
+            #[expect(
+                clippy::panic,
+                reason = "deliberate chaos-harness fault; the supervisor respawns this worker"
+            )]
             if shared.config.chaos.as_ref().is_some_and(|plan| plan.panics_at(seq)) {
-                // lint: allow(no-panic) — deliberate chaos-harness fault; the supervisor respawns this worker
                 panic!("chaos: planted worker panic at request {seq}");
             }
             if let (Some(trace), Some(actor)) = (&trace, trace_actor) {

@@ -46,7 +46,7 @@ impl Fnv {
     fn write_f64(&mut self, value: f64) {
         // Bit pattern, with -0.0 folded into +0.0 so numerically equal
         // plans cannot diverge on the sign of zero.
-        // lint: allow(float-eq) — exact-bit canonicalization of signed zero.
+        // Exact-bit canonicalization of signed zero.
         let canonical = if value == 0.0 { 0.0f64 } else { value };
         self.write_u64(canonical.to_bits());
     }
