@@ -12,6 +12,7 @@ use crate::pcc::{ParamScaler, PowerLawPcc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use tasq_ml::matrix::Matrix;
 use tasq_ml::nn::{Activation, Mlp};
 use tasq_ml::optim::{Adam, AdamConfig, ParamId};
@@ -54,6 +55,9 @@ impl Default for NnTrainConfig {
         }
     }
 }
+
+/// A checkpoint callback of the epoch loop; an `Err` halts training.
+type OnEpoch<'a, E> = &'a mut dyn FnMut(&NnTrainCheckpoint) -> Result<(), E>;
 
 /// Serializable snapshot of NN training captured after a completed epoch.
 ///
@@ -119,16 +123,8 @@ impl NnPcc {
         config: &NnTrainConfig,
         teacher_runtimes: Option<&[f64]>,
     ) -> Self {
-        match Self::train_with_teacher_resumable(dataset, config, teacher_runtimes, None, &mut |_| {
-            true
-        }) {
-            Some(model) => model,
-            #[expect(
-                clippy::unreachable,
-                reason = "the always-continue callback above can never halt training"
-            )]
-            None => unreachable!("uninterruptible NN training halted"),
-        }
+        let Ok(model) = Self::fit::<Infallible>(dataset, config, teacher_runtimes, None, None);
+        model
     }
 
     /// Train with per-epoch checkpointing and optional resume.
@@ -147,6 +143,21 @@ impl NnPcc {
         resume: Option<NnTrainCheckpoint>,
         on_epoch: &mut dyn FnMut(&NnTrainCheckpoint) -> bool,
     ) -> Option<Self> {
+        let mut on_epoch =
+            |checkpoint: &NnTrainCheckpoint| on_epoch(checkpoint).then_some(()).ok_or(());
+        Self::fit(dataset, config, teacher_runtimes, resume, Some(&mut on_epoch)).ok()
+    }
+
+    /// The epoch loop behind both entry points. A checkpoint is built
+    /// only when there is an `on_epoch` to hand it to, and an `Err` from
+    /// `on_epoch` halts training with that error.
+    fn fit<E>(
+        dataset: &Dataset,
+        config: &NnTrainConfig,
+        teacher_runtimes: Option<&[f64]>,
+        resume: Option<NnTrainCheckpoint>,
+        mut on_epoch: Option<OnEpoch<'_, E>>,
+    ) -> Result<Self, E> {
         assert!(!dataset.is_empty(), "NnPcc::train: empty dataset");
         if let Some(t) = teacher_runtimes {
             assert_eq!(t.len(), dataset.len(), "NnPcc::train: teacher length mismatch");
@@ -318,28 +329,27 @@ impl NnPcc {
                 }
             }
 
-            let checkpoint = NnTrainCheckpoint {
-                epoch: epoch + 1,
-                rng_state: rng.state(),
-                mlp: mlp.clone(),
-                adam: adam.clone(),
-                ids: ids.clone(),
-                validation_idx: validation_idx.clone(),
-                order: order.clone(),
-                best: best.clone(),
-                stale_epochs,
-                training_loss: training_loss.clone(),
-                validation_loss: validation_loss.clone(),
-            };
-            if !on_epoch(&checkpoint) {
-                return None;
+            if let Some(on_epoch) = on_epoch.as_mut() {
+                on_epoch(&NnTrainCheckpoint {
+                    epoch: epoch + 1,
+                    rng_state: rng.state(),
+                    mlp: mlp.clone(),
+                    adam: adam.clone(),
+                    ids: ids.clone(),
+                    validation_idx: validation_idx.clone(),
+                    order: order.clone(),
+                    best: best.clone(),
+                    stale_epochs,
+                    training_loss: training_loss.clone(),
+                    validation_loss: validation_loss.clone(),
+                })?;
             }
         }
         if let Some((_, best_mlp)) = best {
             mlp = best_mlp;
         }
 
-        Some(Self { mlp, feature_scaler, param_scaler, training_loss, validation_loss })
+        Ok(Self { mlp, feature_scaler, param_scaler, training_loss, validation_loss })
     }
 
     /// Predict the power-law PCC for job-level features.

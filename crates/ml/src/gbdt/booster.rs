@@ -7,6 +7,7 @@ use crate::rand_ext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Hyper-parameters for [`Booster::train`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,6 +50,9 @@ impl Default for BoosterConfig {
         }
     }
 }
+
+/// A checkpoint callback of the round loop; an `Err` halts training.
+type OnRound<'a, E> = &'a mut dyn FnMut(&BoosterCheckpoint) -> Result<(), E>;
 
 /// Mid-training state captured after each completed boosting round.
 ///
@@ -123,14 +127,8 @@ impl Booster {
         config: &BoosterConfig,
         pool: &tasq_par::Pool,
     ) -> Self {
-        match Self::train_resumable_with_pool(rows, targets, config, pool, None, &mut |_| true) {
-            Some(booster) => booster,
-            #[expect(
-                clippy::unreachable,
-                reason = "the always-continue callback above can never halt training"
-            )]
-            None => unreachable!("uninterruptible training halted"),
-        }
+        let Ok(booster) = Self::fit::<Infallible>(rows, targets, config, pool, None, None);
+        booster
     }
 
     /// [`Booster::train_with_pool`] with per-round checkpointing.
@@ -154,6 +152,22 @@ impl Booster {
         resume: Option<BoosterCheckpoint>,
         on_round: &mut dyn FnMut(&BoosterCheckpoint) -> bool,
     ) -> Option<Self> {
+        let mut on_round =
+            |checkpoint: &BoosterCheckpoint| on_round(checkpoint).then_some(()).ok_or(());
+        Self::fit(rows, targets, config, pool, resume, Some(&mut on_round)).ok()
+    }
+
+    /// The round loop behind both entry points. A checkpoint is built
+    /// only when there is an `on_round` to hand it to, and an `Err` from
+    /// `on_round` halts training with that error.
+    fn fit<E>(
+        rows: &[Vec<f64>],
+        targets: &[f64],
+        config: &BoosterConfig,
+        pool: &tasq_par::Pool,
+        resume: Option<BoosterCheckpoint>,
+        mut on_round: Option<OnRound<'_, E>>,
+    ) -> Result<Self, E> {
         assert_eq!(rows.len(), targets.len(), "Booster::train: length mismatch");
         assert!(!rows.is_empty(), "Booster::train: empty dataset");
         if config.objective.requires_positive_targets() {
@@ -224,20 +238,19 @@ impl Booster {
             trees.push(tree);
             training_loss.push(Self::mean_loss(config.objective, &raw, targets));
 
-            let checkpoint = BoosterCheckpoint {
-                round: round + 1,
-                rng_state: rng.state(),
-                base_score,
-                raw: raw.clone(),
-                trees: trees.clone(),
-                training_loss: training_loss.clone(),
-            };
-            if !on_round(&checkpoint) {
-                return None;
+            if let Some(on_round) = on_round.as_mut() {
+                on_round(&BoosterCheckpoint {
+                    round: round + 1,
+                    rng_state: rng.state(),
+                    base_score,
+                    raw: raw.clone(),
+                    trees: trees.clone(),
+                    training_loss: training_loss.clone(),
+                })?;
             }
         }
 
-        Some(Self {
+        Ok(Self {
             objective: config.objective,
             base_score,
             learning_rate: config.learning_rate,

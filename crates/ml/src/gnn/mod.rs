@@ -13,8 +13,12 @@
 //!
 //! All gradients are computed manually; [`GnnModel::backward`] mirrors the
 //! forward pass in reverse. Training runs through reusable buffers (one
-//! workspace per in-flight graph) and [`GnnModel::train_batch`] fans the
-//! graphs of a minibatch out over a pool.
+//! workspace per in-flight graph). [`GnnModel::train_batch`] fans the
+//! graphs of a minibatch out over a pool: the front role takes graphs from
+//! the start of the batch and adds each one's gradients into the batch sum
+//! at once, the other roles take graphs from the end into slots of their
+//! own, and the last role to finish adds those slots, so the sum keeps its
+//! batch order at every thread count.
 
 mod attention;
 mod gcn;

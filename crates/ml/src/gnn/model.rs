@@ -8,6 +8,8 @@ use crate::nn::{Activation, Mlp, MlpCache, MlpGrads};
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use tasq_par::Pool;
 
 /// GNN architecture: `GCN+ -> attention pool -> MLP head`.
@@ -107,6 +109,18 @@ struct Slot {
     loss: f64,
 }
 
+impl Slot {
+    /// Add this graph's loss and gradients to a minibatch's running sums.
+    fn add_to(&self, grads: &mut GnnGrads, loss_sum: &mut f64) {
+        *loss_sum += self.loss;
+        grads.accumulate(&self.workspace.grads);
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Everything a training run of a [`GnnModel`] keeps between steps: the
 /// Adam state with the registered parameter ids, and the buffers
 /// [`GnnModel::train_batch`] reuses.
@@ -117,6 +131,9 @@ pub struct GnnOptimizer {
     pool_id: ParamId,
     head_ids: Vec<(ParamId, ParamId)>,
     transposed: GnnTransposed,
+    /// The front role's slot, reused for every graph it claims.
+    front: Slot,
+    /// One slot per batch position, for the graphs the back roles claim.
     slots: Vec<Slot>,
     batch_grads: GnnGrads,
 }
@@ -293,6 +310,7 @@ impl GnnModel {
             pool_id,
             head_ids,
             transposed: GnnTransposed::default(),
+            front: Slot::default(),
             slots: Vec::new(),
             batch_grads: GnnGrads::zeros_like(self),
         }
@@ -307,11 +325,16 @@ impl GnnModel {
     /// which is added to `loss_sum`.
     ///
     /// The graphs are independent given the weights, so they fan out over
-    /// `pool`, each filling a slot of its own; the caller then adds the
-    /// slots' losses and gradients in batch order. That is `tasq-par`'s
-    /// determinism contract — the update, and `loss_sum`, are
-    /// bit-identical at every thread count. A task panic (the loss
-    /// callback's, say) resumes on the caller.
+    /// `min(pool.threads(), batch.len())` roles sharing one cursor over
+    /// the batch positions. Role 0, the front, claims positions from the
+    /// start and adds each graph's loss and gradients into the sums as
+    /// soon as it has them, while they are still in its cache. Every other
+    /// role claims from the end and leaves its results in that position's
+    /// slot. Whichever role finishes last adds those slots, in order,
+    /// after the front's share. Every sum therefore runs in batch order,
+    /// as on one thread, and the update and `loss_sum` are bit-identical
+    /// at every thread count. No role ever waits for another, and a task
+    /// panic (the loss callback's, say) resumes on the caller.
     pub fn train_batch<L>(
         &mut self,
         opt: &mut GnnOptimizer,
@@ -326,36 +349,58 @@ impl GnnModel {
         if batch.is_empty() {
             return;
         }
-        let GnnOptimizer { transposed, slots, batch_grads, .. } = opt;
+        let n = batch.len();
+        let GnnOptimizer { transposed, front, slots, batch_grads, .. } = opt;
         self.transpose_weights_into(transposed);
         batch_grads.fill_zero();
-        // A pool that runs inline gets one slot, reduced after every graph
-        // while its gradients are still in cache; a pool that fans out
-        // gets a slot per graph and one dispatch per batch.
-        let wave = if pool.threads() == 1 { 1 } else { batch.len() };
-        if slots.len() < wave {
-            slots.resize_with(wave, Slot::default);
+        if slots.len() < n {
+            slots.resize_with(n, Slot::default);
         }
-        let (model, transposed) = (&*self, &*transposed);
-        for indices in batch.chunks(wave) {
-            let wave_slots = &mut slots[..indices.len()];
-            let fanned = pool.par_for_chunks(wave_slots, 1, |at, slot| {
-                let (graph, slot) = (&graphs[indices[at]], &mut slot[0]);
+        let fanned = {
+            let (model, transposed) = (&*self, &*transposed);
+            let run = |slot: &mut Slot, at: usize| {
+                let graph = &graphs[batch[at]];
                 let output = model.forward_cached(graph, &mut slot.workspace);
                 slot.d_output.reset_zeros(1, output.cols());
-                slot.loss =
-                    loss(indices[at], output.as_slice(), slot.d_output.as_mut_slice());
+                slot.loss = loss(batch[at], output.as_slice(), slot.d_output.as_mut_slice());
                 model.backward(graph, transposed, &mut slot.workspace, &slot.d_output);
-            });
-            if let Err(e) = fanned {
-                std::panic::resume_unwind(Box::new(e.to_string()));
-            }
-            for slot in wave_slots.iter() {
-                *loss_sum += slot.loss;
-                batch_grads.accumulate(&slot.workspace.grads);
-            }
+            };
+            // The positions nobody has claimed yet.
+            let unclaimed = Mutex::new(0..n);
+            let claim_front = || lock(&unclaimed).next();
+            let claim_back = || lock(&unclaimed).next_back();
+            let front = Mutex::new((front, &mut *batch_grads, loss_sum));
+            let slots: Vec<Mutex<&mut Slot>> = slots[..n].iter_mut().map(Mutex::new).collect();
+            let roles = pool.threads().min(n);
+            let finished = AtomicUsize::new(0);
+            pool.par_map_grain(&vec![(); roles], 1, |role, ()| {
+                if role == 0 {
+                    let (slot, grads, loss_sum) = &mut *lock(&front);
+                    while let Some(at) = claim_front() {
+                        run(slot, at);
+                        slot.add_to(grads, loss_sum);
+                    }
+                } else {
+                    while let Some(at) = claim_back() {
+                        run(&mut lock(&slots[at]), at);
+                    }
+                }
+                // A role that panicked never counts itself, so then nobody
+                // adds the back's slots and the error surfaces below.
+                if finished.fetch_add(1, Ordering::AcqRel) + 1 == roles {
+                    // Every position is claimed: the cursors met here.
+                    let met = lock(&unclaimed).start;
+                    let (_, grads, loss_sum) = &mut *lock(&front);
+                    for slot in &slots[met..] {
+                        lock(slot).add_to(grads, loss_sum);
+                    }
+                }
+            })
+        };
+        if let Err(e) = fanned {
+            std::panic::resume_unwind(Box::new(e.to_string()));
         }
-        batch_grads.scale(1.0 / batch.len() as f64);
+        batch_grads.scale(1.0 / n as f64);
         self.apply_grads(opt);
     }
 
@@ -477,7 +522,7 @@ mod tests {
     /// Workspace training — at 1, 2, 3 and 8 threads — equals the
     /// allocating sequential reference bit for bit: the running loss after
     /// every batch and every parameter at the end, over graphs of 1 to 40
-    /// nodes and a ragged last batch.
+    /// nodes, a ragged last batch and a batch of one graph.
     #[test]
     fn train_batch_is_bit_identical_to_the_allocating_reference_at_any_thread_count() {
         for seed in [11u64, 12, 13] {
@@ -507,6 +552,8 @@ mod tests {
                 crate::rand_ext::shuffle(&mut rng, &mut order);
                 batches.extend(order.chunks(16).map(<[usize]>::to_vec));
             }
+            // One role takes a one-graph batch at any thread count.
+            batches.push(vec![order[0]]);
 
             // Replays the batches through one step function; the running
             // loss after every batch and the final parameters, as bits.
@@ -529,6 +576,39 @@ mod tests {
                 let pool = Pool::new(threads);
                 let got = run(&mut |m, o, b, sum| m.train_batch(o, &graphs, b, &pool, loss, sum));
                 assert_eq!(got, expected, "seed {seed}, {threads} threads");
+            }
+        }
+    }
+
+    /// A loss callback that panics on the first graph of a batch, or on
+    /// its last, surfaces as a panic on the caller at every thread count.
+    /// No role ever waits for another, so a panicking role cannot hang the
+    /// fan-out: this test finishing is the proof.
+    #[test]
+    fn a_panicking_loss_resumes_on_the_caller_at_any_thread_count() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let initial = GnnModel::new(&mut rng, 4, &[8], &[6], 2);
+        let graphs: Vec<GraphData> = (0..16).map(|i| toy_graph(&mut rng, 2 + i % 5, 4)).collect();
+        // Reversed, so the first graph of the batch is graph 15.
+        let batch: Vec<usize> = (0..graphs.len()).rev().collect();
+        for threads in [1, 2, 3, 8] {
+            for bad in [batch[0], batch[batch.len() - 1]] {
+                let (pool, mut model) = (Pool::new(threads), initial.clone());
+                let mut opt = model.make_optimizer(AdamConfig::default());
+                let loss = |i: usize, out: &[f64], d: &mut [f64]| -> f64 {
+                    assert!(i != bad, "loss failed on graph {i}");
+                    d.copy_from_slice(out);
+                    0.0
+                };
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    model.train_batch(&mut opt, &graphs, &batch, &pool, loss, &mut 0.0);
+                }));
+                let payload = caught.expect_err("the loss panic must reach the caller");
+                let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    message.contains(&format!("loss failed on graph {bad}")),
+                    "{threads} threads, graph {bad}: {message}"
+                );
             }
         }
     }

@@ -265,8 +265,8 @@ impl Pool {
 
     /// Run `f` over consecutive `chunk_len`-sized mutable chunks of `data`
     /// in parallel. `f` receives `(chunk_index, chunk)`; chunks are
-    /// disjoint, so no synchronization is needed inside `f`. The GNN
-    /// trainer fans a minibatch out this way, one gradient slot per chunk.
+    /// disjoint, so no synchronization is needed inside `f`. k-means
+    /// assigns its points this way, 64 rows per chunk.
     pub fn par_for_chunks<T, F>(
         &self,
         data: &mut [T],

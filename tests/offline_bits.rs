@@ -81,7 +81,9 @@ fn offline_bits(pool: &Pool) -> u64 {
 
 #[test]
 fn offline_pass_reproduces_the_parent_bits_at_every_thread_count() {
-    for pool in [Pool::sequential(), Pool::new(2)] {
+    // Three threads is the first count with two roles claiming from the
+    // back of a GNN minibatch.
+    for pool in [Pool::sequential(), Pool::new(2), Pool::new(3)] {
         assert_eq!(
             offline_bits(&pool),
             PARENT_BITS,
