@@ -1,7 +1,8 @@
 //! Diagnostic rendering: human text and machine JSON.
 //!
-//! The JSON writer is hand-rolled (the crate is intentionally
-//! dependency-light) and emits a stable shape CI consumes as an artifact:
+//! The JSON report is a [`JsonValue`] printed pretty (`{:#}`, see
+//! [`tasq_obs::json`]), a stable shape CI greps and uploads as an
+//! artifact:
 //!
 //! ```json
 //! {
@@ -16,8 +17,14 @@
 //!   "curves_audited": 4,
 //!   "hb_events": 2048,
 //!   "diagnostics": [
-//!     {"rule": "lock-order", "severity": "deny", "path": "crates/x/src/a.rs",
-//!      "line": 10, "col": 5, "message": "cyclic lock acquisition order …"}
+//!     {
+//!       "rule": "lock-order",
+//!       "severity": "deny",
+//!       "path": "crates/x/src/a.rs",
+//!       "line": 10,
+//!       "col": 5,
+//!       "message": "cyclic lock acquisition order …"
+//!     }
 //!   ]
 //! }
 //! ```
@@ -28,46 +35,34 @@
 
 use crate::CheckReport;
 use std::fmt::Write as _;
+use tasq_obs::json::JsonValue;
 
 /// Render the report as indented JSON.
 pub fn to_json(report: &CheckReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 2,\n");
-    let _ = writeln!(out, "  \"ok\": {},", report.ok());
-    let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(out, "  \"functions_parsed\": {},", report.functions_parsed);
-    let _ = writeln!(out, "  \"functions_unparsed\": {},", report.functions_unparsed);
-    let passes: Vec<String> = report.passes.iter().map(|p| json_string(p)).collect();
-    let _ = writeln!(out, "  \"passes\": [{}],", passes.join(", "));
-    let _ = writeln!(out, "  \"lock_edges\": {},", report.lock_edges);
-    let _ = writeln!(out, "  \"jobs_validated\": {},", report.jobs_validated);
-    let _ = writeln!(out, "  \"curves_audited\": {},", report.curves_audited);
-    let _ = writeln!(out, "  \"hb_events\": {},", report.hb_events);
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(
-            out,
-            "\"rule\": {}, \"severity\": {}, \"path\": {}, \"line\": {}, \"col\": {}, \
-             \"message\": {}",
-            json_string(&d.rule),
-            json_string(&d.severity.to_string()),
-            json_string(&d.path),
-            d.line,
-            d.col,
-            json_string(&d.message)
-        );
-        out.push('}');
-    }
-    if !report.diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let diagnostics = report.diagnostics.iter().map(|d| {
+        JsonValue::object([
+            ("rule", d.rule.as_str().into()),
+            ("severity", d.severity.to_string().into()),
+            ("path", d.path.as_str().into()),
+            ("line", d.line.into()),
+            ("col", d.col.into()),
+            ("message", d.message.as_str().into()),
+        ])
+    });
+    let json = JsonValue::object([
+        ("schema", 2u64.into()),
+        ("ok", report.ok().into()),
+        ("files_scanned", report.files_scanned.into()),
+        ("functions_parsed", report.functions_parsed.into()),
+        ("functions_unparsed", report.functions_unparsed.into()),
+        ("passes", report.passes.clone().into()),
+        ("lock_edges", report.lock_edges.into()),
+        ("jobs_validated", report.jobs_validated.into()),
+        ("curves_audited", report.curves_audited.into()),
+        ("hb_events", report.hb_events.into()),
+        ("diagnostics", JsonValue::Array(diagnostics.collect())),
+    ]);
+    format!("{json:#}\n")
 }
 
 /// Render the report as human-readable text.
@@ -100,27 +95,6 @@ pub fn to_human(report: &CheckReport) -> String {
             )
         }
     );
-    out
-}
-
-/// JSON string literal with the required escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -1,4 +1,4 @@
-//! The ten subcommands.
+//! The nine subcommands.
 
 use crate::options::Options;
 use crate::resume::{
@@ -20,6 +20,7 @@ use tasq::pipeline::{
     ScoringConfig, ScoringService, TasqPipeline, NN_MODEL_NAME, XGB_MODEL_NAME,
 };
 use tasq_net::{BinaryClient, HttpClient, NetConfig, NetServer, ScoreOutcome, TokenBucket};
+use tasq_obs::json::JsonValue;
 use tasq_resil::{BreakerState, ChaosPlan, CheckpointStore};
 use tasq_serve::cache::CacheConfig;
 use tasq_serve::{
@@ -224,10 +225,6 @@ fn drive_serving_chaos(
     Ok((server.drain(), breaker_closed))
 }
 
-fn json_opt_u64(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 /// `tasq chaos --preset none|mild|production|adversarial [--seed N] [--jobs N]
 ///  [--requests N] [--dir <dir>] [--out <json>]`
 ///
@@ -308,51 +305,41 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
         || (stats.breaker_trips >= 1 && stats.breaker_recoveries >= 1 && breaker_closed);
     let passed = resumed_bit_identical && zero_silent_loss && breaker_exercised;
 
-    let panics_json = plan
-        .worker_panics
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let window_json = plan
-        .nn_fault_window
-        .map_or_else(|| "null".to_string(), |(a, b)| format!("[{a}, {b}]"));
-    let json = format!(
-        "{{\n  \"preset\": \"{preset}\",\n  \"seed\": {seed},\n  \"jobs\": {num_jobs},\n  \
-         \"plan\": {{\n    \"kill_after_checkpoints\": {},\n    \"torn_tail_bytes\": {},\n    \
-         \"worker_panics\": [{panics_json}],\n    \"nn_fault_window\": {window_json},\n    \
-         \"deadline_storm_start\": {}\n  }},\n  \"training\": {{\n    \
-         \"reference_fingerprint\": \"{:#018x}\",\n    \"resumed_fingerprint\": \"{:#018x}\",\n    \
-         \"killed_stage\": {},\n    \"commits_before_kill\": {commits_before_kill},\n    \
-         \"torn_bytes_sheared\": {torn_bytes_sheared},\n    \
-         \"recovered_frames\": {},\n    \"torn_tails_trimmed\": {},\n    \
-         \"resumed_bit_identical\": {resumed_bit_identical}\n  }},\n  \"serving\": {{\n    \
-         \"requests\": {requests},\n    \"submitted\": {},\n    \"completed\": {},\n    \
-         \"rejected\": {},\n    \"worker_lost\": {},\n    \"deadline_timeouts\": {},\n    \
-         \"worker_respawns\": {},\n    \"breaker_trips\": {},\n    \
-         \"breaker_recoveries\": {},\n    \"breaker_closed_at_end\": {breaker_closed},\n    \
-         \"resolved\": {},\n    \"zero_silent_loss\": {zero_silent_loss}\n  }},\n  \
-         \"passed\": {passed}\n}}\n",
-        json_opt_u64(plan.kill_after_checkpoints),
-        json_opt_u64(plan.torn_tail_bytes),
-        json_opt_u64(plan.deadline_storm.map(|s| s.start_seq)),
-        reference.fingerprint,
-        resumed.fingerprint,
-        killed_stage.as_ref().map_or_else(|| "null".to_string(), |s| format!("\"{s}\"")),
-        resumed.recovered_frames,
-        resumed.torn_tails_trimmed,
-        stats.submitted,
-        stats.completed,
-        stats.rejected,
-        stats.worker_lost,
-        stats.deadline_timeouts,
-        stats.worker_respawns,
-        stats.breaker_trips,
-        stats.breaker_recoveries,
-        stats.resolved(),
-    );
-    std::fs::write(&out_path, &json)?;
-    stats.publish(tasq_obs::Registry::global());
+    let mut serving = vec![("requests".to_string(), JsonValue::from(requests))];
+    serving.extend(stats.to_json().as_object().unwrap_or_default().iter().cloned());
+    serving.push(("breaker_closed_at_end".to_string(), breaker_closed.into()));
+    serving.push(("zero_silent_loss".to_string(), zero_silent_loss.into()));
+    let report = JsonValue::object([
+        ("preset", preset.into()),
+        ("seed", seed.into()),
+        ("jobs", num_jobs.into()),
+        (
+            "plan",
+            JsonValue::object([
+                ("kill_after_checkpoints", plan.kill_after_checkpoints.into()),
+                ("torn_tail_bytes", plan.torn_tail_bytes.into()),
+                ("worker_panics", plan.worker_panics.clone().into()),
+                ("nn_fault_window", plan.nn_fault_window.map(|(a, b)| vec![a, b]).into()),
+                ("deadline_storm_start", plan.deadline_storm.map(|s| s.start_seq).into()),
+            ]),
+        ),
+        (
+            "training",
+            JsonValue::object([
+                ("reference_fingerprint", format!("{:#018x}", reference.fingerprint).into()),
+                ("resumed_fingerprint", format!("{:#018x}", resumed.fingerprint).into()),
+                ("killed_stage", killed_stage.clone().into()),
+                ("commits_before_kill", commits_before_kill.into()),
+                ("torn_bytes_sheared", torn_bytes_sheared.into()),
+                ("recovered_frames", resumed.recovered_frames.into()),
+                ("torn_tails_trimmed", resumed.torn_tails_trimmed.into()),
+                ("resumed_bit_identical", resumed_bit_identical.into()),
+            ]),
+        ),
+        ("serving", JsonValue::Object(serving)),
+        ("passed", passed.into()),
+    ]);
+    std::fs::write(&out_path, format!("{report:#}\n"))?;
 
     let mut out = String::new();
     let _ = writeln!(out, "chaos preset: {preset} (seed {seed})");
@@ -719,23 +706,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
         println!("listening on {}", net.local_addr());
         let _ = std::io::Write::flush(&mut std::io::stdout());
         net.wait_for_drain();
-        let stats = net.shutdown();
-        return Ok(format!(
-            "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"shed\":{},\
-             \"rejected\":{},\"worker_lost\":{},\"deadline_timeouts\":{},\"resolved\":{},\
-             \"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1}}}\n",
-            stats.submitted,
-            stats.completed,
-            stats.cache_hits,
-            stats.shed,
-            stats.rejected,
-            stats.worker_lost,
-            stats.deadline_timeouts,
-            stats.resolved(),
-            stats.latency.p50_us,
-            stats.latency.p99_us,
-            stats.latency.p999_us,
-        ));
+        return Ok(format!("{}\n", net.shutdown().to_json()));
     }
     let traffic =
         replay_traffic(&jobs, &TrafficConfig { requests, repeat_fraction: repeat, seed });
@@ -781,7 +752,6 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
         stats.cache.entries
     );
     let _ = writeln!(out, "model generation: {}", stats.generation);
-    stats.publish(tasq_obs::Registry::global());
     Ok(out)
 }
 
@@ -896,16 +866,21 @@ pub fn netgen(args: &[String]) -> Result<String, CliError> {
     }
     let elapsed = start.elapsed();
     let achieved = (ok + rejected) as f64 / elapsed.as_secs_f64().max(1e-9);
-    Ok(format!(
-        "{{\"mode\":\"{mode}\",\"requests\":{requests},\"ok\":{ok},\"rejected\":{rejected},\
-         \"traced\":{traced},\
-         \"connections\":{connections},\"elapsed_ms\":{:.3},\"qps_target\":{qps},\
-         \"achieved_rps\":{achieved:.1},\"p50_us\":{:.1},\"p99_us\":{:.1},\"mean_us\":{:.1}}}\n",
-        elapsed.as_secs_f64() * 1e3,
-        latency.quantile(0.50),
-        latency.quantile(0.99),
-        latency.mean(),
-    ))
+    let report = JsonValue::object([
+        ("mode", mode.into()),
+        ("requests", requests.into()),
+        ("ok", ok.into()),
+        ("rejected", rejected.into()),
+        ("traced", traced.into()),
+        ("connections", connections.into()),
+        ("elapsed_ms", (elapsed.as_secs_f64() * 1e3).into()),
+        ("qps_target", qps.into()),
+        ("achieved_rps", achieved.into()),
+        ("p50_us", latency.quantile(0.50).into()),
+        ("p99_us", latency.quantile(0.99).into()),
+        ("mean_us", latency.mean().into()),
+    ]);
+    Ok(format!("{report}\n"))
 }
 
 /// `tasq analyze [--root <dir>] [--mode full|static] [--pass <name>]`
@@ -932,24 +907,6 @@ pub fn analyze(args: &[String]) -> Result<String, CliError> {
         // Surface findings through the usage-error path so the binary
         // exits nonzero without a dedicated error variant per tool.
         Err(CliError::Analysis(rendered))
-    }
-}
-
-/// `tasq metrics [--format prometheus|json]`
-///
-/// Dump the process-global metrics registry. Most useful chained after
-/// another command in the same process (the binary runs one command per
-/// invocation, so on its own this shows an empty registry); library
-/// callers and tests can run several commands and then dump.
-pub fn metrics(args: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(args, &["format"])?;
-    let registry = tasq_obs::Registry::global();
-    match opts.get("format").unwrap_or("prometheus") {
-        "prometheus" => Ok(registry.render_prometheus()),
-        "json" => Ok(registry.render_json()),
-        other => {
-            Err(CliError::Usage(format!("--format must be prometheus or json, got `{other}`")))
-        }
     }
 }
 
@@ -1058,7 +1015,7 @@ mod tests {
 
     #[test]
     fn retired_benchmark_commands_are_unknown_and_usage_lists_every_serve_flag() {
-        for retired in ["loadgen", "bench-train"] {
+        for retired in ["loadgen", "bench-train", "metrics"] {
             let err = crate::run(&strings(&[retired])).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "usage error, got {err}");
             assert!(err.to_string().contains(&format!("unknown command `{retired}`")), "{err}");
@@ -1246,21 +1203,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("paths: 0 cache"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn metrics_command_renders_both_formats() {
-        let prom = metrics(&strings(&[])).unwrap();
-        // The exposition may be empty early in the test run, but the
-        // format dispatch must work and reject unknown formats.
-        let _ = metrics(&strings(&["--format", "prometheus"])).unwrap();
-        let json = metrics(&strings(&["--format", "json"])).unwrap();
-        assert!(json.trim_start().starts_with('{'), "{json}");
-        assert!(metrics(&strings(&["--format", "yaml"])).is_err());
-        // Prometheus output is line-oriented key/value text.
-        for line in prom.lines() {
-            assert!(line.starts_with('#') || line.contains(' '), "{line}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Library backing the `tasq` command-line binary.
 //!
-//! Ten subcommands drive the pipeline from files on disk, with
+//! Nine subcommands drive the pipeline from files on disk, with
 //! workloads and model artifacts serialized through the workspace's
 //! binary codec:
 //!
@@ -28,8 +28,6 @@
 //!   machine-readable report CI asserts on.
 //! * `analyze`  — run the `tasq-analyze` gatekeeper (dataflow passes,
 //!   lock-order audit, plan/PCC invariants, happens-before race replay).
-//! * `metrics`  — dump the process-global metrics registry (Prometheus
-//!   text exposition or JSON).
 //!
 //! Commands return their output as a `String` so they are directly
 //! testable; `main` just prints.
@@ -148,7 +146,6 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
         "netgen" => commands::netgen(rest),
         "chaos" => commands::chaos(rest),
         "analyze" => commands::analyze(rest),
-        "metrics" => commands::metrics(rest),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError::Usage(format!("unknown command `{other}`\n{USAGE}"))),
     }
@@ -181,7 +178,6 @@ USAGE:
                       [--requests N] [--dir <dir>] [--out <json>]
     tasq-cli analyze  [--root <dir>] [--mode full|static]
                       [--pass resource-leak|unsafe-boundary|lock-discipline]
-    tasq-cli metrics  [--format prometheus|json]
     tasq-cli help
 
 GLOBAL FLAGS (any command):

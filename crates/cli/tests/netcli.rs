@@ -128,6 +128,11 @@ fn serve_listen_netgen_both_framings_and_drain() {
     // Drain over the wire; the server prints its final stats JSON and exits 0.
     let mut control = HttpClient::connect(&addr).expect("connect control");
     control.set_timeout(Duration::from_secs(30)).expect("timeout");
+    let live = control.request("GET", "/stats", b"").expect("stats");
+    assert_eq!(live.status, 200);
+    let live = String::from_utf8_lossy(&live.body).into_owned();
+    assert_eq!(live.lines().count(), 1, "/stats is one compact line: {live}");
+    let live = parse_report(&live);
     let ack = control.request("POST", "/drain", b"").expect("drain");
     assert_eq!(ack.status, 200);
 
@@ -140,6 +145,11 @@ fn serve_listen_netgen_both_framings_and_drain() {
     let resolved = f64_field(&stats, "resolved");
     assert!(submitted >= 60.0, "both netgen runs must reach the server ({rest})");
     assert_eq!(submitted, resolved, "drain must account for every request ({rest})");
+    let keys = |doc: &JsonValue| -> Vec<String> {
+        doc.as_object().expect("object").iter().map(|(k, _)| k.clone()).collect()
+    };
+    assert_eq!(keys(&stats), keys(&live), "drained line and /stats carry the same keys");
+    assert!(keys(&stats).iter().any(|k| k == "model_scored"), "{rest}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -622,7 +622,7 @@ fn submit_http(
             ready_http(pool, 200, "OK", "text/plain; version=0.0.4", body.as_bytes(), close)
         }
         ("GET", "/stats") => {
-            let body = stats_json(&server.stats());
+            let body = server.stats().to_json().to_string();
             ready_http(pool, 200, "OK", "application/json", body.as_bytes(), close)
         }
         ("GET", "/slo") => {
@@ -683,44 +683,5 @@ fn wire_span(ctx: TraceContext, name: &'static str) -> tasq_obs::SpanGuard {
         tasq_obs::span_with_parent(Level::Debug, name, ctx.span_id, &fields)
     } else {
         tasq_obs::span(Level::Debug, name, &fields)
-    }
-}
-
-/// Hand-rolled JSON for the `/stats` endpoint (no serde_json in the
-/// workspace; the same counters `serve --listen` prints when drained).
-fn stats_json(stats: &ServerStatsSnapshot) -> String {
-    format!(
-        "{{\"submitted\":{},\"completed\":{},\"cache_hits\":{},\"model_scored\":{},\
-         \"shed\":{},\"rejected\":{},\"worker_lost\":{},\"deadline_timeouts\":{},\
-         \"resolved\":{},\"p50_us\":{:.1},\"p99_us\":{:.1},\"p999_us\":{:.1}}}",
-        stats.submitted,
-        stats.completed,
-        stats.cache_hits,
-        stats.model_scored,
-        stats.shed,
-        stats.rejected,
-        stats.worker_lost,
-        stats.deadline_timeouts,
-        stats.resolved(),
-        stats.latency.p50_us,
-        stats.latency.p99_us,
-        stats.latency.p999_us,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_json_is_parseable_and_complete() {
-        let stats = ServerStatsSnapshot::default();
-        let json = stats_json(&stats);
-        let parsed = tasq_obs::json::parse(&json).expect("stats json must parse");
-        assert!(parsed.as_object().is_some(), "stats json must be an object");
-        for key in ["submitted", "completed", "rejected", "resolved", "p50_us", "p99_us", "p999_us"]
-        {
-            assert!(parsed.get(key).is_some(), "missing {key} in {json}");
-        }
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::json::escape;
+use crate::json::JsonValue;
 use crate::span::{self, FieldValue, SpanEvent};
 
 /// Process id for wall-clock span tracks.
@@ -27,7 +27,7 @@ pub const SIM_PID: u32 = 2;
 /// Incremental builder for a Chrome trace-event document.
 #[derive(Default)]
 pub struct ChromeTrace {
-    events: Vec<String>,
+    events: Vec<JsonValue>,
 }
 
 impl ChromeTrace {
@@ -48,24 +48,27 @@ impl ChromeTrace {
 
     /// Name a process row.
     pub fn set_process_name(&mut self, pid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
-        ));
+        self.add_metadata("process_name", pid, 0, name);
     }
 
     /// Name a thread row within a process.
     pub fn set_thread_name(&mut self, pid: u32, tid: u64, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
-        ));
+        self.add_metadata("thread_name", pid, tid, name);
+    }
+
+    fn add_metadata(&mut self, kind: &str, pid: u32, tid: u64, name: &str) {
+        self.events.push(JsonValue::object([
+            ("name", kind.into()),
+            ("ph", "M".into()),
+            ("pid", u64::from(pid).into()),
+            ("tid", tid.into()),
+            ("args", JsonValue::object([("name", name.into())])),
+        ]));
     }
 
     /// Add one `"X"` complete event. `ts_us`/`dur_us` are microseconds on
-    /// the track's own clock; `args` become the event's argument map.
+    /// the track's own clock (non-finite ones print as 0, which Chrome
+    /// requires); `args` become the event's argument map.
     pub fn add_complete(
         &mut self,
         pid: u32,
@@ -75,32 +78,28 @@ impl ChromeTrace {
         dur_us: f64,
         args: &[(&str, String)],
     ) {
-        let mut event = format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
-             \"ts\":{},\"dur\":{}",
-            escape(name),
-            finite(ts_us),
-            finite(dur_us),
-        );
-        event.push_str(",\"args\":{");
-        for (index, (key, value)) in args.iter().enumerate() {
-            if index > 0 {
-                event.push(',');
-            }
-            event.push_str(&format!("\"{}\":\"{}\"", escape(key), escape(value)));
-        }
-        event.push_str("}}");
-        self.events.push(event);
+        self.events.push(JsonValue::object([
+            ("name", name.into()),
+            ("ph", "X".into()),
+            ("pid", u64::from(pid).into()),
+            ("tid", tid.into()),
+            ("ts", ts_us.into()),
+            ("dur", dur_us.into()),
+            ("args", JsonValue::object(args.iter().map(|(k, v)| (*k, v.as_str().into())))),
+        ]));
     }
 
     /// Add one `"i"` instant event (thread-scoped).
     pub fn add_instant(&mut self, pid: u32, tid: u64, name: &str, ts_us: f64) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-             \"ts\":{},\"args\":{{}}}}",
-            escape(name),
-            finite(ts_us),
-        ));
+        self.events.push(JsonValue::object([
+            ("name", name.into()),
+            ("ph", "i".into()),
+            ("s", "t".into()),
+            ("pid", u64::from(pid).into()),
+            ("tid", tid.into()),
+            ("ts", ts_us.into()),
+            ("args", JsonValue::object([])),
+        ]));
     }
 
     /// Render collected spans as complete events on `pid`, one thread row
@@ -129,15 +128,11 @@ impl ChromeTrace {
 
     /// Render the document: `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        for (index, event) in self.events.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(event);
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
+        JsonValue::object([
+            ("traceEvents", JsonValue::Array(self.events.clone())),
+            ("displayTimeUnit", "ms".into()),
+        ])
+        .to_string()
     }
 }
 
@@ -158,15 +153,6 @@ pub fn from_collected(process_name: &str) -> ChromeTrace {
 
 fn field_text(value: &FieldValue) -> String {
     format!("{value}")
-}
-
-/// Chrome requires finite numbers; non-finite timestamps degrade to 0.
-fn finite(value: f64) -> f64 {
-    if value.is_finite() {
-        value
-    } else {
-        0.0
-    }
 }
 
 /// Structural validator for a Chrome trace document: parses with the

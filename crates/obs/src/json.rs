@@ -1,11 +1,15 @@
-//! A minimal hand-rolled JSON parser and string escaper.
+//! The workspace's one JSON reader and one JSON writer.
 //!
-//! The workspace writes JSON in several places (bench artifacts, the
-//! analyze report, trace export) but until now had no way to *read* it
-//! back — the trace-export structural validator needs one. This is a
-//! strict recursive-descent parser over the JSON grammar: no trailing
-//! commas, no comments, `\uXXXX` escapes (surrogate pairs included), a
-//! depth limit instead of unbounded recursion.
+//! [`parse`] is a strict recursive-descent parser over the JSON grammar:
+//! no trailing commas, no comments, `\uXXXX` escapes (surrogate pairs
+//! included), a depth limit instead of unbounded recursion. Writing is
+//! [`JsonValue`]'s `Display`: every emitter in the workspace builds a
+//! value and prints it, so what it prints is what [`parse`] reads back.
+//! `{}` is compact (no whitespace); `{:#}` puts each object member on its
+//! own line at a two-space indent as `"key": value` and keeps an array of
+//! scalars on one line as `[a, b]`.
+
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +29,11 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, JsonValue)>) -> Self {
+        JsonValue::Object(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Member of an object by key (first match), if this is an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -74,6 +83,128 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> Self {
+        JsonValue::Number(n)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::String(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, if f.alternate() { Some(0) } else { None })
+    }
+}
+
+impl JsonValue {
+    /// Write this value; `indent` is the current depth in spaces when
+    /// pretty-printing, `None` when compact.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+        let inner = indent.map(|depth| depth + 2);
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Number(n) if n.is_finite() => write!(f, "{n}"),
+            // JSON has no NaN or infinity: they degrade to 0, what an idle
+            // metric reads as.
+            JsonValue::Number(_) => f.write_str("0"),
+            JsonValue::String(s) => write_string(f, s),
+            JsonValue::Array(items) => {
+                let nested = items
+                    .iter()
+                    .any(|item| matches!(item, JsonValue::Array(_) | JsonValue::Object(_)));
+                // Pretty arrays of scalars stay on one line: `[a, b]`.
+                let lines = if nested { inner } else { None };
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(if indent.is_some() && !nested { ", " } else { "," })?;
+                    }
+                    newline(f, lines)?;
+                    item.write(f, lines)?;
+                }
+                if nested && !items.is_empty() {
+                    newline(f, indent)?;
+                }
+                f.write_char(']')
+            }
+            JsonValue::Object(members) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    newline(f, inner)?;
+                    write_string(f, key)?;
+                    f.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    value.write(f, inner)?;
+                }
+                if !members.is_empty() {
+                    newline(f, indent)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// A line break and `depth` spaces when pretty-printing; nothing when
+/// compact.
+fn newline(f: &mut fmt::Formatter<'_>, indent: Option<usize>) -> fmt::Result {
+    match indent {
+        Some(depth) => write!(f, "\n{:depth$}", ""),
+        None => Ok(()),
+    }
+}
+
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    write_escaped(f, s)?;
+    f.write_char('"')
 }
 
 /// A parse failure: a message and the byte offset it occurred at.
@@ -364,18 +495,24 @@ fn utf8_len(first: u8) -> usize {
 /// Escape a string for embedding inside JSON quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    // Writing into a `String` cannot fail.
+    let _ = write_escaped(&mut out, s);
+    out
+}
+
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -422,6 +559,41 @@ mod tests {
         assert!(parse(&deep).is_err());
         let ok = "[".repeat(50) + &"]".repeat(50);
         assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn printed_values_parse_back_compact_and_pretty() {
+        let value = JsonValue::object([
+            ("escapes", "quote \" backslash \\ nl \n cr \r tab \t bell \u{0007} é 😀".into()),
+            ("numbers", vec![-12.5, 0.001, 3.0, -0.0, 1e21].into()),
+            ("empty", JsonValue::Array(Vec::new())),
+            ("none", JsonValue::object([])),
+            (
+                "nested",
+                JsonValue::Array(vec![
+                    JsonValue::object([("a", 1u64.into()), ("b", JsonValue::Null)]),
+                    vec![true, false].into(),
+                    "x".into(),
+                ]),
+            ),
+            ("deep", JsonValue::object([("inner", JsonValue::object([("k", "v".into())]))])),
+            ("key \"with\" \\ escapes\n", JsonValue::Null),
+        ]);
+        assert_eq!(parse(&value.to_string()), Ok(value.clone()));
+        assert_eq!(parse(&format!("{value:#}")), Ok(value.clone()));
+
+        let pretty = format!("{:#}", JsonValue::object([
+            ("passes", vec!["a", "b"].into()),
+            ("inner", JsonValue::object([("n", 2u64.into())])),
+        ]));
+        assert_eq!(pretty, "{\n  \"passes\": [\"a\", \"b\"],\n  \"inner\": {\n    \"n\": 2\n  }\n}");
+        let compact = JsonValue::object([("a", vec![1u64, 2].into()), ("b", "c".into())]);
+        assert_eq!(compact.to_string(), r#"{"a":[1,2],"b":"c"}"#);
+
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(JsonValue::Number(bad).to_string(), "0");
+            assert_eq!(format!("{:#}", JsonValue::from(vec![bad])), "[0]");
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   no thread-local touch), human stderr logging with level filtering,
 //!   and collection for trace export.
 //! * [`metrics`] — named counters, gauges, and log-linear histograms in a
-//!   process-global registry with Prometheus-style text exposition and a
-//!   hand-rolled JSON dump.
+//!   process-global registry with Prometheus-style text exposition.
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`) rendering collected spans, plus arbitrary extra
 //!   tracks (the simulator injects its virtual-time events here).
@@ -28,8 +27,9 @@
 //! [`clock`] is the single wall-clock read site: every timestamp in the
 //! workspace's instrumentation flows through it, which keeps the
 //! wall-clock ban in this crate's `clippy.toml` enforceable everywhere
-//! else. [`json`]
-//! is a minimal parser used by trace-validation tests.
+//! else. [`json`] is the workspace's one JSON reader and one JSON writer:
+//! every JSON document the workspace emits is a [`json::JsonValue`]
+//! printed through its `Display`.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::float_cmp))]

@@ -1,11 +1,11 @@
 //! Named counters, gauges, and log-linear histograms with Prometheus-style
-//! text exposition and a hand-rolled JSON dump.
+//! text exposition.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
 //! over atomics: the registry lock is taken only at registration, never on
 //! the increment path. The process-global registry ([`Registry::global`])
-//! is what the CLI's `metrics` subcommand and the end-of-run expositions
-//! print; fresh registries can be built for tests.
+//! is what a listening server serves at `/metrics`; fresh registries can
+//! be built for tests.
 //!
 //! # Histogram buckets
 //!
@@ -21,8 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-
-use crate::json::escape as escape_json;
 
 /// Monotonically increasing counter. Clones share the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -464,54 +462,6 @@ impl Registry {
         }
         out
     }
-
-    /// Hand-rolled JSON dump: an object keyed by metric name; histograms
-    /// report count/sum/mean and interpolated p50/p95/p99.
-    pub fn render_json(&self) -> String {
-        let entries = self.entries.lock();
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, entry) in entries.iter() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":", escape_json(name)));
-            match &entry.kind {
-                Kind::Counter(c) => {
-                    out.push_str(&format!("{{\"type\":\"counter\",\"value\":{}}}", c.get()));
-                }
-                Kind::Gauge(g) => {
-                    out.push_str(&format!("{{\"type\":\"gauge\",\"value\":{}}}", json_f64(g.get())));
-                }
-                Kind::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"histogram\",\"count\":{},\"sum\":{},\"mean\":{},\
-                         \"p50\":{},\"p95\":{},\"p99\":{},\"p999\":{}}}",
-                        h.count(),
-                        h.sum(),
-                        json_f64(h.mean()),
-                        json_f64(h.quantile(0.50)),
-                        json_f64(h.quantile(0.95)),
-                        json_f64(h.quantile(0.99)),
-                        json_f64(h.quantile(0.999)),
-                    ));
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Render an `f64` as a valid JSON number (JSON has no NaN/Inf: those
-/// degrade to 0, matching what an idle metric reads as).
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -575,6 +525,8 @@ mod tests {
             let err = (got - truth).abs() / truth;
             assert!(err < 0.07, "q={q}: got {got}, want ~{truth} (err {err:.3})");
         }
+        let p999 = hist.quantile(0.999);
+        assert!((930.0..=1070.0).contains(&p999), "p999 {p999} out of range");
         assert_eq!(hist.count(), 1000);
         assert_eq!(hist.sum(), 500_500);
         assert!((hist.mean() - 500.5).abs() < 1e-9);
@@ -634,22 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_json_parses_with_own_parser() {
-        let registry = Registry::new();
-        registry.counter("a_total", "").inc();
-        registry.set_gauge("b", "", 1.5);
-        registry.histogram("c_us", "").record(7);
-        let dump = registry.render_json();
-        let value = crate::json::parse(&dump).expect("registry JSON must parse");
-        let obj = value.as_object().expect("top level is an object");
-        assert_eq!(obj.len(), 3);
-        let gauge = value.get("b").and_then(|v| v.get("value")).and_then(|v| v.as_f64());
-        assert_eq!(gauge, Some(1.5));
-        let p50 = value.get("c_us").and_then(|v| v.get("p50")).and_then(|v| v.as_f64());
-        assert!(p50.is_some_and(|p| (7.0..8.0).contains(&p)));
-    }
-
-    #[test]
     fn exemplar_retention_is_bounded_under_sustained_load() {
         let hist = Histogram::new();
         // Golden invariant: fixed slots, no growth, regardless of volume.
@@ -684,20 +620,6 @@ mod tests {
             .find(|l| l.contains("trace_id"))
             .expect("exemplar line present");
         assert!(line.starts_with("seg_us_bucket{le=\""), "exemplar on wrong line: {line}");
-    }
-
-    #[test]
-    fn json_reports_p999() {
-        let registry = Registry::new();
-        let hist = registry.histogram("tail_us", "");
-        for value in 1..=1000u64 {
-            hist.record(value);
-        }
-        let dump = registry.render_json();
-        let value = crate::json::parse(&dump).expect("json parses");
-        let p999 = value.get("tail_us").and_then(|v| v.get("p999")).and_then(|v| v.as_f64());
-        let p999 = p999.expect("p999 present");
-        assert!((930.0..=1070.0).contains(&p999), "p999 {p999} out of range");
     }
 
     #[test]

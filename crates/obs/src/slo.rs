@@ -21,6 +21,7 @@
 //! reads a clock). History lives in fixed-size per-second ring buffers,
 //! so memory is bounded no matter how long the process runs.
 
+use crate::json::JsonValue;
 use crate::metrics::Registry;
 use parking_lot::Mutex;
 
@@ -275,59 +276,40 @@ impl SloEngine {
     /// Render the `/slo` JSON document: objectives, windows, burn rates.
     pub fn render_json(&self, now_us: u64) -> String {
         let samples = self.tick(now_us);
-        let objectives: Vec<String> = {
-            let rings = self.rings.lock();
-            rings
-                .iter()
-                .map(|ring| {
-                    let (kind, detail) = match ring.objective.kind {
-                        SloKind::Latency { quantile, threshold_us } => (
-                            "latency",
-                            format!(
-                                "\"quantile\":{quantile},\"threshold_us\":{threshold_us}"
-                            ),
-                        ),
-                        SloKind::Availability { target } => {
-                            ("availability", format!("\"target\":{target}"))
-                        }
-                    };
-                    let windows: Vec<String> = samples
-                        .iter()
-                        .filter(|s| s.objective == ring.objective.name)
-                        .map(|s| {
-                            format!(
-                                "{{\"window\":\"{}\",\"burn_rate\":{},\"events\":{},\
-                                 \"violations\":{}}}",
-                                s.window.label(),
-                                json_f64(s.burn_rate),
-                                s.events,
-                                s.violations
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "{{\"name\":\"{}\",\"kind\":\"{kind}\",{detail},\"windows\":[{}]}}",
-                        ring.objective.name,
-                        windows.join(",")
-                    )
-                })
-                .collect()
-        };
-        format!(
-            "{{\"fast_window_secs\":{},\"slow_window_secs\":{},\"objectives\":[{}]}}",
-            self.fast_window_secs,
-            self.slow_window_secs,
-            objectives.join(",")
-        )
-    }
-}
-
-/// JSON has no NaN/Inf; degrade to 0 like the metrics renderer.
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "0".to_string()
+        let objectives: Vec<JsonValue> = self
+            .rings
+            .lock()
+            .iter()
+            .map(|ring| {
+                let name = &ring.objective.name;
+                let mut members = vec![("name", name.as_str().into())];
+                match ring.objective.kind {
+                    SloKind::Latency { quantile, threshold_us } => members.extend([
+                        ("kind", "latency".into()),
+                        ("quantile", quantile.into()),
+                        ("threshold_us", threshold_us.into()),
+                    ]),
+                    SloKind::Availability { target } => members
+                        .extend([("kind", "availability".into()), ("target", target.into())]),
+                }
+                let windows = samples.iter().filter(|s| &s.objective == name).map(|s| {
+                    JsonValue::object([
+                        ("window", s.window.label().into()),
+                        ("burn_rate", s.burn_rate.into()),
+                        ("events", s.events.into()),
+                        ("violations", s.violations.into()),
+                    ])
+                });
+                members.push(("windows", JsonValue::Array(windows.collect())));
+                JsonValue::object(members)
+            })
+            .collect();
+        JsonValue::object([
+            ("fast_window_secs", self.fast_window_secs.into()),
+            ("slow_window_secs", self.slow_window_secs.into()),
+            ("objectives", objectives.into()),
+        ])
+        .to_string()
     }
 }
 
@@ -445,6 +427,23 @@ mod tests {
         assert_eq!(objectives.len(), 2);
         assert!(doc.contains("\"burn_rate\""));
         assert!(doc.contains("\"window\":\"fast\""));
+    }
+
+    #[test]
+    fn json_escapes_objective_names() {
+        let name = "p99 \"tight\"\\\n";
+        let slo = SloEngine::new(SloConfig {
+            objectives: vec![SloObjective {
+                name: name.into(),
+                kind: SloKind::Availability { target: 0.99 },
+            }],
+            fast_window_secs: 10,
+            slow_window_secs: 100,
+        });
+        let doc = slo.render_json(0);
+        let parsed = crate::json::parse(&doc).expect("slo json parses");
+        let objectives = parsed.get("objectives").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(objectives[0].get("name").and_then(JsonValue::as_str), Some(name));
     }
 
     #[test]

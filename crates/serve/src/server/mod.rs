@@ -1030,6 +1030,25 @@ mod tests {
     }
 
     #[test]
+    fn stats_json_is_parseable_and_complete() {
+        let server = ScoringServer::start(registry(191), ServeConfig::default());
+        for job in jobs(6, 193) {
+            score(&server, job);
+        }
+        let stats = server.drain();
+        let json = stats.to_json().to_string();
+        let parsed = tasq_obs::json::parse(&json).expect("stats json must parse");
+        let field = |key: &str| parsed.get(key).and_then(|v| v.as_f64());
+        assert_eq!(field("submitted"), Some(stats.submitted as f64), "{json}");
+        assert_eq!(field("model_scored"), Some(stats.model_scored as f64), "{json}");
+        assert_eq!(field("resolved"), Some(stats.resolved() as f64), "{json}");
+        for key in ["completed", "rejected", "p50_us", "p99_us", "p999_us"] {
+            assert!(field(key).is_some(), "missing {key} in {json}");
+        }
+        assert!(!json.contains(['\n', ' ']), "one compact line: {json}");
+    }
+
+    #[test]
     fn traced_submission_flows_into_slowest_and_slo() {
         let server = ScoringServer::start(registry(181), ServeConfig::default());
         let ctx = TraceContext::mint(true);

@@ -13,6 +13,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use tasq_obs::json::JsonValue;
 
 /// Lock-free log-linear latency histogram (microsecond resolution).
 ///
@@ -150,48 +151,27 @@ impl ServerStatsSnapshot {
         }
     }
 
-    /// Publish every counter in this snapshot as a gauge in the global
-    /// metrics registry, so the Prometheus/JSON expositions carry the
-    /// serving state alongside the always-on counters. Gauges (not
-    /// counters) because a snapshot is a point-in-time level, re-published
-    /// wholesale on each call.
-    pub fn publish(&self, registry: &tasq_obs::Registry) {
-        let g = |name: &str, help: &str, value: f64| {
-            registry.gauge(name, help).set(value);
-        };
-        g("serve_submitted", "requests accepted by submit", self.submitted as f64);
-        g("serve_completed", "requests answered on any path", self.completed as f64);
-        g("serve_cache_hits", "requests answered from the signature cache", self.cache_hits as f64);
-        g("serve_model_scored", "requests scored by the worker pool", self.model_scored as f64);
-        g("serve_shed", "requests shed to the analytic tier", self.shed as f64);
-        g("serve_rejected", "requests refused at admission", self.rejected as f64);
-        g("serve_batches", "micro-batches executed", self.batches as f64);
-        g("serve_batched_requests", "requests carried by micro-batches", self.batched_requests as f64);
-        g("serve_peak_queue_depth", "highest queue depth observed", self.peak_queue_depth as f64);
-        g("serve_worker_lost", "requests resolved as WorkerLost", self.worker_lost as f64);
-        g(
-            "serve_deadline_timeouts_snapshot",
-            "requests resolved as over deadline",
-            self.deadline_timeouts as f64,
-        );
-        g(
-            "serve_worker_respawns_snapshot",
-            "panicked workers respawned",
-            self.worker_respawns as f64,
-        );
-        g("serve_breaker_trips_snapshot", "breaker open transitions", self.breaker_trips as f64);
-        g(
-            "serve_breaker_recoveries",
-            "breaker half-open to closed recoveries",
-            self.breaker_recoveries as f64,
-        );
-        g("serve_model_generation", "model-registry generation", self.generation as f64);
-        g("serve_cache_misses", "signature-cache misses", self.cache.misses as f64);
-        g("serve_cache_evictions", "signature-cache evictions", self.cache.evictions as f64);
-        g("serve_cache_insertions", "signature-cache insertions", self.cache.insertions as f64);
-        g("serve_cache_rejected", "signature-cache admissions refused", self.cache.rejected as f64);
-        g("serve_cache_entries", "signature-cache live entries", self.cache.entries as f64);
-        g("serve_cache_hit_rate", "signature-cache hit rate", self.cache.hit_rate());
+    /// The one JSON rendering of a snapshot: what `/stats` serves, what
+    /// `serve --listen` prints when drained, and the chaos report's
+    /// `serving` block.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("submitted", self.submitted.into()),
+            ("completed", self.completed.into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("model_scored", self.model_scored.into()),
+            ("shed", self.shed.into()),
+            ("rejected", self.rejected.into()),
+            ("worker_lost", self.worker_lost.into()),
+            ("deadline_timeouts", self.deadline_timeouts.into()),
+            ("resolved", self.resolved().into()),
+            ("worker_respawns", self.worker_respawns.into()),
+            ("breaker_trips", self.breaker_trips.into()),
+            ("breaker_recoveries", self.breaker_recoveries.into()),
+            ("p50_us", self.latency.p50_us.into()),
+            ("p99_us", self.latency.p99_us.into()),
+            ("p999_us", self.latency.p999_us.into()),
+        ])
     }
 }
 
@@ -288,29 +268,27 @@ impl SlowestTracker {
         out
     }
 
-    /// Hand-rolled JSON for the `/debug/slowest` endpoint.
+    /// JSON for the `/debug/slowest` endpoint.
     pub fn render_json(&self) -> String {
-        let entries: Vec<String> = self
-            .snapshot()
-            .into_iter()
-            .map(|s| {
-                format!(
-                    "{{\"trace_id\":\"{:032x}\",\"total_us\":{},\"via\":\"{}\",\"tier\":\"{}\",\
-                     \"segments\":{{\"fastpath_probe_us\":{},\"queue_wait_us\":{},\
-                     \"batch_wait_us\":{},\"score_us\":{},\"flush_us\":{}}}}}",
-                    s.trace_id,
-                    s.total_us,
-                    s.via,
-                    s.tier,
-                    s.fastpath_probe_us,
-                    s.queue_wait_us,
-                    s.batch_wait_us,
-                    s.score_us,
-                    s.flush_us
-                )
-            })
-            .collect();
-        format!("{{\"slowest\":[{}]}}", entries.join(","))
+        let entries = self.snapshot().into_iter().map(|s| {
+            JsonValue::object([
+                ("trace_id", format!("{:032x}", s.trace_id).into()),
+                ("total_us", s.total_us.into()),
+                ("via", s.via.into()),
+                ("tier", s.tier.into()),
+                (
+                    "segments",
+                    JsonValue::object([
+                        ("fastpath_probe_us", s.fastpath_probe_us.into()),
+                        ("queue_wait_us", s.queue_wait_us.into()),
+                        ("batch_wait_us", s.batch_wait_us.into()),
+                        ("score_us", s.score_us.into()),
+                        ("flush_us", s.flush_us.into()),
+                    ]),
+                ),
+            ])
+        });
+        JsonValue::object([("slowest", JsonValue::Array(entries.collect()))]).to_string()
     }
 }
 
@@ -392,24 +370,6 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("serve_latency_us_count 2"));
         assert!(text.contains("serve_latency_us_sum 300"));
-    }
-
-    #[test]
-    fn snapshot_publish_writes_gauges() {
-        let registry = tasq_obs::Registry::new();
-        let snap = ServerStatsSnapshot {
-            submitted: 10,
-            completed: 9,
-            cache_hits: 3,
-            shed: 1,
-            ..Default::default()
-        };
-        snap.publish(&registry);
-        let text = registry.render_prometheus();
-        assert!(text.contains("serve_submitted 10"));
-        assert!(text.contains("serve_completed 9"));
-        assert!(text.contains("serve_cache_hits 3"));
-        assert!(text.contains("serve_shed 1"));
     }
 
     fn slow(total_us: u64, trace_id: u128) -> SlowRequest {
