@@ -525,8 +525,6 @@ mod tests {
             let err = (got - truth).abs() / truth;
             assert!(err < 0.07, "q={q}: got {got}, want ~{truth} (err {err:.3})");
         }
-        let p999 = hist.quantile(0.999);
-        assert!((930.0..=1070.0).contains(&p999), "p999 {p999} out of range");
         assert_eq!(hist.count(), 1000);
         assert_eq!(hist.sum(), 500_500);
         assert!((hist.mean() - 500.5).abs() < 1e-9);
@@ -620,6 +618,23 @@ mod tests {
             .find(|l| l.contains("trace_id"))
             .expect("exemplar line present");
         assert!(line.starts_with("seg_us_bucket{le=\""), "exemplar on wrong line: {line}");
+    }
+
+    #[test]
+    fn json_reports_p999() {
+        let registry = Registry::new();
+        let hist = registry.histogram("tail_us", "");
+        for value in 1..=1000u64 {
+            hist.record(value);
+        }
+        // Emitters put quantiles into a `JsonValue` and print it; the tail
+        // figure must survive that trip within one sub-bucket of truth.
+        let tail = crate::json::JsonValue::object([("p999", hist.quantile(0.999).into())]);
+        let dump = crate::json::JsonValue::object([("tail_us", tail)]).to_string();
+        let value = crate::json::parse(&dump).expect("json parses");
+        let p999 = value.get("tail_us").and_then(|v| v.get("p999")).and_then(|v| v.as_f64());
+        let p999 = p999.expect("p999 present");
+        assert!((930.0..=1070.0).contains(&p999), "p999 {p999} out of range");
     }
 
     #[test]
