@@ -89,9 +89,10 @@ impl BinMapper {
     }
 }
 
-/// A dataset pre-binned for training: bin indices in feature-major layout
-/// (`feature * n + sample`), so per-feature histogram accumulation streams
-/// contiguous memory.
+/// A dataset pre-binned for training: bin indices in row-major layout
+/// (`sample * num_features + feature`), so a node's split search reads
+/// each of its samples' bins as one contiguous row and fills every
+/// feature's histogram in one pass over the node's indices.
 #[derive(Debug, Clone)]
 pub struct BinnedDataset {
     bins: Vec<u8>,
@@ -102,15 +103,10 @@ pub struct BinnedDataset {
 impl BinnedDataset {
     /// Bin all rows with the given mapper.
     pub fn new(mapper: &BinMapper, rows: &[Vec<f64>]) -> Self {
-        let num_samples = rows.len();
         let num_features = mapper.num_features();
-        let mut bins = vec![0u8; num_samples * num_features];
-        for (s, row) in rows.iter().enumerate() {
-            for f in 0..num_features {
-                bins[f * num_samples + s] = mapper.bin(f, row[f]);
-            }
-        }
-        Self { bins, num_samples, num_features }
+        let bins =
+            rows.iter().flat_map(|row| (0..num_features).map(|f| mapper.bin(f, row[f]))).collect();
+        Self { bins, num_samples: rows.len(), num_features }
     }
 
     /// Number of samples.
@@ -126,13 +122,13 @@ impl BinnedDataset {
     /// Bin of sample `s` for feature `f`.
     #[inline]
     pub fn bin(&self, f: usize, s: usize) -> u8 {
-        self.bins[f * self.num_samples + s]
+        self.bins[s * self.num_features + f]
     }
 
-    /// Contiguous bins of all samples for feature `f`.
+    /// Contiguous bins of every feature for sample `s`.
     #[inline]
-    pub fn feature_bins(&self, f: usize) -> &[u8] {
-        &self.bins[f * self.num_samples..(f + 1) * self.num_samples]
+    pub fn row(&self, s: usize) -> &[u8] {
+        &self.bins[s * self.num_features..(s + 1) * self.num_features]
     }
 }
 
@@ -181,16 +177,19 @@ mod tests {
 
     #[test]
     fn binned_dataset_layout() {
-        let rows = vec![vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]];
+        let rows = vec![vec![1.0, 30.0], vec![2.0, 10.0], vec![3.0, 20.0]];
         let mapper = BinMapper::fit(&rows, 8);
         let ds = BinnedDataset::new(&mapper, &rows);
         assert_eq!(ds.num_samples(), 3);
         assert_eq!(ds.num_features(), 2);
         for s in 0..3 {
             assert_eq!(ds.bin(0, s), s as u8);
-            assert_eq!(ds.bin(1, s), s as u8);
+            assert_eq!(ds.bin(1, s), ((s + 2) % 3) as u8);
         }
-        assert_eq!(ds.feature_bins(0), &[0, 1, 2]);
+        // Row-major: each sample's bins are one contiguous row.
+        assert_eq!(ds.row(0), &[0, 2]);
+        assert_eq!(ds.row(1), &[1, 0]);
+        assert_eq!(ds.row(2), &[2, 1]);
     }
 
     #[test]

@@ -2,26 +2,31 @@
 
 use super::binning::{BinMapper, BinnedDataset};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tasq_par::Pool;
 
 /// Below this many (sample x feature) histogram accumulations the split
 /// search of a node runs sequentially even on a multi-thread pool.
 ///
-/// Derived from the pool's dispatch cost, not tuned: one fan-out is a
-/// scoped spawn + join, measured at ≈ 55 µs per call with two threads
-/// (≈ 85 µs with four) on the 2-vCPU reference box, and the sequential
-/// scan does an accumulation in ≈ 1.5 ns. Two threads break even at
-/// `2 x 55 µs / 1.5 ns ≈ 73k` accumulations and only with both vCPUs
-/// schedulable; when the second is stolen the whole dispatch is loss.
-/// At `2^19` (≈ 0.8 ms of scan, 14 dispatches) the fanned-out arm returns
-/// ≥ 1.7x on two threads and costs ≤ 7 % when it gets no second thread.
-/// The old value, 4096, sent 6 µs scans through an 80 µs dispatch at
-/// every node of every tree (`par.ratio.gbdt` 0.34–0.50). A paper-sized
-/// fit (2 400 rows x 51 features = 122k at the root) now never fans out.
+/// Derived from the pool's dispatch cost, not tuned. On the 2-vCPU
+/// reference box (release, min or median of repeated runs) one fan-out
+/// costs ≈ 38 µs with two threads (≈ 75 µs with four), and the one-pass
+/// row-major scan does an accumulation in ≈ 1.05 ns (a 2 400 x 51 root
+/// in ≈ 130 µs). When the second vCPU is stolen the whole dispatch is
+/// loss, so the threshold keeps that loss ≤ 7 %: `38 µs / (0.07 x
+/// 1.05 ns) ≈ 517k`, rounded up to `2^19` (≈ 0.55 ms of scan, 14
+/// dispatches). The ratio of the two costs barely moved from the
+/// per-feature scan (55 µs / 1.5 ns), so neither did the constant. The
+/// fanned-out arm returns ≈ 1.06x at `2^19` and 1.2–1.6x at `2^20` on
+/// two threads: each task re-reads every row of the node for its own
+/// features. The value before `2^19`, 4096, sent 6 µs scans through an
+/// 80 µs dispatch at every node of every tree (`par.ratio.gbdt`
+/// 0.34–0.50). A paper-sized fit (122k at the root) never fans out.
 const PAR_SPLIT_MIN_WORK: usize = 1 << 19;
 
 /// Whether a node of `rows` samples searches its split on `pool`'s
-/// threads (one task per feature) or on the caller alone.
+/// threads (one contiguous feature range per thread) or on the caller
+/// alone.
 pub(super) fn split_search_fans_out(pool: &Pool, rows: usize, num_features: usize) -> bool {
     pool.threads() > 1 && rows * num_features >= PAR_SPLIT_MIN_WORK
 }
@@ -73,8 +78,6 @@ struct SplitCandidate {
     feature: usize,
     bin_threshold: u8,
     gain: f64,
-    left_grad: f64,
-    left_hess: f64,
 }
 
 /// Reorder `indices` so the ones `goes_left` accepts come first, and
@@ -104,6 +107,128 @@ fn stable_partition(
     n_left
 }
 
+/// The histograms of a contiguous run of features, laid end to end in
+/// one buffer: feature `features.start + k` owns the bins
+/// `offsets[k]..offsets[k + 1]`, each a `[gradient sum, hessian sum]`.
+struct Histograms {
+    features: Range<usize>,
+    offsets: Vec<usize>,
+    sums: Vec<[f64; 2]>,
+}
+
+impl Histograms {
+    fn new(mapper: &BinMapper, features: Range<usize>) -> Self {
+        let mut offsets = vec![0];
+        for f in features.clone() {
+            offsets.push(offsets[offsets.len() - 1] + mapper.num_bins(f));
+        }
+        let sums = vec![[0.0; 2]; offsets[offsets.len() - 1]];
+        Self { features, offsets, sums }
+    }
+
+    /// Refill every bin from the samples in `indices`, in one pass over
+    /// them: each sample's row of bins is read once, and every
+    /// (feature, bin) still adds its samples in index order, starting
+    /// from `+0.0`.
+    fn fill(&mut self, data: &BinnedDataset, grads: &[f64], hess: &[f64], indices: &[usize]) {
+        self.sums.fill([0.0; 2]);
+        let offsets = &self.offsets[..self.offsets.len() - 1];
+        for &i in indices {
+            let (g, h) = (grads[i], hess[i]);
+            for (&offset, &b) in offsets.iter().zip(&data.row(i)[self.features.clone()]) {
+                let sum = &mut self.sums[offset + b as usize];
+                sum[0] += g;
+                sum[1] += h;
+            }
+        }
+    }
+
+    /// The best split of each feature, in feature order (`None` for a
+    /// feature that has none).
+    fn best_splits<'a>(
+        &'a self,
+        total_grad: f64,
+        total_hess: f64,
+        params: &'a GrowthParams,
+    ) -> impl Iterator<Item = Option<SplitCandidate>> + 'a {
+        self.offsets.windows(2).zip(self.features.clone()).map(move |(w, f)| {
+            best_split_for_feature(f, &self.sums[w[0]..w[1]], total_grad, total_hess, params)
+        })
+    }
+}
+
+/// The gain scan of one feature's histogram: the best "bin <= b" split
+/// (the first bin wins ties via the strict-greater comparison).
+///
+/// A candidate that leaves either child without samples is no split.
+/// Every objective's hessian is positive, so a bin holds samples exactly
+/// when its hessian sum is `> 0`: the left child is empty while
+/// `left_hess` is still `0.0`, and the right one from the last occupied
+/// bin on, where `total - left` is rounding noise, not zero.
+fn best_split_for_feature(
+    f: usize,
+    hist: &[[f64; 2]],
+    total_grad: f64,
+    total_hess: f64,
+    params: &GrowthParams,
+) -> Option<SplitCandidate> {
+    let last_occupied = hist.iter().rposition(|&[_, h]| h > 0.0)?;
+    let parent_score = total_grad * total_grad / (total_hess + params.lambda);
+    let mut best: Option<SplitCandidate> = None;
+    let mut left_grad = 0.0;
+    let mut left_hess = 0.0;
+    for (b, &[g, h]) in hist[..last_occupied].iter().enumerate() {
+        left_grad += g;
+        left_hess += h;
+        let right_grad = total_grad - left_grad;
+        let right_hess = total_hess - left_hess;
+        if left_hess <= 0.0
+            || left_hess < params.min_child_weight
+            || right_hess < params.min_child_weight
+        {
+            continue;
+        }
+        let gain = 0.5
+            * (left_grad * left_grad / (left_hess + params.lambda)
+                + right_grad * right_grad / (right_hess + params.lambda)
+                - parent_score);
+        if best.as_ref().is_none_or(|s| gain > s.gain) {
+            best = Some(SplitCandidate { feature: f, bin_threshold: b as u8, gain });
+        }
+    }
+    best
+}
+
+/// The per-feature candidates reduced in the order given: the first of
+/// the highest gains wins.
+fn best_of(candidates: impl Iterator<Item = Option<SplitCandidate>>) -> Option<SplitCandidate> {
+    let mut best: Option<SplitCandidate> = None;
+    for cand in candidates.flatten() {
+        if best.as_ref().is_none_or(|s| cand.gain > s.gain) {
+            best = Some(cand);
+        }
+    }
+    best
+}
+
+/// What every node of one tree reads.
+struct Grower<'a> {
+    data: &'a BinnedDataset,
+    mapper: &'a BinMapper,
+    grads: &'a [f64],
+    hess: &'a [f64],
+    params: &'a GrowthParams,
+    pool: &'a Pool,
+}
+
+/// The buffers every node of one tree reuses.
+struct Buffers {
+    /// The right side of a partition, while the left is compacted.
+    partition: Vec<usize>,
+    /// Every feature's histogram, for a node searched on the caller.
+    hist: Histograms,
+}
+
 impl Tree {
     /// Grow a tree on the given (possibly subsampled) sample indices.
     ///
@@ -120,11 +245,11 @@ impl Tree {
         Self::grow_with_pool(data, mapper, grads, hess, samples, params, &Pool::sequential())
     }
 
-    /// [`Tree::grow`] with the per-feature histogram/split search fanned
-    /// out over `pool`. Per-feature candidates are reduced in ascending
-    /// feature order with the same strict-greater tie-break as the
-    /// sequential scan, so the grown tree is bit-identical at any thread
-    /// count.
+    /// [`Tree::grow`] with the histogram/split search of a large node
+    /// fanned out over `pool`, one contiguous feature range per task.
+    /// Per-feature candidates are reduced in ascending feature order with
+    /// the same strict-greater tie-break as the sequential scan, so the
+    /// grown tree is bit-identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     pub fn grow_with_pool(
         data: &BinnedDataset,
@@ -135,201 +260,18 @@ impl Tree {
         params: &GrowthParams,
         pool: &Pool,
     ) -> Self {
-        let mut tree = Tree { nodes: Vec::new() };
+        let grower = Grower { data, mapper, grads, hess, params, pool };
+        let mut tree = Tree { nodes: vec![Node::Leaf { weight: 0.0 }] };
         // One index buffer for the whole tree: each node owns a contiguous
         // slice of it, which a split partitions in place into its
         // children's slices.
         let mut indices: Vec<usize> = samples.to_vec();
-        let mut scratch = Vec::new();
-        tree.nodes.push(Node::Leaf { weight: 0.0 });
-        tree.grow_node(0, data, mapper, grads, hess, &mut indices, &mut scratch, 0, params, pool);
+        let mut buffers = Buffers {
+            partition: Vec::new(),
+            hist: Histograms::new(mapper, 0..data.num_features()),
+        };
+        grower.grow_node(&mut tree, 0, &mut indices, &mut buffers, 0);
         tree
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn grow_node(
-        &mut self,
-        node_id: usize,
-        data: &BinnedDataset,
-        mapper: &BinMapper,
-        grads: &[f64],
-        hess: &[f64],
-        indices: &mut [usize],
-        scratch: &mut Vec<usize>,
-        depth: usize,
-        params: &GrowthParams,
-        pool: &Pool,
-    ) {
-        let total_grad: f64 = indices.iter().map(|&i| grads[i]).sum();
-        let total_hess: f64 = indices.iter().map(|&i| hess[i]).sum();
-        let leaf_weight = -total_grad / (total_hess + params.lambda);
-
-        let make_leaf = |tree: &mut Tree| {
-            tree.nodes[node_id] = Node::Leaf { weight: leaf_weight };
-        };
-
-        if depth >= params.max_depth || indices.len() < 2 {
-            make_leaf(self);
-            return;
-        }
-
-        let best = Self::find_best_split(
-            data, mapper, grads, hess, indices, total_grad, total_hess, params, pool,
-        );
-        let Some(split) = best else {
-            make_leaf(self);
-            return;
-        };
-        if split.gain <= params.min_split_gain {
-            make_leaf(self);
-            return;
-        }
-
-        let n_left = stable_partition(indices, scratch, |i| {
-            data.bin(split.feature, i) <= split.bin_threshold
-        });
-        debug_assert!(n_left > 0 && n_left < indices.len());
-        let (left_idx, right_idx) = indices.split_at_mut(n_left);
-
-        let left = self.nodes.len();
-        self.nodes.push(Node::Leaf { weight: 0.0 });
-        let right = self.nodes.len();
-        self.nodes.push(Node::Leaf { weight: 0.0 });
-        self.nodes[node_id] = Node::Split {
-            feature: split.feature,
-            threshold: mapper.threshold_value(split.feature, split.bin_threshold),
-            bin_threshold: split.bin_threshold,
-            left,
-            right,
-        };
-        self.grow_node(left, data, mapper, grads, hess, left_idx, scratch, depth + 1, params, pool);
-        self.grow_node(right, data, mapper, grads, hess, right_idx, scratch, depth + 1, params, pool);
-    }
-
-    /// Histogram scan of a single feature: fill `hist_grad`/`hist_hess`
-    /// and return the best candidate for that feature alone (first bin
-    /// wins ties via the strict-greater comparison).
-    #[allow(clippy::too_many_arguments)]
-    fn best_split_for_feature(
-        data: &BinnedDataset,
-        mapper: &BinMapper,
-        grads: &[f64],
-        hess: &[f64],
-        indices: &[usize],
-        total_grad: f64,
-        total_hess: f64,
-        params: &GrowthParams,
-        f: usize,
-        hist_grad: &mut [f64],
-        hist_hess: &mut [f64],
-    ) -> Option<SplitCandidate> {
-        let parent_score = total_grad * total_grad / (total_hess + params.lambda);
-        let nbins = mapper.num_bins(f);
-        if nbins < 2 {
-            return None;
-        }
-        hist_grad[..nbins].iter_mut().for_each(|x| *x = 0.0);
-        hist_hess[..nbins].iter_mut().for_each(|x| *x = 0.0);
-        let bins = data.feature_bins(f);
-        for &i in indices {
-            let b = bins[i] as usize;
-            hist_grad[b] += grads[i];
-            hist_hess[b] += hess[i];
-        }
-        let mut best: Option<SplitCandidate> = None;
-        let mut left_grad = 0.0;
-        let mut left_hess = 0.0;
-        // Split candidates: "bin <= b" for b in 0..nbins-1.
-        for b in 0..nbins - 1 {
-            left_grad += hist_grad[b];
-            left_hess += hist_hess[b];
-            let right_grad = total_grad - left_grad;
-            let right_hess = total_hess - left_hess;
-            if left_hess < params.min_child_weight || right_hess < params.min_child_weight {
-                continue;
-            }
-            let gain = 0.5
-                * (left_grad * left_grad / (left_hess + params.lambda)
-                    + right_grad * right_grad / (right_hess + params.lambda)
-                    - parent_score);
-            if best.as_ref().is_none_or(|s| gain > s.gain) {
-                best = Some(SplitCandidate {
-                    feature: f,
-                    bin_threshold: b as u8,
-                    gain,
-                    left_grad,
-                    left_hess,
-                });
-            }
-        }
-        best
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn find_best_split(
-        data: &BinnedDataset,
-        mapper: &BinMapper,
-        grads: &[f64],
-        hess: &[f64],
-        indices: &[usize],
-        total_grad: f64,
-        total_hess: f64,
-        params: &GrowthParams,
-        pool: &Pool,
-    ) -> Option<SplitCandidate> {
-        let num_features = data.num_features();
-        let max_bins = (0..num_features).map(|f| mapper.num_bins(f)).max()?;
-
-        let mut best: Option<SplitCandidate> = None;
-        if split_search_fans_out(pool, indices.len(), num_features) {
-            // One task per feature, each with its own histogram buffers;
-            // candidates come back in feature order for the deterministic
-            // lowest-feature-wins reduction below.
-            let features: Vec<usize> = (0..num_features).collect();
-            let per_feature = match pool.par_map_grain(&features, 1, |_, &f| {
-                let mut hist_grad = vec![0.0f64; max_bins];
-                let mut hist_hess = vec![0.0f64; max_bins];
-                Self::best_split_for_feature(
-                    data, mapper, grads, hess, indices, total_grad, total_hess, params, f,
-                    &mut hist_grad, &mut hist_hess,
-                )
-            }) {
-                Ok(v) => v,
-                // The scan cannot panic on valid binned data; runtime bug.
-                Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
-            };
-            for cand in per_feature.into_iter().flatten() {
-                if best.as_ref().is_none_or(|s| cand.gain > s.gain) {
-                    best = Some(cand);
-                }
-            }
-        } else {
-            // Reusable histogram buffers sized for the largest feature.
-            let mut hist_grad = vec![0.0f64; max_bins];
-            let mut hist_hess = vec![0.0f64; max_bins];
-            for f in 0..num_features {
-                let cand = Self::best_split_for_feature(
-                    data, mapper, grads, hess, indices, total_grad, total_hess, params, f,
-                    &mut hist_grad, &mut hist_hess,
-                );
-                if let Some(cand) = cand {
-                    if best.as_ref().is_none_or(|s| cand.gain > s.gain) {
-                        best = Some(cand);
-                    }
-                }
-            }
-        }
-        // Reject splits that would leave a child empty of samples (possible
-        // when all mass sits in one side's hessians but min_child_weight is 0).
-        if let Some(s) = &best {
-            // An empty child accumulates an exact 0.0 gradient sum;
-            // approximate comparison would misclassify genuinely tiny but
-            // populated children.
-            if s.left_hess <= 0.0 && s.left_grad == 0.0 {
-                return None;
-            }
-        }
-        best
     }
 
     /// Number of nodes (internal + leaves).
@@ -365,9 +307,222 @@ impl Tree {
     }
 }
 
+impl Grower<'_> {
+    fn grow_node(
+        &self,
+        tree: &mut Tree,
+        node_id: usize,
+        indices: &mut [usize],
+        buffers: &mut Buffers,
+        depth: usize,
+    ) {
+        let total_grad: f64 = indices.iter().map(|&i| self.grads[i]).sum();
+        let total_hess: f64 = indices.iter().map(|&i| self.hess[i]).sum();
+        tree.nodes[node_id] =
+            Node::Leaf { weight: -total_grad / (total_hess + self.params.lambda) };
+
+        if depth >= self.params.max_depth || indices.len() < 2 {
+            return;
+        }
+        let Some(split) = self.find_best_split(indices, total_grad, total_hess, &mut buffers.hist)
+        else {
+            return;
+        };
+        if split.gain <= self.params.min_split_gain {
+            return;
+        }
+
+        let n_left = stable_partition(indices, &mut buffers.partition, |i| {
+            self.data.bin(split.feature, i) <= split.bin_threshold
+        });
+        debug_assert!(n_left > 0 && n_left < indices.len());
+        let (left_idx, right_idx) = indices.split_at_mut(n_left);
+
+        let left = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { weight: 0.0 });
+        let right = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { weight: 0.0 });
+        tree.nodes[node_id] = Node::Split {
+            feature: split.feature,
+            threshold: self.mapper.threshold_value(split.feature, split.bin_threshold),
+            bin_threshold: split.bin_threshold,
+            left,
+            right,
+        };
+        self.grow_node(tree, left, left_idx, buffers, depth + 1);
+        self.grow_node(tree, right, right_idx, buffers, depth + 1);
+    }
+
+    /// The node's best split over every feature. On the caller, `hist`
+    /// takes every feature's histogram in one pass over `indices`; a
+    /// fanned-out search gives each task a contiguous feature range and
+    /// its own buffer, and the candidates come back in feature order for
+    /// the same lowest-feature-wins reduction.
+    fn find_best_split(
+        &self,
+        indices: &[usize],
+        total_grad: f64,
+        total_hess: f64,
+        hist: &mut Histograms,
+    ) -> Option<SplitCandidate> {
+        let Grower { data, mapper, grads, hess, params, pool } = *self;
+        let num_features = data.num_features();
+        if !split_search_fans_out(pool, indices.len(), num_features) {
+            hist.fill(data, grads, hess, indices);
+            return best_of(hist.best_splits(total_grad, total_hess, params));
+        }
+        let per_task = num_features.div_ceil(pool.threads());
+        let ranges: Vec<Range<usize>> = (0..num_features)
+            .step_by(per_task)
+            .map(|lo| lo..(lo + per_task).min(num_features))
+            .collect();
+        let per_range = match pool.par_map_grain(&ranges, 1, |_, features| {
+            let mut hist = Histograms::new(mapper, features.clone());
+            hist.fill(data, grads, hess, indices);
+            hist.best_splits(total_grad, total_hess, params).collect::<Vec<_>>()
+        }) {
+            Ok(v) => v,
+            // The scan cannot panic on valid binned data; runtime bug.
+            Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
+        };
+        best_of(per_range.into_iter().flatten())
+    }
+}
+
+/// The split search as it stood at 62d94b6, kept as the oracle the
+/// row-major search must match bit for bit: for each feature in turn, one
+/// pass over the node's indices into a histogram sized for the widest
+/// feature, then its gain scan; candidates reduced in feature order; the
+/// children split with `Iterator::partition`. One deliberate change: a
+/// candidate that leaves a child without samples is rejected, judged
+/// here by counting the samples on each side rather than by hessian
+/// sums, so the oracle checks that rule as well.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn grow(
+        data: &BinnedDataset,
+        mapper: &BinMapper,
+        grads: &[f64],
+        hess: &[f64],
+        samples: &[usize],
+        params: &GrowthParams,
+    ) -> Tree {
+        let grower = Grower { data, mapper, grads, hess, params, pool: &Pool::sequential() };
+        let mut tree = Tree { nodes: vec![Node::Leaf { weight: 0.0 }] };
+        grow_node(&grower, &mut tree, 0, &mut samples.to_vec(), 0);
+        tree
+    }
+
+    fn grow_node(g: &Grower, tree: &mut Tree, node_id: usize, indices: &mut [usize], depth: usize) {
+        let total_grad: f64 = indices.iter().map(|&i| g.grads[i]).sum();
+        let total_hess: f64 = indices.iter().map(|&i| g.hess[i]).sum();
+        tree.nodes[node_id] = Node::Leaf { weight: -total_grad / (total_hess + g.params.lambda) };
+        if depth >= g.params.max_depth || indices.len() < 2 {
+            return;
+        }
+        let Some(split) = find_best_split(g, indices, total_grad, total_hess) else {
+            return;
+        };
+        if split.gain <= g.params.min_split_gain {
+            return;
+        }
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+            indices.iter().partition(|&&i| g.data.bin(split.feature, i) <= split.bin_threshold);
+        let (left_slice, right_slice) = indices.split_at_mut(left_idx.len());
+        left_slice.copy_from_slice(&left_idx);
+        right_slice.copy_from_slice(&right_idx);
+
+        let left = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { weight: 0.0 });
+        let right = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { weight: 0.0 });
+        tree.nodes[node_id] = Node::Split {
+            feature: split.feature,
+            threshold: g.mapper.threshold_value(split.feature, split.bin_threshold),
+            bin_threshold: split.bin_threshold,
+            left,
+            right,
+        };
+        grow_node(g, tree, left, left_slice, depth + 1);
+        grow_node(g, tree, right, right_slice, depth + 1);
+    }
+
+    pub fn find_best_split(
+        g: &Grower,
+        indices: &[usize],
+        total_grad: f64,
+        total_hess: f64,
+    ) -> Option<SplitCandidate> {
+        let num_features = g.data.num_features();
+        let max_bins = (0..num_features).map(|f| g.mapper.num_bins(f)).max()?;
+        let mut hist = vec![(0.0, 0.0, 0usize); max_bins];
+        let mut best: Option<SplitCandidate> = None;
+        for f in 0..num_features {
+            let cand = best_split_for_feature(g, indices, total_grad, total_hess, f, &mut hist);
+            if let Some(cand) = cand {
+                if best.as_ref().is_none_or(|s| cand.gain > s.gain) {
+                    best = Some(cand);
+                }
+            }
+        }
+        best
+    }
+
+    fn best_split_for_feature(
+        g: &Grower,
+        indices: &[usize],
+        total_grad: f64,
+        total_hess: f64,
+        f: usize,
+        hist: &mut [(f64, f64, usize)],
+    ) -> Option<SplitCandidate> {
+        let params = g.params;
+        let parent_score = total_grad * total_grad / (total_hess + params.lambda);
+        let nbins = g.mapper.num_bins(f);
+        if nbins < 2 {
+            return None;
+        }
+        hist[..nbins].iter_mut().for_each(|x| *x = (0.0, 0.0, 0));
+        for &i in indices {
+            let bin = &mut hist[g.data.bin(f, i) as usize];
+            bin.0 += g.grads[i];
+            bin.1 += g.hess[i];
+            bin.2 += 1;
+        }
+        let mut best: Option<SplitCandidate> = None;
+        let (mut left_grad, mut left_hess, mut left_count) = (0.0, 0.0, 0);
+        for (b, &(grad, hess, count)) in hist[..nbins - 1].iter().enumerate() {
+            left_grad += grad;
+            left_hess += hess;
+            left_count += count;
+            let right_grad = total_grad - left_grad;
+            let right_hess = total_hess - left_hess;
+            if left_count == 0 || left_count == indices.len() {
+                continue;
+            }
+            if left_hess < params.min_child_weight || right_hess < params.min_child_weight {
+                continue;
+            }
+            let gain = 0.5
+                * (left_grad * left_grad / (left_hess + params.lambda)
+                    + right_grad * right_grad / (right_hess + params.lambda)
+                    - parent_score);
+            if best.as_ref().is_none_or(|s| gain > s.gain) {
+                best = Some(SplitCandidate { feature: f, bin_threshold: b as u8, gain });
+            }
+        }
+        best
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rand_ext;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn params() -> GrowthParams {
         GrowthParams { max_depth: 4, lambda: 1.0, min_split_gain: 0.0, min_child_weight: 0.0 }
@@ -482,6 +637,138 @@ mod tests {
                 assert_eq!(idx[..n_left], left[..]);
                 assert_eq!(idx[n_left..], right[..]);
             }
+        }
+    }
+
+    /// Every node's fields, bit for bit.
+    fn node_bits(tree: &Tree) -> Vec<[u64; 5]> {
+        let node = |n: &Node| match *n {
+            Node::Split { feature, threshold, bin_threshold, left, right } => {
+                let bin = bin_threshold.into();
+                [feature as u64, threshold.to_bits(), bin, left as u64, right as u64]
+            }
+            Node::Leaf { weight } => [u64::MAX, weight.to_bits(), 0, 0, 0],
+        };
+        tree.nodes.iter().map(node).collect()
+    }
+
+    /// A random column of 1, 2 or up to 64 distinct values.
+    fn column(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        match rng.gen_range(0..3) {
+            0 => vec![rng.gen_range(-1.0..1.0); n],
+            1 => (0..n).map(|_| f64::from(rng.gen_range(0..2u8))).collect(),
+            _ => (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect(),
+        }
+    }
+
+    /// The row-major, one-pass split search grows the same trees as the
+    /// per-feature scan it replaced: random shapes with 1-, 2- and
+    /// 64-bin features, all rows or a shuffled subsample, unit or varied
+    /// hessians, on pools of 1, 2 and 4 threads, with roots on both sides
+    /// of the fan-out threshold. Node bits cover the node count, the
+    /// split counts and every prediction; predictions are checked too.
+    #[test]
+    fn row_major_split_search_matches_the_per_feature_reference() {
+        let mut rng = StdRng::seed_from_u64(0x7472_6565);
+        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
+        for case in 0..40 {
+            let (n, nf) = match case {
+                0 => (8300, 64),
+                1 => (2600, 202),
+                _ => (rng.gen_range(2..400), rng.gen_range(1..12)),
+            };
+            let fans_out = n * nf >= PAR_SPLIT_MIN_WORK;
+            assert_eq!(split_search_fans_out(&pools[1], n, nf), fans_out);
+            assert_eq!(fans_out, case < 2, "case {case}: {n}x{nf}");
+            let columns: Vec<Vec<f64>> = (0..nf).map(|_| column(&mut rng, n)).collect();
+            let rows: Vec<Vec<f64>> =
+                (0..n).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
+            let mapper = BinMapper::fit(&rows, 64);
+            let data = BinnedDataset::new(&mapper, &rows);
+            let grads: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let hess: Vec<f64> = match case % 2 {
+                0 => vec![1.0; n],
+                _ => (0..n).map(|_| rng.gen_range(0.01..2.0)).collect(),
+            };
+            let samples = match case % 3 {
+                0 => (0..n).collect(),
+                _ => rand_ext::sample_indices(&mut rng, n, (n * 2).div_ceil(3)),
+            };
+            let params = GrowthParams {
+                max_depth: if case < 2 { 3 } else { rng.gen_range(1..7) },
+                lambda: [1.0, 0.1, 0.0][case % 3],
+                min_split_gain: [0.0, 0.05][case % 2],
+                min_child_weight: [0.0, 1.0, 0.3][(case / 2) % 3],
+            };
+            let oracle = reference::grow(&data, &mapper, &grads, &hess, &samples, &params);
+            let predictions = |t: &Tree| -> Vec<u64> {
+                rows.iter().map(|r| t.predict_row(r).to_bits()).collect()
+            };
+            // A tree only shows a histogram's rounding when it flips a
+            // split, so the root's winning gain is compared to the bit too.
+            let (total_grad, total_hess) =
+                samples.iter().fold((0.0, 0.0), |(g, h), &i| (g + grads[i], h + hess[i]));
+            let grower = |pool| Grower {
+                data: &data,
+                mapper: &mapper,
+                grads: &grads,
+                hess: &hess,
+                params: &params,
+                pool,
+            };
+            let bits = |c: Option<SplitCandidate>| {
+                c.map(|c| (c.feature, c.bin_threshold, c.gain.to_bits()))
+            };
+            let oracle_root = bits(reference::find_best_split(
+                &grower(&pools[0]),
+                &samples,
+                total_grad,
+                total_hess,
+            ));
+            for pool in &pools {
+                let tree =
+                    Tree::grow_with_pool(&data, &mapper, &grads, &hess, &samples, &params, pool);
+                let what = format!("case {case}: {n}x{nf}, {} threads", pool.threads());
+                assert_eq!(node_bits(&tree), node_bits(&oracle), "{what}");
+                assert_eq!(predictions(&tree), predictions(&oracle), "{what}");
+                let mut hist = Histograms::new(&mapper, 0..nf);
+                let root =
+                    grower(pool).find_best_split(&samples, total_grad, total_hess, &mut hist);
+                assert_eq!(bits(root), oracle_root, "{what}");
+            }
+        }
+    }
+
+    /// No split leaves a child without training samples, even with
+    /// `min_child_weight` 0, where a candidate at or above a node's last
+    /// occupied bin has only rounding noise for a right child and can win
+    /// on that noise. Every node must be reached by some sample.
+    #[test]
+    fn no_split_leaves_a_child_without_samples() {
+        let mut rng = StdRng::seed_from_u64(0x656d_7074);
+        let p =
+            GrowthParams { max_depth: 4, lambda: 1.0, min_split_gain: 0.0, min_child_weight: 0.0 };
+        for case in 0..400 {
+            let n = rng.gen_range(2..16);
+            let rows: Vec<Vec<f64>> =
+                (0..n).map(|_| vec![f64::from(rng.gen_range(0..6u8))]).collect();
+            let grads: Vec<f64> =
+                (0..n).map(|_| [-0.1, -0.2, -0.3, 0.7][rng.gen_range(0..4usize)]).collect();
+            let hess = vec![1.0; n];
+            let mapper = BinMapper::fit(&rows, 8);
+            let data = BinnedDataset::new(&mapper, &rows);
+            let samples: Vec<usize> = (0..n).collect();
+            let tree = Tree::grow(&data, &mapper, &grads, &hess, &samples, &p);
+            let mut visits = vec![0usize; tree.num_nodes()];
+            for row in &rows {
+                let mut id = 0;
+                visits[id] += 1;
+                while let Node::Split { feature, threshold, left, right, .. } = tree.nodes[id] {
+                    id = if row[feature] <= threshold { left } else { right };
+                    visits[id] += 1;
+                }
+            }
+            assert!(!visits.contains(&0), "case {case}: a node without samples: {:?}", tree.nodes);
         }
     }
 }

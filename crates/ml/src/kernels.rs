@@ -1,28 +1,32 @@
-//! The dense training kernels, compiled twice and picked at runtime.
+//! The dense training kernels, compiled three times and picked at runtime.
 //!
 //! Each kernel is a struct of its operands whose [`Kernel::run`] holds
-//! the loop, `#[inline(always)]`, so the loop is compiled into two arms:
+//! the loop, `#[inline(always)]`, so the loop is compiled into three arms:
 //! once for the portable baseline target (SSE2, two `f64` lanes, on
-//! `x86_64`) and once inside [`run_avx2`], a
+//! `x86_64`), once inside [`run_avx2`], a
 //! `#[target_feature(enable = "avx2")]` function in which the same loop
-//! vectorises over four lanes. [`run`] is the one dispatch: the AVX2 arm
-//! when `is_x86_feature_detected!("avx2")` says the CPU has it (std
-//! probes CPUID once per process and caches the answer), the portable
-//! arm otherwise and on every other architecture. There is no knob.
+//! vectorises over four lanes, and once inside [`run_avx512`], a
+//! `#[target_feature(enable = "avx512f")]` function in which it
+//! vectorises over eight. [`run`] is the one dispatch: the widest arm
+//! `is_x86_feature_detected!` reports (std probes CPUID once per process
+//! and caches the answer), the portable arm on a CPU with neither and on
+//! every other architecture. There is no knob.
 //!
-//! The two arms produce the same bits:
+//! The three arms produce the same bits:
 //! - every kernel vectorises across independent output elements (the
 //!   columns of an output row, or the elements of a tensor); each element
 //!   still adds its terms in the same `k` order, starting from `+0.0`,
 //!   with the same exact-zero skips;
-//! - IEEE `mul`, `add`, `div` and `sqrt` round the same in a ymm lane as
-//!   in scalar code;
-//! - rustc never contracts `a * b + c` into an FMA, the arm enables
-//!   `avx2` only (not `fma`), and no kernel calls `mul_add`;
+//! - IEEE `mul`, `add`, `div` and `sqrt` round the same in a ymm or zmm
+//!   lane as in scalar code;
+//! - rustc never contracts `a * b + c` into an FMA: neither arm enables
+//!   `fma` by name, and although `avx512f` implies it (the instructions
+//!   are there), LLVM only fuses when asked, and no kernel calls `mul_add`;
 //! - serial reductions are not kernels here and stay serial: Adam's
 //!   clip-norm sum of squares, and every `.sum()`.
 //!
-//! The tests below run every kernel on both arms and compare the bits.
+//! The tests below run every kernel on every arm the CPU has and compare
+//! the bits.
 
 use crate::nn::Activation;
 
@@ -35,9 +39,14 @@ pub(crate) trait Kernel {
 
 /// Run `k` on the widest arm this CPU supports.
 #[cfg(target_arch = "x86_64")]
-#[expect(unsafe_code, reason = "the call into the AVX2 arm after runtime detection")]
+#[expect(unsafe_code, reason = "the calls into the wide arms after runtime detection")]
 pub(crate) fn run(k: impl Kernel) {
-    if is_x86_feature_detected!("avx2") {
+    if is_x86_feature_detected!("avx512f") {
+        // SAFETY: `run_avx512` needs the CPU to support AVX-512F (and
+        // what it implies: AVX2, FMA, F16C), and the detection above has
+        // just reported AVX-512F, which no CPU ships without the rest.
+        unsafe { run_avx512(k) }
+    } else if is_x86_feature_detected!("avx2") {
         // SAFETY: `run_avx2` needs the CPU to support AVX2, and the
         // detection above has just reported that it does.
         unsafe { run_avx2(k) }
@@ -56,6 +65,13 @@ pub(crate) fn run(k: impl Kernel) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn run_avx2(k: impl Kernel) {
+    k.run();
+}
+
+/// The AVX-512 arm: `k`'s loop, compiled for eight-lane `f64` vectors.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512(k: impl Kernel) {
     k.run();
 }
 
@@ -274,57 +290,79 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// Which compiled arm a test runs a kernel on.
-    #[derive(Clone, Copy)]
+    #[derive(Clone, Copy, Debug)]
     enum Arm {
         Portable,
         Avx2,
+        Avx512,
     }
+
+    /// The arms compared against the portable one.
+    const WIDE: [Arm; 2] = [Arm::Avx2, Arm::Avx512];
 
     impl Arm {
         /// Run `k` on this arm; false if this CPU cannot run it.
+        #[cfg(target_arch = "x86_64")]
+        #[expect(unsafe_code, reason = "the calls into the wide arms after runtime detection")]
         fn run(self, k: impl Kernel) -> bool {
             match self {
-                Arm::Portable => {
-                    k.run();
-                    true
+                Arm::Portable => k.run(),
+                Arm::Avx2 if is_x86_feature_detected!("avx2") => {
+                    // SAFETY: the CPU has just reported AVX2.
+                    unsafe { run_avx2(k) }
                 }
-                Arm::Avx2 => avx2_arm(k),
+                Arm::Avx512 if is_x86_feature_detected!("avx512f") => {
+                    // SAFETY: the CPU has just reported AVX-512F, which no
+                    // CPU ships without the AVX2, FMA and F16C it implies.
+                    unsafe { run_avx512(k) }
+                }
+                Arm::Avx2 | Arm::Avx512 => return false,
             }
+            true
+        }
+
+        /// Run `k` on this arm; false if this CPU cannot run it.
+        #[cfg(not(target_arch = "x86_64"))]
+        fn run(self, k: impl Kernel) -> bool {
+            let portable = matches!(self, Arm::Portable);
+            if portable {
+                k.run();
+            }
+            portable
+        }
+
+        /// Whether this CPU can run the arm.
+        fn available(self) -> bool {
+            self.run(Scale { x: &mut [], alpha: 1.0 })
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[expect(unsafe_code, reason = "the call into the AVX2 arm after runtime detection")]
-    fn avx2_arm(k: impl Kernel) -> bool {
-        if !is_x86_feature_detected!("avx2") {
-            return false;
+    /// Print which arms `test` compares: the log of a run says which
+    /// ones this CPU had, and a missing arm is a note, not a failure.
+    fn announce_arms(test: &str) {
+        let (ran, missing): (Vec<Arm>, Vec<Arm>) = WIDE.into_iter().partition(|a| a.available());
+        println!("{test}: comparing the portable arm with {ran:?}");
+        for arm in missing {
+            println!("note: this CPU lacks {arm:?}; {test} skips that arm");
         }
-        // SAFETY: the CPU has just reported AVX2.
-        unsafe { run_avx2(k) };
-        true
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn avx2_arm(_: impl Kernel) -> bool {
-        false
     }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Run `kernel` on both arms, each from its own copy of `init`, and
-    /// require the same bits. A CPU without AVX2 runs the portable arm
-    /// alone and prints a note instead of failing.
+    /// Run `kernel` on every arm, each from its own copy of `init`, and
+    /// require the same bits as the portable arm. An arm this CPU lacks
+    /// is skipped ([`announce_arms`] has said so).
     fn same_bits(what: &str, init: &[f64], kernel: impl Fn(Arm, &mut [f64]) -> bool) {
         let mut portable = init.to_vec();
         assert!(kernel(Arm::Portable, &mut portable));
-        let mut avx2 = init.to_vec();
-        if !kernel(Arm::Avx2, &mut avx2) {
-            println!("note: this CPU lacks AVX2; only the portable arm of {what} ran");
-            return;
+        for arm in WIDE {
+            let mut wide = init.to_vec();
+            if kernel(arm, &mut wide) {
+                assert_eq!(bits(&portable), bits(&wide), "{what}: {arm:?} disagrees with portable");
+            }
         }
-        assert_eq!(bits(&portable), bits(&avx2), "{what}: the arms disagree");
     }
 
     /// The kinds of values a training step feeds its kernels.
@@ -364,11 +402,14 @@ mod tests {
         Activation::Identity,
     ];
 
-    /// Every kernel, on both arms, to the bit: widths that leave a tail
-    /// after the four-lane loop, one-row shapes as in serving inference,
-    /// and dense, ReLU-sparse and `±0.0` / subnormal operands.
+    /// Every kernel, on every arm (the name predates the AVX-512 one),
+    /// to the bit: widths that leave a tail after the four- and the
+    /// eight-lane loop (9, 15, and 49, the GNN's first-layer width),
+    /// one-row shapes as in serving inference, and dense, ReLU-sparse and
+    /// `±0.0` / subnormal operands.
     #[test]
     fn avx2_and_portable_arms_agree_to_the_bit() {
+        announce_arms("avx2_and_portable_arms_agree_to_the_bit");
         let mut rng = StdRng::seed_from_u64(0x6176_7832);
         for case in 0..180 {
             let (n, k, m) = match case {
@@ -376,6 +417,10 @@ mod tests {
                 1 => (1, 64, 64),
                 2 => (1, 7, 5),
                 3 => (1, 1, 1),
+                4 => (1, 49, 9),
+                5 => (3, 9, 15),
+                6 => (17, 15, 49),
+                7 => (9, 49, 49),
                 _ => (rng.gen_range(1..=40), rng.gen_range(1..=19), rng.gen_range(1..=19)),
             };
             let fill = [Fill::Dense, Fill::ReluSparse, Fill::Edge][case % 3];
@@ -413,13 +458,14 @@ mod tests {
         }
     }
 
-    /// Adam's update on both arms, unclipped and clipped, over several
+    /// Adam's update on every arm, unclipped and clipped, over several
     /// steps so the moments carry state from one step into the next.
     #[test]
     fn adam_update_arms_agree_to_the_bit() {
+        announce_arms("adam_update_arms_agree_to_the_bit");
         let mut rng = StdRng::seed_from_u64(0x6164_616d);
         for (case, clip_scale) in [1.0, 0.37, 1e-3].into_iter().enumerate() {
-            for len in [1, 3, 4, 5, 13, 64 * 64 + 3] {
+            for len in [1, 3, 4, 5, 9, 13, 15, 49, 64 * 64 + 3] {
                 let fill = [Fill::Dense, Fill::ReluSparse, Fill::Edge][(case + len) % 3];
                 // m, v, p laid end to end in one buffer.
                 let mut init = vec![0.0; 2 * len];

@@ -11,7 +11,8 @@
 //! * [`matrix`] — dense row-major matrices with the linear algebra needed by
 //!   the networks (matmul in all transpose flavours, broadcasting helpers).
 //!   Their dense loops live in the private `kernels` module, compiled for
-//!   the portable target and for AVX2 and picked once per process.
+//!   the portable target, for AVX2 and for AVX-512, and the widest arm the
+//!   CPU has is picked once per process.
 //! * [`rand_ext`] — normal / lognormal / Pareto / truncated sampling built on
 //!   top of `rand` (so no extra distribution crate is needed).
 //! * [`optim`] — Adam optimizer with bias correction and gradient clipping.
@@ -19,8 +20,10 @@
 //! * [`gnn`] — graph convolution layers and SimGNN-style attention pooling
 //!   with manual reverse-mode gradients.
 //! * [`gbdt`] — second-order gradient-boosted regression trees ("XGBoost
-//!   from scratch"): exact greedy splits, shrinkage, L2 leaf regularization,
-//!   squared-error and Gamma-deviance (log link) objectives.
+//!   from scratch"): histogram splits (every feature's histogram filled in
+//!   one pass over a node's row-major bins), shrinkage, L2 leaf
+//!   regularization, squared-error and Gamma-deviance (log link)
+//!   objectives.
 //! * [`spline`] — natural cubic smoothing spline (Reinsch algorithm).
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ initialization.
 //! * [`linreg`] — ordinary least squares (used for log-log power-law fits).

@@ -15,8 +15,8 @@
 //! computed it.
 //!
 //! The loops themselves live in `crate::kernels`, compiled for the
-//! portable target and for AVX2 and picked at runtime; both arms give the
-//! same bits.
+//! portable target, for AVX2 and for AVX-512 and picked at runtime; every
+//! arm gives the same bits.
 //!
 //! The products are single-threaded by design: at this workspace's sizes
 //! (≤ 136 x 64 operands, microseconds per product) a pool's per-call
