@@ -1,9 +1,7 @@
 //! Skyline section splitting (lines 1–4 of the paper's Algorithm 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a section sits at-or-under or over the allocation threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionKind {
     /// Every sample `<= threshold`: copied unchanged by the simulator.
     Under,
@@ -13,7 +11,7 @@ pub enum SectionKind {
 
 /// A maximal contiguous run of skyline samples on one side of the
 /// threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Section {
     /// Side of the threshold.
     pub kind: SectionKind,

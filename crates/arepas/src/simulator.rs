@@ -1,10 +1,9 @@
 //! The AREPAS skyline simulator (the paper's Algorithm 1).
 
 use crate::sections::{split_sections, SectionKind};
-use serde::{Deserialize, Serialize};
 
 /// Result of simulating a skyline at a new allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulatedSkyline {
     /// The simulated per-second token usage.
     pub samples: Vec<f64>,

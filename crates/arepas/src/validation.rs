@@ -7,8 +7,6 @@
 //! mean/median absolute percentage errors against re-executed ground
 //! truth.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative area difference between two flights' skylines:
 /// `|a - b| / max(a, b)`.
 pub fn relative_area_difference(area_a: f64, area_b: f64) -> f64 {
@@ -66,7 +64,7 @@ pub fn count_outliers_per_job(areas: &[f64], tolerance: f64) -> usize {
 
 /// Full area-conservation report over a set of flighted jobs
 /// (the paper's Figure 12).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AreaConservationReport {
     /// `(tolerance, fraction of execution pairs matching)` — the CDF.
     pub match_cdf: Vec<(f64, f64)>,
@@ -116,7 +114,7 @@ impl AreaConservationReport {
 /// Percent-error summary of simulated vs. ground-truth run times
 /// (the paper's Table 3: MedianAPE 9% / MeanAPE 14% on the non-anomalous
 /// subset).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ErrorSummary {
     /// Number of (simulation, ground-truth) comparisons.
     pub n: usize,

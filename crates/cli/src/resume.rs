@@ -31,10 +31,10 @@ use scope_sim::{
     flight_tasks, run_flight_cell, ExecScratch, ExecutionResult, Executor, FlightConfig, Job,
     NoiseModel, SimError, StageGraph,
 };
-use serde::{Deserialize, Serialize};
 use tasq::codec;
 use tasq::dataset::Dataset;
 use tasq::models::{NnPcc, NnTrainCheckpoint, NnTrainConfig, XgbRuntime, XgbTrainConfig};
+use tasq_codec::Wire;
 use tasq_ml::gbdt::{Booster, BoosterCheckpoint};
 use tasq_resil::CheckpointStore;
 
@@ -64,11 +64,11 @@ fn digest_bytes(bytes: &[u8]) -> u64 {
     digest
 }
 
-fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>, CliError> {
+fn encode<T: Wire>(value: &T) -> Result<Vec<u8>, CliError> {
     Ok(codec::to_bytes(value)?)
 }
 
-fn decode<T: serde::de::DeserializeOwned>(payload: &[u8]) -> Result<T, CliError> {
+fn decode<T: Wire>(payload: &[u8]) -> Result<T, CliError> {
     Ok(codec::from_bytes(payload)?)
 }
 
@@ -133,7 +133,7 @@ pub enum RunEnd {
     },
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 struct ManifestRecord {
     workload_digest: u64,
     jobs: u64,
@@ -143,27 +143,27 @@ struct ManifestRecord {
     flight_chunk: u64,
 }
 
-/// One flight-grid cell's result. The vendored serde has no `Result`
-/// impl, so success and the typed simulator error ride in two options.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One flight-grid cell's result. The codec has no `Result` impl, so
+/// success and the typed simulator error ride in two options.
+#[derive(Debug, Clone, Wire)]
 struct CellOutcome {
     ok: Option<ExecutionResult>,
     err: Option<SimError>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 struct FlightChunkRecord {
     start: u64,
     outcomes: Vec<CellOutcome>,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 struct DatasetRecord {
     examples: u64,
     digest: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 struct DoneRecord {
     fingerprint: u64,
 }

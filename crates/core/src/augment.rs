@@ -10,10 +10,9 @@
 use crate::pcc::PowerLawPcc;
 use arepas::simulate_runtime;
 use scope_sim::Skyline;
-use serde::{Deserialize, Serialize};
 
 /// One augmented observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AugmentedPoint {
     /// Token allocation of this (real or synthetic) observation.
     pub tokens: f64,
@@ -24,7 +23,7 @@ pub struct AugmentedPoint {
 }
 
 /// Augmentation configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AugmentConfig {
     /// Fractions of the observed token count at which to synthesize run
     /// times for the PCC target fit (1.0 = the observed point itself).

@@ -11,7 +11,6 @@
 use crate::dataset::{Dataset, TrainingExample};
 use crate::featurize::{NUM_CONTINUOUS, NUM_DISCRETE};
 use scope_sim::plan::JobPlan;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -23,7 +22,7 @@ use tasq_ml::linreg;
 /// constants (schema-derived average row lengths). Instances of the same
 /// template share it even as input cardinalities drift; distinct ad-hoc
 /// scripts differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobSignature(u64);
 
 impl JobSignature {
@@ -49,17 +48,16 @@ impl JobSignature {
 
 /// Per-signature peak-token model: ridge regression from the continuous
 /// and discrete job-level features to the observed peak.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct GroupModel {
     /// Ridge coefficients `[intercept, beta...]`, or `None` when the group
     /// was too small to regress (falls back to the mean peak).
     coefficients: Option<Vec<f64>>,
     mean_peak: f64,
-    members: usize,
 }
 
 /// The AutoToken baseline: signature-grouped peak predictors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AutoToken {
     groups: HashMap<JobSignature, GroupModel>,
 }
@@ -97,7 +95,7 @@ impl AutoToken {
                 } else {
                     None
                 };
-                (signature, GroupModel { coefficients, mean_peak, members: members.len() })
+                (signature, GroupModel { coefficients, mean_peak })
             })
             .collect();
         Self { groups }

@@ -14,10 +14,9 @@ use crate::augment::{
 use crate::featurize::{featurize_job, featurize_operators, JobFeatures, OperatorFeatures};
 use crate::pcc::PowerLawPcc;
 use scope_sim::{ExecutionConfig, Job, StageGraph};
-use serde::{Deserialize, Serialize};
 
 /// One prepared training example.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainingExample {
     /// Source job id.
     pub job_id: u64,
@@ -40,7 +39,7 @@ pub struct TrainingExample {
 }
 
 /// A prepared dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// The examples, in job order.
     pub examples: Vec<TrainingExample>,

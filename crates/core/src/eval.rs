@@ -15,7 +15,6 @@ use crate::dataset::Dataset;
 use crate::models::{PccPredictor, ScoringInput};
 use crate::pcc::PowerLawPcc;
 use scope_sim::flight::FlightedJob;
-use serde::{Deserialize, Serialize};
 use tasq_ml::stats;
 
 /// Tolerance for calling a point-wise curve non-increasing (matches the
@@ -23,7 +22,7 @@ use tasq_ml::stats;
 pub const PATTERN_TOLERANCE: f64 = 1e-9;
 
 /// One row of Tables 4–6 / Table 8.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelRow {
     /// Model display name.
     pub model: String,
@@ -121,7 +120,7 @@ pub fn curve_param_error(predicted: &PowerLawPcc, target: &PowerLawPcc) -> f64 {
 }
 
 /// Section 5.1's monotonicity validation over flighted jobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonotonicityReport {
     /// Number of uniquely flighted jobs inspected.
     pub total_jobs: usize,
@@ -162,7 +161,7 @@ pub fn monotonicity_report(flighted: &[FlightedJob], tolerance: f64) -> Monotoni
 }
 
 /// Section 5.4's workload-level savings summary.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadSavings {
     /// Tokens used by the workload.
     pub workload_tokens: f64,
@@ -204,7 +203,7 @@ pub fn workload_savings(runs: &[WorkloadRun]) -> WorkloadSavings {
 }
 
 /// One run in a workload-savings analysis.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadRun {
     /// Tokens this run used.
     pub allocation: u32,

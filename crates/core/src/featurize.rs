@@ -16,7 +16,7 @@
 
 use scope_sim::operators::ALL_OPERATORS;
 use scope_sim::plan::{JobPlan, OperatorNode};
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Number of continuous per-operator features.
 pub const NUM_CONTINUOUS: usize = 7;
@@ -31,14 +31,14 @@ pub const OP_FEATURE_DIM: usize = NUM_CONTINUOUS + NUM_DISCRETE + NUM_ONEHOT;
 pub const JOB_FEATURE_DIM: usize = OP_FEATURE_DIM + 2;
 
 /// Aggregated job-level feature vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobFeatures {
     /// The `P_J`-dimensional vector.
     pub values: Vec<f64>,
 }
 
 /// Operator-level features plus graph structure (GNN input).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorFeatures {
     /// `N x P_O` row-major feature rows, one per operator.
     pub rows: Vec<Vec<f64>>,
@@ -117,7 +117,7 @@ pub fn featurize_job(plan: &JobPlan, num_stages: usize) -> JobFeatures {
 }
 
 /// Z-score feature scaler (fit on the training set only).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct FeatureScaler {
     means: Vec<f64>,
     /// Inverse standard deviations (0 for constant features, which scale

@@ -20,11 +20,10 @@
 //!   prediction at the observed token count.
 
 use crate::pcc::{ParamScaler, PowerLawPcc};
-use serde::{Deserialize, Serialize};
 use tasq_ml::nn::{sigmoid, softplus};
 
 /// Which loss composition to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// Curve-parameter MAE only.
     Lf1,
@@ -36,7 +35,7 @@ pub enum LossKind {
 
 /// Loss configuration (the component weights are hyper-parameters in the
 /// paper, tuned so the parameter error under LF2 stays close to LF1's).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LossConfig {
     /// Which components are active.
     pub kind: LossKind,

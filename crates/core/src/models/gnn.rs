@@ -12,7 +12,7 @@ use crate::loss::{self, LossConfig, LossSample};
 use crate::pcc::{ParamScaler, PowerLawPcc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 use tasq_ml::gnn::{GnnModel, GraphData};
 use tasq_ml::matrix::Matrix;
 use tasq_ml::optim::AdamConfig;
@@ -20,7 +20,7 @@ use tasq_ml::rand_ext;
 use tasq_par::Pool;
 
 /// GNN training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GnnTrainConfig {
     /// GCN layer output dims.
     pub gcn_dims: Vec<usize>,
@@ -62,7 +62,7 @@ impl Default for GnnTrainConfig {
 }
 
 /// The trained GNN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct GnnPcc {
     model: GnnModel,
     op_scaler: FeatureScaler,

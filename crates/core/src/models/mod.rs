@@ -20,7 +20,6 @@ pub use xgboost::{XgbRuntime, XgbTrainConfig, XgboostPl, XgboostSs};
 
 use crate::featurize::{JobFeatures, OperatorFeatures};
 use crate::pcc::PowerLawPcc;
-use serde::{Deserialize, Serialize};
 use tasq_ml::spline::SmoothingSpline;
 
 /// Everything a predictor may need to score one job.
@@ -41,7 +40,7 @@ pub struct ScoringInput<'a> {
 
 /// A predicted PCC: either a closed-form power law (XGBoost PL / NN / GNN)
 /// or a smoothed point-wise curve (XGBoost SS).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PredictedPcc {
     /// Parametric `b * A^a`.
     PowerLaw(PowerLawPcc),

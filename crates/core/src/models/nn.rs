@@ -11,15 +11,15 @@ use crate::loss::{self, LossConfig, LossSample};
 use crate::pcc::{ParamScaler, PowerLawPcc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
+use tasq_codec::Wire;
 use tasq_ml::matrix::Matrix;
 use tasq_ml::nn::{Activation, Mlp};
 use tasq_ml::optim::{Adam, AdamConfig, ParamId};
 use tasq_ml::rand_ext;
 
 /// NN training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NnTrainConfig {
     /// Hidden layer sizes.
     pub hidden: Vec<usize>,
@@ -68,7 +68,7 @@ type OnEpoch<'a, E> = &'a mut dyn FnMut(&NnTrainCheckpoint) -> Result<(), E>;
 /// (dataset rows, scalers, loss samples) are *not* stored; they are
 /// recomputed deterministically, so a checkpoint is only valid with the
 /// same dataset, config, and teacher it was captured under.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct NnTrainCheckpoint {
     /// Number of epochs fully completed.
     pub epoch: usize,
@@ -95,7 +95,7 @@ pub struct NnTrainCheckpoint {
 }
 
 /// The trained NN model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct NnPcc {
     mlp: Mlp,
     feature_scaler: FeatureScaler,

@@ -10,12 +10,12 @@
 use super::{PccPredictor, PredictedPcc, ScoringInput};
 use crate::dataset::Dataset;
 use crate::pcc::PowerLawPcc;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 use tasq_ml::gbdt::{Booster, BoosterConfig, Objective};
 use tasq_ml::spline::SmoothingSpline;
 
 /// Training configuration for the run-time booster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XgbTrainConfig {
     /// Boosting rounds.
     pub num_rounds: usize,
@@ -36,7 +36,7 @@ impl Default for XgbTrainConfig {
 }
 
 /// The shared run-time regressor (Gamma deviance, log link).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct XgbRuntime {
     booster: Booster,
 }
@@ -123,7 +123,7 @@ pub const LOCAL_SPAN: f64 = 0.4;
 pub const LOCAL_STEPS: usize = 9;
 
 /// XGBoost SS: smoothing-spline PCC over local point predictions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XgboostSs {
     /// The shared run-time model.
     pub runtime_model: XgbRuntime,
@@ -171,7 +171,7 @@ impl PccPredictor for XgboostSs {
 }
 
 /// XGBoost PL: power law fitted through local point predictions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XgboostPl {
     /// The shared run-time model.
     pub runtime_model: XgbRuntime,

@@ -11,7 +11,7 @@
 //! non-increasing exactly when `a` and `b` have opposite signs (here:
 //! `b > 0`, `a < 0`).
 
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 use tasq_ml::linreg;
 
 /// A power-law PCC `runtime = b * tokens^a`.
@@ -30,7 +30,7 @@ use tasq_ml::linreg;
 /// let optimal = pcc.optimal_tokens(0.01, 1, 6287);
 /// assert!(optimal > 10 && optimal < 200);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Wire)]
 pub struct PowerLawPcc {
     /// Exponent (negative for a well-behaved, decreasing curve).
     pub a: f64,
@@ -202,7 +202,7 @@ impl PowerLawPcc {
 ///
 /// Targets are expressed as `t1 = -a` (positive for decreasing curves) and
 /// `t2 = ln b`; each is divided by its training-set mean absolute value.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Wire)]
 pub struct ParamScaler {
     /// Scale (mean absolute value) of `-a`.
     pub scale_neg_a: f64,

@@ -28,12 +28,10 @@ use crate::models::{
     NnPcc, NnTrainConfig, PccPredictor, PredictedPcc, ScoringInput, XgbRuntime, XgbTrainConfig,
     XgboostPl, XgboostSs,
 };
-use crate::codec;
+use crate::codec::{self, Wire};
 use crate::pcc::PowerLawPcc;
 use parking_lot::RwLock;
 use scope_sim::{AmdahlModel, Job, StageGraph};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -242,7 +240,7 @@ impl ModelStore {
     }
 
     /// Serialize and register a model; returns the assigned version.
-    pub fn register<T: Serialize>(&self, name: &str, model: &T) -> Result<u32, codec::CodecError> {
+    pub fn register<T: Wire>(&self, name: &str, model: &T) -> Result<u32, codec::CodecError> {
         let bytes = codec::to_bytes(model)?;
         let mut store = self.artifacts.write();
         let entry = store.entry(name.to_string()).or_default();
@@ -252,7 +250,7 @@ impl ModelStore {
     }
 
     /// Load the latest version of a model.
-    pub fn load_latest<T: DeserializeOwned>(&self, name: &str) -> Result<T, StoreError> {
+    pub fn load_latest<T: Wire>(&self, name: &str) -> Result<T, StoreError> {
         let store = self.artifacts.read();
         let artifact = store
             .get(name)
@@ -266,11 +264,7 @@ impl ModelStore {
     }
 
     /// Load a specific version.
-    pub fn load_version<T: DeserializeOwned>(
-        &self,
-        name: &str,
-        version: u32,
-    ) -> Result<T, StoreError> {
+    pub fn load_version<T: Wire>(&self, name: &str, version: u32) -> Result<T, StoreError> {
         let store = self.artifacts.read();
         let versions =
             store.get(name).ok_or_else(|| StoreError::MissingModel { name: name.to_string() })?;
@@ -339,7 +333,7 @@ impl DiskModelStore {
     /// write-temp → fsync → rename), so a crash mid-register leaves either
     /// the previous store state or the fully-written new version — never a
     /// half-written file that later decodes garbage.
-    pub fn register<T: Serialize>(&self, name: &str, model: &T) -> std::io::Result<u32> {
+    pub fn register<T: Wire>(&self, name: &str, model: &T) -> std::io::Result<u32> {
         let bytes = codec::to_bytes(model)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let version = self.versions(name).last().map_or(1, |v| v + 1);
@@ -353,11 +347,7 @@ impl DiskModelStore {
     /// The snapshot framing (magic, length, CRC) is verified before any
     /// decode; torn or corrupt files are refused with
     /// [`StoreError::Damaged`] rather than fed to the codec.
-    pub fn load_version<T: DeserializeOwned>(
-        &self,
-        name: &str,
-        version: u32,
-    ) -> Result<T, StoreError> {
+    pub fn load_version<T: Wire>(&self, name: &str, version: u32) -> Result<T, StoreError> {
         let bytes = tasq_resil::snapshot::load(&self.artifact_path(name, version)).map_err(
             |e| match e {
                 tasq_resil::ResilError::NoCheckpoint => {
@@ -381,7 +371,7 @@ impl DiskModelStore {
     }
 
     /// Load the latest version.
-    pub fn load_latest<T: DeserializeOwned>(&self, name: &str) -> Result<T, StoreError> {
+    pub fn load_latest<T: Wire>(&self, name: &str) -> Result<T, StoreError> {
         let version = *self
             .versions(name)
             .last()
@@ -391,7 +381,7 @@ impl DiskModelStore {
 }
 
 /// Which model family the scoring service should serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Wire)]
 pub enum ModelChoice {
     /// XGBoost with smoothing-spline PCC.
     XgboostSs,
@@ -539,7 +529,7 @@ impl TasqPipeline {
 }
 
 /// The scheduler-facing decision for a scored job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub enum AllocationDecision {
     /// Pass the predicted optimal token count straight to the scheduler.
     Automatic {
@@ -555,7 +545,7 @@ pub enum AllocationDecision {
 
 /// Which tier of the scoring service's degradation chain actually served
 /// a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Wire)]
 pub enum ServedTier {
     /// The configured primary model.
     Primary,
@@ -568,7 +558,7 @@ pub enum ServedTier {
 }
 
 /// Scoring response for one submitted job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct ScoreResponse {
     /// Job id.
     pub job_id: u64,
@@ -583,7 +573,7 @@ pub struct ScoreResponse {
 }
 
 /// Scoring-service configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoringConfig {
     /// Minimum marginal improvement per extra token that still counts
     /// (the optimality threshold of Section 2.1; default 1%).
@@ -1038,6 +1028,27 @@ mod tests {
         // The intact bytes still load.
         std::fs::write(&path, &intact).unwrap();
         assert_eq!(store.load_version::<u64>("m", 1).unwrap(), 1234);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_store_refuses_a_matrix_whose_shape_does_not_fit_its_data() {
+        let dir = std::env::temp_dir().join(format!("tasq-store-shape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskModelStore::open(&dir).unwrap();
+        let dataset = Dataset::build(&jobs(8, 95), &AugmentConfig::default());
+        let nn = NnPcc::train(&dataset, &NnTrainConfig { epochs: 1, ..Default::default() });
+        let mut bytes = codec::to_bytes(&nn).unwrap();
+        // An `NnPcc` opens with its layer count (8 bytes), then the first
+        // weight's `rows`: one more row than its data holds. The CRC frame
+        // is written over the bad bytes, so only the decoder can object.
+        let rows = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        bytes[8..16].copy_from_slice(&(rows + 1).to_le_bytes());
+        tasq_resil::snapshot::commit(&store.artifact_path("nn", 1), &bytes).unwrap();
+        assert!(matches!(
+            store.load_latest::<NnPcc>("nn"),
+            Err(StoreError::Corrupt { version: 1, cause: codec::CodecError::Invalid(_), .. })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,13 +10,13 @@
 //! helper for choosing the better-fitting family per platform.
 
 use crate::pcc::PowerLawPcc;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 use tasq_ml::linreg;
 
 /// A scaled-inverse PCC: `runtime = serial + parallel / units`
 /// (Amdahl's law with learnable serial and parallel fractions; the form
 /// AutoExecutor uses for Spark SQL executor counts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Wire)]
 pub struct ScaledInversePcc {
     /// Serial seconds (the asymptote at infinite resources).
     pub serial: f64,
@@ -91,7 +91,7 @@ impl ScaledInversePcc {
 
 /// Which functional family fits a measured performance curve better
 /// (sum of squared log-residuals).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CurveFamily {
     /// The SCOPE/TASQ power law `b * A^a`.
     PowerLaw,

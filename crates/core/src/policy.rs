@@ -14,10 +14,9 @@
 
 use arepas::simulate_runtime;
 use scope_sim::Skyline;
-use serde::{Deserialize, Serialize};
 
 /// A per-second allocation series produced by a policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationSeries {
     /// Allocated tokens at each second.
     pub levels: Vec<f64>,
@@ -48,7 +47,7 @@ impl AllocationSeries {
 }
 
 /// The three allocation policies of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationPolicy {
     /// Constant at the user-requested amount.
     Default,
@@ -86,7 +85,7 @@ impl AllocationPolicy {
 pub const FIGURE2_LOSS_BUDGETS: [f64; 3] = [0.0, 0.05, 0.10];
 
 /// Reduction buckets of Figure 2 (fractions of the original request).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReductionBucket {
     /// No reduction possible.
     None,

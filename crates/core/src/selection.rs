@@ -16,14 +16,13 @@
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tasq_ml::kmeans::{KMeans, KMeansConfig};
 use tasq_ml::matrix::Matrix;
 use tasq_ml::rand_ext;
 use tasq_ml::stats::{ks_two_sample, KsResult};
 
 /// Filtering constraints for the pre-selected pool (step 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobFilter {
     /// Minimum observed token count.
     pub min_tokens: u32,
@@ -64,7 +63,7 @@ impl JobFilter {
 }
 
 /// Selection configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectionConfig {
     /// Candidate-pool filter.
     pub filter: JobFilter,
@@ -92,7 +91,7 @@ impl Default for SelectionConfig {
 }
 
 /// Result of subset selection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelectionResult {
     /// Indices (into the dataset) of the selected jobs.
     pub selected: Vec<usize>,

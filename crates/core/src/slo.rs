@@ -10,11 +10,10 @@
 //! still meets a deadline.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 use tasq_ml::gbdt::{Booster, BoosterConfig, Objective};
 
 /// Training configuration for the quantile run-time model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantileModelConfig {
     /// The run-time quantile to estimate (e.g. 0.9 for P90).
     pub quantile: f64,
@@ -35,7 +34,7 @@ impl Default for QuantileModelConfig {
 }
 
 /// A quantile run-time predictor over (job features, token count) rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantileRuntime {
     booster: Booster,
     quantile: f64,
@@ -106,7 +105,7 @@ fn quantile_row(features: &[f64], tokens: f64, reference_tokens: u32) -> Vec<f64
 }
 
 /// Outcome of an SLO-aware allocation decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SloDecision {
     /// The SLO can be met; allocate this many tokens.
     Feasible {

@@ -5,13 +5,11 @@
 //! bin boundaries instead of raw values, which makes split finding
 //! `O(samples + bins)` per feature per node.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of bins per feature (bin indices fit in a `u8`).
 pub const MAX_BINS: usize = 256;
 
 /// Per-feature mapping from raw values to bin indices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinMapper {
     /// For each feature, the ascending upper-edge value of each bin except
     /// the last (a value `v` falls in the first bin whose edge is `>= v`).

@@ -6,11 +6,11 @@ use super::tree::{GrowthParams, Tree};
 use crate::rand_ext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
+use tasq_codec::Wire;
 
 /// Hyper-parameters for [`Booster::train`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BoosterConfig {
     /// Training objective.
     pub objective: Objective,
@@ -63,7 +63,7 @@ type OnRound<'a, E> = &'a mut dyn FnMut(&BoosterCheckpoint) -> Result<(), E>;
 /// the inputs. Feeding a checkpoint back into
 /// [`Booster::train_resumable_with_pool`] replays the remaining rounds
 /// bit-identically to a run that was never interrupted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct BoosterCheckpoint {
     /// Boosting rounds completed.
     pub round: usize,
@@ -92,7 +92,7 @@ pub struct BoosterCheckpoint {
 /// let prediction = booster.predict_row(&[50.0]);
 /// assert!((prediction - 155.0).abs() < 10.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct Booster {
     objective: Objective,
     base_score: f64,

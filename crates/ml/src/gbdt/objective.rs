@@ -1,10 +1,10 @@
 //! Boosting objectives: per-sample gradient/hessian of the loss with
 //! respect to the raw (margin) score.
 
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Training objective for the booster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Wire)]
 pub enum Objective {
     /// `0.5 * (raw - y)^2`; predictions are the raw scores.
     SquaredError,

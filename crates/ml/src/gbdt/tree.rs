@@ -1,8 +1,8 @@
 //! A single regression tree grown with histogram-based exact-gain splits.
 
 use super::binning::{BinMapper, BinnedDataset};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use tasq_codec::Wire;
 use tasq_par::Pool;
 
 /// Below this many (sample x feature) histogram accumulations the split
@@ -33,7 +33,7 @@ pub(super) fn split_search_fans_out(pool: &Pool, rows: usize, num_features: usiz
 
 /// A node in a [`Tree`]. Leaves carry a weight; internal nodes carry a
 /// split on `feature <= threshold`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub enum Node {
     /// Internal split node: samples with `value <= threshold` descend left.
     Split {
@@ -56,7 +56,7 @@ pub enum Node {
 }
 
 /// A regression tree stored as a node arena (index 0 is the root).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct Tree {
     nodes: Vec<Node>,
 }

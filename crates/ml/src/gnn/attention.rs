@@ -12,10 +12,10 @@ use crate::matrix::Matrix;
 use crate::nn::Activation;
 use crate::rand_ext;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Attention pooling layer with a learnable `d x d` context transform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct AttentionPool {
     /// Context weight matrix, `d x d`.
     pub context_weight: Matrix,

@@ -4,10 +4,10 @@ use crate::matrix::Matrix;
 use crate::nn::Activation;
 use crate::rand_ext;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Graph convolution: `out = act(Â H W + b)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct GcnLayer {
     /// Weight, `in_dim x out_dim`.
     pub weight: Matrix,

@@ -7,13 +7,13 @@ use crate::matrix::Matrix;
 use crate::nn::{Activation, Mlp, MlpCache, MlpGrads};
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use tasq_codec::Wire;
 use tasq_par::Pool;
 
 /// GNN architecture: `GCN+ -> attention pool -> MLP head`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct GnnModel {
     gcn_layers: Vec<GcnLayer>,
     pool: AttentionPool,

@@ -10,11 +10,10 @@ use crate::matrix::Matrix;
 use crate::rand_ext;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tasq_par::Pool;
 
 /// Configuration for [`kmeans`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
@@ -31,7 +30,7 @@ impl Default for KMeansConfig {
 }
 
 /// A fitted k-means model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMeans {
     /// Cluster centroids, `k x dims`.
     pub centroids: Matrix,

@@ -6,10 +6,8 @@
 //! [`weighted_simple_ols`] supports the weighted variants used when
 //! augmented points should count less than ground truth.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a simple (one-feature) least-squares fit `y = intercept + slope*x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimpleFit {
     /// Slope of the fitted line.
     pub slope: f64,

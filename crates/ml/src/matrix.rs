@@ -24,13 +24,13 @@
 //! up, over the graphs of a minibatch.
 
 use crate::kernels::{self, AddRowBroadcast, Axpy, ColSums, Matmul, Scale, TMatmul};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use tasq_codec::{CodecError, Wire};
 
 /// A dense row-major matrix of `f64`. The default is the empty `0 x 0`
 /// matrix: what a reusable buffer is before its first `_into` kernel.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -457,6 +457,30 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
+/// Encoded as `rows`, `cols`, then the data, like a derived struct. The
+/// decode is written out because it must check the shape: every kernel
+/// trusts `rows * cols == data.len()`, so a stored artifact that breaks it
+/// is refused as corrupt here rather than panicking at its first product.
+impl Wire for Matrix {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.rows.encode(out);
+        self.cols.encode(out);
+        self.data.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let rows = usize::decode(input)?;
+        let cols = usize::decode(input)?;
+        let data = Vec::<f64>::decode(input)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(CodecError::Invalid("matrix shape does not match its data"));
+        }
+        Ok(Self { rows, cols, data })
+    }
+}
+
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -488,6 +512,20 @@ mod tests {
                 .iter()
                 .zip(b.as_slice())
                 .all(|(x, y)| (x - y).abs() <= tol)
+    }
+
+    #[test]
+    fn decode_refuses_a_shape_its_data_does_not_fill() {
+        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64);
+        let bytes = tasq_codec::to_bytes(&m).unwrap();
+        assert_eq!(tasq_codec::from_bytes::<Matrix>(&bytes), Ok(m));
+        // 3 x 3 over the same six values.
+        let mut forged = bytes.clone();
+        forged[..8].copy_from_slice(&3u64.to_le_bytes());
+        assert!(matches!(tasq_codec::from_bytes::<Matrix>(&forged), Err(CodecError::Invalid(_))));
+        // A shape whose product overflows `usize`.
+        forged[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(tasq_codec::from_bytes::<Matrix>(&forged), Err(CodecError::Invalid(_))));
     }
 
     #[test]

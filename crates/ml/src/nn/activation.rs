@@ -2,10 +2,10 @@
 
 use crate::kernels::{self, Activate, ScaleByDerivative};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Element-wise activation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Wire)]
 pub enum Activation {
     /// `max(0, x)`.
     Relu,

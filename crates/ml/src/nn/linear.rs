@@ -6,10 +6,10 @@
 use crate::matrix::Matrix;
 use crate::rand_ext;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// An affine layer `y = x W + b` with `W: in x out`, `b: 1 x out`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct Linear {
     /// Weight matrix, `in_dim x out_dim`.
     pub weight: Matrix,

@@ -5,7 +5,7 @@ use super::linear::Linear;
 use crate::matrix::Matrix;
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// A feed-forward network: alternating affine layers and activations.
 ///
@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// [`Activation::Identity`] for raw outputs; the TASQ PCC heads apply
 /// softplus transforms *outside* the MLP so the loss can see the raw
 /// pre-activations).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct Mlp {
     layers: Vec<Linear>,
     hidden_activation: Activation,

@@ -6,14 +6,14 @@
 
 use crate::kernels::{self, AdamCoeffs, AdamUpdate};
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Handle to a parameter tensor registered with an [`Adam`] optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Wire)]
 pub struct ParamId(usize);
 
 /// Hyper-parameters for [`Adam`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct AdamConfig {
     /// Learning rate (alpha).
     pub learning_rate: f64,
@@ -44,7 +44,7 @@ impl Default for AdamConfig {
 }
 
 /// Adam optimizer state over a set of registered parameter tensors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct Adam {
     config: AdamConfig,
     first_moments: Vec<Matrix>,

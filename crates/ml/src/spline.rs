@@ -9,8 +9,6 @@
 //! second derivatives `gamma`, after which the fitted values are
 //! `f = y - lambda Q gamma`.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted natural cubic smoothing spline.
 ///
 /// # Examples
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let mid = spline.evaluate(1.5);
 /// assert!(mid > 6.1 && mid < 7.6);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SmoothingSpline {
     /// Knot locations (strictly increasing).
     knots: Vec<f64>,

@@ -102,7 +102,7 @@ pub fn empirical_cdf(xs: &[f64], x: f64) -> f64 {
 }
 
 /// Result of a two-sample Kolmogorov–Smirnov test.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsResult {
     /// The KS statistic: the supremum distance between the two empirical
     /// CDFs.
@@ -174,7 +174,7 @@ fn kolmogorov_survival(lambda: f64) -> f64 {
 }
 
 /// A bootstrap confidence interval for a statistic of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapCi {
     /// The statistic on the full sample.
     pub point: f64,

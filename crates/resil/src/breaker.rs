@@ -12,10 +12,8 @@
 //! * **Half-open** — traffic is allowed as probes; `probe_successes`
 //!   consecutive successes close the breaker, any failure re-trips it.
 
-use serde::{Deserialize, Serialize};
-
 /// Breaker tuning.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
     /// Consecutive failures (while closed) that trip the breaker.
     pub failure_threshold: u32,
@@ -32,7 +30,7 @@ impl Default for BreakerConfig {
 }
 
 /// Breaker position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Traffic flows normally.
     Closed,

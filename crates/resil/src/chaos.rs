@@ -7,8 +7,6 @@
 //! is derived with the SplitMix64 finalizer, so a chaos run replays
 //! bit-identically and its report can be asserted on in CI.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64-style finalizing mix of two words: a cheap, high-quality
 /// pure hash for deriving per-site randomness without threading an RNG.
 pub fn mix64(a: u64, b: u64) -> u64 {
@@ -24,7 +22,7 @@ pub fn unit_f64(h: u64) -> f64 {
 }
 
 /// A burst of requests submitted with a near-zero deadline budget.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeadlineStorm {
     /// First request sequence of the storm.
     pub start_seq: u64,
@@ -35,7 +33,7 @@ pub struct DeadlineStorm {
 }
 
 /// The full fault script for one chaos run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// Preset name this plan was derived from.
     pub preset: String,

@@ -18,9 +18,9 @@
 //!   `resumed_bit_identical` and zero-silent-loss on real kill/recover
 //!   runs.
 //!
-//! The crate deliberately depends only on `serde` and `tasq-obs` (for
-//! the `resil_*` counters and commit/restore spans); core, serve,
-//! scope-sim, and the CLI all layer on top of it.
+//! The crate deliberately depends only on `tasq-obs` (for the `resil_*`
+//! counters and commit/restore spans); core, serve, scope-sim, and the
+//! CLI all layer on top of it.
 
 #![warn(missing_docs)]
 

@@ -17,11 +17,10 @@
 
 use crate::exec::{ExecutionConfig, ExecutionResult, Executor};
 use crate::faults::SimError;
-use serde::{Deserialize, Serialize};
 
 /// The grant level over time under a release policy, at one-second
 /// granularity (parallel to the execution's skyline).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrantSeries {
     /// Granted tokens during each second of the run.
     pub levels: Vec<f64>,

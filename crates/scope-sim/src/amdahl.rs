@@ -9,10 +9,9 @@
 //! that `experiments/ablation_amdahl` compares against AREPAS.
 
 use crate::stage::StageGraph;
-use serde::{Deserialize, Serialize};
 
 /// Per-stage `S`/`P` statistics extracted from a prior run's stage graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AmdahlModel {
     /// `(serial_secs, parallel_token_secs)` per stage.
     stages: Vec<(f64, f64)>,

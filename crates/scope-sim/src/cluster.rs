@@ -14,12 +14,11 @@ use crate::exec::{ExecutionConfig, Executor};
 use crate::faults::SimError;
 use crate::generator::Job;
 use crate::stage::StageGraph;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One job submission: who, when, and with what grant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Submission {
     /// The submitted job.
     pub job: Job,
@@ -30,7 +29,7 @@ pub struct Submission {
 }
 
 /// Per-job outcome of a cluster simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct JobOutcome {
     /// Job id.
     pub job_id: u64,
@@ -62,7 +61,7 @@ impl JobOutcome {
 }
 
 /// Aggregate results of a cluster simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Per-job outcomes, in completion order.
     pub outcomes: Vec<JobOutcome>,

@@ -15,13 +15,13 @@ use crate::trace::{ExecEventKind, ExecTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, VecDeque};
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 use tasq_ml::rand_ext;
 
 /// Stochastic execution-environment effects (disabled by default: the
 /// paper's AREPAS explicitly assumes deterministic skylines, but the
 /// flighting-validation experiments need controlled noise).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoiseModel {
     /// Lognormal sigma multiplying each task's duration (0 = none).
     pub duration_jitter_sigma: f64,
@@ -75,7 +75,7 @@ impl NoiseModel {
 }
 
 /// Executor configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionConfig {
     /// Noise model (use [`NoiseModel::none`] for deterministic runs).
     pub noise: NoiseModel,
@@ -100,7 +100,7 @@ impl Default for ExecutionConfig {
 }
 
 /// Result of one execution (one "flight").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct ExecutionResult {
     /// Per-second token usage.
     pub skyline: Skyline,

@@ -18,11 +18,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use tasq_codec::Wire;
 
 /// Typed executor failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 pub enum SimError {
     /// `allocation` must be positive.
     InvalidAllocation {
@@ -80,7 +80,7 @@ impl std::error::Error for SimError {}
 /// A seeded, deterministic schedule of failure probabilities. All
 /// probabilities are per placed task attempt (per stage dispatch for
 /// queueing bursts); zero disables the corresponding draw entirely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Probability that a placed task crashes partway through.
     pub task_crash_probability: f64,
@@ -192,7 +192,7 @@ impl Default for FaultPlan {
 }
 
 /// How the executor reacts to injected faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retry budget per task: a task may crash or be preempted this many
     /// times and still re-run; one more failure aborts the run with
@@ -270,7 +270,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// What the fault layer did during one execution.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Wire)]
 pub struct FaultReport {
     /// Tasks that crashed partway through.
     pub task_crashes: u32,

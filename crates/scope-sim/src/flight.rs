@@ -16,7 +16,6 @@ use crate::exec::{ExecScratch, ExecutionConfig, ExecutionResult, Executor, Noise
 use crate::faults::{FaultPlan, RecoveryPolicy, SimError};
 use crate::generator::Job;
 use crate::obs::metrics;
-use serde::{Deserialize, Serialize};
 use tasq_obs::{FieldValue, Level};
 use tasq_par::Pool;
 
@@ -38,7 +37,7 @@ fn flight_span(job_id: u64, alloc: u32, rep: u32) -> tasq_obs::SpanGuard {
 pub const STANDARD_FRACTIONS: [f64; 4] = [1.0, 0.8, 0.6, 0.2];
 
 /// One flight: a single run of a job at a specific allocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Flight {
     /// The flighted job's id.
     pub job_id: u64,
@@ -120,7 +119,7 @@ impl FlightedJob {
 }
 
 /// Flighting configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlightConfig {
     /// Fractions of the reference allocation to flight at.
     pub fractions: Vec<f64>,

@@ -13,10 +13,10 @@ use crate::operators::{PartitioningMethod as Pm, PhysicalOperator as Op};
 use crate::plan::JobPlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// Job archetype (workload family).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Wire)]
 pub enum Archetype {
     /// Straight copy: extract → project → materialize. Flat rectangle.
     DataCopy,

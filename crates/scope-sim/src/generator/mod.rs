@@ -24,11 +24,11 @@ use crate::plan::JobPlan;
 use crate::stage::StageGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 use tasq_ml::rand_ext;
 
 /// Metadata the generator attaches to each job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct JobMeta {
     /// The archetype this job was drawn from.
     pub archetype: Archetype,
@@ -39,7 +39,7 @@ pub struct JobMeta {
 }
 
 /// A generated job: plan, requested allocation, and metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct Job {
     /// Unique job id.
     pub id: u64,
@@ -68,7 +68,7 @@ impl Job {
 }
 
 /// Workload generation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of jobs to generate.
     pub num_jobs: usize,
@@ -173,7 +173,7 @@ impl WorkloadGenerator {
 }
 
 /// Serving-traffic parameters for [`replay_traffic`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrafficConfig {
     /// Total number of score requests to emit.
     pub requests: usize,

@@ -16,10 +16,9 @@
 use crate::exec::{ExecutionConfig, Executor};
 use crate::generator::Job;
 use crate::stage::StageGraph;
-use serde::{Deserialize, Serialize};
 
 /// A stage-level run-time model built from one prior run of a job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JockeyModel {
     /// The prior instance's stage graph (its task durations stand in for
     /// Jockey's aggregated per-stage statistics).

@@ -8,11 +8,11 @@
 //! aggregation variants, sorts, exchanges, windowing, user-defined
 //! operators, and writers.
 
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// How an operator's work scales and where it sits in a pipeline, used by
 /// the execution simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperatorClass {
     /// Reads from the store; work scales with leaf input.
     Scan,
@@ -28,7 +28,7 @@ pub enum OperatorClass {
 }
 
 /// The 35 SCOPE-like physical operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Wire)]
 #[repr(u8)]
 pub enum PhysicalOperator {
     /// Extractor over unstructured input streams.
@@ -220,7 +220,7 @@ impl PhysicalOperator {
 }
 
 /// SCOPE's four partitioning methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Wire)]
 #[repr(u8)]
 pub enum PartitioningMethod {
     /// Hash partitioning on a column set.

@@ -7,10 +7,10 @@
 //! operator/partitioning identity.
 
 use crate::operators::{PartitioningMethod, PhysicalOperator};
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// One operator in a [`JobPlan`], with its compile-time features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct OperatorNode {
     /// The physical operator.
     pub op: PhysicalOperator,
@@ -61,7 +61,7 @@ impl OperatorNode {
 
 /// A query plan: operators plus directed edges `child -> parent`
 /// (data flows from children toward the root/output).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Wire)]
 pub struct JobPlan {
     /// Operator nodes.
     pub operators: Vec<OperatorNode>,

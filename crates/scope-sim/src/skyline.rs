@@ -5,20 +5,20 @@
 //! token-second; the area under the skyline is the job's total work in
 //! token-seconds, the quantity AREPAS preserves.
 
-use serde::{Deserialize, Serialize};
+use tasq_codec::Wire;
 
 /// A job's resource-usage time series, sampled once per second.
 ///
 /// `samples[t]` is the (possibly fractional) number of tokens in use during
 /// second `t`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 pub struct Skyline {
     samples: Vec<f64>,
 }
 
 /// Utilization level of one second of a skyline relative to an allocation,
 /// matching the color-coded sections of the paper's Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Utilization {
     /// Near-minimum utilization (red in the paper): under 20% of allocation.
     Minimum,

@@ -10,7 +10,6 @@
 use crate::plan::JobPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tasq_ml::rand_ext;
 
 /// Seconds of work represented by one unit of estimated operator cost.
@@ -22,7 +21,7 @@ pub const COST_TO_SECONDS: f64 = 1.0;
 pub const TASK_STARTUP_SECS: f64 = 1.0;
 
 /// One executable stage: a set of plan operators plus its task durations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Stage {
     /// Indices of the plan operators in this stage.
     pub operator_indices: Vec<usize>,
@@ -43,7 +42,7 @@ impl Stage {
 }
 
 /// The stage DAG derived from a [`JobPlan`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StageGraph {
     /// The stages, topologically ordered (dependencies before dependents).
     pub stages: Vec<Stage>,

@@ -14,12 +14,11 @@
 //! probed (a swapped-out model generation's) age out.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tasq::pipeline::ScoreResponse;
 
 /// Cache sizing and switches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Master switch; a disabled cache misses every lookup and stores
     /// nothing (the baseline configuration for benchmarking).
@@ -37,7 +36,7 @@ impl Default for CacheConfig {
 }
 
 /// Counter snapshot for monitoring and the bench report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// Lookups answered from cache.
     pub hits: u64,

@@ -27,7 +27,6 @@
 
 use parking_lot::{Mutex, RwLock};
 use scope_sim::Job;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +35,7 @@ use tasq::pipeline::{
     DeployError, ModelChoice, ModelStore, ScoringConfig, ScoringService, ServedTier,
     NN_MODEL_NAME, XGB_MODEL_NAME,
 };
+use tasq_codec::Wire;
 use tasq_resil::{FrameLog, ResilError};
 
 /// One immutable deployment: the scoring service plus its provenance.
@@ -110,7 +110,7 @@ impl From<DeployError> for SwapError {
 
 /// One durable manifest entry: a deployment that passed probe validation
 /// and was (or is about to start) serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Wire)]
 pub struct ManifestRecord {
     /// Generation of the deployment (monotone across process restarts).
     pub generation: u64,

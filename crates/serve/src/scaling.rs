@@ -17,12 +17,11 @@
 //! immediately; scale-down is cooperative — a surplus worker exits at
 //! its next idle poll, never abandoning a request it already holds.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Worker-pool scaling policy (the Snippet-1 `ScalingConfiguration`
 /// surface, translated to this server's vocabulary).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingConfig {
     /// Master switch; `false` (the default) keeps the pool fixed at
     /// [`crate::ServeConfig::workers`].
@@ -36,15 +35,13 @@ pub struct ScalingConfig {
     pub scale_up_threshold: f64,
     /// Queue utilization at or below which the pool shrinks.
     pub scale_down_threshold: f64,
-    /// Minimum seconds between scaling actions (fractional values work;
-    /// kept as seconds rather than `Duration` so the config serializes
-    /// with the workspace's vendored serde).
+    /// Minimum seconds between scaling actions (fractional values work).
     pub cooldown_secs: f64,
     /// SLO fast-window burn rate at or above which the pool grows even
     /// when queue utilization is still below `scale_up_threshold` —
     /// latency-SLO violations lead queue saturation, so burning the
     /// error budget is an earlier scale-up signal. `0.0` disables the
-    /// input (and keeps old configs byte-compatible).
+    /// input.
     pub burn_up_threshold: f64,
 }
 

@@ -5,7 +5,6 @@
 use super::{ScoringServer, CHAN_QUEUE, CHAN_REPLY_BASE, RES_REQUEST_BASE, RES_RESPONSE_BASE};
 use crate::signature::PlanSignature;
 use scope_sim::{EventTrace, Job, TraceOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, PoisonError};
@@ -40,7 +39,7 @@ impl From<Job> for ScoreRequest {
 }
 
 /// Which serving path answered a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedVia {
     /// Signature-cache hit; no inference ran.
     Cache,

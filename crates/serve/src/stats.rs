@@ -10,7 +10,6 @@
 //! realistic unimodal latency distributions).
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tasq_obs::json::JsonValue;
@@ -73,7 +72,7 @@ impl LatencyHistogram {
 }
 
 /// Derived latency summary.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencySnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -91,7 +90,7 @@ pub struct LatencySnapshot {
 }
 
 /// Point-in-time server statistics (see `ScoringServer::stats`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerStatsSnapshot {
     /// Requests accepted by `submit` (including cache hits and sheds).
     pub submitted: u64,

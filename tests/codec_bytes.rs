@@ -11,11 +11,9 @@
 //! onto a plain `Vec<u8>` (88b0d65).
 
 use scope_sim::{Archetype, Job, WorkloadConfig, WorkloadGenerator};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::BTreeSet;
 use tasq::augment::AugmentConfig;
-use tasq::codec;
+use tasq::codec::{self, Wire};
 use tasq::dataset::Dataset;
 use tasq::models::{NnPcc, NnTrainConfig, XgbRuntime, XgbTrainConfig};
 use tasq::pipeline::{
@@ -47,7 +45,7 @@ fn fold_bytes(fingerprint: &mut u64, bytes: &[u8]) {
 
 /// Encode `value`, fold its bytes, and require that decoding them and
 /// encoding again gives the same bytes.
-fn fold_value<T: Serialize + DeserializeOwned>(fingerprint: &mut u64, value: &T, what: &str) {
+fn fold_value<T: Wire>(fingerprint: &mut u64, value: &T, what: &str) {
     let bytes = codec::to_bytes(value).expect("encodes").to_vec();
     let back: T = codec::from_bytes(&bytes).unwrap_or_else(|e| panic!("{what} decodes: {e}"));
     let again = codec::to_bytes(&back).expect("re-encodes").to_vec();

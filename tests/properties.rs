@@ -136,7 +136,7 @@ fn param_scaler_roundtrip() {
 /// The binary codec round-trips arbitrary nested payloads.
 #[test]
 fn codec_roundtrip() {
-    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    #[derive(Debug, PartialEq, tasq_codec::Wire)]
     struct Payload {
         id: u64,
         name: String,
