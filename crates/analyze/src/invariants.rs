@@ -1,7 +1,7 @@
 //! Dynamic invariant checking: run the actual system under seeded
 //! configurations and audit what it did.
 //!
-//! Four families of checks, all deterministic:
+//! Three families of checks, all deterministic:
 //!
 //! * **Plan validity** — every job the workload generator emits must pass
 //!   [`scope_sim::validate_job`] (acyclic DAG, operator arity,
@@ -16,15 +16,11 @@
 //!   produce bit-identical [`scope_sim::ExecTrace`]s, and the lowered
 //!   synchronization log must replay race-free under the vector-clock
 //!   checker.
-//! * **Server race-freedom** — a traced [`tasq_serve::ScoringServer`] run
-//!   (real threads, real channels) must produce a synchronization log the
-//!   happens-before checker proves race-free, twice, with the same event
-//!   count both times.
 
 use crate::hb;
 use crate::{CheckReport, Diagnostic, Severity};
 use scope_sim::{
-    validate_job, EventTrace, ExecTrace, ExecutionConfig, Job, WorkloadConfig, WorkloadGenerator,
+    validate_job, ExecTrace, ExecutionConfig, Job, WorkloadConfig, WorkloadGenerator,
 };
 use tasq::validate::{validate_curve, validate_pcc, CURVE_TOLERANCE};
 use tasq::PowerLawPcc;
@@ -61,7 +57,6 @@ pub fn run_dynamic_pass(report: &mut CheckReport) {
     check_plans(&jobs, report);
     check_curves(&jobs, report);
     check_executor_determinism(&jobs, report);
-    check_server_races(report);
 }
 
 /// Every generated job must validate.
@@ -169,96 +164,4 @@ fn check_executor_determinism(jobs: &[Job], report: &mut CheckReport) {
                 .push(dynamic_diag("happens-before", format!("job {}: {err}", job.id))),
         }
     }
-}
-
-/// A real traced server run must be race-free, twice over.
-fn check_server_races(report: &mut CheckReport) {
-    let mut event_counts = Vec::new();
-    for _run in 0..2 {
-        match traced_server_log(12, 43) {
-            Ok(log) => {
-                event_counts.push(log.len());
-                report.hb_events += log.len();
-                match hb::check_log(&log) {
-                    Ok(races) => {
-                        for race in races.iter().take(3) {
-                            report.diagnostics.push(dynamic_diag(
-                                "happens-before",
-                                format!(
-                                    "server: unsynchronized access to resource {:#x}: \
-                                     {:?} then {:?}",
-                                    race.resource, race.first, race.second
-                                ),
-                            ));
-                        }
-                    }
-                    Err(err) => report
-                        .diagnostics
-                        .push(dynamic_diag("happens-before", format!("server: {err}"))),
-                }
-            }
-            Err(message) => {
-                report.diagnostics.push(dynamic_diag("happens-before", message));
-            }
-        }
-    }
-    if event_counts.len() == 2 && event_counts[0] != event_counts[1] {
-        report.diagnostics.push(dynamic_diag(
-            "determinism",
-            format!(
-                "server: same-seed runs recorded different event counts \
-                 ({} vs {})",
-                event_counts[0], event_counts[1]
-            ),
-        ));
-    }
-}
-
-/// Start a traced scoring server over an analytic registry, pump
-/// `requests` jobs through it, and return the synchronization log.
-fn traced_server_log(requests: usize, seed: u64) -> Result<scope_sim::EventLog, String> {
-    use tasq::models::{NnTrainConfig, XgbTrainConfig};
-    use tasq::pipeline::{
-        JobRepository, ModelChoice, ModelStore, PipelineConfig, ScoringConfig, TasqPipeline,
-    };
-    use tasq_serve::{CacheConfig, ModelRegistry, ScoringServer, ServeConfig, Ticket};
-
-    let jobs = WorkloadGenerator::new(WorkloadConfig {
-        num_jobs: requests,
-        seed,
-        ..Default::default()
-    })
-    .generate();
-    let repo = JobRepository::new();
-    repo.ingest(jobs.clone());
-    let store = ModelStore::new();
-    TasqPipeline::new(PipelineConfig {
-        xgb: XgbTrainConfig { num_rounds: 10, ..Default::default() },
-        nn: NnTrainConfig { epochs: 4, ..Default::default() },
-        ..Default::default()
-    })
-    .train(&repo, &store)
-    .map_err(|e| format!("server audit: pipeline training failed: {e}"))?;
-    let registry = ModelRegistry::deploy(&store, ModelChoice::Nn, ScoringConfig::default())
-        .map_err(|e| format!("server audit: registry deploy failed: {e}"))?;
-
-    let trace = EventTrace::new();
-    let server = ScoringServer::start(
-        std::sync::Arc::new(registry),
-        ServeConfig {
-            workers: 2,
-            cache: CacheConfig { enabled: false, ..Default::default() },
-            trace: Some(trace.clone()),
-            ..Default::default()
-        },
-    );
-    let tickets: Vec<Ticket> = jobs
-        .into_iter()
-        .filter_map(|job| server.submit(job).ok())
-        .collect();
-    for ticket in tickets {
-        let _ = ticket.outcome();
-    }
-    server.shutdown();
-    Ok(trace.snapshot())
 }

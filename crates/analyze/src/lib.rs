@@ -16,7 +16,7 @@
 //!    [`tasq::validate::validate_pcc`] (positivity, monotonicity,
 //!    Amdahl-consistency).
 //! 3. **Happens-before replay** ([`hb`]): a vector-clock checker replays
-//!    synchronization logs from seeded simulator and server runs to prove
+//!    synchronization logs from seeded simulator runs to prove
 //!    the recorded executions race-free and deterministic.
 //!
 //! The binary exits nonzero when any deny diagnostic is produced, which is

@@ -10,7 +10,6 @@ use scope_sim::{
     replay_traffic, FaultPlan, Job, NoiseModel, RecoveryPolicy, TrafficConfig, WorkloadConfig,
     WorkloadGenerator,
 };
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use tasq::codec;
@@ -24,7 +23,7 @@ use tasq_obs::json::JsonValue;
 use tasq_resil::{BreakerState, ChaosPlan, CheckpointStore};
 use tasq_serve::cache::CacheConfig;
 use tasq_serve::{
-    ModelRegistry, ScalingConfig, ScoringServer, ServeConfig, ServedVia, ServerStatsSnapshot,
+    ModelRegistry, ScoringServer, ServeConfig, ServedVia, ServerStatsSnapshot, Ticket,
 };
 
 fn read_workload(path: &str) -> Result<Vec<Job>, CliError> {
@@ -184,8 +183,8 @@ fn train_checkpointed(
     Ok(out)
 }
 
-/// One serving chaos drive: serial request stream through a supervised
-/// server with the plan's worker panics, NN fault window, and deadline
+/// One serving chaos drive: serial request stream through a server with
+/// the plan's scoring panics, NN fault window, and deadline
 /// storm armed. Returns the drained stats and whether the breaker ended
 /// the run closed.
 fn drive_serving_chaos(
@@ -204,8 +203,8 @@ fn drive_serving_chaos(
         std::sync::Arc::new(registry),
         ServeConfig {
             workers: 2,
-            // Cache off so every admitted request reaches the worker pool
-            // (the breaker and the planted panics see all of the traffic).
+            // Cache off so every admitted request is scored (the breaker
+            // and the planted panics see all of the traffic).
             cache: CacheConfig { enabled: false, ..Default::default() },
             chaos: Some(plan.clone()),
             ..Default::default()
@@ -234,8 +233,8 @@ fn drive_serving_chaos(
 /// 2. replays the same training with the preset's planted process death,
 ///    shears a torn tail off the last-written checkpoint log, resumes,
 ///    and checks the resumed fingerprint is bit-identical;
-/// 3. drives the supervised scoring server (with the resumed artifacts)
-///    through the preset's worker panics, NN fault window, and deadline
+/// 3. drives the scoring server (with the resumed artifacts) through
+///    the preset's planted scoring panics, NN fault window, and deadline
 ///    storm, asserting zero silent request loss and that the circuit
 ///    breaker trips *and* recovers;
 /// 4. writes the whole report as machine-readable JSON for CI to grep.
@@ -371,9 +370,8 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "breaker: {} trips, {} recoveries, closed at end: {breaker_closed}; \
-         {} worker respawns",
-        stats.breaker_trips, stats.breaker_recoveries, stats.worker_respawns,
+        "breaker: {} trips, {} recoveries, closed at end: {breaker_closed}",
+        stats.breaker_trips, stats.breaker_recoveries,
     );
     let _ = writeln!(out, "passed: {passed}");
     let _ = writeln!(out, "wrote {out_path}");
@@ -596,50 +594,31 @@ fn build_registry(
         .map_err(|e| CliError::Usage(e.to_string()))
 }
 
-/// Push a request stream through a server with a bounded in-flight
-/// window, returning the wall-clock time and per-path counts of
-/// `(cache, model, shed, rejected)`.
-fn drive(server: &ScoringServer, traffic: Vec<Job>) -> (Duration, (u64, u64, u64, u64)) {
-    let mut counts = (0u64, 0u64, 0u64, 0u64);
-    let mut settle = |outcome: Result<tasq_serve::ServedResponse, tasq_serve::RequestError>| {
-        if let Ok(served) = outcome {
-            match served.via {
-                ServedVia::Cache => counts.0 += 1,
-                ServedVia::Model => counts.1 += 1,
-                ServedVia::Shed => counts.2 += 1,
-            }
-        }
-    };
+/// Push a request stream through a server, returning the wall-clock time
+/// and per-path counts of `(cache, model, rejected)`.
+fn drive(server: &ScoringServer, traffic: Vec<Job>) -> (Duration, (u64, u64, u64)) {
+    let mut counts = (0u64, 0u64, 0u64);
     let start = Instant::now();
-    let mut window: VecDeque<tasq_serve::Ticket> = VecDeque::new();
     for job in traffic {
-        if window.len() >= 64 {
-            if let Some(ticket) = window.pop_front() {
-                settle(ticket.outcome());
-            }
+        match server.submit(job).map(Ticket::outcome) {
+            Ok(Ok(served)) if served.via == ServedVia::Cache => counts.0 += 1,
+            Ok(Ok(_)) => counts.1 += 1,
+            Ok(Err(_)) => {}
+            Err(_) => counts.2 += 1,
         }
-        match server.submit(job) {
-            Ok(ticket) => window.push_back(ticket),
-            Err(_) => counts.3 += 1,
-        }
-    }
-    for ticket in window {
-        settle(ticket.outcome());
     }
     (start.elapsed(), counts)
 }
 
 /// `tasq serve --workload <file> [--model-dir <dir>] [--model ...]
-///  [--workers N] [--max-batch N] [--cache on|off]
-///  [--requests N] [--repeat FRAC] [--seed N]
-///  [--listen <addr>] [--shards N] [--deadline-ms N] [--autoscale on|off]
-///  [--min-workers N] [--max-workers N] [--scale-up FRAC] [--scale-down FRAC]
-///  [--cooldown-secs SECS] [--burn-up FRAC]`
+///  [--workers N] [--cache on|off] [--requests N] [--repeat FRAC] [--seed N]
+///  [--listen <addr>] [--shards N] [--deadline-ms N]`
 ///
 /// One-shot embedding of the concurrent scoring server: replays the
 /// workload as recurring-job traffic through the full serving stack
-/// (signature cache, micro-batching worker pool, admission control) and
-/// reports where each request was answered.
+/// (signature cache, inline scoring, admission control) and reports where
+/// each request was answered. `--workers` bounds the misses scoring at
+/// once; over the wire, each shard scores the misses it reads.
 ///
 /// With `--listen <addr>` the command instead becomes a real network
 /// server (`tasq-net`): it prints `listening on <addr>` once bound (the
@@ -651,9 +630,8 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
     let opts = Options::parse(
         args,
         &[
-            "workload", "model-dir", "model", "workers", "max-batch", "cache",
-            "requests", "repeat", "seed", "listen", "shards", "deadline-ms", "autoscale",
-            "min-workers", "max-workers", "scale-up", "scale-down", "cooldown-secs", "burn-up",
+            "workload", "model-dir", "model", "workers", "cache", "requests", "repeat", "seed",
+            "listen", "shards", "deadline-ms",
         ],
     )?;
     let jobs = read_workload(opts.required("workload")?)?;
@@ -663,24 +641,9 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
         "off" => false,
         other => return Err(CliError::Usage(format!("--cache must be on|off, got {other}"))),
     };
-    let auto_scaling = match opts.get("autoscale").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(CliError::Usage(format!("--autoscale must be on|off, got {other}"))),
-    };
     let config = ServeConfig {
         workers: opts.number::<usize>("workers", 4)?,
-        max_batch: opts.number::<usize>("max-batch", 16)?,
         cache: CacheConfig { enabled: cache_enabled, ..Default::default() },
-        scaling: ScalingConfig {
-            auto_scaling,
-            min_workers: opts.number::<usize>("min-workers", 1)?,
-            max_workers: opts.number::<usize>("max-workers", 8)?,
-            scale_up_threshold: opts.number::<f64>("scale-up", 0.75)?,
-            scale_down_threshold: opts.number::<f64>("scale-down", 0.20)?,
-            cooldown_secs: opts.number::<f64>("cooldown-secs", 5.0)?,
-            burn_up_threshold: opts.number::<f64>("burn-up", 0.0)?,
-        },
         ..Default::default()
     };
     let requests = opts.number::<usize>("requests", jobs.len().max(1) * 4)?;
@@ -710,20 +673,20 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
     }
     let traffic =
         replay_traffic(&jobs, &TrafficConfig { requests, repeat_fraction: repeat, seed });
-    let (elapsed, (cache_hits, model, shed, rejected)) = drive(&server, traffic);
-    let stats = server.shutdown();
+    let (elapsed, (cache_hits, model, rejected)) = drive(&server, traffic);
+    let stats = server.drain();
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "served {} requests through {workers} workers in {:.1} ms ({:.0} req/s)",
+        "served {} requests, at most {workers} misses in flight, in {:.1} ms ({:.0} req/s)",
         stats.completed,
         elapsed.as_secs_f64() * 1e3,
         stats.completed as f64 / elapsed.as_secs_f64().max(1e-9),
     );
     let _ = writeln!(
         out,
-        "paths: {cache_hits} cache, {model} model, {shed} shed, {rejected} rejected"
+        "paths: {cache_hits} cache, {model} model, {rejected} rejected"
     );
     let _ = writeln!(
         out,
@@ -734,13 +697,7 @@ pub fn serve(args: &[String]) -> Result<String, CliError> {
         stats.latency.p999_us,
         stats.latency.mean_us
     );
-    let _ = writeln!(
-        out,
-        "batches: {} (mean size {:.2}), peak queue depth {}",
-        stats.batches,
-        stats.mean_batch_size(),
-        stats.peak_queue_depth
-    );
+    let _ = writeln!(out, "misses in flight: peak {}", stats.peak_queue_depth);
     let _ = writeln!(
         out,
         "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {} rejected, {} resident",
@@ -1132,7 +1089,8 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // Breaker tripped AND recovered within the run; workers respawned.
+        // Breaker tripped AND recovered within the run; planted panics
+        // were caught, each resolving its own request as lost.
         let field = |name: &str| -> u64 {
             json.lines()
                 .find(|l| l.contains(&format!("\"{name}\"")))
@@ -1142,7 +1100,7 @@ mod tests {
         };
         assert!(field("breaker_trips") >= 1, "{json}");
         assert!(field("breaker_recoveries") >= 1, "{json}");
-        assert!(field("worker_respawns") >= 1, "{json}");
+        assert!(field("worker_lost") >= 1, "{json}");
         assert!(field("deadline_timeouts") >= 1, "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1179,7 +1137,7 @@ mod tests {
             "0.8",
         ]))
         .unwrap();
-        assert!(out.contains("served 120 requests through 2 workers"), "{out}");
+        assert!(out.contains("served 120 requests, at most 2 misses in flight"), "{out}");
         assert!(out.contains("cache,"), "{out}");
         assert!(out.contains("hit rate"), "{out}");
         assert!(out.contains("model generation: 1"), "{out}");

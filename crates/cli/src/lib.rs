@@ -23,8 +23,8 @@
 //!   report latency/throughput as JSON.
 //! * `chaos`    — the deterministic chaos harness: kill the checkpointed
 //!   trainer mid-run (with a torn tail), resume it, prove the artifacts
-//!   bit-identical, then drive the supervised server through planted
-//!   worker panics, an NN fault window, and a deadline storm; write a
+//!   bit-identical, then drive the scoring server through planted
+//!   scoring panics, an NN fault window, and a deadline storm; write a
 //!   machine-readable report CI asserts on.
 //! * `analyze`  — run the `tasq-analyze` gatekeeper (dataflow passes,
 //!   lock-order audit, plan/PCC invariants, happens-before race replay).
@@ -166,12 +166,9 @@ USAGE:
     tasq-cli flight   --workload <file> [--faults none|mild|production|adversarial]
                       [--sample N] [--seed N]
     tasq-cli serve    --workload <file> [--model-dir <dir>] [--model nn|xgb-ss|xgb-pl]
-                      [--workers N] [--max-batch N] [--cache on|off]
+                      [--workers N] [--cache on|off]
                       [--requests N] [--repeat FRAC] [--seed N]
                       [--listen <addr>] [--shards N] [--deadline-ms N]
-                      [--autoscale on|off] [--min-workers N] [--max-workers N]
-                      [--scale-up FRAC] [--scale-down FRAC] [--cooldown-secs SECS]
-                      [--burn-up FRAC]
     tasq-cli netgen   --addr <host:port> --workload <file> [--requests N] [--repeat FRAC]
                       [--qps N] [--seed N] [--mode http|binary] [--connections N]
     tasq-cli chaos    --preset none|mild|production|adversarial [--seed N] [--jobs N]

@@ -30,10 +30,10 @@ use crate::models::{
 };
 use crate::codec::{self, Wire};
 use crate::pcc::PowerLawPcc;
-use parking_lot::RwLock;
 use scope_sim::{AmdahlModel, Job, StageGraph};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{PoisonError, RwLock};
 
 /// Error loading or storing a model artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,22 +198,22 @@ impl JobRepository {
 
     /// Ingest a batch of jobs.
     pub fn ingest(&self, jobs: impl IntoIterator<Item = Job>) {
-        self.jobs.write().extend(jobs);
+        self.jobs.write().unwrap_or_else(PoisonError::into_inner).extend(jobs);
     }
 
     /// Snapshot of all jobs.
     pub fn all_jobs(&self) -> Vec<Job> {
-        self.jobs.read().clone()
+        self.jobs.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Number of stored jobs.
     pub fn len(&self) -> usize {
-        self.jobs.read().len()
+        self.jobs.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether the repository is empty.
     pub fn is_empty(&self) -> bool {
-        self.jobs.read().is_empty()
+        self.jobs.read().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 }
 
@@ -242,7 +242,7 @@ impl ModelStore {
     /// Serialize and register a model; returns the assigned version.
     pub fn register<T: Wire>(&self, name: &str, model: &T) -> Result<u32, codec::CodecError> {
         let bytes = codec::to_bytes(model)?;
-        let mut store = self.artifacts.write();
+        let mut store = self.artifacts.write().unwrap_or_else(PoisonError::into_inner);
         let entry = store.entry(name.to_string()).or_default();
         let version = entry.last().map_or(1, |a| a.version + 1);
         entry.push(Artifact { version, bytes });
@@ -251,7 +251,7 @@ impl ModelStore {
 
     /// Load the latest version of a model.
     pub fn load_latest<T: Wire>(&self, name: &str) -> Result<T, StoreError> {
-        let store = self.artifacts.read();
+        let store = self.artifacts.read().unwrap_or_else(PoisonError::into_inner);
         let artifact = store
             .get(name)
             .and_then(|v| v.last())
@@ -265,7 +265,7 @@ impl ModelStore {
 
     /// Load a specific version.
     pub fn load_version<T: Wire>(&self, name: &str, version: u32) -> Result<T, StoreError> {
-        let store = self.artifacts.read();
+        let store = self.artifacts.read().unwrap_or_else(PoisonError::into_inner);
         let versions =
             store.get(name).ok_or_else(|| StoreError::MissingModel { name: name.to_string() })?;
         let artifact = versions
@@ -283,6 +283,7 @@ impl ModelStore {
     pub fn versions(&self, name: &str) -> Vec<u32> {
         self.artifacts
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .map(|v| v.iter().map(|a| a.version).collect())
             .unwrap_or_default()
@@ -1050,6 +1051,96 @@ mod tests {
             Err(StoreError::Corrupt { version: 1, cause: codec::CodecError::Invalid(_), .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commit `bytes` as version 1 of artifact `name` in a fresh disk
+    /// store under a CRC frame, so only the decoder can object to them.
+    fn disk_store_holding(tag: &str, name: &str, bytes: &[u8]) -> DiskModelStore {
+        let dir = std::env::temp_dir().join(format!("tasq-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = DiskModelStore::open(&dir).unwrap();
+        tasq_resil::snapshot::commit(&store.artifact_path(name, 1), bytes).unwrap();
+        store
+    }
+
+    /// Wire bytes of a one-tree booster over `num_features` features; the
+    /// tree is a node list, `Some((feature, left, right))` a split and
+    /// `None` a leaf. Written out by hand because no constructor makes a
+    /// bad tree.
+    fn booster_bytes(nodes: &[Option<(usize, usize, usize)>], num_features: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        tasq_ml::gbdt::Objective::SquaredError.encode(&mut out);
+        0.0f64.encode(&mut out);
+        1.0f64.encode(&mut out);
+        1usize.encode(&mut out);
+        nodes.len().encode(&mut out);
+        for node in nodes {
+            match *node {
+                Some((feature, left, right)) => {
+                    0u32.encode(&mut out);
+                    feature.encode(&mut out);
+                    0.5f64.encode(&mut out);
+                    0u8.encode(&mut out);
+                    left.encode(&mut out);
+                    right.encode(&mut out);
+                }
+                None => {
+                    1u32.encode(&mut out);
+                    2.0f64.encode(&mut out);
+                }
+            }
+        }
+        num_features.encode(&mut out);
+        Vec::<f64>::new().encode(&mut out);
+        out
+    }
+
+    #[test]
+    fn disk_store_refuses_trees_that_would_wedge_or_overrun_prediction() {
+        use codec::CodecError;
+        use tasq_ml::gbdt::Booster;
+        let load = |tag: &str, bytes: Vec<u8>| {
+            let store = disk_store_holding(tag, "xgb", &bytes);
+            let loaded = store.load_latest::<Booster>("xgb");
+            let _ = std::fs::remove_dir_all(&store.directory);
+            loaded
+        };
+        // The hand-written layout is the real one: a sound tree loads and
+        // predicts through its split.
+        let sound = load("tree-ok", booster_bytes(&[Some((0, 1, 2)), None, None], 1));
+        assert!((sound.expect("a sound booster loads").predict_row(&[0.0]) - 2.0).abs() < 1e-12);
+        for (tag, trees, num_features) in [
+            // A child pointing at its own split: predict_row would spin.
+            ("tree-loop", [Some((0, 0, 2)), None, None], 1),
+            // A child pointing back at the root from a deeper split.
+            ("tree-back", [Some((0, 1, 2)), Some((0, 0, 2)), None], 1),
+            // A child past the end of the arena.
+            ("tree-past", [Some((0, 1, 3)), None, None], 1),
+            // A split on a feature the booster does not have.
+            ("tree-feature", [Some((1, 1, 2)), None, None], 1),
+        ] {
+            let loaded = load(tag, booster_bytes(&trees, num_features));
+            assert!(
+                matches!(loaded, Err(StoreError::Corrupt { cause: CodecError::Invalid(_), .. })),
+                "{tag} was not refused as corrupt"
+            );
+        }
+    }
+
+    #[test]
+    fn disk_store_refuses_a_network_whose_layer_widths_do_not_chain() {
+        use rand::SeedableRng;
+        use tasq_ml::nn::{Activation, Mlp};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut mlp = Mlp::new(&mut rng, &[4, 3, 2], Activation::Relu, Activation::Identity);
+        // Shape-consistent on its own, one row too many for its input.
+        mlp.layers_mut()[1].weight = tasq_ml::Matrix::zeros(4, 2);
+        let store = disk_store_holding("mlp-chain", "nn", &codec::to_bytes(&mlp).unwrap());
+        assert!(matches!(
+            store.load_latest::<Mlp>("nn"),
+            Err(StoreError::Corrupt { version: 1, cause: codec::CodecError::Invalid(_), .. })
+        ));
+        let _ = std::fs::remove_dir_all(&store.directory);
     }
 
     #[test]

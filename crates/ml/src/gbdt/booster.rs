@@ -7,7 +7,7 @@ use crate::rand_ext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::convert::Infallible;
-use tasq_codec::Wire;
+use tasq_codec::{CodecError, Wire};
 
 /// Hyper-parameters for [`Booster::train`].
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ pub struct BoosterCheckpoint {
 /// let prediction = booster.predict_row(&[50.0]);
 /// assert!((prediction - 155.0).abs() < 10.0);
 /// ```
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct Booster {
     objective: Objective,
     base_score: f64,
@@ -101,6 +101,37 @@ pub struct Booster {
     num_features: usize,
     /// Mean training loss after each round, for diagnostics.
     pub training_loss: Vec<f64>,
+}
+
+/// Encoded field by field, like a derived struct. The decode is written
+/// out to refuse, as corrupt, a split on a feature at or above
+/// `num_features`: prediction indexes the row by it.
+impl Wire for Booster {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.objective.encode(out);
+        self.base_score.encode(out);
+        self.learning_rate.encode(out);
+        self.trees.encode(out);
+        self.num_features.encode(out);
+        self.training_loss.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let booster = Self {
+            objective: Objective::decode(input)?,
+            base_score: f64::decode(input)?,
+            learning_rate: f64::decode(input)?,
+            trees: Vec::<Tree>::decode(input)?,
+            num_features: usize::decode(input)?,
+            training_loss: Vec::<f64>::decode(input)?,
+        };
+        if booster.trees.iter().any(|tree| tree.feature_bound() > booster.num_features) {
+            return Err(CodecError::Invalid("tree splits on a feature the booster lacks"));
+        }
+        Ok(booster)
+    }
 }
 
 impl Booster {

@@ -2,7 +2,7 @@
 
 use super::binning::{BinMapper, BinnedDataset};
 use std::ops::Range;
-use tasq_codec::Wire;
+use tasq_codec::{CodecError, Wire};
 use tasq_par::Pool;
 
 /// Below this many (sample x feature) histogram accumulations the split
@@ -56,9 +56,39 @@ pub enum Node {
 }
 
 /// A regression tree stored as a node arena (index 0 is the root).
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<Node>,
+}
+
+/// Encoded as the node arena, like a derived struct. The decode is
+/// written out because [`Tree::predict_row`] walks child indices without
+/// a bound: it trusts that the arena is non-empty and that every split's
+/// children lie after it and inside the arena (the grower pushes children
+/// after their parent). A child index that points back would loop
+/// forever, so a stored tree that breaks this is refused as corrupt here.
+impl Wire for Tree {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.nodes.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let nodes = Vec::<Node>::decode(input)?;
+        if nodes.is_empty() {
+            return Err(CodecError::Invalid("tree has no nodes"));
+        }
+        let in_order = |at: usize, child: usize| at < child && child < nodes.len();
+        for (at, node) in nodes.iter().enumerate() {
+            if let Node::Split { left, right, .. } = *node {
+                if !in_order(at, left) || !in_order(at, right) {
+                    return Err(CodecError::Invalid("tree split child out of order"));
+                }
+            }
+        }
+        Ok(Self { nodes })
+    }
 }
 
 /// Growth hyper-parameters for a single tree.
@@ -295,6 +325,19 @@ impl Tree {
                 }
             }
         }
+    }
+
+    /// One past the highest feature index any split reads (0 for a lone
+    /// leaf).
+    pub fn feature_bound(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|node| match node {
+                Node::Split { feature, .. } => feature + 1,
+                Node::Leaf { .. } => 0,
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Accumulate `feature -> number of splits` into `counts`.

@@ -5,7 +5,7 @@ use super::linear::Linear;
 use crate::matrix::Matrix;
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
-use tasq_codec::Wire;
+use tasq_codec::{CodecError, Wire};
 
 /// A feed-forward network: alternating affine layers and activations.
 ///
@@ -13,11 +13,44 @@ use tasq_codec::Wire;
 /// [`Activation::Identity`] for raw outputs; the TASQ PCC heads apply
 /// softplus transforms *outside* the MLP so the loss can see the raw
 /// pre-activations).
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
     hidden_activation: Activation,
     output_activation: Activation,
+}
+
+/// Encoded field by field, like a derived struct. The decode is written
+/// out because the forward pass trusts the layer shapes: a stored network
+/// with no layers, a bias that is not one row as wide as its layer, or a
+/// layer whose input width is not the previous layer's output width is
+/// refused as corrupt here rather than panicking at its first product.
+impl Wire for Mlp {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.layers.encode(out);
+        self.hidden_activation.encode(out);
+        self.output_activation.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let mlp = Self {
+            layers: Vec::<Linear>::decode(input)?,
+            hidden_activation: Activation::decode(input)?,
+            output_activation: Activation::decode(input)?,
+        };
+        if mlp.layers.is_empty() {
+            return Err(CodecError::Invalid("network has no layers"));
+        }
+        let bias_fits =
+            |l: &Linear| l.bias.rows() == 1 && l.bias.cols() == l.out_dim();
+        let chained = mlp.layers.windows(2).all(|w| w[0].out_dim() == w[1].in_dim());
+        if !chained || !mlp.layers.iter().all(bias_fits) {
+            return Err(CodecError::Invalid("network layer widths do not chain"));
+        }
+        Ok(mlp)
+    }
 }
 
 /// Reusable training buffers for one batch: the forward caches

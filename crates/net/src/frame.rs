@@ -44,11 +44,11 @@ pub const TRACE_FLAG: u32 = 1 << 31;
 pub enum FrameStatus {
     /// Scored successfully; payload is a codec-encoded `ScoreResponse`.
     Ok = 0,
-    /// Admission control shed the request (queue at capacity).
+    /// Admission control refused the request (every in-flight slot taken).
     Overloaded = 1,
-    /// Server is draining; no new work accepted.
+    /// Server is closed for drain; no new work accepted.
     ShuttingDown = 2,
-    /// The worker scoring this batch died.
+    /// Scoring this request panicked.
     WorkerLost = 3,
     /// The request's deadline elapsed before completion.
     DeadlineExceeded = 4,

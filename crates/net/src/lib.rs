@@ -18,16 +18,16 @@
 //! - [`server`] — [`NetServer`]: sharded edge-triggered epoll event
 //!   loops feeding `ScoringServer::submit` — once per decoded request,
 //!   the same entry point in-process callers use — so admission
-//!   control, shed, circuit breaking, and exact-accounting drain carry
-//!   over to the wire unchanged; signature-cache hits come back already
-//!   resolved, answered on the event loop, and every readiness event's
-//!   responses leave in a single `writev` (`net_syscalls_total{op}`).
+//!   control, circuit breaking, and exact-accounting drain carry over to
+//!   the wire unchanged; every request, hit or miss, is answered on the
+//!   event loop itself, and every readiness event's responses leave in a
+//!   single `writev` (`net_syscalls_total{op}`).
 //! - [`client`] — blocking persistent-connection clients for both
 //!   framings (tests + load generation).
 //! - [`pacer`] — token-bucket QPS pacing for the load generator.
 //!
 //! See DESIGN.md § "Networked serving" for the event-loop state machine
-//! and the backpressure path from socket to shed/reject.
+//! and the backpressure path from socket to reject.
 
 pub mod client;
 pub mod conn;

@@ -8,15 +8,14 @@
 //! sockets stay pinned to the accepting shard for their lifetime and are
 //! driven edge-triggered (`EPOLLET`): each readiness event drains the
 //! socket to `EAGAIN`, locates every complete request as *spans* into
-//! the receive buffer (no per-request copies), submits them all to the
-//! scoring server, then resolves tickets in arrival order so responses
-//! never reorder within a connection. Dispatch in the pool is
-//! work-conserving, so a wake's misses are scored concurrently by the
-//! workers while the shard submits the rest; by the time it blocks on the
-//! first ticket it waits about one score time, not a batch-timer period.
-//! Measured, the wire costs ≈ 0.4 of in-process capacity and ≈ 20 µs of
-//! p50 on the recurring mix; DESIGN.md, "Why there is no batch timer",
-//! has the reconciliation and what of that gap is still unexplained.
+//! the receive buffer (no per-request copies), and serves them in arrival
+//! order: `ScoringServer::submit` answers each one on the shard's own
+//! thread — from the cache, or by scoring the miss right there — so its
+//! response renders before the next request is touched and responses
+//! never reorder within a connection. A shard is therefore the unit of
+//! isolation: a slow score delays the requests behind it on that shard
+//! and no other. DESIGN.md, "Why a miss is scored where it arrives", has
+//! the measurements.
 //!
 //! The response path is syscall-lean: every response resolved in one
 //! readiness event is rendered into a buffer checked out of the shard's
@@ -25,16 +24,14 @@
 //!
 //! Each decoded request goes through `ScoringServer::submit` exactly
 //! once — the same door in-process callers use, so a wire request pays
-//! one plan signature and one cache probe. A signature-cache hit comes
-//! back as an already-resolved ticket, answered on the event-loop thread
-//! itself — no queue hop, no worker wakeup.
+//! one plan signature and one cache probe, and no thread hand-off.
 //!
-//! Backpressure is inherited, not reinvented: `submit` still applies the
-//! shed watermark and bounded-queue admission, and the wire simply
-//! translates `SubmitError`/`RequestError` into 429/503 (or binary
-//! status bytes). Draining arrives over the wire too — `POST
-//! /drain` acks, flips a flag, and the owner thread joins the shards and
-//! runs the scoring server's exact-accounting drain.
+//! Backpressure is inherited, not reinvented: `submit` bounds the misses
+//! in flight across shards, and the wire simply translates
+//! `SubmitError`/`RequestError` into 429/503 (or binary status bytes).
+//! Draining arrives over the wire too — `POST /drain` acks, flips a flag,
+//! and the owner thread closes the scoring server, joins the shards and
+//! reads its exact-accounting final stats.
 
 use crate::conn::{Conn, ExtractedSpans, ReadOutcome, WireError, WireRequestSpan};
 use crate::frame::{self, FrameStatus};
@@ -51,7 +48,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use tasq_obs::metrics::{Counter, Histogram, Registry};
 use tasq_obs::{FieldValue, Level, TraceContext};
-use tasq_serve::{ScoreRequest, ScoringServer, ServerStatsSnapshot, Ticket};
+use tasq_serve::{ScoreRequest, ScoringServer, ServerStatsSnapshot, SubmitError};
 
 /// Tuning knobs for the network front-end.
 #[derive(Debug, Clone)]
@@ -199,10 +196,13 @@ impl NetServer {
         }
     }
 
-    /// Stop accepting, join the shard threads, and drain the scoring
-    /// server, returning its exact-accounting final snapshot.
+    /// Stop accepting, close the scoring server (a request a shard reads
+    /// from here on is refused as shutting down), join the shard threads,
+    /// and drain the scoring server, returning its exact-accounting final
+    /// snapshot.
     pub fn shutdown(self) -> ServerStatsSnapshot {
         self.drain.store(true, Ordering::SeqCst);
+        self.server.close();
         for handle in self.shards {
             let _ = handle.join();
         }
@@ -400,19 +400,7 @@ fn flush_remaining(slots: &mut HashMap<i32, Slot>, pool: &mut BufPool) {
     }
 }
 
-/// A response whose bytes may depend on a still-inflight scoring ticket.
-enum PendingReply {
-    /// Bytes already rendered (health, metrics, admission errors, …).
-    Ready(Vec<u8>),
-    /// An admitted HTTP scoring request (a cache hit's ticket is already resolved).
-    HttpTicket { ticket: Ticket, keep_alive: bool, parsed_at: Instant },
-    /// An admitted binary scoring request, likewise.
-    BinaryTicket { ticket: Ticket, parsed_at: Instant },
-}
-
-/// Render a complete HTTP response into a pooled buffer. Single exit:
-/// every checkout leaves as a queued [`PendingReply::Ready`], which the
-/// resource-leak pass can follow to `Conn::queue_buffer`.
+/// Render a complete HTTP response into a pooled buffer.
 fn ready_http(
     pool: &mut BufPool,
     status: u16,
@@ -420,28 +408,27 @@ fn ready_http(
     content_type: &str,
     body: &[u8],
     close: bool,
-) -> PendingReply {
+) -> Vec<u8> {
     let mut out = pool.checkout();
     http::write_response(&mut out, status, reason, content_type, body, close);
-    PendingReply::Ready(out)
+    out
 }
 
 /// Render a binary response frame into a pooled buffer.
-fn ready_frame(pool: &mut BufPool, status: FrameStatus, payload: &[u8]) -> PendingReply {
+fn ready_frame(pool: &mut BufPool, status: FrameStatus, payload: &[u8]) -> Vec<u8> {
     let mut out = pool.checkout();
     frame::write_response_frame(&mut out, status, payload);
-    PendingReply::Ready(out)
+    out
 }
 
-/// Submit every located request (borrowing payloads straight out of the
-/// receive buffer — the only copy left is the `Job` decode at the
-/// scoring boundary), then resolve tickets in arrival order: the worker
-/// pool starts on a wake's misses as they are submitted and scores them
-/// concurrently, while resolving in submission order is what keeps
-/// responses in request order on the wire. The shard blocks on a ticket
-/// for at most the scoring still outstanding ahead of it. Responses
-/// render into pooled buffers and ride the write queue whole; the caller
-/// flushes them in one `writev`.
+/// Serve every located request in arrival order, borrowing payloads
+/// straight out of the receive buffer (the only copy left is the `Job`
+/// decode at the scoring boundary). `submit` answers each request before
+/// it returns — from the cache or by scoring it on this thread — so its
+/// response renders right away, into a pooled buffer that rides the
+/// write queue whole, and responses leave in request order. The caller
+/// flushes them in one `writev`. A slow score delays only the requests
+/// behind it on this shard; the other shards serve on.
 fn serve_spans(
     extracted: ExtractedSpans,
     conn: &mut Conn,
@@ -450,88 +437,28 @@ fn serve_spans(
     server: &Arc<ScoringServer>,
     drain: &AtomicBool,
 ) {
-    let mut pending = Vec::with_capacity(extracted.requests.len());
     for span in &extracted.requests {
         let parsed_at = Instant::now();
-        match span {
+        let reply = match span {
             WireRequestSpan::Http { head, body_start, body_len } => {
                 let body = conn.payload(*body_start, *body_len);
-                let (reply, close) =
-                    submit_http(head, body, parsed_at, config, server, drain, pool);
+                let (reply, close) = serve_http(head, body, config, server, drain, pool);
                 if close {
                     conn.close_after_flush = true;
                 }
-                pending.push(reply);
+                reply
             }
             WireRequestSpan::Binary { payload_start, payload_len, trace } => {
                 let payload = conn.payload(*payload_start, *payload_len);
                 let ctx = trace.unwrap_or(TraceContext::NONE);
-                pending.push(submit_binary(payload, ctx, parsed_at, config, server, pool));
+                serve_binary(payload, ctx, config, server, pool)
             }
-        }
+        };
+        net_metrics().wire_latency_us.record(parsed_at.elapsed().as_micros() as u64);
+        conn.queue_buffer(reply);
     }
-    // Every span has been decoded; reclaim the consumed receive prefix
-    // before ticket resolution can block.
+    // Every span has been served; reclaim the consumed receive prefix.
     conn.compact();
-    for reply in pending {
-        match reply {
-            PendingReply::Ready(buf) => conn.queue_buffer(buf),
-            PendingReply::HttpTicket { ticket, keep_alive, parsed_at } => {
-                let mut out = pool.checkout();
-                match ticket.outcome() {
-                    Ok(served) => match tasq::codec::to_bytes(&served.response) {
-                        Ok(body) => http::write_response(
-                            &mut out,
-                            200,
-                            "OK",
-                            "application/octet-stream",
-                            &body,
-                            !keep_alive,
-                        ),
-                        Err(_) => http::write_response(
-                            &mut out,
-                            500,
-                            "Internal Server Error",
-                            "text/plain",
-                            b"response encoding failed\n",
-                            !keep_alive,
-                        ),
-                    },
-                    Err(e) => http::write_response(
-                        &mut out,
-                        503,
-                        "Service Unavailable",
-                        "text/plain",
-                        format!("{e}\n").as_bytes(),
-                        !keep_alive,
-                    ),
-                }
-                if !keep_alive {
-                    conn.close_after_flush = true;
-                }
-                net_metrics().wire_latency_us.record(parsed_at.elapsed().as_micros() as u64);
-                conn.queue_buffer(out);
-            }
-            PendingReply::BinaryTicket { ticket, parsed_at } => {
-                let mut out = pool.checkout();
-                match ticket.outcome() {
-                    Ok(served) => match tasq::codec::to_bytes(&served.response) {
-                        Ok(body) => frame::write_response_frame(&mut out, FrameStatus::Ok, &body),
-                        Err(_) => {
-                            frame::write_response_frame(&mut out, FrameStatus::BadRequest, &[]);
-                        }
-                    },
-                    Err(e) => frame::write_response_frame(
-                        &mut out,
-                        FrameStatus::from_request_error(&e),
-                        &[],
-                    ),
-                }
-                net_metrics().wire_latency_us.record(parsed_at.elapsed().as_micros() as u64);
-                conn.queue_buffer(out);
-            }
-        }
-    }
     if let Some(error) = extracted.error {
         net_metrics().parse_errors.inc();
         let mut out = pool.checkout();
@@ -557,21 +484,19 @@ fn serve_spans(
 }
 
 /// Route one HTTP request: scoring goes through `submit`; the
-/// introspection endpoints answer inline. Returns the reply plus whether
-/// the connection must close after the flush (the caller owns the
-/// connection state; the body borrowed from its receive buffer keeps it
-/// immutable here).
-fn submit_http(
+/// introspection endpoints answer inline. Returns the rendered response
+/// plus whether the connection must close after the flush (the caller
+/// owns the connection state; the body borrowed from its receive buffer
+/// keeps it immutable here).
+fn serve_http(
     head: &HttpHead,
     body: &[u8],
-    parsed_at: Instant,
     config: &NetConfig,
     server: &Arc<ScoringServer>,
     drain: &AtomicBool,
     pool: &mut BufPool,
-) -> (PendingReply, bool) {
-    let keep_alive = head.keep_alive;
-    let mut close = !keep_alive;
+) -> (Vec<u8>, bool) {
+    let mut close = !head.keep_alive;
     let ctx = head.trace.unwrap_or(TraceContext::NONE);
     let reply = match (head.method.as_str(), head.path.as_str()) {
         ("POST", "/score") => match tasq::codec::from_bytes::<Job>(body) {
@@ -580,29 +505,32 @@ fn submit_http(
                 // carried a sampled `traceparent`; the serve-side spans
                 // parent from the same context below it.
                 let _span = wire_span(ctx, "net_http_request");
-                match server.submit(ScoreRequest { job, deadline: config.deadline, trace: ctx }) {
-                    Ok(ticket) => {
-                        let reply = PendingReply::HttpTicket { ticket, keep_alive, parsed_at };
-                        return (reply, close);
-                    }
+                let request = ScoreRequest { job, deadline: config.deadline, trace: ctx };
+                let (status, reason, content_type, body) = match server.submit(request) {
+                    Ok(ticket) => match ticket.outcome() {
+                        Ok(served) => match tasq::codec::to_bytes(&served.response) {
+                            Ok(body) => (200, "OK", "application/octet-stream", body),
+                            Err(_) => (
+                                500,
+                                "Internal Server Error",
+                                "text/plain",
+                                b"response encoding failed\n".to_vec(),
+                            ),
+                        },
+                        Err(e) => {
+                            (503, "Service Unavailable", "text/plain", format!("{e}\n").into())
+                        }
+                    },
                     Err(e) => {
                         let (status, reason) = match &e {
-                            tasq_serve::SubmitError::Overloaded { .. } => {
-                                (429, "Too Many Requests")
-                            }
-                            tasq_serve::SubmitError::ShuttingDown => (503, "Service Unavailable"),
-                            tasq_serve::SubmitError::InvalidPlan { .. } => (400, "Bad Request"),
+                            SubmitError::Overloaded { .. } => (429, "Too Many Requests"),
+                            SubmitError::ShuttingDown => (503, "Service Unavailable"),
+                            SubmitError::InvalidPlan { .. } => (400, "Bad Request"),
                         };
-                        ready_http(
-                            pool,
-                            status,
-                            reason,
-                            "text/plain",
-                            format!("{e}\n").as_bytes(),
-                            close,
-                        )
+                        (status, reason, "text/plain", format!("{e}\n").into())
                     }
-                }
+                };
+                ready_http(pool, status, reason, content_type, &body, close)
             }
             Err(_) => {
                 net_metrics().parse_errors.inc();
@@ -640,36 +568,34 @@ fn submit_http(
         }
         _ => ready_http(pool, 404, "Not Found", "text/plain", b"not found\n", close),
     };
-    net_metrics().wire_latency_us.record(parsed_at.elapsed().as_micros() as u64);
     (reply, close)
 }
 
-/// Decode and submit one binary frame payload. `ctx` is the trace
+/// Decode, score and render one binary frame payload. `ctx` is the trace
 /// context carried in the frame preamble ([`TraceContext::NONE`] when
 /// absent).
-fn submit_binary(
+fn serve_binary(
     payload: &[u8],
     ctx: TraceContext,
-    parsed_at: Instant,
     config: &NetConfig,
     server: &Arc<ScoringServer>,
     pool: &mut BufPool,
-) -> PendingReply {
-    let reply = match tasq::codec::from_bytes::<Job>(payload) {
-        Ok(job) => {
-            let _span = wire_span(ctx, "net_binary_request");
-            match server.submit(ScoreRequest { job, deadline: config.deadline, trace: ctx }) {
-                Ok(ticket) => return PendingReply::BinaryTicket { ticket, parsed_at },
-                Err(e) => ready_frame(pool, FrameStatus::from_submit_error(&e), &[]),
-            }
-        }
-        Err(_) => {
-            net_metrics().parse_errors.inc();
-            ready_frame(pool, FrameStatus::BadRequest, &[])
-        }
+) -> Vec<u8> {
+    let Ok(job) = tasq::codec::from_bytes::<Job>(payload) else {
+        net_metrics().parse_errors.inc();
+        return ready_frame(pool, FrameStatus::BadRequest, &[]);
     };
-    net_metrics().wire_latency_us.record(parsed_at.elapsed().as_micros() as u64);
-    reply
+    let _span = wire_span(ctx, "net_binary_request");
+    match server.submit(ScoreRequest { job, deadline: config.deadline, trace: ctx }) {
+        Ok(ticket) => match ticket.outcome() {
+            Ok(served) => match tasq::codec::to_bytes(&served.response) {
+                Ok(body) => ready_frame(pool, FrameStatus::Ok, &body),
+                Err(_) => ready_frame(pool, FrameStatus::BadRequest, &[]),
+            },
+            Err(e) => ready_frame(pool, FrameStatus::from_request_error(&e), &[]),
+        },
+        Err(e) => ready_frame(pool, FrameStatus::from_submit_error(&e), &[]),
+    }
 }
 
 /// A wire-side span joined to the request's carried trace context: the

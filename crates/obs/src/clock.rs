@@ -33,6 +33,14 @@ pub fn now_micros() -> u64 {
     u64::try_from(anchor.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
+/// [`now_micros`] at an instant the caller already read, so a caller
+/// that holds one pays no second clock read. An instant before the
+/// anchor reads 0.
+pub fn micros_at(instant: Instant) -> u64 {
+    let anchor = ANCHOR.get_or_init(|| instant);
+    u64::try_from(instant.saturating_duration_since(*anchor).as_micros()).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,5 +51,14 @@ mod tests {
         let a = now_micros();
         let b = now_micros();
         assert!(b >= a);
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "an instant to convert, read by the test")]
+    fn micros_at_reads_the_same_timeline() {
+        init();
+        let before = now_micros();
+        let at = micros_at(Instant::now());
+        assert!(at >= before && at <= now_micros());
     }
 }

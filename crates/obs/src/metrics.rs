@@ -18,9 +18,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use parking_lot::Mutex;
 
 /// Monotonically increasing counter. Clones share the underlying cell.
 #[derive(Clone, Debug, Default)]
@@ -198,7 +197,7 @@ impl Histogram {
     /// slot or replace the smallest retained exemplar.
     fn offer_exemplar(&self, value: u64, trace_id: u128) {
         let ts_us = crate::clock::now_micros();
-        let mut slots = self.0.exemplars.lock();
+        let mut slots = self.0.exemplars.lock().unwrap_or_else(PoisonError::into_inner);
         let mut min_index = 0usize;
         let mut min_value = u64::MAX;
         for (index, slot) in slots.iter().enumerate() {
@@ -230,7 +229,7 @@ impl Histogram {
 
     /// Currently retained exemplars, largest value first.
     pub fn exemplars(&self) -> Vec<Exemplar> {
-        let slots = self.0.exemplars.lock();
+        let slots = self.0.exemplars.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out: Vec<Exemplar> = slots.iter().flatten().copied().collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.value));
         out
@@ -335,7 +334,7 @@ impl Registry {
     /// already a gauge/histogram) a detached counter is returned so the
     /// caller keeps working; nothing panics.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             kind: Kind::Counter(Counter::new()),
@@ -348,7 +347,7 @@ impl Registry {
 
     /// Get or register the gauge `name` (detached handle on kind clash).
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             kind: Kind::Gauge(Gauge::new()),
@@ -362,7 +361,7 @@ impl Registry {
     /// Get or register the histogram `name` (detached handle on kind
     /// clash).
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             kind: Kind::Histogram(Histogram::new()),
@@ -380,7 +379,7 @@ impl Registry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether nothing is registered.
@@ -396,7 +395,7 @@ impl Registry {
     /// `slo_burn_rate{objective="x",window="fast"}`) share one family
     /// `# HELP` / `# TYPE` header keyed by the base name.
     pub fn render_prometheus(&self) -> String {
-        let entries = self.entries.lock();
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         let mut last_family = String::new();
         for (name, entry) in entries.iter() {

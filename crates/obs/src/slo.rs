@@ -1,7 +1,7 @@
 //! Declarative service-level objectives with multi-window burn rates.
 //!
 //! An [`SloEngine`] turns raw request outcomes into the one number an
-//! operator (or the autoscaler) actually wants: **how fast is the error
+//! operator actually wants: **how fast is the error
 //! budget burning?** Objectives are declarative —
 //! "`p99` latency ≤ X µs" or "availability ≥ Y" — and each one is
 //! evaluated over two sliding windows (a *fast* window that reacts to
@@ -13,7 +13,7 @@
 //! the observed violating fraction divided by the budget, so `burn = 1`
 //! means "exactly on budget", `burn = 10` means "burning ten times too
 //! fast". Availability objectives work the same way with failed requests
-//! (shed, rejected, worker-lost) as the violations.
+//! (rejected, worker-lost, timed out) as the violations.
 //!
 //! The engine is **tick-driven and deterministic**: every method takes an
 //! explicit `now_us` timestamp (callers pass [`crate::clock::now_micros`]
@@ -23,7 +23,7 @@
 
 use crate::json::JsonValue;
 use crate::metrics::Registry;
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// What one objective demands.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,7 +196,7 @@ impl SloEngine {
     /// Feed one completed request's latency into every latency objective.
     pub fn record_latency(&self, now_us: u64, latency_us: u64) {
         let now_sec = now_us / 1_000_000;
-        let mut rings = self.rings.lock();
+        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
         for ring in rings.iter_mut() {
             if let SloKind::Latency { threshold_us, .. } = ring.objective.kind {
                 ring.record(now_sec, latency_us > threshold_us);
@@ -204,11 +204,27 @@ impl SloEngine {
         }
     }
 
-    /// Feed one request outcome (`ok = false` for shed / rejected /
+    /// Feed one answered request into every objective at once: its
+    /// latency into the latency objectives, a success into the
+    /// availability ones. One lock, where [`SloEngine::record_latency`]
+    /// plus [`SloEngine::record_outcome`] take two.
+    pub fn record_success(&self, now_us: u64, latency_us: u64) {
+        let now_sec = now_us / 1_000_000;
+        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        for ring in rings.iter_mut() {
+            let bad = match ring.objective.kind {
+                SloKind::Latency { threshold_us, .. } => latency_us > threshold_us,
+                SloKind::Availability { .. } => false,
+            };
+            ring.record(now_sec, bad);
+        }
+    }
+
+    /// Feed one request outcome (`ok = false` for rejected /
     /// worker-lost / timed-out) into every availability objective.
     pub fn record_outcome(&self, now_us: u64, ok: bool) {
         let now_sec = now_us / 1_000_000;
-        let mut rings = self.rings.lock();
+        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
         for ring in rings.iter_mut() {
             if matches!(ring.objective.kind, SloKind::Availability { .. }) {
                 ring.record(now_sec, !ok);
@@ -219,7 +235,7 @@ impl SloEngine {
     /// Evaluate every objective over both windows at `now_us`.
     pub fn tick(&self, now_us: u64) -> Vec<BurnSample> {
         let now_sec = now_us / 1_000_000;
-        let rings = self.rings.lock();
+        let rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::with_capacity(rings.len() * 2);
         for ring in rings.iter() {
             let budget = match ring.objective.kind {
@@ -248,8 +264,7 @@ impl SloEngine {
         out
     }
 
-    /// The largest fast-window burn rate across objectives — the single
-    /// scalar the autoscaler consumes.
+    /// The largest fast-window burn rate across objectives.
     pub fn max_fast_burn(&self, now_us: u64) -> f64 {
         self.tick(now_us)
             .into_iter()
@@ -279,6 +294,7 @@ impl SloEngine {
         let objectives: Vec<JsonValue> = self
             .rings
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|ring| {
                 let name = &ring.objective.name;
@@ -427,6 +443,21 @@ mod tests {
         assert_eq!(objectives.len(), 2);
         assert!(doc.contains("\"burn_rate\""));
         assert!(doc.contains("\"window\":\"fast\""));
+    }
+
+    #[test]
+    fn a_recorded_success_counts_as_latency_plus_outcome() {
+        let (one, two) = (engine(10, 100), engine(10, 100));
+        for (latency, sec) in [(50, 0), (5_000_000, 1), (70, 1)] {
+            one.record_success(sec * 1_000_000, latency);
+            two.record_latency(sec * 1_000_000, latency);
+            two.record_outcome(sec * 1_000_000, true);
+        }
+        let counts = |slo: &SloEngine| -> Vec<(u64, u64)> {
+            slo.tick(1_000_000).iter().map(|s| (s.events, s.violations)).collect()
+        };
+        assert_eq!(counts(&one), counts(&two));
+        assert!(counts(&one).iter().any(|&(_, violations)| violations == 1));
     }
 
     #[test]

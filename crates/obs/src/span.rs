@@ -31,9 +31,7 @@ use std::fmt;
 use std::io::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::clock;
 
@@ -256,7 +254,8 @@ impl ThreadCtx {
             .name()
             .map(str::to_string)
             .unwrap_or_else(|| format!("thread-{thread}"));
-        collector().lock().threads.push((thread, name));
+        let mut collector = collector().lock().unwrap_or_else(PoisonError::into_inner);
+        collector.threads.push((thread, name));
         Self { thread, stack: Vec::new(), ring: Vec::with_capacity(RING_CAPACITY) }
     }
 
@@ -278,7 +277,7 @@ fn drain_ring(ring: &mut Vec<SpanEvent>) {
     if ring.is_empty() {
         return;
     }
-    let mut collector = collector().lock();
+    let mut collector = collector().lock().unwrap_or_else(PoisonError::into_inner);
     let room = COLLECTOR_CAPACITY.saturating_sub(collector.events.len());
     if room >= ring.len() {
         collector.events.append(ring);
@@ -507,7 +506,7 @@ fn emit_stderr(
 /// both join workers before results are returned).
 pub fn take_collected() -> Vec<SpanEvent> {
     flush_current_thread();
-    let mut collector = collector().lock();
+    let mut collector = collector().lock().unwrap_or_else(PoisonError::into_inner);
     collector.dropped = 0;
     std::mem::take(&mut collector.events)
 }
@@ -515,19 +514,19 @@ pub fn take_collected() -> Vec<SpanEvent> {
 /// Like [`take_collected`] but non-destructive.
 pub fn snapshot_collected() -> Vec<SpanEvent> {
     flush_current_thread();
-    collector().lock().events.clone()
+    collector().lock().unwrap_or_else(PoisonError::into_inner).events.clone()
 }
 
 /// Events discarded because the collector hit [`COLLECTOR_CAPACITY`]
 /// since the last [`take_collected`].
 pub fn collected_dropped() -> u64 {
-    collector().lock().dropped
+    collector().lock().unwrap_or_else(PoisonError::into_inner).dropped
 }
 
 /// `(thread index, thread name)` for every thread that ever recorded,
 /// in registration order.
 pub fn thread_names() -> Vec<(u64, String)> {
-    collector().lock().threads.clone()
+    collector().lock().unwrap_or_else(PoisonError::into_inner).threads.clone()
 }
 
 /// Push the calling thread's ring into the global collector now.

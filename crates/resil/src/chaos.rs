@@ -45,7 +45,7 @@ pub struct ChaosPlan {
     /// Training: after the kill, shear this many bytes off the tail of
     /// the last-written checkpoint log (a kill-at-byte-k torn write).
     pub torn_tail_bytes: Option<u64>,
-    /// Serving: request sequence numbers whose scoring worker panics.
+    /// Serving: miss sequence numbers whose scoring panics.
     pub worker_panics: Vec<u64>,
     /// Serving: `[start, end)` request-sequence window where the NN tier
     /// fails (trips the circuit breaker onto the degradation ladder).
@@ -80,8 +80,8 @@ impl ChaosPlan {
                 plan.torn_tail_bytes = Some(1 + mix64(seed, 5) % 24);
                 plan.worker_panics =
                     vec![16 + mix64(seed, 2) % 32, 200 + mix64(seed, 3) % 32];
-                // Long enough to exhaust any failure threshold ≤ 8 even
-                // with micro-batch dedup, then ends so half-open probes
+                // Long enough to exhaust any failure threshold ≤ 8, then
+                // ends so half-open probes
                 // succeed and the breaker closes within the run.
                 let start = 64 + mix64(seed, 4) % 16;
                 plan.nn_fault_window = Some((start, start + 48));

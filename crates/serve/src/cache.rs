@@ -13,8 +13,8 @@
 //! every counter after ten lookups per slot lets entries that stop being
 //! probed (a swapped-out model generation's) age out.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use tasq::pipeline::ScoreResponse;
 
 /// Cache sizing and switches.
@@ -205,7 +205,7 @@ impl SignatureCache {
     /// Look up a cached response. An enabled cache counts the lookup in
     /// the shard's sketch and marks a hit as referenced.
     pub fn get(&self, key: u64) -> Option<ScoreResponse> {
-        let mut guard = self.shard(key).lock();
+        let mut guard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
         let shard = &mut *guard;
         let mut found = None;
         if self.enabled {
@@ -224,7 +224,8 @@ impl SignatureCache {
     /// doc). A no-op when the cache is disabled.
     pub fn insert(&self, key: u64, response: ScoreResponse) {
         if self.enabled {
-            self.shard(key).lock().insert(key, response, self.per_shard_capacity);
+            let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
+            shard.insert(key, response, self.per_shard_capacity);
         }
     }
 
@@ -232,7 +233,7 @@ impl SignatureCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let shard = shard.lock();
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             total.hits += shard.stats.hits;
             total.misses += shard.stats.misses;
             total.evictions += shard.stats.evictions;

@@ -11,36 +11,31 @@
 //!   with hit/miss/eviction/rejection counters.
 //! - [`registry`] — an atomically hot-swappable model deployment with
 //!   probe validation and rollback-by-not-swapping.
-//! - [`server`] — the worker pool itself, behind one entry point
+//! - [`server`] — the server itself, behind one entry point
 //!   ([`ScoringServer::submit`], taking a [`ScoreRequest`] or a bare
-//!   job): work-conserving dispatch (a worker scores the moment it holds
-//!   a request; backlog, capped at `max_batch`, is what forms a
-//!   micro-batch — there is no batch timer), bounded-queue admission
-//!   control with shed-to-analytic-tier degradation, and lock-free
-//!   latency stats ([`stats`]).
+//!   job): every request is answered on the thread that submits it,
+//!   from the cache or by scoring it there under a panic boundary, the
+//!   circuit breaker and its deadline; at most `workers` misses score at
+//!   once and a miss beyond that is refused. Lock-free latency stats
+//!   live in [`stats`].
 //!
-//! - [`scaling`] — queue-utilization worker autoscaling (min/max pool
-//!   bounds, up/down thresholds, cooldown) applied through the server's
-//!   dynamic worker pool.
-//!
-//! Everything is std-threads + channels + atomics over the workspace's
-//! vendored dependencies; there is no async runtime and no network
-//! surface *in this crate* — the server embeds into a host process
-//! (the `tasq` CLI `serve` subcommand), and `tasq-net` puts it on a
-//! socket.
+//! The server owns no threads: whoever submits does the work, so the
+//! host's threads (a CLI loop, a benchmark's generator, `tasq-net`'s
+//! event-loop shards) are the concurrency. There is no async runtime
+//! and no network surface *in this crate* — the server embeds into a
+//! host process (the `tasq` CLI `serve` subcommand), and `tasq-net`
+//! puts it on a socket.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod cache;
 pub mod registry;
-pub mod scaling;
 pub mod server;
 pub mod signature;
 pub mod stats;
 
 pub use cache::{CacheConfig, CacheStats, SignatureCache};
-pub use scaling::{AutoScaler, ScaleAction, ScalingConfig};
 pub use registry::{
     ActiveModel, DurableDeployError, ManifestRecord, ModelRegistry, SwapError,
 };

@@ -9,7 +9,7 @@
 //! torn states impossible by construction.
 //!
 //! The swap itself is epoch-style: the whole deployment (service + its
-//! provenance) lives in one [`Arc`] behind a [`parking_lot::RwLock`];
+//! provenance) lives in one [`Arc`] behind a [`std::sync::RwLock`];
 //! readers clone the `Arc` under a read lock and keep scoring against
 //! their snapshot even while a writer replaces the pointer. Each
 //! successful swap bumps a `generation`, which the serving cache mixes
@@ -25,12 +25,11 @@
 //! resumes from there, so cache keys from a previous process life can
 //! never alias a post-restart deployment.
 
-use parking_lot::{Mutex, RwLock};
 use scope_sim::Job;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use tasq::pipeline::{
     DeployError, ModelChoice, ModelStore, ScoringConfig, ScoringService, ServedTier,
     NN_MODEL_NAME, XGB_MODEL_NAME,
@@ -162,6 +161,10 @@ fn encode_record(record: &ManifestRecord) -> Result<Vec<u8>, ResilError> {
 /// The registry: one active deployment, swappable under traffic.
 pub struct ModelRegistry {
     active: RwLock<Arc<ActiveModel>>,
+    /// The active deployment's generation, mirrored out of the lock and
+    /// stored under the write lock at each swap: every request reads it
+    /// (it keys the cache), and only a miss needs the deployment itself.
+    generation: AtomicU64,
     swaps: AtomicU64,
     rollbacks: AtomicU64,
     /// WAL-style deployment manifest (durable registries only).
@@ -258,6 +261,7 @@ impl ModelRegistry {
             generation: 1,
         };
         Ok(Self {
+            generation: AtomicU64::new(active.generation),
             active: RwLock::new(Arc::new(active)),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
@@ -298,6 +302,7 @@ impl ModelRegistry {
         log.append(&payload).map_err(DurableDeployError::Manifest)?;
         let active = ActiveModel { service, choice, version, generation };
         Ok(Self {
+            generation: AtomicU64::new(active.generation),
             active: RwLock::new(Arc::new(active)),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
@@ -323,12 +328,12 @@ impl ModelRegistry {
     /// Snapshot of the current deployment. Cheap (`Arc` clone under a
     /// read lock); the snapshot stays valid across concurrent swaps.
     pub fn current(&self) -> Arc<ActiveModel> {
-        Arc::clone(&self.active.read())
+        Arc::clone(&self.active.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Generation of the current deployment.
     pub fn generation(&self) -> u64 {
-        self.active.read().generation
+        self.generation.load(Ordering::Acquire)
     }
 
     /// Successful swaps since deploy (the initial deploy is not counted).
@@ -365,7 +370,7 @@ impl ModelRegistry {
             return Err(e);
         }
         let version = latest_version(store, choice);
-        let mut active = self.active.write();
+        let mut active = self.active.write().unwrap_or_else(PoisonError::into_inner);
         let generation = active.generation + 1;
         if let Some(manifest) = &self.manifest {
             // Write-ahead: the swap is durable before it is observable.
@@ -374,8 +379,13 @@ impl ModelRegistry {
             // never lead it with an unserved generation... which is
             // exactly what replay-then-resume-numbering tolerates.
             let record = ManifestRecord { generation, choice, version };
-            let appended = encode_record(&record)
-                .and_then(|payload| manifest.lock().append(&payload).map(|_| ()));
+            let appended = encode_record(&record).and_then(|payload| {
+                manifest
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .append(&payload)
+                    .map(|_| ())
+            });
             if let Err(e) = appended {
                 drop(active);
                 self.rollbacks.fetch_add(1, Ordering::Relaxed);
@@ -384,6 +394,7 @@ impl ModelRegistry {
         }
         let next = Arc::new(ActiveModel { service: candidate, choice, version, generation });
         *active = Arc::clone(&next);
+        self.generation.store(generation, Ordering::Release);
         drop(active);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(next)

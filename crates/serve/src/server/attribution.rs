@@ -3,10 +3,10 @@
 //! A [`Tally`] counts for `ScoringServer::stats` and for `/metrics` at
 //! once, so the drained identity (`submitted == completed + rejected +
 //! worker_lost + deadline_timeouts`) reads the same from both;
-//! [`Shared::finish_traced`] cuts a completed request's time into the
+//! [`ScoringServer::finish`] cuts a completed request's time into the
 //! segment chain behind `/debug/slowest` and the `segment_*_us` histograms.
 
-use super::{ServedVia, Shared};
+use super::ScoringServer;
 use crate::stats::SlowRequest;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -30,6 +30,9 @@ struct ServeMetrics {
     /// end-to-end total, so `sum(segment sums) ≈ serve_latency_us_sum`
     /// is a checkable invariant. Traced requests leave exemplars.
     seg_fastpath_probe: tasq_obs::Histogram,
+    /// A miss is scored where it arrives, so the queue and batch waits
+    /// record 0 per miss. Kept only because `tasq-benchmark` reads both
+    /// by name; a `benchmark` PR that drops those rows can delete them.
     seg_queue_wait: tasq_obs::Histogram,
     seg_batch_wait: tasq_obs::Histogram,
     seg_score_primary: tasq_obs::Histogram,
@@ -51,13 +54,13 @@ fn serve_metrics() -> &'static ServeMetrics {
                 .histogram("serve_latency_us", "end-to-end request latency in microseconds"),
             seg_fastpath_probe: r.histogram(
                 "segment_fastpath_probe_us",
-                "submit entry to admission decision (whole request for inline answers)",
+                "submit entry to score start (whole request for cache hits)",
             ),
             seg_queue_wait: r
-                .histogram("segment_queue_wait_us", "enqueue to worker dequeue"),
+                .histogram("segment_queue_wait_us", "always 0: a miss is scored where it arrives"),
             seg_batch_wait: r.histogram(
                 "segment_batch_wait_us",
-                "worker dequeue to this request's scoring turn",
+                "always 0: a miss is scored by itself",
             ),
             seg_score_primary: r
                 .histogram("segment_score_primary_us", "scoring time, primary tier"),
@@ -102,18 +105,17 @@ pub(super) struct Counters {
     pub(super) completed: Tally,
     pub(super) cache_hits: Tally,
     pub(super) model_scored: Tally,
-    pub(super) shed: Tally,
     pub(super) rejected: Tally,
+    /// Misses admitted to scoring: each is its own batch of one.
     pub(super) batches: Tally,
     pub(super) worker_lost: Tally,
     pub(super) deadline_timeouts: Tally,
-    pub(super) worker_respawns: Tally,
     pub(super) breaker_trips: Tally,
     pub(super) breaker_recoveries: Tally,
-    pub(super) batched_requests: AtomicU64,
+    /// Most misses in flight at once.
     pub(super) peak_queue_depth: AtomicU64,
-    /// Per-envelope sequence numbers keying trace channels/resources.
-    pub(super) trace_seq: AtomicU64,
+    /// Miss sequence numbers, the ticks of the breaker and the chaos plan.
+    pub(super) seq: AtomicU64,
 }
 
 impl Counters {
@@ -123,18 +125,13 @@ impl Counters {
             submitted: t("serve_submitted_total", "requests accepted by submit"),
             completed: t("serve_completed_total", "requests answered on any path"),
             cache_hits: t("serve_cache_hits_total", "requests answered from the signature cache"),
-            model_scored: t("serve_model_scored_total", "requests scored by the worker pool"),
-            shed: t("serve_shed_total", "requests shed to the analytic tier"),
+            model_scored: t("serve_model_scored_total", "requests scored against the model"),
             rejected: t("serve_rejected_total", "requests refused at admission"),
-            batches: t("serve_batches_total", "micro-batches executed"),
-            worker_lost: t("serve_worker_lost_total", "admitted requests resolved as WorkerLost"),
+            batches: t("serve_batches_total", "misses admitted to scoring, one batch each"),
+            worker_lost: t("serve_worker_lost_total", "admitted requests whose score panicked"),
             deadline_timeouts: t(
                 "serve_deadline_timeouts",
                 "requests resolved as over their deadline",
-            ),
-            worker_respawns: t(
-                "serve_worker_respawns",
-                "panicked workers respawned by the supervisor",
             ),
             breaker_trips: t(
                 "serve_breaker_trips",
@@ -144,18 +141,15 @@ impl Counters {
                 "serve_breaker_recoveries_total",
                 "primary-tier circuit breaker half-open to closed recoveries",
             ),
-            batched_requests: AtomicU64::new(0),
             peak_queue_depth: AtomicU64::new(0),
-            trace_seq: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
         }
     }
 }
 
-/// Stage timestamps for a request that went through the worker pool;
-/// inline (cache/shed) answers have no stages — their whole life is the
-/// fastpath probe.
+/// Stage timestamps of a scored miss; a cache hit has no stages — its
+/// whole life is the fastpath probe.
 pub(super) struct StageClock {
-    pub(super) dequeued: Instant,
     pub(super) score_start: Instant,
     pub(super) score_end: Instant,
     pub(super) tier: ServedTier,
@@ -175,14 +169,6 @@ fn tier_label(tier: ServedTier) -> &'static str {
     }
 }
 
-fn via_label(via: ServedVia) -> &'static str {
-    match via {
-        ServedVia::Cache => "cache",
-        ServedVia::Model => "model",
-        ServedVia::Shed => "shed",
-    }
-}
-
 /// Record `value` plainly, or with an exemplar when the request is
 /// traced.
 fn record_segment(histogram: &tasq_obs::Histogram, value: u64, ctx: TraceContext) {
@@ -193,20 +179,13 @@ fn record_segment(histogram: &tasq_obs::Histogram, value: u64, ctx: TraceContext
     }
 }
 
-impl Shared {
-    /// Complete one request: latency + segment histograms (with trace
-    /// exemplars), SLO accounting, and slowest-request retention. The
-    /// segment chain is contiguous — probe → queue → batch → score →
-    /// flush for pooled requests, probe-only for inline answers — so
-    /// per-request segment sums equal the end-to-end total.
-    pub(super) fn finish_traced(
-        &self,
-        via: ServedVia,
-        submitted: Instant,
-        enqueued: Instant,
-        ctx: TraceContext,
-        stages: Option<StageClock>,
-    ) {
+impl ScoringServer {
+    /// Complete one answered request: latency + segment histograms (with
+    /// trace exemplars), SLO accounting, and slowest-request retention.
+    /// The segment chain is contiguous — probe → score → flush for a
+    /// scored miss, probe-only for a cache hit — so per-request segment
+    /// sums equal the end-to-end total.
+    pub(super) fn finish(&self, submitted: Instant, ctx: TraceContext, stages: Option<StageClock>) {
         let done = Instant::now();
         let elapsed = done.saturating_duration_since(submitted);
         let total_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -218,46 +197,31 @@ impl Shared {
         let metrics = serve_metrics();
         record_segment(&metrics.latency, total_us, ctx);
         self.counters.completed.count();
-        match via {
-            ServedVia::Cache => {
-                metrics.fastpath_hits.inc();
-                &self.counters.cache_hits
-            }
-            ServedVia::Model => &self.counters.model_scored,
-            ServedVia::Shed => &self.counters.shed,
-        }
-        .count();
-
-        let now_us = tasq_obs::clock::now_micros();
-        self.slo.record_latency(now_us, total_us);
-        // A shed answer is valid but degraded: it spends availability
-        // budget alongside rejects and lost workers.
-        self.slo.record_outcome(now_us, via != ServedVia::Shed);
+        self.slo.record_success(tasq_obs::clock::micros_at(done), total_us);
 
         let slow = match stages {
             None => {
+                self.counters.cache_hits.count();
+                metrics.fastpath_hits.inc();
                 record_segment(&metrics.seg_fastpath_probe, total_us, ctx);
                 SlowRequest {
                     trace_id: ctx.trace_id,
                     total_us,
-                    via: via_label(via),
+                    via: "cache",
                     tier: "-",
                     fastpath_probe_us: total_us,
-                    queue_wait_us: 0,
-                    batch_wait_us: 0,
                     score_us: 0,
                     flush_us: 0,
                 }
             }
             Some(st) => {
-                let probe = stage_us(submitted, enqueued);
-                let queue_wait = stage_us(enqueued, st.dequeued);
-                let batch_wait = stage_us(st.dequeued, st.score_start);
+                self.counters.model_scored.count();
+                let probe = stage_us(submitted, st.score_start);
                 let score = stage_us(st.score_start, st.score_end);
                 let flush = stage_us(st.score_end, done);
                 record_segment(&metrics.seg_fastpath_probe, probe, ctx);
-                record_segment(&metrics.seg_queue_wait, queue_wait, ctx);
-                record_segment(&metrics.seg_batch_wait, batch_wait, ctx);
+                record_segment(&metrics.seg_queue_wait, 0, ctx);
+                record_segment(&metrics.seg_batch_wait, 0, ctx);
                 let score_histogram = match st.tier {
                     ServedTier::Primary => &metrics.seg_score_primary,
                     ServedTier::Fallback => &metrics.seg_score_fallback,
@@ -268,11 +232,9 @@ impl Shared {
                 SlowRequest {
                     trace_id: ctx.trace_id,
                     total_us,
-                    via: via_label(via),
+                    via: "model",
                     tier: tier_label(st.tier),
                     fastpath_probe_us: probe,
-                    queue_wait_us: queue_wait,
-                    batch_wait_us: batch_wait,
                     score_us: score,
                     flush_us: flush,
                 }
@@ -281,7 +243,7 @@ impl Shared {
         self.slowest.offer(slow);
     }
 
-    /// An admitted request failed (reject, lost worker, deadline): burn
+    /// A request failed (overload, panicked score, deadline): burn
     /// availability budget without recording a completion latency.
     pub(super) fn record_failure(&self) {
         self.slo.record_outcome(tasq_obs::clock::now_micros(), false);

@@ -1,7 +1,7 @@
 //! Deterministic plan signatures.
 //!
 //! The serving cache is keyed by a 64-bit hash (FNV-seeded, splitmix-style
-//! word mixing) over exactly the
+//! word mixing in four lanes) over exactly the
 //! compile-time information the featurizer reads from a submitted job:
 //! every operator's categorical identity (operator + partitioning one-hot
 //! indices), its discrete features, the bit patterns of its continuous
@@ -24,50 +24,66 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanSignature(pub u64);
 
-/// Streaming hasher over the plan's feature-relevant words. Each u64 is
-/// folded in with a full splitmix64 finalizer round, which avalanches
-/// well enough for shard selection while staying a handful of multiplies
-/// per word — this sits on the serving fast path, where a byte-at-a-time
-/// hash would dominate cache-hit latency.
-struct Fnv(u64);
+/// Fold one word into a hash state with a full splitmix64 finalizer
+/// round, which avalanches well enough for shard selection while staying
+/// a handful of multiplies per word.
+#[inline]
+fn mix(state: u64, value: u64) -> u64 {
+    let mut x = state ^ value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
-impl Fnv {
+/// Bit pattern of an estimate, with -0.0 folded into +0.0 so numerically
+/// equal plans cannot diverge on the sign of zero.
+#[inline]
+fn canonical_bits(value: f64) -> u64 {
+    // Exact-bit canonicalization of signed zero.
+    let canonical = if value == 0.0 { 0.0f64 } else { value };
+    canonical.to_bits()
+}
+
+/// Streaming hasher over the plan's feature-relevant words, four words
+/// at a time into four independent lanes. One lane's rounds form a
+/// serial multiply chain; four chains overlap in the pipeline, so a
+/// plan hashes in about a quarter of the time one chain takes — this
+/// sits on every request's path, hit or miss. The lanes fold into one
+/// word at the end.
+struct Lanes([u64; 4]);
+
+impl Lanes {
     fn new() -> Self {
-        Self(FNV_OFFSET)
+        Self([FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3])
     }
 
-    fn write_u64(&mut self, value: u64) {
-        let mut x = self.0 ^ value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = x ^ (x >> 31);
+    #[inline]
+    fn write(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.0.iter_mut().zip(words) {
+            *lane = mix(*lane, word);
+        }
     }
 
-    fn write_f64(&mut self, value: f64) {
-        // Bit pattern, with -0.0 folded into +0.0 so numerically equal
-        // plans cannot diverge on the sign of zero.
-        // Exact-bit canonicalization of signed zero.
-        let canonical = if value == 0.0 { 0.0f64 } else { value };
-        self.write_u64(canonical.to_bits());
+    fn finish(&self) -> u64 {
+        self.0.iter().fold(FNV_OFFSET, |state, &lane| mix(state, lane))
     }
 }
 
 impl PlanSignature {
     /// Signature of a submitted job (plan + requested tokens + seed).
     pub fn of_job(job: &Job) -> Self {
-        let mut fnv = Fnv::new();
-        hash_plan(&mut fnv, &job.plan);
-        fnv.write_u64(job.requested_tokens as u64);
-        fnv.write_u64(job.seed);
-        Self(fnv.0)
+        let mut lanes = Lanes::new();
+        hash_plan(&mut lanes, &job.plan);
+        lanes.write([job.requested_tokens as u64, job.seed, 0, 0]);
+        Self(lanes.finish())
     }
 
     /// Signature of a bare plan (no request context); useful for
     /// plan-level dedup in analysis tooling.
     pub fn of_plan(plan: &JobPlan) -> Self {
-        let mut fnv = Fnv::new();
-        hash_plan(&mut fnv, plan);
-        Self(fnv.0)
+        let mut lanes = Lanes::new();
+        hash_plan(&mut lanes, plan);
+        Self(lanes.finish())
     }
 
     /// Mix a model-registry generation into the signature, producing the
@@ -75,33 +91,39 @@ impl PlanSignature {
     /// unreachable the moment a hot-swap lands, without any coordinated
     /// invalidation: they are never probed again and age out of the cache.
     pub fn cache_key(self, generation: u64) -> u64 {
-        let mut fnv = Fnv::new();
-        fnv.write_u64(self.0);
-        fnv.write_u64(generation);
-        fnv.0
+        mix(mix(FNV_OFFSET, self.0), generation)
     }
 }
 
-fn hash_plan(fnv: &mut Fnv, plan: &JobPlan) {
-    fnv.write_u64(plan.operators.len() as u64);
+fn hash_plan(lanes: &mut Lanes, plan: &JobPlan) {
+    lanes.write([plan.operators.len() as u64, plan.edges.len() as u64, 0, 0]);
     for node in &plan.operators {
-        fnv.write_u64(node.op.one_hot_index() as u64);
-        fnv.write_u64(node.partitioning.one_hot_index() as u64);
-        fnv.write_u64(node.num_partitions as u64);
-        fnv.write_u64(node.num_partitioning_columns as u64);
-        fnv.write_u64(node.num_sort_columns as u64);
-        fnv.write_f64(node.est_output_cardinality);
-        fnv.write_f64(node.est_leaf_input_cardinality);
-        fnv.write_f64(node.est_children_input_cardinality);
-        fnv.write_f64(node.avg_row_length);
-        fnv.write_f64(node.est_subtree_cost);
-        fnv.write_f64(node.est_exclusive_cost);
-        fnv.write_f64(node.est_total_cost);
+        lanes.write([
+            node.op.one_hot_index() as u64,
+            node.partitioning.one_hot_index() as u64,
+            node.num_partitions as u64,
+            node.num_partitioning_columns as u64,
+        ]);
+        lanes.write([
+            node.num_sort_columns as u64,
+            canonical_bits(node.est_output_cardinality),
+            canonical_bits(node.est_leaf_input_cardinality),
+            canonical_bits(node.est_children_input_cardinality),
+        ]);
+        lanes.write([
+            canonical_bits(node.avg_row_length),
+            canonical_bits(node.est_subtree_cost),
+            canonical_bits(node.est_exclusive_cost),
+            canonical_bits(node.est_total_cost),
+        ]);
     }
-    fnv.write_u64(plan.edges.len() as u64);
-    for &(child, parent) in &plan.edges {
-        fnv.write_u64(child as u64);
-        fnv.write_u64(parent as u64);
+    let mut edges = plan.edges.chunks_exact(2);
+    for pair in &mut edges {
+        let ((a, b), (c, d)) = (pair[0], pair[1]);
+        lanes.write([a as u64, b as u64, c as u64, d as u64]);
+    }
+    if let [(child, parent)] = *edges.remainder() {
+        lanes.write([child as u64, parent as u64, 0, 0]);
     }
 }
 

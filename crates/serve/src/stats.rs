@@ -9,8 +9,8 @@
 //! bucketing allows (which collapsed p50 and p95 into the same value on
 //! realistic unimodal latency distributions).
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 use tasq_obs::json::JsonValue;
 
@@ -92,34 +92,37 @@ pub struct LatencySnapshot {
 /// Point-in-time server statistics (see `ScoringServer::stats`).
 #[derive(Debug, Clone, Default)]
 pub struct ServerStatsSnapshot {
-    /// Requests accepted by `submit` (including cache hits and sheds).
+    /// Calls to `submit` that reached its counter: every call but one
+    /// the signature probe never saw (cache hits included).
     pub submitted: u64,
     /// Requests answered (any path).
     pub completed: u64,
     /// Requests answered from the signature cache, always on the thread
     /// that called `submit` (a network shard's event loop included).
     pub cache_hits: u64,
-    /// Requests scored by the model worker pool.
+    /// Requests scored against the model (a miss answered by the
+    /// analytic rung of an open breaker included).
     pub model_scored: u64,
-    /// Requests shed to the analytic tier under queue pressure.
+    /// Always 0: a miss beyond the in-flight bound is refused, never shed
+    /// to the analytic tier. Kept because the benchmark names it.
     pub shed: u64,
     /// Requests refused after being counted as submitted: `Overloaded`,
-    /// `InvalidPlan`, or a `ShuttingDown` that lost the race with worker
-    /// teardown.
+    /// `InvalidPlan`, or `ShuttingDown` after `close`.
     pub rejected: u64,
-    /// Micro-batches executed by the worker pool.
+    /// Misses admitted to scoring: each is scored by itself, so it counts
+    /// as one batch. Kept under its old name because the benchmark reads
+    /// it.
     pub batches: u64,
-    /// Requests carried by those batches (mean batch size =
-    /// `batched_requests / batches`).
+    /// Equal to `batches` (each batch carries one request), so
+    /// `mean_batch_size()` is 1 once anything has been scored.
     pub batched_requests: u64,
-    /// Highest queue depth ever observed.
+    /// Most misses in flight at once, across every submitting thread
+    /// (bounded by `ServeConfig::workers`).
     pub peak_queue_depth: u64,
-    /// Admitted requests resolved as `WorkerLost` by an unwinding worker.
+    /// Admitted requests resolved as `WorkerLost`: their score panicked.
     pub worker_lost: u64,
     /// Admitted requests resolved as over their deadline budget.
     pub deadline_timeouts: u64,
-    /// Panicked workers respawned by the supervisor.
-    pub worker_respawns: u64,
     /// Primary-tier circuit-breaker open transitions.
     pub breaker_trips: u64,
     /// Circuit-breaker half-open → closed recoveries.
@@ -141,7 +144,8 @@ impl ServerStatsSnapshot {
         self.completed + self.rejected + self.worker_lost + self.deadline_timeouts
     }
 
-    /// Mean micro-batch size (0 when no batch ran).
+    /// Mean batch size: 1 once anything has been scored, since each miss
+    /// is its own batch (0 when nothing was).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -164,7 +168,6 @@ impl ServerStatsSnapshot {
             ("worker_lost", self.worker_lost.into()),
             ("deadline_timeouts", self.deadline_timeouts.into()),
             ("resolved", self.resolved().into()),
-            ("worker_respawns", self.worker_respawns.into()),
             ("breaker_trips", self.breaker_trips.into()),
             ("breaker_recoveries", self.breaker_recoveries.into()),
             ("p50_us", self.latency.p50_us.into()),
@@ -186,18 +189,12 @@ pub struct SlowRequest {
     pub trace_id: u128,
     /// End-to-end latency in microseconds.
     pub total_us: u64,
-    /// Which serving path answered (`"cache"`, `"model"`, `"shed"`).
+    /// Which serving path answered (`"cache"` or `"model"`).
     pub via: &'static str,
     /// Model tier that scored it (`"-"` for inline paths).
     pub tier: &'static str,
-    /// Submit-entry → admission decision (the whole request, for inline
-    /// cache/shed answers).
+    /// Submit entry → score start (the whole request, for a cache hit).
     pub fastpath_probe_us: u64,
-    /// Enqueue → worker dequeue.
-    pub queue_wait_us: u64,
-    /// Dequeue → this request's scoring turn (batch fill + in-batch
-    /// predecessors).
-    pub batch_wait_us: u64,
     /// Scoring proper.
     pub score_us: u64,
     /// Score end → completion bookkeeping.
@@ -237,7 +234,7 @@ impl SlowestTracker {
         if floor != u64::MAX && request.total_us <= floor {
             return;
         }
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(slot) = slots.iter_mut().find(|s| s.is_none()) {
             *slot = Some(request);
             return;
@@ -262,7 +259,9 @@ impl SlowestTracker {
 
     /// Retained requests, slowest first.
     pub fn snapshot(&self) -> Vec<SlowRequest> {
-        let mut out: Vec<SlowRequest> = self.slots.lock().iter().flatten().cloned().collect();
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut out: Vec<SlowRequest> = slots.iter().flatten().cloned().collect();
+        drop(slots);
         out.sort_by_key(|s| std::cmp::Reverse(s.total_us));
         out
     }
@@ -279,8 +278,6 @@ impl SlowestTracker {
                     "segments",
                     JsonValue::object([
                         ("fastpath_probe_us", s.fastpath_probe_us.into()),
-                        ("queue_wait_us", s.queue_wait_us.into()),
-                        ("batch_wait_us", s.batch_wait_us.into()),
                         ("score_us", s.score_us.into()),
                         ("flush_us", s.flush_us.into()),
                     ]),
@@ -378,9 +375,7 @@ mod tests {
             via: "model",
             tier: "primary",
             fastpath_probe_us: 1,
-            queue_wait_us: 2,
-            batch_wait_us: 3,
-            score_us: total_us.saturating_sub(7),
+            score_us: total_us.saturating_sub(2),
             flush_us: 1,
         }
     }
@@ -410,7 +405,7 @@ mod tests {
         let json = tracker.render_json();
         assert!(json.contains("\"trace_id\":\"000000000000000000000000abcdef01\""), "{json}");
         assert!(json.contains("\"total_us\":5000"), "{json}");
-        assert!(json.contains("\"queue_wait_us\":2"), "{json}");
+        assert!(json.contains("\"score_us\":4998"), "{json}");
         let parsed = tasq_obs::json::parse(&json).expect("slowest json parses");
         drop(parsed);
     }
