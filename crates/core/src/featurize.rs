@@ -16,7 +16,7 @@
 
 use scope_sim::operators::ALL_OPERATORS;
 use scope_sim::plan::{JobPlan, OperatorNode};
-use tasq_codec::Wire;
+use tasq_codec::{CodecError, Wire};
 
 /// Number of continuous per-operator features.
 pub const NUM_CONTINUOUS: usize = 7;
@@ -117,12 +117,33 @@ pub fn featurize_job(plan: &JobPlan, num_stages: usize) -> JobFeatures {
 }
 
 /// Z-score feature scaler (fit on the training set only).
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct FeatureScaler {
     means: Vec<f64>,
     /// Inverse standard deviations (0 for constant features, which scale
     /// to exactly zero).
     inv_stds: Vec<f64>,
+}
+
+/// Encoded field by field, like a derived struct. The decode is written
+/// out to refuse, as corrupt, a scaler whose means and inverse standard
+/// deviations differ in length: [`FeatureScaler::transform`] zips the
+/// two, so it would return a row of the wrong width.
+impl Wire for FeatureScaler {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.means.encode(out);
+        self.inv_stds.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let scaler = Self { means: Vec::decode(input)?, inv_stds: Vec::decode(input)? };
+        if scaler.means.len() != scaler.inv_stds.len() {
+            return Err(CodecError::Invalid("scaler means and deviations differ in width"));
+        }
+        Ok(scaler)
+    }
 }
 
 impl FeatureScaler {

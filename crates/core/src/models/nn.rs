@@ -6,13 +6,13 @@
 
 use super::{PccPredictor, PredictedPcc, ScoringInput};
 use crate::dataset::Dataset;
-use crate::featurize::{FeatureScaler, JobFeatures};
+use crate::featurize::{FeatureScaler, JobFeatures, JOB_FEATURE_DIM};
 use crate::loss::{self, LossConfig, LossSample};
 use crate::pcc::{ParamScaler, PowerLawPcc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::convert::Infallible;
-use tasq_codec::Wire;
+use tasq_codec::{CodecError, Wire};
 use tasq_ml::matrix::Matrix;
 use tasq_ml::nn::{Activation, Mlp};
 use tasq_ml::optim::{Adam, AdamConfig, ParamId};
@@ -95,7 +95,7 @@ pub struct NnTrainCheckpoint {
 }
 
 /// The trained NN model.
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct NnPcc {
     mlp: Mlp,
     feature_scaler: FeatureScaler,
@@ -104,6 +104,42 @@ pub struct NnPcc {
     pub training_loss: Vec<f64>,
     /// Mean validation loss per epoch (empty without a validation split).
     pub validation_loss: Vec<f64>,
+}
+
+/// Encoded field by field, like a derived struct. The decode is written
+/// out because [`NnPcc::predict_pcc`] trusts the parts to fit together:
+/// a scaler that is not as wide as the job features, a network whose
+/// input is not the scaler's width, or an output that is not the two
+/// power-law parameters is refused as corrupt here rather than panicking
+/// on every request.
+impl Wire for NnPcc {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.mlp.encode(out);
+        self.feature_scaler.encode(out);
+        self.param_scaler.encode(out);
+        self.training_loss.encode(out);
+        self.validation_loss.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let model = Self {
+            mlp: Mlp::decode(input)?,
+            feature_scaler: FeatureScaler::decode(input)?,
+            param_scaler: ParamScaler::decode(input)?,
+            training_loss: Vec::<f64>::decode(input)?,
+            validation_loss: Vec::<f64>::decode(input)?,
+        };
+        let width = model.feature_scaler.dim();
+        if width != JOB_FEATURE_DIM || model.mlp.in_dim() != width {
+            return Err(CodecError::Invalid("NN input is not as wide as the job features"));
+        }
+        if model.mlp.out_dim() != 2 {
+            return Err(CodecError::Invalid("NN output is not the two power-law parameters"));
+        }
+        Ok(model)
+    }
 }
 
 impl NnPcc {

@@ -9,8 +9,9 @@
 
 use super::{PccPredictor, PredictedPcc, ScoringInput};
 use crate::dataset::Dataset;
+use crate::featurize::JOB_FEATURE_DIM;
 use crate::pcc::PowerLawPcc;
-use tasq_codec::Wire;
+use tasq_codec::{CodecError, Wire};
 use tasq_ml::gbdt::{Booster, BoosterConfig, Objective};
 use tasq_ml::spline::SmoothingSpline;
 
@@ -36,9 +37,29 @@ impl Default for XgbTrainConfig {
 }
 
 /// The shared run-time regressor (Gamma deviance, log link).
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct XgbRuntime {
     booster: Booster,
+}
+
+/// Encoded as its booster. The decode is written out to refuse, as
+/// corrupt, a booster that is not as wide as the rows
+/// [`XgbRuntime::predict_runtime`] builds (the job features and the token
+/// column): every prediction would otherwise panic on the width.
+impl Wire for XgbRuntime {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.booster.encode(out);
+    }
+
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let booster = Booster::decode(input)?;
+        if booster.num_features() != JOB_FEATURE_DIM + 1 {
+            return Err(CodecError::Invalid("booster is not as wide as job features and tokens"));
+        }
+        Ok(Self { booster })
+    }
 }
 
 impl XgbRuntime {

@@ -1144,6 +1144,88 @@ mod tests {
     }
 
     #[test]
+    fn disk_store_refuses_an_nn_whose_parts_do_not_fit_together() {
+        use crate::featurize::{JobFeatures, JOB_FEATURE_DIM};
+        use crate::pcc::ParamScaler;
+        use codec::CodecError;
+        use rand::SeedableRng;
+        use tasq_ml::nn::{Activation, Mlp};
+        // Wire bytes of an `NnPcc`: the network over `sizes`, a scaler of
+        // `means` means and `inv_stds` deviations, a unit parameter scaler
+        // and no loss history. Written out by hand because no constructor
+        // makes a model whose parts disagree.
+        let nn_bytes = |sizes: &[usize], means: usize, inv_stds: usize| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let mut out = Vec::new();
+            Mlp::new(&mut rng, sizes, Activation::Relu, Activation::Identity).encode(&mut out);
+            vec![0.0f64; means].encode(&mut out);
+            vec![1.0f64; inv_stds].encode(&mut out);
+            ParamScaler { scale_neg_a: 1.0, scale_log_b: 1.0 }.encode(&mut out);
+            Vec::<f64>::new().encode(&mut out);
+            Vec::<f64>::new().encode(&mut out);
+            out
+        };
+        let load = |tag: &str, bytes: Vec<u8>| {
+            let store = disk_store_holding(tag, "nn", &bytes);
+            let loaded = store.load_latest::<NnPcc>("nn");
+            let _ = std::fs::remove_dir_all(&store.directory);
+            loaded
+        };
+        let width = JOB_FEATURE_DIM;
+        // The hand-written layout is the real one: a sound model loads
+        // and predicts.
+        let sound = load("nn-ok", nn_bytes(&[width, 3, 2], width, width));
+        let features = JobFeatures { values: vec![1.0; width] };
+        let pcc = sound.expect("a sound NN loads").predict_pcc(&features);
+        assert!(pcc.a.is_finite() && pcc.b.is_finite());
+        for (tag, sizes, means, inv_stds) in [
+            // A scaler as wide as the features feeding a narrower network.
+            ("nn-input", vec![width - 1, 3, 2], width, width),
+            // A scaler and network that agree but not with the features.
+            ("nn-features", vec![4, 3, 2], 4, 4),
+            // An output that is not the two power-law parameters.
+            ("nn-output", vec![width, 3, 3], width, width),
+            // A scaler with one deviation fewer than it has means.
+            ("nn-scaler", vec![width, 3, 2], width, width - 1),
+        ] {
+            let loaded = load(tag, nn_bytes(&sizes, means, inv_stds));
+            assert!(
+                matches!(loaded, Err(StoreError::Corrupt { cause: CodecError::Invalid(_), .. })),
+                "{tag} was not refused as corrupt"
+            );
+        }
+    }
+
+    #[test]
+    fn disk_store_refuses_a_booster_not_as_wide_as_the_rows_it_scores() {
+        use crate::featurize::JOB_FEATURE_DIM;
+        use codec::CodecError;
+        let load = |tag: &str, num_features: usize| {
+            // `XgbRuntime` is encoded as its booster.
+            let bytes = booster_bytes(&[Some((0, 1, 2)), None, None], num_features);
+            let store = disk_store_holding(tag, "xgb", &bytes);
+            let loaded = store.load_latest::<XgbRuntime>("xgb");
+            let _ = std::fs::remove_dir_all(&store.directory);
+            loaded
+        };
+        // Job features plus the token column: loads and predicts.
+        let sound = load("xgb-width-ok", JOB_FEATURE_DIM + 1).expect("a sound booster loads");
+        let runtime = sound.predict_runtime(&[0.0; JOB_FEATURE_DIM], 8);
+        assert!((runtime - 2.0).abs() < 1e-12);
+        for (tag, num_features) in
+            [("xgb-narrow", 1), ("xgb-no-tokens", JOB_FEATURE_DIM), ("xgb-wide", JOB_FEATURE_DIM + 2)]
+        {
+            assert!(
+                matches!(
+                    load(tag, num_features),
+                    Err(StoreError::Corrupt { cause: CodecError::Invalid(_), .. })
+                ),
+                "{tag} was not refused as corrupt"
+            );
+        }
+    }
+
+    #[test]
     fn deploy_missing_artifact_is_a_typed_error() {
         let store = ModelStore::new();
         let err = ScoringService::deploy(&store, ModelChoice::Nn, ScoringConfig::default())

@@ -332,6 +332,11 @@ impl Booster {
         self.trees.len()
     }
 
+    /// Width of the rows the booster was trained on, and predicts from.
+    pub fn num_features(&self) -> usize {
+        self.num_features
+    }
+
     /// Total node count across all trees (a proxy for model size).
     pub fn total_nodes(&self) -> usize {
         self.trees.iter().map(Tree::num_nodes).sum()

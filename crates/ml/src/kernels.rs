@@ -12,11 +12,20 @@
 //! and caches the answer), the portable arm on a CPU with neither and on
 //! every other architecture. There is no knob.
 //!
+//! The two products, [`Matmul`] and [`TMatmul`], first compact the
+//! entries of `a` that feed an output row, dropping the `±0.0` ones
+//! without a branch ([`Terms::compact`]), then add the kept terms into
+//! a 32-wide tile of that row held in registers, storing the tile once
+//! per list rather than once per term ([`Terms::add_into`]). A one-row
+//! `TMatmul`, an outer product, scatters the compacted row instead.
+//!
 //! The three arms produce the same bits:
 //! - every kernel vectorises across independent output elements (the
 //!   columns of an output row, or the elements of a tensor); each element
-//!   still adds its terms in the same `k` order, starting from `+0.0`,
-//!   with the same exact-zero skips;
+//!   still adds its terms in ascending `k`, starting from its prior value
+//!   (`+0.0` for a fresh product), and skips exactly the terms whose `a`
+//!   entry is `±0.0`, whether the loop branches on it or compacts it
+//!   away, and whether the running sum sits in a register or in memory;
 //! - IEEE `mul`, `add`, `div` and `sqrt` round the same in a ymm or zmm
 //!   lane as in scalar code;
 //! - rustc never contracts `a * b + c` into an FMA: neither arm enables
@@ -75,9 +84,103 @@ fn run_avx512(k: impl Kernel) {
     k.run();
 }
 
+/// Output columns one tile of [`Matmul`] / [`TMatmul`] accumulates in
+/// registers across a whole compacted term list: 32 `f64`, four zmm on
+/// the AVX-512 arm (eight ymm on AVX2).
+const TILE: usize = 32;
+
+/// Terms one compaction collects into its stack buffers before the tiles
+/// consume them, so a kernel never allocates however long `k` is.
+const CHUNK: usize = 64;
+
+/// A compacted list of at most [`CHUNK`] terms: the entries of `a` that
+/// feed one output row, in ascending `k`, with the `±0.0` ones left out,
+/// each beside the offset of the row of `b` it multiplies.
+struct Terms {
+    xs: [f64; CHUNK],
+    offsets: [usize; CHUNK],
+    len: usize,
+}
+
+impl Terms {
+    /// An empty list. Its buffers are zeroed once per kernel call and
+    /// reused by every compaction.
+    #[inline(always)]
+    fn new() -> Terms {
+        Terms { xs: [0.0; CHUNK], offsets: [0; CHUNK], len: 0 }
+    }
+
+    /// Replace the list with the first [`CHUNK`] entries of `xs` that are
+    /// not `±0.0`; the `j`-th entry multiplies the row of `b` at
+    /// `offset + j * step`. Branch-free: every entry is written, and the
+    /// count only advances past a kept one, so the next write overwrites
+    /// a skipped entry. `x != 0.0` is exactly `!(x == 0.0)`: it skips
+    /// `±0.0` and keeps NaN.
+    #[inline(always)]
+    fn compact(&mut self, xs: impl Iterator<Item = f64>, mut offset: usize, step: usize) {
+        self.len = 0;
+        for x in xs.take(CHUNK) {
+            // `len` is at most the number of entries read before this
+            // one, so below `CHUNK`; the mask lets the compiler see it.
+            let slot = self.len % CHUNK;
+            self.xs[slot] = x;
+            self.offsets[slot] = offset;
+            self.len += usize::from(x != 0.0);
+            offset += step;
+        }
+    }
+
+    /// `out_row[j] += x * b[offset + j]` for each term, in list order:
+    /// each [`TILE`] columns in registers, loaded and stored once for the
+    /// whole list, then the leftover columns in place.
+    #[inline(always)]
+    fn add_into(&self, b: &[f64], out_row: &mut [f64]) {
+        let xs = &self.xs[..self.len];
+        let offsets = &self.offsets[..self.len];
+        if xs.is_empty() {
+            return;
+        }
+        let tiled = out_row.len() - out_row.len() % TILE;
+        let (tiles, tail) = out_row.split_at_mut(tiled);
+        for (t, tile) in tiles.chunks_exact_mut(TILE).enumerate() {
+            let col = t * TILE;
+            let mut acc = [0.0; TILE];
+            acc.copy_from_slice(tile);
+            for (&x, &offset) in xs.iter().zip(offsets) {
+                for (o, &y) in acc.iter_mut().zip(&b[offset + col..][..TILE]) {
+                    *o += x * y;
+                }
+            }
+            tile.copy_from_slice(&acc);
+        }
+        let width = tail.len();
+        if width > 0 {
+            for (&x, &offset) in xs.iter().zip(offsets) {
+                for (o, &y) in tail.iter_mut().zip(&b[offset + tiled..][..width]) {
+                    *o += x * y;
+                }
+            }
+        }
+    }
+
+    /// `out[offset + j] += x * b_row[j]` for each term: one row of `b`
+    /// into a different output row per term, in place.
+    #[inline(always)]
+    fn scatter_into(&self, b_row: &[f64], out: &mut [f64]) {
+        for (&x, &offset) in self.xs[..self.len].iter().zip(&self.offsets[..self.len]) {
+            for (o, &y) in out[offset..][..b_row.len()].iter_mut().zip(b_row) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
 /// `out += a * b` for row-major `a` (`rows x a_cols`) and `b`
-/// (`a_cols x b_cols`), `ikj` ordered so the inner loop streams a row of
-/// `b` and a row of `out`. A zero in `a` skips its whole row of `b`.
+/// (`a_cols x b_cols`). Each row of `a` is compacted [`CHUNK`] entries at
+/// a time ([`Terms::compact`]), and each tile of the output row adds the
+/// kept terms' rows of `b` in registers ([`Terms::add_into`]). A `±0.0`
+/// in `a` skips its whole row of `b`, and each output element adds its
+/// terms in ascending `k`, starting from its prior value.
 pub(crate) struct Matmul<'a> {
     pub rows: usize,
     pub a: &'a [f64],
@@ -91,26 +194,28 @@ impl Kernel for Matmul<'_> {
     #[inline(always)]
     fn run(self) {
         let Matmul { rows, a, a_cols, b, b_cols, out } = self;
+        let mut terms = Terms::new();
         for i in 0..rows {
+            let a_row = &a[i * a_cols..(i + 1) * a_cols];
             let out_row = &mut out[i * b_cols..(i + 1) * b_cols];
-            for k in 0..a_cols {
-                let x = a[i * a_cols + k];
-                // Exact-zero skip: bit-identical results, just fewer
-                // multiply-adds on sparse rows.
-                if x == 0.0 {
-                    continue;
-                }
-                let b_row = &b[k * b_cols..(k + 1) * b_cols];
-                for (o, &y) in out_row.iter_mut().zip(b_row) {
-                    *o += x * y;
-                }
+            for (c, chunk) in a_row.chunks(CHUNK).enumerate() {
+                terms.compact(chunk.iter().copied(), c * CHUNK * b_cols, b_cols);
+                terms.add_into(b, out_row);
             }
         }
     }
 }
 
 /// `out += a^T * b` for row-major `a` (`rows x a_cols`) and `b`
-/// (`rows x b_cols`), without materialising the transpose.
+/// (`rows x b_cols`), without materialising the transpose. Output row
+/// `k` is column `k` of `a` times `b`: the column is compacted and the
+/// output row tiled as in [`Matmul`], so each output element adds its
+/// terms in ascending row of `a`, skipping the `±0.0` ones. A one-row
+/// `a` (the weight gradient of a one-row layer) is an outer product:
+/// each output row gets at most one term, so nothing can stay in
+/// registers, and the row of `a` is compacted once and scattered
+/// instead ([`Terms::scatter_into`]), which on that shape costs half
+/// what a compaction and a tile per column would.
 pub(crate) struct TMatmul<'a> {
     pub rows: usize,
     pub a: &'a [f64],
@@ -124,18 +229,20 @@ impl Kernel for TMatmul<'_> {
     #[inline(always)]
     fn run(self) {
         let TMatmul { rows, a, a_cols, b, b_cols, out } = self;
-        for i in 0..rows {
-            let a_row = &a[i * a_cols..(i + 1) * a_cols];
-            let b_row = &b[i * b_cols..(i + 1) * b_cols];
-            for (k, &x) in a_row.iter().enumerate() {
-                // Exact-zero skip, as in `Matmul`.
-                if x == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[k * b_cols..(k + 1) * b_cols];
-                for (o, &y) in out_row.iter_mut().zip(b_row) {
-                    *o += x * y;
-                }
+        let mut terms = Terms::new();
+        if rows == 1 {
+            for (c, chunk) in a[..a_cols].chunks(CHUNK).enumerate() {
+                terms.compact(chunk.iter().copied(), c * CHUNK * b_cols, b_cols);
+                terms.scatter_into(&b[..b_cols], out);
+            }
+            return;
+        }
+        for k in 0..a_cols {
+            let out_row = &mut out[k * b_cols..(k + 1) * b_cols];
+            for i0 in (0..rows).step_by(CHUNK) {
+                let column = (i0..rows).map(|i| a[i * a_cols + k]);
+                terms.compact(column, i0 * b_cols, b_cols);
+                terms.add_into(b, out_row);
             }
         }
     }
@@ -365,6 +472,15 @@ mod tests {
         }
     }
 
+    /// [`same_bits`], and the portable result is finite: every arm
+    /// skipped the non-finite operands that only exact zeros reach.
+    fn same_finite_bits(what: &str, init: &[f64], kernel: impl Fn(Arm, &mut [f64]) -> bool) {
+        same_bits(what, init, &kernel);
+        let mut out = init.to_vec();
+        assert!(kernel(Arm::Portable, &mut out));
+        assert!(out.iter().all(|v| v.is_finite()), "{what}: a zero of `a` met a poisoned row");
+    }
+
     /// The kinds of values a training step feeds its kernels.
     #[derive(Clone, Copy, Debug)]
     enum Fill {
@@ -405,13 +521,19 @@ mod tests {
     /// Every kernel, on every arm (the name predates the AVX-512 one),
     /// to the bit: widths that leave a tail after the four- and the
     /// eight-lane loop (9, 15, and 49, the GNN's first-layer width),
-    /// one-row shapes as in serving inference, and dense, ReLU-sparse and
-    /// `±0.0` / subnormal operands.
+    /// widths of 0, 1 and 2 register tiles of the products, each with and
+    /// without a tail (31, 32, 33, 64, 97), inner lengths across the
+    /// 64-entry compaction chunk (65, 130), one-row shapes as in serving
+    /// inference, and dense, ReLU-sparse and `±0.0` / subnormal operands.
+    /// The products also run with `±inf` / NaN in the rows of `b` that
+    /// only exact zeros of `a` reach, where skipping a term and
+    /// multiplying it by zero differ: every arm must still give finite
+    /// results.
     #[test]
     fn avx2_and_portable_arms_agree_to_the_bit() {
         announce_arms("avx2_and_portable_arms_agree_to_the_bit");
         let mut rng = StdRng::seed_from_u64(0x6176_7832);
-        for case in 0..180 {
+        for case in 0..200 {
             let (n, k, m) = match case {
                 0 => (136, 64, 64),
                 1 => (1, 64, 64),
@@ -421,6 +543,16 @@ mod tests {
                 5 => (3, 9, 15),
                 6 => (17, 15, 49),
                 7 => (9, 49, 49),
+                8 => (2, 65, 31),
+                9 => (3, 130, 32),
+                10 => (1, 65, 33),
+                11 => (4, 130, 64),
+                12 => (2, 20, 97),
+                13 => (65, 9, 33),
+                14 => (130, 4, 97),
+                15 => (9, 64, 31),
+                16 => (5, 33, 64),
+                17 => (1, 130, 97),
                 _ => (rng.gen_range(1..=40), rng.gen_range(1..=19), rng.gen_range(1..=19)),
             };
             let fill = [Fill::Dense, Fill::ReluSparse, Fill::Edge][case % 3];
@@ -435,6 +567,32 @@ mod tests {
             });
             same_bits(&what("t_matmul"), &zeros(k * m), |arm, out| {
                 arm.run(TMatmul { rows: n, a: &a, a_cols: k, b: &d, b_cols: m, out })
+            });
+
+            // Column `unit` of `a` and row `node` of `a` exactly `±0.0`;
+            // the row of `b` only column `unit` reaches, and the row of
+            // `d` only row `node` reaches, non-finite.
+            let (unit, node) = (case % k, case % n);
+            let poison = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            let mut a0 = a.clone();
+            for (r, row) in a0.chunks_exact_mut(k).enumerate() {
+                row[unit] = if r % 2 == 0 { 0.0 } else { -0.0 };
+                if r == node {
+                    row.fill(-0.0);
+                }
+            }
+            let (mut b0, mut d0) = (b.clone(), d.clone());
+            for (c, v) in b0[unit * m..(unit + 1) * m].iter_mut().enumerate() {
+                *v = poison[c % 3];
+            }
+            for (c, v) in d0[node * m..(node + 1) * m].iter_mut().enumerate() {
+                *v = poison[(c + 1) % 3];
+            }
+            same_finite_bits(&what("poisoned matmul"), &zeros(n * m), |arm, out| {
+                arm.run(Matmul { rows: n, a: &a0, a_cols: k, b: &b0, b_cols: m, out })
+            });
+            same_finite_bits(&what("poisoned t_matmul"), &zeros(k * m), |arm, out| {
+                arm.run(TMatmul { rows: n, a: &a0, a_cols: k, b: &d0, b_cols: m, out })
             });
             let alpha = rng.gen_range(-2.0..2.0);
             let e = random(&mut rng, n * m, fill);

@@ -4,8 +4,10 @@
 //! than a general tensor library: the networks in this workspace are tiny
 //! (thousands to tens of thousands of parameters, per the paper's Table 7),
 //! so a cache-friendly row-major layout with straightforward triple loops is
-//! both fast enough and easy to audit. Matmuls are written `ikj`-ordered so
-//! the inner loop streams contiguous memory.
+//! both fast enough and easy to audit. A product walks an output row at a
+//! time: the row's nonzero terms are compacted, and each 32-column tile
+//! of the row adds them in registers while streaming contiguous rows of
+//! the right operand.
 //!
 //! Every kernel a training step runs has an `_into` / in-place form that
 //! writes a caller-owned matrix (reshaped in place, allocation reused), so
@@ -294,12 +296,13 @@ impl Matrix {
     /// Training does not call this: its `d · W^T` products run as
     /// `d.matmul_into(&W^T, ..)` over a transpose taken once per
     /// optimizer step, which vectorises across the output row where this
-    /// kernel's dot products are a serial add chain, and skips the exact
-    /// zeros a ReLU leaves in `d`. The two are **bit-identical** whenever
-    /// `rhs` is finite. Per output element both start from `+0.0` and add
-    /// the products `a[i][k] * rhs[j][k]` in ascending `k`; the only
-    /// difference is that the `ikj` kernel omits the terms whose `a` is
-    /// `±0.0`. Such a term is `±0.0` (finite `rhs`), and adding `±0.0`
+    /// kernel's dot products are a serial add chain, and compacts away
+    /// the exact zeros a ReLU leaves in `d`. The two are
+    /// **bit-identical** whenever `rhs` is finite. Per output element
+    /// both start from `+0.0` and add the products `a[i][k] * rhs[j][k]`
+    /// in ascending `k` (`matmul_into` holds the running sum in a
+    /// register tile, which rounds as memory does); the only difference
+    /// is that `matmul_into` omits the terms whose `a` is `±0.0`. Such a term is `±0.0` (finite `rhs`), and adding `±0.0`
     /// never changes a running sum that is not `-0.0` — and the sum is
     /// never `-0.0`: it starts at `+0.0`, `x + y` is `-0.0` only when both
     /// operands are, and an exact cancellation rounds to `+0.0`. An
@@ -745,11 +748,28 @@ mod tests {
         // allocation must never leak into a smaller result.
         let (mut out, mut wt, mut row) = (Matrix::default(), Matrix::default(), Matrix::default());
         let mut saw_negative_zero = false;
+        // Shapes around the kernels' loop edges: `k` across the 64-entry
+        // compaction chunk (65, 130; for `t_matmul` the chunk runs over
+        // `n`, hence 65 and 130 rows too), and widths `m` that give 0, 1
+        // and 2 register tiles of 32, each with and without a tail.
+        let edges = [
+            (3, 65, 33),
+            (2, 130, 64),
+            (65, 9, 31),
+            (130, 5, 97),
+            (4, 64, 32),
+            (5, 33, 31),
+            (7, 20, 32),
+            (6, 70, 33),
+            (3, 12, 64),
+            (9, 49, 97),
+        ];
         for case in 0..240 {
             let (n, k, m) = match case {
                 0 => (136, 64, 64),
                 1 => (1, 64, 64),
                 2 => (1, 1, 1),
+                c if c - 3 < edges.len() => edges[c - 3],
                 _ => (rng.gen_range(1..=136), rng.gen_range(1..=64), rng.gen_range(1..=64)),
             };
             let fill = [Fill::Dense, Fill::ReluSparse, Fill::SignedZeros][case % 3];
@@ -761,6 +781,34 @@ mod tests {
             assert_eq!(bits(&out), bits(&parent::matmul(&x, &w)), "matmul {n}x{k}x{m}");
             x.t_matmul_into(&d, &mut out);
             assert_eq!(bits(&out), bits(&parent::t_matmul(&x, &d)), "t_matmul {n}x{k}x{m}");
+
+            // The one place where skipping a term and multiplying it by
+            // zero differ: a non-finite `b` entry facing an exact `±0.0`
+            // in `a` (`0 * inf` is NaN). Zero a column of `x` (a unit
+            // silent on the whole batch) and a row of `x` (a node with no
+            // features), and poison the `w` row and the `d` row they
+            // meet: a kernel that stopped skipping would turn the finite
+            // results into NaN.
+            let (dead_unit, dead_node) = (case % k, case % n);
+            let poison = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            let (mut xp, mut wp, mut dp) = (x.clone(), w.clone(), d.clone());
+            for r in 0..n {
+                xp[(r, dead_unit)] = if r % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            xp.row_mut(dead_node).fill(-0.0);
+            for (c, v) in wp.row_mut(dead_unit).iter_mut().enumerate() {
+                *v = poison[c % 3];
+            }
+            for (c, v) in dp.row_mut(dead_node).iter_mut().enumerate() {
+                *v = poison[(c + 1) % 3];
+            }
+            xp.matmul_into(&wp, &mut out);
+            assert!(out.is_finite(), "matmul {n}x{k}x{m} multiplied a poisoned row by zero");
+            assert_eq!(bits(&out), bits(&parent::matmul(&xp, &wp)), "poisoned matmul {n}x{k}x{m}");
+            xp.t_matmul_into(&dp, &mut out);
+            assert!(out.is_finite(), "t_matmul {n}x{k}x{m} multiplied a poisoned row by zero");
+            let oracle = parent::t_matmul(&xp, &dp);
+            assert_eq!(bits(&out), bits(&oracle), "poisoned t_matmul {n}x{k}x{m}");
 
             // d · W^T through the transpose: same bits as matmul_t.
             w.transpose_into(&mut wt);
