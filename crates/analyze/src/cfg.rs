@@ -6,7 +6,7 @@
 //! the implicit `Err` early return a `?` performs, a `Panic` unwind from
 //! `unwrap`/`expect`/panicking macros, and loop `Back` edges. `?` and
 //! panic edges are what let the dataflow passes reason about error and
-//! unwind paths, which is where resource leaks hide.
+//! unwind paths, which a happy-path reading of the source never sees.
 //!
 //! Scope structure is made explicit: every block contributes a
 //! [`NodeKind::ScopeEnd`] listing the bindings that die when the block
@@ -45,14 +45,14 @@ pub enum NodeKind {
         /// Pattern constructor the binding destructured through
         /// (`Ok`/`Some`/`Err`/…), when the pattern had one. Lets passes
         /// bind success-arm payloads without claiming `Err(e)` received
-        /// the acquired resource.
+        /// the acquired guard.
         ctor: Option<String>,
     },
     /// Evaluate an expression for its effects.
     Eval(Expr),
     /// Evaluate an expression whose value escapes to the caller — a
     /// `return`/`break` value or a tail expression in value position.
-    /// Resources referenced here transfer ownership out.
+    /// Values referenced here leave the function.
     Ret(Expr),
     /// A control-flow decision. `cond` is absent for `loop`/`for` heads.
     Branch {

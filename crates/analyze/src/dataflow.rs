@@ -10,8 +10,8 @@
 //!
 //! Transfer runs **per edge**, not per node: the same node can send
 //! different facts down its `Seq` and `Err` edges. That is what lets the
-//! resource-leak pass say "`let fd = sys::accept4(l)?` binds `fd` on the
-//! success edge but *not* on the error edge".
+//! lock-discipline pass say "`let g = m.lock()?` binds `g` on the success
+//! edge but *not* on the error edge".
 
 use crate::cfg::{Cfg, Edge, NodeId};
 use std::collections::VecDeque;

@@ -1,15 +1,17 @@
 //! `tasq-analyze` — the workspace gatekeeper for what rustc and clippy
 //! cannot check (the source lints are `[workspace.lints]` in the root
-//! `Cargo.toml` and the `clippy.toml` files). Three analysis families run
-//! under one `tasq-analyze check` command:
+//! `Cargo.toml` and the `clippy.toml` files, and fd ownership is
+//! `OwnedFd`'s). Three analysis families run under one `tasq-analyze
+//! check` command:
 //!
 //! 1. **Dataflow passes** ([`passes`]): a string/comment-aware scanner
 //!    ([`lexer`]) feeds a recursive-descent parser ([`parser`]) that
 //!    builds per-function ASTs, a CFG builder ([`cfg`]) adds explicit
 //!    `?`-error and panic edges, and a worklist solver ([`dataflow`]) runs
-//!    the resource-leak, unsafe-boundary (raw-pointer provenance) and
-//!    lock-discipline audits. Lock-discipline's held sets also give the
-//!    lock-order graph, and a cycle in it is a `lock-order` deny.
+//!    the lock-discipline audit; the unsafe-boundary (raw-pointer
+//!    provenance) audit walks the ASTs directly. Lock-discipline's held
+//!    sets also give the lock-order graph, and a cycle in it is a
+//!    `lock-order` deny.
 //! 2. **Semantic invariants** ([`invariants`]): generated job plans must
 //!    pass [`scope_sim::validate_job`]; measured scaling curves and fitted
 //!    power-law PCCs must pass [`tasq::validate::validate_curve`] /
@@ -129,9 +131,8 @@ pub struct CheckOptions {
     /// Skip the dynamic passes (workload validation, PCC audit,
     /// happens-before replay); dataflow passes only.
     pub static_only: bool,
-    /// Run one dataflow pass instead of everything: `resource-leak`,
-    /// `unsafe-boundary` or `lock-discipline` (which includes the
-    /// lock-order audit).
+    /// Run one dataflow pass instead of everything: `unsafe-boundary` or
+    /// `lock-discipline` (which includes the lock-order audit).
     pub pass: Option<String>,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! tasq-analyze check [--root DIR] [--format human|json] [--out FILE] [--static-only]
-//!                    [--pass resource-leak|unsafe-boundary|lock-discipline]
+//!                    [--pass unsafe-boundary|lock-discipline]
 //! ```
 //!
 //! Exits 0 when every pass is clean, 1 when any deny diagnostic is
@@ -14,8 +14,8 @@ use std::process::ExitCode;
 use tasq_analyze::{report, run_check, CheckOptions};
 
 const USAGE: &str = "usage: tasq-analyze check [--root DIR] [--format human|json] \
-                     [--out FILE] [--static-only] [--pass NAME]\n  passes: resource-leak, \
-                     unsafe-boundary, lock-discipline";
+                     [--out FILE] [--static-only] [--pass NAME]\n  passes: unsafe-boundary, \
+                     lock-discipline";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -868,7 +868,7 @@ impl<'a> Parser<'a> {
     /// Like [`Self::pattern_vars`], but also reports the pattern's
     /// leading constructor — the last path segment before a `(`/`{`
     /// payload (`Ok(fd)` → `Ok`, `Poll::Ready(v)` → `Ready`).
-    /// The resource-leak pass uses it to bind only success arms of an
+    /// The lock-discipline pass uses it to bind only success arms of an
     /// acquiring scrutinee.
     fn pattern_vars_ctor(
         &mut self,

@@ -4,13 +4,13 @@
 //! functions: [`crate::parser`] builds per-function ASTs, [`crate::cfg`]
 //! lowers them to control-flow graphs with explicit `?`-error and panic
 //! edges, and [`crate::dataflow`] runs each pass's transfer function to a
-//! fixed point. That is what it takes to prove statements like "this fd
-//! is closed on *every* path" or "no guard is held when this thread
-//! blocks".
+//! fixed point. That is what it takes to prove statements like "no guard
+//! is held when this thread blocks" on *every* path, error paths
+//! included. (Fd and buffer ownership need no pass: `tasq-net` holds fds
+//! as `OwnedFd` and buffers as owned `Vec`s, so rustc proves it.)
 //!
 //! | pass | question it answers |
 //! |------|---------------------|
-//! | [`resource_leak`] | does every acquired fd reach `sys::close` (or an ownership transfer) on all paths, error paths included? |
 //! | [`unsafe_boundary`] | does every raw pointer derive from a named place rather than a temporary? |
 //! | [`lock_discipline`] | is any lock guard held across `recv`/`epoll_wait`/`park`/`join`, and in what order are locks nested? |
 //!
@@ -20,7 +20,6 @@
 //! analyzer that quietly sees nothing is worse than none.
 
 pub mod lock_discipline;
-pub mod resource_leak;
 pub mod unsafe_boundary;
 
 use crate::cfg::build_all;
@@ -33,8 +32,7 @@ use lock_discipline::LockEdge;
 pub const PARSE_COVERAGE: &str = "parse-coverage";
 
 /// Names of the dataflow passes, in canonical order.
-pub const PASS_NAMES: [&str; 3] =
-    [resource_leak::RULE, unsafe_boundary::RULE, lock_discipline::RULE];
+pub const PASS_NAMES: [&str; 2] = [unsafe_boundary::RULE, lock_discipline::RULE];
 
 /// Crates whose sources the passes are contracted to fully parse:
 /// an unparsed non-test function there is a deny, not a shrug.
@@ -43,7 +41,7 @@ const COVERAGE_GATED: [&str; 2] = ["crates/net/", "crates/par/"];
 /// One pass finding before it is tied to a file path.
 #[derive(Debug)]
 pub struct Finding {
-    /// Rule id (`resource-leak`, …).
+    /// Rule id (`lock-discipline`, …).
     pub rule: &'static str,
     /// Deny fails the check.
     pub severity: Severity,
@@ -99,22 +97,15 @@ pub fn analyze_file(path: &str, source: &str, names: &[&str]) -> FileOutcome {
     if names.contains(&unsafe_boundary::RULE) {
         findings.extend(unsafe_boundary::run(&parsed));
     }
-    let leak = names.contains(&resource_leak::RULE);
-    let lock = names.contains(&lock_discipline::RULE);
-    if leak || lock {
+    if names.contains(&lock_discipline::RULE) {
         for f in &parsed.functions {
             if f.in_test {
                 continue;
             }
             for cfg in build_all(f) {
-                if leak {
-                    findings.extend(resource_leak::run(&cfg));
-                }
-                if lock {
-                    let (found, edges) = lock_discipline::run(&cfg, path);
-                    findings.extend(found);
-                    outcome.lock_edges.extend(edges);
-                }
+                let (found, edges) = lock_discipline::run(&cfg, path);
+                findings.extend(found);
+                outcome.lock_edges.extend(edges);
             }
         }
     }
@@ -138,18 +129,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn leak_finding_carries_path_and_span() {
-        let src = "fn f() -> io::Result<()> {\n    let fd = sys::socket()?;\n    Ok(())\n}\n";
-        let out = analyze_file("crates/net/src/x.rs", src, &PASS_NAMES);
-        assert_eq!(out.functions_parsed, 1);
-        assert_eq!(out.functions_unparsed, 0);
-        assert_eq!(out.diagnostics.len(), 1, "{:?}", out.diagnostics);
-        let d = &out.diagnostics[0];
-        assert_eq!(d.rule, "resource-leak");
-        assert_eq!(d.path, "crates/net/src/x.rs");
-    }
-
-    #[test]
     fn unparsed_fn_denies_in_gated_crates_warns_elsewhere() {
         // A genuinely unparseable body: stray closing brace imbalance is
         // resynced, so use an exotic construct instead.
@@ -164,11 +143,11 @@ mod tests {
 
     #[test]
     fn pass_selection_limits_what_runs() {
-        let src = "fn f(p: *const u8) -> io::Result<u8> {\n    let fd = sys::socket()?;\n    let v = unsafe { *p };\n    Ok(v)\n}\n";
-        let only_unsafe = analyze_file("crates/serve/src/x.rs", src, &["unsafe-boundary"]);
-        assert!(only_unsafe.diagnostics.iter().all(|d| d.rule == "unsafe-boundary"));
-        let only_leak = analyze_file("crates/serve/src/x.rs", src, &["resource-leak"]);
-        assert!(only_leak.diagnostics.iter().all(|d| d.rule == "resource-leak"));
-        assert!(!only_leak.diagnostics.is_empty());
+        let src = "fn f(m: &M, fd: i32, buf: &mut [u8]) -> io::Result<usize> {\n    let p = make_buf().as_ptr();\n    let g = m.lock();\n    let n = sys::read(fd, buf)?;\n    drop(g);\n    Ok(n)\n}\n";
+        for pass in PASS_NAMES {
+            let only = analyze_file("crates/serve/src/x.rs", src, &[pass]);
+            assert!(!only.diagnostics.is_empty(), "{pass} found nothing");
+            assert!(only.diagnostics.iter().all(|d| d.rule == pass), "{:?}", only.diagnostics);
+        }
     }
 }

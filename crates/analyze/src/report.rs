@@ -11,7 +11,7 @@
 //!   "files_scanned": 120,
 //!   "functions_parsed": 840,
 //!   "functions_unparsed": 0,
-//!   "passes": ["resource-leak", "unsafe-boundary", "lock-discipline"],
+//!   "passes": ["unsafe-boundary", "lock-discipline"],
 //!   "lock_edges": 1,
 //!   "jobs_validated": 32,
 //!   "curves_audited": 4,
@@ -125,14 +125,14 @@ mod tests {
         let report = CheckReport {
             functions_parsed: 12,
             functions_unparsed: 1,
-            passes: vec!["resource-leak".into(), "lock-discipline".into()],
+            passes: vec!["unsafe-boundary".into(), "lock-discipline".into()],
             ..Default::default()
         };
         let json = to_json(&report);
         assert!(json.contains("\"schema\": 2"), "{json}");
         assert!(json.contains("\"functions_parsed\": 12"), "{json}");
         assert!(json.contains("\"functions_unparsed\": 1"), "{json}");
-        assert!(json.contains("\"passes\": [\"resource-leak\", \"lock-discipline\"]"), "{json}");
+        assert!(json.contains("\"passes\": [\"unsafe-boundary\", \"lock-discipline\"]"), "{json}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fixture-driven tests of the parser → CFG → dataflow pipeline: planted
 //! defects must be flagged at exact `line:col` spans, clean code must
 //! stay silent, and the parser must fully cover the crates whose unsafe
-//! and fd handling the passes gate (`crates/net`, `crates/par`).
+//! and lock handling the passes gate (`crates/net`, `crates/par`).
 
 use std::path::Path;
 use tasq_analyze::passes::{analyze_file, PASS_NAMES};
@@ -24,21 +24,17 @@ fn planted_defects_are_flagged_at_exact_spans() {
     assert_eq!(
         spans,
         vec![
-            ("resource-leak", 8, 5),
-            ("resource-leak", 17, 5),
-            ("unsafe-boundary", 22, 24),
-            ("lock-discipline", 28, 22),
-            // The condvar wait on line 36 releases `g` while blocked; the
+            ("unsafe-boundary", 7, 24),
+            ("lock-discipline", 13, 22),
+            // The condvar wait on line 21 releases `g` while blocked; the
             // receive after it does not.
-            ("lock-discipline", 38, 16),
+            ("lock-discipline", 23, 16),
         ],
         "{found:#?}"
     );
-    assert!(found[0].3.contains("fd `ep`") && found[0].3.contains("error path"), "{found:#?}");
-    assert!(found[1].3.contains("double close"), "{found:#?}");
-    assert!(found[2].3.contains("derives from a temporary"), "{found:#?}");
-    assert!(found[3].3.contains("guard `g`") && found[3].3.contains("sys::read"), "{found:#?}");
-    assert!(found[4].3.contains("guard `g`") && found[4].3.contains(".recv()"), "{found:#?}");
+    assert!(found[0].3.contains("derives from a temporary"), "{found:#?}");
+    assert!(found[1].3.contains("guard `g`") && found[1].3.contains("sys::read"), "{found:#?}");
+    assert!(found[2].3.contains("guard `g`") && found[2].3.contains(".recv()"), "{found:#?}");
 }
 
 #[test]
@@ -72,24 +68,25 @@ fn parser_fully_covers_the_gated_crates() {
     }
 }
 
-/// End-to-end through `run_check` and both renderers: a planted leak in
-/// a scratch workspace shows up with its `path:line:col` span in the
-/// human report and as structured fields in the JSON report.
+/// End-to-end through `run_check` and both renderers: a pointer taken
+/// from a temporary in a scratch workspace shows up with its
+/// `path:line:col` span in the human report and as structured fields in
+/// the JSON report.
 #[test]
 fn reports_render_exact_spans_in_human_and_json() {
     let root = std::env::temp_dir().join(format!("tasq-analyze-fixture-{}", std::process::id()));
     let src_dir = root.join("crates/net/src");
     std::fs::create_dir_all(&src_dir).expect("scratch workspace");
     std::fs::write(
-        src_dir.join("leaky.rs"),
-        "pub fn acquire() -> io::Result<i32> {\n    let fd = sys::socket()?;\n    let ep = sys::epoll_create1()?;\n    sys::close(ep);\n    Ok(fd)\n}\n",
+        src_dir.join("dangling.rs"),
+        "pub fn peek() -> u8 {\n    let p = make_buf().as_ptr();\n    unsafe { *p }\n}\n",
     )
     .expect("fixture source");
 
     let check = run_check(&CheckOptions {
         root: root.clone(),
         static_only: true,
-        pass: Some("resource-leak".to_string()),
+        pass: Some("unsafe-boundary".to_string()),
     })
     .expect("check runs");
     std::fs::remove_dir_all(&root).ok();
@@ -99,31 +96,32 @@ fn reports_render_exact_spans_in_human_and_json() {
     assert_eq!(check.diagnostics.len(), 1, "{:#?}", check.diagnostics);
     let d = &check.diagnostics[0];
     assert_eq!(d.severity, Severity::Deny);
-    // `let ep = …?;` on line 3 leaks `fd` (line 2) down the error edge.
-    assert_eq!((d.path.as_str(), d.line, d.col), ("crates/net/src/leaky.rs", 3, 5));
+    // `.as_ptr()` on line 2 points into `make_buf()`'s temporary.
+    assert_eq!((d.path.as_str(), d.line, d.col), ("crates/net/src/dangling.rs", 2, 24));
 
     let human = report::to_human(&check);
     assert!(
-        human.contains("deny: crates/net/src/leaky.rs:3:5: [resource-leak]"),
+        human.contains("deny: crates/net/src/dangling.rs:2:24: [unsafe-boundary]"),
         "human report missing the span:\n{human}"
     );
     let json = report::to_json(&check);
     assert!(json.contains("\"schema\": 2"), "{json}");
-    assert!(json.contains("\"passes\": [\"resource-leak\"]"), "{json}");
+    assert!(json.contains("\"passes\": [\"unsafe-boundary\"]"), "{json}");
     assert!(
-        json.contains("\"rule\": \"resource-leak\"")
-            && json.contains("\"line\": 3")
-            && json.contains("\"col\": 5"),
+        json.contains("\"rule\": \"unsafe-boundary\"")
+            && json.contains("\"line\": 2")
+            && json.contains("\"col\": 24"),
         "json report missing the span:\n{json}"
     );
 }
 
 /// An unknown pass name must be a hard error, not a silent no-op run —
-/// including the retired `lints` and `lock-order` selections, whose jobs
-/// moved to clippy and to the lock-discipline pass.
+/// including the retired `lints`, `lock-order` and `resource-leak`
+/// selections, whose jobs moved to clippy, to the lock-discipline pass
+/// and to `OwnedFd`.
 #[test]
 fn unknown_pass_name_is_rejected() {
-    for pass in ["resource-laek", "lints", "lock-order"] {
+    for pass in ["resource-laek", "lints", "lock-order", "resource-leak"] {
         let err = run_check(&CheckOptions {
             root: std::path::PathBuf::from("does-not-matter"),
             static_only: true,
@@ -131,13 +129,13 @@ fn unknown_pass_name_is_rejected() {
         })
         .expect_err("unknown pass must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("resource-leak"), "{err}");
+        assert!(err.to_string().contains("lock-discipline"), "{err}");
     }
 }
 
-/// Regression gate for the real workspace: the three dataflow passes and
+/// Regression gate for the real workspace: the two dataflow passes and
 /// the lock-order audit must be clean over the tree as committed — every
-/// raw pointer, guard scope, and fd path is correct. The audit must also
+/// raw pointer and guard scope is correct. The audit must also
 /// see the registry's one nested acquisition, so it cannot go blind
 /// silently.
 #[test]

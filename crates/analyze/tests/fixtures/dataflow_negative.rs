@@ -1,22 +1,5 @@
-//! Negative dataflow-pass fixture: correct resource, lock, and unsafe
-//! handling (a condvar wait included) the pipeline must stay silent on.
-
-pub fn closes_on_both_paths() -> io::Result<()> {
-    let fd = sys::socket()?;
-    match sys::accept4(fd) {
-        Ok(c) => {
-            sys::close(c);
-        }
-        Err(_) => {}
-    }
-    sys::close(fd);
-    Ok(())
-}
-
-pub fn transfers_ownership() -> io::Result<Conn> {
-    let fd = sys::socket()?;
-    Ok(Conn::new(fd))
-}
+//! Negative dataflow-pass fixture: correct lock and unsafe handling (a
+//! condvar wait included) the pipeline must stay silent on.
 
 pub fn justified_unsafe(buf: &[u8]) -> u8 {
     let p = buf.as_ptr();

@@ -3,21 +3,6 @@
 //! assert exact `line:col` spans, so the layout here is load-bearing —
 //! do not reflow.
 
-pub fn leaks_on_error_path() -> io::Result<()> {
-    let ep = sys::epoll_create1()?;
-    let fd = sys::socket()?;
-    sys::close(ep);
-    sys::close(fd);
-    Ok(())
-}
-
-pub fn closes_twice() -> io::Result<()> {
-    let fd = sys::socket()?;
-    sys::close(fd);
-    sys::close(fd);
-    Ok(())
-}
-
 pub fn peeks_through_a_temporary() -> u8 {
     let p = make_buf().as_ptr();
     unsafe { *p }

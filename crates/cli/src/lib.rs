@@ -174,7 +174,7 @@ USAGE:
     tasq-cli chaos    --preset none|mild|production|adversarial [--seed N] [--jobs N]
                       [--requests N] [--dir <dir>] [--out <json>]
     tasq-cli analyze  [--root <dir>] [--mode full|static]
-                      [--pass resource-leak|unsafe-boundary|lock-discipline]
+                      [--pass unsafe-boundary|lock-discipline]
     tasq-cli help
 
 GLOBAL FLAGS (any command):

@@ -20,10 +20,11 @@
 //!   [`BufPool`].
 
 use crate::frame::{self, FrameParseSpan};
-use crate::http::{self, HttpHead, HttpLimits, HttpParseError, HttpRequest};
+use crate::http::{self, HttpHead, HttpLimits, HttpParseError};
 use crate::pool::BufPool;
 use crate::sys::{self, IoVec, NetError};
 use std::collections::VecDeque;
+use std::os::fd::{AsFd, BorrowedFd, OwnedFd};
 
 /// Most iovecs gathered into one `writev`. Linux caps a single call at
 /// `IOV_MAX` (1024); 64 already amortizes the syscall across a large
@@ -39,16 +40,6 @@ pub enum Protocol {
     Http,
     /// Length-prefixed binary frames carrying codec-encoded jobs.
     Binary,
-}
-
-/// One request extracted from the stream, in arrival order (owning
-/// form; the serving path uses [`WireRequestSpan`] instead).
-#[derive(Debug, PartialEq, Eq)]
-pub enum WireRequest {
-    /// A parsed HTTP request.
-    Http(HttpRequest),
-    /// A binary frame payload (codec-encoded `Job`, not yet decoded).
-    Binary(Vec<u8>),
 }
 
 /// One request located in the receive buffer: payloads are absolute
@@ -86,16 +77,7 @@ pub enum WireError {
     FrameTooLarge(usize),
 }
 
-/// Outcome of draining newly arrived bytes into requests (owning form).
-#[derive(Debug, PartialEq, Eq)]
-pub struct Extracted {
-    /// Complete requests, in order.
-    pub requests: Vec<WireRequest>,
-    /// Fatal protocol error hit after the last complete request, if any.
-    pub error: Option<WireError>,
-}
-
-/// Outcome of locating newly arrived requests (zero-copy form).
+/// Outcome of locating newly arrived requests.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ExtractedSpans {
     /// Complete requests, in order, as receive-buffer spans.
@@ -106,7 +88,7 @@ pub struct ExtractedSpans {
 
 /// State for one accepted socket.
 pub struct Conn {
-    fd: i32,
+    fd: OwnedFd,
     protocol: Protocol,
     rbuf: Vec<u8>,
     consumed: usize,
@@ -133,11 +115,11 @@ pub enum ReadOutcome {
 }
 
 impl Conn {
-    /// Wrap a freshly accepted nonblocking socket fd, taking ownership
-    /// of both the fd (closed on drop) and a receive buffer — typically
-    /// checked out of the shard's [`BufPool`] and handed back via
-    /// [`Conn::reclaim`] when the connection closes.
-    pub fn from_fd(fd: i32, rbuf: Vec<u8>) -> Self {
+    /// Wrap a freshly accepted nonblocking socket, taking ownership of
+    /// both the fd (closed when the `Conn` drops) and a receive buffer —
+    /// typically checked out of the shard's [`BufPool`] and handed back
+    /// via [`Conn::reclaim`] when the connection closes.
+    pub fn from_fd(fd: OwnedFd, rbuf: Vec<u8>) -> Self {
         Self {
             fd,
             protocol: Protocol::Unknown,
@@ -149,14 +131,9 @@ impl Conn {
         }
     }
 
-    /// [`Conn::from_fd`] with a fresh (unpooled) receive buffer.
-    pub fn new(fd: i32) -> Self {
-        Self::from_fd(fd, Vec::with_capacity(4096))
-    }
-
-    /// The underlying fd (for epoll registration).
-    pub fn fd(&self) -> i32 {
-        self.fd
+    /// The underlying fd, borrowed (for epoll registration).
+    pub fn fd(&self) -> BorrowedFd<'_> {
+        self.fd.as_fd()
     }
 
     /// The sniffed protocol.
@@ -170,7 +147,7 @@ impl Conn {
         let mut total = 0usize;
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match sys::read(self.fd, &mut chunk) {
+            match sys::read(self.fd.as_fd(), &mut chunk) {
                 Ok(0) => return Ok(ReadOutcome::Closed),
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
@@ -253,32 +230,6 @@ impl Conn {
         self.consumed = 0;
     }
 
-    /// Extract every complete request currently buffered, copying
-    /// payloads out (convenience wrapper over [`Conn::extract_spans`];
-    /// the server uses the span form and skips these copies).
-    pub fn extract(&mut self, limits: &HttpLimits) -> Extracted {
-        let spans = self.extract_spans(limits);
-        let requests = spans
-            .requests
-            .into_iter()
-            .map(|span| match span {
-                WireRequestSpan::Http { head, body_start, body_len } => {
-                    WireRequest::Http(HttpRequest {
-                        method: head.method,
-                        path: head.path,
-                        body: self.payload(body_start, body_len).to_vec(),
-                        keep_alive: head.keep_alive,
-                    })
-                }
-                WireRequestSpan::Binary { payload_start, payload_len, .. } => {
-                    WireRequest::Binary(self.payload(payload_start, payload_len).to_vec())
-                }
-            })
-            .collect();
-        self.compact();
-        Extracted { requests, error: spans.error }
-    }
-
     /// Queue an owned response buffer for transmission (zero-copy: the
     /// buffer itself rides the write queue and is returned to the pool
     /// by [`Conn::flush`] once fully written). Empty buffers are dropped.
@@ -286,13 +237,6 @@ impl Conn {
         if !buf.is_empty() {
             self.wqueue.push_back(buf);
         }
-    }
-
-    /// Queue response bytes for transmission, copying them into a fresh
-    /// buffer (compatibility path; the server renders straight into
-    /// pooled buffers and uses [`Conn::queue_buffer`]).
-    pub fn queue_write(&mut self, bytes: &[u8]) {
-        self.queue_buffer(bytes.to_vec());
     }
 
     /// Bytes still pending transmission.
@@ -348,9 +292,9 @@ impl Conn {
         while let Some(front) = self.wqueue.front() {
             let wrote = if self.wqueue.len() > 1 {
                 self.gather(&mut iovs);
-                sys::writev(self.fd, &iovs)
+                sys::writev(self.fd.as_fd(), &iovs)
             } else {
-                sys::write(self.fd, &front[self.wfront..])
+                sys::write(self.fd.as_fd(), &front[self.wfront..])
             };
             match wrote {
                 Ok(n) => {
@@ -366,7 +310,8 @@ impl Conn {
 
     /// Hand every buffer this connection holds back to the pool (the
     /// receive buffer plus any unflushed responses). Call when removing
-    /// the connection from the event loop, before drop closes the fd.
+    /// the connection from the event loop, before dropping it closes the
+    /// fd.
     pub fn reclaim(&mut self, pool: &mut BufPool) {
         pool.restore(std::mem::take(&mut self.rbuf));
         self.consumed = 0;
@@ -377,27 +322,47 @@ impl Conn {
     }
 }
 
-impl Drop for Conn {
-    fn drop(&mut self) {
-        sys::close(self.fd);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::write_request_frame;
-    use std::os::fd::IntoRawFd;
+
+    /// A real fd the test never reads or writes: the read end of a pipe
+    /// whose write end is already closed.
+    fn idle_fd() -> OwnedFd {
+        let (rx, _tx) = std::io::pipe().expect("pipe");
+        OwnedFd::from(rx)
+    }
 
     /// Build a `Conn` around an fd we never read/write (extraction and
     /// buffering logic is exercised by stuffing `rbuf` directly).
     fn detached_conn() -> Conn {
-        // fd -1 is invalid; Drop's close() ignores the error.
-        Conn::new(-1)
+        Conn::from_fd(idle_fd(), Vec::new())
     }
 
     fn push(conn: &mut Conn, bytes: &[u8]) {
         conn.rbuf.extend_from_slice(bytes);
+    }
+
+    /// Locate every buffered request and copy out its payload (HTTP body
+    /// or binary frame) tagged with its framing, then reclaim the consumed
+    /// prefix as the server does after serving.
+    fn drain_payloads(conn: &mut Conn) -> (Vec<(Protocol, Vec<u8>)>, Option<WireError>) {
+        let out = conn.extract_spans(&HttpLimits::default());
+        let payloads = out
+            .requests
+            .iter()
+            .map(|span| match *span {
+                WireRequestSpan::Http { body_start, body_len, .. } => {
+                    (Protocol::Http, conn.payload(body_start, body_len).to_vec())
+                }
+                WireRequestSpan::Binary { payload_start, payload_len, .. } => {
+                    (Protocol::Binary, conn.payload(payload_start, payload_len).to_vec())
+                }
+            })
+            .collect();
+        conn.compact();
+        (payloads, out.error)
     }
 
     /// The exact bytes the write queue still owes the socket.
@@ -435,14 +400,11 @@ mod tests {
             &mut conn,
             b"GET /healthz HTTP/1.1\r\n\r\nPOST /score HTTP/1.1\r\ncontent-length: 2\r\n\r\nok",
         );
-        let out = conn.extract(&HttpLimits::default());
-        assert!(out.error.is_none());
-        assert_eq!(out.requests.len(), 2);
+        let (requests, error) = drain_payloads(&mut conn);
+        assert!(error.is_none());
+        assert_eq!(requests.len(), 2);
         assert_eq!(conn.protocol(), Protocol::Http);
-        match &out.requests[1] {
-            WireRequest::Http(req) => assert_eq!(req.body, b"ok"),
-            other => panic!("expected http, got {other:?}"),
-        }
+        assert_eq!(requests[1], (Protocol::Http, b"ok".to_vec()));
     }
 
     #[test]
@@ -452,14 +414,14 @@ mod tests {
         write_request_frame(&mut wire, b"payload-1");
         write_request_frame(&mut wire, b"payload-2");
         push(&mut conn, &wire);
-        let out = conn.extract(&HttpLimits::default());
-        assert!(out.error.is_none());
+        let (requests, error) = drain_payloads(&mut conn);
+        assert!(error.is_none());
         assert_eq!(conn.protocol(), Protocol::Binary);
         assert_eq!(
-            out.requests,
+            requests,
             vec![
-                WireRequest::Binary(b"payload-1".to_vec()),
-                WireRequest::Binary(b"payload-2".to_vec()),
+                (Protocol::Binary, b"payload-1".to_vec()),
+                (Protocol::Binary, b"payload-2".to_vec()),
             ]
         );
     }
@@ -495,13 +457,13 @@ mod tests {
         let mut got = Vec::new();
         for &byte in &wire {
             push(&mut conn, &[byte]);
-            let out = conn.extract(&HttpLimits::default());
-            assert!(out.error.is_none());
-            got.extend(out.requests);
+            let (requests, error) = drain_payloads(&mut conn);
+            assert!(error.is_none());
+            got.extend(requests);
         }
         assert_eq!(
             got,
-            vec![WireRequest::Binary(b"abc".to_vec()), WireRequest::Binary(b"defgh".to_vec())]
+            vec![(Protocol::Binary, b"abc".to_vec()), (Protocol::Binary, b"defgh".to_vec())]
         );
     }
 
@@ -538,10 +500,10 @@ mod tests {
             &mut conn,
             b"GET / HTTP/1.1\r\n\r\nPOST /score HTTP/1.1\r\ncontent-length: 99999999999\r\n\r\n",
         );
-        let out = conn.extract(&HttpLimits::default());
-        assert_eq!(out.requests.len(), 1);
+        let (requests, error) = drain_payloads(&mut conn);
+        assert_eq!(requests.len(), 1);
         assert!(matches!(
-            out.error,
+            error,
             Some(WireError::Http(HttpParseError::BodyTooLarge { .. }))
         ));
     }
@@ -617,7 +579,7 @@ mod tests {
         // Queue far more than the socket buffer holds so writev is
         // forced into partial acceptance mid-iovec.
         let mut pool = BufPool::new(4);
-        let mut conn = Conn::from_fd(client.into_raw_fd(), pool.checkout());
+        let mut conn = Conn::from_fd(OwnedFd::from(client), pool.checkout());
         let mut expected = Vec::new();
         for i in 0..400u32 {
             let chunk: Vec<u8> = (0..1024).map(|j| (i as usize * 131 + j) as u8).collect();
@@ -654,7 +616,7 @@ mod tests {
     #[test]
     fn reclaim_returns_all_buffers_to_the_pool() {
         let mut pool = BufPool::new(8);
-        let mut conn = Conn::from_fd(-1, pool.checkout());
+        let mut conn = Conn::from_fd(idle_fd(), pool.checkout());
         conn.queue_buffer(pool.checkout().tap_extend(b"pending"));
         assert_eq!(pool.pooled(), 0);
         conn.reclaim(&mut pool);

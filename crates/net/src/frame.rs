@@ -92,21 +92,9 @@ impl FrameStatus {
     }
 }
 
-/// One step of pulling a request frame out of a receive buffer.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameParse {
-    /// The buffer does not yet hold the full frame.
-    NeedMore,
-    /// A complete payload plus total bytes consumed (prefix + payload).
-    Complete(Vec<u8>, usize),
-    /// The declared length exceeds [`MAX_FRAME_BYTES`]; answer
-    /// [`FrameStatus::TooLarge`] and close.
-    TooLarge(usize),
-}
-
 /// One step of locating a request frame in a receive buffer without
-/// copying it: the zero-copy twin of [`FrameParse`], reporting *where*
-/// the payload sits instead of materializing it.
+/// copying it: reports *where* the payload sits instead of
+/// materializing it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FrameParseSpan {
     /// The buffer does not yet hold the full frame.
@@ -162,19 +150,6 @@ pub fn parse_frame_span(buf: &[u8], start: usize) -> FrameParseSpan {
         payload_len: len - skip,
         used: 4 + len,
         trace,
-    }
-}
-
-/// Try to pull one request frame starting at `buf[start..]`, copying the
-/// payload out (convenience wrapper over [`parse_frame_span`]; the
-/// serving path uses the span form and skips this copy).
-pub fn parse_frame(buf: &[u8], start: usize) -> FrameParse {
-    match parse_frame_span(buf, start) {
-        FrameParseSpan::NeedMore => FrameParse::NeedMore,
-        FrameParseSpan::TooLarge(declared) => FrameParse::TooLarge(declared),
-        FrameParseSpan::Complete { payload_start, payload_len, used, .. } => {
-            FrameParse::Complete(buf[payload_start..payload_start + payload_len].to_vec(), used)
-        }
     }
 }
 
@@ -270,14 +245,14 @@ mod tests {
         let mut buf = Vec::new();
         for (i, &byte) in wire.iter().enumerate() {
             buf.push(byte);
-            match parse_frame(&buf, 0) {
-                FrameParse::NeedMore => assert!(i + 1 < wire.len()),
-                FrameParse::Complete(got, consumed) => {
+            match parse_frame_span(&buf, 0) {
+                FrameParseSpan::NeedMore => assert!(i + 1 < wire.len()),
+                FrameParseSpan::Complete { payload_start, payload_len, used, .. } => {
                     assert_eq!(i + 1, wire.len());
-                    assert_eq!(got, payload);
-                    assert_eq!(consumed, wire.len());
+                    assert_eq!(&buf[payload_start..payload_start + payload_len], &payload[..]);
+                    assert_eq!(used, wire.len());
                 }
-                FrameParse::TooLarge(n) => panic!("spurious too-large ({n})"),
+                FrameParseSpan::TooLarge(n) => panic!("spurious too-large ({n})"),
             }
         }
     }
@@ -375,8 +350,8 @@ mod tests {
     #[test]
     fn oversized_request_frame_is_rejected_from_the_prefix_alone() {
         let wire = ((MAX_FRAME_BYTES + 1) as u32).to_le_bytes();
-        match parse_frame(&wire, 0) {
-            FrameParse::TooLarge(n) => assert_eq!(n, MAX_FRAME_BYTES + 1),
+        match parse_frame_span(&wire, 0) {
+            FrameParseSpan::TooLarge(n) => assert_eq!(n, MAX_FRAME_BYTES + 1),
             other => panic!("expected too-large, got {other:?}"),
         }
     }

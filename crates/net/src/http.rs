@@ -21,20 +21,6 @@
 
 use tasq_obs::TraceContext;
 
-/// Parsed request, borrowing nothing (the body is copied out so the
-/// connection buffer can be compacted immediately).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
-    /// Request method, uppercased by the client (`GET`, `POST`, …).
-    pub method: String,
-    /// Request target (path + optional query), e.g. `/score`.
-    pub path: String,
-    /// Body bytes (empty when no `Content-Length`).
-    pub body: Vec<u8>,
-    /// Whether the connection should stay open after the response.
-    pub keep_alive: bool,
-}
-
 /// Why a request could not be parsed. Each variant maps to the HTTP
 /// status the server should answer with before closing the connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,18 +38,6 @@ pub enum HttpParseError {
     },
 }
 
-/// One step of the incremental parse.
-#[derive(Debug, PartialEq, Eq)]
-pub enum HttpParse {
-    /// The buffer does not yet hold a complete request.
-    NeedMore,
-    /// A complete request, plus the total bytes it consumed from `buf`
-    /// (request line + headers + body).
-    Complete(HttpRequest, usize),
-    /// Parsing failed; the connection should answer and close.
-    Failed(HttpParseError),
-}
-
 /// Parsed request line + headers; the body stays in the receive buffer
 /// (see [`HttpParseSpan::Complete`] for its location).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,9 +52,9 @@ pub struct HttpHead {
     pub trace: Option<TraceContext>,
 }
 
-/// One step of the incremental parse, zero-copy form: the body is
-/// reported as absolute offsets into `buf` instead of being copied out,
-/// so the serving path can decode straight from the receive buffer.
+/// One step of the incremental parse. The body is reported as absolute
+/// offsets into `buf` instead of being copied out, so the serving path
+/// can decode straight from the receive buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum HttpParseSpan {
     /// The buffer does not yet hold a complete request.
@@ -115,33 +89,13 @@ impl Default for HttpLimits {
     }
 }
 
-/// Try to parse one request starting at `buf[start..]`, copying the body
-/// out (convenience wrapper over [`parse_request_span`]; the serving
-/// path uses the span form and skips this copy).
+/// Try to parse one request starting at `buf[start..]` without copying
+/// the body; offsets in the result are absolute into `buf`.
 ///
 /// Stateless between calls: the caller re-invokes with the same `start`
 /// as more bytes arrive (the head search is cheap and bounded by
-/// `max_head_bytes`), then advances `start` by the consumed count on
-/// [`HttpParse::Complete`].
-pub fn parse_request(buf: &[u8], start: usize, limits: &HttpLimits) -> HttpParse {
-    match parse_request_span(buf, start, limits) {
-        HttpParseSpan::NeedMore => HttpParse::NeedMore,
-        HttpParseSpan::Failed(e) => HttpParse::Failed(e),
-        HttpParseSpan::Complete { head, body_start, body_len, used } => HttpParse::Complete(
-            HttpRequest {
-                method: head.method,
-                path: head.path,
-                body: buf[body_start..body_start + body_len].to_vec(),
-                keep_alive: head.keep_alive,
-            },
-            used,
-        ),
-    }
-}
-
-/// Try to parse one request starting at `buf[start..]` without copying
-/// the body; offsets in the result are absolute into `buf`. Same
-/// statelessness contract as [`parse_request`].
+/// `max_head_bytes`), then advances `start` by `used` on
+/// [`HttpParseSpan::Complete`].
 pub fn parse_request_span(buf: &[u8], start: usize, limits: &HttpLimits) -> HttpParseSpan {
     let start = start.min(buf.len());
     let input = &buf[start..];
@@ -281,16 +235,21 @@ mod tests {
         HttpLimits::default()
     }
 
+    /// The body bytes a completed parse located in `buf`.
+    fn body(buf: &[u8], body_start: usize, body_len: usize) -> &[u8] {
+        &buf[body_start..body_start + body_len]
+    }
+
     #[test]
     fn parses_a_complete_get() {
         let raw = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
-        match parse_request(raw, 0, &limits()) {
-            HttpParse::Complete(req, consumed) => {
-                assert_eq!(req.method, "GET");
-                assert_eq!(req.path, "/healthz");
-                assert!(req.body.is_empty());
-                assert!(req.keep_alive);
-                assert_eq!(consumed, raw.len());
+        match parse_request_span(raw, 0, &limits()) {
+            HttpParseSpan::Complete { head, body_start, body_len, used } => {
+                assert_eq!(head.method, "GET");
+                assert_eq!(head.path, "/healthz");
+                assert!(body(raw, body_start, body_len).is_empty());
+                assert!(head.keep_alive);
+                assert_eq!(used, raw.len());
             }
             other => panic!("expected complete, got {other:?}"),
         }
@@ -302,14 +261,16 @@ mod tests {
         let mut buf = Vec::new();
         for (i, &byte) in raw.iter().enumerate() {
             buf.push(byte);
-            match parse_request(&buf, 0, &limits()) {
-                HttpParse::NeedMore => assert!(i + 1 < raw.len(), "must complete on last byte"),
-                HttpParse::Complete(req, consumed) => {
-                    assert_eq!(i + 1, raw.len());
-                    assert_eq!(req.body, b"abcd");
-                    assert_eq!(consumed, raw.len());
+            match parse_request_span(&buf, 0, &limits()) {
+                HttpParseSpan::NeedMore => {
+                    assert!(i + 1 < raw.len(), "must complete on last byte")
                 }
-                HttpParse::Failed(e) => panic!("unexpected failure at byte {i}: {e:?}"),
+                HttpParseSpan::Complete { body_start, body_len, used, .. } => {
+                    assert_eq!(i + 1, raw.len());
+                    assert_eq!(body(&buf, body_start, body_len), b"abcd");
+                    assert_eq!(used, raw.len());
+                }
+                HttpParseSpan::Failed(e) => panic!("unexpected failure at byte {i}: {e:?}"),
             }
         }
     }
@@ -321,12 +282,15 @@ mod tests {
             &b"GET /metrics HTTP/1.1\r\n\r\n"[..],
         ]
         .concat();
-        let HttpParse::Complete(first, consumed) = parse_request(&raw, 0, &limits()) else {
+        let HttpParseSpan::Complete { head: first, body_start, body_len, used: consumed } =
+            parse_request_span(&raw, 0, &limits())
+        else {
             panic!("first request should parse");
         };
         assert_eq!(first.path, "/score");
-        assert_eq!(first.body, b"hi");
-        let HttpParse::Complete(second, consumed2) = parse_request(&raw, consumed, &limits())
+        assert_eq!(body(&raw, body_start, body_len), b"hi");
+        let HttpParseSpan::Complete { head: second, used: consumed2, .. } =
+            parse_request_span(&raw, consumed, &limits())
         else {
             panic!("second request should parse");
         };
@@ -337,22 +301,22 @@ mod tests {
     #[test]
     fn connection_close_and_http10_disable_keep_alive() {
         let raw = b"GET / HTTP/1.1\r\nconnection: close\r\n\r\n";
-        let HttpParse::Complete(req, _) = parse_request(raw, 0, &limits()) else {
+        let HttpParseSpan::Complete { head, .. } = parse_request_span(raw, 0, &limits()) else {
             panic!("should parse");
         };
-        assert!(!req.keep_alive);
+        assert!(!head.keep_alive);
         let raw = b"GET / HTTP/1.0\r\n\r\n";
-        let HttpParse::Complete(req, _) = parse_request(raw, 0, &limits()) else {
+        let HttpParseSpan::Complete { head, .. } = parse_request_span(raw, 0, &limits()) else {
             panic!("should parse");
         };
-        assert!(!req.keep_alive);
+        assert!(!head.keep_alive);
     }
 
     #[test]
     fn oversized_declared_body_fails_as_413() {
         let raw = b"POST /score HTTP/1.1\r\ncontent-length: 999999999\r\n\r\n";
-        match parse_request(raw, 0, &limits()) {
-            HttpParse::Failed(e @ HttpParseError::BodyTooLarge { declared, .. }) => {
+        match parse_request_span(raw, 0, &limits()) {
+            HttpParseSpan::Failed(e @ HttpParseError::BodyTooLarge { declared, .. }) => {
                 assert_eq!(declared, 999_999_999);
                 assert_eq!(error_status(&e).0, 413);
             }
@@ -366,8 +330,8 @@ mod tests {
         while raw.len() <= limits().max_head_bytes {
             raw.extend_from_slice(b"x-pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n");
         }
-        match parse_request(&raw, 0, &limits()) {
-            HttpParse::Failed(HttpParseError::HeadersTooLarge) => {}
+        match parse_request_span(&raw, 0, &limits()) {
+            HttpParseSpan::Failed(HttpParseError::HeadersTooLarge) => {}
             other => panic!("expected header cap, got {other:?}"),
         }
     }
@@ -388,8 +352,8 @@ mod tests {
             b"\xff\xfe\x00 / HTTP/1.1\r\n\r\n",
         ];
         for case in cases {
-            match parse_request(case, 0, &limits()) {
-                HttpParse::Failed(e) => {
+            match parse_request_span(case, 0, &limits()) {
+                HttpParseSpan::Failed(e) => {
                     let (status, _) = error_status(&e);
                     assert!((400..500).contains(&status));
                 }

@@ -4,7 +4,8 @@
 //! network server, std-only and dependency-free down to the syscall:
 //!
 //! - [`sys`] — direct `epoll`/`accept4`/`setsockopt`/`read`/`write`
-//!   syscalls (no libc), `EINTR` retry, typed [`sys::NetError`].
+//!   syscalls (no libc), `EINTR` retry, typed [`sys::NetError`]; fds are
+//!   `OwnedFd` (closed on drop) and borrowed per call.
 //! - [`http`] — incremental HTTP/1.1 parsing (request line + headers +
 //!   `Content-Length` bodies, keep-alive) that survives torn and
 //!   pipelined delivery.
@@ -40,9 +41,9 @@ pub mod server;
 pub mod sys;
 
 pub use client::{BinaryClient, HttpClient, HttpResponse, ScoreOutcome};
-pub use conn::{Conn, ExtractedSpans, Protocol, WireRequest, WireRequestSpan};
+pub use conn::{Conn, ExtractedSpans, Protocol, WireRequestSpan};
 pub use frame::{FrameStatus, BINARY_PREAMBLE, MAX_FRAME_BYTES, TRACE_FLAG};
-pub use http::{HttpHead, HttpLimits, HttpRequest};
+pub use http::{HttpHead, HttpLimits};
 pub use pacer::TokenBucket;
 pub use pool::BufPool;
 pub use server::{net_metrics, NetConfig, NetMetrics, NetServer};

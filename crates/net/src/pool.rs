@@ -15,10 +15,9 @@
 //!   carried a near-limit 1 MiB frame) is dropped rather than retained,
 //!   so the slab's worst case stays `max_pooled * MAX_RETAINED_CAPACITY`.
 //!
-//! The checkout/restore protocol is audited by `tasq-analyze`'s
-//! resource-leak pass: a value obtained from `checkout()` must reach
-//! `restore()` (or move into an owner that restores it, such as
-//! `Conn::from_fd` / `Conn::queue_buffer`) on every path.
+//! Buffers are plain owned `Vec<u8>`s, so ownership rules out a double
+//! restore or a use after restore; a buffer that misses its `restore` is
+//! freed by its own drop, which costs one reuse, not a leak.
 
 /// Capacity of a freshly minted buffer: one `Conn::fill` read chunk.
 pub const DEFAULT_BUF_CAPACITY: usize = 16 * 1024;

@@ -2,7 +2,8 @@
 //!
 //! `NetServer::bind` opens one nonblocking listener and spawns
 //! `NetConfig::shards` event-loop threads. Every shard owns a private
-//! epoll instance; the shared listener fd is registered in each with
+//! epoll instance (an `OwnedFd`, closed when the shard returns or
+//! unwinds); the shared listener is registered in each with
 //! `EPOLLEXCLUSIVE`, so the kernel wakes exactly one shard per incoming
 //! connection burst instead of thundering the whole herd. Accepted
 //! sockets stay pinned to the accepting shard for their lifetime and are
@@ -31,7 +32,9 @@
 //! `SubmitError`/`RequestError` into 429/503 (or binary status bytes).
 //! Draining arrives over the wire too — `POST /drain` acks, flips a flag,
 //! and the owner thread closes the scoring server, joins the shards and
-//! reads its exact-accounting final stats.
+//! reads its exact-accounting final stats. Dropping a `NetServer`
+//! without `shutdown` still stops and joins its shards, so their threads
+//! and fds never outlive it.
 
 use crate::conn::{Conn, ExtractedSpans, ReadOutcome, WireError, WireRequestSpan};
 use crate::frame::{self, FrameStatus};
@@ -41,7 +44,7 @@ use crate::sys::{self, EpollEvent, NetError};
 use scope_sim::Job;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsFd, AsRawFd, BorrowedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
@@ -125,11 +128,10 @@ pub fn net_metrics() -> &'static NetMetrics {
 }
 
 /// A running network front-end: listener + shard threads over a shared
-/// [`ScoringServer`].
+/// [`ScoringServer`]. The shards share the listener; it closes when the
+/// last of them exits.
 pub struct NetServer {
     addr: SocketAddr,
-    // Kept alive so the listener fd stays valid for the shard epoll sets.
-    _listener: TcpListener,
     shards: Vec<thread::JoinHandle<()>>,
     drain: Arc<AtomicBool>,
     server: Arc<ScoringServer>,
@@ -150,28 +152,29 @@ impl NetServer {
         let local = listener
             .local_addr()
             .map_err(|e| NetError::Bind(format!("local_addr: {e}")))?;
+        let listener = Arc::new(listener);
         let server = Arc::new(server);
         let drain = Arc::new(AtomicBool::new(false));
-        let listener_fd = listener.as_raw_fd();
         let shard_count = config.shards.max(1);
-        let mut shards = Vec::with_capacity(shard_count);
+        let mut net = Self { addr: local, shards: Vec::with_capacity(shard_count), drain, server };
         for shard_id in 0..shard_count {
-            let server = Arc::clone(&server);
-            let drain = Arc::clone(&drain);
+            let listener = Arc::clone(&listener);
+            let server = Arc::clone(&net.server);
+            let drain = Arc::clone(&net.drain);
             let config = config.clone();
             let handle = thread::Builder::new()
                 .name(format!("net-shard-{shard_id}"))
                 .spawn(move || {
                     // A failed shard must not take the process down; the
                     // other shards keep serving and drain still works.
-                    if let Err(e) = shard_loop(listener_fd, &config, &server, &drain) {
+                    if let Err(e) = shard_loop(&listener, &config, &server, &drain) {
                         eprintln!("net-shard-{shard_id}: event loop failed: {e}");
                     }
                 })
                 .map_err(|e| NetError::Bind(format!("spawn shard: {e}")))?;
-            shards.push(handle);
+            net.shards.push(handle);
         }
-        Ok(Self { addr: local, _listener: listener, shards, drain, server })
+        Ok(net)
     }
 
     /// The bound address (useful with port 0).
@@ -200,18 +203,35 @@ impl NetServer {
     /// from here on is refused as shutting down), join the shard threads,
     /// and drain the scoring server, returning its exact-accounting final
     /// snapshot.
-    pub fn shutdown(self) -> ServerStatsSnapshot {
-        self.drain.store(true, Ordering::SeqCst);
+    pub fn shutdown(mut self) -> ServerStatsSnapshot {
+        self.trigger_drain();
         self.server.close();
-        for handle in self.shards {
-            let _ = handle.join();
-        }
-        match Arc::try_unwrap(self.server) {
+        self.join_shards();
+        let server = Arc::clone(&self.server);
+        drop(self);
+        match Arc::try_unwrap(server) {
             Ok(server) => server.drain(),
             // Unreachable once every shard has exited (they hold the only
             // other clones), but never panic on the shutdown path.
             Err(server) => server.stats(),
         }
+    }
+
+    /// Join every shard thread still running (none after a first call).
+    fn join_shards(&mut self) {
+        for handle in std::mem::take(&mut self.shards) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Dropping without [`NetServer::shutdown`] stops the shards too: each
+/// exits its loop on the drain flag, releasing its epoll fd, its share of
+/// the listener and its thread. No final stats are read.
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        self.trigger_drain();
+        self.join_shards();
     }
 }
 
@@ -225,30 +245,21 @@ struct Slot {
 const BASE_INTEREST: u32 = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLET;
 
 fn shard_loop(
-    listener_fd: i32,
+    listener: &TcpListener,
     config: &NetConfig,
     server: &Arc<ScoringServer>,
     drain: &AtomicBool,
 ) -> Result<(), NetError> {
-    let epfd = sys::epoll_create1()?;
-    let result = shard_loop_inner(epfd, listener_fd, config, server, drain);
-    sys::close(epfd);
-    result
-}
-
-fn shard_loop_inner(
-    epfd: i32,
-    listener_fd: i32,
-    config: &NetConfig,
-    server: &Arc<ScoringServer>,
-    drain: &AtomicBool,
-) -> Result<(), NetError> {
+    // Dropping `epoll` closes it on every exit, `?` and unwinding included.
+    let epoll = sys::epoll_create1()?;
+    let epfd = epoll.as_fd();
+    let listener_fd = listener.as_raw_fd();
     // Level-triggered + EPOLLEXCLUSIVE on the shared listener: exactly
     // one shard wakes per connection burst, and un-accepted backlog
     // re-triggers on the next wait.
-    sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, listener_fd, sys::EPOLLIN | sys::EPOLLEXCLUSIVE)?;
+    sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, listener.as_fd(), sys::EPOLLIN | sys::EPOLLEXCLUSIVE)?;
     let mut events = [EpollEvent::zeroed(); 64];
-    let mut slots: HashMap<i32, Slot> = HashMap::new();
+    let mut slots: HashMap<RawFd, Slot> = HashMap::new();
     // One buffer pool per shard: the event loop is single-threaded, so
     // checkout/restore are plain `&mut` calls with no synchronization.
     let mut pool = BufPool::new(POOL_RETAINED_BUFFERS);
@@ -262,7 +273,7 @@ fn shard_loop_inner(
             let fd = event.fd();
             let ready = event.ready();
             if fd == listener_fd {
-                accept_burst(epfd, listener_fd, config, &mut slots, &mut pool);
+                accept_burst(epfd, listener.as_fd(), config, &mut slots, &mut pool);
                 continue;
             }
             let Some(slot) = slots.get_mut(&fd) else { continue };
@@ -315,15 +326,15 @@ fn shard_loop_inner(
             }
             // Arm or disarm EPOLLOUT as the transmit buffer fills/empties.
             if !done && !slot.armed_out {
-                if sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, fd, BASE_INTEREST | sys::EPOLLOUT)
-                    .is_err()
-                {
+                let interest = BASE_INTEREST | sys::EPOLLOUT;
+                if sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, slot.conn.fd(), interest).is_err() {
                     drop_slot(&mut slots, fd, &mut pool);
                     continue;
                 }
                 slot.armed_out = true;
             } else if done && slot.armed_out {
-                if sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, fd, BASE_INTEREST).is_err() {
+                if sys::epoll_ctl(epfd, sys::EPOLL_CTL_MOD, slot.conn.fd(), BASE_INTEREST).is_err()
+                {
                     drop_slot(&mut slots, fd, &mut pool);
                     continue;
                 }
@@ -335,7 +346,7 @@ fn shard_loop_inner(
 
 /// Remove a connection from the event loop, handing every buffer it
 /// still holds back to the shard pool before drop closes the fd.
-fn drop_slot(slots: &mut HashMap<i32, Slot>, fd: i32, pool: &mut BufPool) {
+fn drop_slot(slots: &mut HashMap<RawFd, Slot>, fd: RawFd, pool: &mut BufPool) {
     if let Some(mut slot) = slots.remove(&fd) {
         slot.conn.reclaim(pool);
     }
@@ -344,26 +355,26 @@ fn drop_slot(slots: &mut HashMap<i32, Slot>, fd: i32, pool: &mut BufPool) {
 /// Accept until the listener would block, registering each socket
 /// edge-triggered with this shard's epoll set.
 fn accept_burst(
-    epfd: i32,
-    listener_fd: i32,
+    epfd: BorrowedFd<'_>,
+    listener: BorrowedFd<'_>,
     config: &NetConfig,
-    slots: &mut HashMap<i32, Slot>,
+    slots: &mut HashMap<RawFd, Slot>,
     pool: &mut BufPool,
 ) {
     loop {
-        match sys::accept4(listener_fd) {
+        match sys::accept4(listener) {
             Ok(fd) => {
                 if slots.len() >= config.max_connections_per_shard {
-                    sys::close(fd);
+                    drop(fd); // refused: closes the socket
                     continue;
                 }
                 // Best effort: without it a response that leaves in more
                 // than one write (a partial flush) stalls on Nagle × the
                 // peer's delayed ACK. A socket that refuses the option
                 // still serves.
-                let _ = sys::setsockopt(fd, sys::IPPROTO_TCP, sys::TCP_NODELAY, 1);
-                if sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, fd, BASE_INTEREST).is_err() {
-                    sys::close(fd);
+                let _ = sys::setsockopt(fd.as_fd(), sys::IPPROTO_TCP, sys::TCP_NODELAY, 1);
+                if sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, fd.as_fd(), BASE_INTEREST).is_err() {
+                    drop(fd);
                     continue;
                 }
                 net_metrics().connections.inc();
@@ -371,7 +382,8 @@ fn accept_burst(
                 // early-exit paths above owe the pool nothing; the
                 // connection owns the buffer until `drop_slot` reclaims.
                 let rbuf = pool.checkout();
-                slots.insert(fd, Slot { conn: Conn::from_fd(fd, rbuf), armed_out: false });
+                let key = fd.as_raw_fd();
+                slots.insert(key, Slot { conn: Conn::from_fd(fd, rbuf), armed_out: false });
             }
             Err(_) => return,
         }
@@ -380,7 +392,7 @@ fn accept_burst(
 
 /// Best-effort flush of pending responses (the drain ack, mostly) before
 /// a shard exits. Bounded so a stuck peer cannot wedge shutdown.
-fn flush_remaining(slots: &mut HashMap<i32, Slot>, pool: &mut BufPool) {
+fn flush_remaining(slots: &mut HashMap<RawFd, Slot>, pool: &mut BufPool) {
     let deadline = Instant::now() + Duration::from_secs(1);
     for slot in slots.values_mut() {
         while slot.conn.pending_write() > 0 && Instant::now() < deadline {

@@ -3,10 +3,16 @@
 //! The workspace's vendored-deps policy rules out `libc`, `mio`, and
 //! `tokio`, and `std` exposes no readiness API — so the calls the
 //! server needs (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `accept4`,
-//! `setsockopt`, plus `read`/`write`/`close` on raw fds) are issued
-//! directly via inline assembly. Socket *setup* (bind/listen/connect)
-//! stays on `std::net`, which hands us raw fds to drive; only the hot
-//! readiness/IO path goes through here.
+//! `setsockopt`, plus `read`/`write`/`writev`) are issued directly via
+//! inline assembly. Socket *setup* (bind/listen/connect) stays on
+//! `std::net`; only the hot readiness/IO path goes through here.
+//!
+//! Fds are owned by their types, never by convention: the two calls that
+//! create one (`epoll_create1`, `accept4`) return an [`OwnedFd`], whose
+//! drop is the only `close` (std's, so no shim call and no
+//! `net_syscalls_total{op="close"}` series), and every other call
+//! borrows its fd as a [`BorrowedFd`]. An fd therefore cannot leak on an
+//! error path, be closed twice, or be used after its owner drops.
 //!
 //! Every wrapper retries `EINTR` internally and maps failures to the
 //! typed [`NetError`], with `EAGAIN`/`EWOULDBLOCK` surfaced as
@@ -14,6 +20,7 @@
 //! from real faults without reading errno themselves.
 
 use std::fmt;
+use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::OnceLock;
 use tasq_obs::metrics::{Counter, Registry};
 
@@ -156,10 +163,10 @@ impl EpollEvent {
         self.events
     }
 
-    /// The registered fd carried in `data`.
-    pub fn fd(&self) -> i32 {
+    /// The registered fd carried in `data`: a slot key, not an owner.
+    pub fn fd(&self) -> RawFd {
         let data = self.data;
-        data as i32
+        data as RawFd
     }
 }
 
@@ -172,7 +179,6 @@ mod raw {
     pub const SYS_READ: usize = 0;
     pub const SYS_WRITE: usize = 1;
     pub const SYS_WRITEV: usize = 20;
-    pub const SYS_CLOSE: usize = 3;
     pub const SYS_EPOLL_WAIT: usize = 232;
     pub const SYS_EPOLL_CTL: usize = 233;
     pub const SYS_ACCEPT4: usize = 288;
@@ -220,7 +226,6 @@ mod raw {
     pub const SYS_READ: usize = 63;
     pub const SYS_WRITE: usize = 64;
     pub const SYS_WRITEV: usize = 66;
-    pub const SYS_CLOSE: usize = 57;
     /// aarch64 never had plain `epoll_wait`; `epoll_pwait` with a null
     /// sigmask is the equivalent.
     pub const SYS_EPOLL_WAIT: usize = 22;
@@ -268,7 +273,6 @@ mod raw {
     pub const SYS_READ: usize = 0;
     pub const SYS_WRITE: usize = 0;
     pub const SYS_WRITEV: usize = 0;
-    pub const SYS_CLOSE: usize = 0;
     pub const SYS_EPOLL_WAIT: usize = 0;
     pub const SYS_EPOLL_CTL: usize = 0;
     pub const SYS_ACCEPT4: usize = 0;
@@ -312,8 +316,6 @@ pub struct SyscallCounters {
     pub write: Counter,
     /// `writev(2)` attempts.
     pub writev: Counter,
-    /// `close(2)` attempts.
-    pub close: Counter,
     /// `accept4(2)` attempts.
     pub accept4: Counter,
     /// `epoll_wait(2)` / `epoll_pwait(2)` attempts.
@@ -332,7 +334,6 @@ impl SyscallCounters {
         self.read.get()
             + self.write.get()
             + self.writev.get()
-            + self.close.get()
             + self.accept4.get()
             + self.epoll_wait.get()
             + self.epoll_ctl.get()
@@ -356,7 +357,6 @@ pub fn syscall_counters() -> &'static SyscallCounters {
             read: op("read"),
             write: op("write"),
             writev: op("writev"),
-            close: op("close"),
             accept4: op("accept4"),
             epoll_wait: op("epoll_wait"),
             epoll_ctl: op("epoll_ctl"),
@@ -373,7 +373,6 @@ fn count_syscall(call: &'static str) {
         "read" => counters.read.inc(),
         "write" => counters.write.inc(),
         "writev" => counters.writev.inc(),
-        "close" => counters.close.inc(),
         "accept4" => counters.accept4.inc(),
         "epoll_wait" | "epoll_pwait" => counters.epoll_wait.inc(),
         "epoll_ctl" => counters.epoll_ctl.inc(),
@@ -414,23 +413,30 @@ unsafe fn retrying(
     }
 }
 
-/// `epoll_create1(0)` → epoll fd.
-pub fn epoll_create1() -> Result<i32, NetError> {
+/// `epoll_create1(0)` → epoll fd, closed when dropped.
+pub fn epoll_create1() -> Result<OwnedFd, NetError> {
     // SAFETY: no pointers involved.
-    unsafe { retrying("epoll_create1", raw::SYS_EPOLL_CREATE1, 0, 0, 0, 0, 0, 0) }
-        .map(|fd| fd as i32)
+    let fd = unsafe { retrying("epoll_create1", raw::SYS_EPOLL_CREATE1, 0, 0, 0, 0, 0, 0) }?;
+    // SAFETY: the kernel has just returned this fd and nothing else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
 }
 
 /// `epoll_ctl(epfd, op, fd, &event)`; `event` is ignored for
 /// [`EPOLL_CTL_DEL`].
-pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, events: u32) -> Result<(), NetError> {
+pub fn epoll_ctl(
+    epfd: BorrowedFd<'_>,
+    op: i32,
+    fd: BorrowedFd<'_>,
+    events: u32,
+) -> Result<(), NetError> {
+    let fd = fd.as_raw_fd();
     let event = EpollEvent { events, data: fd as u32 as u64 };
     // SAFETY: `event` lives across the call; the kernel only reads it.
     unsafe {
         retrying(
             "epoll_ctl",
             raw::SYS_EPOLL_CTL,
-            epfd as usize,
+            epfd.as_raw_fd() as usize,
             op as usize,
             fd as usize,
             std::ptr::from_ref(&event) as usize,
@@ -443,7 +449,11 @@ pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, events: u32) -> Result<(), NetErro
 
 /// `epoll_wait(epfd, events, timeout_ms)` → number of ready events
 /// written into `events`. Zero on timeout.
-pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> Result<usize, NetError> {
+pub fn epoll_wait(
+    epfd: BorrowedFd<'_>,
+    events: &mut [EpollEvent],
+    timeout_ms: i32,
+) -> Result<usize, NetError> {
     let (call, nr): (&'static str, usize) = if raw::HAS_EPOLL_WAIT {
         ("epoll_wait", raw::SYS_EPOLL_WAIT)
     } else {
@@ -455,7 +465,7 @@ pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> Resu
         retrying(
             call,
             nr,
-            epfd as usize,
+            epfd.as_raw_fd() as usize,
             events.as_mut_ptr() as usize,
             events.len(),
             timeout_ms as usize,
@@ -467,34 +477,35 @@ pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> Resu
 }
 
 /// `accept4(listener, NULL, NULL, SOCK_NONBLOCK | SOCK_CLOEXEC)` → new
-/// connection fd, already nonblocking.
-pub fn accept4(listener: i32) -> Result<i32, NetError> {
+/// connection fd, already nonblocking, closed when dropped.
+pub fn accept4(listener: BorrowedFd<'_>) -> Result<OwnedFd, NetError> {
     // SAFETY: null addr/addrlen is the documented "don't care" form.
-    unsafe {
+    let fd = unsafe {
         retrying(
             "accept4",
             raw::SYS_ACCEPT4,
-            listener as usize,
+            listener.as_raw_fd() as usize,
             0,
             0,
             (SOCK_NONBLOCK | SOCK_CLOEXEC) as usize,
             0,
             0,
         )
-    }
-    .map(|fd| fd as i32)
+    }?;
+    // SAFETY: the kernel has just returned this fd and nothing else owns it.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd as RawFd) })
 }
 
 /// `setsockopt(fd, level, name, &value, 4)` for integer-valued options
 /// (e.g. [`IPPROTO_TCP`] / [`TCP_NODELAY`]).
-pub fn setsockopt(fd: i32, level: i32, name: i32, value: i32) -> Result<(), NetError> {
+pub fn setsockopt(fd: BorrowedFd<'_>, level: i32, name: i32, value: i32) -> Result<(), NetError> {
     // SAFETY: `value` lives across the call and the declared length is
     // exactly its size; the kernel only reads it.
     unsafe {
         retrying(
             "setsockopt",
             raw::SYS_SETSOCKOPT,
-            fd as usize,
+            fd.as_raw_fd() as usize,
             level as usize,
             name as usize,
             std::ptr::from_ref(&value) as usize,
@@ -506,13 +517,13 @@ pub fn setsockopt(fd: i32, level: i32, name: i32, value: i32) -> Result<(), NetE
 }
 
 /// Nonblocking `read`; `Ok(0)` means EOF.
-pub fn read(fd: i32, buf: &mut [u8]) -> Result<usize, NetError> {
+pub fn read(fd: BorrowedFd<'_>, buf: &mut [u8]) -> Result<usize, NetError> {
     // SAFETY: `buf` is valid for writes of its full length.
     unsafe {
         retrying(
             "read",
             raw::SYS_READ,
-            fd as usize,
+            fd.as_raw_fd() as usize,
             buf.as_mut_ptr() as usize,
             buf.len(),
             0,
@@ -525,13 +536,13 @@ pub fn read(fd: i32, buf: &mut [u8]) -> Result<usize, NetError> {
 
 /// Nonblocking `write`; maps `EPIPE`/`ECONNRESET` to
 /// [`NetError::PeerClosed`].
-pub fn write(fd: i32, buf: &[u8]) -> Result<usize, NetError> {
+pub fn write(fd: BorrowedFd<'_>, buf: &[u8]) -> Result<usize, NetError> {
     // SAFETY: `buf` is valid for reads of its full length.
     let result = unsafe {
         retrying(
             "write",
             raw::SYS_WRITE,
-            fd as usize,
+            fd.as_raw_fd() as usize,
             buf.as_ptr() as usize,
             buf.len(),
             0,
@@ -552,7 +563,7 @@ pub fn write(fd: i32, buf: &[u8]) -> Result<usize, NetError> {
 ///
 /// Returns the number of bytes accepted, which may land mid-iovec; the
 /// caller resumes from that byte offset (see `Conn::advance_write`).
-pub fn writev(fd: i32, iovs: &[IoVec]) -> Result<usize, NetError> {
+pub fn writev(fd: BorrowedFd<'_>, iovs: &[IoVec]) -> Result<usize, NetError> {
     // SAFETY: every `IoVec` in `iovs` was built by `IoVec::new` from a
     // slice the caller keeps alive and unmoved across this call, and the
     // repr(C) layout matches the kernel's `struct iovec`; the kernel only
@@ -561,7 +572,7 @@ pub fn writev(fd: i32, iovs: &[IoVec]) -> Result<usize, NetError> {
         retrying(
             "writev",
             raw::SYS_WRITEV,
-            fd as usize,
+            fd.as_raw_fd() as usize,
             iovs.as_ptr() as usize,
             iovs.len(),
             0,
@@ -577,29 +588,22 @@ pub fn writev(fd: i32, iovs: &[IoVec]) -> Result<usize, NetError> {
     }
 }
 
-/// `close(fd)`; errors are ignored (the fd is gone either way, and the
-/// event loop has nothing useful to do with a failed close).
-pub fn close(fd: i32) {
-    // SAFETY: no pointers involved.
-    let _ = unsafe { retrying("close", raw::SYS_CLOSE, fd as usize, 0, 0, 0, 0, 0) };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::os::fd::AsRawFd;
+    use std::os::fd::AsFd;
 
     #[test]
     fn epoll_round_trip_on_a_real_pipe() {
         if !supported() {
             return;
         }
-        let epfd = epoll_create1().expect("epoll_create1");
+        let epoll = epoll_create1().expect("epoll_create1");
+        let epfd = epoll.as_fd();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
-        let lfd = listener.as_raw_fd();
-        epoll_ctl(epfd, EPOLL_CTL_ADD, lfd, EPOLLIN).expect("ctl add");
+        epoll_ctl(epfd, EPOLL_CTL_ADD, listener.as_fd(), EPOLLIN).expect("ctl add");
 
         // Nothing pending: a short wait times out with zero events.
         let mut events = [EpollEvent::zeroed(); 8];
@@ -611,32 +615,30 @@ mod tests {
         let mut client = std::net::TcpStream::connect(addr).expect("connect");
         let n = epoll_wait(epfd, &mut events, 2000).expect("wait");
         assert!(n >= 1);
-        assert_eq!(events[0].fd(), lfd);
+        assert_eq!(events[0].fd(), listener.as_raw_fd());
         assert!(events[0].ready() & EPOLLIN != 0);
 
         // accept4 hands back a nonblocking fd; a fresh read would block.
-        let conn = accept4(lfd).expect("accept4");
+        let conn = accept4(listener.as_fd()).expect("accept4");
         let mut buf = [0u8; 16];
-        assert_eq!(read(conn, &mut buf), Err(NetError::WouldBlock));
+        assert_eq!(read(conn.as_fd(), &mut buf), Err(NetError::WouldBlock));
 
         // Data pumped by the client arrives through the raw read.
         client.write_all(b"ping").expect("client write");
-        epoll_ctl(epfd, EPOLL_CTL_ADD, conn, EPOLLIN | EPOLLET).expect("ctl add conn");
+        epoll_ctl(epfd, EPOLL_CTL_ADD, conn.as_fd(), EPOLLIN | EPOLLET).expect("ctl add conn");
         let n = epoll_wait(epfd, &mut events, 2000).expect("wait");
         assert!(n >= 1);
-        let got = read(conn, &mut buf).expect("read");
+        let got = read(conn.as_fd(), &mut buf).expect("read");
         assert_eq!(&buf[..got], b"ping");
 
         // Raw write reaches the client through the std stream.
-        let wrote = write(conn, b"pong").expect("write");
+        let wrote = write(conn.as_fd(), b"pong").expect("write");
         assert_eq!(wrote, 4);
         let mut reply = [0u8; 4];
         std::io::Read::read_exact(&mut client, &mut reply).expect("client read");
         assert_eq!(&reply, b"pong");
 
-        epoll_ctl(epfd, EPOLL_CTL_DEL, conn, 0).expect("ctl del");
-        close(conn);
-        close(epfd);
+        epoll_ctl(epfd, EPOLL_CTL_DEL, conn.as_fd(), 0).expect("ctl del");
     }
 
     #[test]
@@ -652,7 +654,7 @@ mod tests {
         let parts: [&[u8]; 3] = [b"alpha-", b"beta-", b"gamma"];
         let iovs: Vec<IoVec> = parts.iter().map(|p| IoVec::new(p)).collect();
         let before = syscall_counters().writev.get();
-        let wrote = writev(client.as_raw_fd(), &iovs).expect("writev");
+        let wrote = writev(client.as_fd(), &iovs).expect("writev");
         assert_eq!(wrote, 16);
         assert_eq!(syscall_counters().writev.get(), before + 1);
 
@@ -679,7 +681,7 @@ mod tests {
         let iovs = [IoVec::new(&chunk), IoVec::new(&chunk)];
         let mut saw_peer_closed = false;
         for _ in 0..64 {
-            match writev(client.as_raw_fd(), &iovs) {
+            match writev(client.as_fd(), &iovs) {
                 Err(NetError::PeerClosed) => {
                     saw_peer_closed = true;
                     break;
@@ -698,30 +700,34 @@ mod tests {
         }
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
-        assert_eq!(accept4(listener.as_raw_fd()), Err(NetError::WouldBlock));
+        assert_eq!(accept4(listener.as_fd()).err(), Some(NetError::WouldBlock));
     }
 
     #[test]
     fn setsockopt_sets_nodelay_on_a_socket_and_rejects_a_pipe() {
         if !supported() {
-            assert_eq!(setsockopt(0, IPPROTO_TCP, TCP_NODELAY, 1), Err(NetError::Unsupported));
+            let stdin = std::io::stdin();
+            assert_eq!(
+                setsockopt(stdin.as_fd(), IPPROTO_TCP, TCP_NODELAY, 1),
+                Err(NetError::Unsupported)
+            );
             return;
         }
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.set_nonblocking(true).expect("nonblocking");
         let client =
             std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let conn = accept4(listener.as_raw_fd()).expect("accept4");
+        let conn = accept4(listener.as_fd()).expect("accept4");
         let before = syscall_counters().setsockopt.get();
-        assert_eq!(setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, 1), Ok(()));
+        assert_eq!(setsockopt(conn.as_fd(), IPPROTO_TCP, TCP_NODELAY, 1), Ok(()));
         assert!(syscall_counters().setsockopt.get() > before);
-        close(conn);
+        drop(conn);
         drop(client);
 
         // A pipe is a valid fd but not a socket: ENOTSOCK, typed.
         let (pipe_rx, _pipe_tx) = std::io::pipe().expect("pipe");
         assert_eq!(
-            setsockopt(pipe_rx.as_raw_fd(), IPPROTO_TCP, TCP_NODELAY, 1),
+            setsockopt(pipe_rx.as_fd(), IPPROTO_TCP, TCP_NODELAY, 1),
             Err(NetError::Sys { call: "setsockopt", errno: 88 })
         );
     }
