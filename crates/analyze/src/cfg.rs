@@ -5,7 +5,7 @@
 //! record *how* control moves: straight-line `Seq`, a `Branch` decision,
 //! the implicit `Err` early return a `?` performs, a `Panic` unwind from
 //! `unwrap`/`expect`/panicking macros, and loop `Back` edges. `?` and
-//! panic edges are what let the dataflow passes reason about error and
+//! panic edges are what let the dataflow pass reason about error and
 //! unwind paths, which a happy-path reading of the source never sees.
 //!
 //! Scope structure is made explicit: every block contributes a

@@ -1,25 +1,17 @@
 //! `tasq-analyze` — the workspace gatekeeper for what rustc and clippy
-//! cannot check (the source lints are `[workspace.lints]` in the root
-//! `Cargo.toml` and the `clippy.toml` files, and fd ownership is
-//! `OwnedFd`'s). Three analysis families run under one `tasq-analyze
-//! check` command:
+//! cannot check. It reads source only: the source lints are
+//! `[workspace.lints]` in the root `Cargo.toml` and the `clippy.toml`
+//! files, fd ownership is `OwnedFd`'s, pointer provenance is borrowck's
+//! (`IoSlice`) and rustc's (`&raw const`), and the simulator's dependency
+//! order and the plan/PCC invariants are tier-1 tests.
 //!
-//! 1. **Dataflow passes** ([`passes`]): a string/comment-aware scanner
-//!    ([`lexer`]) feeds a recursive-descent parser ([`parser`]) that
-//!    builds per-function ASTs, a CFG builder ([`cfg`]) adds explicit
-//!    `?`-error and panic edges, and a worklist solver ([`dataflow`]) runs
-//!    the lock-discipline audit; the unsafe-boundary (raw-pointer
-//!    provenance) audit walks the ASTs directly. Lock-discipline's held
-//!    sets also give the lock-order graph, and a cycle in it is a
-//!    `lock-order` deny.
-//! 2. **Semantic invariants** ([`invariants`]): generated job plans must
-//!    pass [`scope_sim::validate_job`]; measured scaling curves and fitted
-//!    power-law PCCs must pass [`tasq::validate::validate_curve`] /
-//!    [`tasq::validate::validate_pcc`] (positivity, monotonicity,
-//!    Amdahl-consistency).
-//! 3. **Happens-before replay** ([`hb`]): a vector-clock checker replays
-//!    synchronization logs from seeded simulator runs to prove
-//!    the recorded executions race-free and deterministic.
+//! What is left needs whole functions and the whole workspace at once:
+//! a string/comment-aware scanner ([`lexer`]) feeds a recursive-descent
+//! parser ([`parser`]) that builds per-function ASTs, a CFG builder
+//! ([`cfg`]) adds explicit `?`-error and panic edges, and a worklist
+//! solver ([`dataflow`]) runs the lock-discipline audit ([`passes`]). Its
+//! held sets also give the lock-order graph, and a cycle in it is a
+//! `lock-order` deny.
 //!
 //! The binary exits nonzero when any deny diagnostic is produced, which is
 //! what gates CI.
@@ -28,8 +20,6 @@
 
 pub mod cfg;
 pub mod dataflow;
-pub mod hb;
-pub mod invariants;
 pub mod lexer;
 pub mod parser;
 pub mod passes;
@@ -59,19 +49,18 @@ impl fmt::Display for Severity {
     }
 }
 
-/// One finding, with a `file:line:col` span when the source is a file.
+/// One finding, with its `file:line:col` span.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// The rule or pass that produced this finding.
     pub rule: String,
     /// Whether it fails the check.
     pub severity: Severity,
-    /// Workspace-relative path, or a `dynamic/…` pseudo-path for findings
-    /// from instrumented runs.
+    /// Workspace-relative path.
     pub path: String,
-    /// 1-based line (0 for dynamic findings).
+    /// 1-based line.
     pub line: usize,
-    /// 1-based column (0 for dynamic findings).
+    /// 1-based column.
     pub col: usize,
     /// Human-readable description.
     pub message: String,
@@ -79,15 +68,11 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line > 0 {
-            write!(
-                f,
-                "{}: {}:{}:{}: [{}] {}",
-                self.severity, self.path, self.line, self.col, self.rule, self.message
-            )
-        } else {
-            write!(f, "{}: {}: [{}] {}", self.severity, self.path, self.rule, self.message)
-        }
+        write!(
+            f,
+            "{}: {}:{}:{}: [{}] {}",
+            self.severity, self.path, self.line, self.col, self.rule, self.message
+        )
     }
 }
 
@@ -98,21 +83,13 @@ pub struct CheckReport {
     pub files_scanned: usize,
     /// Nested lock-acquisition edges observed.
     pub lock_edges: usize,
-    /// Jobs validated in the dynamic invariant pass.
-    pub jobs_validated: usize,
-    /// Scaling curves / fitted PCCs audited.
-    pub curves_audited: usize,
-    /// Synchronization events replayed by the happens-before checker.
-    pub hb_events: usize,
     /// Functions the recursive-descent parser handled across the
-    /// workspace (dataflow-pass phase only).
+    /// workspace.
     pub functions_parsed: usize,
     /// Non-test functions the parser could not handle (each also gets a
     /// `parse-coverage` diagnostic).
     pub functions_unparsed: usize,
-    /// Names of the dataflow passes that ran.
-    pub passes: Vec<String>,
-    /// Every finding, static and dynamic alike.
+    /// Every finding.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -123,52 +100,18 @@ impl CheckReport {
     }
 }
 
-/// What `run_check` should do.
-#[derive(Debug, Clone)]
-pub struct CheckOptions {
-    /// Workspace root (the directory holding `crates/`).
-    pub root: PathBuf,
-    /// Skip the dynamic passes (workload validation, PCC audit,
-    /// happens-before replay); dataflow passes only.
-    pub static_only: bool,
-    /// Run one dataflow pass instead of everything: `unsafe-boundary` or
-    /// `lock-discipline` (which includes the lock-order audit).
-    pub pass: Option<String>,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        Self { root: PathBuf::from("."), static_only: false, pass: None }
-    }
-}
-
-/// Run every analysis pass (or the one selected by `opts.pass`) and
-/// aggregate the findings.
-pub fn run_check(opts: &CheckOptions) -> io::Result<CheckReport> {
+/// Run the lock-discipline and lock-order audit over every `.rs` file
+/// under `root/crates` and aggregate the findings.
+pub fn run_check(root: &Path) -> io::Result<CheckReport> {
     let mut report = CheckReport::default();
-
-    // Resolve the pass selection up front so a typo'd --pass errors
-    // instead of silently running nothing.
-    let (pass_names, run_dynamic): (Vec<&'static str>, bool) = match opts.pass.as_deref() {
-        None => (passes::PASS_NAMES.to_vec(), true),
-        Some(p) => match passes::PASS_NAMES.iter().copied().find(|n| *n == p) {
-            Some(name) => (vec![name], false),
-            None => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown pass `{p}` (expected {})", passes::PASS_NAMES.join(", ")),
-                ));
-            }
-        },
-    };
 
     // A missing `crates/` is an error, not a vacuous pass — a typo'd
     // --root must not go green.
-    let crates_dir = opts.root.join("crates");
+    let crates_dir = root.join("crates");
     if !crates_dir.is_dir() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,
-            format!("{} is not a workspace root (no crates/ directory)", opts.root.display()),
+            format!("{} is not a workspace root (no crates/ directory)", root.display()),
         ));
     }
     let mut files = Vec::new();
@@ -176,27 +119,25 @@ pub fn run_check(opts: &CheckOptions) -> io::Result<CheckReport> {
     files.sort();
     let mut sources = Vec::with_capacity(files.len());
     for file in &files {
-        sources.push((relative_path(&opts.root, file), fs::read_to_string(file)?));
+        sources.push((relative_path(root, file), fs::read_to_string(file)?));
     }
     report.files_scanned = sources.len();
 
-    // Phase 1: parser → CFG → dataflow passes. Integration-test and
+    // Per file: parser → CFG → lock-discipline. Integration-test and
     // fixture trees are exempt — they hold planted defects on purpose.
-    report.passes = pass_names.iter().map(|s| s.to_string()).collect();
     let mut lock_edges = Vec::new();
     for (rel, source) in &sources {
         if path_is_exempt(rel) {
             continue;
         }
-        let outcome = passes::analyze_file(rel, source, &pass_names);
+        let outcome = passes::analyze_file(rel, source);
         report.functions_parsed += outcome.functions_parsed;
         report.functions_unparsed += outcome.functions_unparsed;
         report.diagnostics.extend(outcome.diagnostics);
         lock_edges.extend(outcome.lock_edges);
     }
 
-    // Phase 2: lock order across the workspace, from lock-discipline's
-    // edges.
+    // Lock order across the workspace, from lock-discipline's edges.
     report.lock_edges = lock_edges.len();
     if let Some((cycle, edge)) = lock_discipline::find_cycle(&lock_edges) {
         report.diagnostics.push(Diagnostic {
@@ -210,11 +151,6 @@ pub fn run_check(opts: &CheckOptions) -> io::Result<CheckReport> {
                 cycle.join(" -> ")
             ),
         });
-    }
-
-    // Phase 3: dynamic invariants + happens-before replay.
-    if run_dynamic && !opts.static_only {
-        invariants::run_dynamic_pass(&mut report);
     }
     Ok(report)
 }

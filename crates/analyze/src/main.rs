@@ -1,21 +1,18 @@
-//! `tasq-analyze` — workspace dataflow, invariant, and race-audit gate.
+//! `tasq-analyze` — the workspace lock-discipline and lock-order gate.
 //! (Source lints are rustc and clippy's: see `[workspace.lints]`.)
 //!
 //! ```text
-//! tasq-analyze check [--root DIR] [--format human|json] [--out FILE] [--static-only]
-//!                    [--pass unsafe-boundary|lock-discipline]
+//! tasq-analyze check [--root DIR] [--format human|json] [--out FILE]
 //! ```
 //!
-//! Exits 0 when every pass is clean, 1 when any deny diagnostic is
+//! Exits 0 when the workspace is clean, 1 when any deny diagnostic is
 //! produced, 2 on usage errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tasq_analyze::{report, run_check, CheckOptions};
+use tasq_analyze::{report, run_check};
 
-const USAGE: &str = "usage: tasq-analyze check [--root DIR] [--format human|json] \
-                     [--out FILE] [--static-only] [--pass NAME]\n  passes: unsafe-boundary, \
-                     lock-discipline";
+const USAGE: &str = "usage: tasq-analyze check [--root DIR] [--format human|json] [--out FILE]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,14 +39,14 @@ fn run(args: &[String]) -> Result<bool, String> {
     if command != "check" {
         return Err(format!("unknown command `{command}`"));
     }
-    let mut opts = CheckOptions::default();
+    let mut root = PathBuf::from(".");
     let mut format = "human".to_string();
     let mut out_path: Option<PathBuf> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--root" => {
-                opts.root = PathBuf::from(flag_value(args, &mut i)?);
+                root = PathBuf::from(flag_value(args, &mut i)?);
             }
             "--format" => {
                 format = flag_value(args, &mut i)?;
@@ -60,18 +57,12 @@ fn run(args: &[String]) -> Result<bool, String> {
             "--out" => {
                 out_path = Some(PathBuf::from(flag_value(args, &mut i)?));
             }
-            "--static-only" => {
-                opts.static_only = true;
-            }
-            "--pass" => {
-                opts.pass = Some(flag_value(args, &mut i)?);
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
     }
 
-    let check = run_check(&opts).map_err(|e| format!("check failed: {e}"))?;
+    let check = run_check(&root).map_err(|e| format!("check failed: {e}"))?;
     let rendered = if format == "json" {
         report::to_json(&check)
     } else {

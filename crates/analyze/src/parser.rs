@@ -6,10 +6,10 @@
 //! the three loops (with labels), `?`, early `return`, closures, method
 //! chains, struct literals, casts and macro invocations. It is *not* a
 //! full Rust parser: types are skipped structurally, operator precedence
-//! is flattened (the dataflow passes never need it), and a function whose
+//! is flattened (the dataflow pass never needs it), and a function whose
 //! body defeats the grammar is recorded as unparsed rather than aborting
 //! the file. CI gates the unparsed count at zero for the crates the
-//! dataflow passes guard (`crates/net`, `crates/par`).
+//! dataflow pass guards (`crates/net`, `crates/par`).
 //!
 //! Every AST node carries a 1-based `line:col` [`Span`] pointing at the
 //! original source, which is what the passes report.
@@ -98,7 +98,7 @@ pub struct Arm {
     pub span: Span,
 }
 
-/// An expression, flattened to what the dataflow passes consume.
+/// An expression, flattened to what the dataflow pass consumes.
 #[derive(Debug, Clone)]
 pub enum Expr {
     /// `a::b::c`, a bare identifier, `self.x` is a [`Expr::Field`].
@@ -1175,6 +1175,12 @@ impl<'a> Parser<'a> {
                 "&" | "&&" => {
                     let double = op == "&&";
                     self.pos += 1;
+                    // `&raw const place` / `&raw mut place`.
+                    let raw_ptr = self.at_ident("raw")
+                        && self.peek_at(1).is_some_and(|t| t.is_ident("const") || t.is_ident("mut"));
+                    if raw_ptr {
+                        self.pos += 2;
+                    }
                     self.eat_ident("mut");
                     let mut inner = self.parse_prefix(structs)?;
                     if double {
@@ -1976,6 +1982,12 @@ mod tests {
             }
             other => panic!("expected let, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn raw_borrows_parse_as_unary_places() {
+        let f = ok("fn f(event: E) -> usize {\n    ctl(&raw const event as usize, &raw mut v.x)\n}\n");
+        assert_eq!(f.functions.len(), 1);
     }
 
     #[test]

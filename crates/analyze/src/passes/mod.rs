@@ -1,26 +1,22 @@
-//! Dataflow-driven analysis passes (parser → CFG → worklist solver).
+//! The dataflow pass (parser → CFG → worklist solver).
 //!
-//! These passes check what no compiler lint can, because they need whole
-//! functions: [`crate::parser`] builds per-function ASTs, [`crate::cfg`]
-//! lowers them to control-flow graphs with explicit `?`-error and panic
-//! edges, and [`crate::dataflow`] runs each pass's transfer function to a
-//! fixed point. That is what it takes to prove statements like "no guard
-//! is held when this thread blocks" on *every* path, error paths
-//! included. (Fd and buffer ownership need no pass: `tasq-net` holds fds
-//! as `OwnedFd` and buffers as owned `Vec`s, so rustc proves it.)
-//!
-//! | pass | question it answers |
-//! |------|---------------------|
-//! | [`unsafe_boundary`] | does every raw pointer derive from a named place rather than a temporary? |
-//! | [`lock_discipline`] | is any lock guard held across `recv`/`epoll_wait`/`park`/`join`, and in what order are locks nested? |
+//! [`lock_discipline`] checks what no compiler lint can, because it needs
+//! whole functions: [`crate::parser`] builds per-function ASTs,
+//! [`crate::cfg`] lowers them to control-flow graphs with explicit
+//! `?`-error and panic edges, and [`crate::dataflow`] runs the pass's
+//! transfer function to a fixed point. That is what it takes to prove
+//! "no guard is held when this thread blocks" on *every* path, error
+//! paths included, and to see in what order locks are nested. (Fd and
+//! buffer ownership and raw-pointer provenance need no pass: `tasq-net`
+//! holds fds as `OwnedFd`, buffers as owned `Vec`s and iovecs as
+//! borrowing `IoSlice`s, so rustc and borrowck prove them.)
 //!
 //! Functions the parser cannot handle are surfaced as `parse-coverage`
-//! diagnostics (deny inside the crates the passes are contracted to
+//! diagnostics (deny inside the crates the pass is contracted to
 //! cover, warn elsewhere) instead of being silently skipped — an
 //! analyzer that quietly sees nothing is worse than none.
 
 pub mod lock_discipline;
-pub mod unsafe_boundary;
 
 use crate::cfg::build_all;
 use crate::lexer::scan;
@@ -31,11 +27,10 @@ use lock_discipline::LockEdge;
 /// Rule id for functions the parser could not handle.
 pub const PARSE_COVERAGE: &str = "parse-coverage";
 
-/// Names of the dataflow passes, in canonical order.
-pub const PASS_NAMES: [&str; 2] = [unsafe_boundary::RULE, lock_discipline::RULE];
-
-/// Crates whose sources the passes are contracted to fully parse:
-/// an unparsed non-test function there is a deny, not a shrug.
+/// Crates whose sources the pass is contracted to fully parse: they hold
+/// the blocking calls (`epoll_wait`, `read`, `writev`, worker joins) a
+/// guard must never be held across, so an unparsed non-test function
+/// there is a deny, not a shrug.
 const COVERAGE_GATED: [&str; 2] = ["crates/net/", "crates/par/"];
 
 /// One pass finding before it is tied to a file path.
@@ -66,9 +61,9 @@ pub struct FileOutcome {
     pub lock_edges: Vec<LockEdge>,
 }
 
-/// Run the selected passes (`names` ⊆ [`PASS_NAMES`]) over one source
-/// file. `path` is the workspace-relative path findings report.
-pub fn analyze_file(path: &str, source: &str, names: &[&str]) -> FileOutcome {
+/// Run the lock-discipline pass over one source file. `path` is the
+/// workspace-relative path findings report.
+pub fn analyze_file(path: &str, source: &str) -> FileOutcome {
     let parsed = parse_file(&scan(source));
     let mut outcome = FileOutcome {
         functions_parsed: parsed.functions.len(),
@@ -88,25 +83,17 @@ pub fn analyze_file(path: &str, source: &str, names: &[&str]) -> FileOutcome {
             line: u.span.line,
             col: u.span.col,
             message: format!(
-                "`{}` could not be parsed, so the dataflow passes did not audit it: {}",
+                "`{}` could not be parsed, so the lock-discipline pass did not audit it: {}",
                 u.name, u.error
             ),
         });
     }
 
-    if names.contains(&unsafe_boundary::RULE) {
-        findings.extend(unsafe_boundary::run(&parsed));
-    }
-    if names.contains(&lock_discipline::RULE) {
-        for f in &parsed.functions {
-            if f.in_test {
-                continue;
-            }
-            for cfg in build_all(f) {
-                let (found, edges) = lock_discipline::run(&cfg, path);
-                findings.extend(found);
-                outcome.lock_edges.extend(edges);
-            }
+    for f in parsed.functions.iter().filter(|f| !f.in_test) {
+        for cfg in build_all(f) {
+            let (found, edges) = lock_discipline::run(&cfg, path);
+            findings.extend(found);
+            outcome.lock_edges.extend(edges);
         }
     }
 
@@ -133,21 +120,11 @@ mod tests {
         // A genuinely unparseable body: stray closing brace imbalance is
         // resynced, so use an exotic construct instead.
         let src = "fn f() {\n    let x = yield 3;\n}\n";
-        let gated = analyze_file("crates/net/src/x.rs", src, &PASS_NAMES);
-        let free = analyze_file("crates/tasq/src/x.rs", src, &PASS_NAMES);
+        let gated = analyze_file("crates/net/src/x.rs", src);
+        let free = analyze_file("crates/tasq/src/x.rs", src);
         assert_eq!(gated.functions_unparsed, 1);
         assert_eq!(gated.diagnostics.len(), 1);
         assert_eq!(gated.diagnostics[0].severity, Severity::Deny);
         assert_eq!(free.diagnostics[0].severity, Severity::Warn);
-    }
-
-    #[test]
-    fn pass_selection_limits_what_runs() {
-        let src = "fn f(m: &M, fd: i32, buf: &mut [u8]) -> io::Result<usize> {\n    let p = make_buf().as_ptr();\n    let g = m.lock();\n    let n = sys::read(fd, buf)?;\n    drop(g);\n    Ok(n)\n}\n";
-        for pass in PASS_NAMES {
-            let only = analyze_file("crates/serve/src/x.rs", src, &[pass]);
-            assert!(!only.diagnostics.is_empty(), "{pass} found nothing");
-            assert!(only.diagnostics.iter().all(|d| d.rule == pass), "{:?}", only.diagnostics);
-        }
     }
 }

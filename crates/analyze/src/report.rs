@@ -6,16 +6,12 @@
 //!
 //! ```json
 //! {
-//!   "schema": 2,
+//!   "schema": 3,
 //!   "ok": true,
 //!   "files_scanned": 120,
 //!   "functions_parsed": 840,
 //!   "functions_unparsed": 0,
-//!   "passes": ["unsafe-boundary", "lock-discipline"],
 //!   "lock_edges": 1,
-//!   "jobs_validated": 32,
-//!   "curves_audited": 4,
-//!   "hb_events": 2048,
 //!   "diagnostics": [
 //!     {
 //!       "rule": "lock-order",
@@ -31,7 +27,8 @@
 //!
 //! Schema history: v1 lacked `schema`, `functions_parsed`,
 //! `functions_unparsed`, and `passes`; v2 added them with the dataflow
-//! passes.
+//! passes; v3 dropped `passes`, `jobs_validated`, `curves_audited` and
+//! `hb_events` when the analyzer came to read source only.
 
 use crate::CheckReport;
 use std::fmt::Write as _;
@@ -50,16 +47,12 @@ pub fn to_json(report: &CheckReport) -> String {
         ])
     });
     let json = JsonValue::object([
-        ("schema", 2u64.into()),
+        ("schema", 3u64.into()),
         ("ok", report.ok().into()),
         ("files_scanned", report.files_scanned.into()),
         ("functions_parsed", report.functions_parsed.into()),
         ("functions_unparsed", report.functions_unparsed.into()),
-        ("passes", report.passes.clone().into()),
         ("lock_edges", report.lock_edges.into()),
-        ("jobs_validated", report.jobs_validated.into()),
-        ("curves_audited", report.curves_audited.into()),
-        ("hb_events", report.hb_events.into()),
         ("diagnostics", JsonValue::Array(diagnostics.collect())),
     ]);
     format!("{json:#}\n")
@@ -73,15 +66,11 @@ pub fn to_human(report: &CheckReport) -> String {
     }
     let _ = writeln!(
         out,
-        "tasq-analyze: {} files, {} fns parsed ({} unparsed), {} lock edges, \
-         {} jobs validated, {} curves audited, {} sync events replayed: {}",
+        "tasq-analyze: {} files, {} fns parsed ({} unparsed), {} lock edges: {}",
         report.files_scanned,
         report.functions_parsed,
         report.functions_unparsed,
         report.lock_edges,
-        report.jobs_validated,
-        report.curves_audited,
-        report.hb_events,
         if report.ok() {
             "OK".to_string()
         } else {
@@ -121,18 +110,21 @@ mod tests {
     }
 
     #[test]
-    fn json_reports_schema_2_with_pass_inventory() {
+    fn json_reports_schema_3_with_parse_coverage() {
         let report = CheckReport {
             functions_parsed: 12,
             functions_unparsed: 1,
-            passes: vec!["unsafe-boundary".into(), "lock-discipline".into()],
+            lock_edges: 1,
             ..Default::default()
         };
         let json = to_json(&report);
-        assert!(json.contains("\"schema\": 2"), "{json}");
+        assert!(json.contains("\"schema\": 3"), "{json}");
         assert!(json.contains("\"functions_parsed\": 12"), "{json}");
         assert!(json.contains("\"functions_unparsed\": 1"), "{json}");
-        assert!(json.contains("\"passes\": [\"unsafe-boundary\", \"lock-discipline\"]"), "{json}");
+        assert!(json.contains("\"lock_edges\": 1"), "{json}");
+        for gone in ["passes", "jobs_validated", "curves_audited", "hb_events"] {
+            assert!(!json.contains(gone), "{gone} is still in {json}");
+        }
     }
 
     #[test]

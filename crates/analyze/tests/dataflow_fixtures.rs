@@ -1,16 +1,16 @@
 //! Fixture-driven tests of the parser → CFG → dataflow pipeline: planted
 //! defects must be flagged at exact `line:col` spans, clean code must
-//! stay silent, and the parser must fully cover the crates whose unsafe
-//! and lock handling the passes gate (`crates/net`, `crates/par`).
+//! stay silent, and the parser must fully cover the crates whose lock
+//! handling the pass gates (`crates/net`, `crates/par`).
 
 use std::path::Path;
-use tasq_analyze::passes::{analyze_file, PASS_NAMES};
-use tasq_analyze::{report, run_check, CheckOptions, Severity};
+use tasq_analyze::passes::analyze_file;
+use tasq_analyze::{report, run_check, Severity};
 
 /// Analyze a fixture as if it lived at `path`, returning
 /// `(rule, line, col, message)` per finding.
 fn findings(path: &str, source: &str) -> Vec<(String, usize, usize, String)> {
-    let out = analyze_file(path, source, &PASS_NAMES);
+    let out = analyze_file(path, source);
     assert_eq!(out.functions_unparsed, 0, "fixture must parse fully");
     out.diagnostics.into_iter().map(|d| (d.rule, d.line, d.col, d.message)).collect()
 }
@@ -24,17 +24,15 @@ fn planted_defects_are_flagged_at_exact_spans() {
     assert_eq!(
         spans,
         vec![
-            ("unsafe-boundary", 7, 24),
-            ("lock-discipline", 13, 22),
-            // The condvar wait on line 21 releases `g` while blocked; the
+            ("lock-discipline", 8, 22),
+            // The condvar wait on line 16 releases `g` while blocked; the
             // receive after it does not.
-            ("lock-discipline", 23, 16),
+            ("lock-discipline", 18, 16),
         ],
         "{found:#?}"
     );
-    assert!(found[0].3.contains("derives from a temporary"), "{found:#?}");
-    assert!(found[1].3.contains("guard `g`") && found[1].3.contains("sys::read"), "{found:#?}");
-    assert!(found[2].3.contains("guard `g`") && found[2].3.contains(".recv()"), "{found:#?}");
+    assert!(found[0].3.contains("guard `g`") && found[0].3.contains("sys::read"), "{found:#?}");
+    assert!(found[1].3.contains("guard `g`") && found[1].3.contains(".recv()"), "{found:#?}");
 }
 
 #[test]
@@ -45,7 +43,7 @@ fn clean_code_produces_no_findings() {
 }
 
 /// The parser must handle every non-test function in the crates whose
-/// coverage the gate denies on — otherwise the dataflow passes silently
+/// coverage the gate denies on — otherwise the dataflow pass silently
 /// skip the exact code they exist to audit.
 #[test]
 fn parser_fully_covers_the_gated_crates() {
@@ -60,7 +58,7 @@ fn parser_fully_covers_the_gated_crates() {
             }
             let source = std::fs::read_to_string(&path).expect("source");
             let rel = format!("crates/{krate}/src/{}", path.file_name().unwrap().to_string_lossy());
-            let out = analyze_file(&rel, &source, &PASS_NAMES);
+            let out = analyze_file(&rel, &source);
             assert_eq!(out.functions_unparsed, 0, "{rel}: {:#?}", out.diagnostics);
             parsed += out.functions_parsed;
         }
@@ -68,8 +66,8 @@ fn parser_fully_covers_the_gated_crates() {
     }
 }
 
-/// End-to-end through `run_check` and both renderers: a pointer taken
-/// from a temporary in a scratch workspace shows up with its
+/// End-to-end through `run_check` and both renderers: a guard held
+/// across `sys::read` in a scratch workspace shows up with its
 /// `path:line:col` span in the human report and as structured fields in
 /// the JSON report.
 #[test]
@@ -78,17 +76,13 @@ fn reports_render_exact_spans_in_human_and_json() {
     let src_dir = root.join("crates/net/src");
     std::fs::create_dir_all(&src_dir).expect("scratch workspace");
     std::fs::write(
-        src_dir.join("dangling.rs"),
-        "pub fn peek() -> u8 {\n    let p = make_buf().as_ptr();\n    unsafe { *p }\n}\n",
+        src_dir.join("held.rs"),
+        "pub fn held(m: &Mutex<u32>, fd: i32, buf: &mut [u8]) -> io::Result<usize> {\n    \
+         let g = m.lock();\n    let n = sys::read(fd, buf)?;\n    drop(g);\n    Ok(n)\n}\n",
     )
     .expect("fixture source");
 
-    let check = run_check(&CheckOptions {
-        root: root.clone(),
-        static_only: true,
-        pass: Some("unsafe-boundary".to_string()),
-    })
-    .expect("check runs");
+    let check = run_check(&root).expect("check runs");
     std::fs::remove_dir_all(&root).ok();
 
     assert!(!check.ok());
@@ -96,61 +90,38 @@ fn reports_render_exact_spans_in_human_and_json() {
     assert_eq!(check.diagnostics.len(), 1, "{:#?}", check.diagnostics);
     let d = &check.diagnostics[0];
     assert_eq!(d.severity, Severity::Deny);
-    // `.as_ptr()` on line 2 points into `make_buf()`'s temporary.
-    assert_eq!((d.path.as_str(), d.line, d.col), ("crates/net/src/dangling.rs", 2, 24));
+    // `sys::read` on line 3 blocks while `g` from line 2 is held.
+    assert_eq!((d.path.as_str(), d.line, d.col), ("crates/net/src/held.rs", 3, 22));
 
     let human = report::to_human(&check);
     assert!(
-        human.contains("deny: crates/net/src/dangling.rs:2:24: [unsafe-boundary]"),
+        human.contains("deny: crates/net/src/held.rs:3:22: [lock-discipline]"),
         "human report missing the span:\n{human}"
     );
     let json = report::to_json(&check);
-    assert!(json.contains("\"schema\": 2"), "{json}");
-    assert!(json.contains("\"passes\": [\"unsafe-boundary\"]"), "{json}");
+    assert!(json.contains("\"schema\": 3"), "{json}");
     assert!(
-        json.contains("\"rule\": \"unsafe-boundary\"")
-            && json.contains("\"line\": 2")
-            && json.contains("\"col\": 24"),
+        json.contains("\"rule\": \"lock-discipline\"")
+            && json.contains("\"line\": 3")
+            && json.contains("\"col\": 22"),
         "json report missing the span:\n{json}"
     );
 }
 
-/// An unknown pass name must be a hard error, not a silent no-op run —
-/// including the retired `lints`, `lock-order` and `resource-leak`
-/// selections, whose jobs moved to clippy, to the lock-discipline pass
-/// and to `OwnedFd`.
-#[test]
-fn unknown_pass_name_is_rejected() {
-    for pass in ["resource-laek", "lints", "lock-order", "resource-leak"] {
-        let err = run_check(&CheckOptions {
-            root: std::path::PathBuf::from("does-not-matter"),
-            static_only: true,
-            pass: Some(pass.to_string()),
-        })
-        .expect_err("unknown pass must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("lock-discipline"), "{err}");
-    }
-}
-
-/// Regression gate for the real workspace: the two dataflow passes and
+/// Regression gate for the real workspace: the lock-discipline pass and
 /// the lock-order audit must be clean over the tree as committed — every
-/// raw pointer and guard scope is correct. The audit must also
-/// see the registry's one nested acquisition, so it cannot go blind
-/// silently.
+/// guard scope is correct. The audit must also see the registry's one
+/// nested acquisition, so it cannot go blind silently.
 #[test]
 fn committed_workspace_is_clean_under_every_static_pass() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
-    let check =
-        run_check(&CheckOptions { root, static_only: true, pass: None }).expect("check runs");
+        .expect("workspace root");
+    let check = run_check(root).expect("check runs");
     let denies: Vec<_> =
         check.diagnostics.iter().filter(|d| d.severity == Severity::Deny).collect();
     assert!(denies.is_empty(), "{denies:#?}");
     assert_eq!(check.functions_unparsed, 0, "parser coverage regressed");
-    assert_eq!(check.passes, PASS_NAMES.to_vec());
     assert!(check.lock_edges >= 1, "the lock-order audit saw no nested acquisition");
 }

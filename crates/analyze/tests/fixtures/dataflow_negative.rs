@@ -1,12 +1,5 @@
-//! Negative dataflow-pass fixture: correct lock and unsafe handling (a
-//! condvar wait included) the pipeline must stay silent on.
-
-pub fn justified_unsafe(buf: &[u8]) -> u8 {
-    let p = buf.as_ptr();
-    // SAFETY: `p` points into `buf`, which the caller keeps alive for
-    // the duration of this read.
-    unsafe { *p }
-}
+//! Negative dataflow-pass fixture: correct lock handling (a condvar
+//! wait included) the pipeline must stay silent on.
 
 pub fn drops_guard_before_read(m: &Mutex<u32>, fd: i32, buf: &mut [u8]) -> io::Result<usize> {
     let g = m.lock();

@@ -3,11 +3,6 @@
 //! assert exact `line:col` spans, so the layout here is load-bearing —
 //! do not reflow.
 
-pub fn peeks_through_a_temporary() -> u8 {
-    let p = make_buf().as_ptr();
-    unsafe { *p }
-}
-
 pub fn holds_guard_across_read(m: &Mutex<u32>, fd: i32, buf: &mut [u8]) -> io::Result<usize> {
     let g = m.lock();
     let n = sys::read(fd, buf)?;

@@ -840,33 +840,6 @@ pub fn netgen(args: &[String]) -> Result<String, CliError> {
     Ok(format!("{report}\n"))
 }
 
-/// `tasq analyze [--root <dir>] [--mode full|static] [--pass <name>]`
-pub fn analyze(args: &[String]) -> Result<String, CliError> {
-    let opts = Options::parse(args, &["root", "mode", "pass"])?;
-    let mode = opts.get("mode").unwrap_or("full");
-    let static_only = match mode {
-        "full" => false,
-        "static" => true,
-        other => {
-            return Err(CliError::Usage(format!("--mode must be full or static, got `{other}`")))
-        }
-    };
-    let check_opts = tasq_analyze::CheckOptions {
-        root: std::path::PathBuf::from(opts.get("root").unwrap_or(".")),
-        static_only,
-        pass: opts.get("pass").map(str::to_string),
-    };
-    let report = tasq_analyze::run_check(&check_opts)?;
-    let rendered = tasq_analyze::report::to_human(&report);
-    if report.ok() {
-        Ok(rendered)
-    } else {
-        // Surface findings through the usage-error path so the binary
-        // exits nonzero without a dedicated error variant per tool.
-        Err(CliError::Analysis(rendered))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -972,7 +945,7 @@ mod tests {
 
     #[test]
     fn retired_benchmark_commands_are_unknown_and_usage_lists_every_serve_flag() {
-        for retired in ["loadgen", "bench-train", "metrics"] {
+        for retired in ["loadgen", "bench-train", "metrics", "analyze"] {
             let err = crate::run(&strings(&[retired])).unwrap_err();
             assert!(matches!(err, CliError::Usage(_)), "usage error, got {err}");
             assert!(err.to_string().contains(&format!("unknown command `{retired}`")), "{err}");

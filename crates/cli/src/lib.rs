@@ -1,6 +1,6 @@
 //! Library backing the `tasq` command-line binary.
 //!
-//! Nine subcommands drive the pipeline from files on disk, with
+//! Eight subcommands drive the pipeline from files on disk, with
 //! workloads and model artifacts serialized through the workspace's
 //! binary codec:
 //!
@@ -26,8 +26,6 @@
 //!   bit-identical, then drive the scoring server through planted
 //!   scoring panics, an NN fault window, and a deadline storm; write a
 //!   machine-readable report CI asserts on.
-//! * `analyze`  — run the `tasq-analyze` gatekeeper (dataflow passes,
-//!   lock-order audit, plan/PCC invariants, happens-before race replay).
 //!
 //! Commands return their output as a `String` so they are directly
 //! testable; `main` just prints.
@@ -54,9 +52,6 @@ pub enum CliError {
     Store(tasq::pipeline::StoreError),
     /// Training-pipeline failure.
     Pipeline(tasq::pipeline::PipelineError),
-    /// `tasq-analyze` found deny-severity diagnostics; the string is the
-    /// rendered report.
-    Analysis(String),
     /// Checkpoint/recovery failure (`tasq-resil`).
     Resil(tasq_resil::ResilError),
     /// Network serving failure (`tasq-net`).
@@ -71,7 +66,6 @@ impl fmt::Display for CliError {
             CliError::Codec(e) => write!(f, "codec error: {e}"),
             CliError::Store(e) => write!(f, "model store error: {e}"),
             CliError::Pipeline(e) => write!(f, "pipeline error: {e}"),
-            CliError::Analysis(report) => write!(f, "{report}"),
             CliError::Resil(e) => write!(f, "checkpoint error: {e}"),
             CliError::Net(e) => write!(f, "network error: {e}"),
         }
@@ -145,7 +139,6 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
         "serve" => commands::serve(rest),
         "netgen" => commands::netgen(rest),
         "chaos" => commands::chaos(rest),
-        "analyze" => commands::analyze(rest),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(CliError::Usage(format!("unknown command `{other}`\n{USAGE}"))),
     }
@@ -173,8 +166,6 @@ USAGE:
                       [--qps N] [--seed N] [--mode http|binary] [--connections N]
     tasq-cli chaos    --preset none|mild|production|adversarial [--seed N] [--jobs N]
                       [--requests N] [--dir <dir>] [--out <json>]
-    tasq-cli analyze  [--root <dir>] [--mode full|static]
-                      [--pass unsafe-boundary|lock-discipline]
     tasq-cli help
 
 GLOBAL FLAGS (any command):

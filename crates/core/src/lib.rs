@@ -28,8 +28,8 @@
 //! * [`pipeline`] — the in-process equivalent of Figure 4's system:
 //!   repository → featurize → train → model store → scoring service.
 //! * [`validate`] — the PCC parameter/curve invariants (positivity,
-//!   monotonicity, the Amdahl ceiling) enforced at training time, by
-//!   deploy probes, and by `tasq-analyze`.
+//!   monotonicity, the Amdahl ceiling) enforced at training time and by
+//!   deploy probes.
 //!
 //! ## Quickstart
 //!

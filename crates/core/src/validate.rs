@@ -5,14 +5,14 @@
 //! non-increasing power law of the token allocation, `runtime = b · A^a`
 //! with `b > 0` and `a <= 0`, and that no job scales *better* than
 //! linearly — Amdahl's law (`a = -1`) is the speed-up ceiling. These
-//! checks are enforced at three points of the pipeline:
+//! checks are enforced at two points of the pipeline and held by tests:
 //!
 //! * training — every fitted target PCC must satisfy them before a model
 //!   is allowed to regress onto it ([`crate::pipeline::TasqPipeline`]);
 //! * deployment — serve-side probes sample the primary model's curve on a
 //!   token grid and reject non-monotone artifacts before promotion;
-//! * continuous analysis — `tasq-analyze` replays both checks as part of
-//!   its invariant pass.
+//! * tier-1 tests — `tests/invariant_checks.rs` measures simulated
+//!   scaling curves and fits PCCs to them, and both must pass.
 
 use crate::pcc::PowerLawPcc;
 use std::fmt;

@@ -22,8 +22,9 @@
 use crate::frame::{self, FrameParseSpan};
 use crate::http::{self, HttpHead, HttpLimits, HttpParseError};
 use crate::pool::BufPool;
-use crate::sys::{self, IoVec, NetError};
+use crate::sys::{self, NetError};
 use std::collections::VecDeque;
+use std::io::IoSlice;
 use std::os::fd::{AsFd, BorrowedFd, OwnedFd};
 
 /// Most iovecs gathered into one `writev`. Linux caps a single call at
@@ -245,19 +246,17 @@ impl Conn {
         queued - self.wfront
     }
 
-    /// Gather the pending write queue into iovecs (front buffer offset
-    /// by what is already written), up to [`MAX_WRITE_IOVS`] entries.
-    /// The iovecs alias the queued buffers: consume them (via
-    /// [`sys::writev`]) before the queue next changes.
-    pub fn gather(&self, iovs: &mut Vec<IoVec>) {
-        iovs.clear();
-        for (i, buf) in self.wqueue.iter().take(MAX_WRITE_IOVS).enumerate() {
-            if i == 0 {
-                iovs.push(IoVec::new(&buf[self.wfront..]));
-            } else {
-                iovs.push(IoVec::new(buf));
-            }
+    /// Gather the pending write queue into `iovs` (front buffer offset
+    /// by what is already written), one buffer per slot while both last;
+    /// returns how many slots were filled. The slices borrow the queued
+    /// buffers, so the queue cannot change until they are consumed.
+    pub fn gather<'a>(&'a self, iovs: &mut [IoSlice<'a>]) -> usize {
+        let mut n = 0;
+        for (slot, (i, buf)) in iovs.iter_mut().zip(self.wqueue.iter().enumerate()) {
+            *slot = IoSlice::new(if i == 0 { &buf[self.wfront..] } else { buf });
+            n += 1;
         }
+        n
     }
 
     /// Record that the kernel accepted `n` more bytes of the write
@@ -288,11 +287,11 @@ impl Conn {
     /// `EPOLLOUT` and retry on writability.
     pub fn flush(&mut self, pool: &mut BufPool) -> Result<usize, NetError> {
         let mut pass = 0usize;
-        let mut iovs: Vec<IoVec> = Vec::new();
         while let Some(front) = self.wqueue.front() {
             let wrote = if self.wqueue.len() > 1 {
-                self.gather(&mut iovs);
-                sys::writev(self.fd.as_fd(), &iovs)
+                let mut iovs = [IoSlice::new(&[]); MAX_WRITE_IOVS];
+                let n = self.gather(&mut iovs);
+                sys::writev(self.fd.as_fd(), &iovs[..n])
             } else {
                 sys::write(self.fd.as_fd(), &front[self.wfront..])
             };
@@ -544,9 +543,9 @@ mod tests {
                 conn.queue_buffer(chunk);
             }
             // The gathered iovecs must describe exactly the owed bytes.
-            let mut iovs = Vec::new();
-            conn.gather(&mut iovs);
-            let gathered: usize = iovs.iter().map(IoVec::len).sum();
+            let mut iovs = [IoSlice::new(&[]); MAX_WRITE_IOVS];
+            let n = conn.gather(&mut iovs);
+            let gathered: usize = iovs[..n].iter().map(|iov| iov.len()).sum();
             assert_eq!(gathered, conn.pending_write());
 
             // Simulate a kernel that accepts arbitrary k bytes per call,

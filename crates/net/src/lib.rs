@@ -47,4 +47,4 @@ pub use http::{HttpHead, HttpLimits};
 pub use pacer::TokenBucket;
 pub use pool::BufPool;
 pub use server::{net_metrics, NetConfig, NetMetrics, NetServer};
-pub use sys::{syscall_counters, IoVec, NetError};
+pub use sys::{syscall_counters, NetError};

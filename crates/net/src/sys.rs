@@ -20,6 +20,7 @@
 //! from real faults without reading errno themselves.
 
 use std::fmt;
+use std::io::IoSlice;
 use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::OnceLock;
 use tasq_obs::metrics::{Counter, Registry};
@@ -117,39 +118,6 @@ pub struct EpollEvent {
     pub events: u32,
     /// Caller-chosen tag; this crate stores the fd.
     pub data: u64,
-}
-
-/// One `struct iovec` for vectored IO ([`writev`]).
-///
-/// The kernel layout is `{ void *iov_base; size_t iov_len; }`; both
-/// fields are pointer-sized, so the base is carried as a `usize` and the
-/// only raw-pointer handling stays inside [`writev`] itself.
-///
-/// An `IoVec` is a *snapshot* of a slice's address: the caller must keep
-/// the source buffer alive and unmoved until the `writev` call that
-/// consumes it returns (the [`writev`] safety comment restates this).
-#[derive(Clone, Copy)]
-#[repr(C)]
-pub struct IoVec {
-    base: usize,
-    len: usize,
-}
-
-impl IoVec {
-    /// Capture `slice`'s address and length.
-    pub fn new(slice: &[u8]) -> Self {
-        IoVec { base: slice.as_ptr() as usize, len: slice.len() }
-    }
-
-    /// Byte length of the captured slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the captured slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 impl EpollEvent {
@@ -439,7 +407,7 @@ pub fn epoll_ctl(
             epfd.as_raw_fd() as usize,
             op as usize,
             fd as usize,
-            std::ptr::from_ref(&event) as usize,
+            &raw const event as usize,
             0,
             0,
         )
@@ -508,7 +476,7 @@ pub fn setsockopt(fd: BorrowedFd<'_>, level: i32, name: i32, value: i32) -> Resu
             fd.as_raw_fd() as usize,
             level as usize,
             name as usize,
-            std::ptr::from_ref(&value) as usize,
+            &raw const value as usize,
             std::mem::size_of::<i32>(),
             0,
         )
@@ -563,11 +531,23 @@ pub fn write(fd: BorrowedFd<'_>, buf: &[u8]) -> Result<usize, NetError> {
 ///
 /// Returns the number of bytes accepted, which may land mid-iovec; the
 /// caller resumes from that byte offset (see `Conn::advance_write`).
-pub fn writev(fd: BorrowedFd<'_>, iovs: &[IoVec]) -> Result<usize, NetError> {
-    // SAFETY: every `IoVec` in `iovs` was built by `IoVec::new` from a
-    // slice the caller keeps alive and unmoved across this call, and the
-    // repr(C) layout matches the kernel's `struct iovec`; the kernel only
-    // reads the described buffers.
+///
+/// An [`IoSlice`] borrows its buffer, so a buffer cannot be freed while
+/// an iovec still describes it — borrowck rejects it:
+///
+/// ```compile_fail,E0505
+/// use std::io::IoSlice;
+/// use std::os::fd::AsFd;
+///
+/// let buf = vec![0u8; 16];
+/// let iov = IoSlice::new(&buf);
+/// drop(buf);
+/// let _ = tasq_net::sys::writev(std::io::stdout().as_fd(), &[iov]);
+/// ```
+pub fn writev(fd: BorrowedFd<'_>, iovs: &[IoSlice<'_>]) -> Result<usize, NetError> {
+    // SAFETY: `IoSlice` is ABI-compatible with the kernel's `struct
+    // iovec` on Unix, and each one borrows a slice that outlives this
+    // call; the kernel only reads the described buffers.
     let result = unsafe {
         retrying(
             "writev",
@@ -652,7 +632,7 @@ mod tests {
         let (mut server_side, _) = listener.accept().expect("accept");
 
         let parts: [&[u8]; 3] = [b"alpha-", b"beta-", b"gamma"];
-        let iovs: Vec<IoVec> = parts.iter().map(|p| IoVec::new(p)).collect();
+        let iovs = parts.map(IoSlice::new);
         let before = syscall_counters().writev.get();
         let wrote = writev(client.as_fd(), &iovs).expect("writev");
         assert_eq!(wrote, 16);
@@ -678,7 +658,7 @@ mod tests {
         // the kernel notices the reset; keep pushing until the error
         // surfaces as the typed PeerClosed (EPIPE or ECONNRESET).
         let chunk = vec![0u8; 64 * 1024];
-        let iovs = [IoVec::new(&chunk), IoVec::new(&chunk)];
+        let iovs = [IoSlice::new(&chunk), IoSlice::new(&chunk)];
         let mut saw_peer_closed = false;
         for _ in 0..64 {
             match writev(client.as_fd(), &iovs) {

@@ -200,9 +200,9 @@ impl Executor {
 
     /// Like [`Executor::run`], but also appends every scheduling decision
     /// (with exact simulated timestamps) to `trace`. Two runs with the
-    /// same configuration must produce bit-identical traces; the
-    /// `tasq-analyze` happens-before checker replays
-    /// [`ExecTrace::sync_log`] to audit the recorded orderings.
+    /// same configuration must produce bit-identical traces, and a trace
+    /// must follow the stage graph's dependency order;
+    /// `tests/invariant_checks.rs` checks both.
     pub fn run_traced(
         &self,
         allocation: u32,

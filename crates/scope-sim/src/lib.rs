@@ -32,9 +32,10 @@
 //!   re-execution) layered onto the executor.
 //! * [`validate`] — semantic invariant checks over plans and stage graphs
 //!   (scan/join arity, partitioning compatibility, work conservation),
-//!   used by the generator, the training pipeline, and `tasq-analyze`.
-//! * [`trace`] — deterministic execution traces and the synchronization
-//!   event-log model the `tasq-analyze` happens-before checker replays.
+//!   used by the generator, the training pipeline, and the invariant tests.
+//! * [`trace`] — deterministic execution traces, checked against the
+//!   stage DAG by `tests/invariant_checks.rs` and rendered onto Chrome
+//!   traces.
 //!
 //! Everything is deterministic given seeds unless a noise model or fault
 //! plan is explicitly enabled.
@@ -72,7 +73,7 @@ pub use operators::{PartitioningMethod, PhysicalOperator};
 pub use plan::{JobPlan, OperatorNode};
 pub use skyline::Skyline;
 pub use stage::{Stage, StageGraph};
-pub use trace::{chrome_track, EventLog, EventTrace, ExecTrace, TraceEvent, TraceOp};
+pub use trace::{chrome_track, ExecTrace};
 pub use validate::{
     check_structure, validate_job, validate_plan, validate_stage_graph, JobValidationError,
     PlanViolation, StageViolation,

@@ -1,100 +1,11 @@
-//! Execution traces and the synchronization event-log model.
+//! Execution traces.
 //!
-//! Two layers live here:
-//!
-//! * [`ExecTrace`] — a rich, deterministic record of what the event-driven
-//!   [`crate::exec::Executor`] did (placements, finishes, aborts, stage
-//!   completions) with exact simulated timestamps. Two runs with the same
-//!   seeds must produce bit-identical traces; `tasq-analyze` asserts this.
-//! * [`EventLog`] / [`TraceEvent`] — a generic shared-memory
-//!   synchronization log (lock acquire/release, channel send/recv, resource
-//!   read/write) that the vector-clock happens-before checker in
-//!   `tasq-analyze` replays to find unsynchronized read/write pairs.
-//!   [`ExecTrace::sync_log`] lowers an executor trace into this model, and
-//!   [`EventTrace`] lets the concurrent `tasq-serve` stack append to one
-//!   log from many threads.
-
-use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Actor id reserved for the coordinating scheduler in logs derived from
-/// [`ExecTrace`]; task actors are numbered `uid + 1`.
-pub const SCHEDULER_ACTOR: u32 = 0;
-
-/// One synchronization or memory operation.
-///
-/// Resource, lock, and channel ids share a `u64` namespace; callers are
-/// responsible for keeping them disjoint (see the `*_BASE` constants used
-/// by [`ExecTrace::sync_log`] for the convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOp {
-    /// A mutual-exclusion region was entered (lock id).
-    Acquire(u64),
-    /// The matching region was exited (lock id).
-    Release(u64),
-    /// A shared resource was read (resource id).
-    Read(u64),
-    /// A shared resource was written (resource id).
-    Write(u64),
-    /// A message was sent on a channel; `msg` must be unique per channel.
-    Send {
-        /// Channel id.
-        chan: u64,
-        /// Message id, unique within the channel.
-        msg: u64,
-    },
-    /// The matching message was received.
-    Recv {
-        /// Channel id.
-        chan: u64,
-        /// Message id, unique within the channel.
-        msg: u64,
-    },
-}
-
-/// One event in an [`EventLog`]: an actor performing a [`TraceOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The thread/actor performing the operation.
-    pub actor: u32,
-    /// What it did.
-    pub op: TraceOp,
-}
-
-/// An append-ordered synchronization log.
-///
-/// Events of the same actor must appear in program order; events of
-/// different actors may interleave arbitrarily (the happens-before checker
-/// reconstructs the ordering from channel and lock edges, not from log
-/// position).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EventLog {
-    /// The events, in append order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl EventLog {
-    /// Empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one event.
-    pub fn push(&mut self, actor: u32, op: TraceOp) {
-        self.events.push(TraceEvent { actor, op });
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
+//! [`ExecTrace`] is a deterministic record of what the event-driven
+//! [`crate::exec::Executor`] did (dispatches, placements, finishes,
+//! aborts, stage completions) with exact simulated timestamps. Two runs
+//! with the same seeds must produce bit-identical traces, and every trace
+//! must follow its job's stage DAG; `tests/invariant_checks.rs` checks
+//! both. [`chrome_track`] renders a trace onto a Chrome trace.
 
 /// What the executor did at one instant of simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,21 +75,12 @@ impl ExecEvent {
 /// A full record of one [`crate::exec::Executor`] run.
 ///
 /// Deterministic configurations (no noise, empty fault plan, or identical
-/// seeds) must yield bit-identical traces; `tasq-analyze check` gates on
-/// this.
+/// seeds) must yield bit-identical traces.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecTrace {
     /// Records in the order the event loop produced them.
     pub events: Vec<ExecEvent>,
 }
-
-/// Id-space bases keeping channels and resources disjoint in
-/// [`ExecTrace::sync_log`] output.
-const CHAN_DISPATCH_BASE: u64 = 1 << 32;
-const CHAN_DONE_BASE: u64 = 2 << 32;
-const RES_TASK_BASE: u64 = 3 << 32;
-const RES_STAGE_BASE: u64 = 4 << 32;
-const RES_SLOTS: u64 = 5 << 32;
 
 impl ExecTrace {
     /// Empty trace.
@@ -199,55 +101,6 @@ impl ExecTrace {
     /// Whether the trace holds no records.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Lower the trace into the generic synchronization-log model.
-    ///
-    /// The scheduler is actor [`SCHEDULER_ACTOR`]; task `uid` becomes actor
-    /// `uid + 1`. Placements are modelled as a dispatch-channel message
-    /// from the scheduler to the task actor followed by the task writing
-    /// its own state; finishes/aborts write task state, notify the
-    /// scheduler on a done-channel, and the scheduler then *reads* the
-    /// task's state — an access that is data-race-free only because the
-    /// channel edge orders it after the task's writes. Dropping a `Recv`
-    /// from the log therefore makes the happens-before checker report a
-    /// race, which is exactly the mutation `tasq-analyze`'s tests use.
-    pub fn sync_log(&self) -> EventLog {
-        let mut log = EventLog::new();
-        let actor = |uid: usize| uid as u32 + 1;
-        for (idx, ev) in self.events.iter().enumerate() {
-            let msg = idx as u64;
-            match ev.kind {
-                ExecEventKind::StageDispatched { stage, .. } => {
-                    log.push(SCHEDULER_ACTOR, TraceOp::Write(RES_STAGE_BASE | stage as u64));
-                }
-                ExecEventKind::Placed { uid, stage, .. } => {
-                    let chan = CHAN_DISPATCH_BASE | stage as u64;
-                    log.push(SCHEDULER_ACTOR, TraceOp::Send { chan, msg });
-                    log.push(actor(uid), TraceOp::Recv { chan, msg });
-                    log.push(actor(uid), TraceOp::Write(RES_TASK_BASE | uid as u64));
-                }
-                ExecEventKind::Finished { uid, stage }
-                | ExecEventKind::Aborted { uid, stage, .. } => {
-                    let chan = CHAN_DONE_BASE | stage as u64;
-                    log.push(actor(uid), TraceOp::Write(RES_TASK_BASE | uid as u64));
-                    log.push(actor(uid), TraceOp::Send { chan, msg });
-                    log.push(SCHEDULER_ACTOR, TraceOp::Recv { chan, msg });
-                    log.push(SCHEDULER_ACTOR, TraceOp::Read(RES_TASK_BASE | uid as u64));
-                }
-                ExecEventKind::SlotRestored => {
-                    log.push(SCHEDULER_ACTOR, TraceOp::Write(RES_SLOTS));
-                }
-                ExecEventKind::CopyLaunched { .. } => {
-                    // A scheduler-local decision from cached thresholds —
-                    // it touches no task-owned state.
-                }
-                ExecEventKind::StageCompleted { stage } => {
-                    log.push(SCHEDULER_ACTOR, TraceOp::Write(RES_STAGE_BASE | stage as u64));
-                }
-            }
-        }
-        log
     }
 }
 
@@ -351,74 +204,6 @@ fn close_attempt(
     );
 }
 
-/// A thread-safe, shared, append-only event log for instrumenting the
-/// concurrent serving stack.
-///
-/// Cloning shares the underlying buffer. Actor ids are handed out by
-/// [`EventTrace::register_actor`]; id 0 is conventionally the
-/// coordinator/submitter.
-#[derive(Clone)]
-pub struct EventTrace {
-    inner: Arc<Mutex<Vec<TraceEvent>>>,
-    next_actor: Arc<AtomicU32>,
-}
-
-impl Default for EventTrace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventTrace {
-    /// Fresh empty trace; the first registered actor gets id 1.
-    pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(Vec::new())),
-            next_actor: Arc::new(AtomicU32::new(1)),
-        }
-    }
-
-    /// Allocate a fresh actor id for a thread.
-    pub fn register_actor(&self) -> u32 {
-        self.next_actor.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Append one event. Recording happens after the underlying operation
-    /// completes; the happens-before checker tolerates the resulting log
-    /// interleavings because channel edges are matched by message id, not
-    /// by log position.
-    pub fn record(&self, actor: u32, op: TraceOp) {
-        self.buffer().push(TraceEvent { actor, op });
-    }
-
-    /// Copy the current contents into an [`EventLog`].
-    pub fn snapshot(&self) -> EventLog {
-        EventLog { events: self.buffer().clone() }
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.buffer().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn buffer(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
-        // A poisoned trace buffer only means another thread panicked while
-        // appending; the Vec itself is still well-formed.
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl fmt::Debug for EventTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventTrace").field("events", &self.len()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,39 +214,6 @@ mod tests {
         t.record(1.5, ExecEventKind::SlotRestored);
         assert_eq!(t.len(), 1);
         assert_eq!(t.events[0].time(), 1.5);
-    }
-
-    #[test]
-    fn sync_log_models_placement_as_channel_edge() {
-        let mut t = ExecTrace::new();
-        t.record(0.0, ExecEventKind::StageDispatched { stage: 0, tasks: 1 });
-        t.record(0.0, ExecEventKind::Placed { uid: 0, stage: 0, speculative: false });
-        t.record(3.0, ExecEventKind::Finished { uid: 0, stage: 0 });
-        t.record(3.0, ExecEventKind::StageCompleted { stage: 0 });
-        let log = t.sync_log();
-        // write, send+recv+write, write+send+recv+read, write
-        assert_eq!(log.len(), 9);
-        let sends = log
-            .events
-            .iter()
-            .filter(|e| matches!(e.op, TraceOp::Send { .. }))
-            .count();
-        let recvs = log
-            .events
-            .iter()
-            .filter(|e| matches!(e.op, TraceOp::Recv { .. }))
-            .count();
-        assert_eq!(sends, recvs);
-    }
-
-    #[test]
-    fn event_trace_is_shared_between_clones() {
-        let t = EventTrace::new();
-        let t2 = t.clone();
-        let a = t.register_actor();
-        t2.record(a, TraceOp::Write(7));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.snapshot().events[0], TraceEvent { actor: a, op: TraceOp::Write(7) });
     }
 
     #[test]
@@ -483,14 +235,5 @@ mod tests {
         assert_eq!(events, 7);
         assert!(doc.contains("task (preempted)"));
         assert!(doc.contains("\"ts\":3000000") || doc.contains("\"dur\":3000000"));
-    }
-
-    #[test]
-    fn actor_ids_are_unique() {
-        let t = EventTrace::new();
-        let a = t.register_actor();
-        let b = t.register_actor();
-        assert_ne!(a, b);
-        assert_ne!(a, SCHEDULER_ACTOR);
     }
 }

@@ -8,8 +8,9 @@
 //! binary, partitioning methods agree with their column counts, and the
 //! stage graph's task durations conserve the plan's cost-derived work.
 //! This module checks all of them and reports *every* violation (not just
-//! the first), so `tasq-analyze check`, the workload generator, and the
-//! training pipeline can reject malformed inputs with a precise message.
+//! the first), so the workload generator, the training pipeline, and the
+//! invariant tests (`tests/invariant_checks.rs`, which validate every
+//! generated job) can reject malformed inputs with a precise message.
 
 use crate::generator::Job;
 use crate::operators::{OperatorClass, PartitioningMethod, PhysicalOperator};
