@@ -189,11 +189,23 @@ impl FeatureScaler {
 
     /// Scale one row into a new vector.
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.dim()];
+        self.transform_into(row, &mut out);
+        out
+    }
+
+    /// Scale one row into `out`.
+    ///
+    /// # Panics
+    /// Panics if `row` or `out` is not [`FeatureScaler::dim`] wide.
+    pub(crate) fn transform_into(&self, row: &[f64], out: &mut [f64]) {
         assert_eq!(row.len(), self.dim(), "FeatureScaler::transform: dim mismatch");
-        row.iter()
-            .zip(self.means.iter().zip(&self.inv_stds))
-            .map(|(&v, (&m, &inv))| (v - m) * inv)
-            .collect()
+        assert_eq!(out.len(), self.dim(), "FeatureScaler::transform: output dim mismatch");
+        for (o, (&v, (&m, &inv))) in
+            out.iter_mut().zip(row.iter().zip(self.means.iter().zip(&self.inv_stds)))
+        {
+            *o = (v - m) * inv;
+        }
     }
 
     /// Scale many rows.

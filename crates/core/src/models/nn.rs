@@ -341,16 +341,11 @@ impl NnPcc {
             if !validation_idx.is_empty() {
                 let mut val_loss = 0.0;
                 for &i in &validation_idx {
-                    let x = Matrix::row_vector(&rows[i]);
-                    let out = mlp.forward(&x);
-                    val_loss += loss::evaluate(
-                        &config.loss,
-                        &param_scaler,
-                        out[(0, 0)],
-                        out[(0, 1)],
-                        &samples[i],
-                    )
-                    .loss;
+                    let mut out = [0.0; 2];
+                    mlp.forward_row(&rows[i], &mut out);
+                    val_loss +=
+                        loss::evaluate(&config.loss, &param_scaler, out[0], out[1], &samples[i])
+                            .loss;
                 }
                 val_loss /= validation_idx.len() as f64;
                 validation_loss.push(val_loss);
@@ -388,11 +383,15 @@ impl NnPcc {
         Ok(Self { mlp, feature_scaler, param_scaler, training_loss, validation_loss })
     }
 
-    /// Predict the power-law PCC for job-level features.
+    /// Predict the power-law PCC for job-level features. The features
+    /// are scaled into a stack row and the network runs once on it
+    /// ([`Mlp::forward_row`]), so a prediction allocates nothing.
     pub fn predict_pcc(&self, features: &JobFeatures) -> PowerLawPcc {
-        let x = Matrix::row_vector(&self.feature_scaler.transform(&features.values));
-        let out = self.mlp.forward(&x);
-        loss::decode_outputs(out[(0, 0)], out[(0, 1)], &self.param_scaler)
+        let mut x = [0.0; JOB_FEATURE_DIM];
+        self.feature_scaler.transform_into(&features.values, &mut x);
+        let mut out = [0.0; 2];
+        self.mlp.forward_row(&x, &mut out);
+        loss::decode_outputs(out[0], out[1], &self.param_scaler)
     }
 
     /// Number of trainable parameters.
@@ -415,12 +414,34 @@ impl PccPredictor for NnPcc {
     }
 }
 
+/// The allocating `predict_pcc` recipe as it stood before
+/// [`Mlp::forward_row`]: a fresh scaled vector, a one-row matrix, and per
+/// layer a product, a broadcast bias add and an activation map, each into
+/// a new matrix. Kept as the oracle the one-row path must match bit for
+/// bit.
+#[cfg(test)]
+mod reference {
+    use super::{loss, JobFeatures, Matrix, NnPcc, PowerLawPcc};
+
+    pub fn predict_pcc(model: &NnPcc, features: &JobFeatures) -> PowerLawPcc {
+        let mut h = Matrix::row_vector(&model.feature_scaler.transform(&features.values));
+        for (i, layer) in model.mlp.layers().iter().enumerate() {
+            let mut pre = h.matmul(&layer.weight);
+            pre.add_row_broadcast(layer.bias.as_slice());
+            h = model.mlp.activation(i).apply(&pre);
+        }
+        loss::decode_outputs(h[(0, 0)], h[(0, 1)], &model.param_scaler)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::augment::AugmentConfig;
+    use crate::featurize::featurize_job;
     use crate::loss::LossKind;
-    use scope_sim::{WorkloadConfig, WorkloadGenerator};
+    use rand::Rng;
+    use scope_sim::{Archetype, StageGraph, WorkloadConfig, WorkloadGenerator};
 
     fn dataset(n: usize, seed: u64) -> Dataset {
         let jobs =
@@ -572,6 +593,35 @@ mod tests {
                     full.predict_pcc(&e.features),
                     "kill at {kill_at}"
                 );
+            }
+        }
+    }
+
+    /// `predict_pcc` answers as the allocating recipe did, to the bit, on
+    /// jobs of every generator archetype at 16 seeded sizes and
+    /// allocations, for the default network and a one-hidden-layer one.
+    #[test]
+    fn predict_pcc_matches_the_allocating_recipe_on_every_archetype() {
+        let ds = dataset(24, 23);
+        let models = [
+            NnPcc::train(&ds, &quick(6)),
+            NnPcc::train(&ds, &NnTrainConfig { hidden: vec![64], epochs: 4, seed: 5, ..quick(0) }),
+        ];
+        for archetype in Archetype::ALL {
+            for seed in 0..16u64 {
+                let mut rng = StdRng::seed_from_u64(seed ^ ((archetype.index() as u64) << 32));
+                let size_factor = rng.gen_range(0.05..20.0);
+                let plan = archetype.build_plan(rng.gen(), size_factor, rng.gen_range(1..=2000));
+                let features = featurize_job(&plan, StageGraph::count_stages(&plan));
+                for model in &models {
+                    let (got, want) =
+                        (model.predict_pcc(&features), reference::predict_pcc(model, &features));
+                    assert_eq!(
+                        (got.a.to_bits(), got.b.to_bits()),
+                        (want.a.to_bits(), want.b.to_bits()),
+                        "{archetype:?} seed {seed}"
+                    );
+                }
             }
         }
     }

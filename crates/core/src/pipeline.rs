@@ -728,15 +728,18 @@ impl ScoringService {
             Self::with_trained_input(job, |input| {
                 self.tiers.iter().find_map(|(tier, model)| {
                     let predicted = model.predict(input);
-                    Self::usable(&predicted, input.reference_tokens).then_some((*tier, predicted))
+                    let at_request = Self::usable(&predicted, input.reference_tokens)?;
+                    Some((*tier, predicted, at_request))
                 })
             })
         };
-        let (served_tier, predicted) = trained.unwrap_or_else(|| {
+        let (served_tier, predicted, at_request) = trained.unwrap_or_else(|| {
             let stage_graph = StageGraph::from_plan(&job.plan, job.seed);
-            (ServedTier::Analytic, Self::analytic_pcc(&stage_graph))
+            let predicted = Self::analytic_pcc(&stage_graph);
+            let at_request = predicted.predict(job.requested_tokens.max(1));
+            (ServedTier::Analytic, predicted, at_request)
         });
-        self.respond(job, served_tier, &predicted)
+        self.respond(job, served_tier, &predicted, at_request)
     }
 
     /// Evaluate the *primary* tier's raw prediction for a job on a token
@@ -770,11 +773,14 @@ impl ScoringService {
 
     /// Turn the serving tier's curve into the response: the optimal token
     /// count within the configured range and the scheduler-facing decision.
+    /// `at_request` is the curve's run time at the job's requested tokens,
+    /// which the tier walk has already computed.
     fn respond(
         &self,
         job: &Job,
         served_tier: ServedTier,
         predicted: &PredictedPcc,
+        at_request: f64,
     ) -> ScoreResponse {
         let reference_tokens = job.requested_tokens.max(1);
         let min_tokens = self.config.min_tokens.max(1);
@@ -792,7 +798,7 @@ impl ScoringService {
         };
         ScoreResponse {
             job_id: job.id,
-            predicted_runtime_at_request: predicted.predict(reference_tokens),
+            predicted_runtime_at_request: at_request,
             optimal_tokens,
             decision,
             served_tier,
@@ -800,10 +806,12 @@ impl ScoringService {
     }
 
     /// Serve-time validation: finite at the reference allocation and
-    /// monotone non-increasing within tolerance.
-    fn usable(predicted: &PredictedPcc, reference_tokens: u32) -> bool {
-        predicted.predict(reference_tokens.max(1)).is_finite()
-            && predicted.is_non_increasing(MONOTONE_TOLERANCE)
+    /// monotone non-increasing within tolerance. A usable curve's run time
+    /// at the reference allocation is returned, for the response.
+    fn usable(predicted: &PredictedPcc, reference_tokens: u32) -> Option<f64> {
+        let at_request = predicted.predict(reference_tokens.max(1));
+        (at_request.is_finite() && predicted.is_non_increasing(MONOTONE_TOLERANCE))
+            .then_some(at_request)
     }
 
     /// The analytic tier: extract per-stage serial/parallel splits from
@@ -1509,10 +1517,13 @@ mod differential {
             .iter()
             .find_map(|(tier, model)| {
                 let predicted = model.predict(&input);
-                ScoringService::usable(&predicted, reference_tokens).then_some((*tier, predicted))
+                ScoringService::usable(&predicted, reference_tokens)
+                    .is_some()
+                    .then_some((*tier, predicted))
             })
             .unwrap_or_else(|| (ServedTier::Analytic, ScoringService::analytic_pcc(&stage_graph)));
-        service.respond(job, served_tier, &predicted)
+        let at_request = predicted.predict(reference_tokens);
+        service.respond(job, served_tier, &predicted, at_request)
     }
 
     fn bits(features: &JobFeatures) -> Vec<u64> {
@@ -1628,7 +1639,7 @@ mod differential {
         let reference_tokens = example.observed_tokens;
         let mut input =
             ScoringInput { features: &example.features, op_features: None, reference_tokens };
-        assert!(!ScoringService::usable(&gnn.predict(&input), reference_tokens));
+        assert!(ScoringService::usable(&gnn.predict(&input), reference_tokens).is_none());
         input.op_features = Some(&example.op_features);
         assert_eq!(gnn.predict(&input).power_law(), Some(gnn.predict_pcc(&example.op_features)));
 

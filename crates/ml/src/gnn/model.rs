@@ -220,7 +220,9 @@ impl GnnModel {
             h = layer.forward(&graph.norm_adjacency, &h);
         }
         let embedding = self.pool.forward(&h);
-        self.head.forward(&embedding)
+        let mut out = Matrix::zeros(1, self.head.out_dim());
+        self.head.forward_row(embedding.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// Per-node attention weights for one graph (the pooling layer's

@@ -1,4 +1,5 @@
-//! The dense training kernels, compiled three times and picked at runtime.
+//! The dense kernels of training and of one-row inference, compiled
+//! three times and picked at runtime.
 //!
 //! Each kernel is a struct of its operands whose [`Kernel::run`] holds
 //! the loop, `#[inline(always)]`, so the loop is compiled into three arms:
@@ -15,9 +16,13 @@
 //! The two products, [`Matmul`] and [`TMatmul`], first compact the
 //! entries of `a` that feed an output row, dropping the `±0.0` ones
 //! without a branch ([`Terms::compact`]), then add the kept terms into
-//! a 32-wide tile of that row held in registers, storing the tile once
-//! per list rather than once per term ([`Terms::add_into`]). A one-row
-//! `TMatmul`, an outer product, scatters the compacted row instead.
+//! the row held in registers, 32 columns a tile and narrower tiles of
+//! 16, 8, 4, 2 and 1 for the rest, storing each tile once per list
+//! rather than once per term ([`Terms::add_into`]). A one-row `TMatmul`,
+//! an outer product, scatters the compacted row instead. [`ForwardRow`],
+//! serving's NN inference, runs a whole network on one row in one call:
+//! per layer the same compaction and tiles, then the bias and the
+//! activation in place.
 //!
 //! The three arms produce the same bits:
 //! - every kernel vectorises across independent output elements (the
@@ -37,7 +42,7 @@
 //! The tests below run every kernel on every arm the CPU has and compare
 //! the bits.
 
-use crate::nn::Activation;
+use crate::nn::{Activation, Linear};
 
 /// A kernel: its operands, and the loop that runs over them.
 pub(crate) trait Kernel {
@@ -84,7 +89,7 @@ fn run_avx512(k: impl Kernel) {
     k.run();
 }
 
-/// Output columns one tile of [`Matmul`] / [`TMatmul`] accumulates in
+/// Output columns the widest tile of [`Terms::add_into`] accumulates in
 /// registers across a whole compacted term list: 32 `f64`, four zmm on
 /// the AVX-512 arm (eight ymm on AVX2).
 const TILE: usize = 32;
@@ -130,37 +135,64 @@ impl Terms {
         }
     }
 
-    /// `out_row[j] += x * b[offset + j]` for each term, in list order:
-    /// each [`TILE`] columns in registers, loaded and stored once for the
-    /// whole list, then the leftover columns in place.
+    /// `out_row += a_row * b` for row-major `b` (`a_row.len() x
+    /// out_row.len()`): `a_row` compacted [`CHUNK`] entries at a time, and
+    /// each chunk's terms added into the row in registers.
+    #[inline(always)]
+    fn product_row(&mut self, a_row: &[f64], b: &[f64], out_row: &mut [f64]) {
+        let b_cols = out_row.len();
+        for (c, chunk) in a_row.chunks(CHUNK).enumerate() {
+            self.compact(chunk.iter().copied(), c * CHUNK * b_cols, b_cols);
+            self.add_into(b, out_row);
+        }
+    }
+
+    /// `out_row[j] += x * b[offset + j]` for each term, in list order,
+    /// with the whole row in registers: each [`TILE`] columns, then at
+    /// most one tile each of 16, 8, 4, 2 and 1 columns for what is left,
+    /// every tile loaded and stored once for the whole list.
     #[inline(always)]
     fn add_into(&self, b: &[f64], out_row: &mut [f64]) {
-        let xs = &self.xs[..self.len];
-        let offsets = &self.offsets[..self.len];
-        if xs.is_empty() {
+        if self.len == 0 {
             return;
         }
         let tiled = out_row.len() - out_row.len() % TILE;
-        let (tiles, tail) = out_row.split_at_mut(tiled);
+        let (tiles, mut tail) = out_row.split_at_mut(tiled);
         for (t, tile) in tiles.chunks_exact_mut(TILE).enumerate() {
-            let col = t * TILE;
-            let mut acc = [0.0; TILE];
-            acc.copy_from_slice(tile);
-            for (&x, &offset) in xs.iter().zip(offsets) {
-                for (o, &y) in acc.iter_mut().zip(&b[offset + col..][..TILE]) {
-                    *o += x * y;
-                }
-            }
-            tile.copy_from_slice(&acc);
+            self.add_tile::<TILE>(b, t * TILE, tile);
         }
-        let width = tail.len();
-        if width > 0 {
-            for (&x, &offset) in xs.iter().zip(offsets) {
-                for (o, &y) in tail.iter_mut().zip(&b[offset + tiled..][..width]) {
-                    *o += x * y;
-                }
+        let mut col = tiled;
+        self.add_narrow::<16>(b, &mut col, &mut tail);
+        self.add_narrow::<8>(b, &mut col, &mut tail);
+        self.add_narrow::<4>(b, &mut col, &mut tail);
+        self.add_narrow::<2>(b, &mut col, &mut tail);
+        self.add_narrow::<1>(b, &mut col, &mut tail);
+    }
+
+    /// The terms into the first `W` columns of `tail`, which start at
+    /// output column `col`, if `tail` has that many; then step past them.
+    #[inline(always)]
+    fn add_narrow<const W: usize>(&self, b: &[f64], col: &mut usize, tail: &mut &mut [f64]) {
+        if tail.len() >= W {
+            let (tile, rest) = std::mem::take(tail).split_at_mut(W);
+            self.add_tile::<W>(b, *col, tile);
+            *tail = rest;
+            *col += W;
+        }
+    }
+
+    /// The terms into `tile`, the `W` output columns from `col` on, held
+    /// in a `[f64; W]` from the load to the store.
+    #[inline(always)]
+    fn add_tile<const W: usize>(&self, b: &[f64], col: usize, tile: &mut [f64]) {
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(tile);
+        for (&x, &offset) in self.xs[..self.len].iter().zip(&self.offsets[..self.len]) {
+            for (o, &y) in acc.iter_mut().zip(&b[offset + col..][..W]) {
+                *o += x * y;
             }
         }
+        tile.copy_from_slice(&acc);
     }
 
     /// `out[offset + j] += x * b_row[j]` for each term: one row of `b`
@@ -197,11 +229,50 @@ impl Kernel for Matmul<'_> {
         let mut terms = Terms::new();
         for i in 0..rows {
             let a_row = &a[i * a_cols..(i + 1) * a_cols];
-            let out_row = &mut out[i * b_cols..(i + 1) * b_cols];
-            for (c, chunk) in a_row.chunks(CHUNK).enumerate() {
-                terms.compact(chunk.iter().copied(), c * CHUNK * b_cols, b_cols);
-                terms.add_into(b, out_row);
+            terms.product_row(a_row, b, &mut out[i * b_cols..(i + 1) * b_cols]);
+        }
+    }
+}
+
+/// One row through a whole network: for each layer in turn,
+/// `row = act(input * W + b)`, where `input` is `x` for the first layer
+/// and the previous layer's row after it. The hidden rows ping-pong
+/// between the two halves of `scratch`, and the last layer writes `out`,
+/// so nothing is allocated. Each layer's row starts at `+0.0`, adds its
+/// terms as [`Matmul`] does (the `±0.0` entries of `input` skipped, the
+/// rest in ascending `k`), then its bias, then the activation: the bits
+/// of the batch path's [`Matmul`], [`AddRowBroadcast`] and [`Activate`]
+/// on a one-row batch.
+pub(crate) struct ForwardRow<'a> {
+    pub layers: &'a [Linear],
+    pub hidden: Activation,
+    pub output: Activation,
+    pub x: &'a [f64],
+    /// Two rows, end to end, each as wide as the widest hidden layer.
+    pub scratch: &'a mut [f64],
+    pub out: &'a mut [f64],
+}
+
+impl Kernel for ForwardRow<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let ForwardRow { layers, hidden, output, x, scratch, out } = self;
+        let half = scratch.len() / 2;
+        let (mut input, mut next) = scratch.split_at_mut(half);
+        let mut terms = Terms::new();
+        for (i, layer) in layers.iter().enumerate() {
+            let from: &[f64] = if i == 0 { x } else { &input[..layer.in_dim()] };
+            let (act, row) = if i + 1 == layers.len() {
+                (output, &mut *out)
+            } else {
+                (hidden, &mut next[..layer.out_dim()])
+            };
+            row.fill(0.0);
+            terms.product_row(from, layer.weight.as_slice(), row);
+            for (o, &b) in row.iter_mut().zip(layer.bias.as_slice()) {
+                *o = act.apply_scalar(*o + b);
             }
+            std::mem::swap(&mut input, &mut next);
         }
     }
 }
@@ -521,8 +592,8 @@ mod tests {
     /// Every kernel, on every arm (the name predates the AVX-512 one),
     /// to the bit: widths that leave a tail after the four- and the
     /// eight-lane loop (9, 15, and 49, the GNN's first-layer width),
-    /// widths of 0, 1 and 2 register tiles of the products, each with and
-    /// without a tail (31, 32, 33, 64, 97), inner lengths across the
+    /// widths of 0, 1 and 2 32-wide tiles of the products, each with and
+    /// without narrow tiles after it (31, 32, 33, 64, 97), inner lengths across the
     /// 64-entry compaction chunk (65, 130), one-row shapes as in serving
     /// inference, and dense, ReLU-sparse and `±0.0` / subnormal operands.
     /// The products also run with `±inf` / NaN in the rows of `b` that
@@ -612,6 +683,74 @@ mod tests {
                 same_bits(&what(&format!("{act:?}'")), &d, |arm, g| {
                     arm.run(ScaleByDerivative { act, pre: &pre, d: g })
                 });
+            }
+        }
+    }
+
+    /// The one-row forward on every arm, to the bit: networks of one and
+    /// of three layers whose widths run over {1, 2, 3, 15, 16, 17, 31,
+    /// 32, 33, 64, 65} (every narrow tile, alone and after 32-wide ones)
+    /// on inputs of 51, 65 and 130 entries (one and two compaction
+    /// chunks), dense, ReLU-sparse and with `±0.0` and subnormals. The
+    /// weight rows only exact zeros reach are `±inf` / NaN: those of the
+    /// input's zeros, and those of one hidden unit per layer whose weight
+    /// column and bias are zero, so that ReLU, tanh and the identity all
+    /// make it exactly `+0.0`. Every arm must still give finite results.
+    #[test]
+    fn one_row_forward_arms_agree_to_the_bit() {
+        use crate::matrix::Matrix;
+        announce_arms("one_row_forward_arms_agree_to_the_bit");
+        const WIDTHS: [usize; 11] = [1, 2, 3, 15, 16, 17, 31, 32, 33, 64, 65];
+        let poison = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut rng = StdRng::seed_from_u64(0x726f_7731);
+        for (case, n_in) in [51, 65, 130].into_iter().enumerate() {
+            for (w, &width) in WIDTHS.iter().enumerate() {
+                let all = [n_in, width, WIDTHS[(w + 4) % 11], WIDTHS[(w + 7) % 11]];
+                for sizes in [&all[..2], &all[..]] {
+                    let fill = [Fill::Dense, Fill::ReluSparse, Fill::Edge][(case + w) % 3];
+                    let hidden = [Activation::Relu, Activation::Tanh, Activation::Identity][w % 3];
+                    let output = ACTIVATIONS[(case + w) % ACTIVATIONS.len()];
+                    let x = random(&mut rng, n_in, fill);
+                    let mut layers: Vec<Linear> = sizes
+                        .windows(2)
+                        .map(|p| {
+                            let weight = random(&mut rng, p[0] * p[1], fill);
+                            let bias = random(&mut rng, p[1], Fill::Dense);
+                            Linear {
+                                weight: Matrix::from_vec(p[0], p[1], weight),
+                                bias: Matrix::from_vec(1, p[1], bias),
+                            }
+                        })
+                        .collect();
+                    // The rows of the first weight matrix the input's zeros reach.
+                    let first = layers[0].weight.as_mut_slice();
+                    for (k, _) in x.iter().enumerate().filter(|(_, v)| **v == 0.0) {
+                        for (c, v) in first[k * width..(k + 1) * width].iter_mut().enumerate() {
+                            *v = poison[(k + c) % 3];
+                        }
+                    }
+                    // One dead unit per hidden layer, and the row it reaches.
+                    for l in 0..layers.len() - 1 {
+                        let cols = layers[l].out_dim();
+                        let dead = (case + w + l) % cols;
+                        for row in layers[l].weight.as_mut_slice().chunks_exact_mut(cols) {
+                            row[dead] = 0.0;
+                        }
+                        layers[l].bias.as_mut_slice()[dead] = 0.0;
+                        let next = layers[l + 1].out_dim();
+                        let reached = &mut layers[l + 1].weight.as_mut_slice()[dead * next..];
+                        for (c, v) in reached[..next].iter_mut().enumerate() {
+                            *v = poison[(l + c) % 3];
+                        }
+                    }
+                    let widest = sizes[1..sizes.len() - 1].iter().max().copied().unwrap_or(0);
+                    let what = format!("forward_row {sizes:?} {hidden:?} -> {output:?} {fill:?}");
+                    let out_dim = sizes[sizes.len() - 1];
+                    same_finite_bits(&what, &vec![0.0; out_dim], |arm, out| {
+                        let scratch = &mut vec![0.0; 2 * widest];
+                        arm.run(ForwardRow { layers: &layers, hidden, output, x: &x, scratch, out })
+                    });
+                }
             }
         }
     }

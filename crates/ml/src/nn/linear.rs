@@ -48,14 +48,8 @@ impl Linear {
         self.weight.len() + self.bias.len()
     }
 
-    /// Forward pass: `x W + b` for a batch `x: batch x in_dim`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// [`Linear::forward`] written into `out`, reusing its allocation.
+    /// Forward pass: `x W + b` for a batch `x: batch x in_dim`, written
+    /// into `out`, reusing its allocation.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_into(&self.weight, out);
         out.add_row_broadcast(self.bias.as_slice());
@@ -68,6 +62,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn forward(layer: &Linear, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        layer.forward_into(x, &mut out);
+        out
+    }
+
     #[test]
     fn forward_known_values() {
         let layer = Linear {
@@ -75,7 +75,7 @@ mod tests {
             bias: Matrix::from_vec(1, 2, vec![0.5, -0.5]),
         };
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
@@ -95,9 +95,9 @@ mod tests {
         let x = Matrix::from_fn(4, 3, |_, _| rng.gen_range(-1.0..1.0));
 
         let loss = |layer: &Linear, x: &Matrix| -> f64 {
-            layer.forward(x).as_slice().iter().map(|v| v * v).sum()
+            forward(layer, x).as_slice().iter().map(|v| v * v).sum()
         };
-        let d_out = layer.forward(&x).scale(2.0); // d(sum y^2)/dy = 2y
+        let d_out = forward(&layer, &x).scale(2.0); // d(sum y^2)/dy = 2y
         let grads =
             (x.t_matmul(&d_out), d_out.col_sums(), d_out.matmul(&layer.weight.transpose()));
 

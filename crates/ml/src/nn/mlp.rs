@@ -2,6 +2,7 @@
 
 use super::activation::Activation;
 use super::linear::Linear;
+use crate::kernels::{self, ForwardRow};
 use crate::matrix::Matrix;
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
@@ -52,6 +53,10 @@ impl Wire for Mlp {
         Ok(mlp)
     }
 }
+
+/// Hidden-layer width up to which [`Mlp::forward_row`] keeps its two
+/// rows on the stack: the TASQ NN's widest is 32, the GNN head's 64.
+const STACK_WIDTH: usize = 64;
 
 /// Reusable training buffers for one batch: the forward caches
 /// [`Mlp::backward`] reads and the scratch it writes. Buffers take their
@@ -131,7 +136,9 @@ impl Mlp {
         &mut self.layers
     }
 
-    fn activation(&self, layer: usize) -> Activation {
+    /// The activation after layer `layer`: the output activation after
+    /// the last layer, the hidden one after every other.
+    pub fn activation(&self, layer: usize) -> Activation {
         if layer + 1 == self.layers.len() {
             self.output_activation
         } else {
@@ -139,13 +146,35 @@ impl Mlp {
         }
     }
 
-    /// Forward pass for a batch `x: batch x in_dim`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = self.activation(i).apply(&layer.forward(&h));
-        }
-        h
+    /// Forward pass for one row: `out = network(x)`. The whole network
+    /// runs in one kernel call over two rows that take turns as a layer's
+    /// input and output, kept on the stack while every hidden layer is at
+    /// most 64 wide (a wider network allocates them once per call). Same
+    /// bits as [`Mlp::forward_cached`] on a one-row batch.
+    ///
+    /// # Panics
+    /// Panics if `x` is not [`Mlp::in_dim`] wide or `out` not
+    /// [`Mlp::out_dim`].
+    pub fn forward_row(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.in_dim(), "Mlp::forward_row: input width mismatch");
+        assert_eq!(out.len(), self.out_dim(), "Mlp::forward_row: output width mismatch");
+        let hidden = self.layers.iter().rev().skip(1).map(Linear::out_dim).max().unwrap_or(0);
+        let mut stack = [0.0; 2 * STACK_WIDTH];
+        let mut heap = Vec::new();
+        let scratch = if hidden <= STACK_WIDTH {
+            &mut stack[..2 * hidden]
+        } else {
+            heap.resize(2 * hidden, 0.0);
+            &mut heap[..]
+        };
+        kernels::run(ForwardRow {
+            layers: &self.layers,
+            hidden: self.hidden_activation,
+            output: self.output_activation,
+            x,
+            scratch,
+            out,
+        });
     }
 
     /// Forward pass keeping in `cache` what [`Mlp::backward`] needs;
@@ -312,6 +341,48 @@ mod tests {
         m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The batch forward pass on a fresh cache.
+    fn forward(mlp: &Mlp, x: &Matrix) -> Matrix {
+        mlp.forward_cached(x, &mut MlpCache::default()).clone()
+    }
+
+    /// The one-row forward equals the allocating reference's batch
+    /// forward, row by row, to the bit: on the TASQ NN's and the GNN
+    /// head's shapes, on one wider than the stack rows (so its rows are
+    /// allocated), one layer alone, every activation, and inputs with
+    /// `±0.0` and subnormal entries.
+    #[test]
+    fn forward_row_matches_the_allocating_reference_bit_for_bit() {
+        let activations = [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Softplus,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ];
+        let shapes: [&[usize]; 5] =
+            [&[51, 32, 16, 2], &[49, 64, 2], &[51, 65, 3], &[130, 17, 33, 1], &[7, 5]];
+        let mut rng = StdRng::seed_from_u64(0x0072_6f77);
+        for (s, sizes) in shapes.into_iter().enumerate() {
+            for (a, &hidden) in activations.iter().enumerate() {
+                let output = activations[(a + s) % activations.len()];
+                let mlp = Mlp::new(&mut rng, sizes, hidden, output);
+                let x = Matrix::from_fn(9, sizes[0], |r, c| match (r + c) % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => rng.gen_range(-1.0..1.0) * 1e-310,
+                    _ => rng.gen_range(-2.0..2.0),
+                });
+                let (want, _) = reference::forward_cached(&mlp, &x);
+                let mut got = Matrix::zeros(x.rows(), mlp.out_dim());
+                for r in 0..x.rows() {
+                    mlp.forward_row(x.row(r), got.row_mut(r));
+                }
+                assert_eq!(bits(&got), bits(&want), "{sizes:?} {hidden:?} -> {output:?}");
+            }
+        }
+    }
+
     /// Training through one reused cache equals the allocating reference
     /// bit for bit — every gradient of every step and the weights at the
     /// end — over batches that change shape between steps (so stale buffer
@@ -376,7 +447,7 @@ mod tests {
         // (5*8 + 8) + (8*2 + 2) = 48 + 18 = 66
         assert_eq!(mlp.param_count(), 66);
         let x = Matrix::zeros(3, 5);
-        assert_eq!(mlp.forward(&x).shape(), (3, 2));
+        assert_eq!(forward(&mlp, &x).shape(), (3, 2));
     }
 
     /// The paper's NN has 2,216 parameters (Table 7); our default TASQ NN
@@ -396,8 +467,9 @@ mod tests {
         let mut mlp = Mlp::new(&mut rng, &[3, 4, 2], Activation::Tanh, Activation::Identity);
         let x = Matrix::from_fn(2, 3, |_, _| rng.gen_range(-1.0..1.0));
 
-        let loss =
-            |mlp: &Mlp, x: &Matrix| -> f64 { mlp.forward(x).as_slice().iter().map(|v| v * v).sum() };
+        let loss = |mlp: &Mlp, x: &Matrix| -> f64 {
+            forward(mlp, x).as_slice().iter().map(|v| v * v).sum()
+        };
 
         let (grads, _) = gradients(&mlp, &x, |y| y.scale(2.0));
 
@@ -444,7 +516,7 @@ mod tests {
         let target = Matrix::from_fn(64, 1, |r, _| x[(r, 0)] + 2.0 * x[(r, 1)]);
 
         let mse = |mlp: &Mlp| {
-            let y = mlp.forward(&x);
+            let y = forward(mlp, &x);
             y.sub(&target).as_slice().iter().map(|e| e * e).sum::<f64>() / 64.0
         };
         let initial = mse(&mlp);
@@ -472,7 +544,7 @@ mod tests {
 
         let h = 1e-6;
         let loss =
-            |x: &Matrix| -> f64 { mlp.forward(x).as_slice().iter().map(|v| v * v).sum() };
+            |x: &Matrix| -> f64 { forward(&mlp, x).as_slice().iter().map(|v| v * v).sum() };
         let mut xp = x.clone();
         for i in 0..xp.len() {
             let orig = xp.as_slice()[i];
