@@ -14,7 +14,8 @@
 //!   virtual-time events as a second process row via [`stash_sim_trace`].
 
 use crate::CliError;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
+use tasq_obs::sync::{Mutex, Rank};
 
 /// Parsed global observability flags.
 pub struct ObsFlags {
@@ -93,19 +94,19 @@ impl ObsFlags {
 
 fn sim_traces() -> &'static Mutex<Vec<scope_sim::ExecTrace>> {
     static TRACES: OnceLock<Mutex<Vec<scope_sim::ExecTrace>>> = OnceLock::new();
-    TRACES.get_or_init(|| Mutex::new(Vec::new()))
+    TRACES.get_or_init(|| Mutex::new(Rank::SimTraces, Vec::new()))
 }
 
 /// Deposit a simulator execution trace for the end-of-run export. Called
 /// by commands that run the executor while span collection is enabled;
 /// the trace becomes a virtual-time process row in the Chrome trace.
 pub fn stash_sim_trace(trace: scope_sim::ExecTrace) {
-    let mut slot = sim_traces().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut slot = sim_traces().lock();
     slot.push(trace);
 }
 
 fn drain_sim_traces() -> Vec<scope_sim::ExecTrace> {
-    let mut slot = sim_traces().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut slot = sim_traces().lock();
     std::mem::take(&mut *slot)
 }
 

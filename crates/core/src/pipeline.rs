@@ -33,7 +33,7 @@ use crate::pcc::PowerLawPcc;
 use scope_sim::{AmdahlModel, Job, StageGraph};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{PoisonError, RwLock};
+use tasq_obs::sync::{Rank, RwLock};
 
 /// Error loading or storing a model artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,35 +185,41 @@ impl fmt::Display for DeployError {
 impl std::error::Error for DeployError {}
 
 /// In-memory repository of historical jobs (the Cosmos job repository).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct JobRepository {
     jobs: RwLock<Vec<Job>>,
+}
+
+impl Default for JobRepository {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl JobRepository {
     /// Empty repository.
     pub fn new() -> Self {
-        Self::default()
+        Self { jobs: RwLock::new(Rank::JobRepository, Vec::new()) }
     }
 
     /// Ingest a batch of jobs.
     pub fn ingest(&self, jobs: impl IntoIterator<Item = Job>) {
-        self.jobs.write().unwrap_or_else(PoisonError::into_inner).extend(jobs);
+        self.jobs.write().extend(jobs);
     }
 
     /// Snapshot of all jobs.
     pub fn all_jobs(&self) -> Vec<Job> {
-        self.jobs.read().unwrap_or_else(PoisonError::into_inner).clone()
+        self.jobs.read().clone()
     }
 
     /// Number of stored jobs.
     pub fn len(&self) -> usize {
-        self.jobs.read().unwrap_or_else(PoisonError::into_inner).len()
+        self.jobs.read().len()
     }
 
     /// Whether the repository is empty.
     pub fn is_empty(&self) -> bool {
-        self.jobs.read().unwrap_or_else(PoisonError::into_inner).is_empty()
+        self.jobs.read().is_empty()
     }
 }
 
@@ -228,21 +234,27 @@ pub struct Artifact {
 
 /// Versioned, thread-safe store of serialized model artifacts
 /// (the Azure ML model store stand-in).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ModelStore {
     artifacts: RwLock<HashMap<String, Vec<Artifact>>>,
+}
+
+impl Default for ModelStore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ModelStore {
     /// Empty store.
     pub fn new() -> Self {
-        Self::default()
+        Self { artifacts: RwLock::new(Rank::ModelStore, HashMap::new()) }
     }
 
     /// Serialize and register a model; returns the assigned version.
     pub fn register<T: Wire>(&self, name: &str, model: &T) -> Result<u32, codec::CodecError> {
         let bytes = codec::to_bytes(model)?;
-        let mut store = self.artifacts.write().unwrap_or_else(PoisonError::into_inner);
+        let mut store = self.artifacts.write();
         let entry = store.entry(name.to_string()).or_default();
         let version = entry.last().map_or(1, |a| a.version + 1);
         entry.push(Artifact { version, bytes });
@@ -251,7 +263,7 @@ impl ModelStore {
 
     /// Load the latest version of a model.
     pub fn load_latest<T: Wire>(&self, name: &str) -> Result<T, StoreError> {
-        let store = self.artifacts.read().unwrap_or_else(PoisonError::into_inner);
+        let store = self.artifacts.read();
         let artifact = store
             .get(name)
             .and_then(|v| v.last())
@@ -265,7 +277,7 @@ impl ModelStore {
 
     /// Load a specific version.
     pub fn load_version<T: Wire>(&self, name: &str, version: u32) -> Result<T, StoreError> {
-        let store = self.artifacts.read().unwrap_or_else(PoisonError::into_inner);
+        let store = self.artifacts.read();
         let versions =
             store.get(name).ok_or_else(|| StoreError::MissingModel { name: name.to_string() })?;
         let artifact = versions
@@ -283,7 +295,6 @@ impl ModelStore {
     pub fn versions(&self, name: &str) -> Vec<u32> {
         self.artifacts
             .read()
-            .unwrap_or_else(PoisonError::into_inner)
             .get(name)
             .map(|v| v.iter().map(|a| a.version).collect())
             .unwrap_or_default()

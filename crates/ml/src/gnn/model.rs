@@ -8,8 +8,8 @@ use crate::nn::{Activation, Mlp, MlpCache, MlpGrads};
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use tasq_codec::Wire;
+use tasq_obs::sync::{Mutex, Rank};
 use tasq_par::Pool;
 
 /// GNN architecture: `GCN+ -> attention pool -> MLP head`.
@@ -115,10 +115,6 @@ impl Slot {
         *loss_sum += self.loss;
         grads.accumulate(&self.workspace.grads);
     }
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Everything a training run of a [`GnnModel`] keeps between steps: the
@@ -368,33 +364,34 @@ impl GnnModel {
                 model.backward(graph, transposed, &mut slot.workspace, &slot.d_output);
             };
             // The positions nobody has claimed yet.
-            let unclaimed = Mutex::new(0..n);
-            let claim_front = || lock(&unclaimed).next();
-            let claim_back = || lock(&unclaimed).next_back();
-            let front = Mutex::new((front, &mut *batch_grads, loss_sum));
-            let slots: Vec<Mutex<&mut Slot>> = slots[..n].iter_mut().map(Mutex::new).collect();
+            let unclaimed = Mutex::new(Rank::GnnUnclaimed, 0..n);
+            let claim_front = || unclaimed.lock().next();
+            let claim_back = || unclaimed.lock().next_back();
+            let front = Mutex::new(Rank::GnnFront, (front, &mut *batch_grads, loss_sum));
+            let slots: Vec<Mutex<&mut Slot>> =
+                slots[..n].iter_mut().map(|slot| Mutex::new(Rank::GnnSlot, slot)).collect();
             let roles = pool.threads().min(n);
             let finished = AtomicUsize::new(0);
             pool.par_map_grain(&vec![(); roles], 1, |role, ()| {
                 if role == 0 {
-                    let (slot, grads, loss_sum) = &mut *lock(&front);
+                    let (slot, grads, loss_sum) = &mut *front.lock();
                     while let Some(at) = claim_front() {
                         run(slot, at);
                         slot.add_to(grads, loss_sum);
                     }
                 } else {
                     while let Some(at) = claim_back() {
-                        run(&mut lock(&slots[at]), at);
+                        run(&mut slots[at].lock(), at);
                     }
                 }
                 // A role that panicked never counts itself, so then nobody
                 // adds the back's slots and the error surfaces below.
                 if finished.fetch_add(1, Ordering::AcqRel) + 1 == roles {
                     // Every position is claimed: the cursors met here.
-                    let met = lock(&unclaimed).start;
-                    let (_, grads, loss_sum) = &mut *lock(&front);
+                    let met = unclaimed.lock().start;
+                    let (_, grads, loss_sum) = &mut *front.lock();
                     for slot in &slots[met..] {
-                        lock(slot).add_to(grads, loss_sum);
+                        slot.lock().add_to(grads, loss_sum);
                     }
                 }
             })

@@ -78,6 +78,7 @@ impl TokenBucket {
                 self.take();
                 return;
             }
+            tasq_obs::sync::blocking();
             std::thread::sleep(wait.min(Duration::from_millis(50)));
         }
     }

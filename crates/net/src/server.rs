@@ -50,6 +50,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use tasq_obs::metrics::{Counter, Histogram, Registry};
+use tasq_obs::sync::blocking;
 use tasq_obs::{FieldValue, Level, TraceContext};
 use tasq_serve::{ScoreRequest, ScoringServer, ServerStatsSnapshot, SubmitError};
 
@@ -195,6 +196,7 @@ impl NetServer {
     /// Block until a drain is requested.
     pub fn wait_for_drain(&self) {
         while !self.drain_requested() {
+            blocking();
             thread::sleep(Duration::from_millis(10));
         }
     }
@@ -400,6 +402,7 @@ fn flush_remaining(slots: &mut HashMap<RawFd, Slot>, pool: &mut BufPool) {
                 Ok(bytes) => {
                     net_metrics().bytes_written.add(bytes as u64);
                     if slot.conn.pending_write() > 0 {
+                        blocking();
                         thread::sleep(Duration::from_millis(1));
                     }
                 }

@@ -24,6 +24,7 @@ use std::io::IoSlice;
 use std::os::fd::{AsRawFd, BorrowedFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::OnceLock;
 use tasq_obs::metrics::{Counter, Registry};
+use tasq_obs::sync::blocking;
 
 /// Typed failure of a network syscall or protocol layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,6 +428,7 @@ pub fn epoll_wait(
     } else {
         ("epoll_pwait", raw::SYS_EPOLL_PWAIT)
     };
+    blocking();
     // SAFETY: `events` is a valid writable buffer of `len` entries; the
     // null sigmask arm of epoll_pwait is explicitly allowed by the kernel.
     let n = unsafe {
@@ -447,6 +449,7 @@ pub fn epoll_wait(
 /// `accept4(listener, NULL, NULL, SOCK_NONBLOCK | SOCK_CLOEXEC)` → new
 /// connection fd, already nonblocking, closed when dropped.
 pub fn accept4(listener: BorrowedFd<'_>) -> Result<OwnedFd, NetError> {
+    blocking();
     // SAFETY: null addr/addrlen is the documented "don't care" form.
     let fd = unsafe {
         retrying(
@@ -486,6 +489,7 @@ pub fn setsockopt(fd: BorrowedFd<'_>, level: i32, name: i32, value: i32) -> Resu
 
 /// Nonblocking `read`; `Ok(0)` means EOF.
 pub fn read(fd: BorrowedFd<'_>, buf: &mut [u8]) -> Result<usize, NetError> {
+    blocking();
     // SAFETY: `buf` is valid for writes of its full length.
     unsafe {
         retrying(
@@ -505,6 +509,7 @@ pub fn read(fd: BorrowedFd<'_>, buf: &mut [u8]) -> Result<usize, NetError> {
 /// Nonblocking `write`; maps `EPIPE`/`ECONNRESET` to
 /// [`NetError::PeerClosed`].
 pub fn write(fd: BorrowedFd<'_>, buf: &[u8]) -> Result<usize, NetError> {
+    blocking();
     // SAFETY: `buf` is valid for reads of its full length.
     let result = unsafe {
         retrying(
@@ -545,6 +550,7 @@ pub fn write(fd: BorrowedFd<'_>, buf: &[u8]) -> Result<usize, NetError> {
 /// let _ = tasq_net::sys::writev(std::io::stdout().as_fd(), &[iov]);
 /// ```
 pub fn writev(fd: BorrowedFd<'_>, iovs: &[IoSlice<'_>]) -> Result<usize, NetError> {
+    blocking();
     // SAFETY: `IoSlice` is ABI-compatible with the kernel's `struct
     // iovec` on Unix, and each one borrows a slice that outlives this
     // call; the kernel only reads the described buffers.

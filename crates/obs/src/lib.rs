@@ -29,7 +29,9 @@
 //! wall-clock ban in this crate's `clippy.toml` enforceable everywhere
 //! else. [`json`] is the workspace's one JSON reader and one JSON writer:
 //! every JSON document the workspace emits is a [`json::JsonValue`]
-//! printed through its `Display`.
+//! printed through its `Display`. [`sync`] holds the workspace's one
+//! `Mutex` and one `RwLock`: every lock has a rank, and debug builds check
+//! lock order and blocking-under-lock where each lock is taken.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::float_cmp))]
@@ -40,6 +42,7 @@ pub mod json;
 pub mod metrics;
 pub mod slo;
 pub mod span;
+pub mod sync;
 pub mod trace;
 
 pub use export::{validate_chrome_trace, ChromeTrace};

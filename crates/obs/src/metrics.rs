@@ -18,7 +18,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
+
+use crate::sync::{Mutex, Rank};
 
 
 /// Monotonically increasing counter. Clones share the underlying cell.
@@ -166,7 +168,7 @@ impl Histogram {
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             exemplar_floor: AtomicU64::new(u64::MAX),
-            exemplars: Mutex::new([None; EXEMPLAR_SLOTS]),
+            exemplars: Mutex::new(Rank::MetricExemplars, [None; EXEMPLAR_SLOTS]),
         }))
     }
 
@@ -197,7 +199,7 @@ impl Histogram {
     /// slot or replace the smallest retained exemplar.
     fn offer_exemplar(&self, value: u64, trace_id: u128) {
         let ts_us = crate::clock::now_micros();
-        let mut slots = self.0.exemplars.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slots = self.0.exemplars.lock();
         let mut min_index = 0usize;
         let mut min_value = u64::MAX;
         for (index, slot) in slots.iter().enumerate() {
@@ -229,7 +231,7 @@ impl Histogram {
 
     /// Currently retained exemplars, largest value first.
     pub fn exemplars(&self) -> Vec<Exemplar> {
-        let slots = self.0.exemplars.lock().unwrap_or_else(PoisonError::into_inner);
+        let slots = self.0.exemplars.lock();
         let mut out: Vec<Exemplar> = slots.iter().flatten().copied().collect();
         out.sort_by_key(|e| std::cmp::Reverse(e.value));
         out
@@ -313,15 +315,20 @@ struct Entry {
 
 /// A named collection of metrics. Registration takes the registry lock;
 /// the returned handles never do.
-#[derive(Default)]
 pub struct Registry {
     entries: Mutex<BTreeMap<String, Entry>>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Registry {
     /// Fresh empty registry.
     pub fn new() -> Self {
-        Self::default()
+        Self { entries: Mutex::new(Rank::MetricRegistry, BTreeMap::new()) }
     }
 
     /// The process-global registry every instrumented crate publishes to.
@@ -334,7 +341,7 @@ impl Registry {
     /// already a gauge/histogram) a detached counter is returned so the
     /// caller keeps working; nothing panics.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries.lock();
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             kind: Kind::Counter(Counter::new()),
@@ -347,7 +354,7 @@ impl Registry {
 
     /// Get or register the gauge `name` (detached handle on kind clash).
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries.lock();
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             kind: Kind::Gauge(Gauge::new()),
@@ -361,7 +368,7 @@ impl Registry {
     /// Get or register the histogram `name` (detached handle on kind
     /// clash).
     pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries.lock();
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             kind: Kind::Histogram(Histogram::new()),
@@ -379,7 +386,7 @@ impl Registry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.entries.lock().len()
     }
 
     /// Whether nothing is registered.
@@ -395,7 +402,7 @@ impl Registry {
     /// `slo_burn_rate{objective="x",window="fast"}`) share one family
     /// `# HELP` / `# TYPE` header keyed by the base name.
     pub fn render_prometheus(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let entries = self.entries.lock();
         let mut out = String::new();
         let mut last_family = String::new();
         for (name, entry) in entries.iter() {

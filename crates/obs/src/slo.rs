@@ -23,7 +23,7 @@
 
 use crate::json::JsonValue;
 use crate::metrics::Registry;
-use std::sync::{Mutex, PoisonError};
+use crate::sync::{Mutex, Rank};
 
 /// What one objective demands.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,13 +190,17 @@ impl SloEngine {
                 slots: vec![Slot { epoch_sec: u64::MAX, good: 0, bad: 0 }; capacity],
             })
             .collect();
-        Self { fast_window_secs: fast, slow_window_secs: slow, rings: Mutex::new(rings) }
+        Self {
+            fast_window_secs: fast,
+            slow_window_secs: slow,
+            rings: Mutex::new(Rank::SloRings, rings),
+        }
     }
 
     /// Feed one completed request's latency into every latency objective.
     pub fn record_latency(&self, now_us: u64, latency_us: u64) {
         let now_sec = now_us / 1_000_000;
-        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut rings = self.rings.lock();
         for ring in rings.iter_mut() {
             if let SloKind::Latency { threshold_us, .. } = ring.objective.kind {
                 ring.record(now_sec, latency_us > threshold_us);
@@ -210,7 +214,7 @@ impl SloEngine {
     /// plus [`SloEngine::record_outcome`] take two.
     pub fn record_success(&self, now_us: u64, latency_us: u64) {
         let now_sec = now_us / 1_000_000;
-        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut rings = self.rings.lock();
         for ring in rings.iter_mut() {
             let bad = match ring.objective.kind {
                 SloKind::Latency { threshold_us, .. } => latency_us > threshold_us,
@@ -224,7 +228,7 @@ impl SloEngine {
     /// worker-lost / timed-out) into every availability objective.
     pub fn record_outcome(&self, now_us: u64, ok: bool) {
         let now_sec = now_us / 1_000_000;
-        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut rings = self.rings.lock();
         for ring in rings.iter_mut() {
             if matches!(ring.objective.kind, SloKind::Availability { .. }) {
                 ring.record(now_sec, !ok);
@@ -235,7 +239,7 @@ impl SloEngine {
     /// Evaluate every objective over both windows at `now_us`.
     pub fn tick(&self, now_us: u64) -> Vec<BurnSample> {
         let now_sec = now_us / 1_000_000;
-        let rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        let rings = self.rings.lock();
         let mut out = Vec::with_capacity(rings.len() * 2);
         for ring in rings.iter() {
             let budget = match ring.objective.kind {
@@ -294,7 +298,6 @@ impl SloEngine {
         let objectives: Vec<JsonValue> = self
             .rings
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|ring| {
                 let name = &ring.objective.name;

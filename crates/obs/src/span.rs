@@ -31,9 +31,10 @@ use std::fmt;
 use std::io::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 use crate::clock;
+use crate::sync::{Mutex, Rank};
 
 /// Verbosity of a span or point event. Lower = more severe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -234,7 +235,10 @@ struct Collector {
 fn collector() -> &'static Mutex<Collector> {
     static COLLECTOR: OnceLock<Mutex<Collector>> = OnceLock::new();
     COLLECTOR.get_or_init(|| {
-        Mutex::new(Collector { events: Vec::new(), dropped: 0, threads: Vec::new() })
+        Mutex::new(
+            Rank::SpanCollector,
+            Collector { events: Vec::new(), dropped: 0, threads: Vec::new() },
+        )
     })
 }
 
@@ -254,7 +258,7 @@ impl ThreadCtx {
             .name()
             .map(str::to_string)
             .unwrap_or_else(|| format!("thread-{thread}"));
-        let mut collector = collector().lock().unwrap_or_else(PoisonError::into_inner);
+        let mut collector = collector().lock();
         collector.threads.push((thread, name));
         Self { thread, stack: Vec::new(), ring: Vec::with_capacity(RING_CAPACITY) }
     }
@@ -277,7 +281,7 @@ fn drain_ring(ring: &mut Vec<SpanEvent>) {
     if ring.is_empty() {
         return;
     }
-    let mut collector = collector().lock().unwrap_or_else(PoisonError::into_inner);
+    let mut collector = collector().lock();
     let room = COLLECTOR_CAPACITY.saturating_sub(collector.events.len());
     if room >= ring.len() {
         collector.events.append(ring);
@@ -506,7 +510,7 @@ fn emit_stderr(
 /// both join workers before results are returned).
 pub fn take_collected() -> Vec<SpanEvent> {
     flush_current_thread();
-    let mut collector = collector().lock().unwrap_or_else(PoisonError::into_inner);
+    let mut collector = collector().lock();
     collector.dropped = 0;
     std::mem::take(&mut collector.events)
 }
@@ -514,19 +518,19 @@ pub fn take_collected() -> Vec<SpanEvent> {
 /// Like [`take_collected`] but non-destructive.
 pub fn snapshot_collected() -> Vec<SpanEvent> {
     flush_current_thread();
-    collector().lock().unwrap_or_else(PoisonError::into_inner).events.clone()
+    collector().lock().events.clone()
 }
 
 /// Events discarded because the collector hit [`COLLECTOR_CAPACITY`]
 /// since the last [`take_collected`].
 pub fn collected_dropped() -> u64 {
-    collector().lock().unwrap_or_else(PoisonError::into_inner).dropped
+    collector().lock().dropped
 }
 
 /// `(thread index, thread name)` for every thread that ever recorded,
 /// in registration order.
 pub fn thread_names() -> Vec<(u64, String)> {
-    collector().lock().unwrap_or_else(PoisonError::into_inner).threads.clone()
+    collector().lock().threads.clone()
 }
 
 /// Push the calling thread's ring into the global collector now.
@@ -535,9 +539,9 @@ pub fn flush_current_thread() {
 }
 
 #[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+pub(crate) fn test_lock() -> crate::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(Rank::ObsTest, ());
+    LOCK.lock()
 }
 
 #[cfg(test)]

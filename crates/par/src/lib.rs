@@ -33,8 +33,9 @@ use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
+use tasq_obs::sync::{Mutex, Rank};
 use tasq_obs::{span_with_parent, Counter, FieldValue, Level, Registry};
 
 /// Items executed, registered once and incremented with a relaxed atomic.
@@ -100,15 +101,18 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 ///
 /// Keeps the panic with the lowest task index so the reported error does
 /// not depend on scheduling when a single task is at fault.
-#[derive(Default)]
 struct PanicSlot {
     slot: Mutex<Option<(usize, String)>>,
 }
 
 impl PanicSlot {
+    fn new() -> Self {
+        Self { slot: Mutex::new(Rank::ParPanic, None) }
+    }
+
     fn record(&self, index: usize, payload: Box<dyn Any + Send>) {
         let message = panic_message(payload.as_ref());
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.slot.lock();
         match &*slot {
             Some((prev, _)) if *prev <= index => {}
             _ => *slot = Some((index, message)),
@@ -116,7 +120,7 @@ impl PanicSlot {
     }
 
     fn take(self) -> Option<(usize, String)> {
-        self.slot.into_inner().unwrap_or_else(PoisonError::into_inner)
+        self.slot.into_inner()
     }
 }
 
@@ -222,7 +226,7 @@ impl Pool {
         let shared = MapShared {
             next: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
-            panic: PanicSlot::default(),
+            panic: PanicSlot::new(),
             parent_span: tasq_obs::current_span_id(),
         };
 
@@ -240,6 +244,7 @@ impl Pool {
             // always run); join() only fails on a runtime bug, and a lost
             // partial surfaces as ResultMissing.
             let mut partials = vec![map_worker(0, &shared, items, &f, grain)];
+            tasq_obs::sync::blocking();
             partials.extend(handles.into_iter().map(|h| h.join().unwrap_or_default()));
             partials
         });
@@ -280,10 +285,12 @@ impl Pool {
         // Hand each chunk to exactly one task through a take-once slot;
         // the cursor delivers every index exactly once, so the lock is
         // uncontended and exists only to move `&mut` across threads safely.
-        let slots: Vec<Mutex<Option<&mut [T]>>> =
-            data.chunks_mut(chunk_len.max(1)).map(|c| Mutex::new(Some(c))).collect();
+        let slots: Vec<Mutex<Option<&mut [T]>>> = data
+            .chunks_mut(chunk_len.max(1))
+            .map(|c| Mutex::new(Rank::ParChunk, Some(c)))
+            .collect();
         self.par_map_grain(&slots, 1, |i, slot| {
-            let chunk = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+            let chunk = slot.lock().take();
             if let Some(chunk) = chunk {
                 f(i, chunk);
             }

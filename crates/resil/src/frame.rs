@@ -127,6 +127,7 @@ impl FrameLog {
         buf.extend_from_slice(&len.to_le_bytes());
         buf.extend_from_slice(&crc.to_le_bytes());
         buf.extend_from_slice(payload);
+        tasq_obs::sync::blocking();
         self.file.write_all(&buf)?;
         self.file.sync_data()?;
         self.next_seq = seq + 1;

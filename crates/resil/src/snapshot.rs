@@ -44,6 +44,7 @@ pub fn commit(path: &Path, payload: &[u8]) -> Result<(), ResilError> {
         ))
     })?;
     let tmp = tmp_path(path);
+    tasq_obs::sync::blocking();
     {
         let mut file = File::create(&tmp)?;
         file.write_all(&SNAP_MAGIC)?;

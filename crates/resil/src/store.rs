@@ -10,7 +10,7 @@ use crate::error::ResilError;
 use crate::frame::{recover, FrameLog, Recovery};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use tasq_obs::sync::{Mutex, Rank};
 
 /// A directory of named append-only checkpoint logs.
 pub struct CheckpointStore {
@@ -23,7 +23,7 @@ impl CheckpointStore {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, ResilError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Self { dir, logs: Mutex::new(HashMap::new()) })
+        Ok(Self { dir, logs: Mutex::new(Rank::CheckpointLogs, HashMap::new()) })
     }
 
     /// The backing directory.
@@ -44,7 +44,7 @@ impl CheckpointStore {
             "resil_checkpoint_commit",
             &[("bytes", tasq_obs::FieldValue::U64(payload.len() as u64))],
         );
-        let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+        let mut logs = self.logs.lock();
         let log = match logs.get_mut(stage) {
             Some(log) => log,
             None => {
@@ -59,7 +59,7 @@ impl CheckpointStore {
     /// leaving the log ready for appends that extend it).
     pub fn recover_stage(&self, stage: &str) -> Result<Recovery, ResilError> {
         let _span = tasq_obs::span(tasq_obs::Level::Debug, "resil_checkpoint_restore", &[]);
-        let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+        let mut logs = self.logs.lock();
         let (log, recovery) = FrameLog::open_or_create(self.stage_path(stage))?;
         logs.insert(stage.to_string(), log);
         Ok(recovery)
@@ -83,7 +83,7 @@ impl CheckpointStore {
 
     /// Delete every stage log (used to start a run from scratch).
     pub fn reset(&self) -> Result<(), ResilError> {
-        let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+        let mut logs = self.logs.lock();
         logs.clear();
         for entry in std::fs::read_dir(&self.dir)? {
             let path = entry?.path();

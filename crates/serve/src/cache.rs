@@ -14,8 +14,8 @@
 //! probed (a swapped-out model generation's) age out.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 use tasq::pipeline::ScoreResponse;
+use tasq_obs::sync::{Mutex, Rank};
 
 /// Cache sizing and switches.
 #[derive(Debug, Clone)]
@@ -179,13 +179,16 @@ impl SignatureCache {
         Self {
             shards: (0..shards)
                 .map(|_| {
-                    Mutex::new(Shard {
-                        slots: Vec::new(),
-                        index: HashMap::new(),
-                        hand: 0,
-                        sketch: Sketch::new(per_shard_capacity),
-                        stats: CacheStats::default(),
-                    })
+                    Mutex::new(
+                        Rank::CacheShard,
+                        Shard {
+                            slots: Vec::new(),
+                            index: HashMap::new(),
+                            hand: 0,
+                            sketch: Sketch::new(per_shard_capacity),
+                            stats: CacheStats::default(),
+                        },
+                    )
                 })
                 .collect(),
             per_shard_capacity,
@@ -205,7 +208,7 @@ impl SignatureCache {
     /// Look up a cached response. An enabled cache counts the lookup in
     /// the shard's sketch and marks a hit as referenced.
     pub fn get(&self, key: u64) -> Option<ScoreResponse> {
-        let mut guard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.shard(key).lock();
         let shard = &mut *guard;
         let mut found = None;
         if self.enabled {
@@ -224,7 +227,7 @@ impl SignatureCache {
     /// doc). A no-op when the cache is disabled.
     pub fn insert(&self, key: u64, response: ScoreResponse) {
         if self.enabled {
-            let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
+            let mut shard = self.shard(key).lock();
             shard.insert(key, response, self.per_shard_capacity);
         }
     }
@@ -233,7 +236,7 @@ impl SignatureCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            let shard = shard.lock();
             total.hits += shard.stats.hits;
             total.misses += shard.stats.misses;
             total.evictions += shard.stats.evictions;

@@ -9,7 +9,7 @@
 //! torn states impossible by construction.
 //!
 //! The swap itself is epoch-style: the whole deployment (service + its
-//! provenance) lives in one [`Arc`] behind a [`std::sync::RwLock`];
+//! provenance) lives in one [`Arc`] behind an [`RwLock`];
 //! readers clone the `Arc` under a read lock and keep scoring against
 //! their snapshot even while a writer replaces the pointer. Each
 //! successful swap bumps a `generation`, which the serving cache mixes
@@ -23,18 +23,21 @@
 //! mid-append is trimmed back to the previous record, a corrupt frame
 //! (CRC mismatch) refuses recovery outright — and generation numbering
 //! resumes from there, so cache keys from a previous process life can
-//! never alias a post-restart deployment.
+//! never alias a post-restart deployment. The append runs under the swap
+//! lock, never under the active deployment's write lock: a scorer never
+//! waits for a manifest fsync.
 
 use scope_sim::Job;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::Arc;
 use tasq::pipeline::{
     DeployError, ModelChoice, ModelStore, ScoringConfig, ScoringService, ServedTier,
     NN_MODEL_NAME, XGB_MODEL_NAME,
 };
 use tasq_codec::Wire;
+use tasq_obs::sync::{Mutex, Rank, RwLock};
 use tasq_resil::{FrameLog, ResilError};
 
 /// One immutable deployment: the scoring service plus its provenance.
@@ -167,8 +170,9 @@ pub struct ModelRegistry {
     generation: AtomicU64,
     swaps: AtomicU64,
     rollbacks: AtomicU64,
-    /// WAL-style deployment manifest (durable registries only).
-    manifest: Option<Mutex<FrameLog>>,
+    /// Serialises swappers across "read generation → append → store",
+    /// and holds the WAL-style deployment manifest of a durable registry.
+    swap: Mutex<Option<FrameLog>>,
 }
 
 /// Store name of the artifact backing a model choice's primary tier.
@@ -262,10 +266,10 @@ impl ModelRegistry {
         };
         Ok(Self {
             generation: AtomicU64::new(active.generation),
-            active: RwLock::new(Arc::new(active)),
+            active: RwLock::new(Rank::RegistryActive, Arc::new(active)),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
-            manifest: None,
+            swap: Mutex::new(Rank::RegistrySwap, None),
         })
     }
 
@@ -303,10 +307,10 @@ impl ModelRegistry {
         let active = ActiveModel { service, choice, version, generation };
         Ok(Self {
             generation: AtomicU64::new(active.generation),
-            active: RwLock::new(Arc::new(active)),
+            active: RwLock::new(Rank::RegistryActive, Arc::new(active)),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
-            manifest: Some(Mutex::new(log)),
+            swap: Mutex::new(Rank::RegistrySwap, Some(log)),
         })
     }
 
@@ -328,7 +332,7 @@ impl ModelRegistry {
     /// Snapshot of the current deployment. Cheap (`Arc` clone under a
     /// read lock); the snapshot stays valid across concurrent swaps.
     pub fn current(&self) -> Arc<ActiveModel> {
-        Arc::clone(&self.active.read().unwrap_or_else(PoisonError::into_inner))
+        Arc::clone(&self.active.read())
     }
 
     /// Generation of the current deployment.
@@ -370,32 +374,28 @@ impl ModelRegistry {
             return Err(e);
         }
         let version = latest_version(store, choice);
-        let mut active = self.active.write().unwrap_or_else(PoisonError::into_inner);
-        let generation = active.generation + 1;
-        if let Some(manifest) = &self.manifest {
+        // Only swappers change the generation, and they all hold this lock.
+        let mut swap = self.swap.lock();
+        let generation = self.generation() + 1;
+        if let Some(manifest) = swap.as_mut() {
             // Write-ahead: the swap is durable before it is observable.
             // On append failure nothing swaps, so the manifest can lag
             // reality (a logged deploy that crashed before serving) but
             // never lead it with an unserved generation... which is
             // exactly what replay-then-resume-numbering tolerates.
             let record = ManifestRecord { generation, choice, version };
-            let appended = encode_record(&record).and_then(|payload| {
-                manifest
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .append(&payload)
-                    .map(|_| ())
-            });
+            let appended = encode_record(&record).and_then(|payload| manifest.append(&payload));
             if let Err(e) = appended {
-                drop(active);
                 self.rollbacks.fetch_add(1, Ordering::Relaxed);
                 return Err(SwapError::Manifest(e.to_string()));
             }
         }
         let next = Arc::new(ActiveModel { service: candidate, choice, version, generation });
+        let mut active = self.active.write();
         *active = Arc::clone(&next);
         self.generation.store(generation, Ordering::Release);
         drop(active);
+        drop(swap);
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(next)
     }
@@ -582,6 +582,40 @@ mod tests {
         assert_eq!(second.generation(), 3, "generation resumes after the last durable record");
         let last = ModelRegistry::last_manifest_record(&path).unwrap().expect("records exist");
         assert_eq!(last, ManifestRecord { generation: 3, choice: ModelChoice::Nn, version: 1 });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn current_does_not_wait_for_a_swap_stalled_in_its_manifest_append() {
+        // Holding the swap lock stands in for a slow manifest fsync. For
+        // the two seconds it is held, a durable `hot_swap` waits on it
+        // (its deploy and probes take milliseconds), and every scorer's
+        // `current()` must still return within a second.
+        let dir = manifest_dir("stall");
+        let store = trained_store(97);
+        let registry = ModelRegistry::deploy_durable(
+            &store,
+            ModelChoice::Nn,
+            ScoringConfig::default(),
+            &dir.join("registry.wal"),
+        )
+        .unwrap();
+        let (registry, probes) = (&registry, jobs(2, 99));
+        std::thread::scope(|s| {
+            let fsync = registry.swap.lock();
+            let swapper = s.spawn(|| {
+                registry.hot_swap(&store, ModelChoice::Nn, ScoringConfig::default(), &probes)
+            });
+            let (served, scores) = std::sync::mpsc::sync_channel(0);
+            s.spawn(move || while served.send(registry.current().generation).is_ok() {});
+            let until = std::time::Instant::now() + std::time::Duration::from_secs(2);
+            while std::time::Instant::now() < until {
+                let generation = scores.recv_timeout(std::time::Duration::from_secs(1));
+                assert_eq!(generation, Ok(1), "current() waited behind the manifest append");
+            }
+            drop((scores, fsync));
+            assert_eq!(swapper.join().unwrap().unwrap().generation, 2);
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -40,9 +40,10 @@ use crate::registry::ModelRegistry;
 use crate::stats::{LatencyHistogram, ServerStatsSnapshot, SlowRequest, SlowestTracker};
 use attribution::Counters;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 use tasq::pipeline::ScoringService;
+use tasq_obs::sync::{Mutex, Rank};
 use tasq_obs::{SloConfig, SloEngine};
 use tasq_resil::{BreakerConfig, BreakerState, ChaosPlan, CircuitBreaker};
 
@@ -130,7 +131,7 @@ impl ScoringServer {
             counters: Counters::new(),
             latency: LatencyHistogram::new(),
             closed: AtomicBool::new(false),
-            breaker: Mutex::new(CircuitBreaker::new(config.breaker)),
+            breaker: Mutex::new(Rank::Breaker, CircuitBreaker::new(config.breaker)),
             slo: SloEngine::new(config.slo.clone()),
             slowest: SlowestTracker::new(),
             config,
@@ -162,7 +163,7 @@ impl ScoringServer {
 
     /// Current state of the primary-tier circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.lock().unwrap_or_else(PoisonError::into_inner).state()
+        self.breaker.lock().state()
     }
 
     /// The registry this server scores against (a hot-swap through it

@@ -7,7 +7,6 @@ use crate::registry::ActiveModel;
 use scope_sim::Job;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 use tasq_obs::{FieldValue, Level, TraceContext};
 
@@ -96,7 +95,7 @@ impl ScoringServer {
         seq: u64,
     ) -> ServedResponse {
         let fault_injected = self.config.chaos.as_ref().is_some_and(|plan| plan.nn_faulted(seq));
-        let allowed = self.breaker.lock().unwrap_or_else(PoisonError::into_inner).allow(seq);
+        let allowed = self.breaker.lock().allow(seq);
         let mut response = if !allowed || fault_injected {
             // Breaker open: the primary tier is skipped and the analytic
             // rung of the degradation ladder answers. Fault window: the
@@ -112,7 +111,7 @@ impl ScoringServer {
         };
         if allowed {
             let success = !fault_injected && response.predicted_runtime_at_request.is_finite();
-            let mut breaker = self.breaker.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut breaker = self.breaker.lock();
             let (trips, recoveries) = (breaker.trips(), breaker.recoveries());
             breaker.record(seq, success);
             let tripped = breaker.trips() > trips;

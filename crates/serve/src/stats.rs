@@ -10,7 +10,7 @@
 //! realistic unimodal latency distributions).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use tasq_obs::sync::{Mutex, Rank};
 use std::time::Duration;
 use tasq_obs::json::JsonValue;
 
@@ -223,7 +223,7 @@ impl SlowestTracker {
     pub fn new() -> Self {
         Self {
             floor: AtomicU64::new(u64::MAX),
-            slots: Mutex::new(std::array::from_fn(|_| None)),
+            slots: Mutex::new(Rank::SlowestSlots, std::array::from_fn(|_| None)),
         }
     }
 
@@ -234,7 +234,7 @@ impl SlowestTracker {
         if floor != u64::MAX && request.total_us <= floor {
             return;
         }
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slots = self.slots.lock();
         if let Some(slot) = slots.iter_mut().find(|s| s.is_none()) {
             *slot = Some(request);
             return;
@@ -259,7 +259,7 @@ impl SlowestTracker {
 
     /// Retained requests, slowest first.
     pub fn snapshot(&self) -> Vec<SlowRequest> {
-        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let slots = self.slots.lock();
         let mut out: Vec<SlowRequest> = slots.iter().flatten().cloned().collect();
         drop(slots);
         out.sort_by_key(|s| std::cmp::Reverse(s.total_us));
