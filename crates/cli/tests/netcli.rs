@@ -8,7 +8,7 @@
 #![allow(clippy::expect_used, clippy::panic, clippy::float_cmp)]
 
 use std::io::{BufRead, BufReader, Read};
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
 use std::time::Duration;
 
 use tasq_net::HttpClient;
@@ -40,9 +40,36 @@ fn generate_workload(dir: &std::path::Path) -> String {
     path
 }
 
+/// A `serve --listen` process, killed and reaped on drop: `Child` does
+/// neither, so without this a test that fails before draining its
+/// server would leave it running.
+struct Server {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+    addr: String,
+}
+
+impl Server {
+    /// Read the rest of the server's stdout and wait for it to exit.
+    fn finish(&mut self) -> (ExitStatus, String) {
+        let mut rest = String::new();
+        self.stdout.read_to_string(&mut rest).expect("read server stdout");
+        (self.child.wait().expect("wait server"), rest)
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        // Both fail harmlessly once a drained server has exited and been
+        // reaped, and a drop must not panic.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Spawn `serve --listen 127.0.0.1:0` (plus `extra` args) and read the
 /// handshake line.
-fn spawn_server_with(workload: &str, extra: &[&str]) -> (Child, BufReader<ChildStdout>, String) {
+fn spawn_server_with(workload: &str, extra: &[&str]) -> Server {
     let mut child = Command::new(EXE)
         .args([
             "serve", "--workload", workload, "--listen", "127.0.0.1:0", "--workers", "2",
@@ -53,21 +80,21 @@ fn spawn_server_with(workload: &str, extra: &[&str]) -> (Child, BufReader<ChildS
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn serve --listen");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
+    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut server = Server { child, stdout, addr: String::new() };
     let mut line = String::new();
-    let addr = loop {
+    server.addr = loop {
         line.clear();
-        let n = reader.read_line(&mut line).expect("read handshake");
+        let n = server.stdout.read_line(&mut line).expect("read handshake");
         assert!(n > 0, "server exited before handshake");
         if let Some(addr) = line.trim().strip_prefix("listening on ") {
             break addr.to_string();
         }
     };
-    (child, reader, addr)
+    server
 }
 
-fn spawn_server(workload: &str) -> (Child, BufReader<ChildStdout>, String) {
+fn spawn_server(workload: &str) -> Server {
     spawn_server_with(workload, &[])
 }
 
@@ -108,7 +135,8 @@ fn f64_field(value: &JsonValue, key: &str) -> f64 {
 fn serve_listen_netgen_both_framings_and_drain() {
     let dir = scratch_dir("e2e");
     let workload = generate_workload(&dir);
-    let (mut server, mut reader, addr) = spawn_server(&workload);
+    let mut server = spawn_server(&workload);
+    let addr = server.addr.clone();
 
     for mode in ["binary", "http"] {
         let stdout = run(&[
@@ -136,9 +164,7 @@ fn serve_listen_netgen_both_framings_and_drain() {
     let ack = control.request("POST", "/drain", b"").expect("drain");
     assert_eq!(ack.status, 200);
 
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).expect("read server stdout");
-    let status = server.wait().expect("wait server");
+    let (status, rest) = server.finish();
     assert!(status.success(), "server exited {status}, stdout:\n{rest}");
     let stats = parse_report(&rest);
     let submitted = f64_field(&stats, "submitted");
@@ -160,8 +186,8 @@ fn cross_process_traces_share_a_trace_id() {
     let workload = generate_workload(&dir);
     let server_trace = dir.join("server_trace.json");
     let server_trace = server_trace.to_str().expect("utf8 path").to_string();
-    let (mut server, mut reader, addr) =
-        spawn_server_with(&workload, &["--trace-out", &server_trace]);
+    let mut server = spawn_server_with(&workload, &["--trace-out", &server_trace]);
+    let addr = server.addr.clone();
 
     // One traced netgen run per framing: the binary frame preamble and
     // the HTTP `traceparent` header both carry the context.
@@ -198,9 +224,7 @@ fn cross_process_traces_share_a_trace_id() {
     assert_eq!(slo.status, 200);
     let ack = control.request("POST", "/drain", b"").expect("drain");
     assert_eq!(ack.status, 200);
-    let mut rest = String::new();
-    reader.read_to_string(&mut rest).expect("read server stdout");
-    assert!(server.wait().expect("wait server").success());
+    assert!(server.finish().0.success());
 
     let server_doc = std::fs::read_to_string(&server_trace).expect("server trace written");
     tasq_obs::validate_chrome_trace(&server_doc).expect("server trace is valid Chrome JSON");

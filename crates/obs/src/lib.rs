@@ -11,6 +11,8 @@
 //!   and collection for trace export.
 //! * [`metrics`] — named counters, gauges, and log-linear histograms in a
 //!   process-global registry with Prometheus-style text exposition.
+//!   Counters and histograms record into single-writer cells, one per
+//!   recording thread, so a record takes no locked read-modify-write.
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`) rendering collected spans, plus arbitrary extra
 //!   tracks (the simulator injects its virtual-time events here).
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
+mod cell;
 pub mod clock;
 pub mod export;
 pub mod json;

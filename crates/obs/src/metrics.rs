@@ -1,11 +1,13 @@
 //! Named counters, gauges, and log-linear histograms with Prometheus-style
 //! text exposition.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones
-//! over atomics: the registry lock is taken only at registration, never on
-//! the increment path. The process-global registry ([`Registry::global`])
-//! is what a listening server serves at `/metrics`; fresh registries can
-//! be built for tests.
+//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc` clones:
+//! the registry lock is taken only at registration, never on the record
+//! path. Counters and histograms record into single-writer cells (the
+//! private `cell` module): one per recording thread, written with a relaxed
+//! load and store, summed by readers. The process-global registry
+//! ([`Registry::global`]) is what a listening server serves at
+//! `/metrics`; fresh registries can be built for tests.
 //!
 //! # Histogram buckets
 //!
@@ -20,12 +22,24 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::cell::{self, Padded, SLOTS};
 use crate::sync::{Mutex, Rank};
 
+/// Monotonically increasing counter. Clones share the underlying cells.
+#[derive(Clone)]
+pub struct Counter(Arc<[Padded<AtomicU64>; SLOTS + 1]>);
 
-/// Monotonically increasing counter. Clones share the underlying cell.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+impl Default for Counter {
+    fn default() -> Self {
+        Self(Arc::new(std::array::from_fn(|_| Padded::default())))
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
+    }
+}
 
 impl Counter {
     /// Fresh counter at zero (detached from any registry).
@@ -39,15 +53,21 @@ impl Counter {
         self.add(1);
     }
 
-    /// Add `n`.
+    /// Add `n`: to this thread's own cell, or to the shared last cell
+    /// when every slot is taken.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        match cell::current() {
+            Some(slot) => cell::bump(&self.0[slot].0, n),
+            None => {
+                self.0[SLOTS].0.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// Current value.
+    /// Current value: the sum of every thread's cell.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().fold(0, |total, c| total.wrapping_add(c.0.load(Ordering::Relaxed)))
     }
 }
 
@@ -128,10 +148,29 @@ pub struct Exemplar {
     pub ts_us: u64,
 }
 
-struct HistogramCore {
+/// One recording thread's share of a histogram.
+#[repr(align(64))]
+struct Cells {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
+}
+
+impl Cells {
+    fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+}
+
+struct HistogramCore {
+    /// One set of cells per slot, allocated when its first owner records.
+    owned: [OnceLock<Box<Cells>>; SLOTS],
+    /// Written with `fetch_add` by threads that found no free slot.
+    shared: Cells,
     /// Smallest value currently retained in a full exemplar set (0 while
     /// slots remain): the lock below is only taken when a new value
     /// qualifies, so the common record path stays lock-free.
@@ -140,8 +179,8 @@ struct HistogramCore {
 }
 
 /// Concurrent log-linear histogram of `u64` samples (typically
-/// microseconds). Clones share the underlying buckets; recording is one
-/// relaxed `fetch_add` per cell.
+/// microseconds). Clones share the underlying cells; recording is a
+/// relaxed load and store into three of the recording thread's own cells.
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramCore>);
 
@@ -164,9 +203,8 @@ impl Histogram {
     /// Fresh empty histogram (detached from any registry).
     pub fn new() -> Self {
         Histogram(Arc::new(HistogramCore {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+            owned: std::array::from_fn(|_| OnceLock::new()),
+            shared: Cells::new(),
             exemplar_floor: AtomicU64::new(u64::MAX),
             exemplars: Mutex::new(Rank::MetricExemplars, [None; EXEMPLAR_SLOTS]),
         }))
@@ -175,9 +213,32 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.0.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
+        let bucket = bucket_index(value);
+        match cell::current() {
+            Some(slot) => {
+                let cells = self.0.owned[slot].get_or_init(|| Box::new(Cells::new()));
+                cell::bump(&cells.buckets[bucket], 1);
+                cell::bump(&cells.count, 1);
+                cell::bump(&cells.sum, value);
+            }
+            None => {
+                let cells = &self.0.shared;
+                cells.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+                cells.count.fetch_add(1, Ordering::Relaxed);
+                cells.sum.fetch_add(value, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Every thread's cells, the shared ones included.
+    fn cells(&self) -> impl Iterator<Item = &Cells> {
+        let owned = self.0.owned.iter().filter_map(|slot| slot.get().map(|cells| &**cells));
+        owned.chain(std::iter::once(&self.0.shared))
+    }
+
+    /// Sum of one cell over every thread's cells.
+    fn total(&self, cell: impl Fn(&Cells) -> &AtomicU64) -> u64 {
+        self.cells().fold(0, |total, c| total.wrapping_add(cell(c).load(Ordering::Relaxed)))
     }
 
     /// Record one sample and offer it as an exemplar. Exemplar retention
@@ -239,12 +300,12 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.total(|c| &c.count)
     }
 
     /// Sum of recorded samples.
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+        self.total(|c| &c.sum)
     }
 
     /// Mean of recorded samples (0 when empty).
@@ -259,7 +320,13 @@ impl Histogram {
 
     /// Snapshot of per-bucket counts (index via [`bucket_le`]).
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        let mut counts = vec![0u64; NUM_BUCKETS];
+        for cells in self.cells() {
+            for (total, bucket) in counts.iter_mut().zip(&cells.buckets) {
+                *total = total.wrapping_add(bucket.load(Ordering::Relaxed));
+            }
+        }
+        counts
     }
 
     /// Estimated `q`-quantile (`q` clamped to `[0, 1]`), with linear
@@ -384,16 +451,6 @@ impl Registry {
         self.gauge(name, help).set(value);
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// Whether nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Prometheus-style text exposition: `# HELP` / `# TYPE` headers,
     /// histograms as cumulative `_bucket{le="…"}` series (empty leading
     /// and trailing buckets elided) plus `_sum` / `_count`. Histogram
@@ -490,6 +547,75 @@ mod tests {
             }
         });
         assert_eq!(counter.get(), THREADS as u64 * PER_THREAD);
+    }
+
+    /// `threads` counters adding `per_thread` each, all alive at once, so
+    /// that beyond [`SLOTS`] some must share the last cell.
+    fn count_concurrently(threads: usize, per_thread: u64) -> u64 {
+        let counter = Counter::new();
+        let all_claimed = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    counter.inc();
+                    all_claimed.wait();
+                    for _ in 1..per_thread {
+                        counter.inc();
+                    }
+                });
+            }
+        });
+        counter.get()
+    }
+
+    #[test]
+    fn counts_are_exact_just_below_and_just_above_the_slot_count() {
+        for threads in [SLOTS - 1, SLOTS + 3] {
+            assert_eq!(count_concurrently(threads, 20_000), threads as u64 * 20_000, "{threads}");
+        }
+    }
+
+    #[test]
+    fn short_lived_threads_reuse_slots_and_carry_their_counts_on() {
+        let counter = Counter::new();
+        let hist = Histogram::new();
+        for round in 0..3 * SLOTS as u64 {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    counter.add(round + 1);
+                    hist.record(round);
+                });
+            });
+        }
+        let n = 3 * SLOTS as u64;
+        assert_eq!(counter.get(), n * (n + 1) / 2);
+        assert_eq!((hist.count(), hist.sum()), (n, n * (n - 1) / 2));
+    }
+
+    #[test]
+    fn concurrent_records_keep_count_buckets_and_sum_exact() {
+        let hist = Histogram::new();
+        let threads = SLOTS + 2;
+        let per_thread = 20_000u64;
+        let started = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads as u64 {
+                let (hist, started) = (&hist, &started);
+                scope.spawn(move || {
+                    started.wait();
+                    for i in 0..per_thread {
+                        hist.record(t * 1_000 + i % 997);
+                    }
+                });
+            }
+        });
+        let records = threads as u64 * per_thread;
+        let expected_sum: u64 = (0..threads as u64)
+            .flat_map(|t| (0..per_thread).map(move |i| t * 1_000 + i % 997))
+            .sum();
+        assert_eq!(hist.count(), records);
+        assert_eq!(hist.bucket_counts().iter().sum::<u64>(), records);
+        assert_eq!(hist.sum(), expected_sum);
     }
 
     #[test]

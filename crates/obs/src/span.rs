@@ -515,12 +515,6 @@ pub fn take_collected() -> Vec<SpanEvent> {
     std::mem::take(&mut collector.events)
 }
 
-/// Like [`take_collected`] but non-destructive.
-pub fn snapshot_collected() -> Vec<SpanEvent> {
-    flush_current_thread();
-    collector().lock().events.clone()
-}
-
 /// Events discarded because the collector hit [`COLLECTOR_CAPACITY`]
 /// since the last [`take_collected`].
 pub fn collected_dropped() -> u64 {

@@ -134,6 +134,13 @@ impl CircuitBreaker {
         self.state
     }
 
+    /// Closed with no failure pending: [`CircuitBreaker::allow`] returns
+    /// `true` and a recorded success changes nothing, so a caller that
+    /// keeps this bit beside a locked breaker can skip the lock for both.
+    pub fn is_settled(&self) -> bool {
+        self.state == BreakerState::Closed && self.consecutive_failures == 0
+    }
+
     /// Times the breaker has tripped open.
     pub fn trips(&self) -> u64 {
         self.trips
@@ -199,6 +206,25 @@ mod tests {
         assert_eq!(b.trips(), 2);
         assert!(!b.allow(15));
         assert!(b.allow(22));
+    }
+
+    #[test]
+    fn settled_means_closed_with_no_failure_pending() {
+        let mut b = breaker();
+        assert!(b.is_settled());
+        b.record(1, false);
+        assert!(!b.is_settled(), "one failure pending");
+        b.record(2, true);
+        assert!(b.is_settled(), "a success clears the streak");
+        for t in 3..6 {
+            b.record(t, false);
+        }
+        assert!(!b.is_settled(), "open");
+        assert!(b.allow(20));
+        assert!(!b.is_settled(), "half-open");
+        b.record(20, true);
+        b.record(21, true);
+        assert!(b.is_settled(), "recovered");
     }
 
     #[test]

@@ -221,8 +221,11 @@ impl ScoringServer {
             );
             return Err(SubmitError::Overloaded { depth, capacity });
         }
-        self.counters.peak_queue_depth.fetch_max(depth as u64 + 1, Ordering::Relaxed);
-        let outcome = self.score_miss(&job, key, submitted, ctx, deadline);
+        let peak = &self.counters.peak_queue_depth;
+        if depth as u64 >= peak.load(Ordering::Relaxed) {
+            peak.fetch_max(depth as u64 + 1, Ordering::Relaxed);
+        }
+        let outcome = self.score_miss(&job, key, generation, submitted, ctx, deadline);
         self.depth.fetch_sub(1, Ordering::Relaxed);
         Ok(Ticket { outcome })
     }

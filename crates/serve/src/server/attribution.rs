@@ -5,10 +5,16 @@
 //! worker_lost + deadline_timeouts`) reads the same from both;
 //! [`ScoringServer::finish`] cuts a completed request's time into the
 //! segment chain behind `/debug/slowest` and the `segment_*_us` histograms.
+//!
+//! Each fact is recorded once, into `tasq_obs`'s single-writer cells (a
+//! relaxed load and store each). A cache hit records its latency (server
+//! and global histogram) and four counts (submitted, completed, cache and
+//! fastpath hits); a scored miss records its latency, three counts
+//! (submitted, completed, model scored), its probe and its score segment.
 
 use super::ScoringServer;
 use crate::stats::SlowRequest;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 use std::time::Instant;
 use tasq::pipeline::ServedTier;
@@ -25,20 +31,14 @@ struct ServeMetrics {
     /// Process-wide latency histogram; each server also keeps its own
     /// detached histogram for per-server snapshots.
     latency: tasq_obs::Histogram,
-    /// Tail-latency attribution: each request's end-to-end time is
-    /// decomposed into contiguous segments whose sums equal the
-    /// end-to-end total, so `sum(segment sums) ≈ serve_latency_us_sum`
-    /// is a checkable invariant. Traced requests leave exemplars.
+    /// Tail-latency attribution of a scored miss: its end-to-end time is
+    /// cut into two contiguous segments, probe then score, whose sum is
+    /// the total. A hit's whole life is its probe, which its latency
+    /// already records. Traced requests leave exemplars.
     seg_fastpath_probe: tasq_obs::Histogram,
-    /// A miss is scored where it arrives, so the queue and batch waits
-    /// record 0 per miss. Kept only because `tasq-benchmark` reads both
-    /// by name; a `benchmark` PR that drops those rows can delete them.
-    seg_queue_wait: tasq_obs::Histogram,
-    seg_batch_wait: tasq_obs::Histogram,
     seg_score_primary: tasq_obs::Histogram,
     seg_score_fallback: tasq_obs::Histogram,
     seg_score_analytic: tasq_obs::Histogram,
-    seg_flush: tasq_obs::Histogram,
 }
 
 fn serve_metrics() -> &'static ServeMetrics {
@@ -54,13 +54,7 @@ fn serve_metrics() -> &'static ServeMetrics {
                 .histogram("serve_latency_us", "end-to-end request latency in microseconds"),
             seg_fastpath_probe: r.histogram(
                 "segment_fastpath_probe_us",
-                "submit entry to score start (whole request for cache hits)",
-            ),
-            seg_queue_wait: r
-                .histogram("segment_queue_wait_us", "always 0: a miss is scored where it arrives"),
-            seg_batch_wait: r.histogram(
-                "segment_batch_wait_us",
-                "always 0: a miss is scored by itself",
+                "submit entry to score start of a scored miss",
             ),
             seg_score_primary: r
                 .histogram("segment_score_primary_us", "scoring time, primary tier"),
@@ -68,35 +62,46 @@ fn serve_metrics() -> &'static ServeMetrics {
                 .histogram("segment_score_fallback_us", "scoring time, fallback tier"),
             seg_score_analytic: r
                 .histogram("segment_score_analytic_us", "scoring time, analytic tier"),
-            seg_flush: r
-                .histogram("segment_flush_us", "score end to completion bookkeeping"),
         }
     })
+}
+
+/// Register the segments that are never recorded: a miss is scored where
+/// it arrives, by itself, and its score's end is its completion, so the
+/// queue wait, the batch wait and the flush are 0 by construction. Kept
+/// only because `tasq-benchmark` reads them by name (an empty histogram
+/// reads 0 there, as a histogram of zeros did); a `benchmark` PR that
+/// drops those rows can delete them.
+fn register_zero_segments() {
+    let r = tasq_obs::Registry::global();
+    r.histogram("segment_queue_wait_us", "always empty: a miss is scored where it arrives");
+    r.histogram("segment_batch_wait_us", "always empty: a miss is scored by itself");
+    r.histogram("segment_flush_us", "always empty: a miss completes when its score ends");
 }
 
 /// One always-on count, kept twice: for this server's stats snapshot and
 /// in the global metrics registry, so the expositions see serving activity
 /// live. [`Tally::count`] is the only way to bump either, so the two
-/// cannot drift. Relaxed increments; never contended.
+/// cannot drift. Both are single-writer cells: no locked instruction.
 pub(super) struct Tally {
-    server: AtomicU64,
+    server: Counter,
     registry: Counter,
 }
 
 impl Tally {
     fn new(name: &str, help: &str) -> Self {
         let registry = tasq_obs::Registry::global().counter(name, help);
-        Self { server: AtomicU64::new(0), registry }
+        Self { server: Counter::new(), registry }
     }
 
     pub(super) fn count(&self) {
-        self.server.fetch_add(1, Ordering::Relaxed);
+        self.server.inc();
         self.registry.inc();
     }
 
     /// This server's count.
     pub(super) fn get(&self) -> u64 {
-        self.server.load(Ordering::Relaxed)
+        self.server.get()
     }
 }
 
@@ -106,13 +111,11 @@ pub(super) struct Counters {
     pub(super) cache_hits: Tally,
     pub(super) model_scored: Tally,
     pub(super) rejected: Tally,
-    /// Misses admitted to scoring: each is its own batch of one.
-    pub(super) batches: Tally,
     pub(super) worker_lost: Tally,
     pub(super) deadline_timeouts: Tally,
     pub(super) breaker_trips: Tally,
     pub(super) breaker_recoveries: Tally,
-    /// Most misses in flight at once.
+    /// Most misses in flight at once; written only when exceeded.
     pub(super) peak_queue_depth: AtomicU64,
     /// Miss sequence numbers, the ticks of the breaker and the chaos plan.
     pub(super) seq: AtomicU64,
@@ -120,6 +123,7 @@ pub(super) struct Counters {
 
 impl Counters {
     pub(super) fn new() -> Self {
+        register_zero_segments();
         let t = Tally::new;
         Self {
             submitted: t("serve_submitted_total", "requests accepted by submit"),
@@ -127,7 +131,6 @@ impl Counters {
             cache_hits: t("serve_cache_hits_total", "requests answered from the signature cache"),
             model_scored: t("serve_model_scored_total", "requests scored against the model"),
             rejected: t("serve_rejected_total", "requests refused at admission"),
-            batches: t("serve_batches_total", "misses admitted to scoring, one batch each"),
             worker_lost: t("serve_worker_lost_total", "admitted requests whose score panicked"),
             deadline_timeouts: t(
                 "serve_deadline_timeouts",
@@ -148,7 +151,8 @@ impl Counters {
 }
 
 /// Stage timestamps of a scored miss; a cache hit has no stages — its
-/// whole life is the fastpath probe.
+/// whole life is the fastpath probe. The score's end is the miss's
+/// completion time.
 pub(super) struct StageClock {
     pub(super) score_start: Instant,
     pub(super) score_end: Instant,
@@ -182,11 +186,12 @@ fn record_segment(histogram: &tasq_obs::Histogram, value: u64, ctx: TraceContext
 impl ScoringServer {
     /// Complete one answered request: latency + segment histograms (with
     /// trace exemplars), SLO accounting, and slowest-request retention.
-    /// The segment chain is contiguous — probe → score → flush for a
-    /// scored miss, probe-only for a cache hit — so per-request segment
-    /// sums equal the end-to-end total.
+    /// The segment chain is contiguous — probe → score for a scored miss,
+    /// probe-only for a cache hit — so per-request segment sums equal the
+    /// end-to-end total. A hit reads the clock here; a miss completes at
+    /// its score's end and reads none.
     pub(super) fn finish(&self, submitted: Instant, ctx: TraceContext, stages: Option<StageClock>) {
-        let done = Instant::now();
+        let done = stages.as_ref().map_or_else(Instant::now, |st| st.score_end);
         let elapsed = done.saturating_duration_since(submitted);
         let total_us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
         if ctx.is_active() {
@@ -203,7 +208,6 @@ impl ScoringServer {
             None => {
                 self.counters.cache_hits.count();
                 metrics.fastpath_hits.inc();
-                record_segment(&metrics.seg_fastpath_probe, total_us, ctx);
                 SlowRequest {
                     trace_id: ctx.trace_id,
                     total_us,
@@ -218,17 +222,13 @@ impl ScoringServer {
                 self.counters.model_scored.count();
                 let probe = stage_us(submitted, st.score_start);
                 let score = stage_us(st.score_start, st.score_end);
-                let flush = stage_us(st.score_end, done);
                 record_segment(&metrics.seg_fastpath_probe, probe, ctx);
-                record_segment(&metrics.seg_queue_wait, 0, ctx);
-                record_segment(&metrics.seg_batch_wait, 0, ctx);
                 let score_histogram = match st.tier {
                     ServedTier::Primary => &metrics.seg_score_primary,
                     ServedTier::Fallback => &metrics.seg_score_fallback,
                     ServedTier::Analytic => &metrics.seg_score_analytic,
                 };
                 record_segment(score_histogram, score, ctx);
-                record_segment(&metrics.seg_flush, flush, ctx);
                 SlowRequest {
                     trace_id: ctx.trace_id,
                     total_us,
@@ -236,7 +236,7 @@ impl ScoringServer {
                     tier: tier_label(st.tier),
                     fastpath_probe_us: probe,
                     score_us: score,
-                    flush_us: flush,
+                    flush_us: 0,
                 }
             }
         };

@@ -18,7 +18,7 @@
 //!    panicking score resolves its own request to the typed
 //!    [`RequestError::WorkerLost`] and the submitting thread carries on.
 //!    Per-request deadline budgets resolve overdue work to
-//!    [`RequestError::DeadlineExceeded`], and a [`CircuitBreaker`] over
+//!    [`RequestError::DeadlineExceeded`], and a [`tasq_resil::CircuitBreaker`] over
 //!    the primary model tier trips onto the analytic fallback after
 //!    consecutive primary failures, half-open-probing its way back.
 //!
@@ -39,13 +39,13 @@ use crate::cache::{CacheConfig, SignatureCache};
 use crate::registry::ModelRegistry;
 use crate::stats::{LatencyHistogram, ServerStatsSnapshot, SlowRequest, SlowestTracker};
 use attribution::Counters;
+use score::Breaker;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tasq::pipeline::ScoringService;
-use tasq_obs::sync::{Mutex, Rank};
 use tasq_obs::{SloConfig, SloEngine};
-use tasq_resil::{BreakerConfig, BreakerState, ChaosPlan, CircuitBreaker};
+use tasq_resil::{BreakerConfig, BreakerState, ChaosPlan};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -111,7 +111,7 @@ pub struct ScoringServer {
     /// Set by [`ScoringServer::close`]: `submit` refuses from then on.
     closed: AtomicBool,
     /// Primary-tier circuit breaker, ticked by miss sequence number.
-    breaker: Mutex<CircuitBreaker>,
+    breaker: Breaker,
     config: ServeConfig,
     /// Error-budget burn-rate engine fed by every completion/failure.
     slo: SloEngine,
@@ -131,7 +131,7 @@ impl ScoringServer {
             counters: Counters::new(),
             latency: LatencyHistogram::new(),
             closed: AtomicBool::new(false),
-            breaker: Mutex::new(Rank::Breaker, CircuitBreaker::new(config.breaker)),
+            breaker: Breaker::new(config.breaker),
             slo: SloEngine::new(config.slo.clone()),
             slowest: SlowestTracker::new(),
             config,
@@ -141,6 +141,9 @@ impl ScoringServer {
     /// Point-in-time statistics.
     pub fn stats(&self) -> ServerStatsSnapshot {
         let c = &self.counters;
+        // Every admitted miss is scored by itself, one batch each, and
+        // resolves to exactly one of these three.
+        let batches = c.model_scored.get() + c.worker_lost.get() + c.deadline_timeouts.get();
         ServerStatsSnapshot {
             submitted: c.submitted.get(),
             completed: c.completed.get(),
@@ -148,8 +151,8 @@ impl ScoringServer {
             model_scored: c.model_scored.get(),
             shed: 0,
             rejected: c.rejected.get(),
-            batches: c.batches.get(),
-            batched_requests: c.batches.get(),
+            batches,
+            batched_requests: batches,
             peak_queue_depth: c.peak_queue_depth.load(Ordering::Relaxed),
             worker_lost: c.worker_lost.get(),
             deadline_timeouts: c.deadline_timeouts.get(),
@@ -163,7 +166,7 @@ impl ScoringServer {
 
     /// Current state of the primary-tier circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.lock().state()
+        self.breaker.state()
     }
 
     /// The registry this server scores against (a hot-swap through it
@@ -375,6 +378,30 @@ mod tests {
         let after = score(&server, job);
         assert_eq!(after.via, ServedVia::Model, "new generation misses the old cache key");
         assert_eq!(after.generation, 2);
+    }
+
+    #[test]
+    fn a_miss_that_races_a_hot_swap_caches_nothing_under_the_old_key() {
+        let store = store(105);
+        let registry = Arc::new(
+            ModelRegistry::deploy(&store, ModelChoice::Nn, ScoringConfig::default()).unwrap(),
+        );
+        let server = ScoringServer::start(Arc::clone(&registry), ServeConfig::default());
+        let job = jobs(1, 107).remove(0);
+        // Admission keys the miss under generation 1; the swap lands
+        // before the miss reads the active model, so generation 2 scores it.
+        let key = PlanSignature::of_job(&job).cache_key(1);
+        registry
+            .hot_swap(&store, ModelChoice::Nn, ScoringConfig::default(), &jobs(2, 109))
+            .expect("swap");
+        let served = server
+            .score_miss(&job, key, 1, Instant::now(), TraceContext::NONE, None)
+            .expect("scored");
+        assert_eq!(served.generation, 2);
+        assert!(
+            server.cache.get(key).is_none(),
+            "generation 2's answer must not be served under generation 1's key"
+        );
     }
 
     #[test]

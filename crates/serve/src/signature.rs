@@ -1,7 +1,7 @@
 //! Deterministic plan signatures.
 //!
-//! The serving cache is keyed by a 64-bit hash (FNV-seeded, splitmix-style
-//! word mixing in four lanes) over exactly the
+//! The serving cache is keyed by a 64-bit hash (three lanes, each folding
+//! a pair of words with one 64×64→128-bit multiply) over exactly the
 //! compile-time information the featurizer reads from a submitted job:
 //! every operator's categorical identity (operator + partitioning one-hot
 //! indices), its discrete features, the bit patterns of its continuous
@@ -24,9 +24,14 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanSignature(pub u64);
 
+/// Nonzero constants (hex digits of π), one per lane, xored into each
+/// pair's second word, so that a zero word does not zero a lane's product.
+const PAIR_KEYS: [u64; 3] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0];
+
 /// Fold one word into a hash state with a full splitmix64 finalizer
-/// round, which avalanches well enough for shard selection while staying
-/// a handful of multiplies per word.
+/// round: three dependent multiplies, which avalanche every input bit.
+/// Kept where the avalanche matters — the lanes' final fold and the
+/// cache key, whose low bits pick the shard.
 #[inline]
 fn mix(state: u64, value: u64) -> u64 {
     let mut x = state ^ value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -44,28 +49,40 @@ fn canonical_bits(value: f64) -> u64 {
     canonical.to_bits()
 }
 
-/// Streaming hasher over the plan's feature-relevant words, four words
-/// at a time into four independent lanes. One lane's rounds form a
-/// serial multiply chain; four chains overlap in the pipeline, so a
-/// plan hashes in about a quarter of the time one chain takes — this
-/// sits on every request's path, hit or miss. The lanes fold into one
-/// word at the end.
-struct Lanes([u64; 4]);
+/// The high and low halves of the full 128-bit product, xored: every
+/// bit of either factor reaches the middle bits of the result.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// Streaming hasher over the plan's feature-relevant words, six words
+/// at a time into three independent lanes: each lane folds a pair of
+/// words into its state with one wide multiply, `state = fold(state ^ a,
+/// b ^ key)`. The three multiply chains overlap in the pipeline, and an
+/// operator's twelve words take two rounds of each; this sits on every
+/// request's path, hit or miss. The lanes fold into one word at the end,
+/// two of them by one more wide multiply and the third by a splitmix
+/// round.
+struct Lanes([u64; 3]);
 
 impl Lanes {
     fn new() -> Self {
-        Self([FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3])
+        Self([FNV_OFFSET, FNV_OFFSET ^ PAIR_KEYS[0], FNV_OFFSET ^ PAIR_KEYS[1]])
     }
 
     #[inline]
-    fn write(&mut self, words: [u64; 4]) {
-        for (lane, word) in self.0.iter_mut().zip(words) {
-            *lane = mix(*lane, word);
-        }
+    fn write(&mut self, [a, b, c, d, e, f]: [u64; 6]) {
+        let [k0, k1, k2] = PAIR_KEYS;
+        self.0[0] = folded_multiply(self.0[0] ^ a, b ^ k0);
+        self.0[1] = folded_multiply(self.0[1] ^ c, d ^ k1);
+        self.0[2] = folded_multiply(self.0[2] ^ e, f ^ k2);
     }
 
     fn finish(&self) -> u64 {
-        self.0.iter().fold(FNV_OFFSET, |state, &lane| mix(state, lane))
+        let [a, b, c] = self.0;
+        mix(folded_multiply(a ^ PAIR_KEYS[0], b ^ PAIR_KEYS[1]), c)
     }
 }
 
@@ -74,7 +91,7 @@ impl PlanSignature {
     pub fn of_job(job: &Job) -> Self {
         let mut lanes = Lanes::new();
         hash_plan(&mut lanes, &job.plan);
-        lanes.write([job.requested_tokens as u64, job.seed, 0, 0]);
+        lanes.write([job.requested_tokens as u64, job.seed, 0, 0, 0, 0]);
         Self(lanes.finish())
     }
 
@@ -96,34 +113,33 @@ impl PlanSignature {
 }
 
 fn hash_plan(lanes: &mut Lanes, plan: &JobPlan) {
-    lanes.write([plan.operators.len() as u64, plan.edges.len() as u64, 0, 0]);
+    lanes.write([plan.operators.len() as u64, plan.edges.len() as u64, 0, 0, 0, 0]);
     for node in &plan.operators {
         lanes.write([
             node.op.one_hot_index() as u64,
             node.partitioning.one_hot_index() as u64,
             node.num_partitions as u64,
             node.num_partitioning_columns as u64,
-        ]);
-        lanes.write([
             node.num_sort_columns as u64,
             canonical_bits(node.est_output_cardinality),
-            canonical_bits(node.est_leaf_input_cardinality),
-            canonical_bits(node.est_children_input_cardinality),
         ]);
         lanes.write([
+            canonical_bits(node.est_leaf_input_cardinality),
+            canonical_bits(node.est_children_input_cardinality),
             canonical_bits(node.avg_row_length),
             canonical_bits(node.est_subtree_cost),
             canonical_bits(node.est_exclusive_cost),
             canonical_bits(node.est_total_cost),
         ]);
     }
-    let mut edges = plan.edges.chunks_exact(2);
-    for pair in &mut edges {
-        let ((a, b), (c, d)) = (pair[0], pair[1]);
-        lanes.write([a as u64, b as u64, c as u64, d as u64]);
-    }
-    if let [(child, parent)] = *edges.remainder() {
-        lanes.write([child as u64, parent as u64, 0, 0]);
+    // Three edges a write; the edge count above tells a short last write's
+    // zero padding from edges.
+    for edges in plan.edges.chunks(3) {
+        let mut words = [0u64; 6];
+        for (pair, &(child, parent)) in words.chunks_exact_mut(2).zip(edges) {
+            pair.copy_from_slice(&[child as u64, parent as u64]);
+        }
+        lanes.write(words);
     }
 }
 
@@ -147,12 +163,13 @@ mod tests {
 
     #[test]
     fn distinct_jobs_get_distinct_signatures() {
-        let population = jobs(60, 23);
+        // The size of the benchmark's ad-hoc plan pool.
+        let population = jobs(2048, 23);
         let mut signatures: Vec<u64> =
             population.iter().map(|j| PlanSignature::of_job(j).0).collect();
         signatures.sort_unstable();
         signatures.dedup();
-        assert_eq!(signatures.len(), 60, "no collisions across a workload");
+        assert_eq!(signatures.len(), 2048, "no collisions across a workload");
     }
 
     #[test]
