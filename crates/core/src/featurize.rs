@@ -10,13 +10,16 @@
 //!   DAG, for the GNN, avoiding aggregation loss.
 //!
 //! Continuous magnitudes (cardinalities, costs, row lengths) span many
-//! orders of magnitude, so they are `log1p`-compressed at extraction; a
+//! orders of magnitude, so they are `log1p`-compressed at extraction,
+//! with `tasq_ml`'s [`log1p`] (glibc's generic `log1p`, to the bit, with
+//! no call into libm; [`featurize_job`] runs it lane-wise); a
 //! [`FeatureScaler`] (fit on training data) z-scores inputs for the neural
 //! models. Tree models consume the raw vectors.
 
 use scope_sim::operators::ALL_OPERATORS;
 use scope_sim::plan::{JobPlan, OperatorNode};
 use tasq_codec::{CodecError, Wire};
+use tasq_ml::{log1p, log1p_then_divide};
 
 /// Number of continuous per-operator features.
 pub const NUM_CONTINUOUS: usize = 7;
@@ -49,17 +52,27 @@ pub struct OperatorFeatures {
 /// Number of per-operator features that aggregate by mean.
 const NUM_SCALAR: usize = NUM_CONTINUOUS + NUM_DISCRETE;
 
-/// The continuous (log1p-compressed) then discrete features of one
-/// operator, in row order.
-fn scalar_features(node: &OperatorNode) -> [f64; NUM_SCALAR] {
+/// Operators [`featurize_job`] fills its stack buffers with before each
+/// [`log1p_then_divide`] call: one call covers a plan of up to 16.
+const CHUNK: usize = 16;
+
+/// The continuous features of one operator before compression, clamped
+/// at zero (`NaN` and negatives read `0.0`).
+fn continuous_inputs(node: &OperatorNode) -> [f64; NUM_CONTINUOUS] {
     [
-        node.est_output_cardinality.max(0.0).ln_1p(),
-        node.est_leaf_input_cardinality.max(0.0).ln_1p(),
-        node.est_children_input_cardinality.max(0.0).ln_1p(),
-        node.avg_row_length.max(0.0).ln_1p(),
-        node.est_subtree_cost.max(0.0).ln_1p(),
-        node.est_exclusive_cost.max(0.0).ln_1p(),
-        node.est_total_cost.max(0.0).ln_1p(),
+        node.est_output_cardinality.max(0.0),
+        node.est_leaf_input_cardinality.max(0.0),
+        node.est_children_input_cardinality.max(0.0),
+        node.avg_row_length.max(0.0),
+        node.est_subtree_cost.max(0.0),
+        node.est_exclusive_cost.max(0.0),
+        node.est_total_cost.max(0.0),
+    ]
+}
+
+/// The discrete features of one operator.
+fn discrete_features(node: &OperatorNode) -> [f64; NUM_DISCRETE] {
+    [
         node.num_partitions as f64,
         node.num_partitioning_columns as f64,
         node.num_sort_columns as f64,
@@ -78,7 +91,10 @@ fn one_hot_positions(node: &OperatorNode) -> [usize; 2] {
 /// The continuous + discrete + one-hot row for a single operator.
 fn operator_row(node: &OperatorNode) -> Vec<f64> {
     let mut row = vec![0.0; OP_FEATURE_DIM];
-    row[..NUM_SCALAR].copy_from_slice(&scalar_features(node));
+    for (feature, x) in row.iter_mut().zip(continuous_inputs(node)) {
+        *feature = log1p(x);
+    }
+    row[NUM_CONTINUOUS..NUM_SCALAR].copy_from_slice(&discrete_features(node));
     for position in one_hot_positions(node) {
         row[position] = 1.0;
     }
@@ -97,18 +113,38 @@ pub fn featurize_operators(plan: &JobPlan) -> OperatorFeatures {
 ///
 /// Continuous and discrete features aggregate by mean; one-hot categories
 /// aggregate by frequency count; operator and stage counts are appended.
-/// Accumulates straight from the operators, adding what a sum over
-/// [`featurize_operators`] rows would add in the same order (a one-hot
-/// zero adds nothing), so the vector is bit-identical to that sum.
+/// Works [`CHUNK`] operators at a time: their inputs go into stack
+/// buffers, one [`log1p_then_divide`] call compresses and divides them
+/// all lane-wise, and the quotients are added into the means operator by
+/// operator, feature by feature, from `0.0`. Those are the additions a
+/// sum over [`featurize_operators`] rows would make, in the same order
+/// (a one-hot zero adds nothing, and both use the one [`log1p`]), so the
+/// vector is bit-identical to that sum.
 pub fn featurize_job(plan: &JobPlan, num_stages: usize) -> JobFeatures {
     let n = plan.operators.len().max(1) as f64;
     let mut values = vec![0.0; JOB_FEATURE_DIM];
-    for node in &plan.operators {
-        for (mean, feature) in values.iter_mut().zip(scalar_features(node)) {
-            *mean += feature / n;
+    let mut logs = [0.0; CHUNK * NUM_CONTINUOUS];
+    let mut plain = [0.0; CHUNK * NUM_DISCRETE];
+    for chunk in plan.operators.chunks(CHUNK) {
+        let logs = &mut logs[..chunk.len() * NUM_CONTINUOUS];
+        let plain = &mut plain[..chunk.len() * NUM_DISCRETE];
+        let inputs = logs.chunks_exact_mut(NUM_CONTINUOUS);
+        for (node, (continuous, discrete)) in
+            chunk.iter().zip(inputs.zip(plain.chunks_exact_mut(NUM_DISCRETE)))
+        {
+            continuous.copy_from_slice(&continuous_inputs(node));
+            discrete.copy_from_slice(&discrete_features(node));
         }
-        for position in one_hot_positions(node) {
-            values[position] += 1.0;
+        log1p_then_divide(logs, plain, n);
+        let quotients = logs.chunks_exact(NUM_CONTINUOUS).zip(plain.chunks_exact(NUM_DISCRETE));
+        for (node, (continuous, discrete)) in chunk.iter().zip(quotients) {
+            let features = continuous.iter().chain(discrete);
+            for (mean, &feature) in values[..NUM_SCALAR].iter_mut().zip(features) {
+                *mean += feature;
+            }
+            for position in one_hot_positions(node) {
+                values[position] += 1.0;
+            }
         }
     }
     values[OP_FEATURE_DIM] = plan.operators.len() as f64;
@@ -214,6 +250,60 @@ impl FeatureScaler {
     }
 }
 
+/// The scalar loop [`featurize_job`] replaced: one operator at a time,
+/// its ten mean features computed and divided one by one, with the
+/// scalar [`log1p`] where it called libm's `ln_1p`. Kept as the oracle
+/// the chunked, lane-wise path must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{log1p, one_hot_positions, JobFeatures, JOB_FEATURE_DIM, NUM_SCALAR, OP_FEATURE_DIM};
+    use super::{JobPlan, OperatorFeatures, OperatorNode};
+
+    fn scalar_features(node: &OperatorNode) -> [f64; NUM_SCALAR] {
+        [
+            log1p(node.est_output_cardinality.max(0.0)),
+            log1p(node.est_leaf_input_cardinality.max(0.0)),
+            log1p(node.est_children_input_cardinality.max(0.0)),
+            log1p(node.avg_row_length.max(0.0)),
+            log1p(node.est_subtree_cost.max(0.0)),
+            log1p(node.est_exclusive_cost.max(0.0)),
+            log1p(node.est_total_cost.max(0.0)),
+            node.num_partitions as f64,
+            node.num_partitioning_columns as f64,
+            node.num_sort_columns as f64,
+        ]
+    }
+
+    pub fn featurize_operators(plan: &JobPlan) -> OperatorFeatures {
+        let row = |node: &OperatorNode| {
+            let mut row = vec![0.0; OP_FEATURE_DIM];
+            row[..NUM_SCALAR].copy_from_slice(&scalar_features(node));
+            for position in one_hot_positions(node) {
+                row[position] = 1.0;
+            }
+            row
+        };
+        let rows = plan.operators.iter().map(row).collect();
+        OperatorFeatures { rows, edges: plan.edges.clone() }
+    }
+
+    pub fn featurize_job(plan: &JobPlan, num_stages: usize) -> JobFeatures {
+        let n = plan.operators.len().max(1) as f64;
+        let mut values = vec![0.0; JOB_FEATURE_DIM];
+        for node in &plan.operators {
+            for (mean, feature) in values.iter_mut().zip(scalar_features(node)) {
+                *mean += feature / n;
+            }
+            for position in one_hot_positions(node) {
+                values[position] += 1.0;
+            }
+        }
+        values[OP_FEATURE_DIM] = plan.operators.len() as f64;
+        values[OP_FEATURE_DIM + 1] = num_stages as f64;
+        JobFeatures { values }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,5 +405,116 @@ mod tests {
     fn scaler_rejects_wrong_width() {
         let scaler = FeatureScaler::fit(&[vec![1.0, 2.0]]);
         let _ = scaler.transform(&[1.0]);
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Job features as the sum of operator rows: each mean feature
+    /// `row / n` added row by row from `0.0`, each one-hot bit counted.
+    fn sum_of_rows(rows: &[Vec<f64>], num_stages: f64) -> Vec<f64> {
+        let n = rows.len().max(1) as f64;
+        let mut values = vec![0.0; JOB_FEATURE_DIM];
+        for row in rows {
+            for (i, &feature) in row.iter().enumerate() {
+                values[i] += if i < NUM_SCALAR { feature / n } else { feature };
+            }
+        }
+        values[OP_FEATURE_DIM] = rows.len() as f64;
+        values[OP_FEATURE_DIM + 1] = num_stages;
+        values
+    }
+
+    /// Generated plans of every archetype, and random plans of 1, 15, 16,
+    /// 17, 64 and 1 000 operators (either side of each 16-operator chunk)
+    /// whose continuous inputs are hostile one time in three: NaN, `±inf`,
+    /// negatives, `±0.0`, subnormals and the largest finite value.
+    fn plans() -> Vec<JobPlan> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use scope_sim::operators::ALL_PARTITIONINGS;
+        use scope_sim::Archetype;
+        let mut rng = StdRng::seed_from_u64(0x6665_6174);
+        let mut plans = Vec::new();
+        for archetype in Archetype::ALL {
+            for _ in 0..4 {
+                let size_factor = rng.gen_range(0.05..20.0);
+                plans.push(archetype.build_plan(rng.gen(), size_factor, rng.gen_range(1..=2000)));
+            }
+        }
+        let hostile = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -3e9,
+            -0.0,
+            0.0,
+            4e-324,
+            1e-310,
+            f64::MAX,
+        ];
+        for len in [1, 15, 16, 17, 64, 1000] {
+            let nodes = (0..len)
+                .map(|_| {
+                    let op = ALL_OPERATORS[rng.gen_range(0..ALL_OPERATORS.len())];
+                    let mut node = OperatorNode::with_op(op);
+                    node.partitioning =
+                        ALL_PARTITIONINGS[rng.gen_range(0..ALL_PARTITIONINGS.len())];
+                    for field in [
+                        &mut node.est_output_cardinality,
+                        &mut node.est_leaf_input_cardinality,
+                        &mut node.est_children_input_cardinality,
+                        &mut node.avg_row_length,
+                        &mut node.est_subtree_cost,
+                        &mut node.est_exclusive_cost,
+                        &mut node.est_total_cost,
+                    ] {
+                        *field = if rng.gen_range(0..3) == 0 {
+                            hostile[rng.gen_range(0..hostile.len())]
+                        } else {
+                            10f64.powf(rng.gen_range(-3.0..15.0))
+                        };
+                    }
+                    node.num_partitions = rng.gen_range(0..=4000);
+                    node.num_partitioning_columns = rng.gen_range(0..=6);
+                    node.num_sort_columns = rng.gen_range(0..=6);
+                    node
+                })
+                .collect();
+            let edges = (1..len).map(|i| (i - 1, i)).collect();
+            plans.push(JobPlan::new(nodes, edges));
+        }
+        plans
+    }
+
+    #[test]
+    fn featurize_matches_the_scalar_reference_bit_for_bit() {
+        for (p, plan) in plans().iter().enumerate() {
+            let what = format!("plan {p} of {} operators", plan.operators.len());
+            let stages = p % 7;
+            let (got, want) = (featurize_job(plan, stages), reference::featurize_job(plan, stages));
+            assert_eq!(bits(&got.values), bits(&want.values), "{what}: job features");
+            let (got, want) = (featurize_operators(plan), reference::featurize_operators(plan));
+            assert_eq!(got.edges, want.edges, "{what}");
+            for (r, (row, reference_row)) in got.rows.iter().zip(&want.rows).enumerate() {
+                assert_eq!(bits(row), bits(reference_row), "{what}: operator row {r}");
+            }
+            assert_eq!(got.rows.len(), want.rows.len(), "{what}");
+        }
+    }
+
+    #[test]
+    fn job_features_are_the_sum_of_operator_rows() {
+        for (p, plan) in plans().iter().enumerate() {
+            let rows = featurize_operators(plan).rows;
+            assert_eq!(
+                bits(&featurize_job(plan, p).values),
+                bits(&sum_of_rows(&rows, p as f64)),
+                "plan {p} of {} operators",
+                plan.operators.len()
+            );
+        }
     }
 }

@@ -22,7 +22,9 @@
 //! an outer product, scatters the compacted row instead. [`ForwardRow`],
 //! serving's NN inference, runs a whole network on one row in one call:
 //! per layer the same compaction and tiles, then the bias and the
-//! activation in place.
+//! activation in place. [`Log1pThenDivide`], featurization's, runs glibc's
+//! generic `log1p` ([`log1p`]) and a division in every lane, with
+//! no branch and no call into libm.
 //!
 //! The three arms produce the same bits:
 //! - every kernel vectorises across independent output elements (the
@@ -32,7 +34,14 @@
 //!   entry is `±0.0`, whether the loop branches on it or compacts it
 //!   away, and whether the running sum sits in a register or in memory;
 //! - IEEE `mul`, `add`, `div` and `sqrt` round the same in a ymm or zmm
-//!   lane as in scalar code;
+//!   lane as in scalar code, and so does `i32`-to-`f64` conversion (it is
+//!   exact);
+//! - integer operations on a float's bits (shifts, masks, adds,
+//!   compares) and selects are exact in any lane width: a lane-wise
+//!   select that keeps one of two computed values gives the value a
+//!   branch would have taken, whatever the other lane computed (a NaN or
+//!   infinity in a discarded path traps nowhere, since Rust runs with
+//!   floating-point exceptions masked);
 //! - rustc never contracts `a * b + c` into an FMA: neither arm enables
 //!   `fma` by name, and although `avx512f` implies it (the instructions
 //!   are there), LLVM only fuses when asked, and no kernel calls `mul_add`;
@@ -40,7 +49,8 @@
 //!   clip-norm sum of squares, and every `.sum()`.
 //!
 //! The tests below run every kernel on every arm the CPU has and compare
-//! the bits.
+//! the bits; [`log1p`] is also held to a table of glibc's generic
+//! `log1p` that reaches each of its paths, and to libm itself.
 
 use crate::nn::{Activation, Linear};
 
@@ -413,6 +423,138 @@ impl Kernel for ScaleByDerivative<'_> {
     fn run(self) {
         for (g, &x) in self.d.iter_mut().zip(self.pre) {
             *g *= self.act.derivative_scalar(x);
+        }
+    }
+}
+
+/// `ln(2)` split in two, [`log1p`]'s `ln2_hi` and `ln2_lo`: `k ·
+/// LN2_HI` is exact for the exponents a double reaches.
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+/// `Lp1` to `Lp7`, the minimax polynomial of [`log1p`].
+const LP: [f64; 7] = [
+    f64::from_bits(0x3fe5_5555_5555_5593),
+    f64::from_bits(0x3fd9_9999_9997_fa04),
+    f64::from_bits(0x3fd2_4924_9422_9359),
+    f64::from_bits(0x3fcc_71c5_1d8e_78af),
+    f64::from_bits(0x3fc7_4664_96cb_03de),
+    f64::from_bits(0x3fc3_9a09_d078_c69f),
+    f64::from_bits(0x3fc2_f112_df3e_5244),
+];
+/// The `2/3` of the `|f| < 2^-20` path, `0.66666666666666666` rounded.
+const TWO_THIRDS: f64 = f64::from_bits(0x3fe5_5555_5555_5555);
+
+/// The high 32 bits of `x`, signed, as fdlibm's `GET_HIGH_WORD`.
+#[inline(always)]
+fn high_word(x: f64) -> i32 {
+    (x.to_bits() >> 32) as u32 as i32
+}
+
+/// `x` with its high 32 bits replaced by `hi`, as fdlibm's `SET_HIGH_WORD`.
+#[inline(always)]
+fn with_high_word(x: f64, hi: i32) -> f64 {
+    f64::from_bits((u64::from(hi as u32) << 32) | (x.to_bits() & 0xffff_ffff))
+}
+
+/// `ln(1 + x)`: glibc 2.36's generic `log1p` (fdlibm's algorithm, its
+/// polynomial grouped `R1 + z2·R2 + z4·R3 + z6·R4`, the variant glibc's
+/// IFUNC resolver picks on a CPU without FMA), to the bit on every input
+/// but a NaN's payload, computed here rather than in libm. It is the one
+/// lane of [`log1p_then_divide`], written without a branch so that a
+/// loop of it vectorises. Every lane computes each path and keeps one
+/// with selects, checked in the reverse of the C code's order so the
+/// first test that matches there wins here: `x ≤ −1`,
+/// `|x| < 2^-29` (`|x| < 2^-54` returns `x`), NaN and `+inf`, then the
+/// reduced argument's `|f| < 2^-20` (`hu == 0`) or polynomial path, with
+/// `k = 0` for `−0.2929 < x < 0.41422`, `1 + x = 2^k · u` below `2^53`
+/// and `x = 2^k · u` from there on. Only IEEE `+ − × ÷`, integer
+/// operations on the bits and selects: no `mul_add`.
+#[inline(always)]
+pub fn log1p(x: f64) -> f64 {
+    let hx = high_word(x);
+    let ax = hx & 0x7fff_ffff;
+    // `1 + x = 2^k · u` (`x` itself from 2^53 on), with a correction `c`
+    // for the rounding of `1 + x`.
+    let huge = hx >= 0x4340_0000;
+    let u = if huge { x } else { 1.0 + x };
+    let hu = high_word(u);
+    let k = (hu >> 20) - 1023;
+    let c = if k > 0 { 1.0 - (u - x) } else { x - (u - 1.0) } / u;
+    let c = if huge { 0.0 } else { c };
+    // Normalise `u` into `[sqrt(2)/2, sqrt(2))`.
+    let hu = hu & 0x000f_ffff;
+    let below = hu < 0x6a09e;
+    let u = with_high_word(u, hu | if below { 0x3ff0_0000 } else { 0x3fe0_0000 });
+    let k = if below { k } else { k + 1 };
+    let hu = if below { hu } else { (0x0010_0000 - hu) >> 2 };
+    // `−0.2929 < x < 0.41422` is its own reduced argument, with `k = 0`.
+    // glibc keeps fdlibm's first bound, high word `0xbfd2bec3`; later
+    // fdlibm derivatives use `0xbfd2bec4` and round differently there.
+    let unreduced = hx < 0x3fda_827a && (hx > 0 || hx <= 0xbfd2_bec3_u32 as i32);
+    let (k, f, hu) = if unreduced { (0, x, 1) } else { (k, u - 1.0, hu) };
+
+    let dk = f64::from(k);
+    let hfsq = 0.5 * f * f;
+    // `|f| < 2^-20`.
+    let r = hfsq * (1.0 - TWO_THIRDS * f);
+    let near = if k == 0 { f - r } else { dk * LN2_HI - ((r - (dk * LN2_LO + c)) - f) };
+    let exact = if k == 0 { 0.0 } else { dk * LN2_HI + (c + dk * LN2_LO) };
+    let near = if f == 0.0 { exact } else { near };
+    // The polynomial.
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let r1 = z * LP[0];
+    let z2 = z * z;
+    let r2 = LP[1] + z * LP[2];
+    let z4 = z2 * z2;
+    let r3 = LP[3] + z * LP[4];
+    let z6 = z4 * z2;
+    let r4 = LP[5] + z * LP[6];
+    let r = r1 + z2 * r2 + z4 * r3 + z6 * r4;
+    let far = if k == 0 {
+        f - (hfsq - s * (hfsq + r))
+    } else {
+        dk * LN2_HI - ((hfsq - (s * (hfsq + r) + (dk * LN2_LO + c))) - f)
+    };
+    let y = if hu == 0 { near } else { far };
+    // The paths the C code takes before the reduction.
+    let y = if hx >= 0x7ff0_0000 { x + x } else { y };
+    let small = if ax < 0x3c90_0000 { x } else { x - x * x * 0.5 };
+    let y = if ax < 0x3e20_0000 { small } else { y };
+    let minus_one = x.to_bits() == (-1.0f64).to_bits();
+    #[expect(clippy::eq_op, reason = "fdlibm's NaN: the bits the hardware gives `0/0` or `x` NaN")]
+    let pole = if minus_one { f64::NEG_INFINITY } else { (x - x) / (x - x) };
+    if hx < 0 && ax >= 0x3ff0_0000 {
+        pole
+    } else {
+        y
+    }
+}
+
+/// `logs[i] = log1p(logs[i]) / divisor` and `plain[i] = plain[i] /
+/// divisor`, lane-wise on the widest arm this CPU has: featurize's
+/// per-operator means, one division and (for the continuous inputs) one
+/// [`log1p`] each. Every lane gets the bits [`log1p`] and `/` give it
+/// alone.
+pub fn log1p_then_divide(logs: &mut [f64], plain: &mut [f64], divisor: f64) {
+    run(Log1pThenDivide { logs, plain, divisor });
+}
+
+/// [`log1p_then_divide`]'s operands.
+pub(crate) struct Log1pThenDivide<'a> {
+    pub logs: &'a mut [f64],
+    pub plain: &'a mut [f64],
+    pub divisor: f64,
+}
+
+impl Kernel for Log1pThenDivide<'_> {
+    #[inline(always)]
+    fn run(self) {
+        for x in self.logs {
+            *x = log1p(*x) / self.divisor;
+        }
+        for x in self.plain {
+            *x /= self.divisor;
         }
     }
 }
@@ -790,5 +932,202 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `(x, log1p(x))` bits of glibc 2.36's generic `log1p`, recorded from
+    /// `f64::ln_1p` with glibc forced onto that variant
+    /// (`GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2`), on inputs that
+    /// reach every path: `±0.0` and subnormals, either side of `2^-54`,
+    /// `2^-29` and the `0x3fda827a` (0.41422) boundary, of the `0x6a09e`
+    /// normalisation boundary at two exponents, `2^k − 1` and its
+    /// neighbours (`u` a power of two: `f == 0` or `hu == 0`), `hu == 0`
+    /// with `f != 0` on either side of a power of two, either side of
+    /// `2^53`, `1e300`, `f64::MAX` and `+inf`, typical plan magnitudes,
+    /// and the negative paths down to `-1` (`-inf`) and below (NaN).
+    const LOG1P_GOLDEN: [(u64, u64); 70] = [
+        (0x0000000000000000, 0x0000000000000000), // 0e0
+        (0x8000000000000000, 0x8000000000000000), // -0e0
+        (0x0000000000000001, 0x0000000000000001), // 5e-324
+        (0x0008000000000000, 0x0008000000000000), // 1.1125369292536007e-308
+        (0x000fffffffffffff, 0x000fffffffffffff), // 2.225073858507201e-308
+        (0x0010000000000000, 0x0010000000000000), // 2.2250738585072014e-308
+        (0x3c8fffffffffffff, 0x3c8fffffffffffff), // 5.551115123125782e-17
+        (0x3c90000000000000, 0x3c90000000000000), // 5.551115123125783e-17
+        (0x3c90000000000001, 0x3c90000000000001), // 5.551115123125784e-17
+        (0x3e1fffffffffffff, 0x3e1fffffff7fffff), // 1.8626451492309568e-9
+        (0x3e20000000000000, 0x3e1fffffff800000), // 1.862645149230957e-9
+        (0x3e20000000000001, 0x3e1fffffff800002), // 1.8626451492309574e-9
+        (0x3fda8279ffffffff, 0x3fd62e43471c5d9d), // 4.1421365737915034e-1
+        (0x3fda827a00000000, 0x3fd62e43471c5d9e), // 4.142136573791504e-1
+        (0x3fda827a00000001, 0x3fd62e43471c5d9f), // 4.1421365737915045e-1
+        (0x3fda8277fffffffc, 0x3fd62e41dd1274cb), // 4.1421318054199197e-1
+        (0x3fda827800000000, 0x3fd62e41dd1274ce), // 4.142131805419922e-1
+        (0x3fda827800000004, 0x3fd62e41dd1274d1), // 4.142131805419924e-1
+        (0x3ffd413bfffffffe, 0x3ff0a2b1f6c1ba2a), // 1.828426361083984e0
+        (0x3ffd413c00000000, 0x3ff0a2b1f6c1ba2b), // 1.8284263610839844e0
+        (0x3fefffffffffffff, 0x3fe62e42fefa39ef), // 9.999999999999999e-1
+        (0x3ff0000000000000, 0x3fe62e42fefa39ef), // 1e0
+        (0x3ff0000000000001, 0x3fe62e42fefa39f0), // 1.0000000000000002e0
+        (0x4007ffffffffffff, 0x3ff62e42fefa39ef), // 2.9999999999999996e0
+        (0x4008000000000000, 0x3ff62e42fefa39ef), // 3e0
+        (0x4008000000000001, 0x3ff62e42fefa39f0), // 3.0000000000000004e0
+        (0x401bffffffffffff, 0x4000a2b23f3bab73), // 6.999999999999999e0
+        (0x401c000000000000, 0x4000a2b23f3bab73), // 7e0
+        (0x401c000000000001, 0x4000a2b23f3bab74), // 7.000000000000001e0
+        (0x408ff7ffffffffff, 0x401bb9d3beb8c86b), // 1.0229999999999999e3
+        (0x408ff80000000000, 0x401bb9d3beb8c86b), // 1.023e3
+        (0x408ff80000000001, 0x401bb9d3beb8c86b), // 1.0230000000000001e3
+        (0x412ffffdffffffff, 0x402bb9d3beb8c86b), // 1.0485749999999999e6
+        (0x412ffffe00000000, 0x402bb9d3beb8c86b), // 1.048575e6
+        (0x412ffffe00000001, 0x402bb9d3beb8c86b), // 1.0485750000000001e6
+        (0x413ffffeffffffff, 0x402d1cb7eea86c0a), // 2.0971509999999998e6
+        (0x413fffff00000000, 0x402d1cb7eea86c0a), // 2.097151e6
+        (0x413fffff00000001, 0x402d1cb7eea86c0a), // 2.0971510000000002e6
+        (0x426fffffffffdfff, 0x403bb9d3beb8c86b), // 1.0995116277749999e12
+        (0x426fffffffffe000, 0x403bb9d3beb8c86b), // 1.099511627775e12
+        (0x426fffffffffe001, 0x403bb9d3beb8c86b), // 1.0995116277750001e12
+        (0x432ffffffffffffd, 0x404205966f2b4f12), // 4.5035996273704945e15
+        (0x432ffffffffffffe, 0x404205966f2b4f12), // 4.503599627370495e15
+        (0x432fffffffffffff, 0x404205966f2b4f12), // 4.5035996273704955e15
+        (0x3ff0000004000000, 0x3fe62e4302fa39ef), // 1.0000000149011612e0
+        (0x3fefffff80000000, 0x3fe62e42befa39af), // 9.999997615814209e-1
+        (0x4008000010000000, 0x3ff62e4306fa39ed), // 3.0000001192092896e0
+        (0x3ee4f8b588e368f1, 0x3ee4f8aea9ae7317), // 1e-5
+        (0x433fffffffffffff, 0x40425e4f7b2737fa), // 9.007199254740991e15
+        (0x4340000000000000, 0x40425e4f7b2737fa), // 9.007199254740992e15
+        (0x4340000000000001, 0x40425e4f7b2737fa), // 9.007199254740994e15
+        (0x43b0000000000000, 0x4044cb5ecf0a9650), // 1.152921504606847e18
+        (0x412e848000000000, 0x402ba18abb1dedc8), // 1e6
+        (0x7e37e43c8800759c, 0x4085963447f87fb5), // 1e300
+        (0x7fefffffffffffff, 0x40862e42fefa39ef), // 1.7976931348623157e308
+        (0x7ff0000000000000, 0x7ff0000000000000), // inf
+        (0x3fe0000000000000, 0x3fd9f323ecbf984c), // 5e-1
+        (0x4059000000000000, 0x401275e2271bba31), // 1e2
+        (0x4020cccccccccccd, 0x4001ecf9339a2a1d), // 8.4e0
+        (0x81a56e1fc2f8f359, 0x81a56e1fc2f8f359), // -1e-300
+        (0xbe20000000000000, 0xbe20000000400000), // -1.862645149230957e-9
+        (0xbfb999999999999a, 0xbfbaf8e8210a415e), // -1e-1
+        (0xbfd2bec400000000, 0xbfd62e4420e1ff10), // -2.928934097290039e-1
+        (0xbfd2bec400000001, 0xbfd62e4420e1ff10), // -2.9289340972900396e-1
+        (0xbfd2bec3ffffffff, 0xbfd62e4420e1ff0f), // -2.9289340972900385e-1
+        (0xbfe0000000000000, 0xbfe62e42fefa39ef), // -5e-1
+        (0xbfefffffffffffff, 0xc0425e4f7b2737fa), // -9.999999999999999e-1
+        (0xbff0000000000000, 0xfff0000000000000), // -1e0
+        (0xc000000000000000, 0xfff8000000000000), // -2e0
+        (0xfff0000000000000, 0xfff8000000000000), // -inf
+    ];
+
+    /// The same bits, or both NaN (a NaN's payload is the hardware's).
+    fn same_value(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// [`log1p`] and [`Log1pThenDivide`] on every arm (dividing by 1,
+    /// which is exact) give glibc's generic `log1p` on every path.
+    #[test]
+    fn log1p_matches_glibc_generic_on_every_path_and_arm() {
+        announce_arms("log1p_matches_glibc_generic_on_every_path_and_arm");
+        let xs: Vec<f64> = LOG1P_GOLDEN.iter().map(|&(x, _)| f64::from_bits(x)).collect();
+        for (&x, &(_, want)) in xs.iter().zip(&LOG1P_GOLDEN) {
+            let got = log1p(x);
+            let want = f64::from_bits(want);
+            assert!(same_value(got, want), "log1p({x:e}) = {got:e}, want {want:e}");
+        }
+        for arm in [Arm::Portable, Arm::Avx2, Arm::Avx512] {
+            let (mut logs, mut plain) = (xs.clone(), xs.clone());
+            if !arm.run(Log1pThenDivide { logs: &mut logs, plain: &mut plain, divisor: 1.0 }) {
+                continue;
+            }
+            for ((&x, &(_, want)), (&got, &same)) in
+                xs.iter().zip(&LOG1P_GOLDEN).zip(logs.iter().zip(&plain))
+            {
+                assert!(same_value(got, f64::from_bits(want)), "{arm:?}: log1p({x:e}) = {got:e}");
+                assert!(same_value(same, x), "{arm:?}: {x:e} / 1 = {same:e}");
+            }
+        }
+    }
+
+    /// Inputs that reach every path of [`log1p`]: log-uniform over every
+    /// finite magnitude up to `1e300` (subnormals included), uniform over
+    /// `[0, 4)` (both reductions and their boundaries) and plan-like
+    /// magnitudes `10^[0, 12)`, with a sign on one in four of the first.
+    fn log1p_inputs(rng: &mut StdRng, len: usize, signed: bool) -> Vec<f64> {
+        let top = 1e300f64.to_bits();
+        (0..len)
+            .map(|i| match i % 3 {
+                0 if signed && i % 4 == 0 => -f64::from_bits(rng.gen_range(0..=top)),
+                0 => f64::from_bits(rng.gen_range(0..=top)),
+                1 => rng.gen_range(0.0..4.0),
+                _ => 10f64.powf(rng.gen_range(0.0..12.0)),
+            })
+            .collect()
+    }
+
+    /// [`Log1pThenDivide`] on every arm, to the bit: lengths that leave a
+    /// tail after the two-, four- and eight-lane loops (featurize's 7 and
+    /// 3 per operator, 59 logs for 8.4 operators, a full 16-operator
+    /// chunk of 112 and 48), signed inputs over every path and the
+    /// special values, and divisors of one and of 1 000 operators.
+    #[test]
+    fn log1p_then_divide_arms_agree_to_the_bit() {
+        announce_arms("log1p_then_divide_arms_agree_to_the_bit");
+        let mut rng = StdRng::seed_from_u64(0x6c6f_6731);
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0, 4e-324];
+        let lengths = [(1, 0), (3, 1), (7, 3), (9, 5), (15, 6), (59, 25), (112, 48)];
+        for (logs_len, plain_len) in lengths {
+            for divisor in [1.0, 3.0, 8.4, 1000.0] {
+                let mut init = log1p_inputs(&mut rng, logs_len, true);
+                for (v, &special) in init.iter_mut().step_by(5).zip(&specials) {
+                    *v = special;
+                }
+                init.extend(log1p_inputs(&mut rng, plain_len, true));
+                let what = format!("log1p_then_divide {logs_len}+{plain_len} / {divisor}");
+                same_bits(&what, &init, |arm, buf| {
+                    let (logs, plain) = buf.split_at_mut(logs_len);
+                    arm.run(Log1pThenDivide { logs, plain, divisor })
+                });
+            }
+        }
+    }
+
+    /// Continuous plan inputs of generated jobs (seeds 3 and 7) on which
+    /// glibc 2.36's FMA variant of `log1p` rounds the other way from its
+    /// generic one: `(x, generic bits)`. libm is on the generic variant
+    /// exactly when it agrees on all of them.
+    const FMA_PROBES: [(u64, u64); 4] = [
+        (0x4066_74ac_9e6c_749e, 0x4014_c941_b4c7_6c02),
+        (0x3fe1_5b7d_5b17_dd87, 0x3fdb_bc07_9f96_e4cd),
+        (0x3fdb_4c25_e974_c052, 0x3fd6_bc3f_c3e3_08ee),
+        (0x4144_a789_e4ee_b4b1, 0x402d_9f74_29b1_ac06),
+    ];
+
+    /// [`log1p`] against libm's own `f64::ln_1p` over 2^20 seeded inputs
+    /// in `[0, 1e300]`: to the bit when libm runs its generic variant (a
+    /// CPU without FMA, or glibc told `glibc.cpu.hwcaps=-FMA,-AVX2`, as
+    /// one CI line does), within one ulp otherwise. The probes decide
+    /// which; the test prints the verdict.
+    #[test]
+    fn log1p_matches_libm_to_the_bit_on_its_generic_variant() {
+        // `black_box`: LLVM folds `ln_1p` of a constant with the libm
+        // rustc itself runs on, which need not be the variant under test.
+        let libm = |x: f64| std::hint::black_box(x).ln_1p();
+        let generic = FMA_PROBES.iter().all(|&(x, want)| libm(f64::from_bits(x)).to_bits() == want);
+        for &(x, want) in &FMA_PROBES {
+            assert_eq!(log1p(f64::from_bits(x)).to_bits(), want, "probe {x:#x}");
+        }
+        let mut rng = StdRng::seed_from_u64(0x6c69_626d);
+        let xs = log1p_inputs(&mut rng, 1 << 20, false);
+        let mut differ = 0usize;
+        for &x in &xs {
+            let (ours, libm) = (log1p(x), libm(x));
+            let ulps = ours.to_bits().abs_diff(libm.to_bits());
+            if generic {
+                assert_eq!(ulps, 0, "log1p({x:e}) = {ours:e}, libm's generic variant {libm:e}");
+            }
+            assert!(ulps <= 1, "log1p({x:e}) = {ours:e}, libm {libm:e}: {ulps} ulps apart");
+            differ += usize::from(ulps != 0);
+        }
+        let variant = if generic { "generic: to the bit" } else { "not generic: within 1 ulp" };
+        println!("log1p vs libm ({variant}): {differ} of {} inputs differ", xs.len());
     }
 }

@@ -13,6 +13,9 @@
 //!   Their dense loops live in the private `kernels` module, compiled for
 //!   the portable target, for AVX2 and for AVX-512, and the widest arm the
 //!   CPU has is picked once per process.
+//! * [`log1p`] and [`log1p_then_divide`] — glibc's generic `log1p`, to the
+//!   bit, computed here and lane-wise: featurization's log compression,
+//!   with no call into libm.
 //! * [`rand_ext`] — normal / lognormal / Pareto / truncated sampling built on
 //!   top of `rand` (so no extra distribution crate is needed).
 //! * [`optim`] — Adam optimizer with bias correction and gradient clipping.
@@ -47,4 +50,5 @@ pub mod rand_ext;
 pub mod spline;
 pub mod stats;
 
+pub use kernels::{log1p, log1p_then_divide};
 pub use matrix::Matrix;
