@@ -93,11 +93,12 @@ impl GnnPcc {
         Self::train_with_pool(dataset, config, teacher_runtimes, &pool)
     }
 
-    /// [`GnnPcc::train_with_teacher`] on a caller-supplied pool. The
-    /// graphs of each minibatch fan out over `pool`
-    /// ([`GnnModel::train_batch`]); the trained model — weights, loss
-    /// histories, everything serialized — is bit-identical at any thread
-    /// count.
+    /// [`GnnPcc::train_with_teacher`] on a caller-supplied pool. The fit
+    /// runs on one crew of `pool`'s threads ([`GnnModel::train`]): the
+    /// graphs of each minibatch are one round, and the epoch shuffle,
+    /// validation and early stopping run on the caller between rounds.
+    /// The trained model — weights, loss histories, everything
+    /// serialized — is bit-identical at any thread count.
     pub fn train_with_pool(
         dataset: &Dataset,
         config: &GnnTrainConfig,
@@ -164,47 +165,54 @@ impl GnnPcc {
             d_out.copy_from_slice(&[eval.grad_o1, eval.grad_o2]);
             eval.loss
         };
-        let mut training_loss = Vec::with_capacity(config.epochs);
-        let mut validation_loss = Vec::with_capacity(config.epochs);
-        let mut best: Option<(f64, GnnModel)> = None;
-        let mut stale_epochs = 0usize;
-        for _ in 0..config.epochs {
-            rand_ext::shuffle(&mut rng, &mut order);
-            let mut epoch_loss = 0.0;
-            for batch in order.chunks(config.batch_size.max(1)) {
-                model.train_batch(&mut opt, &graphs, batch, pool, graph_loss, &mut epoch_loss);
-            }
-            training_loss.push(epoch_loss / order.len() as f64);
-
-            if !validation_idx.is_empty() {
-                let mut val_loss = 0.0;
-                for &i in &validation_idx {
-                    let out = model.forward(&graphs[i]);
-                    val_loss += loss::evaluate(
-                        &config.loss,
-                        &param_scaler,
-                        out[(0, 0)],
-                        out[(0, 1)],
-                        &samples[i],
-                    )
-                    .loss;
+        let batch_size = config.batch_size.max(1);
+        let losses = model.train(&mut opt, &graphs, batch_size, pool, graph_loss, |fit| {
+            let mut training_loss = Vec::with_capacity(config.epochs);
+            let mut validation_loss = Vec::with_capacity(config.epochs);
+            let mut best: Option<(f64, GnnModel)> = None;
+            let mut stale_epochs = 0usize;
+            for _ in 0..config.epochs {
+                rand_ext::shuffle(&mut rng, &mut order);
+                let mut epoch_loss = 0.0;
+                for batch in order.chunks(batch_size) {
+                    fit.step(batch, &mut epoch_loss);
                 }
-                val_loss /= validation_idx.len() as f64;
-                validation_loss.push(val_loss);
-                if let Some(patience) = config.early_stopping_patience {
-                    let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
-                    if improved {
-                        best = Some((val_loss, model.clone()));
-                        stale_epochs = 0;
-                    } else {
-                        stale_epochs += 1;
-                        if stale_epochs >= patience.max(1) {
-                            break;
+                training_loss.push(epoch_loss / order.len() as f64);
+
+                if !validation_idx.is_empty() {
+                    let val_loss = fit.with_model(|model| {
+                        let mut val_loss = 0.0;
+                        for &i in &validation_idx {
+                            let out = model.forward(&graphs[i]);
+                            val_loss += loss::evaluate(
+                                &config.loss,
+                                &param_scaler,
+                                out[(0, 0)],
+                                out[(0, 1)],
+                                &samples[i],
+                            )
+                            .loss;
+                        }
+                        val_loss / validation_idx.len() as f64
+                    });
+                    validation_loss.push(val_loss);
+                    if let Some(patience) = config.early_stopping_patience {
+                        let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
+                        if improved {
+                            best = Some((val_loss, fit.with_model(GnnModel::clone)));
+                            stale_epochs = 0;
+                        } else {
+                            stale_epochs += 1;
+                            if stale_epochs >= patience.max(1) {
+                                break;
+                            }
                         }
                     }
                 }
             }
-        }
+            (training_loss, validation_loss, best)
+        });
+        let (training_loss, validation_loss, best) = losses;
         if let Some((_, best_model)) = best {
             model = best_model;
         }

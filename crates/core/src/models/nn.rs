@@ -333,6 +333,7 @@ impl NnPcc {
                 }
                 // The batch is data: nobody reads its gradient.
                 mlp.transpose_weights_into(&mut weights_t);
+                mlp.zero_grads(&mut grads);
                 mlp.backward(&mut cache, &weights_t, &d_out, &mut grads, None);
                 mlp.apply_grads(&mut adam, &ids, &grads);
             }

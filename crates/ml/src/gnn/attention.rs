@@ -88,7 +88,8 @@ impl AttentionPool {
     /// Backward pass for the embeddings `h` last run through
     /// [`AttentionPool::forward_cached`] on `cache`, given
     /// `d_embedding: 1 x d` and the current transpose of the context
-    /// weight: writes `dW_c` into `d_wc` and `dH` into `d_h`.
+    /// weight: adds `dW_c` into `d_wc` (summed fresh first, as
+    /// [`Matrix::t_matmul_add_into`] does) and writes `dH` into `d_h`.
     pub fn backward(
         &self,
         h: &Matrix,
@@ -125,7 +126,7 @@ impl AttentionPool {
 
         // c = tanh(m W_c): du = dc * tanh'(pre), dW_c = m^T du, dm = du W_c^T.
         Activation::Tanh.scale_by_derivative(&cache.pre_tanh, &mut cache.d_context);
-        cache.mean.t_matmul_into(&cache.d_context, d_wc);
+        cache.mean.t_matmul_add_into(&cache.d_context, d_wc);
         cache.d_context.matmul_into(context_weight_t, &mut cache.d_mean);
         // m = (1/N) sum h_i -> dH_i += (1/N) dm.
         let inv_n = 1.0 / n as f64;
@@ -239,7 +240,8 @@ mod tests {
             pool.forward(h).as_slice().iter().map(|v| v * v).sum()
         };
 
-        let (mut cache, mut dwc, mut dh) = Default::default();
+        let (mut cache, mut dh) = Default::default();
+        let mut dwc = Matrix::zeros(3, 3);
         let d_embedding = pool.forward_cached(&h, &mut cache).scale(2.0);
         let context_weight_t = pool.context_weight.transpose();
         pool.backward(&h, &mut cache, &context_weight_t, &d_embedding, &mut dwc, &mut dh);

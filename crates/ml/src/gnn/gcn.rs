@@ -79,7 +79,9 @@ impl GcnLayer {
     /// Backward pass, in place on the gradient buffer `d`.
     ///
     /// On entry `d` is the gradient w.r.t. the layer output. `(dW, db)`
-    /// are written into `grads`. With `weight_t` (this layer's `W^T`) the
+    /// are added into `grads` (shaped as the weight and the bias), each
+    /// summed fresh first, so a trainer can pass its minibatch sums
+    /// (see [`Matrix::t_matmul_add_into`]). With `weight_t` (this layer's `W^T`) the
     /// gradient w.r.t. the layer's *input* node embeddings is left in `d`
     /// (`scratch` holds the intermediate `d(ÂH)`), using the symmetry of
     /// `Â` (so `Â^T = Â`); the first layer of a model, whose input is the
@@ -94,8 +96,8 @@ impl GcnLayer {
         grads: &mut (Matrix, Matrix),
     ) {
         self.activation.scale_by_derivative(&cache.pre_activation, d);
-        cache.aggregated.t_matmul_into(d, &mut grads.0);
-        d.col_sums_into(&mut grads.1);
+        cache.aggregated.t_matmul_add_into(d, &mut grads.0);
+        d.col_sums_add_into(&mut grads.1);
         if let Some(weight_t) = weight_t {
             // d(ÂH) = d_pre W^T ; dH = Â^T d(ÂH) = Â d(ÂH).
             d.matmul_into(weight_t, scratch);
@@ -174,7 +176,8 @@ mod tests {
                 .sum()
         };
 
-        let (mut cache, mut scratch, mut grads) = Default::default();
+        let (mut cache, mut scratch) = Default::default();
+        let mut grads = (Matrix::zeros(3, 2), Matrix::zeros(1, 2));
         let mut dh = layer.forward_cached(&g.norm_adjacency, &g.features, &mut cache).scale(2.0);
         let weight_t = layer.weight.transpose();
         let adj = &g.norm_adjacency;

@@ -11,14 +11,18 @@
 //! 3. **Curve prediction** — a fully-connected head mapping the graph
 //!    embedding to the two PCC parameters.
 //!
-//! All gradients are computed manually; [`GnnModel::backward`] mirrors the
-//! forward pass in reverse. Training runs through reusable buffers (one
-//! workspace per in-flight graph). [`GnnModel::train_batch`] fans the
-//! graphs of a minibatch out over a pool: the front role takes graphs from
-//! the start of the batch and adds each one's gradients into the batch sum
-//! at once, the other roles take graphs from the end into slots of their
-//! own, and the last role to finish adds those slots, so the sum keeps its
-//! batch order at every thread count.
+//! All gradients are computed manually; `GnnModel::backward` mirrors the
+//! forward pass in reverse and adds each graph's gradients into the sums
+//! it is handed, inside the kernels that compute them.
+//! [`GnnModel::train`] runs a whole fit on one crew of threads
+//! (`tasq_par::Pool::crew`), spawned once and joined before it returns;
+//! each minibatch is one round. The front role (the caller) takes graphs
+//! from the start of the batch and adds them into the batch sums as it
+//! goes; every other role runs the graphs it takes from the end in one
+//! workspace of its own, into per-position gradient slots, and the last
+//! of them to finish adds those slots in order once the front is done, so
+//! every sum keeps its batch order at every thread count. Adam runs on
+//! the caller between rounds.
 
 mod attention;
 mod gcn;
@@ -28,4 +32,4 @@ mod model;
 pub use attention::{AttentionCache, AttentionPool};
 pub use gcn::{GcnCache, GcnLayer};
 pub use graph::GraphData;
-pub use model::{GnnModel, GnnOptimizer};
+pub use model::{GnnModel, GnnOptimizer, GnnTrainer};

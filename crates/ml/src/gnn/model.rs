@@ -7,10 +7,11 @@ use crate::matrix::Matrix;
 use crate::nn::{Activation, Mlp, MlpCache, MlpGrads};
 use crate::optim::{Adam, AdamConfig, ParamId};
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use tasq_codec::Wire;
-use tasq_obs::sync::{Mutex, Rank};
-use tasq_par::Pool;
+use tasq_obs::sync::{Mutex, Rank, RwLock};
+use tasq_par::{Crew, Pool};
 
 /// GNN architecture: `GCN+ -> attention pool -> MLP head`.
 #[derive(Debug, Clone, Wire)]
@@ -21,9 +22,9 @@ pub struct GnnModel {
 }
 
 /// Reusable per-graph training buffers: the forward caches of every
-/// stage, the backward scratch, and the graph's gradients. Everything
-/// takes its shape from the graph at hand and keeps its allocation for
-/// the next one, so [`GnnModel::train_batch`] allocates nothing per
+/// stage and the backward scratch. Everything takes its shape from the
+/// graph at hand and keeps its allocation for the next one, so a role
+/// runs every graph it claims in one workspace and allocates nothing per
 /// graph; reuse never changes a result.
 #[derive(Debug, Clone, Default)]
 struct GnnWorkspace {
@@ -35,7 +36,6 @@ struct GnnWorkspace {
     /// Gradient w.r.t. node embeddings, walked back through the GCN stack.
     d_h: Matrix,
     scratch: Matrix,
-    grads: GnnGrads,
 }
 
 /// `W^T` of every weight the backward pass multiplies by (see
@@ -62,13 +62,22 @@ struct GnnGrads {
 impl GnnGrads {
     /// Zero-initialized gradients matching a model's shapes.
     fn zeros_like(model: &GnnModel) -> Self {
-        let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
-        let pairs = |w: &Matrix, b: &Matrix| (zeros(w), zeros(b));
-        Self {
-            gcn: model.gcn_layers.iter().map(|l| pairs(&l.weight, &l.bias)).collect(),
-            pool: zeros(&model.pool.context_weight),
-            head: model.head.layers().iter().map(|l| pairs(&l.weight, &l.bias)).collect(),
+        let mut grads = Self::default();
+        grads.zero_like(model);
+        grads
+    }
+
+    /// Shape every gradient as `model`'s parameters and zero it, keeping
+    /// the allocations.
+    fn zero_like(&mut self, model: &GnnModel) {
+        let zero = |g: &mut Matrix, like: &Matrix| g.reset_zeros(like.rows(), like.cols());
+        self.gcn.resize_with(model.gcn_layers.len(), Default::default);
+        for ((dw, db), layer) in self.gcn.iter_mut().zip(&model.gcn_layers) {
+            zero(dw, &layer.weight);
+            zero(db, &layer.bias);
         }
+        zero(&mut self.pool, &model.pool.context_weight);
+        model.head.zero_grads(&mut self.head);
     }
 
     fn tensors(&self) -> impl Iterator<Item = &Matrix> {
@@ -100,38 +109,217 @@ impl GnnGrads {
     }
 }
 
-/// One in-flight graph of a minibatch: its workspace, the upstream
-/// gradient its loss produced, and the loss itself.
-#[derive(Debug, Clone, Default)]
-struct Slot {
-    workspace: GnnWorkspace,
-    d_output: Matrix,
-    loss: f64,
-}
-
-impl Slot {
-    /// Add this graph's loss and gradients to a minibatch's running sums.
-    fn add_to(&self, grads: &mut GnnGrads, loss_sum: &mut f64) {
-        *loss_sum += self.loss;
-        grads.accumulate(&self.workspace.grads);
-    }
-}
-
-/// Everything a training run of a [`GnnModel`] keeps between steps: the
-/// Adam state with the registered parameter ids, and the buffers
-/// [`GnnModel::train_batch`] reuses.
+/// The Adam state of a training run of a [`GnnModel`], with the
+/// registered parameter ids.
 #[derive(Debug, Clone)]
 pub struct GnnOptimizer {
     adam: Adam,
     gcn_ids: Vec<(ParamId, ParamId)>,
     pool_id: ParamId,
     head_ids: Vec<(ParamId, ParamId)>,
+}
+
+/// One role's buffers for a whole fit: its workspace, reused for every
+/// graph it claims, and the upstream gradient of the graph at hand.
+#[derive(Debug, Default)]
+struct RoleBuffers {
+    workspace: GnnWorkspace,
+    d_output: Matrix,
+}
+
+/// The model and its weight transposes: what every role reads during a
+/// round, and what the caller's optimizer step writes between rounds.
+struct Weights<'m> {
+    model: &'m mut GnnModel,
     transposed: GnnTransposed,
-    /// The front role's slot, reused for every graph it claims.
-    front: Slot,
-    /// One slot per batch position, for the graphs the back roles claim.
-    slots: Vec<Slot>,
-    batch_grads: GnnGrads,
+}
+
+/// The round's minibatch, and who has taken what of it.
+#[derive(Debug, Default)]
+struct Claims {
+    /// Graph indices, in batch order.
+    batch: Vec<usize>,
+    /// The positions nobody has claimed yet: the front role takes from
+    /// the start, the back roles from the end.
+    unclaimed: Range<usize>,
+    /// Back roles done with the round.
+    finished: usize,
+}
+
+/// A minibatch's running sums, added in batch order.
+#[derive(Debug)]
+struct Sums {
+    grads: GnnGrads,
+    loss: f64,
+}
+
+/// A graph a back role ran: its gradients and loss, waiting to be added
+/// to the sums in batch order.
+#[derive(Debug, Default)]
+struct Slot {
+    grads: GnnGrads,
+    loss: f64,
+}
+
+impl Slot {
+    /// Add this graph's loss and gradients to a minibatch's running sums.
+    fn add_to(&self, sums: &mut Sums) {
+        sums.loss += self.loss;
+        sums.grads.accumulate(&self.grads);
+    }
+}
+
+/// Everything the roles of one fit share, borrowed by the crew's work for
+/// the whole fit. The caller sets the round's claims and zeroes the sums
+/// before a round, and steps the optimizer after it.
+struct FitState<'m> {
+    weights: RwLock<Weights<'m>>,
+    /// One per role.
+    roles: Vec<Mutex<RoleBuffers>>,
+    sums: Mutex<Sums>,
+    claims: Mutex<Claims>,
+    /// One per batch position, for the graphs the back roles claim.
+    slots: Vec<Mutex<Slot>>,
+    /// Set once the front has added its last graph into the sums, or has
+    /// unwound (see [`FrontDone`]).
+    front_done: AtomicBool,
+}
+
+/// Sets the flag when dropped: when the front's share of a round ends,
+/// whether it returns or panics, so the back role waiting on it never
+/// waits forever.
+struct FrontDone<'a>(&'a AtomicBool);
+
+impl Drop for FrontDone<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+impl FitState<'_> {
+    /// The next position `take` claims from the unclaimed range, with its
+    /// graph.
+    fn claim(
+        &self,
+        take: impl FnOnce(&mut Range<usize>) -> Option<usize>,
+    ) -> Option<(usize, usize)> {
+        let mut claims = self.claims.lock();
+        let at = take(&mut claims.unclaimed)?;
+        Some((at, claims.batch[at]))
+    }
+
+    /// Role `role`'s share of a round. Role 0, the front, claims
+    /// positions from the start and its kernels add each graph's loss and
+    /// gradients straight into the sums. Every other role claims from the
+    /// end and leaves each graph's gradients in that position's slot. The
+    /// last back role to finish waits for the front's share to end (the
+    /// front holds the sums lock for all of it), then adds those slots, in
+    /// order, after it, so every sum runs in batch order, as on one
+    /// thread; with one back role its slots are still in its cache. That
+    /// wait is the only one, and it ends: the front never waits, and marks
+    /// its share done when it returns or unwinds. A back role that panics
+    /// never counts itself finished, so then nobody adds the slots, and
+    /// the crew reports the panic.
+    fn run_role<L>(&self, role: usize, graphs: &[GraphData], loss: &L)
+    where
+        L: Fn(usize, &[f64], &mut [f64]) -> f64,
+    {
+        let weights = self.weights.read();
+        let (model, transposed) = (&*weights.model, &weights.transposed);
+        let buffers = &mut *self.roles[role].lock();
+        if role == 0 {
+            let _done = FrontDone(&self.front_done);
+            let sums = &mut *self.sums.lock();
+            while let Some((_, i)) = self.claim(Iterator::next) {
+                let grads = &mut sums.grads;
+                sums.loss += model.train_graph(&graphs[i], i, transposed, buffers, grads, loss);
+            }
+            return;
+        }
+        while let Some((at, i)) = self.claim(DoubleEndedIterator::next_back) {
+            let slot = &mut *self.slots[at].lock();
+            slot.grads.zero_like(model);
+            let grads = &mut slot.grads;
+            slot.loss = model.train_graph(&graphs[i], i, transposed, buffers, grads, loss);
+        }
+        let back = {
+            let mut claims = self.claims.lock();
+            claims.finished += 1;
+            // Every position is claimed: the cursors met at `start`.
+            let last = claims.finished + 1 == self.roles.len();
+            last.then(|| claims.unclaimed.start..claims.batch.len())
+        };
+        if let Some(back) = back {
+            // The front holds the sums for all of its share, so the lock
+            // alone orders this add after it. The front is at most one
+            // graph from done: spinning until it is keeps this role from
+            // sleeping in the lock and waiting out a wakeup.
+            while !self.front_done.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            let sums = &mut *self.sums.lock();
+            for slot in &self.slots[back] {
+                slot.lock().add_to(sums);
+            }
+        }
+    }
+}
+
+/// A fit in progress: the handle [`GnnModel::train`]'s body steps
+/// minibatches through, and reads the model through between steps.
+pub struct GnnTrainer<'f, 'm> {
+    crew: &'f Crew<'f>,
+    state: &'f FitState<'m>,
+    opt: &'f mut GnnOptimizer,
+}
+
+impl GnnTrainer<'_, '_> {
+    /// One minibatch step: forward, loss and backward for every graph of
+    /// `batch` (indices into the fit's graphs) on the crew, one round,
+    /// then one Adam update with the mean gradient on the caller. Each
+    /// graph's loss is added to `loss_sum` in batch order.
+    ///
+    /// The update and `loss_sum` are bit-identical at every thread count:
+    /// every sum runs in batch order (see the front and back claims of
+    /// [`GnnModel::train`]). A panic in the loss callback, on any role,
+    /// ends the fit and resumes on the caller of [`GnnModel::train`].
+    ///
+    /// # Panics
+    /// Panics if `batch` is longer than the fit's `max_batch`.
+    pub fn step(&mut self, batch: &[usize], loss_sum: &mut f64) {
+        if batch.is_empty() {
+            return;
+        }
+        let n = batch.len();
+        let state = self.state;
+        assert!(n <= state.slots.len(), "GnnTrainer::step: batch longer than the fit's max_batch");
+        {
+            let mut claims = state.claims.lock();
+            claims.batch.clear();
+            claims.batch.extend_from_slice(batch);
+            claims.unclaimed = 0..n;
+            claims.finished = 0;
+        }
+        state.front_done.store(false, Ordering::Relaxed);
+        {
+            let mut sums = state.sums.lock();
+            sums.grads.fill_zero();
+            sums.loss = *loss_sum;
+        }
+        self.crew.round();
+        let weights = &mut *state.weights.write();
+        let sums = &mut *state.sums.lock();
+        *loss_sum = sums.loss;
+        sums.grads.scale(1.0 / n as f64);
+        weights.model.apply_grads(self.opt, &sums.grads);
+        weights.model.transpose_weights_into(&mut weights.transposed);
+    }
+
+    /// `f` on the model as the last step left it (validation, a copy of
+    /// the best weights).
+    pub fn with_model<T>(&self, f: impl FnOnce(&GnnModel) -> T) -> T {
+        f(self.state.weights.read().model)
+    }
 }
 
 impl GnnModel {
@@ -265,27 +453,51 @@ impl GnnModel {
 
     /// Backward pass for the graph last run through
     /// [`GnnModel::forward_cached`] on `workspace`, given
-    /// `d_output: 1 x out_dim`; the gradients land in `workspace.grads`.
-    /// The first GCN layer's input gradient — the gradient w.r.t. the
-    /// graph's features — is not computed.
+    /// `d_output: 1 x out_dim`: adds the graph's gradients into `grads`
+    /// (shaped as the model's), each summed fresh first, so a role passes
+    /// its minibatch sums and no per-graph gradient set is written and
+    /// read back. The first GCN layer's input gradient — the gradient
+    /// w.r.t. the graph's features — is not computed.
     fn backward(
         &self,
         graph: &GraphData,
         transposed: &GnnTransposed,
         workspace: &mut GnnWorkspace,
         d_output: &Matrix,
+        grads: &mut GnnGrads,
     ) {
-        let GnnWorkspace { gcn, pool, head, d_embedding, d_h, scratch, grads } = workspace;
+        let GnnWorkspace { gcn, pool, head, d_embedding, d_h, scratch } = workspace;
         self.head.backward(head, &transposed.head, d_output, &mut grads.head, Some(d_embedding));
         let last = self.gcn_layers.len() - 1;
         let embeddings = gcn[last].output();
         self.pool.backward(embeddings, pool, &transposed.pool, d_embedding, &mut grads.pool, d_h);
-        grads.gcn.resize_with(self.gcn_layers.len(), Default::default);
         let adj = &graph.norm_adjacency;
         for (i, layer) in self.gcn_layers.iter().enumerate().rev() {
             let weight_t = (i > 0).then(|| &transposed.gcn[i]);
             layer.backward(adj, &gcn[i], weight_t, d_h, scratch, &mut grads.gcn[i]);
         }
+    }
+
+    /// Forward, loss and backward for graph `i` on one role's buffers:
+    /// adds its gradients into `grads` and returns its loss.
+    fn train_graph<L>(
+        &self,
+        graph: &GraphData,
+        i: usize,
+        transposed: &GnnTransposed,
+        buffers: &mut RoleBuffers,
+        grads: &mut GnnGrads,
+        loss: &L,
+    ) -> f64
+    where
+        L: Fn(usize, &[f64], &mut [f64]) -> f64,
+    {
+        let RoleBuffers { workspace, d_output } = buffers;
+        let output = self.forward_cached(graph, workspace);
+        d_output.reset_zeros(1, output.cols());
+        let graph_loss = loss(i, output.as_slice(), d_output.as_mut_slice());
+        self.backward(graph, transposed, workspace, d_output, grads);
+        graph_loss
     }
 
     /// Create an Adam optimizer registered against this model's parameters.
@@ -302,110 +514,64 @@ impl GnnModel {
             .collect();
         let pool_id = adam.register(self.pool.dim(), self.pool.dim());
         let head_ids = self.head.register_params(&mut adam);
-        GnnOptimizer {
-            adam,
-            gcn_ids,
-            pool_id,
-            head_ids,
-            transposed: GnnTransposed::default(),
-            front: Slot::default(),
-            slots: Vec::new(),
-            batch_grads: GnnGrads::zeros_like(self),
-        }
+        GnnOptimizer { adam, gcn_ids, pool_id, head_ids }
     }
 
-    /// One minibatch step: forward, loss and backward for every graph of
-    /// `batch` (indices into `graphs`), then one Adam update with the mean
-    /// gradient.
+    /// Train on `graphs` with one crew for the whole fit: `body` runs on
+    /// the caller with a [`GnnTrainer`] and steps minibatches of at most
+    /// `max_batch` graphs through it ([`GnnTrainer::step`]); the RNG, the
+    /// epoch order, validation and early stopping stay in `body`, between
+    /// steps. `loss(i, output, d_output)` evaluates graph `i`: it reads
+    /// the model's output row, writes dLoss/dOutput, and returns the loss.
     ///
-    /// `loss(i, output, d_output)` evaluates graph `i`: it reads the
-    /// model's output row, writes dLoss/dOutput, and returns the loss,
-    /// which is added to `loss_sum`.
-    ///
-    /// The graphs are independent given the weights, so they fan out over
-    /// `min(pool.threads(), batch.len())` roles sharing one cursor over
-    /// the batch positions. Role 0, the front, claims positions from the
-    /// start and adds each graph's loss and gradients into the sums as
-    /// soon as it has them, while they are still in its cache. Every other
-    /// role claims from the end and leaves its results in that position's
-    /// slot. Whichever role finishes last adds those slots, in order,
-    /// after the front's share. Every sum therefore runs in batch order,
-    /// as on one thread, and the update and `loss_sum` are bit-identical
-    /// at every thread count. No role ever waits for another, and a task
-    /// panic (the loss callback's, say) resumes on the caller.
-    pub fn train_batch<L>(
+    /// The graphs of a minibatch are independent given the weights, so
+    /// each step is one round of a crew of `min(pool.threads(),
+    /// max_batch)` roles ([`Pool::crew`]), whose helpers are spawned once
+    /// here and joined before this returns. Role 0, the front, is the
+    /// caller: it claims positions from the start of the batch and adds
+    /// each graph's loss and gradients into the sums as it computes them.
+    /// The other roles claim from the end, each in one workspace, into
+    /// per-position gradient slots, and the last of them to finish adds
+    /// those in order once the front's share is done. Adam, the `1/n` scale and
+    /// the weight transposes run on the caller between rounds. Every
+    /// result is bit-identical at every thread count. A panic in `loss`
+    /// or in `body` ends the crew and resumes on the caller.
+    pub fn train<L, R>(
         &mut self,
         opt: &mut GnnOptimizer,
         graphs: &[GraphData],
-        batch: &[usize],
+        max_batch: usize,
         pool: &Pool,
         loss: L,
-        loss_sum: &mut f64,
-    ) where
+        body: impl FnOnce(&mut GnnTrainer<'_, '_>) -> R,
+    ) -> R
+    where
         L: Fn(usize, &[f64], &mut [f64]) -> f64 + Sync,
     {
-        if batch.is_empty() {
-            return;
-        }
-        let n = batch.len();
-        let GnnOptimizer { transposed, front, slots, batch_grads, .. } = opt;
-        self.transpose_weights_into(transposed);
-        batch_grads.fill_zero();
-        if slots.len() < n {
-            slots.resize_with(n, Slot::default);
-        }
-        let fanned = {
-            let (model, transposed) = (&*self, &*transposed);
-            let run = |slot: &mut Slot, at: usize| {
-                let graph = &graphs[batch[at]];
-                let output = model.forward_cached(graph, &mut slot.workspace);
-                slot.d_output.reset_zeros(1, output.cols());
-                slot.loss = loss(batch[at], output.as_slice(), slot.d_output.as_mut_slice());
-                model.backward(graph, transposed, &mut slot.workspace, &slot.d_output);
-            };
-            // The positions nobody has claimed yet.
-            let unclaimed = Mutex::new(Rank::GnnUnclaimed, 0..n);
-            let claim_front = || unclaimed.lock().next();
-            let claim_back = || unclaimed.lock().next_back();
-            let front = Mutex::new(Rank::GnnFront, (front, &mut *batch_grads, loss_sum));
-            let slots: Vec<Mutex<&mut Slot>> =
-                slots[..n].iter_mut().map(|slot| Mutex::new(Rank::GnnSlot, slot)).collect();
-            let roles = pool.threads().min(n);
-            let finished = AtomicUsize::new(0);
-            pool.par_map_grain(&vec![(); roles], 1, |role, ()| {
-                if role == 0 {
-                    let (slot, grads, loss_sum) = &mut *front.lock();
-                    while let Some(at) = claim_front() {
-                        run(slot, at);
-                        slot.add_to(grads, loss_sum);
-                    }
-                } else {
-                    while let Some(at) = claim_back() {
-                        run(&mut slots[at].lock(), at);
-                    }
-                }
-                // A role that panicked never counts itself, so then nobody
-                // adds the back's slots and the error surfaces below.
-                if finished.fetch_add(1, Ordering::AcqRel) + 1 == roles {
-                    // Every position is claimed: the cursors met here.
-                    let met = unclaimed.lock().start;
-                    let (_, grads, loss_sum) = &mut *front.lock();
-                    for slot in &slots[met..] {
-                        slot.lock().add_to(grads, loss_sum);
-                    }
-                }
-            })
+        let max_batch = max_batch.max(1);
+        let crew = Pool::new(pool.threads().min(max_batch));
+        let mut transposed = GnnTransposed::default();
+        self.transpose_weights_into(&mut transposed);
+        let sums = Sums { grads: GnnGrads::zeros_like(self), loss: 0.0 };
+        let state = FitState {
+            weights: RwLock::new(Rank::CrewWeights, Weights { model: self, transposed }),
+            roles: (0..crew.threads())
+                .map(|_| Mutex::new(Rank::CrewRole, RoleBuffers::default()))
+                .collect(),
+            sums: Mutex::new(Rank::CrewSums, sums),
+            claims: Mutex::new(Rank::CrewClaims, Claims::default()),
+            slots: (0..max_batch).map(|_| Mutex::new(Rank::CrewSlot, Slot::default())).collect(),
+            front_done: AtomicBool::new(false),
         };
-        if let Err(e) = fanned {
-            std::panic::resume_unwind(Box::new(e.to_string()));
-        }
-        batch_grads.scale(1.0 / n as f64);
-        self.apply_grads(opt);
+        let fitted = crew.crew(
+            |role, _| state.run_role(role, graphs, &loss),
+            |crew| body(&mut GnnTrainer { crew, state: &state, opt }),
+        );
+        fitted.unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e.to_string())))
     }
 
-    /// Apply one optimizer step with `opt.batch_grads`.
-    fn apply_grads(&mut self, opt: &mut GnnOptimizer) {
-        let grads = &opt.batch_grads;
+    /// Apply one optimizer step with the minibatch's mean `grads`.
+    fn apply_grads(&mut self, opt: &mut GnnOptimizer, grads: &GnnGrads) {
         let mut pairs: Vec<(ParamId, &mut Matrix, &Matrix)> = Vec::new();
         for (layer, (&(wid, bid), (gw, gb))) in
             self.gcn_layers.iter_mut().zip(opt.gcn_ids.iter().zip(&grads.gcn))
@@ -427,7 +593,7 @@ impl GnnModel {
 /// The allocating per-graph recipe as it stood at b3c2ea3 —
 /// `forward_cached` → `backward` → `accumulate`, graph after graph on one
 /// thread, every cache, temporary and gradient a fresh matrix — kept as
-/// the oracle [`GnnModel::train_batch`] must match bit for bit. Built on
+/// the oracle [`GnnTrainer::step`] must match bit for bit. Built on
 /// the layers' own `reference` modules.
 #[cfg(test)]
 mod reference {
@@ -490,8 +656,7 @@ mod reference {
             batch_grads.accumulate(&backward(model, &graphs[i], &cache, &d));
         }
         batch_grads.scale(1.0 / batch.len() as f64);
-        opt.batch_grads = batch_grads;
-        model.apply_grads(opt);
+        model.apply_grads(opt, &batch_grads);
     }
 }
 
@@ -518,10 +683,11 @@ mod tests {
             .collect()
     }
 
-    /// Workspace training — at 1, 2, 3 and 8 threads — equals the
-    /// allocating sequential reference bit for bit: the running loss after
-    /// every batch and every parameter at the end, over graphs of 1 to 40
-    /// nodes, a ragged last batch and a batch of one graph.
+    /// Crew training — at 1, 2, 3 and 8 threads, every batch one round
+    /// of one fit — equals the allocating sequential reference bit for
+    /// bit: the running loss after every batch and every parameter at the
+    /// end, over graphs of 1 to 40 nodes, a ragged last batch and a batch
+    /// of one graph.
     #[test]
     fn train_batch_is_bit_identical_to_the_allocating_reference_at_any_thread_count() {
         for seed in [11u64, 12, 13] {
@@ -554,35 +720,47 @@ mod tests {
             // One role takes a one-graph batch at any thread count.
             batches.push(vec![order[0]]);
 
-            // Replays the batches through one step function; the running
-            // loss after every batch and the final parameters, as bits.
-            type Step<'a> = &'a mut dyn FnMut(&mut GnnModel, &mut GnnOptimizer, &[usize], &mut f64);
-            let run = |step: Step<'_>| {
-                let mut model = initial.clone();
-                let mut opt = model
+            let fresh = || {
+                let model = initial.clone();
+                let opt = model
                     .make_optimizer(AdamConfig { learning_rate: 0.01, ..Default::default() });
+                (model, opt)
+            };
+            // Replays the batches through one step function; the running
+            // loss after every batch, as bits.
+            let replay = |step: &mut dyn FnMut(&[usize], &mut f64)| {
                 let (mut loss_sum, mut losses) = (0.0, Vec::new());
                 for batch in &batches {
-                    step(&mut model, &mut opt, batch, &mut loss_sum);
+                    step(batch, &mut loss_sum);
                     losses.push(loss_sum.to_bits());
                 }
+                losses
+            };
+            let expected = {
+                let (mut model, mut opt) = fresh();
+                let losses = replay(&mut |batch, sum| {
+                    reference::train_batch(&mut model, &mut opt, &graphs, batch, loss, sum);
+                });
                 (losses, param_bits(&model))
             };
-            let expected =
-                run(&mut |m, o, b, sum| reference::train_batch(m, o, &graphs, b, loss, sum));
             assert_ne!(expected.1, param_bits(&initial), "training moved the weights");
             for threads in [1, 2, 3, 8] {
-                let pool = Pool::new(threads);
-                let got = run(&mut |m, o, b, sum| m.train_batch(o, &graphs, b, &pool, loss, sum));
+                let (pool, (mut model, mut opt)) = (Pool::new(threads), fresh());
+                let losses = model.train(&mut opt, &graphs, 16, &pool, loss, |fit| {
+                    replay(&mut |batch, sum| fit.step(batch, sum))
+                });
+                let got = (losses, param_bits(&model));
                 assert_eq!(got, expected, "seed {seed}, {threads} threads");
             }
         }
     }
 
     /// A loss callback that panics on the first graph of a batch, or on
-    /// its last, surfaces as a panic on the caller at every thread count.
-    /// No role ever waits for another, so a panicking role cannot hang the
-    /// fan-out: this test finishing is the proof.
+    /// its last, surfaces as a panic on the caller at every thread count,
+    /// with every helper of the fit joined. The one wait within a round,
+    /// the last back role's for the front, ends when the front returns or
+    /// unwinds, so a panicking role cannot hang the crew: this test
+    /// finishing is the proof.
     #[test]
     fn a_panicking_loss_resumes_on_the_caller_at_any_thread_count() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -600,7 +778,9 @@ mod tests {
                     0.0
                 };
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    model.train_batch(&mut opt, &graphs, &batch, &pool, loss, &mut 0.0);
+                    model.train(&mut opt, &graphs, batch.len(), &pool, loss, |fit| {
+                        fit.step(&batch, &mut 0.0);
+                    });
                 }));
                 let payload = caught.expect_err("the loss panic must reach the caller");
                 let message = payload.downcast_ref::<String>().map_or("", String::as_str);
@@ -642,8 +822,8 @@ mod tests {
         let (mut workspace, mut transposed) = (GnnWorkspace::default(), GnnTransposed::default());
         let d_output = model.forward_cached(&g, &mut workspace).scale(2.0);
         model.transpose_weights_into(&mut transposed);
-        model.backward(&g, &transposed, &mut workspace, &d_output);
-        let grads = &workspace.grads;
+        let grads = &mut GnnGrads::zeros_like(&model);
+        model.backward(&g, &transposed, &mut workspace, &d_output, grads);
 
         let h = 1e-6;
         // GCN layer 0 weight.
@@ -706,10 +886,12 @@ mod tests {
             d[0] = 2.0 * (out[0] - targets[i]);
             (out[0] - targets[i]).powi(2)
         };
-        for _ in 0..300 {
-            let pool = Pool::sequential();
-            model.train_batch(&mut opt, &graphs, &everything, &pool, squared_error, &mut 0.0);
-        }
+        let pool = Pool::sequential();
+        model.train(&mut opt, &graphs, everything.len(), &pool, squared_error, |fit| {
+            for _ in 0..300 {
+                fit.step(&everything, &mut 0.0);
+            }
+        });
         let final_loss = total_loss(&model);
         assert!(
             final_loss < initial * 0.05,

@@ -18,8 +18,12 @@
 //! without a branch ([`Terms::compact`]), then add the kept terms into
 //! the row held in registers, 32 columns a tile and narrower tiles of
 //! 16, 8, 4, 2 and 1 for the rest, storing each tile once per list
-//! rather than once per term ([`Terms::add_into`]). A one-row `TMatmul`,
-//! an outer product, scatters the compacted row instead. [`ForwardRow`],
+//! rather than once per term ([`tiles`]). `TMatmul` and [`ColSums`]
+//! add into running gradient sums: each element's terms are summed from
+//! `+0.0` in the tile, and that fresh sum is added into the output once,
+//! so a trainer adds a graph's gradients into its minibatch sums with no
+//! per-graph temporary. A one-row `TMatmul`, an outer product, scatters
+//! the compacted row instead. [`ForwardRow`],
 //! serving's NN inference, runs a whole network on one row in one call:
 //! per layer the same compaction and tiles, then the bias and the
 //! activation in place. [`Log1pThenDivide`], featurization's, runs glibc's
@@ -30,7 +34,8 @@
 //! - every kernel vectorises across independent output elements (the
 //!   columns of an output row, or the elements of a tensor); each element
 //!   still adds its terms in ascending `k`, starting from its prior value
-//!   (`+0.0` for a fresh product), and skips exactly the terms whose `a`
+//!   (`+0.0` for a fresh sum, which is then added into the output), and
+//!   skips exactly the terms whose `a`
 //!   entry is `±0.0`, whether the loop branches on it or compacts it
 //!   away, and whether the running sum sits in a register or in memory;
 //! - IEEE `mul`, `add`, `div` and `sqrt` round the same in a ymm or zmm
@@ -99,7 +104,7 @@ fn run_avx512(k: impl Kernel) {
     k.run();
 }
 
-/// Output columns the widest tile of [`Terms::add_into`] accumulates in
+/// Output columns the widest tile of [`tiles`] accumulates in
 /// registers across a whole compacted term list: 32 `f64`, four zmm on
 /// the AVX-512 arm (eight ymm on AVX2).
 const TILE: usize = 32;
@@ -153,56 +158,20 @@ impl Terms {
         let b_cols = out_row.len();
         for (c, chunk) in a_row.chunks(CHUNK).enumerate() {
             self.compact(chunk.iter().copied(), c * CHUNK * b_cols, b_cols);
-            self.add_into(b, out_row);
+            if self.len > 0 {
+                tiles(out_row, &mut Continue { terms: self, b });
+            }
         }
     }
 
-    /// `out_row[j] += x * b[offset + j]` for each term, in list order,
-    /// with the whole row in registers: each [`TILE`] columns, then at
-    /// most one tile each of 16, 8, 4, 2 and 1 columns for what is left,
-    /// every tile loaded and stored once for the whole list.
+    /// `acc[j] += x * b[offset + col + j]` for each term, in list order.
     #[inline(always)]
-    fn add_into(&self, b: &[f64], out_row: &mut [f64]) {
-        if self.len == 0 {
-            return;
-        }
-        let tiled = out_row.len() - out_row.len() % TILE;
-        let (tiles, mut tail) = out_row.split_at_mut(tiled);
-        for (t, tile) in tiles.chunks_exact_mut(TILE).enumerate() {
-            self.add_tile::<TILE>(b, t * TILE, tile);
-        }
-        let mut col = tiled;
-        self.add_narrow::<16>(b, &mut col, &mut tail);
-        self.add_narrow::<8>(b, &mut col, &mut tail);
-        self.add_narrow::<4>(b, &mut col, &mut tail);
-        self.add_narrow::<2>(b, &mut col, &mut tail);
-        self.add_narrow::<1>(b, &mut col, &mut tail);
-    }
-
-    /// The terms into the first `W` columns of `tail`, which start at
-    /// output column `col`, if `tail` has that many; then step past them.
-    #[inline(always)]
-    fn add_narrow<const W: usize>(&self, b: &[f64], col: &mut usize, tail: &mut &mut [f64]) {
-        if tail.len() >= W {
-            let (tile, rest) = std::mem::take(tail).split_at_mut(W);
-            self.add_tile::<W>(b, *col, tile);
-            *tail = rest;
-            *col += W;
-        }
-    }
-
-    /// The terms into `tile`, the `W` output columns from `col` on, held
-    /// in a `[f64; W]` from the load to the store.
-    #[inline(always)]
-    fn add_tile<const W: usize>(&self, b: &[f64], col: usize, tile: &mut [f64]) {
-        let mut acc = [0.0; W];
-        acc.copy_from_slice(tile);
+    fn add_terms<const W: usize>(&self, b: &[f64], col: usize, acc: &mut [f64; W]) {
         for (&x, &offset) in self.xs[..self.len].iter().zip(&self.offsets[..self.len]) {
             for (o, &y) in acc.iter_mut().zip(&b[offset + col..][..W]) {
                 *o += x * y;
             }
         }
-        tile.copy_from_slice(&acc);
     }
 
     /// `out[offset + j] += x * b_row[j]` for each term: one row of `b`
@@ -217,10 +186,95 @@ impl Terms {
     }
 }
 
+/// What one tile of an output row gets: the `W` columns from `col` on,
+/// held in a `[f64; W]` from the load to the store.
+trait TileOp {
+    fn tile<const W: usize>(&mut self, col: usize, tile: &mut [f64]);
+}
+
+/// Run `op` over `row` a tile at a time: each [`TILE`] columns, then at
+/// most one tile each of 16, 8, 4, 2 and 1 columns for what is left.
+#[inline(always)]
+fn tiles(row: &mut [f64], op: &mut impl TileOp) {
+    let tiled = row.len() - row.len() % TILE;
+    let (whole, mut tail) = row.split_at_mut(tiled);
+    for (t, tile) in whole.chunks_exact_mut(TILE).enumerate() {
+        op.tile::<TILE>(t * TILE, tile);
+    }
+    let mut col = tiled;
+    narrow::<16>(op, &mut col, &mut tail);
+    narrow::<8>(op, &mut col, &mut tail);
+    narrow::<4>(op, &mut col, &mut tail);
+    narrow::<2>(op, &mut col, &mut tail);
+    narrow::<1>(op, &mut col, &mut tail);
+}
+
+/// `op` on the first `W` columns of `tail`, which start at output column
+/// `col`, if `tail` has that many; then step past them.
+#[inline(always)]
+fn narrow<const W: usize>(op: &mut impl TileOp, col: &mut usize, tail: &mut &mut [f64]) {
+    if tail.len() >= W {
+        let (tile, rest) = std::mem::take(tail).split_at_mut(W);
+        op.tile::<W>(*col, tile);
+        *tail = rest;
+        *col += W;
+    }
+}
+
+/// The terms added into each tile's running sums: every element goes on
+/// from its prior value.
+struct Continue<'t> {
+    terms: &'t Terms,
+    b: &'t [f64],
+}
+
+impl TileOp for Continue<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, col: usize, tile: &mut [f64]) {
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(tile);
+        self.terms.add_terms(self.b, col, &mut acc);
+        tile.copy_from_slice(&acc);
+    }
+}
+
+/// A fresh sum added into each tile: every element sums the terms of
+/// column `k` of `a` from `+0.0`, over all its [`CHUNK`]s of rows, then
+/// adds that sum into the tile once. A column of one chunk is compacted
+/// once for the whole row (`compacted`); a longer one is compacted again
+/// for each tile, so the tile's sums run on in registers across chunks.
+struct Fresh<'t> {
+    terms: &'t mut Terms,
+    compacted: bool,
+    a: &'t [f64],
+    a_cols: usize,
+    k: usize,
+    rows: usize,
+    b: &'t [f64],
+    b_cols: usize,
+}
+
+impl TileOp for Fresh<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, col: usize, tile: &mut [f64]) {
+        let mut acc = [0.0; W];
+        for i0 in (0..self.rows).step_by(CHUNK) {
+            if !self.compacted {
+                let column = (i0..self.rows).map(|i| self.a[i * self.a_cols + self.k]);
+                self.terms.compact(column, i0 * self.b_cols, self.b_cols);
+            }
+            self.terms.add_terms(self.b, col, &mut acc);
+        }
+        for (o, a) in tile.iter_mut().zip(acc) {
+            *o += a;
+        }
+    }
+}
+
 /// `out += a * b` for row-major `a` (`rows x a_cols`) and `b`
 /// (`a_cols x b_cols`). Each row of `a` is compacted [`CHUNK`] entries at
 /// a time ([`Terms::compact`]), and each tile of the output row adds the
-/// kept terms' rows of `b` in registers ([`Terms::add_into`]). A `±0.0`
+/// kept terms' rows of `b` in registers ([`Continue`]). A `±0.0`
 /// in `a` skips its whole row of `b`, and each output element adds its
 /// terms in ascending `k`, starting from its prior value.
 pub(crate) struct Matmul<'a> {
@@ -289,14 +343,21 @@ impl Kernel for ForwardRow<'_> {
 
 /// `out += a^T * b` for row-major `a` (`rows x a_cols`) and `b`
 /// (`rows x b_cols`), without materialising the transpose. Output row
-/// `k` is column `k` of `a` times `b`: the column is compacted and the
-/// output row tiled as in [`Matmul`], so each output element adds its
-/// terms in ascending row of `a`, skipping the `±0.0` ones. A one-row
-/// `a` (the weight gradient of a one-row layer) is an outer product:
-/// each output row gets at most one term, so nothing can stay in
-/// registers, and the row of `a` is compacted once and scattered
-/// instead ([`Terms::scatter_into`]), which on that shape costs half
-/// what a compaction and a tile per column would.
+/// `k` is column `k` of `a` times `b`: each element sums its terms from
+/// `+0.0`, in ascending row of `a` and skipping the `±0.0` ones, in a
+/// register tile ([`Fresh`]), and adds that fresh sum into `out` once.
+/// That is the bits of a zeroed temporary followed by `out += 1.0 *
+/// temporary`, for any `out` that holds no `-0.0` (a zeroed buffer, or
+/// a running sum of fresh sums): a fresh sum is never `-0.0` (it starts
+/// at `+0.0`; `x + y` is `-0.0` only when both are, and an exact
+/// cancellation rounds to `+0.0`), so the add rounds as the temporary's
+/// would. A one-row `a` (the weight gradient of a one-row layer) is an
+/// outer product: each output element gets at most one term, so
+/// nothing can stay in registers, and the row of `a` is compacted once
+/// and scattered instead ([`Terms::scatter_into`]), which on that shape
+/// costs half what a compaction and a tile per column would. Adding the
+/// lone term `p` straight into `out` is exact by the same argument: `out
+/// + p` and `out + (0.0 + p)` differ only when `out` is `-0.0`.
 pub(crate) struct TMatmul<'a> {
     pub rows: usize,
     pub a: &'a [f64],
@@ -318,13 +379,16 @@ impl Kernel for TMatmul<'_> {
             }
             return;
         }
+        let compacted = rows <= CHUNK;
         for k in 0..a_cols {
-            let out_row = &mut out[k * b_cols..(k + 1) * b_cols];
-            for i0 in (0..rows).step_by(CHUNK) {
-                let column = (i0..rows).map(|i| a[i * a_cols + k]);
-                terms.compact(column, i0 * b_cols, b_cols);
-                terms.add_into(b, out_row);
+            if compacted {
+                terms.compact((0..rows).map(|i| a[i * a_cols + k]), 0, b_cols);
+                if terms.len == 0 {
+                    continue;
+                }
             }
+            let op = &mut Fresh { terms: &mut terms, compacted, a, a_cols, k, rows, b, b_cols };
+            tiles(&mut out[k * b_cols..(k + 1) * b_cols], op);
         }
     }
 }
@@ -379,7 +443,10 @@ impl Kernel for AddRowBroadcast<'_> {
     }
 }
 
-/// `out[c] += m[r][c]` over the rows of the row-major `m`, in row order.
+/// `out[c] += m[0][c] + m[1][c] + ...`: each column's sum runs from
+/// `+0.0` in row order in a register tile, then adds into `out` once,
+/// the bits of a zeroed temporary followed by `out += 1.0 * temporary`
+/// for any `out` without `-0.0` (see [`TMatmul`]).
 pub(crate) struct ColSums<'a> {
     pub m: &'a [f64],
     pub out: &'a mut [f64],
@@ -388,10 +455,31 @@ pub(crate) struct ColSums<'a> {
 impl Kernel for ColSums<'_> {
     #[inline(always)]
     fn run(self) {
-        for row in self.m.chunks_exact(self.out.len().max(1)) {
-            for (s, &x) in self.out.iter_mut().zip(row) {
-                *s += x;
+        let cols = self.out.len();
+        if cols > 0 {
+            tiles(self.out, &mut SumColumns { m: self.m, cols });
+        }
+    }
+}
+
+/// [`ColSums`]' tile: the fresh column sums of the row-major `m`, `cols`
+/// wide, added into the tile.
+struct SumColumns<'a> {
+    m: &'a [f64],
+    cols: usize,
+}
+
+impl TileOp for SumColumns<'_> {
+    #[inline(always)]
+    fn tile<const W: usize>(&mut self, col: usize, tile: &mut [f64]) {
+        let mut acc = [0.0; W];
+        for row in self.m.chunks_exact(self.cols) {
+            for (a, &x) in acc.iter_mut().zip(&row[col..][..W]) {
+                *a += x;
             }
+        }
+        for (o, a) in tile.iter_mut().zip(acc) {
+            *o += a;
         }
     }
 }
@@ -781,6 +869,13 @@ mod tests {
             same_bits(&what("t_matmul"), &zeros(k * m), |arm, out| {
                 arm.run(TMatmul { rows: n, a: &a, a_cols: k, b: &d, b_cols: m, out })
             });
+            // Added into running sums (dense, some `+0.0`, no `-0.0`), as
+            // a trainer adds a graph's gradients into its minibatch's.
+            let sums = random(&mut rng, k * m, Fill::Dense);
+            let sums: Vec<f64> = sums.iter().map(|&x| if x < -1.5 { 0.0 } else { x }).collect();
+            same_bits(&what("t_matmul into sums"), &sums, |arm, out| {
+                arm.run(TMatmul { rows: n, a: &a, a_cols: k, b: &d, b_cols: m, out })
+            });
 
             // Column `unit` of `a` and row `node` of `a` exactly `±0.0`;
             // the row of `b` only column `unit` reaches, and the row of
@@ -815,6 +910,9 @@ mod tests {
                 arm.run(AddRowBroadcast { rows: n, m: mat, row: &b[..m] })
             });
             same_bits(&what("col_sums"), &zeros(m), |arm, out| {
+                arm.run(ColSums { m: &d, out })
+            });
+            same_bits(&what("col_sums into sums"), &sums[..m], |arm, out| {
                 arm.run(ColSums { m: &d, out })
             });
             let pre = random(&mut rng, n * m, fill);

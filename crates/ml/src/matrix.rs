@@ -21,9 +21,13 @@
 //! arm gives the same bits.
 //!
 //! The products are single-threaded by design: at this workspace's sizes
-//! (≤ 136 x 64 operands, microseconds per product) a pool's per-call
-//! dispatch costs more than any product; training parallelises one level
-//! up, over the graphs of a minibatch.
+//! (≤ 136 x 64 operands, microseconds per product) even a handoff to a
+//! thread that is already running costs about as much as a product.
+//! Training parallelises one level up, over the graphs of a minibatch,
+//! on threads spawned once per fit (`tasq_par::Pool::crew`). The
+//! gradient products (`t_matmul_add_into`, `col_sums_add_into`) add
+//! straight into a minibatch's running sums, with no per-graph
+//! temporary.
 
 use crate::kernels::{self, AddRowBroadcast, Axpy, ColSums, Matmul, Scale, TMatmul};
 use std::fmt;
@@ -275,12 +279,24 @@ impl Matrix {
 
     /// `self^T * rhs` written into `out`, reusing its allocation.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        out.reset_zeros(self.cols, rhs.cols);
+        self.t_matmul_add_into(rhs, out);
+    }
+
+    /// `out += self^T * rhs`, the product summed fresh and then added:
+    /// the bits of `out.axpy(1.0, &self.t_matmul(rhs))` whenever `out`
+    /// holds no `-0.0` (a zeroed buffer, or a sum of such products; see
+    /// the `TMatmul` kernel), without the temporary.
+    ///
+    /// # Panics
+    /// Panics unless `out` is `self.cols() x rhs.cols()`.
+    pub fn t_matmul_add_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul: dimensions mismatch ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        out.reset_zeros(self.cols, rhs.cols);
+        assert_eq!(out.shape(), (self.cols, rhs.cols), "t_matmul: output shape mismatch");
         kernels::run(TMatmul {
             rows: self.rows,
             a: &self.data,
@@ -403,6 +419,17 @@ impl Matrix {
     /// Sum of each column as a `1 x cols` row written into `out`.
     pub fn col_sums_into(&self, out: &mut Matrix) {
         out.reset_zeros(1, self.cols);
+        self.col_sums_add_into(out);
+    }
+
+    /// `out += ` the column sums, each summed fresh and then added: the
+    /// bits of `out.axpy(1.0, &Matrix::row_vector(&self.col_sums()))`
+    /// whenever `out` holds no `-0.0`, without the temporary.
+    ///
+    /// # Panics
+    /// Panics unless `out` is `1 x self.cols()`.
+    pub fn col_sums_add_into(&self, out: &mut Matrix) {
+        assert_eq!(out.shape(), (1, self.cols), "col_sums: output shape mismatch");
         kernels::run(ColSums { m: &self.data, out: &mut out.data });
     }
 
@@ -711,8 +738,10 @@ mod tests {
 
     /// Seeded differential oracle for every kernel a training step runs:
     /// the `_into` / in-place form equals its allocating predecessor by
-    /// `to_bits`, and `d.matmul_into(W^T)` equals `d.matmul_t(W)`, on
-    /// dense, ReLU-sparse (exact `0.0`) and `-0.0`-bearing operands.
+    /// `to_bits`, the `_add_into` form equals the predecessor's product
+    /// added into a running sum, and `d.matmul_into(W^T)` equals
+    /// `d.matmul_t(W)`, on dense, ReLU-sparse (exact `0.0`) and
+    /// `-0.0`-bearing operands.
     #[test]
     fn into_kernels_are_bit_identical_to_their_allocating_predecessors() {
         use crate::nn::Activation;
@@ -824,6 +853,25 @@ mod tests {
             assert_eq!(row.shape(), (1, m));
             let sums = parent::col_sums(&d);
             assert_eq!(bits(&row), sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>());
+
+            // Added into a running sum (no `-0.0` in it, some `+0.0`): the
+            // bits of the fresh product added with `axpy(1.0, ..)`.
+            let running = |rows, cols, rng: &mut StdRng| {
+                Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..5) {
+                    0 => 0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+            };
+            let mut sum = running(k, m, &mut rng);
+            let mut want = sum.clone();
+            want.axpy(1.0, &parent::t_matmul(&x, &d));
+            x.t_matmul_add_into(&d, &mut sum);
+            assert_eq!(bits(&sum), bits(&want), "t_matmul into a sum {n}x{k}x{m}");
+            let mut sum = running(1, m, &mut rng);
+            let mut want = sum.clone();
+            want.axpy(1.0, &Matrix::row_vector(&sums));
+            d.col_sums_add_into(&mut sum);
+            assert_eq!(bits(&sum), bits(&want), "col_sums into a sum {n}x{m}");
             d.col_means_into(&mut row);
             let inv = 1.0 / n as f64;
             assert_eq!(bits(&row), sums.iter().map(|s| (s * inv).to_bits()).collect::<Vec<_>>());

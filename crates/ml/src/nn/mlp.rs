@@ -77,7 +77,8 @@ pub struct MlpCache {
 }
 
 /// `(dW, db)` per layer, front to back. Like [`MlpCache`], reused across
-/// steps: [`Mlp::backward`] shapes the entries itself.
+/// steps: [`Mlp::zero_grads`] shapes and zeroes it, and
+/// [`Mlp::backward`] adds into it.
 pub type MlpGrads = Vec<(Matrix, Matrix)>;
 
 impl Mlp {
@@ -203,14 +204,31 @@ impl Mlp {
         }
     }
 
+    /// `grads` shaped as this network's `(dW, db)` per layer and zeroed,
+    /// keeping its allocations: what a trainer calls once per step before
+    /// [`Mlp::backward`] adds into it.
+    pub fn zero_grads(&self, grads: &mut MlpGrads) {
+        grads.resize_with(self.layers.len(), Default::default);
+        for ((d_weight, d_bias), layer) in grads.iter_mut().zip(&self.layers) {
+            d_weight.reset_zeros(layer.weight.rows(), layer.weight.cols());
+            d_bias.reset_zeros(layer.bias.rows(), layer.bias.cols());
+        }
+    }
+
     /// Backward pass for the batch last run through
     /// [`Mlp::forward_cached`] on `cache`, given the upstream gradient
     /// w.r.t. the network output and the current
-    /// [`Mlp::transpose_weights_into`]. Writes `(dW, db)` per layer into
-    /// `grads`, and dLoss/dInput into `d_input` for callers that read it
-    /// (the GNN feeds it to its pooling layer); a trainer whose input is
-    /// data passes `None` and the first layer's `d · W^T` is never
-    /// computed.
+    /// [`Mlp::transpose_weights_into`]. Adds `(dW, db)` per layer into
+    /// `grads` (shaped by [`Mlp::zero_grads`]), each summed fresh first,
+    /// so zeroed `grads` get this batch's gradients and a running sum
+    /// gets them added, to the bits of a temporary and an `axpy` (see
+    /// [`Matrix::t_matmul_add_into`]). Writes dLoss/dInput into `d_input`
+    /// for callers that read it (the GNN feeds it to its pooling layer); a
+    /// trainer whose input is data passes `None` and the first layer's
+    /// `d · W^T` is never computed.
+    ///
+    /// # Panics
+    /// Panics if `grads` is not shaped as this network's gradients.
     pub fn backward(
         &self,
         cache: &mut MlpCache,
@@ -220,7 +238,7 @@ impl Mlp {
         mut d_input: Option<&mut Matrix>,
     ) {
         assert_eq!(weights_t.len(), self.layers.len(), "Mlp::backward: stale transposes");
-        grads.resize_with(self.layers.len(), Default::default);
+        assert_eq!(grads.len(), self.layers.len(), "Mlp::backward: grads not shaped");
         let MlpCache { acts, pre, d, d_next } = cache;
         d.copy_from(d_output);
         for i in (0..self.layers.len()).rev() {
@@ -228,8 +246,8 @@ impl Mlp {
             // dW = x^T d, db = column sums of d, dX = d W^T.
             self.activation(i).scale_by_derivative(&pre[i], d);
             let (d_weight, d_bias) = &mut grads[i];
-            acts[i].t_matmul_into(d, d_weight);
-            d.col_sums_into(d_bias);
+            acts[i].t_matmul_add_into(d, d_weight);
+            d.col_sums_add_into(d_bias);
             if i > 0 {
                 d.matmul_into(&weights_t[i], d_next);
                 std::mem::swap(d, d_next);
@@ -333,6 +351,7 @@ mod tests {
         let (mut grads, mut d_input) = (MlpGrads::new(), Matrix::default());
         let d_output = d_of(mlp.forward_cached(x, &mut cache));
         mlp.transpose_weights_into(&mut weights_t);
+        mlp.zero_grads(&mut grads);
         mlp.backward(&mut cache, &weights_t, &d_output, &mut grads, Some(&mut d_input));
         (grads, d_input)
     }
@@ -412,6 +431,7 @@ mod tests {
                 let d_output = cached.forward_cached(&x, &mut cache).sub(&target);
                 assert_eq!(bits(&d_output), bits(&y.sub(&target)), "seed {seed} step {step}");
                 cached.transpose_weights_into(&mut weights_t);
+                cached.zero_grads(&mut grads);
                 let want_input = step % 2 == 0;
                 cached.backward(
                     &mut cache,
@@ -524,6 +544,7 @@ mod tests {
         for _ in 0..500 {
             let d = mlp.forward_cached(&x, &mut cache).sub(&target).scale(2.0 / 64.0);
             mlp.transpose_weights_into(&mut weights_t);
+            mlp.zero_grads(&mut grads);
             mlp.backward(&mut cache, &weights_t, &d, &mut grads, None);
             mlp.apply_grads(&mut adam, &ids, &grads);
         }

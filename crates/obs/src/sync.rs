@@ -48,12 +48,17 @@ pub enum Rank {
     JobRepository,
     /// `ModelStore::artifacts`.
     ModelStore,
-    /// The GNN minibatch's front role: its slot and the running sums.
-    GnnFront,
-    /// The GNN minibatch's unclaimed positions.
-    GnnUnclaimed,
-    /// One in-flight graph of a GNN minibatch.
-    GnnSlot,
+    /// A GNN fit's model and weight transposes: read by every crew role
+    /// during a round, written by the caller's optimizer step between.
+    CrewWeights,
+    /// One crew role's buffers for a GNN fit.
+    CrewRole,
+    /// A GNN minibatch's running loss and gradient sums.
+    CrewSums,
+    /// A GNN minibatch's graphs and unclaimed positions.
+    CrewClaims,
+    /// One back-claimed graph's gradients in a GNN minibatch.
+    CrewSlot,
     /// A take-once chunk of `Pool::par_for_chunks`.
     ParChunk,
     /// The first panic of one parallel call.
@@ -336,16 +341,16 @@ mod tests {
     fn guards_dropped_out_of_order_leave_the_stack_correct() {
         let (a, b, c) = (
             RwLock::new(Rank::RegistryActive, ()),
-            Mutex::new(Rank::GnnFront, ()),
-            Mutex::new(Rank::GnnSlot, ()),
+            Mutex::new(Rank::CrewSums, ()),
+            Mutex::new(Rank::CrewSlot, ()),
         );
         let ga = a.write();
         let gb = b.lock();
         drop(ga);
-        assert_eq!(held::ranks(), [Rank::GnnFront]);
+        assert_eq!(held::ranks(), [Rank::CrewSums]);
         let gc = c.lock();
         drop(gb);
-        assert_eq!(held::ranks(), [Rank::GnnSlot]);
+        assert_eq!(held::ranks(), [Rank::CrewSlot]);
         drop(gc);
         assert!(held::ranks().is_empty());
         let _a = a.read();

@@ -11,6 +11,10 @@
 //!   workers. Every worker claims `grain` consecutive indices at a time
 //!   from one shared atomic cursor until it passes the end, so a worker
 //!   that finishes early simply claims the next chunk.
+//! * [`Pool::crew`] — for a loop of short, dependent steps (the GNN's
+//!   minibatches): `threads - 1` helpers spawned once for the whole call,
+//!   each round of work handed to every role through a generation
+//!   counter, with no spawn per step.
 //! * Panic capture — worker panics never cross the pool boundary; they
 //!   are converted into a typed [`ParError`] carrying the lowest task
 //!   index observed panicking and the panic message.
@@ -30,10 +34,13 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use tasq_obs::sync::{Mutex, Rank};
 use tasq_obs::{span_with_parent, Counter, FieldValue, Level, Registry};
@@ -44,6 +51,24 @@ fn tasks_counter() -> &'static Counter {
     static TASKS: OnceLock<Counter> = OnceLock::new();
     TASKS.get_or_init(|| {
         Registry::global().counter("par_tasks_total", "Items executed by the parallel runtime")
+    })
+}
+
+/// Crew rounds run, counted once per round on the calling thread.
+fn rounds_counter() -> &'static Counter {
+    static ROUNDS: OnceLock<Counter> = OnceLock::new();
+    ROUNDS.get_or_init(|| {
+        Registry::global().counter("par_crew_rounds_total", "Rounds handed to a crew's roles")
+    })
+}
+
+/// Waits on a crew that outlasted the spin bound and parked: a handoff
+/// that spins does not count.
+fn parks_counter() -> &'static Counter {
+    static PARKS: OnceLock<Counter> = OnceLock::new();
+    PARKS.get_or_init(|| {
+        Registry::global()
+            .counter("par_crew_parks_total", "Crew waits that parked after the spin bound")
     })
 }
 
@@ -132,7 +157,9 @@ impl PanicSlot {
 /// outlives the call. That spawn + join is the whole per-call dispatch
 /// cost (measured at ≈ 55 µs per call with two threads on the 2-vCPU
 /// reference box, see DESIGN.md "Parallel offline runtime"); callers with
-/// less than a few hundred microseconds of work should stay sequential.
+/// less than a few hundred microseconds of work should stay sequential,
+/// and a loop of such steps should run on one [`Pool::crew`], whose
+/// helpers are spawned once for the whole loop.
 /// `Pool::new(1)` (or [`Pool::sequential`]) runs everything inline on the
 /// calling thread with identical results and error semantics.
 #[derive(Debug, Clone)]
@@ -296,6 +323,237 @@ impl Pool {
             }
         })
         .map(drop)
+    }
+}
+
+/// How long a crew role waits by spinning before it parks.
+///
+/// Derived from two costs, not tuned. On the 2-vCPU reference box the
+/// regular gap between two rounds of a GNN fit (the caller's Adam step
+/// and weight transposes) is 110–190 µs, and a `park` / `unpark` round
+/// trip costs 37–460 µs. A fit must not park at its normal pace, so the
+/// bound clears the longest regular gap with room for a preempted
+/// caller (2.5x), and a wait that outlasts it parks after spinning about
+/// one worst park round trip: the ski-rental rule, which keeps an idle
+/// helper's spinning within twice what an oracle that knew the gap would
+/// pay. Longer gaps (validation between epochs, the rest of a pass after
+/// the fit) park, so an idle helper gives its core back.
+pub const CREW_SPIN: Duration = Duration::from_micros(500);
+
+/// Spin-loop iterations between two clock reads while spinning.
+const SPINS_PER_CLOCK_READ: u32 = 64;
+
+/// Wait until `ready()`: spin for up to [`CREW_SPIN`], then park until
+/// an `unpark` (which every state change that can make `ready` true is
+/// followed by) finds it true. Parking is a blocking call, so it must not
+/// run under a lock ([`tasq_obs::sync::blocking`] checks that).
+fn wait_until(ready: impl Fn() -> bool) {
+    if ready() {
+        return;
+    }
+    let began = Instant::now();
+    while began.elapsed() < CREW_SPIN {
+        for _ in 0..SPINS_PER_CLOCK_READ {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+    }
+    parks_counter().inc();
+    let _park = tasq_obs::span(Level::Trace, "par_crew_park", &[]);
+    tasq_obs::sync::blocking();
+    while !ready() {
+        thread::park();
+    }
+}
+
+/// The unwind payload [`Crew::round`] uses to leave the body once the
+/// crew has stopped; the panic that stopped it is already recorded.
+struct Stopped;
+
+/// What a crew's roles share for the whole call.
+struct CrewShared {
+    /// Rounds started. A helper runs a round when this passes the count
+    /// it has seen.
+    started: AtomicUsize,
+    /// Helpers still running the current round.
+    running: AtomicUsize,
+    /// Set when a role panics or the body ends: helpers exit.
+    stop: AtomicBool,
+    panic: PanicSlot,
+    /// Span open on the caller when the crew started; each role's round
+    /// span parents onto it.
+    parent_span: u64,
+}
+
+impl CrewShared {
+    /// Run role `role`'s share of round `round`, recording a panic and
+    /// stopping the crew if it panics.
+    fn run(&self, work: &(dyn Fn(usize, usize) + Sync), role: usize, round: usize) {
+        let _span = span_with_parent(
+            Level::Trace,
+            "par_crew_round",
+            self.parent_span,
+            &[("round", FieldValue::U64(round as u64)), ("role", FieldValue::U64(role as u64))],
+        );
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(role, round))) {
+            self.panic.record(role, payload);
+            self.stop.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// The caller's handle on a running crew (see [`Pool::crew`]).
+pub struct Crew<'s> {
+    shared: &'s CrewShared,
+    work: &'s (dyn Fn(usize, usize) + Sync),
+    /// The helpers, to unpark: role `i + 1` is `helpers[i]`.
+    helpers: Vec<Thread>,
+    /// Rounds this handle has started.
+    rounds: Cell<usize>,
+}
+
+impl Crew<'_> {
+    /// Run one round: `work(role, round)` once on every role, the caller
+    /// as role 0, and return when every role is done. Rounds are numbered
+    /// from 0. If a role panicked, this round or earlier, the crew has
+    /// stopped: `round` unwinds out of the body instead of returning, and
+    /// [`Pool::crew`] returns the panic as a [`ParError`].
+    pub fn round(&self) {
+        let shared = self.shared;
+        if shared.stop.load(Ordering::Acquire) {
+            resume_unwind(Box::new(Stopped));
+        }
+        let round = self.rounds.get();
+        self.rounds.set(round + 1);
+        rounds_counter().inc();
+        // Published by the Release store of `started`, which every helper
+        // reads (Acquire) before it counts itself done.
+        shared.running.store(self.helpers.len(), Ordering::Relaxed);
+        shared.started.store(round + 1, Ordering::Release);
+        for helper in &self.helpers {
+            helper.unpark();
+        }
+        shared.run(self.work, 0, round);
+        wait_until(|| shared.running.load(Ordering::Acquire) == 0);
+        if shared.stop.load(Ordering::Acquire) {
+            resume_unwind(Box::new(Stopped));
+        }
+    }
+}
+
+/// A helper's loop: wait for the next round (or the stop), run its share,
+/// count itself done, and wake the caller if it was the last. A round
+/// that started counts this helper in even if the crew has stopped since
+/// (another role panicked in it): the helper then skips the work, but
+/// still counts itself done, so the caller never waits on it.
+fn crew_helper(
+    role: usize,
+    shared: &CrewShared,
+    work: &(dyn Fn(usize, usize) + Sync),
+    caller: &Thread,
+) {
+    let mut seen = 0;
+    loop {
+        wait_until(|| {
+            shared.stop.load(Ordering::Acquire) || shared.started.load(Ordering::Acquire) != seen
+        });
+        let started = shared.started.load(Ordering::Acquire);
+        if started == seen {
+            // Woken by the stop, with no round pending.
+            return;
+        }
+        seen = started;
+        if !shared.stop.load(Ordering::Acquire) {
+            shared.run(work, role, seen - 1);
+        }
+        if shared.running.fetch_sub(1, Ordering::AcqRel) == 1 {
+            caller.unpark();
+        }
+    }
+}
+
+impl Pool {
+    /// Run `body` on the calling thread with a crew of `threads` roles
+    /// that lives for this call: `threads - 1` helpers are spawned once,
+    /// inside one [`std::thread::scope`], and each [`Crew::round`] the
+    /// body makes runs `work(role, round)` once on every role, the caller
+    /// as role 0. A one-thread pool spawns nothing, and a round runs
+    /// `work(0, round)` inline.
+    ///
+    /// `work` is the only code the helpers run, and it borrows whatever
+    /// per-round data it reads for the whole call (the caller sets it
+    /// between rounds, under locks), so no per-round closure crosses a
+    /// thread. A handoff spins for up to [`CREW_SPIN`] and then parks:
+    /// the helpers wait for the next round that way, and the caller for
+    /// the last helper to finish.
+    ///
+    /// A panic in any role's `work`, or in `body`, ends the crew: no
+    /// further round starts (the body unwinds out of its next
+    /// [`Crew::round`]), the other roles finish the round they are in,
+    /// every helper is joined, and the panic of the lowest role (the body
+    /// counts as role 0) comes back as [`ParError::TaskPanicked`] with the
+    /// role as its index. No role waits on a round another role has
+    /// abandoned, and no thread outlives the call.
+    pub fn crew<W, B, R>(&self, work: W, body: B) -> Result<R, ParError>
+    where
+        W: Fn(usize, usize) + Sync,
+        B: FnOnce(&Crew<'_>) -> R,
+    {
+        let shared = CrewShared {
+            started: AtomicUsize::new(0),
+            running: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            panic: PanicSlot::new(),
+            parent_span: tasq_obs::current_span_id(),
+        };
+        let work: &(dyn Fn(usize, usize) + Sync) = &work;
+        let caller = thread::current();
+        let finished = thread::scope(|s| {
+            let mut helpers = Vec::with_capacity(self.threads - 1);
+            for role in 1..self.threads {
+                let (shared, caller) = (&shared, &caller);
+                let helper = move || crew_helper(role, shared, work, caller);
+                match thread::Builder::new().spawn_scoped(s, helper) {
+                    Ok(handle) => helpers.push(handle.thread().clone()),
+                    Err(e) => {
+                        let message = format!("could not spawn crew helper {role}: {e}");
+                        shared.panic.record(role, Box::new(message));
+                        shared.stop.store(true, Ordering::Release);
+                        break;
+                    }
+                }
+            }
+            let crew = Crew { shared: &shared, work, helpers, rounds: Cell::new(0) };
+            // Without all its helpers the crew never starts: the body does
+            // not run, and the helpers that did spawn see the stop below.
+            let started = !shared.stop.load(Ordering::Acquire);
+            let finished = match started.then(|| catch_unwind(AssertUnwindSafe(|| body(&crew)))) {
+                Some(Ok(value)) => Some(value),
+                Some(Err(payload)) => {
+                    if !payload.is::<Stopped>() {
+                        shared.panic.record(0, payload);
+                    }
+                    None
+                }
+                None => None,
+            };
+            shared.stop.store(true, Ordering::Release);
+            for helper in &crew.helpers {
+                helper.unpark();
+            }
+            // The scope joins every helper as it ends.
+            tasq_obs::sync::blocking();
+            finished
+        });
+        match (shared.panic.take(), finished) {
+            (Some((index, message)), _) => Err(ParError::TaskPanicked { index, message }),
+            (None, Some(value)) => Ok(value),
+            // Only `Stopped` unwinds without recording a panic, and only
+            // after one was recorded.
+            (None, None) => Err(ParError::ResultMissing { index: 0 }),
+        }
     }
 }
 
@@ -544,6 +802,163 @@ mod tests {
         assert!(!tasks.is_empty(), "the panicking map's tasks are collected too");
         assert!(tasks.iter().all(|t| t.start_us >= root_event.start_us));
         assert!(tasks_counter().get() >= 64);
+    }
+
+    /// Every role runs every round exactly once and in order, and a
+    /// round returns only once every role has run it: at 1, 2, 3 and 8
+    /// threads (8 roles on a 2-core box must finish too).
+    #[test]
+    fn crew_runs_every_round_once_on_every_role() {
+        const ROUNDS: usize = 300;
+        for threads in [1, 2, 3, 8] {
+            let runs: Vec<AtomicUsize> =
+                (0..threads * ROUNDS).map(|_| AtomicUsize::new(0)).collect();
+            let next: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+            let rounds_before = rounds_counter().get();
+            let value = Pool::new(threads)
+                .crew(
+                    |role, round| {
+                        assert_eq!(next[role].swap(round + 1, Ordering::Relaxed), round);
+                        runs[round * threads + role].fetch_add(1, Ordering::Relaxed);
+                    },
+                    |crew| {
+                        for round in 0..ROUNDS {
+                            crew.round();
+                            let done = &runs[round * threads..][..threads];
+                            let all = done.iter().all(|r| r.load(Ordering::Relaxed) == 1);
+                            assert!(all, "round {round}");
+                        }
+                        "done"
+                    },
+                )
+                .unwrap();
+            assert_eq!(value, "done");
+            for (i, r) in runs.iter().enumerate() {
+                let (round, role) = (i / threads, i % threads);
+                let runs = r.load(Ordering::Relaxed);
+                assert_eq!(runs, 1, "threads={threads} round {round} role {role}");
+            }
+            assert!(rounds_counter().get() >= rounds_before + ROUNDS as u64);
+        }
+    }
+
+    /// A panic in a helper's work at round `K`, in the caller's (also
+    /// before the helpers have woken for the round), in two roles' at
+    /// once, or in the body between rounds, ends the crew: the
+    /// body runs no further round, the lowest panicking role comes back
+    /// as the error, and every other role's round-`K` work has finished
+    /// before `crew` returns (the roles meet at a barrier first, so each
+    /// is in flight when the panic hits), so every helper was joined.
+    #[test]
+    fn crew_panics_return_the_lowest_role_with_every_helper_joined() {
+        const K: usize = 7;
+        for threads in [1, 2, 3, 8] {
+            let mut cases = vec![vec![0], vec![threads - 1]];
+            if threads > 2 {
+                cases.push(vec![1, threads - 1]);
+            }
+            for bad in cases {
+                let gate = std::sync::Barrier::new(threads);
+                let finished: Vec<AtomicBool> =
+                    (0..threads).map(|_| AtomicBool::new(false)).collect();
+                let (rounds_done, late) = (AtomicUsize::new(0), AtomicBool::new(false));
+                let err = Pool::new(threads)
+                    .crew(
+                        |role, round| {
+                            late.fetch_or(round > K, Ordering::Relaxed);
+                            if round != K {
+                                return;
+                            }
+                            gate.wait();
+                            assert!(!bad.contains(&role), "boom on role {role}");
+                            let spun =
+                                (0..2_000_000u64).fold(0, |a, b| std::hint::black_box(a ^ b));
+                            finished[role].store(spun != 1, Ordering::Release);
+                        },
+                        |crew| {
+                            for _ in 0..3 * K {
+                                crew.round();
+                                rounds_done.fetch_add(1, Ordering::Relaxed);
+                            }
+                        },
+                    )
+                    .unwrap_err();
+                let lowest = bad[0];
+                match err {
+                    ParError::TaskPanicked { index, message } => {
+                        assert_eq!(index, lowest, "threads={threads} bad={bad:?}");
+                        assert!(message.contains(&format!("boom on role {lowest}")), "{message}");
+                    }
+                    other => panic!("unexpected error: {other:?}"),
+                }
+                assert_eq!(rounds_done.load(Ordering::Relaxed), K, "the body stopped at round {K}");
+                assert!(!late.load(Ordering::Relaxed), "no round after {K} ran");
+                for (role, done) in finished.iter().enumerate() {
+                    let done = done.load(Ordering::Acquire);
+                    let what = format!("threads={threads} bad={bad:?} role {role}");
+                    assert_eq!(done, !bad.contains(&role), "{what}");
+                }
+            }
+        }
+        // The caller's work panics at once in a round whose helpers are
+        // parked (the gap before it outlasts the spin bound), so they wake
+        // to a crew that has already stopped: each must still count
+        // itself done, or the caller waits for ever.
+        for threads in [2, 3, 8] {
+            let err = Pool::new(threads)
+                .crew(
+                    |role, round| assert!(role != 0 || round != 1, "boom at once"),
+                    |crew| {
+                        crew.round();
+                        std::thread::sleep(CREW_SPIN * 4);
+                        crew.round();
+                        crew.round();
+                    },
+                )
+                .unwrap_err();
+            assert!(matches!(err, ParError::TaskPanicked { index: 0, .. }), "{err:?}");
+        }
+        // A panic in the body itself, between rounds, is the caller's:
+        // role 0.
+        for threads in [1, 2, 8] {
+            let err = Pool::new(threads)
+                .crew(
+                    |_, _| {},
+                    |crew| {
+                        crew.round();
+                        panic!("body failed");
+                    },
+                )
+                .unwrap_err();
+            let ParError::TaskPanicked { index, message } = &err else {
+                panic!("unexpected error: {err:?}");
+            };
+            assert_eq!((*index, message.as_str()), (0, "body failed"));
+        }
+    }
+
+    /// An idle gap far longer than [`CREW_SPIN`] parks the waiting
+    /// helpers, and the next round wakes them.
+    #[test]
+    fn crew_parks_through_a_long_gap_and_resumes() {
+        for threads in [2, 3, 8] {
+            let parks_before = parks_counter().get();
+            let runs = AtomicUsize::new(0);
+            Pool::new(threads)
+                .crew(
+                    |_, _| {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                    },
+                    |crew| {
+                        crew.round();
+                        std::thread::sleep(CREW_SPIN * 20);
+                        crew.round();
+                    },
+                )
+                .unwrap();
+            assert_eq!(runs.load(Ordering::Relaxed), 2 * threads, "threads={threads}");
+            assert!(parks_counter().get() > parks_before, "threads={threads}: nobody parked");
+        }
     }
 
     #[test]
