@@ -1,9 +1,6 @@
 //! The nine subcommands.
 
 use crate::options::Options;
-use crate::resume::{
-    run_checkpointed_train, shear_log_tail, RunEnd, TrainEngineConfig, TrainSummary,
-};
 use crate::CliError;
 use scope_sim::flight::{filter_non_anomalous, flight_job, FlightConfig};
 use scope_sim::{
@@ -15,8 +12,9 @@ use std::time::{Duration, Instant};
 use tasq::codec;
 use tasq::models::{NnTrainConfig, XgbTrainConfig};
 use tasq::pipeline::{
-    AllocationDecision, DiskModelStore, JobRepository, ModelChoice, ModelStore, PipelineConfig,
-    ScoringConfig, ScoringService, TasqPipeline, NN_MODEL_NAME, XGB_MODEL_NAME,
+    AllocationDecision, CheckpointSink, DiskModelStore, JobRepository, ModelChoice, ModelStore,
+    PipelineConfig, PipelineError, ScoringConfig, ScoringService, TasqPipeline, NN_MODEL_NAME,
+    XGB_MODEL_NAME,
 };
 use tasq_net::{BinaryClient, HttpClient, NetConfig, NetServer, ScoreOutcome, TokenBucket};
 use tasq_obs::json::JsonValue;
@@ -80,35 +78,23 @@ pub fn inspect(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `tasq train --workload <file> --model-dir <dir> [--nn-epochs N] [--xgb-rounds N]
-///  [--checkpoint-dir <dir>] [--resume true] [--seed N] [--threads N] [--flight-chunk N]`
+///  [--checkpoint-dir <dir>]`
 ///
-/// With `--checkpoint-dir`, training runs through the crash-consistent
-/// engine in [`crate::resume`]: every phase commits durable frames, and
-/// `--resume true` replays only the work a killed run left unfinished.
+/// With `--checkpoint-dir`, the pipeline commits its progress there
+/// ([`tasq::pipeline::CheckpointSink`]): a run killed part-way is resumed
+/// by running the same command again, and a directory holding another
+/// run is refused.
 pub fn train(args: &[String]) -> Result<String, CliError> {
     let opts = Options::parse(
         args,
-        &[
-            "workload", "model-dir", "nn-epochs", "xgb-rounds", "checkpoint-dir", "resume",
-            "seed", "threads", "flight-chunk",
-        ],
+        &["workload", "model-dir", "nn-epochs", "xgb-rounds", "checkpoint-dir"],
     )?;
     let jobs = read_workload(opts.required("workload")?)?;
     let model_dir = opts.required("model-dir")?;
     let nn_epochs = opts.number::<usize>("nn-epochs", 120)?;
     let xgb_rounds = opts.number::<usize>("xgb-rounds", 120)?;
-
-    if let Some(checkpoint_dir) = opts.get("checkpoint-dir") {
-        let resume = matches!(opts.get("resume").unwrap_or("false"), "true" | "1" | "on");
-        let engine = TrainEngineConfig {
-            nn_epochs,
-            xgb_rounds,
-            seed: opts.number::<u64>("seed", 0)?,
-            flight_chunk: opts.number::<usize>("flight-chunk", 64)?,
-            threads: opts.number::<usize>("threads", 2)?,
-        };
-        return train_checkpointed(&jobs, model_dir, checkpoint_dir, resume, &engine);
-    }
+    let checkpoints = opts.get("checkpoint-dir").map(CheckpointStore::open).transpose()?;
+    let mut sink = checkpoints.as_ref().map(|store| CheckpointSink::new(store, None));
 
     // Train through the in-memory pipeline, then persist to disk.
     let repo = JobRepository::new();
@@ -120,62 +106,34 @@ pub fn train(args: &[String]) -> Result<String, CliError> {
         xgb: XgbTrainConfig { num_rounds: xgb_rounds, ..Default::default() },
         ..Default::default()
     });
-    let dataset = pipeline.train(&repo, &memory_store)?;
+    let pool = tasq_par::Pool::with_available_parallelism();
+    let dataset = pipeline.train_with_sink(&repo, &memory_store, &pool, sink.as_mut())?;
 
     let disk = DiskModelStore::open(model_dir)?;
     let nn: tasq::models::NnPcc = memory_store.load_latest(NN_MODEL_NAME)?;
     let xgb: tasq::models::XgbRuntime = memory_store.load_latest(XGB_MODEL_NAME)?;
     let nn_version = disk.register(NN_MODEL_NAME, &nn)?;
     let xgb_version = disk.register(XGB_MODEL_NAME, &xgb)?;
-    Ok(format!(
-        "trained on {job_count} jobs ({} examples)\nregistered {NN_MODEL_NAME} v{nn_version}, \
-         {XGB_MODEL_NAME} v{xgb_version} in {model_dir}\n",
-        dataset.len()
-    ))
-}
-
-/// The `--checkpoint-dir` arm of `train`: run the crash-consistent
-/// engine (resuming whatever frames the directory already holds when
-/// `--resume true`), then register the artifacts on disk.
-fn train_checkpointed(
-    jobs: &[Job],
-    model_dir: &str,
-    checkpoint_dir: &str,
-    resume: bool,
-    engine: &TrainEngineConfig,
-) -> Result<String, CliError> {
-    let store = CheckpointStore::open(checkpoint_dir)?;
-    if !resume {
-        store.reset()?;
-    }
-    let summary = match run_checkpointed_train(jobs, &store, engine, None)? {
-        RunEnd::Completed(summary) => summary,
-        RunEnd::Killed { stage, commits } => {
-            return Err(CliError::Usage(format!(
-                "internal: training halted in stage `{stage}` after {commits} commits \
-                 without a chaos plan"
-            )))
-        }
-    };
-    let disk = DiskModelStore::open(model_dir)?;
-    let nn_version = disk.register(NN_MODEL_NAME, &summary.nn)?;
-    let xgb_version = disk.register(XGB_MODEL_NAME, &summary.xgb)?;
-
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "checkpointed train: {} jobs, {} flight cells ({} dropped), {} examples",
-        jobs.len(),
-        summary.flight_cells,
-        summary.flight_errors,
-        summary.examples,
-    );
-    let _ = writeln!(
-        out,
-        "resumed: {} ({} frames recovered, {} torn tails trimmed), {} commits this run",
-        summary.resumed, summary.recovered_frames, summary.torn_tails_trimmed, summary.commits,
-    );
-    let _ = writeln!(out, "fingerprint: {:#018x}", summary.fingerprint);
+    match &sink {
+        None => {
+            let _ = writeln!(out, "trained on {job_count} jobs ({} examples)", dataset.len());
+        }
+        Some(sink) => {
+            let _ = writeln!(
+                out,
+                "checkpointed train: {job_count} jobs, {} examples\n\
+                 resumed: {} ({} frames recovered, {} torn tails trimmed), \
+                 {} commits this run\nfingerprint: {:#018x}",
+                dataset.len(),
+                sink.resumed,
+                sink.recovered_frames,
+                sink.torn_tails_trimmed,
+                sink.commits,
+                sink.fingerprint,
+            );
+        }
+    }
     let _ = writeln!(
         out,
         "registered {NN_MODEL_NAME} v{nn_version}, {XGB_MODEL_NAME} v{xgb_version} in {model_dir}"
@@ -183,21 +141,31 @@ fn train_checkpointed(
     Ok(out)
 }
 
+/// Shear `bytes` off the tail of a stage's checkpoint log — the chaos
+/// harness's torn-write injection (a crash mid-append leaves exactly
+/// this). Returns how many bytes were actually removed.
+fn shear_log_tail(store: &CheckpointStore, stage: &str, bytes: u64) -> Result<u64, CliError> {
+    let path = store.stage_path(stage);
+    let len = std::fs::metadata(&path)?.len();
+    let new_len = len.saturating_sub(bytes);
+    let file = std::fs::OpenOptions::new().write(true).open(&path)?;
+    file.set_len(new_len)?;
+    file.sync_all()?;
+    Ok(len - new_len)
+}
+
 /// One serving chaos drive: serial request stream through a server with
 /// the plan's scoring panics, NN fault window, and deadline
 /// storm armed. Returns the drained stats and whether the breaker ended
 /// the run closed.
 fn drive_serving_chaos(
-    summary: &TrainSummary,
+    store: &ModelStore,
     jobs: &[Job],
     plan: &ChaosPlan,
     requests: usize,
     seed: u64,
 ) -> Result<(ServerStatsSnapshot, bool), CliError> {
-    let store = ModelStore::new();
-    store.register(NN_MODEL_NAME, &summary.nn)?;
-    store.register(XGB_MODEL_NAME, &summary.xgb)?;
-    let registry = ModelRegistry::deploy(&store, ModelChoice::Nn, ScoringConfig::default())
+    let registry = ModelRegistry::deploy(store, ModelChoice::Nn, ScoringConfig::default())
         .map_err(|e| CliError::Usage(e.to_string()))?;
     let server = ScoringServer::start(
         std::sync::Arc::new(registry),
@@ -229,7 +197,8 @@ fn drive_serving_chaos(
 ///
 /// The deterministic chaos harness. One run:
 ///
-/// 1. trains a reference through the checkpointed engine, uninterrupted;
+/// 1. trains a reference through the pipeline under a checkpoint
+///    directory, uninterrupted;
 /// 2. replays the same training with the preset's planted process death,
 ///    shears a torn tail off the last-written checkpoint log, resumes,
 ///    and checks the resumed fingerprint is bit-identical;
@@ -258,47 +227,47 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
 
     let jobs = WorkloadGenerator::new(WorkloadConfig { num_jobs, seed, ..Default::default() })
         .generate();
-    let engine = TrainEngineConfig {
-        nn_epochs: 8,
-        xgb_rounds: 12,
-        seed,
-        flight_chunk: 64,
-        threads: 2,
-    };
-    let complete = |end: RunEnd| -> Result<Box<TrainSummary>, CliError> {
-        match end {
-            RunEnd::Completed(summary) => Ok(summary),
-            RunEnd::Killed { stage, commits } => Err(CliError::Usage(format!(
-                "internal: unplanned kill in stage `{stage}` after {commits} commits"
-            ))),
-        }
+    let repo = JobRepository::new();
+    repo.ingest(jobs.clone());
+    let pipeline = TasqPipeline::new(PipelineConfig {
+        nn: NnTrainConfig { epochs: 8, ..Default::default() },
+        xgb: XgbTrainConfig { num_rounds: 12, ..Default::default() },
+        ..Default::default()
+    });
+    let pool = tasq_par::Pool::with_available_parallelism();
+    let open_fresh = |name: &str| -> Result<CheckpointStore, CliError> {
+        let store = CheckpointStore::open(work_dir.join(name))?;
+        store.reset()?;
+        Ok(store)
     };
 
     // 1. Uninterrupted reference run.
-    let reference_store = CheckpointStore::open(work_dir.join("reference"))?;
-    reference_store.reset()?;
-    let reference = complete(run_checkpointed_train(&jobs, &reference_store, &engine, None)?)?;
+    let reference_store = open_fresh("reference")?;
+    let mut reference = CheckpointSink::new(&reference_store, None);
+    pipeline.train_with_sink(&repo, &ModelStore::new(), &pool, Some(&mut reference))?;
 
     // 2. Killed + torn + resumed run.
-    let chaos_store = CheckpointStore::open(work_dir.join("chaos"))?;
-    chaos_store.reset()?;
-    let first =
-        run_checkpointed_train(&jobs, &chaos_store, &engine, plan.kill_after_checkpoints)?;
-    let (killed_stage, commits_before_kill, torn_bytes_sheared) = match first {
-        RunEnd::Killed { stage, commits } => {
-            let sheared = match plan.torn_tail_bytes {
-                Some(bytes) => shear_log_tail(&chaos_store, &stage, bytes)?,
-                None => 0,
-            };
-            (Some(stage), commits, sheared)
-        }
-        RunEnd::Completed(summary) => (None, summary.commits, 0),
-    };
-    let resumed = complete(run_checkpointed_train(&jobs, &chaos_store, &engine, None)?)?;
+    let chaos_store = open_fresh("chaos")?;
+    let mut first = CheckpointSink::new(&chaos_store, plan.kill_after_checkpoints);
+    let (killed_stage, commits_before_kill, torn_bytes_sheared) =
+        match pipeline.train_with_sink(&repo, &ModelStore::new(), &pool, Some(&mut first)) {
+            Err(PipelineError::Killed { stage, commits }) => {
+                let sheared = match plan.torn_tail_bytes {
+                    Some(bytes) => shear_log_tail(&chaos_store, stage, bytes)?,
+                    None => 0,
+                };
+                (Some(stage), commits, sheared)
+            }
+            Err(e) => return Err(e.into()),
+            Ok(_) => (None, first.commits, 0),
+        };
+    let models = ModelStore::new();
+    let mut resumed = CheckpointSink::new(&chaos_store, None);
+    pipeline.train_with_sink(&repo, &models, &pool, Some(&mut resumed))?;
     let resumed_bit_identical = resumed.fingerprint == reference.fingerprint;
 
     // 3. Serving chaos with the artifacts the resumed run produced.
-    let (stats, breaker_closed) = drive_serving_chaos(&resumed, &jobs, &plan, requests, seed)?;
+    let (stats, breaker_closed) = drive_serving_chaos(&models, &jobs, &plan, requests, seed)?;
     let zero_silent_loss = stats.submitted == stats.resolved();
     let breaker_exercised = plan.nn_fault_window.is_none()
         || (stats.breaker_trips >= 1 && stats.breaker_recoveries >= 1 && breaker_closed);
@@ -327,7 +296,7 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
             JsonValue::object([
                 ("reference_fingerprint", format!("{:#018x}", reference.fingerprint).into()),
                 ("resumed_fingerprint", format!("{:#018x}", resumed.fingerprint).into()),
-                ("killed_stage", killed_stage.clone().into()),
+                ("killed_stage", killed_stage.map(str::to_string).into()),
                 ("commits_before_kill", commits_before_kill.into()),
                 ("torn_bytes_sheared", torn_bytes_sheared.into()),
                 ("recovered_frames", resumed.recovered_frames.into()),
@@ -1026,7 +995,7 @@ mod tests {
 
         let warm = train(&strings(&[
             "--workload", &workload_str, "--model-dir", &models, "--checkpoint-dir", &ckpt,
-            "--resume", "true", "--nn-epochs", "3", "--xgb-rounds", "5",
+            "--nn-epochs", "3", "--xgb-rounds", "5",
         ]))
         .unwrap();
         assert!(warm.contains("resumed: true"), "{warm}");
@@ -1036,6 +1005,47 @@ mod tests {
         };
         assert_eq!(fingerprint(&cold), fingerprint(&warm));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn train_registers_the_same_bytes_with_or_without_a_checkpoint_dir() {
+        let dir = temp_dir("eithersink");
+        let workload = dir.join("w.bin");
+        let workload_str = workload.to_str().unwrap().to_string();
+        let ckpt = dir.join("ckpt");
+        let ckpt_str = ckpt.to_str().unwrap().to_string();
+        generate(&strings(&["--out", &workload_str, "--jobs", "8", "--seed", "5"])).unwrap();
+        // One run into its own model dir: the output and both artifacts' bytes.
+        let run = |models: &str, extra: &[&str]| {
+            let models = dir.join(models);
+            let models_str = models.to_str().unwrap();
+            let mut args = vec![
+                "--workload", &workload_str, "--model-dir", models_str,
+                "--nn-epochs", "4", "--xgb-rounds", "6",
+            ];
+            args.extend_from_slice(extra);
+            let out = train(&strings(&args)).unwrap();
+            let artifact = |name: &str| std::fs::read(models.join(format!("{name}.v1.bin")));
+            (out, artifact(NN_MODEL_NAME).unwrap(), artifact(XGB_MODEL_NAME).unwrap())
+        };
+        let (plain, plain_nn, plain_xgb) = run("plain", &[]);
+        let (cold, cold_nn, cold_xgb) = run("cold", &["--checkpoint-dir", &ckpt_str]);
+        let (warm, warm_nn, warm_xgb) = run("warm", &["--checkpoint-dir", &ckpt_str]);
+        assert!(plain.contains("trained on 8 jobs"), "{plain}");
+        assert!(cold.contains("resumed: false"), "{cold}");
+        assert!(warm.contains("resumed: true") && warm.contains(", 0 commits this run"), "{warm}");
+        assert!(cold_nn == plain_nn && warm_nn == plain_nn, "NN artifacts differ");
+        assert!(cold_xgb == plain_xgb && warm_xgb == plain_xgb, "XGBoost artifacts differ");
+        assert!(!ckpt.join("flight.ckpt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn train_refuses_the_retired_engine_flags() {
+        for flag in ["--resume", "--seed", "--threads", "--flight-chunk"] {
+            let err = train(&strings(&["--workload", "w.bin", flag, "1"])).unwrap_err();
+            assert!(err.to_string().contains(&format!("unknown flag {flag}")), "{err}");
+        }
     }
 
     #[test]

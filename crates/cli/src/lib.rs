@@ -8,8 +8,9 @@
 //! * `inspect`  — print population statistics of a workload file.
 //! * `train`    — prepare a dataset from a workload file, train the NN and
 //!   XGBoost models, and register them in a directory-backed model store;
-//!   with `--checkpoint-dir` the run is crash-consistent and `--resume`
-//!   replays only the remaining work ([`resume`]).
+//!   with `--checkpoint-dir` the same pipeline commits its progress there
+//!   ([`tasq::pipeline::CheckpointSink`]), and running the command again
+//!   on that directory resumes a killed run instead of redoing it.
 //! * `score`    — load the latest artifacts and score a workload file,
 //!   printing per-job allocation decisions.
 //! * `flight`   — re-execute a sample of jobs under a fault-injection
@@ -21,11 +22,11 @@
 //! * `netgen`   — networked load-generation client: replay recurring-job
 //!   traffic against a listening server over persistent connections and
 //!   report latency/throughput as JSON.
-//! * `chaos`    — the deterministic chaos harness: kill the checkpointed
-//!   trainer mid-run (with a torn tail), resume it, prove the artifacts
-//!   bit-identical, then drive the scoring server through planted
-//!   scoring panics, an NN fault window, and a deadline storm; write a
-//!   machine-readable report CI asserts on.
+//! * `chaos`    — the deterministic chaos harness: kill the pipeline
+//!   under a checkpoint directory mid-run (with a torn tail), resume it,
+//!   prove the artifacts bit-identical, then drive the scoring server
+//!   through planted scoring panics, an NN fault window, and a deadline
+//!   storm; write a machine-readable report CI asserts on.
 //!
 //! Commands return their output as a `String` so they are directly
 //! testable; `main` just prints.
@@ -35,7 +36,6 @@
 pub mod commands;
 pub mod obs;
 pub mod options;
-pub mod resume;
 
 use std::fmt;
 
@@ -152,8 +152,7 @@ USAGE:
     tasq-cli generate --out <file> [--jobs N] [--seed N]
     tasq-cli inspect  --workload <file>
     tasq-cli train    --workload <file> --model-dir <dir> [--nn-epochs N] [--xgb-rounds N]
-                      [--checkpoint-dir <dir>] [--resume true] [--seed N] [--threads N]
-                      [--flight-chunk N]
+                      [--checkpoint-dir <dir>]
     tasq-cli score    --workload <file> --model-dir <dir> [--model nn|xgb-ss|xgb-pl]
                       [--min-improvement FRAC]
     tasq-cli flight   --workload <file> [--faults none|mild|production|adversarial]

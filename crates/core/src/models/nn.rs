@@ -166,22 +166,20 @@ impl NnPcc {
     /// Train with per-epoch checkpointing and optional resume.
     ///
     /// After every completed epoch an [`NnTrainCheckpoint`] is handed to
-    /// `on_epoch`; returning `false` halts training and the function
-    /// returns `None` (the caller keeps the checkpoint). Passing the
+    /// `on_epoch`; an `Err` halts training and is returned (the caller
+    /// keeps the checkpoint). Passing the
     /// checkpoint back as `resume` — with the *same* dataset, config and
     /// teacher — replays only the remaining epochs and produces a model
     /// bit-identical to an uninterrupted run, including the early-stopping
     /// decision and best-weights restoration.
-    pub fn train_with_teacher_resumable(
+    pub fn train_with_teacher_resumable<E>(
         dataset: &Dataset,
         config: &NnTrainConfig,
         teacher_runtimes: Option<&[f64]>,
         resume: Option<NnTrainCheckpoint>,
-        on_epoch: &mut dyn FnMut(&NnTrainCheckpoint) -> bool,
-    ) -> Option<Self> {
-        let mut on_epoch =
-            |checkpoint: &NnTrainCheckpoint| on_epoch(checkpoint).then_some(()).ok_or(());
-        Self::fit(dataset, config, teacher_runtimes, resume, Some(&mut on_epoch)).ok()
+        on_epoch: &mut dyn FnMut(&NnTrainCheckpoint) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        Self::fit(dataset, config, teacher_runtimes, resume, Some(on_epoch))
     }
 
     /// The epoch loop behind both entry points. A checkpoint is built
@@ -570,12 +568,12 @@ mod tests {
                 NnPcc::train_with_teacher_resumable(&ds, &config, None, None, &mut |ckpt| {
                     if ckpt.epoch == kill_at {
                         taken = Some(ckpt.clone());
-                        false
+                        Err(())
                     } else {
-                        true
+                        Ok(())
                     }
                 });
-            assert!(halted.is_none(), "kill at epoch {kill_at} should halt");
+            assert!(halted.is_err(), "kill at epoch {kill_at} should halt");
             let ckpt = taken.unwrap();
 
             // The checkpoint must survive the wire format it will be
@@ -584,8 +582,10 @@ mod tests {
             let ckpt: NnTrainCheckpoint = crate::codec::from_bytes(&bytes).unwrap();
 
             let resumed =
-                NnPcc::train_with_teacher_resumable(&ds, &config, None, Some(ckpt), &mut |_| true)
-                    .unwrap();
+                NnPcc::train_with_teacher_resumable(&ds, &config, None, Some(ckpt), &mut |_| {
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
             assert_eq!(resumed.training_loss, full.training_loss, "kill at {kill_at}");
             assert_eq!(resumed.validation_loss, full.validation_loss, "kill at {kill_at}");
             for e in ds.examples.iter().take(8) {

@@ -7,6 +7,8 @@
 //! ```text
 //! JobRepository (historical jobs + telemetry)
 //!     └─ TasqPipeline::train  — augment (AREPAS) → featurize → train
+//!            │                  (optionally through a CheckpointSink:
+//!            │                   crash-consistent and resumable)
 //!            └─ ModelStore    — versioned serialized artifacts
 //!                   └─ ScoringService — compile-time featurize → predict
 //!                          └─ AllocationDecision (auto token count, or
@@ -34,6 +36,8 @@ use scope_sim::{AmdahlModel, Job, StageGraph};
 use std::collections::HashMap;
 use std::fmt;
 use tasq_obs::sync::{Rank, RwLock};
+use tasq_resil::chaos::mix64;
+use tasq_resil::CheckpointStore;
 
 /// Error loading or storing a model artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,6 +134,33 @@ pub enum PipelineError {
     },
     /// Serializing a trained artifact for the store failed.
     Codec(codec::CodecError),
+    /// A checkpoint log could not be recovered or appended.
+    Checkpoint {
+        /// The stage whose log failed.
+        stage: &'static str,
+        /// The rendered [`tasq_resil::ResilError`], or the codec error
+        /// of a frame that does not decode.
+        detail: String,
+    },
+    /// The checkpoint directory holds another run's frames: a different
+    /// workload or configuration, or a dataset or artifacts that rebuilt
+    /// differently. Resuming it would train a mix of two runs.
+    CheckpointMismatch {
+        /// The checkpoint directory.
+        dir: String,
+        /// The stage whose record differs.
+        stage: &'static str,
+        /// What differs.
+        detail: &'static str,
+    },
+    /// The sink's planted kill fired: the run stopped right after a
+    /// durable commit, as a process killed there would.
+    Killed {
+        /// The stage that received the last commit.
+        stage: &'static str,
+        /// Frames committed before the kill.
+        commits: u64,
+    },
 }
 
 impl fmt::Display for PipelineError {
@@ -146,6 +177,17 @@ impl fmt::Display for PipelineError {
                 write!(f, "job {job_id} fitted an invalid target PCC: {detail}")
             }
             PipelineError::Codec(e) => write!(f, "artifact serialization failed: {e}"),
+            PipelineError::Checkpoint { stage, detail } => {
+                write!(f, "checkpoint stage `{stage}` failed: {detail}")
+            }
+            PipelineError::CheckpointMismatch { dir, stage, detail } => write!(
+                f,
+                "checkpoint directory {dir} does not match this run (stage `{stage}`: \
+                 {detail}); pass a fresh checkpoint directory"
+            ),
+            PipelineError::Killed { stage, commits } => {
+                write!(f, "killed in stage `{stage}` after {commits} commits")
+            }
         }
     }
 }
@@ -470,6 +512,29 @@ impl TasqPipeline {
         store: &ModelStore,
         pool: &tasq_par::Pool,
     ) -> Result<Dataset, PipelineError> {
+        self.train_with_sink(repository, store, pool, None)
+    }
+
+    /// [`TasqPipeline::train_with_pool`] with an optional checkpoint sink.
+    ///
+    /// Without a sink this is exactly `train_with_pool`. With one, the
+    /// run commits durable frames after both validation gates have
+    /// passed: the `manifest`, the `dataset` digest, one `gbdt` frame per
+    /// boosting round, one `nn` frame per epoch, and the `done`
+    /// fingerprint (see [`CheckpointSink`]). A directory that already
+    /// holds this run's frames is resumed: the finished work is restored
+    /// instead of redone, and the artifacts are bit-identical to an
+    /// uninterrupted run's. One that holds another run's frames is
+    /// refused with [`PipelineError::CheckpointMismatch`]. Under a sink
+    /// the boosting rounds' split search also runs on `pool`; it reduces
+    /// deterministically, so the artifacts are the sink-less run's bytes.
+    pub fn train_with_sink(
+        &self,
+        repository: &JobRepository,
+        store: &ModelStore,
+        pool: &tasq_par::Pool,
+        mut sink: Option<&mut CheckpointSink<'_>>,
+    ) -> Result<Dataset, PipelineError> {
         use tasq_obs::{span, FieldValue, Level};
         let _pipeline_span = span(
             Level::Info,
@@ -518,13 +583,20 @@ impl TasqPipeline {
                 }
             }
         }
+        if let Some(sink) = sink.as_deref_mut() {
+            let workload_digest = digest_bytes(&codec::to_bytes(&jobs)?);
+            sink.begin(workload_digest, &dataset, &self.config)?;
+        }
         let xgb = {
             let _span = span(
                 Level::Info,
                 "pipeline_fit_xgb",
                 &[("examples", FieldValue::U64(dataset.len() as u64))],
             );
-            XgbRuntime::train(&dataset, &self.config.xgb)
+            match sink.as_deref_mut() {
+                None => XgbRuntime::train(&dataset, &self.config.xgb),
+                Some(sink) => sink.fit_xgb(&dataset, &self.config.xgb, pool)?,
+            }
         };
         store.register(XGB_MODEL_NAME, &xgb)?;
         let nn = {
@@ -533,10 +605,211 @@ impl TasqPipeline {
                 "pipeline_fit_nn",
                 &[("examples", FieldValue::U64(dataset.len() as u64))],
             );
-            NnPcc::train(&dataset, &self.config.nn)
+            match sink.as_deref_mut() {
+                None => NnPcc::train(&dataset, &self.config.nn),
+                Some(sink) => sink.fit_nn(&dataset, &self.config.nn)?,
+            }
         };
         store.register(NN_MODEL_NAME, &nn)?;
+        if let Some(sink) = sink {
+            sink.seal(&xgb, &nn)?;
+        }
         Ok(dataset)
+    }
+}
+
+/// Stage logs of a checkpointed run, in pipeline order.
+const CHECKPOINT_STAGES: [&str; 5] = ["manifest", "dataset", "gbdt", "nn", "done"];
+const STAGE_MANIFEST: &str = CHECKPOINT_STAGES[0];
+const STAGE_DATASET: &str = CHECKPOINT_STAGES[1];
+const STAGE_GBDT: &str = CHECKPOINT_STAGES[2];
+const STAGE_NN: &str = CHECKPOINT_STAGES[3];
+const STAGE_DONE: &str = CHECKPOINT_STAGES[4];
+
+/// Order-sensitive digest of a byte string (u64-chunked SplitMix folds).
+fn digest_bytes(bytes: &[u8]) -> u64 {
+    bytes.chunks(8).fold(0xcbf2_9ce4_8422_2325, |digest, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix64(digest, u64::from_le_bytes(word))
+    })
+}
+
+/// What the run trains on and how: a resume against another workload or
+/// another configuration is refused.
+#[derive(Debug, PartialEq, Wire)]
+struct ManifestRecord {
+    workload_digest: u64,
+    config_digest: u64,
+}
+
+/// The featurized dataset. It is rebuilt on every run, not stored, and a
+/// resume whose rebuild differs (another libm, say) is refused.
+#[derive(Debug, PartialEq, Wire)]
+struct DatasetRecord {
+    examples: u64,
+    digest: u64,
+}
+
+/// The sealed run: a digest of the dataset and of both registered
+/// artifacts' codec bytes.
+#[derive(Debug, PartialEq, Wire)]
+struct DoneRecord {
+    fingerprint: u64,
+}
+
+/// Where a checkpointed [`TasqPipeline`] run commits its progress.
+///
+/// Every durable append goes through here, so the counters are exact:
+/// `kill_after` is the chaos harness's planted process death (the run
+/// returns [`PipelineError::Killed`] right after that many commits of
+/// this run), and the public fields are what a run reports.
+pub struct CheckpointSink<'a> {
+    store: &'a CheckpointStore,
+    kill_after: Option<u64>,
+    dataset_digest: u64,
+    /// Frames this run committed.
+    pub commits: u64,
+    /// Frames recovered from the directory (0 on a cold run).
+    pub recovered_frames: usize,
+    /// Torn log tails trimmed during recovery.
+    pub torn_tails_trimmed: usize,
+    /// Whether the directory already held this run's manifest.
+    pub resumed: bool,
+    /// The `done` fingerprint, set once the run is sealed. Equal
+    /// fingerprints mean bit-identical artifacts.
+    pub fingerprint: u64,
+}
+
+impl<'a> CheckpointSink<'a> {
+    /// A sink over `store`, resuming whatever frames it holds;
+    /// `kill_after` plants a kill after that many commits.
+    pub fn new(store: &'a CheckpointStore, kill_after: Option<u64>) -> Self {
+        Self {
+            store,
+            kill_after,
+            dataset_digest: 0,
+            commits: 0,
+            recovered_frames: 0,
+            torn_tails_trimmed: 0,
+            resumed: false,
+            fingerprint: 0,
+        }
+    }
+
+    /// Recover `stage`'s committed frames and decode the last one.
+    fn recover<T: Wire>(&mut self, stage: &'static str) -> Result<Option<T>, PipelineError> {
+        let failed = |detail: String| PipelineError::Checkpoint { stage, detail };
+        let recovery = self.store.recover_stage(stage).map_err(|e| failed(e.to_string()))?;
+        self.torn_tails_trimmed += usize::from(recovery.torn.is_some());
+        self.recovered_frames += recovery.frames.len();
+        let last = recovery.last().map(|frame| codec::from_bytes(&frame.payload));
+        last.transpose().map_err(|e| failed(e.to_string()))
+    }
+
+    /// Durably append one record; the planted kill strikes after it.
+    fn commit<T: Wire>(&mut self, stage: &'static str, record: &T) -> Result<(), PipelineError> {
+        self.store
+            .append(stage, &codec::to_bytes(record)?)
+            .map_err(|e| PipelineError::Checkpoint { stage, detail: e.to_string() })?;
+        self.commits += 1;
+        match self.kill_after {
+            Some(kill) if self.commits >= kill => {
+                Err(PipelineError::Killed { stage, commits: self.commits })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Commit a one-record stage, or check the recovered record against
+    /// this run's. Returns whether it was recovered.
+    fn check_or_commit<T: Wire + PartialEq>(
+        &mut self,
+        stage: &'static str,
+        record: &T,
+        detail: &'static str,
+    ) -> Result<bool, PipelineError> {
+        match self.recover::<T>(stage)? {
+            Some(prior) if prior == *record => Ok(true),
+            Some(_) => Err(PipelineError::CheckpointMismatch {
+                dir: self.store.dir().display().to_string(),
+                stage,
+                detail,
+            }),
+            None => self.commit(stage, record).map(|()| false),
+        }
+    }
+
+    /// The `manifest` and `dataset` stages.
+    fn begin(
+        &mut self,
+        workload_digest: u64,
+        dataset: &Dataset,
+        config: &PipelineConfig,
+    ) -> Result<(), PipelineError> {
+        // `Debug` prints every field, each float in its shortest
+        // round-trip form, so equal digests mean equal configurations.
+        let manifest = ManifestRecord {
+            workload_digest,
+            config_digest: digest_bytes(format!("{config:?}").as_bytes()),
+        };
+        self.resumed = self.check_or_commit(
+            STAGE_MANIFEST,
+            &manifest,
+            "workload or training configuration changed",
+        )?;
+        self.dataset_digest = dataset
+            .examples
+            .iter()
+            .flat_map(|e| [e.observed_runtime, e.target_pcc.a, e.target_pcc.b])
+            .fold(0, |digest, x| mix64(digest, x.to_bits()));
+        let record = DatasetRecord { examples: dataset.len() as u64, digest: self.dataset_digest };
+        self.check_or_commit(STAGE_DATASET, &record, "the rebuilt dataset differs")?;
+        Ok(())
+    }
+
+    /// The `gbdt` stage: [`XgbRuntime::train`]'s ensemble, one frame per
+    /// boosting round, resumed from the last one.
+    fn fit_xgb(
+        &mut self,
+        dataset: &Dataset,
+        config: &XgbTrainConfig,
+        pool: &tasq_par::Pool,
+    ) -> Result<XgbRuntime, PipelineError> {
+        let resume = self.recover(STAGE_GBDT)?;
+        let (rows, targets) = dataset.xgb_rows();
+        let booster = tasq_ml::gbdt::Booster::train_resumable_with_pool(
+            &rows,
+            &targets,
+            &XgbRuntime::booster_config(config),
+            pool,
+            resume,
+            &mut |checkpoint| self.commit(STAGE_GBDT, checkpoint),
+        )?;
+        Ok(XgbRuntime::from_booster(booster))
+    }
+
+    /// The `nn` stage: [`NnPcc::train`]'s network, one frame per epoch,
+    /// resumed from the last one.
+    fn fit_nn(
+        &mut self,
+        dataset: &Dataset,
+        config: &NnTrainConfig,
+    ) -> Result<NnPcc, PipelineError> {
+        let resume = self.recover(STAGE_NN)?;
+        NnPcc::train_with_teacher_resumable(dataset, config, None, resume, &mut |checkpoint| {
+            self.commit(STAGE_NN, checkpoint)
+        })
+    }
+
+    /// The `done` stage: seal the run with its fingerprint.
+    fn seal(&mut self, xgb: &XgbRuntime, nn: &NnPcc) -> Result<(), PipelineError> {
+        let artifacts = [codec::to_bytes(xgb)?, codec::to_bytes(nn)?];
+        let fingerprint =
+            artifacts.iter().map(|bytes| digest_bytes(bytes)).fold(self.dataset_digest, mix64);
+        self.check_or_commit(STAGE_DONE, &DoneRecord { fingerprint }, "the artifacts differ")?;
+        self.fingerprint = fingerprint;
+        Ok(())
     }
 }
 
@@ -1262,26 +1535,157 @@ mod tests {
 
     #[test]
     fn train_rejects_invalid_jobs_with_a_typed_error() {
-        let repo = JobRepository::new();
         let mut batch = jobs(3, 91);
         // Corrupt one plan the way a damaged repository would: a feature
         // no generated plan can carry, injected behind the constructor.
         batch[1].plan.operators[0].est_exclusive_cost = f64::NAN;
         let expected_id = batch[1].id;
-        repo.ingest(batch);
-        let store = ModelStore::new();
-        let err = TasqPipeline::new(quick_config()).train(&repo, &store).unwrap_err();
-        match &err {
-            PipelineError::InvalidJob { job_id, detail } => {
-                assert_eq!(*job_id, expected_id);
-                assert!(!detail.is_empty());
+        let checkpoints = checkpoint_store("invalid");
+        // The gate runs before the first commit, with a sink or without.
+        for with_sink in [false, true] {
+            let repo = JobRepository::new();
+            repo.ingest(batch.clone());
+            let store = ModelStore::new();
+            let mut sink = CheckpointSink::new(&checkpoints, None);
+            let sink = with_sink.then_some(&mut sink);
+            let err = TasqPipeline::new(quick_config())
+                .train_with_sink(&repo, &store, &tasq_par::Pool::new(2), sink)
+                .unwrap_err();
+            match &err {
+                PipelineError::InvalidJob { job_id, detail } => {
+                    assert_eq!(*job_id, expected_id);
+                    assert!(!detail.is_empty());
+                }
+                other => panic!("expected InvalidJob, got {other:?}"),
             }
-            other => panic!("expected InvalidJob, got {other:?}"),
+            assert!(err.to_string().contains("failed plan validation"));
+            // Nothing was registered: the batch was refused before training.
+            assert!(store.versions(NN_MODEL_NAME).is_empty());
+            assert!(store.versions(XGB_MODEL_NAME).is_empty());
+            for stage in CHECKPOINT_STAGES {
+                assert_eq!(checkpoints.committed(stage).unwrap(), 0, "stage {stage}");
+            }
         }
-        assert!(err.to_string().contains("failed plan validation"));
-        // Nothing was registered: the batch was refused before training.
-        assert!(store.versions(NN_MODEL_NAME).is_empty());
-        assert!(store.versions(XGB_MODEL_NAME).is_empty());
+        let _ = std::fs::remove_dir_all(checkpoints.dir());
+    }
+
+    fn checkpoint_store(tag: &str) -> CheckpointStore {
+        let dir = std::env::temp_dir()
+            .join(format!("tasq-pipeline-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        CheckpointStore::open(dir).unwrap()
+    }
+
+    fn tiny_config() -> PipelineConfig {
+        PipelineConfig {
+            xgb: XgbTrainConfig { num_rounds: 6, ..Default::default() },
+            nn: NnTrainConfig { epochs: 4, ..Default::default() },
+            ..Default::default()
+        }
+    }
+
+    /// One run of the pipeline under `store`, resuming what it holds.
+    fn train_checkpointed<'s>(
+        jobs: &[Job],
+        config: &PipelineConfig,
+        store: &'s CheckpointStore,
+        kill_after: Option<u64>,
+    ) -> Result<CheckpointSink<'s>, PipelineError> {
+        let repo = JobRepository::new();
+        repo.ingest(jobs.to_vec());
+        let mut sink = CheckpointSink::new(store, kill_after);
+        TasqPipeline::new(config.clone()).train_with_sink(
+            &repo,
+            &ModelStore::new(),
+            &tasq_par::Pool::new(2),
+            Some(&mut sink),
+        )?;
+        Ok(sink)
+    }
+
+    #[test]
+    fn kill_at_every_commit_and_resume_is_bit_identical() {
+        let jobs = jobs(6, 3);
+        let config = tiny_config();
+
+        let reference_store = checkpoint_store("reference");
+        let reference = train_checkpointed(&jobs, &config, &reference_store, None).unwrap();
+        assert!(!reference.resumed);
+        assert_eq!(reference.recovered_frames, 0);
+
+        // Total commits of an uninterrupted run bounds the kill sweep.
+        let total = reference.commits;
+        assert!(total > 4, "expected multi-stage commit trail, got {total}");
+
+        for kill in 1..=total {
+            let chaos_store = checkpoint_store(&format!("kill{kill}"));
+            let first = train_checkpointed(&jobs, &config, &chaos_store, Some(kill));
+            assert!(
+                matches!(first, Err(PipelineError::Killed { commits, .. }) if commits == kill),
+                "kill {kill} did not fire"
+            );
+            let resumed = train_checkpointed(&jobs, &config, &chaos_store, None).unwrap();
+            assert_eq!(
+                resumed.fingerprint, reference.fingerprint,
+                "kill after {kill} commits diverged"
+            );
+            let _ = std::fs::remove_dir_all(chaos_store.dir());
+        }
+        let _ = std::fs::remove_dir_all(reference_store.dir());
+    }
+
+    #[test]
+    fn torn_tail_after_kill_still_resumes_bit_identically() {
+        let jobs = jobs(5, 9);
+        let config = tiny_config();
+
+        let reference_store = checkpoint_store("torn-ref");
+        let reference = train_checkpointed(&jobs, &config, &reference_store, None).unwrap();
+
+        let chaos_store = checkpoint_store("torn-chaos");
+        let Err(PipelineError::Killed { stage, .. }) =
+            train_checkpointed(&jobs, &config, &chaos_store, Some(3))
+        else {
+            panic!("kill did not fire")
+        };
+        // Shear the tail of the last-written log, as a crash mid-append would.
+        let path = chaos_store.stage_path(stage);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert!(len > 7);
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 7).unwrap();
+
+        let resumed = train_checkpointed(&jobs, &config, &chaos_store, None).unwrap();
+        assert!(resumed.resumed);
+        assert!(resumed.torn_tails_trimmed >= 1, "the shear must be detected as a torn tail");
+        assert_eq!(resumed.fingerprint, reference.fingerprint);
+        let _ = std::fs::remove_dir_all(chaos_store.dir());
+        let _ = std::fs::remove_dir_all(reference_store.dir());
+    }
+
+    #[test]
+    fn resume_against_a_different_workload_is_refused() {
+        let config = tiny_config();
+        let s = checkpoint_store("mismatch");
+        train_checkpointed(&jobs(5, 1), &config, &s, None).unwrap();
+        let mut longer = config.clone();
+        longer.nn.epochs += 1;
+        let mut slower = config.clone();
+        slower.xgb.learning_rate *= 0.5;
+        // Another workload, then the same workload trained for longer or
+        // at another learning rate.
+        for (other_jobs, other_config) in
+            [(jobs(5, 2), &config), (jobs(5, 1), &longer), (jobs(5, 1), &slower)]
+        {
+            let Err(err) = train_checkpointed(&other_jobs, other_config, &s, None) else {
+                panic!("resume against another run must be refused")
+            };
+            assert!(
+                matches!(err, PipelineError::CheckpointMismatch { stage: "manifest", .. }),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("does not match"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]

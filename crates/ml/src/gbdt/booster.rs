@@ -165,9 +165,9 @@ impl Booster {
     /// [`Booster::train_with_pool`] with per-round checkpointing.
     ///
     /// After every completed round the freshly captured
-    /// [`BoosterCheckpoint`] is handed to `on_round`; returning `false`
-    /// halts training right there (the crash-injection hook the chaos
-    /// harness uses) and yields `None`. Passing a previous checkpoint as
+    /// [`BoosterCheckpoint`] is handed to `on_round`; an `Err` halts
+    /// training right there (a failed commit, or the crash-injection hook
+    /// the chaos harness uses) and is returned. Passing a previous checkpoint as
     /// `resume` skips its completed rounds and restores the subsampling
     /// RNG mid-stream, so an interrupted-and-resumed run grows exactly
     /// the trees an uninterrupted one would — bit for bit.
@@ -175,17 +175,15 @@ impl Booster {
     /// # Panics
     /// As [`Booster::train`], and if `resume` does not match the
     /// dataset's row count or its own round count.
-    pub fn train_resumable_with_pool(
+    pub fn train_resumable_with_pool<E>(
         rows: &[Vec<f64>],
         targets: &[f64],
         config: &BoosterConfig,
         pool: &tasq_par::Pool,
         resume: Option<BoosterCheckpoint>,
-        on_round: &mut dyn FnMut(&BoosterCheckpoint) -> bool,
-    ) -> Option<Self> {
-        let mut on_round =
-            |checkpoint: &BoosterCheckpoint| on_round(checkpoint).then_some(()).ok_or(());
-        Self::fit(rows, targets, config, pool, resume, Some(&mut on_round)).ok()
+        on_round: &mut dyn FnMut(&BoosterCheckpoint) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        Self::fit(rows, targets, config, pool, resume, Some(on_round))
     }
 
     /// The round loop behind both entry points. A checkpoint is built
@@ -522,10 +520,10 @@ mod tests {
                 None,
                 &mut |ckpt| {
                     saved = Some(ckpt.clone());
-                    ckpt.round < kill_at
+                    if ckpt.round < kill_at { Ok(()) } else { Err(()) }
                 },
             );
-            assert!(halted.is_none(), "kill_at {kill_at}: training should have halted");
+            assert!(halted.is_err(), "kill_at {kill_at}: training should have halted");
             let ckpt = saved.expect("at least one checkpoint");
             assert_eq!(ckpt.round, kill_at);
 
@@ -536,7 +534,7 @@ mod tests {
                 &config,
                 &pool,
                 Some(ckpt),
-                &mut |_| true,
+                &mut |_| Ok::<(), ()>(()),
             )
             .expect("resumed training should finish");
             let resumed_bits: Vec<u64> =

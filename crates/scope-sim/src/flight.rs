@@ -330,12 +330,10 @@ pub fn flight_job_with_pool(
 }
 
 /// The flat (job index, allocation, repetition) grid a workload flight
-/// fans out, in sequential order. This is the checkpointable unit of the
-/// flighting phase: each cell's seed is a pure function of its
-/// coordinates (see [`flight_cell_seed`]), so any completed prefix of
-/// this list can be persisted and the remainder replayed later with
-/// bit-identical results.
-pub fn flight_tasks(
+/// fans out, in sequential order. Each cell's seed is a pure function of
+/// its coordinates, so the cells can run in any order with the same
+/// results.
+fn flight_tasks(
     jobs: &[Job],
     reference_tokens: &[u32],
     config: &FlightConfig,
@@ -354,15 +352,9 @@ pub fn flight_tasks(
         .collect()
 }
 
-/// The base seed of one grid cell (exactly what the sequential harness
-/// and both fan-outs use).
-pub fn flight_cell_seed(config: &FlightConfig, job_id: u64, alloc: u32, rep: u32) -> u64 {
-    flight_seed(config, job_id, alloc, rep)
-}
-
 /// Run one cell of the flighting grid, with the harness's usual span,
 /// seed discipline, and failed-flight re-submission.
-pub fn run_flight_cell(
+fn run_flight_cell(
     job: &Job,
     executor: &Executor,
     alloc: u32,
@@ -379,7 +371,7 @@ pub fn run_flight_cell(
 /// [`FlightedJob`] per job, preserving the sequential harness's
 /// semantics: jobs with a zero reference get the typed error, and the
 /// first cell error within a job surfaces in sequential order.
-pub fn assemble_workload(
+fn assemble_workload(
     jobs: &[Job],
     reference_tokens: &[u32],
     config: &FlightConfig,

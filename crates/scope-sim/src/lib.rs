@@ -63,8 +63,8 @@ pub use amdahl::AmdahlModel;
 pub use exec::{ExecScratch, ExecutionConfig, ExecutionResult, Executor, NoiseModel};
 pub use faults::{FaultInjector, FaultPlan, FaultReport, RecoveryPolicy, SimError};
 pub use flight::{
-    assemble_workload, filter_non_anomalous, flight_cell_seed, flight_job, flight_job_with_pool,
-    flight_tasks, flight_workload, run_flight_cell, Flight, FlightConfig, FlightedJob,
+    filter_non_anomalous, flight_job, flight_job_with_pool, flight_workload, Flight,
+    FlightConfig, FlightedJob,
 };
 pub use generator::{
     replay_traffic, Archetype, Job, JobMeta, TrafficConfig, WorkloadConfig, WorkloadGenerator,
