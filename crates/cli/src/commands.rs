@@ -18,7 +18,7 @@ use tasq::pipeline::{
 };
 use tasq_net::{BinaryClient, HttpClient, NetConfig, NetServer, ScoreOutcome, TokenBucket};
 use tasq_obs::json::JsonValue;
-use tasq_resil::{BreakerState, ChaosPlan, CheckpointStore};
+use tasq_resil::{snapshot, BreakerState, ChaosPlan};
 use tasq_serve::cache::CacheConfig;
 use tasq_serve::{
     ModelRegistry, ScoringServer, ServeConfig, ServedVia, ServerStatsSnapshot, Ticket,
@@ -93,8 +93,8 @@ pub fn train(args: &[String]) -> Result<String, CliError> {
     let model_dir = opts.required("model-dir")?;
     let nn_epochs = opts.number::<usize>("nn-epochs", 120)?;
     let xgb_rounds = opts.number::<usize>("xgb-rounds", 120)?;
-    let checkpoints = opts.get("checkpoint-dir").map(CheckpointStore::open).transpose()?;
-    let mut sink = checkpoints.as_ref().map(|store| CheckpointSink::new(store, None));
+    let mut sink =
+        opts.get("checkpoint-dir").map(|dir| CheckpointSink::open(dir, None)).transpose()?;
 
     // Train through the in-memory pipeline, then persist to disk.
     let repo = JobRepository::new();
@@ -123,12 +123,11 @@ pub fn train(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "checkpointed train: {job_count} jobs, {} examples\n\
-                 resumed: {} ({} frames recovered, {} torn tails trimmed), \
-                 {} commits this run\nfingerprint: {:#018x}",
+                 resumed: {} ({} stages recovered), {} commits this run\n\
+                 fingerprint: {:#018x}",
                 dataset.len(),
                 sink.resumed,
-                sink.recovered_frames,
-                sink.torn_tails_trimmed,
+                sink.recovered_stages,
                 sink.commits,
                 sink.fingerprint,
             );
@@ -141,17 +140,16 @@ pub fn train(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Shear `bytes` off the tail of a stage's checkpoint log — the chaos
-/// harness's torn-write injection (a crash mid-append leaves exactly
-/// this). Returns how many bytes were actually removed.
-fn shear_log_tail(store: &CheckpointStore, stage: &str, bytes: u64) -> Result<u64, CliError> {
-    let path = store.stage_path(stage);
-    let len = std::fs::metadata(&path)?.len();
-    let new_len = len.saturating_sub(bytes);
-    let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-    file.set_len(new_len)?;
-    file.sync_all()?;
-    Ok(len - new_len)
+/// Leave `stage`'s committed image, `bytes` short, in its commit temp —
+/// the chaos harness's torn-write injection (a crash mid-commit leaves
+/// exactly this beside the intact committed file). Returns how many
+/// bytes were actually cut.
+fn plant_torn_temp(sink: &CheckpointSink, stage: &str, bytes: u64) -> Result<u64, CliError> {
+    let path = sink.stage_path(stage);
+    let image = std::fs::read(&path)?;
+    let kept = image.len().saturating_sub(usize::try_from(bytes).unwrap_or(usize::MAX));
+    std::fs::write(snapshot::tmp_path(&path), &image[..kept])?;
+    Ok((image.len() - kept) as u64)
 }
 
 /// One serving chaos drive: serial request stream through a server with
@@ -200,8 +198,8 @@ fn drive_serving_chaos(
 /// 1. trains a reference through the pipeline under a checkpoint
 ///    directory, uninterrupted;
 /// 2. replays the same training with the preset's planted process death,
-///    shears a torn tail off the last-written checkpoint log, resumes,
-///    and checks the resumed fingerprint is bit-identical;
+///    leaves the killed stage's next commit torn in its temp file,
+///    resumes, and checks the resumed fingerprint is bit-identical;
 /// 3. drives the scoring server (with the resumed artifacts) through
 ///    the preset's planted scoring panics, NN fault window, and deadline
 ///    storm, asserting zero silent request loss and that the circuit
@@ -235,34 +233,38 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
         ..Default::default()
     });
     let pool = tasq_par::Pool::with_available_parallelism();
-    let open_fresh = |name: &str| -> Result<CheckpointStore, CliError> {
-        let store = CheckpointStore::open(work_dir.join(name))?;
-        store.reset()?;
-        Ok(store)
+    let open_fresh = |name: &str, kill_after| -> Result<CheckpointSink, CliError> {
+        let sink = CheckpointSink::open(work_dir.join(name), kill_after)?;
+        // A stage file left by an earlier run would be resumed.
+        for entry in std::fs::read_dir(sink.dir())? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "ckpt") {
+                std::fs::remove_file(path)?;
+            }
+        }
+        Ok(sink)
     };
 
     // 1. Uninterrupted reference run.
-    let reference_store = open_fresh("reference")?;
-    let mut reference = CheckpointSink::new(&reference_store, None);
+    let mut reference = open_fresh("reference", None)?;
     pipeline.train_with_sink(&repo, &ModelStore::new(), &pool, Some(&mut reference))?;
 
     // 2. Killed + torn + resumed run.
-    let chaos_store = open_fresh("chaos")?;
-    let mut first = CheckpointSink::new(&chaos_store, plan.kill_after_checkpoints);
-    let (killed_stage, commits_before_kill, torn_bytes_sheared) =
+    let mut first = open_fresh("chaos", plan.kill_after_checkpoints)?;
+    let (killed_stage, commits_before_kill, torn_bytes_cut) =
         match pipeline.train_with_sink(&repo, &ModelStore::new(), &pool, Some(&mut first)) {
             Err(PipelineError::Killed { stage, commits }) => {
-                let sheared = match plan.torn_tail_bytes {
-                    Some(bytes) => shear_log_tail(&chaos_store, stage, bytes)?,
+                let cut = match plan.torn_tail_bytes {
+                    Some(bytes) => plant_torn_temp(&first, stage, bytes)?,
                     None => 0,
                 };
-                (Some(stage), commits, sheared)
+                (Some(stage), commits, cut)
             }
             Err(e) => return Err(e.into()),
             Ok(_) => (None, first.commits, 0),
         };
     let models = ModelStore::new();
-    let mut resumed = CheckpointSink::new(&chaos_store, None);
+    let mut resumed = CheckpointSink::open(first.dir(), None)?;
     pipeline.train_with_sink(&repo, &models, &pool, Some(&mut resumed))?;
     let resumed_bit_identical = resumed.fingerprint == reference.fingerprint;
 
@@ -298,9 +300,8 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
                 ("resumed_fingerprint", format!("{:#018x}", resumed.fingerprint).into()),
                 ("killed_stage", killed_stage.map(str::to_string).into()),
                 ("commits_before_kill", commits_before_kill.into()),
-                ("torn_bytes_sheared", torn_bytes_sheared.into()),
-                ("recovered_frames", resumed.recovered_frames.into()),
-                ("torn_tails_trimmed", resumed.torn_tails_trimmed.into()),
+                ("torn_temp_bytes_cut", torn_bytes_cut.into()),
+                ("recovered_stages", resumed.recovered_stages.into()),
                 ("resumed_bit_identical", resumed_bit_identical.into()),
             ]),
         ),
@@ -316,16 +317,16 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "training: killed in `{stage}` after {commits_before_kill} commits, \
-                 sheared {torn_bytes_sheared} tail bytes, resumed with {} frames recovered \
-                 ({} torn tails trimmed)",
-                resumed.recovered_frames, resumed.torn_tails_trimmed,
+                 left its next commit torn {torn_bytes_cut} bytes short, resumed with {} \
+                 stages recovered",
+                resumed.recovered_stages,
             );
         }
         None => {
             let _ = writeln!(
                 out,
-                "training: no kill planted (preset `{preset}`), warm restart recovered {} frames",
-                resumed.recovered_frames,
+                "training: no kill planted (preset `{preset}`), warm restart recovered {} stages",
+                resumed.recovered_stages,
             );
         }
     }

@@ -23,7 +23,7 @@
 //!   traffic against a listening server over persistent connections and
 //!   report latency/throughput as JSON.
 //! * `chaos`    — the deterministic chaos harness: kill the pipeline
-//!   under a checkpoint directory mid-run (with a torn tail), resume it,
+//!   under a checkpoint directory mid-run (with a torn commit), resume it,
 //!   prove the artifacts bit-identical, then drive the scoring server
 //!   through planted scoring panics, an NN fault window, and a deadline
 //!   storm; write a machine-readable report CI asserts on.

@@ -35,9 +35,10 @@ use crate::pcc::PowerLawPcc;
 use scope_sim::{AmdahlModel, Job, StageGraph};
 use std::collections::HashMap;
 use std::fmt;
+use std::path::{Path, PathBuf};
 use tasq_obs::sync::{Rank, RwLock};
 use tasq_resil::chaos::mix64;
-use tasq_resil::CheckpointStore;
+use tasq_resil::{snapshot, ResilError};
 
 /// Error loading or storing a model artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,15 +135,15 @@ pub enum PipelineError {
     },
     /// Serializing a trained artifact for the store failed.
     Codec(codec::CodecError),
-    /// A checkpoint log could not be recovered or appended.
+    /// A stage's checkpoint could not be loaded or committed.
     Checkpoint {
-        /// The stage whose log failed.
+        /// The stage whose checkpoint failed.
         stage: &'static str,
         /// The rendered [`tasq_resil::ResilError`], or the codec error
-        /// of a frame that does not decode.
+        /// of a record that does not decode.
         detail: String,
     },
-    /// The checkpoint directory holds another run's frames: a different
+    /// The checkpoint directory holds another run's records: a different
     /// workload or configuration, or a dataset or artifacts that rebuilt
     /// differently. Resuming it would train a mix of two runs.
     CheckpointMismatch {
@@ -158,7 +159,7 @@ pub enum PipelineError {
     Killed {
         /// The stage that received the last commit.
         stage: &'static str,
-        /// Frames committed before the kill.
+        /// Records committed before the kill.
         commits: u64,
     },
 }
@@ -518,13 +519,13 @@ impl TasqPipeline {
     /// [`TasqPipeline::train_with_pool`] with an optional checkpoint sink.
     ///
     /// Without a sink this is exactly `train_with_pool`. With one, the
-    /// run commits durable frames after both validation gates have
-    /// passed: the `manifest`, the `dataset` digest, one `gbdt` frame per
-    /// boosting round, one `nn` frame per epoch, and the `done`
+    /// run commits durable records after both validation gates have
+    /// passed: the `manifest`, the `dataset` digest, one `gbdt` record per
+    /// boosting round, one `nn` record per epoch, and the `done`
     /// fingerprint (see [`CheckpointSink`]). A directory that already
-    /// holds this run's frames is resumed: the finished work is restored
+    /// holds this run's records is resumed: the finished work is restored
     /// instead of redone, and the artifacts are bit-identical to an
-    /// uninterrupted run's. One that holds another run's frames is
+    /// uninterrupted run's. One that holds another run's records is
     /// refused with [`PipelineError::CheckpointMismatch`]. Under a sink
     /// the boosting rounds' split search also runs on `pool`; it reduces
     /// deterministically, so the artifacts are the sink-less run's bytes.
@@ -533,7 +534,7 @@ impl TasqPipeline {
         repository: &JobRepository,
         store: &ModelStore,
         pool: &tasq_par::Pool,
-        mut sink: Option<&mut CheckpointSink<'_>>,
+        mut sink: Option<&mut CheckpointSink>,
     ) -> Result<Dataset, PipelineError> {
         use tasq_obs::{span, FieldValue, Level};
         let _pipeline_span = span(
@@ -618,7 +619,7 @@ impl TasqPipeline {
     }
 }
 
-/// Stage logs of a checkpointed run, in pipeline order.
+/// Stages of a checkpointed run, in pipeline order.
 const CHECKPOINT_STAGES: [&str; 5] = ["manifest", "dataset", "gbdt", "nn", "done"];
 const STAGE_MANIFEST: &str = CHECKPOINT_STAGES[0];
 const STAGE_DATASET: &str = CHECKPOINT_STAGES[1];
@@ -660,20 +661,22 @@ struct DoneRecord {
 
 /// Where a checkpointed [`TasqPipeline`] run commits its progress.
 ///
-/// Every durable append goes through here, so the counters are exact:
+/// The sink owns a directory holding one atomic snapshot per stage,
+/// `<dir>/<stage>.ckpt` ([`tasq_resil::snapshot`]): each commit replaces
+/// the stage's file with its newest record, which is all a resume reads.
+/// Every commit goes through here, so the counters are exact:
 /// `kill_after` is the chaos harness's planted process death (the run
 /// returns [`PipelineError::Killed`] right after that many commits of
 /// this run), and the public fields are what a run reports.
-pub struct CheckpointSink<'a> {
-    store: &'a CheckpointStore,
+pub struct CheckpointSink {
+    dir: PathBuf,
     kill_after: Option<u64>,
     dataset_digest: u64,
-    /// Frames this run committed.
+    /// Records this run committed.
     pub commits: u64,
-    /// Frames recovered from the directory (0 on a cold run).
-    pub recovered_frames: usize,
-    /// Torn log tails trimmed during recovery.
-    pub torn_tails_trimmed: usize,
+    /// Stages whose record was recovered from the directory (0 on a cold
+    /// run).
+    pub recovered_stages: usize,
     /// Whether the directory already held this run's manifest.
     pub resumed: bool,
     /// The `done` fingerprint, set once the run is sealed. Equal
@@ -681,36 +684,48 @@ pub struct CheckpointSink<'a> {
     pub fingerprint: u64,
 }
 
-impl<'a> CheckpointSink<'a> {
-    /// A sink over `store`, resuming whatever frames it holds;
-    /// `kill_after` plants a kill after that many commits.
-    pub fn new(store: &'a CheckpointStore, kill_after: Option<u64>) -> Self {
-        Self {
-            store,
+impl CheckpointSink {
+    /// A sink over `dir` (created if absent), resuming whatever stages it
+    /// holds; `kill_after` plants a kill after that many commits.
+    pub fn open(dir: impl Into<PathBuf>, kill_after: Option<u64>) -> Result<Self, ResilError> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        Ok(Self {
+            dir,
             kill_after,
             dataset_digest: 0,
             commits: 0,
-            recovered_frames: 0,
-            torn_tails_trimmed: 0,
+            recovered_stages: 0,
             resumed: false,
             fingerprint: 0,
-        }
+        })
     }
 
-    /// Recover `stage`'s committed frames and decode the last one.
+    /// The checkpoint directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// The snapshot file of `stage`.
+    pub fn stage_path(&self, stage: &str) -> PathBuf {
+        self.dir.join(format!("{stage}.ckpt"))
+    }
+
+    /// Load and decode `stage`'s committed record, if it has one.
     fn recover<T: Wire>(&mut self, stage: &'static str) -> Result<Option<T>, PipelineError> {
         let failed = |detail: String| PipelineError::Checkpoint { stage, detail };
-        let recovery = self.store.recover_stage(stage).map_err(|e| failed(e.to_string()))?;
-        self.torn_tails_trimmed += usize::from(recovery.torn.is_some());
-        self.recovered_frames += recovery.frames.len();
-        let last = recovery.last().map(|frame| codec::from_bytes(&frame.payload));
-        last.transpose().map_err(|e| failed(e.to_string()))
+        let bytes = match snapshot::load(&self.stage_path(stage)) {
+            Ok(bytes) => bytes,
+            Err(ResilError::NoCheckpoint) => return Ok(None),
+            Err(e) => return Err(failed(e.to_string())),
+        };
+        self.recovered_stages += 1;
+        codec::from_bytes(&bytes).map(Some).map_err(|e| failed(e.to_string()))
     }
 
-    /// Durably append one record; the planted kill strikes after it.
+    /// Durably replace `stage`'s record; the planted kill strikes after it.
     fn commit<T: Wire>(&mut self, stage: &'static str, record: &T) -> Result<(), PipelineError> {
-        self.store
-            .append(stage, &codec::to_bytes(record)?)
+        snapshot::commit(&self.stage_path(stage), &codec::to_bytes(record)?)
             .map_err(|e| PipelineError::Checkpoint { stage, detail: e.to_string() })?;
         self.commits += 1;
         match self.kill_after {
@@ -732,7 +747,7 @@ impl<'a> CheckpointSink<'a> {
         match self.recover::<T>(stage)? {
             Some(prior) if prior == *record => Ok(true),
             Some(_) => Err(PipelineError::CheckpointMismatch {
-                dir: self.store.dir().display().to_string(),
+                dir: self.dir.display().to_string(),
                 stage,
                 detail,
             }),
@@ -768,8 +783,8 @@ impl<'a> CheckpointSink<'a> {
         Ok(())
     }
 
-    /// The `gbdt` stage: [`XgbRuntime::train`]'s ensemble, one frame per
-    /// boosting round, resumed from the last one.
+    /// The `gbdt` stage: [`XgbRuntime::train`]'s ensemble, committed after
+    /// every boosting round, resumed from the last one.
     fn fit_xgb(
         &mut self,
         dataset: &Dataset,
@@ -789,8 +804,8 @@ impl<'a> CheckpointSink<'a> {
         Ok(XgbRuntime::from_booster(booster))
     }
 
-    /// The `nn` stage: [`NnPcc::train`]'s network, one frame per epoch,
-    /// resumed from the last one.
+    /// The `nn` stage: [`NnPcc::train`]'s network, committed after every
+    /// epoch, resumed from the last one.
     fn fit_nn(
         &mut self,
         dataset: &Dataset,
@@ -1304,7 +1319,8 @@ mod tests {
         let path = dir.join("m.v1.bin");
         let intact = std::fs::read(&path).unwrap();
 
-        // Torn tail: a crash mid-write truncates the file.
+        // Truncated: a crash tears only the commit's temp, so a short
+        // committed file was damaged after commit.
         std::fs::write(&path, &intact[..intact.len() - 3]).unwrap();
         assert!(matches!(
             store.load_version::<u64>("m", 1),
@@ -1540,16 +1556,20 @@ mod tests {
         // no generated plan can carry, injected behind the constructor.
         batch[1].plan.operators[0].est_exclusive_cost = f64::NAN;
         let expected_id = batch[1].id;
-        let checkpoints = checkpoint_store("invalid");
+        let dir = checkpoint_dir("invalid");
         // The gate runs before the first commit, with a sink or without.
         for with_sink in [false, true] {
             let repo = JobRepository::new();
             repo.ingest(batch.clone());
             let store = ModelStore::new();
-            let mut sink = CheckpointSink::new(&checkpoints, None);
-            let sink = with_sink.then_some(&mut sink);
+            let mut sink = CheckpointSink::open(&dir, None).unwrap();
             let err = TasqPipeline::new(quick_config())
-                .train_with_sink(&repo, &store, &tasq_par::Pool::new(2), sink)
+                .train_with_sink(
+                    &repo,
+                    &store,
+                    &tasq_par::Pool::new(2),
+                    with_sink.then_some(&mut sink),
+                )
                 .unwrap_err();
             match &err {
                 PipelineError::InvalidJob { job_id, detail } => {
@@ -1563,17 +1583,18 @@ mod tests {
             assert!(store.versions(NN_MODEL_NAME).is_empty());
             assert!(store.versions(XGB_MODEL_NAME).is_empty());
             for stage in CHECKPOINT_STAGES {
-                assert_eq!(checkpoints.committed(stage).unwrap(), 0, "stage {stage}");
+                assert!(!sink.stage_path(stage).exists(), "stage {stage}");
             }
         }
-        let _ = std::fs::remove_dir_all(checkpoints.dir());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn checkpoint_store(tag: &str) -> CheckpointStore {
+    /// A fresh (absent) checkpoint directory for one test.
+    fn checkpoint_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join(format!("tasq-pipeline-ckpt-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        CheckpointStore::open(dir).unwrap()
+        dir
     }
 
     fn tiny_config() -> PipelineConfig {
@@ -1584,16 +1605,16 @@ mod tests {
         }
     }
 
-    /// One run of the pipeline under `store`, resuming what it holds.
-    fn train_checkpointed<'s>(
+    /// One run of the pipeline under `dir`, resuming what it holds.
+    fn train_checkpointed(
         jobs: &[Job],
         config: &PipelineConfig,
-        store: &'s CheckpointStore,
+        dir: &Path,
         kill_after: Option<u64>,
-    ) -> Result<CheckpointSink<'s>, PipelineError> {
+    ) -> Result<CheckpointSink, PipelineError> {
         let repo = JobRepository::new();
         repo.ingest(jobs.to_vec());
-        let mut sink = CheckpointSink::new(store, kill_after);
+        let mut sink = CheckpointSink::open(dir, kill_after).unwrap();
         TasqPipeline::new(config.clone()).train_with_sink(
             &repo,
             &ModelStore::new(),
@@ -1608,64 +1629,119 @@ mod tests {
         let jobs = jobs(6, 3);
         let config = tiny_config();
 
-        let reference_store = checkpoint_store("reference");
-        let reference = train_checkpointed(&jobs, &config, &reference_store, None).unwrap();
+        let reference_dir = checkpoint_dir("reference");
+        let reference = train_checkpointed(&jobs, &config, &reference_dir, None).unwrap();
         assert!(!reference.resumed);
-        assert_eq!(reference.recovered_frames, 0);
+        assert_eq!(reference.recovered_stages, 0);
 
         // Total commits of an uninterrupted run bounds the kill sweep.
         let total = reference.commits;
         assert!(total > 4, "expected multi-stage commit trail, got {total}");
 
         for kill in 1..=total {
-            let chaos_store = checkpoint_store(&format!("kill{kill}"));
-            let first = train_checkpointed(&jobs, &config, &chaos_store, Some(kill));
+            let chaos_dir = checkpoint_dir(&format!("kill{kill}"));
+            let first = train_checkpointed(&jobs, &config, &chaos_dir, Some(kill));
             assert!(
                 matches!(first, Err(PipelineError::Killed { commits, .. }) if commits == kill),
                 "kill {kill} did not fire"
             );
-            let resumed = train_checkpointed(&jobs, &config, &chaos_store, None).unwrap();
+            let resumed = train_checkpointed(&jobs, &config, &chaos_dir, None).unwrap();
             assert_eq!(
                 resumed.fingerprint, reference.fingerprint,
                 "kill after {kill} commits diverged"
             );
-            let _ = std::fs::remove_dir_all(chaos_store.dir());
+            let _ = std::fs::remove_dir_all(&chaos_dir);
         }
-        let _ = std::fs::remove_dir_all(reference_store.dir());
+        let _ = std::fs::remove_dir_all(&reference_dir);
     }
 
     #[test]
-    fn torn_tail_after_kill_still_resumes_bit_identically() {
+    fn torn_temp_after_kill_still_resumes_bit_identically() {
         let jobs = jobs(5, 9);
         let config = tiny_config();
 
-        let reference_store = checkpoint_store("torn-ref");
-        let reference = train_checkpointed(&jobs, &config, &reference_store, None).unwrap();
+        let reference_dir = checkpoint_dir("torn-ref");
+        let reference = train_checkpointed(&jobs, &config, &reference_dir, None).unwrap();
 
-        let chaos_store = checkpoint_store("torn-chaos");
+        let chaos_dir = checkpoint_dir("torn-chaos");
         let Err(PipelineError::Killed { stage, .. }) =
-            train_checkpointed(&jobs, &config, &chaos_store, Some(3))
+            train_checkpointed(&jobs, &config, &chaos_dir, Some(3))
         else {
             panic!("kill did not fire")
         };
-        // Shear the tail of the last-written log, as a crash mid-append would.
-        let path = chaos_store.stage_path(stage);
-        let len = std::fs::metadata(&path).unwrap().len();
-        assert!(len > 7);
-        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 7).unwrap();
+        // A crash in the stage's next commit leaves a torn temp beside the
+        // committed file: the committed image, cut short.
+        let path = chaos_dir.join(format!("{stage}.ckpt"));
+        let image = std::fs::read(&path).unwrap();
+        assert!(image.len() > 7);
+        let tmp = snapshot::tmp_path(&path);
+        std::fs::write(&tmp, &image[..image.len() - 7]).unwrap();
 
-        let resumed = train_checkpointed(&jobs, &config, &chaos_store, None).unwrap();
+        let resumed = train_checkpointed(&jobs, &config, &chaos_dir, None).unwrap();
         assert!(resumed.resumed);
-        assert!(resumed.torn_tails_trimmed >= 1, "the shear must be detected as a torn tail");
+        // `manifest`, `dataset` and the killed `gbdt` stage were committed.
+        assert_eq!((stage, resumed.recovered_stages), (STAGE_GBDT, 3));
         assert_eq!(resumed.fingerprint, reference.fingerprint);
-        let _ = std::fs::remove_dir_all(chaos_store.dir());
-        let _ = std::fs::remove_dir_all(reference_store.dir());
+        // The stage's next commit replaced the torn temp.
+        assert!(!tmp.exists());
+        let _ = std::fs::remove_dir_all(&chaos_dir);
+        let _ = std::fs::remove_dir_all(&reference_dir);
+    }
+
+    #[test]
+    fn each_stage_file_is_one_snapshot_of_its_last_record() {
+        let jobs = jobs(5, 13);
+        let config = tiny_config();
+        let dir = checkpoint_dir("one-snapshot");
+        let sink = train_checkpointed(&jobs, &config, &dir, None).unwrap();
+
+        // Each stage's last record, rebuilt without a sink.
+        let dataset = Dataset::build_with_pool(&jobs, &config.augment, &tasq_par::Pool::new(2));
+        let (rows, targets) = dataset.xgb_rows();
+        let mut last_round = Vec::new();
+        tasq_ml::gbdt::Booster::train_resumable_with_pool(
+            &rows,
+            &targets,
+            &XgbRuntime::booster_config(&config.xgb),
+            &tasq_par::Pool::new(2),
+            None,
+            &mut |checkpoint| codec::to_bytes(checkpoint).map(|bytes| last_round = bytes),
+        )
+        .unwrap();
+        let mut last_epoch = Vec::new();
+        NnPcc::train_with_teacher_resumable(&dataset, &config.nn, None, None, &mut |checkpoint| {
+            codec::to_bytes(checkpoint).map(|bytes| last_epoch = bytes)
+        })
+        .unwrap();
+        let manifest = ManifestRecord {
+            workload_digest: digest_bytes(&codec::to_bytes(&jobs).unwrap()),
+            config_digest: digest_bytes(format!("{config:?}").as_bytes()),
+        };
+        let records = [
+            codec::to_bytes(&manifest).unwrap(),
+            codec::to_bytes(&DatasetRecord {
+                examples: dataset.len() as u64,
+                digest: sink.dataset_digest,
+            })
+            .unwrap(),
+            last_round,
+            last_epoch,
+            codec::to_bytes(&DoneRecord { fingerprint: sink.fingerprint }).unwrap(),
+        ];
+        for (stage, record) in CHECKPOINT_STAGES.iter().zip(&records) {
+            let file = std::fs::read(sink.stage_path(stage)).unwrap();
+            assert_eq!(file.len(), snapshot::SNAP_HEADER_LEN + record.len(), "stage {stage}");
+            assert_eq!(&snapshot::load_bytes(&file).unwrap(), record, "stage {stage}");
+        }
+        // Nothing else: no temp outlives its commit.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), CHECKPOINT_STAGES.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_against_a_different_workload_is_refused() {
         let config = tiny_config();
-        let s = checkpoint_store("mismatch");
+        let s = checkpoint_dir("mismatch");
         train_checkpointed(&jobs(5, 1), &config, &s, None).unwrap();
         let mut longer = config.clone();
         longer.nn.epochs += 1;
@@ -1685,7 +1761,7 @@ mod tests {
             );
             assert!(err.to_string().contains("does not match"), "{err}");
         }
-        let _ = std::fs::remove_dir_all(s.dir());
+        let _ = std::fs::remove_dir_all(&s);
     }
 
     #[test]

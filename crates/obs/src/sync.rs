@@ -10,7 +10,7 @@
 //!   holds, so two threads can never wait on each other's locks (ABBA)
 //!   and a lock is never taken twice by one thread;
 //! * [`blocking`], called by the workspace's blocking I/O sites (the
-//!   socket syscalls, fsyncing file appends, the parallel runtime's
+//!   socket syscalls, snapshot commits' fsyncs, the parallel runtime's
 //!   joins, sleeps), may run only while every held rank is one whose
 //!   job is to serialise a file ([`Rank::io`]).
 //!
@@ -36,11 +36,8 @@ use std::sync::PoisonError;
 pub enum Rank {
     /// Serialises the span tests of `tasq-obs` (test builds only).
     ObsTest,
-    /// `CheckpointStore::logs`: the open stage logs of a checkpoint
-    /// directory. Held across the append's fsync.
-    CheckpointLogs,
     /// `ModelRegistry::swap`: serialises every hot swap across "read
-    /// generation → append to the manifest". Held across the fsync.
+    /// generation → commit the manifest". Held across the fsync.
     RegistrySwap,
     /// `ModelRegistry::active`: the serving deployment.
     RegistryActive,
@@ -83,9 +80,9 @@ pub enum Rank {
 
 impl Rank {
     /// Whether a lock of this rank may be held across [`blocking`]: only
-    /// the locks whose job is to serialise a file.
+    /// the lock whose job is to serialise a file.
     pub const fn io(self) -> bool {
-        matches!(self, Rank::CheckpointLogs | Rank::RegistrySwap)
+        matches!(self, Rank::RegistrySwap)
     }
 }
 
@@ -330,9 +327,7 @@ mod tests {
 
     #[test]
     fn an_io_ranked_lock_may_be_held_across_blocking() {
-        let logs = Mutex::new(Rank::CheckpointLogs, ());
         let swap = Mutex::new(Rank::RegistrySwap, ());
-        let _logs = logs.lock();
         let _swap = swap.lock();
         blocking();
     }

@@ -1,8 +1,8 @@
 //! Seeded, deterministic chaos plans.
 //!
 //! A [`ChaosPlan`] is a pure function of `(preset, seed)`: every fault it
-//! injects — the checkpoint after which the trainer "dies", the byte at
-//! which a committed log is sheared, the request sequence numbers where
+//! injects — the checkpoint after which the trainer "dies", the bytes
+//! its torn commit temp is short by, the request sequence numbers where
 //! serving workers panic, the NN-tier fault window, the deadline storm —
 //! is derived with the SplitMix64 finalizer, so a chaos run replays
 //! bit-identically and its report can be asserted on in CI.
@@ -42,8 +42,8 @@ pub struct ChaosPlan {
     /// Training: simulate process death after this many checkpoint
     /// commits (counted across stages).
     pub kill_after_checkpoints: Option<u64>,
-    /// Training: after the kill, shear this many bytes off the tail of
-    /// the last-written checkpoint log (a kill-at-byte-k torn write).
+    /// Training: after the kill, leave the killed stage's image, short by
+    /// this many bytes, in its commit temp (a crash mid-commit).
     pub torn_tail_bytes: Option<u64>,
     /// Serving: miss sequence numbers whose scoring panics.
     pub worker_panics: Vec<u64>,

@@ -1,10 +1,10 @@
 //! Typed failure taxonomy for the resilience layer.
 //!
-//! Every recovery path in the workspace branches on these variants, so
-//! the distinctions are load-bearing: a [`ResilError::TornTail`] means
-//! "the process died mid-append and the valid prefix is trustworthy"
-//! (recover from the previous frame), while [`ResilError::CrcMismatch`]
-//! means "bytes changed after commit" (refuse the artifact entirely).
+//! [`ResilError::NoCheckpoint`] is a fresh start, not a failure. Every
+//! other load error refuses the file: a committed snapshot is never
+//! repaired or partly read. [`ResilError::TornTail`] (the file is cut
+//! short) and [`ResilError::CrcMismatch`] (its bytes changed) are kept
+//! apart so an operator can tell a truncation from bit rot.
 
 use std::fmt;
 
@@ -13,30 +13,26 @@ use std::fmt;
 pub enum ResilError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with the expected magic, or a frame
-    /// header inside it is structurally impossible (e.g. a length that
-    /// overflows the file by more than a truncation could explain).
+    /// The file does not start with the expected magic and version.
     BadMagic {
         /// What was found at the header position.
         found: [u8; 4],
     },
-    /// The file ends mid-frame: a header or payload was cut short.
+    /// The file ends before its header or payload does.
     ///
-    /// This is the expected signature of a crash during an append; the
-    /// frames before the tear are intact and safe to recover from.
+    /// A crash mid-commit tears only the snapshot's temp file, so a
+    /// committed file cut short was truncated after commit: it is
+    /// refused, not recovered from.
     TornTail {
-        /// Byte offset where the incomplete frame starts.
+        /// Byte offset of the header field or payload the file cuts into.
         offset: u64,
-        /// Complete frames recovered before the tear.
-        recovered_frames: usize,
     },
-    /// A structurally complete frame failed its CRC32 check: the bytes
-    /// were corrupted *after* commit, so nothing past this point can be
-    /// trusted.
+    /// A structurally complete snapshot failed its CRC32 check: the
+    /// bytes were corrupted *after* commit.
     CrcMismatch {
-        /// Byte offset of the corrupt frame.
+        /// Byte offset of the corrupt payload.
         offset: u64,
-        /// CRC stored in the frame header.
+        /// CRC stored in the snapshot header.
         stored: u32,
         /// CRC computed over the payload as read.
         computed: u32,
@@ -57,15 +53,13 @@ impl fmt::Display for ResilError {
             ResilError::BadMagic { found } => {
                 write!(f, "not a tasq checkpoint (magic {found:02x?})")
             }
-            ResilError::TornTail { offset, recovered_frames } => write!(
-                f,
-                "torn tail at byte {offset}: append interrupted; \
-                 {recovered_frames} intact frame(s) precede it"
-            ),
+            ResilError::TornTail { offset } => {
+                write!(f, "checkpoint cut short at byte {offset} — refusing truncated file")
+            }
             ResilError::CrcMismatch { offset, stored, computed } => write!(
                 f,
                 "crc mismatch at byte {offset}: stored {stored:#010x}, \
-                 computed {computed:#010x} — refusing corrupt frame"
+                 computed {computed:#010x} — refusing corrupt file"
             ),
             ResilError::NoCheckpoint => write!(f, "no checkpoint present"),
             ResilError::Decode { context } => {
@@ -91,15 +85,13 @@ impl From<std::io::Error> for ResilError {
 }
 
 impl ResilError {
-    /// True when the error signature is a mid-append interruption whose
-    /// valid prefix remains trustworthy (recovery may fall back to the
-    /// previous good frame).
+    /// True when the file was cut short.
     pub fn is_torn(&self) -> bool {
         matches!(self, ResilError::TornTail { .. })
     }
 
-    /// True when the artifact must be refused outright (post-commit
-    /// corruption or a foreign file).
+    /// True when the file's bytes changed after commit, or it is not a
+    /// snapshot at all.
     pub fn is_corrupt(&self) -> bool {
         matches!(self, ResilError::CrcMismatch { .. } | ResilError::BadMagic { .. })
     }

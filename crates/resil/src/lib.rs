@@ -1,15 +1,14 @@
 //! # tasq-resil — crash consistency and fault tolerance for TASQ
 //!
 //! PR 1 made the *simulated* cluster fault-tolerant; this crate makes
-//! the real tasq processes fault-tolerant. Four pieces:
+//! the real tasq processes fault-tolerant. Three pieces:
 //!
-//! * [`frame`] — append-only CRC32-framed checkpoint logs with an
-//!   fsync-per-append commit protocol. Recovery scans the valid prefix,
-//!   types a torn tail ([`ResilError::TornTail`]) as distinct from
-//!   post-commit corruption ([`ResilError::CrcMismatch`]), and trims it.
-//! * [`snapshot`] — whole-file atomic snapshots (write-temp → fsync →
-//!   rename → fsync-dir) for artifacts replaced wholesale, with the same
-//!   CRC discipline on load.
+//! * [`snapshot`] — the one durable format: whole-file atomic snapshots
+//!   (write-temp → fsync → rename → fsync-dir), CRC32-checked on load.
+//!   Model artifacts, pipeline checkpoints (one file per stage) and the
+//!   registry's deployment manifest each keep only their newest record;
+//!   a crash mid-commit tears the temp, never the committed file, so a
+//!   committed file that fails to load is refused.
 //! * [`breaker`] — a tick-driven circuit breaker (closed → open →
 //!   half-open → closed) that never reads the wall clock, so serving
 //!   degradation replays deterministically under test.
@@ -28,14 +27,10 @@ pub mod breaker;
 pub mod chaos;
 pub mod crc;
 pub mod error;
-pub mod frame;
 pub mod metrics;
 pub mod snapshot;
-pub mod store;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use chaos::{ChaosPlan, DeadlineStorm, PRESET_NAMES};
 pub use error::ResilError;
-pub use frame::{Frame, FrameLog, Recovery};
 pub use metrics::metrics;
-pub use store::CheckpointStore;

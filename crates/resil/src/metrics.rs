@@ -6,11 +6,11 @@ use tasq_obs::Counter;
 
 /// Handles to the `resil_*` counters.
 pub struct ResilMetrics {
-    /// Checkpoint frames and snapshots durably committed.
+    /// Snapshots durably committed.
     pub checkpoint_writes: Counter,
-    /// Successful recoveries (a log or snapshot read back and accepted).
+    /// Successful recoveries (a snapshot read back and accepted).
     pub recoveries: Counter,
-    /// Torn tails detected and typed during recovery.
+    /// Truncated snapshots detected (and refused) on load.
     pub torn_detected: Counter,
 }
 
@@ -21,10 +21,10 @@ pub fn metrics() -> &'static ResilMetrics {
         let r = tasq_obs::Registry::global();
         ResilMetrics {
             checkpoint_writes: r
-                .counter("resil_checkpoint_writes", "checkpoint frames durably committed"),
+                .counter("resil_checkpoint_writes", "snapshots durably committed"),
             recoveries: r.counter("resil_recoveries", "checkpoints recovered and accepted"),
             torn_detected: r
-                .counter("resil_torn_detected", "torn checkpoint tails detected on recovery"),
+                .counter("resil_torn_detected", "truncated snapshots refused on load"),
         }
     })
 }

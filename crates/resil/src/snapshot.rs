@@ -1,10 +1,13 @@
 //! Whole-file atomic snapshots: write-temp → fsync → rename → fsync-dir.
 //!
-//! For artifacts that are replaced wholesale (model files, manifests'
-//! compacted form) rather than appended to. The commit protocol
-//! guarantees a reader never observes a half-written file: either the
-//! old snapshot is intact or the new one is, and the CRC32 in the header
-//! distinguishes a committed snapshot from post-commit corruption.
+//! The one durable format of the workspace: model artifacts, pipeline
+//! checkpoints and the registry's deployment manifest are each a file
+//! replaced wholesale by its newest record. The commit protocol
+//! guarantees a reader never observes a half-written file: a crash
+//! mid-commit leaves a torn `<path>.tmp` beside an intact committed file,
+//! and the next commit overwrites the temp. So a committed file that is
+//! cut short or fails its CRC32 was changed after commit, and [`load`]
+//! refuses it.
 //!
 //! ```text
 //! file := magic "TQSN" | version u32 LE | len u32 LE | crc32(payload) u32 LE | payload
@@ -12,11 +15,10 @@
 
 use crate::crc::crc32;
 use crate::error::ResilError;
-use crate::frame::sync_parent_dir;
 use crate::metrics::metrics;
 use std::fs::File;
 use std::io::{Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic for atomic snapshots.
 pub const SNAP_MAGIC: [u8; 4] = *b"TQSN";
@@ -63,9 +65,9 @@ pub fn commit(path: &Path, payload: &[u8]) -> Result<(), ResilError> {
 /// Load and verify a snapshot committed by [`commit`].
 ///
 /// * Missing file → [`ResilError::NoCheckpoint`].
-/// * Truncated header or payload → [`ResilError::TornTail`] (a tear —
-///   though under the atomic commit protocol this indicates tampering
-///   with the committed file, not a crash).
+/// * Truncated header or payload → [`ResilError::TornTail`]. No crash
+///   leaves a committed file short (the commit protocol tears only the
+///   temp), so callers refuse it like corruption.
 /// * Wrong magic/version → [`ResilError::BadMagic`]; CRC failure →
 ///   [`ResilError::CrcMismatch`]. Both are refusals, never a partial load.
 pub fn load(path: &Path) -> Result<Vec<u8>, ResilError> {
@@ -87,7 +89,7 @@ pub fn load(path: &Path) -> Result<Vec<u8>, ResilError> {
 /// [`load`] over an in-memory image (exposed for torn-write fuzzing).
 pub fn load_bytes(bytes: &[u8]) -> Result<Vec<u8>, ResilError> {
     if bytes.len() < 4 {
-        return Err(torn(0, bytes.len()));
+        return Err(torn(0));
     }
     if bytes[0..4] != SNAP_MAGIC {
         let mut found = [0u8; 4];
@@ -95,7 +97,7 @@ pub fn load_bytes(bytes: &[u8]) -> Result<Vec<u8>, ResilError> {
         return Err(ResilError::BadMagic { found });
     }
     if bytes.len() < SNAP_HEADER_LEN {
-        return Err(torn(4, bytes.len()));
+        return Err(torn(4));
     }
     let mut version = [0u8; 4];
     version.copy_from_slice(&bytes[4..8]);
@@ -110,7 +112,7 @@ pub fn load_bytes(bytes: &[u8]) -> Result<Vec<u8>, ResilError> {
     let stored = u32::from_le_bytes(crc4);
     let payload_end = SNAP_HEADER_LEN + len;
     if bytes.len() < payload_end {
-        return Err(torn(SNAP_HEADER_LEN as u64, bytes.len()));
+        return Err(torn(SNAP_HEADER_LEN as u64));
     }
     let payload = &bytes[SNAP_HEADER_LEN..payload_end];
     let computed = crc32(payload);
@@ -120,15 +122,28 @@ pub fn load_bytes(bytes: &[u8]) -> Result<Vec<u8>, ResilError> {
     Ok(payload.to_vec())
 }
 
-fn torn(offset: u64, _len: usize) -> ResilError {
+fn torn(offset: u64) -> ResilError {
     metrics().torn_detected.inc();
-    ResilError::TornTail { offset, recovered_frames: 0 }
+    ResilError::TornTail { offset }
 }
 
-fn tmp_path(path: &Path) -> std::path::PathBuf {
+/// Where [`commit`] writes `path`'s next image before renaming it over
+/// `path`; a crash mid-commit leaves it torn, and [`load`] never reads it.
+pub fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
+}
+
+/// Fsync the parent directory so a rename is durable.
+fn sync_parent_dir(path: &Path) -> Result<(), ResilError> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            // Opening a directory read-only suffices for fsync on linux.
+            File::open(parent)?.sync_all()?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -162,11 +177,23 @@ mod tests {
     fn corrupt_snapshot_is_refused() {
         let path = tmp("corrupt.snap");
         commit(&path, b"pristine bytes").unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 1] ^= 0xFF;
-        let err = load_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, ResilError::CrcMismatch { .. }));
+        let full = std::fs::read(&path).unwrap();
+        // Flip each bit of every header and payload byte: nothing loads.
+        // A flipped magic or version is a foreign file, a flipped length
+        // reads as a cut or a shorter payload, and any other flip fails
+        // the CRC.
+        for at in 0..full.len() {
+            for bit in 0..8 {
+                let mut image = full.clone();
+                image[at] ^= 1 << bit;
+                let err = load_bytes(&image).unwrap_err();
+                match at {
+                    0..8 => assert!(matches!(err, ResilError::BadMagic { .. }), "{at}: {err:?}"),
+                    8..12 => assert!(err.is_torn() || err.is_corrupt(), "{at}: {err:?}"),
+                    _ => assert!(matches!(err, ResilError::CrcMismatch { .. }), "{at}: {err:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,19 +17,19 @@
 //!
 //! For crash recovery, a registry can be opened *durably*
 //! ([`ModelRegistry::deploy_durable`]): every probe-validated deployment
-//! is appended to a WAL-style manifest (a `tasq-resil` CRC-framed
-//! [`FrameLog`]) **before** it starts serving. On restart the manifest
-//! replays to the last durable record — a torn tail from a crash
-//! mid-append is trimmed back to the previous record, a corrupt frame
-//! (CRC mismatch) refuses recovery outright — and generation numbering
-//! resumes from there, so cache keys from a previous process life can
-//! never alias a post-restart deployment. The append runs under the swap
-//! lock, never under the active deployment's write lock: a scorer never
-//! waits for a manifest fsync.
+//! is committed to a manifest (a `tasq-resil` atomic snapshot holding
+//! the newest [`ManifestRecord`]) **before** it starts serving. On
+//! restart the manifest is loaded — a crash mid-commit leaves only a
+//! torn temp beside it, which is ignored; a truncated or corrupt
+//! manifest refuses recovery outright — and generation numbering
+//! resumes after its record, so cache keys from a previous process life
+//! can never alias a post-restart deployment. The commit runs under the
+//! swap lock, never under the active deployment's write lock: a scorer
+//! never waits for a manifest fsync.
 
 use scope_sim::Job;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tasq::pipeline::{
@@ -38,7 +38,7 @@ use tasq::pipeline::{
 };
 use tasq_codec::Wire;
 use tasq_obs::sync::{Mutex, Rank, RwLock};
-use tasq_resil::{FrameLog, ResilError};
+use tasq_resil::{snapshot, ResilError};
 
 /// One immutable deployment: the scoring service plus its provenance.
 pub struct ActiveModel {
@@ -96,7 +96,7 @@ impl fmt::Display for SwapError {
                 write!(f, "hot-swap rejected: {failures}/{probes} probe failures ({detail})")
             }
             SwapError::Manifest(detail) => {
-                write!(f, "hot-swap rejected: manifest append failed ({detail})")
+                write!(f, "hot-swap rejected: manifest commit failed ({detail})")
             }
         }
     }
@@ -127,10 +127,10 @@ pub struct ManifestRecord {
 pub enum DurableDeployError {
     /// The artifact itself could not be deployed.
     Deploy(DeployError),
-    /// The manifest could not be recovered or written. A corrupt frame
-    /// (CRC mismatch on a non-tail frame) lands here: recovery refuses to
-    /// guess and the operator must intervene. A merely *torn* tail does
-    /// not — it is trimmed to the last durable record automatically.
+    /// The manifest could not be loaded or committed. A truncated or
+    /// corrupt manifest lands here: no crash leaves one (a crash tears
+    /// only the commit's temp file), so recovery refuses to guess and the
+    /// operator must intervene.
     Manifest(ResilError),
 }
 
@@ -157,8 +157,11 @@ fn decode_record(payload: &[u8]) -> Result<ManifestRecord, ResilError> {
     tasq::codec::from_bytes(payload).map_err(|_| ResilError::Decode { context: "manifest record" })
 }
 
-fn encode_record(record: &ManifestRecord) -> Result<Vec<u8>, ResilError> {
-    tasq::codec::to_bytes(record).map_err(|_| ResilError::Decode { context: "manifest record" })
+/// Durably replace the manifest at `path` with `record`.
+fn commit_record(path: &Path, record: &ManifestRecord) -> Result<(), ResilError> {
+    let payload = tasq::codec::to_bytes(record)
+        .map_err(|_| ResilError::Decode { context: "manifest record" })?;
+    snapshot::commit(path, &payload)
 }
 
 /// The registry: one active deployment, swappable under traffic.
@@ -170,9 +173,9 @@ pub struct ModelRegistry {
     generation: AtomicU64,
     swaps: AtomicU64,
     rollbacks: AtomicU64,
-    /// Serialises swappers across "read generation → append → store",
-    /// and holds the WAL-style deployment manifest of a durable registry.
-    swap: Mutex<Option<FrameLog>>,
+    /// Serialises swappers across "read generation → commit → store",
+    /// and holds the manifest path of a durable registry.
+    swap: Mutex<Option<PathBuf>>,
 }
 
 /// Store name of the artifact backing a model choice's primary tier.
@@ -273,57 +276,49 @@ impl ModelRegistry {
         })
     }
 
-    /// Deploy with a durable WAL-style manifest at `manifest_path`.
+    /// Deploy with a durable manifest at `manifest_path`.
     ///
-    /// The manifest is replayed first: generation numbering resumes after
-    /// the last durable record (a fresh manifest starts at 1), so a
-    /// restarted server can never reuse a generation a previous process
-    /// life already served under. The new deployment is appended to the
-    /// manifest *before* it starts serving; every subsequent successful
-    /// [`ModelRegistry::hot_swap`] is likewise logged ahead of the swap.
+    /// The manifest is loaded first: generation numbering resumes after
+    /// its record (a fresh manifest starts at 1), so a restarted server
+    /// can never reuse a generation a previous process life already
+    /// served under. The new deployment is committed to the manifest
+    /// *before* it starts serving; every subsequent successful
+    /// [`ModelRegistry::hot_swap`] is likewise committed ahead of the swap.
     ///
-    /// A torn manifest tail (crash mid-append) is trimmed to the last
-    /// durable record; a corrupt manifest (CRC mismatch, foreign magic)
-    /// is refused with [`DurableDeployError::Manifest`].
+    /// A torn temp beside the manifest (a crash mid-commit) is ignored; a
+    /// truncated or corrupt manifest (short file, CRC mismatch, foreign
+    /// magic) is refused with [`DurableDeployError::Manifest`].
     pub fn deploy_durable(
         store: &ModelStore,
         choice: ModelChoice,
         config: ScoringConfig,
         manifest_path: &Path,
     ) -> Result<Self, DurableDeployError> {
-        let (mut log, recovery) =
-            FrameLog::open_or_create(manifest_path).map_err(DurableDeployError::Manifest)?;
-        let last = recovery
-            .last()
-            .map(|frame| decode_record(&frame.payload))
-            .transpose()
-            .map_err(DurableDeployError::Manifest)?;
+        let last =
+            Self::last_manifest_record(manifest_path).map_err(DurableDeployError::Manifest)?;
         let service = ScoringService::deploy(store, choice, config)?;
         let generation = last.map_or(1, |record| record.generation + 1);
         let version = latest_version(store, choice);
-        let record = ManifestRecord { generation, choice, version };
-        let payload = encode_record(&record).map_err(DurableDeployError::Manifest)?;
-        log.append(&payload).map_err(DurableDeployError::Manifest)?;
+        commit_record(manifest_path, &ManifestRecord { generation, choice, version })
+            .map_err(DurableDeployError::Manifest)?;
         let active = ActiveModel { service, choice, version, generation };
         Ok(Self {
             generation: AtomicU64::new(active.generation),
             active: RwLock::new(Rank::RegistryActive, Arc::new(active)),
             swaps: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
-            swap: Mutex::new(Rank::RegistrySwap, Some(log)),
+            swap: Mutex::new(Rank::RegistrySwap, Some(manifest_path.to_path_buf())),
         })
     }
 
-    /// Replay a manifest (read-only) to its last durable record, without
-    /// opening a registry. `Ok(None)` when no manifest exists yet; a
-    /// corrupt manifest is refused with the typed error.
+    /// Load a manifest's record, without opening a registry. `Ok(None)`
+    /// when no manifest exists yet; a truncated or corrupt manifest is
+    /// refused with the typed error.
     pub fn last_manifest_record(
         manifest_path: &Path,
     ) -> Result<Option<ManifestRecord>, ResilError> {
-        match tasq_resil::frame::recover(manifest_path) {
-            Ok(recovery) => {
-                recovery.last().map(|frame| decode_record(&frame.payload)).transpose()
-            }
+        match snapshot::load(manifest_path) {
+            Ok(payload) => decode_record(&payload).map(Some),
             Err(ResilError::NoCheckpoint) => Ok(None),
             Err(e) => Err(e),
         }
@@ -375,17 +370,16 @@ impl ModelRegistry {
         }
         let version = latest_version(store, choice);
         // Only swappers change the generation, and they all hold this lock.
-        let mut swap = self.swap.lock();
+        let swap = self.swap.lock();
         let generation = self.generation() + 1;
-        if let Some(manifest) = swap.as_mut() {
+        if let Some(manifest) = swap.as_deref() {
             // Write-ahead: the swap is durable before it is observable.
-            // On append failure nothing swaps, so the manifest can lag
-            // reality (a logged deploy that crashed before serving) but
-            // never lead it with an unserved generation... which is
-            // exactly what replay-then-resume-numbering tolerates.
+            // On commit failure nothing swaps. A crash between the commit
+            // and the store leaves the manifest one generation ahead of
+            // what served, never behind it, and the next life numbers
+            // past it either way.
             let record = ManifestRecord { generation, choice, version };
-            let appended = encode_record(&record).and_then(|payload| manifest.append(&payload));
-            if let Err(e) = appended {
+            if let Err(e) = commit_record(manifest, &record) {
                 self.rollbacks.fetch_add(1, Ordering::Relaxed);
                 return Err(SwapError::Manifest(e.to_string()));
             }
@@ -560,7 +554,7 @@ mod tests {
     #[test]
     fn durable_registry_resumes_generation_numbering_across_restarts() {
         let dir = manifest_dir("resume");
-        let path = dir.join("registry.wal");
+        let path = dir.join("registry.manifest");
         let store = trained_store(91);
 
         let first =
@@ -597,7 +591,7 @@ mod tests {
             &store,
             ModelChoice::Nn,
             ScoringConfig::default(),
-            &dir.join("registry.wal"),
+            &dir.join("registry.manifest"),
         )
         .unwrap();
         let (registry, probes) = (&registry, jobs(2, 99));
@@ -611,7 +605,7 @@ mod tests {
             let until = std::time::Instant::now() + std::time::Duration::from_secs(2);
             while std::time::Instant::now() < until {
                 let generation = scores.recv_timeout(std::time::Duration::from_secs(1));
-                assert_eq!(generation, Ok(1), "current() waited behind the manifest append");
+                assert_eq!(generation, Ok(1), "current() waited behind the manifest commit");
             }
             drop((scores, fsync));
             assert_eq!(swapper.join().unwrap().unwrap().generation, 2);
@@ -622,43 +616,37 @@ mod tests {
     #[test]
     fn torn_manifest_recovers_last_record_and_corrupt_manifest_refuses() {
         let dir = manifest_dir("damage");
-        let path = dir.join("registry.wal");
+        let path = dir.join("registry.manifest");
         let store = trained_store(95);
-        drop(
+        let deploy = || {
             ModelRegistry::deploy_durable(&store, ModelChoice::Nn, ScoringConfig::default(), &path)
-                .unwrap(),
-        );
-        drop(
-            ModelRegistry::deploy_durable(&store, ModelChoice::Nn, ScoringConfig::default(), &path)
-                .unwrap(),
-        );
+        };
+        drop(deploy().unwrap());
         let intact = std::fs::read(&path).unwrap();
 
-        // A crash mid-append tears the second record: replay trims back
-        // to the first, and the next deployment becomes generation 2.
-        std::fs::write(&path, &intact[..intact.len() - 3]).unwrap();
+        // A crash mid-commit of the second deployment tears the temp, not
+        // the manifest: the stale temp is ignored, and the next
+        // deployment becomes generation 2.
+        let tmp = tasq_resil::snapshot::tmp_path(&path);
+        std::fs::write(&tmp, &intact[..intact.len() - 3]).unwrap();
         let last = ModelRegistry::last_manifest_record(&path).unwrap().expect("first record");
         assert_eq!(last.generation, 1);
-        let reopened =
-            ModelRegistry::deploy_durable(&store, ModelChoice::Nn, ScoringConfig::default(), &path)
-                .expect("torn tail is trimmed, not fatal");
+        let reopened = deploy().expect("a torn temp is not fatal");
         assert_eq!(reopened.generation(), 2);
+        assert!(!tmp.exists(), "the next commit replaced the torn temp");
         drop(reopened);
+        let intact = std::fs::read(&path).unwrap();
 
-        // Bit rot inside a committed frame is NOT recoverable: refuse.
-        let mut rotten = intact.clone();
-        rotten[24] ^= 0xFF; // first frame's payload (8 log header + 16 frame header)
+        // No crash cuts a committed manifest short, and bit rot inside
+        // one is not recoverable either: both are refused.
+        std::fs::write(&path, &intact[..intact.len() - 3]).unwrap();
+        assert!(ModelRegistry::last_manifest_record(&path).is_err_and(|e| e.is_torn()));
+        assert!(matches!(deploy(), Err(DurableDeployError::Manifest(e)) if e.is_torn()));
+        let mut rotten = intact;
+        rotten[tasq_resil::snapshot::SNAP_HEADER_LEN] ^= 0xFF;
         std::fs::write(&path, &rotten).unwrap();
-        assert!(ModelRegistry::last_manifest_record(&path).is_err());
-        assert!(matches!(
-            ModelRegistry::deploy_durable(
-                &store,
-                ModelChoice::Nn,
-                ScoringConfig::default(),
-                &path
-            ),
-            Err(DurableDeployError::Manifest(e)) if e.is_corrupt()
-        ));
+        assert!(ModelRegistry::last_manifest_record(&path).is_err_and(|e| e.is_corrupt()));
+        assert!(matches!(deploy(), Err(DurableDeployError::Manifest(e)) if e.is_corrupt()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
