@@ -128,7 +128,7 @@ pub fn train(args: &[String]) -> Result<String, CliError> {
                 dataset.len(),
                 sink.resumed,
                 sink.recovered_stages,
-                sink.commits,
+                sink.commits(),
                 sink.fingerprint,
             );
         }
@@ -261,7 +261,7 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
                 (Some(stage), commits, cut)
             }
             Err(e) => return Err(e.into()),
-            Ok(_) => (None, first.commits, 0),
+            Ok(_) => (None, first.commits(), 0),
         };
     let models = ModelStore::new();
     let mut resumed = CheckpointSink::open(first.dir(), None)?;

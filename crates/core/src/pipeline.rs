@@ -7,8 +7,9 @@
 //! ```text
 //! JobRepository (historical jobs + telemetry)
 //!     └─ TasqPipeline::train  — augment (AREPAS) → featurize → train
-//!            │                  (optionally through a CheckpointSink:
-//!            │                   crash-consistent and resumable)
+//!            │                  (XGBoost and NN side by side; optionally
+//!            │                   through a CheckpointSink: crash-
+//!            │                   consistent and resumable)
 //!            └─ ModelStore    — versioned serialized artifacts
 //!                   └─ ScoringService — compile-time featurize → predict
 //!                          └─ AllocationDecision (auto token count, or
@@ -27,8 +28,8 @@ use crate::augment::AugmentConfig;
 use crate::dataset::Dataset;
 use crate::featurize::featurize_job;
 use crate::models::{
-    NnPcc, NnTrainConfig, PccPredictor, PredictedPcc, ScoringInput, XgbRuntime, XgbTrainConfig,
-    XgboostPl, XgboostSs,
+    NnPcc, NnTrainCheckpoint, NnTrainConfig, PccPredictor, PredictedPcc, ScoringInput, XgbRuntime,
+    XgbTrainConfig, XgboostPl, XgboostSs,
 };
 use crate::codec::{self, Wire};
 use crate::pcc::PowerLawPcc;
@@ -36,6 +37,8 @@ use scope_sim::{AmdahlModel, Job, StageGraph};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use tasq_ml::gbdt::BoosterCheckpoint;
 use tasq_obs::sync::{Rank, RwLock};
 use tasq_resil::chaos::mix64;
 use tasq_resil::{snapshot, ResilError};
@@ -504,9 +507,9 @@ impl TasqPipeline {
 
     /// [`TasqPipeline::train`] with dataset preparation (execution,
     /// AREPAS augmentation, featurization, target-PCC fitting) fanned
-    /// out over a caller-supplied pool. Training itself stays
-    /// sequential, so the registered artifacts are bit-identical at any
-    /// thread count.
+    /// out over a caller-supplied pool, and the XGBoost and NN fits run
+    /// side by side on it (see [`TasqPipeline::train_with_sink`]). The
+    /// registered artifacts are bit-identical at any thread count.
     pub fn train_with_pool(
         &self,
         repository: &JobRepository,
@@ -518,17 +521,27 @@ impl TasqPipeline {
 
     /// [`TasqPipeline::train_with_pool`] with an optional checkpoint sink.
     ///
-    /// Without a sink this is exactly `train_with_pool`. With one, the
-    /// run commits durable records after both validation gates have
-    /// passed: the `manifest`, the `dataset` digest, one `gbdt` record per
-    /// boosting round, one `nn` record per epoch, and the `done`
+    /// The one training path. Both validation gates run on `pool` before
+    /// any execution work, then the dataset is built on it. The XGBoost
+    /// and NN fits are independent of each other, so they run as the two
+    /// halves of one [`tasq_par::Pool::join`]: XGBoost on the calling
+    /// thread, the NN on a helper when `pool` has a second thread, each
+    /// on one thread (the booster's split search gets
+    /// `Pool::sequential()`, which grows the same trees at any thread
+    /// count). Each fit is deterministic on its own, so the artifacts are
+    /// the same bytes whatever `pool` is, and they are registered XGBoost
+    /// first, NN second.
+    ///
+    /// With a sink, the run commits durable records once both gates have
+    /// passed: the `manifest`, the `dataset` digest, one `gbdt` record
+    /// per boosting round, one `nn` record per epoch, and the `done`
     /// fingerprint (see [`CheckpointSink`]). A directory that already
     /// holds this run's records is resumed: the finished work is restored
     /// instead of redone, and the artifacts are bit-identical to an
     /// uninterrupted run's. One that holds another run's records is
-    /// refused with [`PipelineError::CheckpointMismatch`]. Under a sink
-    /// the boosting rounds' split search also runs on `pool`; it reduces
-    /// deterministically, so the artifacts are the sink-less run's bytes.
+    /// refused with [`PipelineError::CheckpointMismatch`]. The two fits
+    /// commit side by side, and a planted kill still stops the run where
+    /// a sequential one would stop ([`CheckpointSink::open`]).
     pub fn train_with_sink(
         &self,
         repository: &JobRepository,
@@ -550,13 +563,9 @@ impl TasqPipeline {
         // any execution/augmentation work on it.
         {
             let _span = span(Level::Info, "pipeline_validate", &[]);
-            for job in &jobs {
-                if let Err(e) = scope_sim::validate_job(job) {
-                    return Err(PipelineError::InvalidJob {
-                        job_id: job.id,
-                        detail: e.to_string(),
-                    });
-                }
+            let verdicts = pool.par_map(&jobs, |_, job| scope_sim::validate_job(job).err());
+            if let Some((job, e)) = first_failure(&jobs, verdicts) {
+                return Err(PipelineError::InvalidJob { job_id: job.id, detail: e.to_string() });
             }
         }
         // Dataset preparation covers the flight (ground-truth execution at
@@ -573,50 +582,102 @@ impl TasqPipeline {
         // would learn to violate it.
         {
             let _span = span(Level::Info, "pipeline_validate_targets", &[]);
-            for example in &dataset.examples {
-                if let Err(violations) = crate::validate::validate_pcc(&example.target_pcc) {
-                    let detail = violations
-                        .iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    return Err(PipelineError::InvalidTargetPcc { job_id: example.job_id, detail });
-                }
+            let examples = &dataset.examples;
+            let verdicts =
+                pool.par_map(examples, |_, e| crate::validate::validate_pcc(&e.target_pcc).err());
+            if let Some((example, violations)) = first_failure(examples, verdicts) {
+                let detail =
+                    violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("; ");
+                return Err(PipelineError::InvalidTargetPcc { job_id: example.job_id, detail });
             }
         }
-        if let Some(sink) = sink.as_deref_mut() {
-            let workload_digest = digest_bytes(&codec::to_bytes(&jobs)?);
-            sink.begin(workload_digest, &dataset, &self.config)?;
-        }
-        let xgb = {
-            let _span = span(
-                Level::Info,
-                "pipeline_fit_xgb",
-                &[("examples", FieldValue::U64(dataset.len() as u64))],
-            );
-            match sink.as_deref_mut() {
-                None => XgbRuntime::train(&dataset, &self.config.xgb),
-                Some(sink) => sink.fit_xgb(&dataset, &self.config.xgb, pool)?,
+        let (gbdt_resume, nn_resume) = match sink.as_deref_mut() {
+            Some(sink) => {
+                let workload_digest = digest_bytes(&codec::to_bytes(&jobs)?);
+                sink.begin(workload_digest, &dataset, &self.config)?
             }
+            None => (None, None),
+        };
+        let fits = {
+            let sink = sink.as_deref();
+            pool.join(
+                || fit_xgb(&dataset, &self.config.xgb, sink, gbdt_resume),
+                || fit_nn(&dataset, &self.config.nn, sink, nn_resume),
+            )
+        };
+        let (xgb, nn) = match fits {
+            // XGBoost's error first: it is the first fit in sequential order.
+            Ok((xgb, nn)) => (xgb?, nn?),
+            // A fit panicked: a bug, re-raised on the caller as before.
+            Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
         };
         store.register(XGB_MODEL_NAME, &xgb)?;
-        let nn = {
-            let _span = span(
-                Level::Info,
-                "pipeline_fit_nn",
-                &[("examples", FieldValue::U64(dataset.len() as u64))],
-            );
-            match sink.as_deref_mut() {
-                None => NnPcc::train(&dataset, &self.config.nn),
-                Some(sink) => sink.fit_nn(&dataset, &self.config.nn)?,
-            }
-        };
         store.register(NN_MODEL_NAME, &nn)?;
         if let Some(sink) = sink {
             sink.seal(&xgb, &nn)?;
         }
         Ok(dataset)
     }
+}
+
+/// The first item, in item order, whose verdict is a failure, and that
+/// failure.
+fn first_failure<T, E>(
+    items: &[T],
+    verdicts: Result<Vec<Option<E>>, tasq_par::ParError>,
+) -> Option<(&T, E)> {
+    let verdicts = match verdicts {
+        Ok(verdicts) => verdicts,
+        // A gate panicked: a bug, re-raised on the caller as before.
+        Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
+    };
+    items.iter().zip(verdicts).find_map(|(item, verdict)| verdict.map(|e| (item, e)))
+}
+
+/// The `gbdt` fit: [`XgbRuntime::train`], or under a sink the same
+/// ensemble committed after every boosting round and resumed from
+/// `resume`. The split search stays on the calling thread.
+fn fit_xgb(
+    dataset: &Dataset,
+    config: &XgbTrainConfig,
+    sink: Option<&CheckpointSink>,
+    resume: Option<BoosterCheckpoint>,
+) -> Result<XgbRuntime, PipelineError> {
+    use tasq_obs::{span, FieldValue, Level};
+    let examples = FieldValue::U64(dataset.len() as u64);
+    let _span = span(Level::Info, "pipeline_fit_xgb", &[("examples", examples)]);
+    let Some(sink) = sink else {
+        return Ok(XgbRuntime::train(dataset, config));
+    };
+    let (rows, targets) = dataset.xgb_rows();
+    let booster = tasq_ml::gbdt::Booster::train_resumable_with_pool(
+        &rows,
+        &targets,
+        &XgbRuntime::booster_config(config),
+        &tasq_par::Pool::sequential(),
+        resume,
+        &mut |checkpoint| sink.commit(STAGE_GBDT, sink.gbdt_commit(checkpoint.round), checkpoint),
+    )?;
+    Ok(XgbRuntime::from_booster(booster))
+}
+
+/// The `nn` fit: [`NnPcc::train`], or under a sink the same network
+/// committed after every epoch and resumed from `resume`.
+fn fit_nn(
+    dataset: &Dataset,
+    config: &NnTrainConfig,
+    sink: Option<&CheckpointSink>,
+    resume: Option<NnTrainCheckpoint>,
+) -> Result<NnPcc, PipelineError> {
+    use tasq_obs::{span, FieldValue, Level};
+    let examples = FieldValue::U64(dataset.len() as u64);
+    let _span = span(Level::Info, "pipeline_fit_nn", &[("examples", examples)]);
+    let Some(sink) = sink else {
+        return Ok(NnPcc::train(dataset, config));
+    };
+    NnPcc::train_with_teacher_resumable(dataset, config, None, resume, &mut |checkpoint| {
+        sink.commit(STAGE_NN, sink.nn_commit(checkpoint.epoch), checkpoint)
+    })
 }
 
 /// Stages of a checkpointed run, in pipeline order.
@@ -664,16 +725,15 @@ struct DoneRecord {
 /// The sink owns a directory holding one atomic snapshot per stage,
 /// `<dir>/<stage>.ckpt` ([`tasq_resil::snapshot`]): each commit replaces
 /// the stage's file with its newest record, which is all a resume reads.
-/// Every commit goes through here, so the counters are exact:
-/// `kill_after` is the chaos harness's planted process death (the run
-/// returns [`PipelineError::Killed`] right after that many commits of
-/// this run), and the public fields are what a run reports.
+/// Every commit goes through here, so the counters are exact, and the
+/// commit count is an atomic: the `gbdt` and `nn` fits commit from two
+/// threads at once. The public fields are what a run reports.
 pub struct CheckpointSink {
     dir: PathBuf,
     kill_after: Option<u64>,
     dataset_digest: u64,
-    /// Records this run committed.
-    pub commits: u64,
+    order: CommitOrder,
+    committed: AtomicU64,
     /// Stages whose record was recovered from the directory (0 on a cold
     /// run).
     pub recovered_stages: usize,
@@ -684,17 +744,43 @@ pub struct CheckpointSink {
     pub fingerprint: u64,
 }
 
+/// Where each fit's commits fall in the order a sequential run makes
+/// them, once the stages are recovered: the `manifest` and `dataset`
+/// commits, then the remaining `gbdt` rounds, then the remaining `nn`
+/// epochs, then `done`.
+#[derive(Debug, Default, Clone, Copy)]
+struct CommitOrder {
+    /// Commits this run made before the fits.
+    before_fits: u64,
+    /// The round the `gbdt` stage resumed from (0 on a cold stage).
+    gbdt_from: u64,
+    /// Rounds the `gbdt` fit commits this run.
+    gbdt_commits: u64,
+    /// The epoch the `nn` stage resumed from.
+    nn_from: u64,
+}
+
 impl CheckpointSink {
     /// A sink over `dir` (created if absent), resuming whatever stages it
-    /// holds; `kill_after` plants a kill after that many commits.
+    /// holds.
+    ///
+    /// `kill_after` plants the chaos harness's process death: the run
+    /// stops with [`PipelineError::Killed`] once it has made that many
+    /// commits (at least one), leaving exactly the records a sequential run (the `gbdt`
+    /// fit, then the `nn` fit) leaves there. The fits commit side by
+    /// side, so each commit is numbered by its place in that sequential
+    /// order: a fit whose next commit comes after the kill stops without
+    /// writing it, and the fit that writes the kill's commit returns
+    /// `Killed`, with that commit's stage and count.
     pub fn open(dir: impl Into<PathBuf>, kill_after: Option<u64>) -> Result<Self, ResilError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
             dir,
-            kill_after,
+            kill_after: kill_after.map(|kill| kill.max(1)),
             dataset_digest: 0,
-            commits: 0,
+            order: CommitOrder::default(),
+            committed: AtomicU64::new(0),
             recovered_stages: 0,
             resumed: false,
             fingerprint: 0,
@@ -711,6 +797,12 @@ impl CheckpointSink {
         self.dir.join(format!("{stage}.ckpt"))
     }
 
+    /// Records this run committed.
+    pub fn commits(&self) -> u64 {
+        // Read between the fits or after them: the join orders it.
+        self.committed.load(Ordering::Relaxed)
+    }
+
     /// Load and decode `stage`'s committed record, if it has one.
     fn recover<T: Wire>(&mut self, stage: &'static str) -> Result<Option<T>, PipelineError> {
         let failed = |detail: String| PipelineError::Checkpoint { stage, detail };
@@ -723,15 +815,52 @@ impl CheckpointSink {
         codec::from_bytes(&bytes).map(Some).map_err(|e| failed(e.to_string()))
     }
 
-    /// Durably replace `stage`'s record; the planted kill strikes after it.
-    fn commit<T: Wire>(&mut self, stage: &'static str, record: &T) -> Result<(), PipelineError> {
+    /// The place of the commit after this run's last one, for the stages
+    /// committed outside the fits.
+    fn next_commit(&self) -> u64 {
+        self.commits() + 1
+    }
+
+    /// The place of the `gbdt` commit of round `round` (counted from 1).
+    fn gbdt_commit(&self, round: usize) -> u64 {
+        self.order.before_fits + (round as u64).saturating_sub(self.order.gbdt_from)
+    }
+
+    /// The place of the `nn` commit of epoch `epoch` (counted from 1).
+    fn nn_commit(&self, epoch: usize) -> u64 {
+        let CommitOrder { before_fits, gbdt_commits, nn_from, .. } = self.order;
+        before_fits + gbdt_commits + (epoch as u64).saturating_sub(nn_from)
+    }
+
+    /// The planted kill, at commit `kill`: its stage is the one that
+    /// commit falls in.
+    fn killed_at(&self, kill: u64) -> PipelineError {
+        let stage = if kill <= self.order.before_fits + self.order.gbdt_commits {
+            STAGE_GBDT
+        } else {
+            STAGE_NN
+        };
+        PipelineError::Killed { stage, commits: kill }
+    }
+
+    /// Durably replace `stage`'s record with commit number `place` of
+    /// this run; the planted kill strikes after its commit, and a commit
+    /// that would come after it is not written.
+    fn commit<T: Wire>(
+        &self,
+        stage: &'static str,
+        place: u64,
+        record: &T,
+    ) -> Result<(), PipelineError> {
+        match self.kill_after {
+            Some(kill) if place > kill => return Err(self.killed_at(kill)),
+            _ => {}
+        }
         snapshot::commit(&self.stage_path(stage), &codec::to_bytes(record)?)
             .map_err(|e| PipelineError::Checkpoint { stage, detail: e.to_string() })?;
-        self.commits += 1;
+        self.committed.fetch_add(1, Ordering::Relaxed);
         match self.kill_after {
-            Some(kill) if self.commits >= kill => {
-                Err(PipelineError::Killed { stage, commits: self.commits })
-            }
+            Some(kill) if place == kill => Err(PipelineError::Killed { stage, commits: kill }),
             _ => Ok(()),
         }
     }
@@ -751,17 +880,18 @@ impl CheckpointSink {
                 stage,
                 detail,
             }),
-            None => self.commit(stage, record).map(|()| false),
+            None => self.commit(stage, self.next_commit(), record).map(|()| false),
         }
     }
 
-    /// The `manifest` and `dataset` stages.
+    /// The `manifest` and `dataset` stages, then the `gbdt` and `nn`
+    /// records the fits resume from, which fix the order of their commits.
     fn begin(
         &mut self,
         workload_digest: u64,
         dataset: &Dataset,
         config: &PipelineConfig,
-    ) -> Result<(), PipelineError> {
+    ) -> Result<(Option<BoosterCheckpoint>, Option<NnTrainCheckpoint>), PipelineError> {
         // `Debug` prints every field, each float in its shortest
         // round-trip form, so equal digests mean equal configurations.
         let manifest = ManifestRecord {
@@ -780,41 +910,16 @@ impl CheckpointSink {
             .fold(0, |digest, x| mix64(digest, x.to_bits()));
         let record = DatasetRecord { examples: dataset.len() as u64, digest: self.dataset_digest };
         self.check_or_commit(STAGE_DATASET, &record, "the rebuilt dataset differs")?;
-        Ok(())
-    }
-
-    /// The `gbdt` stage: [`XgbRuntime::train`]'s ensemble, committed after
-    /// every boosting round, resumed from the last one.
-    fn fit_xgb(
-        &mut self,
-        dataset: &Dataset,
-        config: &XgbTrainConfig,
-        pool: &tasq_par::Pool,
-    ) -> Result<XgbRuntime, PipelineError> {
-        let resume = self.recover(STAGE_GBDT)?;
-        let (rows, targets) = dataset.xgb_rows();
-        let booster = tasq_ml::gbdt::Booster::train_resumable_with_pool(
-            &rows,
-            &targets,
-            &XgbRuntime::booster_config(config),
-            pool,
-            resume,
-            &mut |checkpoint| self.commit(STAGE_GBDT, checkpoint),
-        )?;
-        Ok(XgbRuntime::from_booster(booster))
-    }
-
-    /// The `nn` stage: [`NnPcc::train`]'s network, committed after every
-    /// epoch, resumed from the last one.
-    fn fit_nn(
-        &mut self,
-        dataset: &Dataset,
-        config: &NnTrainConfig,
-    ) -> Result<NnPcc, PipelineError> {
-        let resume = self.recover(STAGE_NN)?;
-        NnPcc::train_with_teacher_resumable(dataset, config, None, resume, &mut |checkpoint| {
-            self.commit(STAGE_NN, checkpoint)
-        })
+        let gbdt: Option<BoosterCheckpoint> = self.recover(STAGE_GBDT)?;
+        let nn: Option<NnTrainCheckpoint> = self.recover(STAGE_NN)?;
+        let gbdt_from = gbdt.as_ref().map_or(0, |c| c.round as u64);
+        self.order = CommitOrder {
+            before_fits: self.commits(),
+            gbdt_from,
+            gbdt_commits: (config.xgb.num_rounds as u64).saturating_sub(gbdt_from),
+            nn_from: nn.as_ref().map_or(0, |c| c.epoch as u64),
+        };
+        Ok((gbdt, nn))
     }
 
     /// The `done` stage: seal the run with its fingerprint.
@@ -1605,8 +1710,20 @@ mod tests {
         }
     }
 
-    /// One run of the pipeline under `dir`, resuming what it holds.
+    /// One run of the pipeline under `dir` on two threads, resuming what
+    /// it holds.
     fn train_checkpointed(
+        jobs: &[Job],
+        config: &PipelineConfig,
+        dir: &Path,
+        kill_after: Option<u64>,
+    ) -> Result<CheckpointSink, PipelineError> {
+        train_checkpointed_on(&tasq_par::Pool::new(2), jobs, config, dir, kill_after)
+    }
+
+    /// [`train_checkpointed`] on `pool`.
+    fn train_checkpointed_on(
+        pool: &tasq_par::Pool,
         jobs: &[Job],
         config: &PipelineConfig,
         dir: &Path,
@@ -1618,16 +1735,47 @@ mod tests {
         TasqPipeline::new(config.clone()).train_with_sink(
             &repo,
             &ModelStore::new(),
-            &tasq_par::Pool::new(2),
+            pool,
             Some(&mut sink),
         )?;
         Ok(sink)
     }
 
+    /// Every file of `dir`, by name, with its bytes.
+    fn directory_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Make `dir` hold exactly `files`.
+    fn restore(dir: &Path, files: &[(String, Vec<u8>)]) {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        for (name, bytes) in files {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+    }
+
+    /// A kill after every commit count, on one thread (the fits one after
+    /// the other) and on two (the fits side by side, committing from two
+    /// threads): both report the same stage and count, leave the same
+    /// files with the same bytes, and resume to the uninterrupted run's
+    /// fingerprint. A resumed directory is killed once more at each count
+    /// of its own run, so the commit order of a resumed `gbdt` and `nn`
+    /// stage is covered too.
     #[test]
     fn kill_at_every_commit_and_resume_is_bit_identical() {
         let jobs = jobs(6, 3);
         let config = tiny_config();
+        let (one, two) = (tasq_par::Pool::sequential(), tasq_par::Pool::new(2));
 
         let reference_dir = checkpoint_dir("reference");
         let reference = train_checkpointed(&jobs, &config, &reference_dir, None).unwrap();
@@ -1635,24 +1783,103 @@ mod tests {
         assert_eq!(reference.recovered_stages, 0);
 
         // Total commits of an uninterrupted run bounds the kill sweep.
-        let total = reference.commits;
+        let total = reference.commits();
         assert!(total > 4, "expected multi-stage commit trail, got {total}");
 
+        let killed = |pool, dir: &Path, kill| {
+            match train_checkpointed_on(pool, &jobs, &config, dir, Some(kill)) {
+                Err(PipelineError::Killed { stage, commits }) => (stage, commits),
+                other => panic!("kill {kill} did not fire: {:?}", other.map(|s| s.commits())),
+            }
+        };
+        let mut stages = Vec::new();
         for kill in 1..=total {
-            let chaos_dir = checkpoint_dir(&format!("kill{kill}"));
-            let first = train_checkpointed(&jobs, &config, &chaos_dir, Some(kill));
-            assert!(
-                matches!(first, Err(PipelineError::Killed { commits, .. }) if commits == kill),
-                "kill {kill} did not fire"
+            let (sequential_dir, chaos_dir) =
+                (checkpoint_dir(&format!("kill{kill}-t1")), checkpoint_dir(&format!("kill{kill}")));
+            let sequential = killed(&one, &sequential_dir, kill);
+            assert_eq!(sequential.1, kill, "kill {kill}");
+            assert_eq!(killed(&two, &chaos_dir, kill), sequential, "kill {kill}");
+            assert_eq!(
+                directory_bytes(&chaos_dir),
+                directory_bytes(&sequential_dir),
+                "kill {kill}: the records left differ"
             );
+            stages.push(sequential.0);
+            // Resume from what the kill left, killed once more after each
+            // of the resumed run's own commits.
+            let left = directory_bytes(&chaos_dir);
+            for again in 1.. {
+                for dir in [&chaos_dir, &sequential_dir] {
+                    restore(dir, &left);
+                }
+                let sink = match train_checkpointed_on(&two, &jobs, &config, &chaos_dir, Some(again))
+                {
+                    Err(PipelineError::Killed { stage, commits }) => {
+                        let sequential = killed(&one, &sequential_dir, again);
+                        assert_eq!((stage, commits), sequential, "kill {kill}, then {again}");
+                        assert_eq!(
+                            directory_bytes(&chaos_dir),
+                            directory_bytes(&sequential_dir),
+                            "kill {kill}, then {again}: the records left differ"
+                        );
+                        continue;
+                    }
+                    resumed => resumed.unwrap(),
+                };
+                // The planted kill lies past the resumed run's last commit.
+                assert_eq!(sink.commits(), again - 1, "kill {kill}, then {again}");
+                assert_eq!(sink.fingerprint, reference.fingerprint, "kill {kill}, then {again}");
+                break;
+            }
+            restore(&chaos_dir, &left);
             let resumed = train_checkpointed(&jobs, &config, &chaos_dir, None).unwrap();
             assert_eq!(
                 resumed.fingerprint, reference.fingerprint,
                 "kill after {kill} commits diverged"
             );
             let _ = std::fs::remove_dir_all(&chaos_dir);
+            let _ = std::fs::remove_dir_all(&sequential_dir);
+        }
+        // The sweep reached every stage.
+        for stage in CHECKPOINT_STAGES {
+            assert!(stages.contains(&stage), "no kill in `{stage}`: {stages:?}");
         }
         let _ = std::fs::remove_dir_all(&reference_dir);
+    }
+
+    /// The registered artifacts are the same bytes on one, two and three
+    /// threads, with and without a sink.
+    #[test]
+    fn registered_artifacts_are_the_same_bytes_at_any_thread_count_with_or_without_a_sink() {
+        let jobs = jobs(6, 21);
+        let config = tiny_config();
+        let repo = JobRepository::new();
+        repo.ingest(jobs);
+        let artifacts = |store: &ModelStore| {
+            let xgb: XgbRuntime = store.load_latest(XGB_MODEL_NAME).unwrap();
+            let nn: NnPcc = store.load_latest(NN_MODEL_NAME).unwrap();
+            assert_eq!(store.versions(XGB_MODEL_NAME), [1]);
+            assert_eq!(store.versions(NN_MODEL_NAME), [1]);
+            (codec::to_bytes(&xgb).unwrap(), codec::to_bytes(&nn).unwrap())
+        };
+        let mut runs = Vec::new();
+        for threads in [1, 2, 3] {
+            let pool = tasq_par::Pool::new(threads);
+            for checkpointed in [false, true] {
+                let dir = checkpoint_dir(&format!("bytes-t{threads}"));
+                let mut sink = checkpointed.then(|| CheckpointSink::open(&dir, None).unwrap());
+                let store = ModelStore::new();
+                TasqPipeline::new(config.clone())
+                    .train_with_sink(&repo, &store, &pool, sink.as_mut())
+                    .unwrap();
+                runs.push(((threads, checkpointed), artifacts(&store)));
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+        let (first, rest) = runs.split_first().unwrap();
+        for (run, bytes) in rest {
+            assert!(*bytes == first.1, "{run:?} registered other bytes than {:?}", first.0);
+        }
     }
 
     #[test]

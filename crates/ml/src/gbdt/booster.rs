@@ -251,8 +251,7 @@ impl Booster {
                 ],
             );
             for i in 0..n {
-                grads[i] = config.objective.gradient(raw[i], targets[i]);
-                hess[i] = config.objective.hessian(raw[i], targets[i]);
+                (grads[i], hess[i]) = config.objective.gradient_hessian(raw[i], targets[i]);
             }
             let sample: Vec<usize> = if config.subsample < 1.0 {
                 let k = ((n as f64) * config.subsample).ceil().max(1.0) as usize;

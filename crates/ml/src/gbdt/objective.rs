@@ -65,6 +65,22 @@ impl Objective {
         }
     }
 
+    /// [`Objective::gradient`] and [`Objective::hessian`] at once, to the
+    /// same bits: the Gamma objective computes `target * exp(-raw)` once
+    /// for both.
+    #[inline]
+    pub fn gradient_hessian(self, raw: f64, target: f64) -> (f64, f64) {
+        match self {
+            Objective::GammaDeviance => {
+                let scaled = target * (-raw).exp();
+                (1.0 - scaled, scaled.max(1e-12))
+            }
+            Objective::SquaredError | Objective::Quantile(_) => {
+                (self.gradient(raw, target), self.hessian(raw, target))
+            }
+        }
+    }
+
     /// Transform a raw score into the prediction space.
     #[inline]
     pub fn transform(self, raw: f64) -> f64 {
@@ -116,6 +132,25 @@ mod tests {
             let numeric2 =
                 (loss(raw + h2, y) - 2.0 * loss(raw, y) + loss(raw - h2, y)) / (h2 * h2);
             assert!((numeric2 - o.hessian(raw, y)).abs() < 1e-3);
+        }
+    }
+
+    /// The fused form gives the separate forms' bits for every objective,
+    /// including raw scores whose `exp` overflows or underflows.
+    #[test]
+    fn gradient_hessian_matches_the_separate_forms_to_the_bit() {
+        let objectives =
+            [Objective::SquaredError, Objective::GammaDeviance, Objective::Quantile(0.9)];
+        let raws = [-800.0, -3.5, -1e-300, -0.0, 0.0, 0.25, 2.0, 40.0, 800.0];
+        let targets = [1e-9, 0.3, 1.0, 7.5, 1e6];
+        for o in objectives {
+            for raw in raws {
+                for y in targets {
+                    let (g, h) = o.gradient_hessian(raw, y);
+                    let want = (o.gradient(raw, y).to_bits(), o.hessian(raw, y).to_bits());
+                    assert_eq!((g.to_bits(), h.to_bits()), want, "{o:?} raw={raw} y={y}");
+                }
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! A single regression tree grown with histogram-based exact-gain splits.
 
 use super::binning::{BinMapper, BinnedDataset};
-use std::ops::Range;
+use crate::kernels;
 use tasq_codec::{CodecError, Wire};
 use tasq_par::Pool;
 
@@ -137,96 +137,168 @@ fn stable_partition(
     n_left
 }
 
-/// The histograms of a contiguous run of features, laid end to end in
-/// one buffer: feature `features.start + k` owns the bins
-/// `offsets[k]..offsets[k + 1]`, each a `[gradient sum, hessian sum]`.
+/// A feature a node searches, and where its bins lie in a
+/// [`Histograms`] buffer: `offset..end`.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    feature: usize,
+    offset: usize,
+    end: usize,
+}
+
+/// The columns a root searches, laid end to end: every feature with more
+/// than one bin. A one-bin feature has no split, so it gets no bins.
+fn root_columns(mapper: &BinMapper) -> Vec<Column> {
+    let mut columns = Vec::new();
+    let mut offset = 0;
+    for feature in 0..mapper.num_features() {
+        let bins = mapper.num_bins(feature);
+        if bins > 1 {
+            columns.push(Column { feature, offset, end: offset + bins });
+            offset += bins;
+        }
+    }
+    columns
+}
+
+/// The histograms of a node's columns in one buffer, each bin a
+/// `[gradient sum, hessian sum]`, and the gain scan's candidates beside
+/// them (at most one per bin).
 struct Histograms {
-    features: Range<usize>,
-    offsets: Vec<usize>,
     sums: Vec<[f64; 2]>,
+    scan: Candidates,
+}
+
+/// The gain scan's candidates of one node, in (column, bin) order: the
+/// bins a split may follow, each with its left prefix sums, its gain
+/// once [`kernels::SplitGains`] has run, and its bin index; `ends[k]`
+/// closes column `k`'s run.
+struct Candidates {
+    left_grad: Vec<f64>,
+    left_hess: Vec<f64>,
+    gains: Vec<f64>,
+    bins: Vec<u8>,
+    ends: Vec<usize>,
 }
 
 impl Histograms {
-    fn new(mapper: &BinMapper, features: Range<usize>) -> Self {
-        let mut offsets = vec![0];
-        for f in features.clone() {
-            offsets.push(offsets[offsets.len() - 1] + mapper.num_bins(f));
-        }
-        let sums = vec![[0.0; 2]; offsets[offsets.len() - 1]];
-        Self { features, offsets, sums }
+    /// A buffer for `columns` (and any subset of them).
+    fn new(columns: &[Column]) -> Self {
+        let bins = columns.iter().map(|c| c.end).max().unwrap_or(0);
+        let scan = Candidates {
+            left_grad: vec![0.0; bins],
+            left_hess: vec![0.0; bins],
+            gains: vec![0.0; bins],
+            bins: vec![0; bins],
+            ends: vec![0; columns.len()],
+        };
+        Self { sums: vec![[0.0; 2]; bins], scan }
     }
 
-    /// Refill every bin from the samples in `indices`, in one pass over
-    /// them: each sample's row of bins is read once, and every
+    /// Refill the bins of `columns` from the samples in `indices`, in one
+    /// pass over them: each sample's row of bins is read once, and every
     /// (feature, bin) still adds its samples in index order, starting
     /// from `+0.0`.
-    fn fill(&mut self, data: &BinnedDataset, grads: &[f64], hess: &[f64], indices: &[usize]) {
-        self.sums.fill([0.0; 2]);
-        let offsets = &self.offsets[..self.offsets.len() - 1];
+    fn fill(
+        &mut self,
+        data: &BinnedDataset,
+        grads: &[f64],
+        hess: &[f64],
+        indices: &[usize],
+        columns: &[Column],
+    ) {
+        for c in columns {
+            self.sums[c.offset..c.end].fill([0.0; 2]);
+        }
         for &i in indices {
-            let (g, h) = (grads[i], hess[i]);
-            for (&offset, &b) in offsets.iter().zip(&data.row(i)[self.features.clone()]) {
-                let sum = &mut self.sums[offset + b as usize];
+            let (g, h, row) = (grads[i], hess[i], data.row(i));
+            for c in columns {
+                let sum = &mut self.sums[c.offset + row[c.feature] as usize];
                 sum[0] += g;
                 sum[1] += h;
             }
         }
     }
 
-    /// The best split of each feature, in feature order (`None` for a
-    /// feature that has none).
+    /// The best split of each of `columns`, in column order (`None` for
+    /// one that has none), in three steps:
+    /// - one serial pass per column, in bin order up to its last
+    ///   occupied bin: the prefix sums from `+0.0`, and the bins a split
+    ///   may follow kept as candidates;
+    /// - every candidate's gain, in one [`kernels::SplitGains`] call;
+    /// - each column's serial pick: its first candidate, then any whose
+    ///   gain is strictly greater (the first bin wins ties).
+    ///
+    /// The serial pass also pushes onto `spread` the columns a child of
+    /// this node can still split on: those with a touched bin (hessian
+    /// sum not `0.0`) before the last occupied one. A child's samples are
+    /// some of this node's, so in any other column every bin before the
+    /// child's last occupied bin is empty, and no split leaves both
+    /// children samples.
+    ///
+    /// A split after bin `b` is a candidate when it leaves each child a
+    /// hessian sum that is positive (left) and at least
+    /// `min_child_weight` (both). Every objective's hessian is positive,
+    /// so a bin holds samples exactly when its hessian sum is `> 0`: the
+    /// left child is empty while its sum is still `0.0`, and the right
+    /// one from the last occupied bin on, where `total - left` is
+    /// rounding noise, not zero, so the pass stops before that bin.
     fn best_splits<'a>(
-        &'a self,
+        &'a mut self,
         total_grad: f64,
         total_hess: f64,
         params: &'a GrowthParams,
+        columns: &'a [Column],
+        spread: &mut Vec<Column>,
     ) -> impl Iterator<Item = Option<SplitCandidate>> + 'a {
-        self.offsets.windows(2).zip(self.features.clone()).map(move |(w, f)| {
-            best_split_for_feature(f, &self.sums[w[0]..w[1]], total_grad, total_hess, params)
+        let scan = &mut self.scan;
+        let mut len = 0;
+        for (k, c) in columns.iter().enumerate() {
+            let hist = &self.sums[c.offset..c.end];
+            let last_occupied = hist.iter().rposition(|&[_, h]| h > 0.0).unwrap_or(0);
+            let (mut left_grad, mut left_hess, mut touched) = (0.0, 0.0, false);
+            for (b, &[g, h]) in hist[..last_occupied].iter().enumerate() {
+                touched |= h != 0.0;
+                left_grad += g;
+                left_hess += h;
+                let right_hess = total_hess - left_hess;
+                if left_hess <= 0.0
+                    || left_hess < params.min_child_weight
+                    || right_hess < params.min_child_weight
+                {
+                    continue;
+                }
+                scan.left_grad[len] = left_grad;
+                scan.left_hess[len] = left_hess;
+                scan.bins[len] = b as u8;
+                len += 1;
+            }
+            scan.ends[k] = len;
+            if touched {
+                spread.push(*c);
+            }
+        }
+        kernels::run(kernels::SplitGains {
+            left_grad: &scan.left_grad[..len],
+            left_hess: &scan.left_hess[..len],
+            gains: &mut scan.gains[..len],
+            total_grad,
+            total_hess,
+            lambda: params.lambda,
+            parent_score: total_grad * total_grad / (total_hess + params.lambda),
+        });
+        let scan = &self.scan;
+        let starts = std::iter::once(0).chain(scan.ends.iter().copied());
+        columns.iter().zip(starts.zip(&scan.ends)).map(move |(c, (start, &end))| {
+            let mut best: Option<SplitCandidate> = None;
+            for (&b, &gain) in scan.bins[start..end].iter().zip(&scan.gains[start..end]) {
+                if best.as_ref().is_none_or(|s| gain > s.gain) {
+                    best = Some(SplitCandidate { feature: c.feature, bin_threshold: b, gain });
+                }
+            }
+            best
         })
     }
-}
-
-/// The gain scan of one feature's histogram: the best "bin <= b" split
-/// (the first bin wins ties via the strict-greater comparison).
-///
-/// A candidate that leaves either child without samples is no split.
-/// Every objective's hessian is positive, so a bin holds samples exactly
-/// when its hessian sum is `> 0`: the left child is empty while
-/// `left_hess` is still `0.0`, and the right one from the last occupied
-/// bin on, where `total - left` is rounding noise, not zero.
-fn best_split_for_feature(
-    f: usize,
-    hist: &[[f64; 2]],
-    total_grad: f64,
-    total_hess: f64,
-    params: &GrowthParams,
-) -> Option<SplitCandidate> {
-    let last_occupied = hist.iter().rposition(|&[_, h]| h > 0.0)?;
-    let parent_score = total_grad * total_grad / (total_hess + params.lambda);
-    let mut best: Option<SplitCandidate> = None;
-    let mut left_grad = 0.0;
-    let mut left_hess = 0.0;
-    for (b, &[g, h]) in hist[..last_occupied].iter().enumerate() {
-        left_grad += g;
-        left_hess += h;
-        let right_grad = total_grad - left_grad;
-        let right_hess = total_hess - left_hess;
-        if left_hess <= 0.0
-            || left_hess < params.min_child_weight
-            || right_hess < params.min_child_weight
-        {
-            continue;
-        }
-        let gain = 0.5
-            * (left_grad * left_grad / (left_hess + params.lambda)
-                + right_grad * right_grad / (right_hess + params.lambda)
-                - parent_score);
-        if best.as_ref().is_none_or(|s| gain > s.gain) {
-            best = Some(SplitCandidate { feature: f, bin_threshold: b as u8, gain });
-        }
-    }
-    best
 }
 
 /// The per-feature candidates reduced in the order given: the first of
@@ -296,11 +368,9 @@ impl Tree {
         // slice of it, which a split partitions in place into its
         // children's slices.
         let mut indices: Vec<usize> = samples.to_vec();
-        let mut buffers = Buffers {
-            partition: Vec::new(),
-            hist: Histograms::new(mapper, 0..data.num_features()),
-        };
-        grower.grow_node(&mut tree, 0, &mut indices, &mut buffers, 0);
+        let columns = root_columns(mapper);
+        let mut buffers = Buffers { partition: Vec::new(), hist: Histograms::new(&columns) };
+        grower.grow_node(&mut tree, 0, &mut indices, &mut buffers, &columns, 0);
         tree
     }
 
@@ -357,6 +427,7 @@ impl Grower<'_> {
         node_id: usize,
         indices: &mut [usize],
         buffers: &mut Buffers,
+        columns: &[Column],
         depth: usize,
     ) {
         let total_grad: f64 = indices.iter().map(|&i| self.grads[i]).sum();
@@ -367,8 +438,9 @@ impl Grower<'_> {
         if depth >= self.params.max_depth || indices.len() < 2 {
             return;
         }
-        let Some(split) = self.find_best_split(indices, total_grad, total_hess, &mut buffers.hist)
-        else {
+        let (best, columns) =
+            self.find_best_split(indices, total_grad, total_hess, &mut buffers.hist, columns);
+        let Some(split) = best else {
             return;
         };
         if split.gain <= self.params.min_split_gain {
@@ -392,43 +464,47 @@ impl Grower<'_> {
             left,
             right,
         };
-        self.grow_node(tree, left, left_idx, buffers, depth + 1);
-        self.grow_node(tree, right, right_idx, buffers, depth + 1);
+        self.grow_node(tree, left, left_idx, buffers, &columns, depth + 1);
+        self.grow_node(tree, right, right_idx, buffers, &columns, depth + 1);
     }
 
-    /// The node's best split over every feature. On the caller, `hist`
-    /// takes every feature's histogram in one pass over `indices`; a
-    /// fanned-out search gives each task a contiguous feature range and
-    /// its own buffer, and the candidates come back in feature order for
-    /// the same lowest-feature-wins reduction.
+    /// The node's best split over `columns`, and the columns its
+    /// children search. On the caller, `hist` takes every column's
+    /// histogram in one pass over `indices`, and the children search only
+    /// the columns they can split on ([`Histograms::best_splits`]). A
+    /// fanned-out search gives each task a
+    /// contiguous run of columns and its own buffer, the candidates come
+    /// back in feature order for the same lowest-feature-wins reduction,
+    /// and the children search every column this node did.
     fn find_best_split(
         &self,
         indices: &[usize],
         total_grad: f64,
         total_hess: f64,
         hist: &mut Histograms,
-    ) -> Option<SplitCandidate> {
-        let Grower { data, mapper, grads, hess, params, pool } = *self;
-        let num_features = data.num_features();
-        if !split_search_fans_out(pool, indices.len(), num_features) {
-            hist.fill(data, grads, hess, indices);
-            return best_of(hist.best_splits(total_grad, total_hess, params));
+        columns: &[Column],
+    ) -> (Option<SplitCandidate>, Vec<Column>) {
+        let Grower { data, grads, hess, params, pool, .. } = *self;
+        if !split_search_fans_out(pool, indices.len(), data.num_features()) {
+            hist.fill(data, grads, hess, indices, columns);
+            let mut spread = Vec::with_capacity(columns.len());
+            let best =
+                best_of(hist.best_splits(total_grad, total_hess, params, columns, &mut spread));
+            return (best, spread);
         }
-        let per_task = num_features.div_ceil(pool.threads());
-        let ranges: Vec<Range<usize>> = (0..num_features)
-            .step_by(per_task)
-            .map(|lo| lo..(lo + per_task).min(num_features))
-            .collect();
-        let per_range = match pool.par_map_grain(&ranges, 1, |_, features| {
-            let mut hist = Histograms::new(mapper, features.clone());
-            hist.fill(data, grads, hess, indices);
-            hist.best_splits(total_grad, total_hess, params).collect::<Vec<_>>()
+        let per_task = columns.len().div_ceil(pool.threads()).max(1);
+        let runs: Vec<&[Column]> = columns.chunks(per_task).collect();
+        let per_run = match pool.par_map_grain(&runs, 1, |_, run| {
+            let mut hist = Histograms::new(run);
+            hist.fill(data, grads, hess, indices, run);
+            hist.best_splits(total_grad, total_hess, params, run, &mut Vec::new())
+                .collect::<Vec<_>>()
         }) {
             Ok(v) => v,
             // The scan cannot panic on valid binned data; runtime bug.
             Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
         };
-        best_of(per_range.into_iter().flatten())
+        (best_of(per_run.into_iter().flatten()), columns.to_vec())
     }
 }
 
@@ -443,6 +519,42 @@ impl Grower<'_> {
 #[cfg(test)]
 mod reference {
     use super::*;
+
+    /// The gain scan as it stood before the gains became a kernel: one
+    /// serial pass, prefix sums, gain and pick per bin.
+    pub fn scalar_best_split(
+        f: usize,
+        hist: &[[f64; 2]],
+        total_grad: f64,
+        total_hess: f64,
+        params: &GrowthParams,
+    ) -> Option<SplitCandidate> {
+        let last_occupied = hist.iter().rposition(|&[_, h]| h > 0.0)?;
+        let parent_score = total_grad * total_grad / (total_hess + params.lambda);
+        let mut best: Option<SplitCandidate> = None;
+        let mut left_grad = 0.0;
+        let mut left_hess = 0.0;
+        for (b, &[g, h]) in hist[..last_occupied].iter().enumerate() {
+            left_grad += g;
+            left_hess += h;
+            let right_grad = total_grad - left_grad;
+            let right_hess = total_hess - left_hess;
+            if left_hess <= 0.0
+                || left_hess < params.min_child_weight
+                || right_hess < params.min_child_weight
+            {
+                continue;
+            }
+            let gain = 0.5
+                * (left_grad * left_grad / (left_hess + params.lambda)
+                    + right_grad * right_grad / (right_hess + params.lambda)
+                    - parent_score);
+            if best.as_ref().is_none_or(|s| gain > s.gain) {
+                best = Some(SplitCandidate { feature: f, bin_threshold: b as u8, gain });
+            }
+        }
+        best
+    }
 
     pub fn grow(
         data: &BinnedDataset,
@@ -774,12 +886,106 @@ mod tests {
                 let what = format!("case {case}: {n}x{nf}, {} threads", pool.threads());
                 assert_eq!(node_bits(&tree), node_bits(&oracle), "{what}");
                 assert_eq!(predictions(&tree), predictions(&oracle), "{what}");
-                let mut hist = Histograms::new(&mapper, 0..nf);
-                let root =
-                    grower(pool).find_best_split(&samples, total_grad, total_hess, &mut hist);
+                let columns = root_columns(&mapper);
+                let mut hist = Histograms::new(&columns);
+                let (root, _) = grower(pool).find_best_split(
+                    &samples,
+                    total_grad,
+                    total_hess,
+                    &mut hist,
+                    &columns,
+                );
                 assert_eq!(bits(root), oracle_root, "{what}");
             }
         }
+    }
+
+    /// The three-step gain scan (prefix sums, [`kernels::SplitGains`],
+    /// serial pick) picks what the one-pass scalar scan picked, gain bits
+    /// included: features of 1 to 7 bins and of up to 64, runs of empty
+    /// bins, NaN and infinite gains (NaN or infinite gradient sums, an
+    /// empty right child at `lambda` 0), and `min_child_weight` set to a
+    /// prefix hessian sum itself, where `<` and `<=` part ways.
+    #[test]
+    fn kernel_gain_scan_picks_what_the_scalar_scan_picked() {
+        let mut rng = StdRng::seed_from_u64(0x7363_616e);
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        let mut nan_gains = 0;
+        for case in 0..600 {
+            let nf = rng.gen_range(1..6);
+            let widths: Vec<usize> = (0..nf)
+                .map(|_| if rng.gen_bool(0.7) { rng.gen_range(1..8) } else { rng.gen_range(8..65) })
+                .collect();
+            let rows: Vec<Vec<f64>> =
+                (0..64).map(|i| widths.iter().map(|&w| (i % w) as f64).collect()).collect();
+            let mapper = BinMapper::fit(&rows, 64);
+            // Every feature, one-bin ones included, as a column.
+            let mut columns = Vec::new();
+            for (feature, &w) in widths.iter().enumerate() {
+                let offset = columns.last().map_or(0, |c: &Column| c.end);
+                assert_eq!(mapper.num_bins(feature), w);
+                columns.push(Column { feature, offset, end: offset + w });
+            }
+            let mut hist = Histograms::new(&columns);
+            for sum in &mut hist.sums {
+                *sum = match rng.gen_range(0..10) {
+                    0..3 => [0.0, 0.0],
+                    3 => [specials[rng.gen_range(0..4usize)], rng.gen_range(0.1..2.0)],
+                    _ => [rng.gen_range(-3.0..3.0), [1.0, 0.25, 1e-12][rng.gen_range(0..3usize)]],
+                };
+            }
+            let sums = hist.sums.clone();
+            let (total_grad, total_hess) = if case % 5 == 0 {
+                // Every feature sums the same samples, so any one's total.
+                sums[..columns[0].end].iter().fold((0.0, 0.0), |(g, h), s| (g + s[0], h + s[1]))
+            } else {
+                (rng.gen_range(-10.0..10.0), rng.gen_range(0.5..40.0))
+            };
+            let prefix = sums[..columns[0].end]
+                .iter()
+                .scan(0.0, |h, s| {
+                    *h += s[1];
+                    Some(*h)
+                })
+                .collect::<Vec<_>>();
+            let params = GrowthParams {
+                max_depth: 4,
+                lambda: [0.0, 1.0, 0.1][case % 3],
+                min_split_gain: 0.0,
+                min_child_weight: match case % 4 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => prefix[rng.gen_range(0..prefix.len())],
+                },
+            };
+            let bits = |c: Option<SplitCandidate>| {
+                c.map(|c| (c.feature, c.bin_threshold, c.gain.is_nan(), c.gain.to_bits()))
+            };
+            let picked: Vec<_> =
+                hist.best_splits(total_grad, total_hess, &params, &columns, &mut Vec::new())
+                    .map(bits)
+                    .collect();
+            for (f, c) in columns.iter().enumerate() {
+                let scalar = reference::scalar_best_split(
+                    f,
+                    &sums[c.offset..c.end],
+                    total_grad,
+                    total_hess,
+                    &params,
+                );
+                let mut want = bits(scalar);
+                let mut got = picked[f];
+                nan_gains += usize::from(got.is_some_and(|c| c.2));
+                // A NaN gain's sign and payload are the hardware's.
+                for c in [&mut want, &mut got].into_iter().flatten() {
+                    if c.2 {
+                        c.3 = 0;
+                    }
+                }
+                assert_eq!(got, want, "case {case} feature {f} of {:?}", widths);
+            }
+        }
+        assert!(nan_gains > 0, "no case picked a NaN gain");
     }
 
     /// No split leaves a child without training samples, even with

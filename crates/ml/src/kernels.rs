@@ -28,7 +28,8 @@
 //! per layer the same compaction and tiles, then the bias and the
 //! activation in place. [`Log1pThenDivide`], featurization's, runs glibc's
 //! generic `log1p` ([`log1p`]) and a division in every lane, with
-//! no branch and no call into libm.
+//! no branch and no call into libm. [`SplitGains`], the GBDT split
+//! search's, evaluates every bin's split gain, two divisions each.
 //!
 //! The three arms produce the same bits:
 //! - every kernel vectorises across independent output elements (the
@@ -647,6 +648,36 @@ impl Kernel for Log1pThenDivide<'_> {
     }
 }
 
+/// The GBDT gain scan's arithmetic over a node's histograms: for each
+/// bin, the gain of splitting after it,
+/// `0.5 * (gl² / (hl + λ) + gr² / (hr + λ) - parent_score)` with `gl`,
+/// `hl` the bin's prefix sums, `gr = total_grad - gl` and `hr =
+/// total_hess - hl`: the scalar scan's expression, operation for
+/// operation, in every lane. Which bins may split, and which gain wins,
+/// stays with the caller's serial pick.
+pub(crate) struct SplitGains<'a> {
+    pub left_grad: &'a [f64],
+    pub left_hess: &'a [f64],
+    pub gains: &'a mut [f64],
+    pub total_grad: f64,
+    pub total_hess: f64,
+    pub lambda: f64,
+    pub parent_score: f64,
+}
+
+impl Kernel for SplitGains<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let SplitGains { left_grad, left_hess, gains, total_grad, total_hess, lambda, parent_score } =
+            self;
+        for ((gain, &lg), &lh) in gains.iter_mut().zip(left_grad).zip(left_hess) {
+            let rg = total_grad - lg;
+            let rh = total_hess - lh;
+            *gain = 0.5 * (lg * lg / (lh + lambda) + rg * rg / (rh + lambda) - parent_score);
+        }
+    }
+}
+
 /// The scalars of one Adam step, shared by every tensor it updates.
 #[derive(Clone, Copy)]
 pub(crate) struct AdamCoeffs {
@@ -1184,6 +1215,59 @@ mod tests {
                     let (logs, plain) = buf.split_at_mut(logs_len);
                     arm.run(Log1pThenDivide { logs, plain, divisor })
                 });
+            }
+        }
+    }
+
+    /// [`SplitGains`] on every arm against the scalar expression, to the
+    /// bit (a NaN matches any NaN: its sign and payload are the
+    /// hardware's, and the split search only ever compares a gain, so no
+    /// NaN bit reaches a tree): lengths below, at and past each arm's lane count
+    /// (a feature of 1 to 7 bins, a 64-bin one, a node's worth), prefix
+    /// sums with zeros, NaN, infinities and subnormals, and a `lambda` of
+    /// 0 (where an empty right child divides zero by zero) or 1.
+    #[test]
+    fn split_gains_arms_agree_to_the_bit() {
+        announce_arms("split_gains_arms_agree_to_the_bit");
+        let mut rng = StdRng::seed_from_u64(0x6761_696e);
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 4e-324, 1e300];
+        for len in [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 64, 259] {
+            for case in 0..4 {
+                let left_grad = random(&mut rng, len, [Fill::Dense, Fill::Edge][case % 2]);
+                let mut left_hess: Vec<f64> =
+                    (0..len).map(|b| (b + 1) as f64 * rng.gen_range(0.0..2.0)).collect();
+                for (h, &special) in left_hess.iter_mut().skip(case).step_by(3).zip(&specials) {
+                    *h = special;
+                }
+                let total_hess = left_hess[len - 1];
+                let (total_grad, lambda) = (rng.gen_range(-5.0..5.0), [0.0, 1.0][case / 2]);
+                let parent_score = total_grad * total_grad / (total_hess + lambda);
+                let what = format!("split_gains len {len} case {case}");
+                let kernel = |arm: Arm, gains: &mut [f64]| {
+                    arm.run(SplitGains {
+                        left_grad: &left_grad,
+                        left_hess: &left_hess,
+                        gains,
+                        total_grad,
+                        total_hess,
+                        lambda,
+                        parent_score,
+                    })
+                };
+                for arm in [Arm::Portable, Arm::Avx2, Arm::Avx512] {
+                    let mut gains = vec![0.0; len];
+                    if !kernel(arm, &mut gains) {
+                        continue;
+                    }
+                    for (b, &gain) in gains.iter().enumerate() {
+                        let (lg, lh) = (left_grad[b], left_hess[b]);
+                        let (rg, rh) = (total_grad - lg, total_hess - lh);
+                        let scalar = 0.5
+                            * (lg * lg / (lh + lambda) + rg * rg / (rh + lambda) - parent_score);
+                        let why = format!("{what} bin {b} on {arm:?}: {gain} vs {scalar}");
+                        assert!(same_value(gain, scalar), "{why}");
+                    }
+                }
             }
         }
     }

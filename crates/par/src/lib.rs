@@ -15,6 +15,9 @@
 //!   minibatches): `threads - 1` helpers spawned once for the whole call,
 //!   each round of work handed to every role through a generation
 //!   counter, with no spawn per step.
+//! * [`Pool::join`] — two independent closures side by side, the caller
+//!   running the first and one scoped helper the second (the offline
+//!   pipeline's XGBoost and NN fits).
 //! * Panic capture — worker panics never cross the pool boundary; they
 //!   are converted into a typed [`ParError`] carrying the lowest task
 //!   index observed panicking and the panic message.
@@ -295,6 +298,53 @@ impl Pool {
         Ok(out)
     }
 
+    /// Run `a` and `b`, side by side when the pool has a second thread,
+    /// and return both results.
+    ///
+    /// `a` runs on the calling thread. When `threads() > 1`, `b` runs on
+    /// one scoped helper spawned for this call; otherwise it runs inline
+    /// after `a`. Each side runs under a `par_join` span parented onto the
+    /// caller's span (`side` 0 for `a`, 1 for `b`). A panic on either side
+    /// is caught, the other side runs to its end, and the call returns
+    /// [`ParError::TaskPanicked`] with the lower panicking side as its
+    /// index: no thread outlives the call.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> Result<(RA, RB), ParError>
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        let parent_span = tasq_obs::current_span_id();
+        let (ra, rb) = if self.threads > 1 {
+            thread::scope(|s| {
+                let helper = thread::Builder::new()
+                    .spawn_scoped(s, move || join_side(1, parent_span, b));
+                let ra = join_side(0, parent_span, a);
+                tasq_obs::sync::blocking();
+                // The side catches its own panic, so `join` fails only on
+                // a runtime bug; that payload is reported the same way.
+                let rb = match helper {
+                    Ok(handle) => handle.join().and_then(|rb| rb),
+                    Err(e) => Err(Box::new(format!("could not spawn the join helper: {e}"))
+                        as Box<dyn Any + Send>),
+                };
+                (ra, rb)
+            })
+        } else {
+            let ra = join_side(0, parent_span, a);
+            (ra, join_side(1, parent_span, b))
+        };
+        match (ra, rb) {
+            (Ok(ra), Ok(rb)) => Ok((ra, rb)),
+            (Err(payload), _) => {
+                Err(ParError::TaskPanicked { index: 0, message: panic_message(payload.as_ref()) })
+            }
+            (Ok(_), Err(payload)) => {
+                Err(ParError::TaskPanicked { index: 1, message: panic_message(payload.as_ref()) })
+            }
+        }
+    }
+
     /// Run `f` over consecutive `chunk_len`-sized mutable chunks of `data`
     /// in parallel. `f` receives `(chunk_index, chunk)`; chunks are
     /// disjoint, so no synchronization is needed inside `f`. k-means
@@ -557,6 +607,18 @@ impl Pool {
     }
 }
 
+/// One side of [`Pool::join`]: `f` under a `par_join` span parented onto
+/// the caller's, with its panic caught.
+fn join_side<R>(side: u64, parent_span: u64, f: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
+    let _span = span_with_parent(
+        Level::Trace,
+        "par_join",
+        parent_span,
+        &[("side", FieldValue::U64(side))],
+    );
+    catch_unwind(AssertUnwindSafe(f))
+}
+
 /// One worker's loop: claim the next `grain` indices from the shared
 /// cursor, run them, and stop once the cursor passes the end or a task
 /// anywhere has panicked. Returns the `(index, output)` pairs it produced.
@@ -793,9 +855,23 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ParError::TaskPanicked { index: 10, .. }));
         assert_eq!(tasq_obs::current_span_id(), root_id);
+        // A join's two sides, the helper's included, parent onto the
+        // caller's span too, and what a side opens nests under its side.
+        pool.join(
+            || drop(tasq_obs::span(Level::Info, "join_inner_a", &[])),
+            || drop(tasq_obs::span(Level::Info, "join_inner_b", &[])),
+        )
+        .unwrap();
         drop(root);
         let events = tasq_obs::span::take_collected();
         tasq_obs::subscriber_off();
+        let sides: Vec<_> =
+            events.iter().filter(|e| e.name == "par_join" && e.parent == root_id).collect();
+        assert_eq!(sides.len(), 2, "one span per side under the caller's");
+        for inner in ["join_inner_a", "join_inner_b"] {
+            let event = events.iter().find(|e| e.name == inner).unwrap();
+            assert!(sides.iter().any(|s| s.id == event.parent), "{inner} nests under its side");
+        }
         let root_event = events.iter().find(|e| e.name == "par_root").unwrap();
         let tasks: Vec<_> =
             events.iter().filter(|e| e.name == "par_task" && e.parent == root_id).collect();
@@ -958,6 +1034,67 @@ mod tests {
                 .unwrap();
             assert_eq!(runs.load(Ordering::Relaxed), 2 * threads, "threads={threads}");
             assert!(parks_counter().get() > parks_before, "threads={threads}: nobody parked");
+        }
+    }
+
+    /// `join` returns both values in argument order at every thread
+    /// count; with a second thread `b` runs on another thread, and on a
+    /// sequential pool it runs on the caller, after `a`.
+    #[test]
+    fn join_returns_both_values_and_runs_inline_in_order_on_one_thread() {
+        let caller = thread::current().id();
+        for threads in [1, 2, 3] {
+            let order = Mutex::new(Rank::ParChunk, Vec::new());
+            let (a, b) = Pool::new(threads)
+                .join(
+                    || {
+                        order.lock().push("a");
+                        (thread::current().id(), 6 * 7)
+                    },
+                    || {
+                        order.lock().push("b");
+                        (thread::current().id(), "b")
+                    },
+                )
+                .unwrap();
+            assert_eq!((a.0, a.1, b.1), (caller, 42, "b"), "threads={threads}");
+            assert_eq!(b.0 == caller, threads == 1, "threads={threads}");
+            if threads == 1 {
+                assert_eq!(order.into_inner(), ["a", "b"]);
+            }
+        }
+    }
+
+    /// A panic on either side, or on both, comes back as a typed error
+    /// naming the lower panicking side, and only once the other side has
+    /// run to its end: the sides meet at a barrier before either panics,
+    /// so both are in flight when the panic hits.
+    #[test]
+    fn join_panics_are_typed_and_wait_for_the_other_side() {
+        for threads in [1, 2] {
+            for bad in [[true, false], [false, true], [true, true]] {
+                let gate = std::sync::Barrier::new(threads);
+                let finished = [AtomicBool::new(false), AtomicBool::new(false)];
+                let side = |s: usize| {
+                    gate.wait();
+                    assert!(!bad[s], "boom on side {s}");
+                    let spun = (0..2_000_000u64).fold(0, |a, b| std::hint::black_box(a ^ b));
+                    finished[s].store(spun != 1, Ordering::Release);
+                };
+                let err = Pool::new(threads).join(|| side(0), || side(1)).unwrap_err();
+                let lowest = usize::from(!bad[0]);
+                let what = format!("threads={threads} bad={bad:?}");
+                match err {
+                    ParError::TaskPanicked { index, message } => {
+                        assert_eq!(index, lowest, "{what}");
+                        assert!(message.contains(&format!("boom on side {lowest}")), "{message}");
+                    }
+                    other => panic!("unexpected error: {other:?}"),
+                }
+                for (s, done) in finished.iter().enumerate() {
+                    assert_eq!(done.load(Ordering::Acquire), !bad[s], "{what} side {s}");
+                }
+            }
         }
     }
 

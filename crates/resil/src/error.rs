@@ -3,8 +3,9 @@
 //! [`ResilError::NoCheckpoint`] is a fresh start, not a failure. Every
 //! other load error refuses the file: a committed snapshot is never
 //! repaired or partly read. [`ResilError::TornTail`] (the file is cut
-//! short) and [`ResilError::CrcMismatch`] (its bytes changed) are kept
-//! apart so an operator can tell a truncation from bit rot.
+//! short), [`ResilError::TrailingBytes`] (bytes were appended) and
+//! [`ResilError::CrcMismatch`] (its bytes changed) are kept apart so an
+//! operator can tell a truncation or an append from bit rot.
 
 use std::fmt;
 
@@ -26,6 +27,15 @@ pub enum ResilError {
     TornTail {
         /// Byte offset of the header field or payload the file cuts into.
         offset: u64,
+    },
+    /// The file runs past the end of its payload. A commit writes exactly
+    /// the header and the payload, so the bytes were appended after
+    /// commit: the file is refused, not read up to its stated length.
+    TrailingBytes {
+        /// Byte offset where the payload ends.
+        offset: u64,
+        /// Bytes found past it.
+        extra: u64,
     },
     /// A structurally complete snapshot failed its CRC32 check: the
     /// bytes were corrupted *after* commit.
@@ -56,6 +66,11 @@ impl fmt::Display for ResilError {
             ResilError::TornTail { offset } => {
                 write!(f, "checkpoint cut short at byte {offset} — refusing truncated file")
             }
+            ResilError::TrailingBytes { offset, extra } => write!(
+                f,
+                "checkpoint runs {extra} bytes past its payload's end at byte {offset} — \
+                 refusing appended file"
+            ),
             ResilError::CrcMismatch { offset, stored, computed } => write!(
                 f,
                 "crc mismatch at byte {offset}: stored {stored:#010x}, \
@@ -90,9 +105,14 @@ impl ResilError {
         matches!(self, ResilError::TornTail { .. })
     }
 
-    /// True when the file's bytes changed after commit, or it is not a
-    /// snapshot at all.
+    /// True when the file's bytes changed or grew after commit, or it is
+    /// not a snapshot at all.
     pub fn is_corrupt(&self) -> bool {
-        matches!(self, ResilError::CrcMismatch { .. } | ResilError::BadMagic { .. })
+        matches!(
+            self,
+            ResilError::CrcMismatch { .. }
+                | ResilError::TrailingBytes { .. }
+                | ResilError::BadMagic { .. }
+        )
     }
 }

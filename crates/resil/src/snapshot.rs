@@ -6,8 +6,8 @@
 //! guarantees a reader never observes a half-written file: a crash
 //! mid-commit leaves a torn `<path>.tmp` beside an intact committed file,
 //! and the next commit overwrites the temp. So a committed file that is
-//! cut short or fails its CRC32 was changed after commit, and [`load`]
-//! refuses it.
+//! cut short, runs past its payload or fails its CRC32 was changed after
+//! commit, and [`load`] refuses it.
 //!
 //! ```text
 //! file := magic "TQSN" | version u32 LE | len u32 LE | crc32(payload) u32 LE | payload
@@ -68,8 +68,10 @@ pub fn commit(path: &Path, payload: &[u8]) -> Result<(), ResilError> {
 /// * Truncated header or payload → [`ResilError::TornTail`]. No crash
 ///   leaves a committed file short (the commit protocol tears only the
 ///   temp), so callers refuse it like corruption.
+/// * Bytes past the payload → [`ResilError::TrailingBytes`]: [`commit`]
+///   writes exactly header and payload, so the file grew after commit.
 /// * Wrong magic/version → [`ResilError::BadMagic`]; CRC failure →
-///   [`ResilError::CrcMismatch`]. Both are refusals, never a partial load.
+///   [`ResilError::CrcMismatch`]. All are refusals, never a partial load.
 pub fn load(path: &Path) -> Result<Vec<u8>, ResilError> {
     let _span = tasq_obs::span(tasq_obs::Level::Debug, "resil_snapshot_restore", &[]);
     let mut file = match File::open(path) {
@@ -113,6 +115,12 @@ pub fn load_bytes(bytes: &[u8]) -> Result<Vec<u8>, ResilError> {
     let payload_end = SNAP_HEADER_LEN + len;
     if bytes.len() < payload_end {
         return Err(torn(SNAP_HEADER_LEN as u64));
+    }
+    if bytes.len() > payload_end {
+        return Err(ResilError::TrailingBytes {
+            offset: payload_end as u64,
+            extra: (bytes.len() - payload_end) as u64,
+        });
     }
     let payload = &bytes[SNAP_HEADER_LEN..payload_end];
     let computed = crc32(payload);
@@ -180,8 +188,8 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         // Flip each bit of every header and payload byte: nothing loads.
         // A flipped magic or version is a foreign file, a flipped length
-        // reads as a cut or a shorter payload, and any other flip fails
-        // the CRC.
+        // reads as a cut or as bytes past a shorter payload, and any
+        // other flip fails the CRC.
         for at in 0..full.len() {
             for bit in 0..8 {
                 let mut image = full.clone();
@@ -194,6 +202,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A committed snapshot with bytes appended is refused, whatever the
+    /// bytes: zeros, a copy of its own payload, or a whole second
+    /// snapshot.
+    #[test]
+    fn appended_bytes_are_refused() {
+        let path = tmp("appended.snap");
+        commit(&path, b"model weights").unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for tail in [vec![0u8; 16], vec![0u8; 1], b"model weights".to_vec(), full.clone()] {
+            let mut image = full.clone();
+            image.extend_from_slice(&tail);
+            let err = load_bytes(&image).unwrap_err();
+            let want = (full.len() as u64, tail.len() as u64);
+            match err {
+                ResilError::TrailingBytes { offset, extra } => assert_eq!((offset, extra), want),
+                other => panic!("{} appended bytes: {other:?}", tail.len()),
+            }
+            assert!(err_is_corrupt(&image), "{} appended bytes", tail.len());
+        }
+        // Through the file, as a reader sees it.
+        let mut image = full;
+        image.extend_from_slice(&[0xa5; 16]);
+        std::fs::write(&path, &image).unwrap();
+        assert!(matches!(load(&path), Err(ResilError::TrailingBytes { extra: 16, .. })));
+    }
+
+    fn err_is_corrupt(image: &[u8]) -> bool {
+        load_bytes(image).is_err_and(|e| e.is_corrupt())
     }
 
     #[test]
