@@ -13,8 +13,8 @@ use tasq::codec;
 use tasq::models::{NnTrainConfig, XgbTrainConfig};
 use tasq::pipeline::{
     AllocationDecision, CheckpointSink, DiskModelStore, JobRepository, ModelChoice, ModelStore,
-    PipelineConfig, PipelineError, ScoringConfig, ScoringService, TasqPipeline, NN_MODEL_NAME,
-    XGB_MODEL_NAME,
+    PipelineConfig, PipelineError, ScoringConfig, ScoringService, TasqPipeline, CHECKPOINT_STAGES,
+    NN_MODEL_NAME, XGB_MODEL_NAME,
 };
 use tasq_net::{BinaryClient, HttpClient, NetConfig, NetServer, ScoreOutcome, TokenBucket};
 use tasq_obs::json::JsonValue;
@@ -80,10 +80,10 @@ pub fn inspect(args: &[String]) -> Result<String, CliError> {
 /// `tasq train --workload <file> --model-dir <dir> [--nn-epochs N] [--xgb-rounds N]
 ///  [--checkpoint-dir <dir>]`
 ///
-/// With `--checkpoint-dir`, the pipeline commits its progress there
-/// ([`tasq::pipeline::CheckpointSink`]): a run killed part-way is resumed
-/// by running the same command again, and a directory holding another
-/// run is refused.
+/// With `--checkpoint-dir`, the pipeline commits its five stage records
+/// there ([`tasq::pipeline::CheckpointSink`]): a run killed part-way is
+/// resumed by running the same command again, which fits only the models
+/// not yet committed, and a directory holding another run is refused.
 pub fn train(args: &[String]) -> Result<String, CliError> {
     let opts = Options::parse(
         args,
@@ -140,15 +140,24 @@ pub fn train(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Leave `stage`'s committed image, `bytes` short, in its commit temp —
-/// the chaos harness's torn-write injection (a crash mid-commit leaves
-/// exactly this beside the intact committed file). Returns how many
-/// bytes were actually cut.
-fn plant_torn_temp(sink: &CheckpointSink, stage: &str, bytes: u64) -> Result<u64, CliError> {
-    let path = sink.stage_path(stage);
-    let image = std::fs::read(&path)?;
+/// Leave the commit after the `killed` stage's torn in its temp, `bytes`
+/// short — the chaos harness's torn-write injection (a crash in the
+/// middle of that commit leaves exactly this, and no committed file).
+/// The image is the `reference` run's, which the killed run would have
+/// written to the bit. Returns how many bytes were actually cut (0 when
+/// the kill came after the last stage).
+fn plant_torn_temp(
+    sink: &CheckpointSink,
+    reference: &CheckpointSink,
+    killed: &str,
+    bytes: u64,
+) -> Result<u64, CliError> {
+    let Some(next) = CHECKPOINT_STAGES.iter().skip_while(|&&s| s != killed).nth(1) else {
+        return Ok(0);
+    };
+    let image = std::fs::read(reference.stage_path(next))?;
     let kept = image.len().saturating_sub(usize::try_from(bytes).unwrap_or(usize::MAX));
-    std::fs::write(snapshot::tmp_path(&path), &image[..kept])?;
+    std::fs::write(snapshot::tmp_path(&sink.stage_path(next)), &image[..kept])?;
     Ok((image.len() - kept) as u64)
 }
 
@@ -198,8 +207,8 @@ fn drive_serving_chaos(
 /// 1. trains a reference through the pipeline under a checkpoint
 ///    directory, uninterrupted;
 /// 2. replays the same training with the preset's planted process death,
-///    leaves the killed stage's next commit torn in its temp file,
-///    resumes, and checks the resumed fingerprint is bit-identical;
+///    leaves the next stage's commit torn in its temp file, resumes, and
+///    checks the resumed fingerprint is bit-identical;
 /// 3. drives the scoring server (with the resumed artifacts) through
 ///    the preset's planted scoring panics, NN fault window, and deadline
 ///    storm, asserting zero silent request loss and that the circuit
@@ -255,7 +264,7 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
         match pipeline.train_with_sink(&repo, &ModelStore::new(), &pool, Some(&mut first)) {
             Err(PipelineError::Killed { stage, commits }) => {
                 let cut = match plan.torn_tail_bytes {
-                    Some(bytes) => plant_torn_temp(&first, stage, bytes)?,
+                    Some(bytes) => plant_torn_temp(&first, &reference, stage, bytes)?,
                     None => 0,
                 };
                 (Some(stage), commits, cut)
@@ -317,8 +326,8 @@ pub fn chaos(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "training: killed in `{stage}` after {commits_before_kill} commits, \
-                 left its next commit torn {torn_bytes_cut} bytes short, resumed with {} \
-                 stages recovered",
+                 left the next stage's commit torn {torn_bytes_cut} bytes short, resumed with \
+                 {} stages recovered",
                 resumed.recovered_stages,
             );
         }

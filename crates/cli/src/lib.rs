@@ -8,9 +8,10 @@
 //! * `inspect`  — print population statistics of a workload file.
 //! * `train`    — prepare a dataset from a workload file, train the NN and
 //!   XGBoost models, and register them in a directory-backed model store;
-//!   with `--checkpoint-dir` the same pipeline commits its progress there
-//!   ([`tasq::pipeline::CheckpointSink`]), and running the command again
-//!   on that directory resumes a killed run instead of redoing it.
+//!   with `--checkpoint-dir` the same pipeline commits its five stage
+//!   records there ([`tasq::pipeline::CheckpointSink`]), and running the
+//!   command again on that directory resumes a killed run, fitting only
+//!   the models it had not committed.
 //! * `score`    — load the latest artifacts and score a workload file,
 //!   printing per-job allocation decisions.
 //! * `flight`   — re-execute a sample of jobs under a fault-injection
@@ -23,8 +24,8 @@
 //!   traffic against a listening server over persistent connections and
 //!   report latency/throughput as JSON.
 //! * `chaos`    — the deterministic chaos harness: kill the pipeline
-//!   under a checkpoint directory mid-run (with a torn commit), resume it,
-//!   prove the artifacts bit-identical, then drive the scoring server
+//!   under a checkpoint directory mid-run (with the next commit torn),
+//!   resume it, prove the artifacts bit-identical, then drive the scoring server
 //!   through planted scoring panics, an NN fault window, and a deadline
 //!   storm; write a machine-readable report CI asserts on.
 //!
@@ -152,7 +153,9 @@ USAGE:
     tasq-cli generate --out <file> [--jobs N] [--seed N]
     tasq-cli inspect  --workload <file>
     tasq-cli train    --workload <file> --model-dir <dir> [--nn-epochs N] [--xgb-rounds N]
-                      [--checkpoint-dir <dir>]
+                      [--checkpoint-dir <dir>]   five commits: manifest, dataset, gbdt,
+                          nn, done; the same command again resumes, fitting only the
+                          models not yet committed
     tasq-cli score    --workload <file> --model-dir <dir> [--model nn|xgb-ss|xgb-pl]
                       [--min-improvement FRAC]
     tasq-cli flight   --workload <file> [--faults none|mild|production|adversarial]

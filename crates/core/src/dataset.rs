@@ -138,25 +138,6 @@ impl Dataset {
         (rows, targets)
     }
 
-    /// Regression rows over the *PCC* augmentation points (observed +
-    /// AREPAS at 100/80/60/40/20% of the request): wider token-count
-    /// support than [`Dataset::xgb_rows`], used by models that must
-    /// predict across an allocation search range (e.g. the SLO quantile
-    /// models).
-    pub fn pcc_rows(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let mut rows = Vec::new();
-        let mut targets = Vec::new();
-        for example in &self.examples {
-            for point in &example.pcc_points {
-                let mut row = example.features.values.clone();
-                row.push(point.tokens);
-                rows.push(row);
-                targets.push(point.runtime.max(1.0));
-            }
-        }
-        (rows, targets)
-    }
-
     /// Split into (train, test) by index: examples with
     /// `index % modulus == remainder` go to test.
     pub fn split(&self, modulus: usize, remainder: usize) -> (Dataset, Dataset) {

@@ -15,7 +15,7 @@ mod nn;
 mod xgboost;
 
 pub use gnn::{GnnPcc, GnnTrainConfig};
-pub use nn::{NnPcc, NnTrainCheckpoint, NnTrainConfig};
+pub use nn::{NnPcc, NnTrainConfig};
 pub use xgboost::{XgbRuntime, XgbTrainConfig, XgboostPl, XgboostSs};
 
 use crate::featurize::{JobFeatures, OperatorFeatures};

@@ -11,11 +11,10 @@ use crate::loss::{self, LossConfig, LossSample};
 use crate::pcc::{ParamScaler, PowerLawPcc};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::convert::Infallible;
 use tasq_codec::{CodecError, Wire};
 use tasq_ml::matrix::Matrix;
 use tasq_ml::nn::{Activation, Mlp};
-use tasq_ml::optim::{Adam, AdamConfig, ParamId};
+use tasq_ml::optim::AdamConfig;
 use tasq_ml::rand_ext;
 
 /// NN training configuration.
@@ -54,44 +53,6 @@ impl Default for NnTrainConfig {
             early_stopping_patience: None,
         }
     }
-}
-
-/// A checkpoint callback of the epoch loop; an `Err` halts training.
-type OnEpoch<'a, E> = &'a mut dyn FnMut(&NnTrainCheckpoint) -> Result<(), E>;
-
-/// Serializable snapshot of NN training captured after a completed epoch.
-///
-/// Holds every piece of mutable training state — weights, Adam moments,
-/// RNG state, shuffle order, early-stopping bookkeeping — so a run killed
-/// after any epoch and resumed via [`NnPcc::train_with_teacher_resumable`]
-/// replays the remaining epochs bit-identically. The immutable inputs
-/// (dataset rows, scalers, loss samples) are *not* stored; they are
-/// recomputed deterministically, so a checkpoint is only valid with the
-/// same dataset, config, and teacher it was captured under.
-#[derive(Debug, Clone, Wire)]
-pub struct NnTrainCheckpoint {
-    /// Number of epochs fully completed.
-    pub epoch: usize,
-    /// RNG state after the completed epoch's shuffling.
-    pub rng_state: [u64; 4],
-    /// Network weights after the completed epoch.
-    pub mlp: Mlp,
-    /// Adam optimizer moments and step count.
-    pub adam: Adam,
-    /// Parameter ids (weight, bias) per layer, paired with `adam`.
-    pub ids: Vec<(ParamId, ParamId)>,
-    /// Deterministic validation holdout row indices.
-    pub validation_idx: Vec<usize>,
-    /// Training row order as of the completed epoch's shuffle.
-    pub order: Vec<usize>,
-    /// Best validation loss and weights seen so far (early stopping).
-    pub best: Option<(f64, Mlp)>,
-    /// Epochs since the validation loss last improved.
-    pub stale_epochs: usize,
-    /// Mean training loss per completed epoch.
-    pub training_loss: Vec<f64>,
-    /// Mean validation loss per completed epoch (empty without a split).
-    pub validation_loss: Vec<f64>,
 }
 
 /// The trained NN model.
@@ -159,39 +120,6 @@ impl NnPcc {
         config: &NnTrainConfig,
         teacher_runtimes: Option<&[f64]>,
     ) -> Self {
-        let Ok(model) = Self::fit::<Infallible>(dataset, config, teacher_runtimes, None, None);
-        model
-    }
-
-    /// Train with per-epoch checkpointing and optional resume.
-    ///
-    /// After every completed epoch an [`NnTrainCheckpoint`] is handed to
-    /// `on_epoch`; an `Err` halts training and is returned (the caller
-    /// keeps the checkpoint). Passing the
-    /// checkpoint back as `resume` — with the *same* dataset, config and
-    /// teacher — replays only the remaining epochs and produces a model
-    /// bit-identical to an uninterrupted run, including the early-stopping
-    /// decision and best-weights restoration.
-    pub fn train_with_teacher_resumable<E>(
-        dataset: &Dataset,
-        config: &NnTrainConfig,
-        teacher_runtimes: Option<&[f64]>,
-        resume: Option<NnTrainCheckpoint>,
-        on_epoch: &mut dyn FnMut(&NnTrainCheckpoint) -> Result<(), E>,
-    ) -> Result<Self, E> {
-        Self::fit(dataset, config, teacher_runtimes, resume, Some(on_epoch))
-    }
-
-    /// The epoch loop behind both entry points. A checkpoint is built
-    /// only when there is an `on_epoch` to hand it to, and an `Err` from
-    /// `on_epoch` halts training with that error.
-    fn fit<E>(
-        dataset: &Dataset,
-        config: &NnTrainConfig,
-        teacher_runtimes: Option<&[f64]>,
-        resume: Option<NnTrainCheckpoint>,
-        mut on_epoch: Option<OnEpoch<'_, E>>,
-    ) -> Result<Self, E> {
         assert!(!dataset.is_empty(), "NnPcc::train: empty dataset");
         if let Some(t) = teacher_runtimes {
             assert_eq!(t.len(), dataset.len(), "NnPcc::train: teacher length mismatch");
@@ -219,81 +147,34 @@ impl NnPcc {
             .collect();
 
         let n = rows.len();
-        let (
-            start_epoch,
-            mut rng,
-            mut mlp,
-            mut adam,
-            ids,
-            validation_idx,
-            mut order,
-            mut training_loss,
-            mut validation_loss,
-            mut best,
-            mut stale_epochs,
-        ) = if let Some(ckpt) = resume {
-            assert!(ckpt.epoch <= config.epochs, "NnPcc: checkpoint beyond configured epochs");
-            assert_eq!(
-                ckpt.training_loss.len(),
-                ckpt.epoch,
-                "NnPcc: checkpoint loss history inconsistent with epoch count"
-            );
-            (
-                ckpt.epoch,
-                StdRng::from_state(ckpt.rng_state),
-                ckpt.mlp,
-                ckpt.adam,
-                ckpt.ids,
-                ckpt.validation_idx,
-                ckpt.order,
-                ckpt.training_loss,
-                ckpt.validation_loss,
-                ckpt.best,
-                ckpt.stale_epochs,
-            )
-        } else {
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            let mut sizes = vec![feature_scaler.dim()];
-            sizes.extend_from_slice(&config.hidden);
-            sizes.push(2);
-            let mlp = Mlp::new(&mut rng, &sizes, Activation::Relu, Activation::Identity);
-            let (adam, ids) = mlp.make_optimizer(AdamConfig {
-                learning_rate: config.learning_rate,
-                ..Default::default()
-            });
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut sizes = vec![feature_scaler.dim()];
+        sizes.extend_from_slice(&config.hidden);
+        sizes.push(2);
+        let mut mlp = Mlp::new(&mut rng, &sizes, Activation::Relu, Activation::Identity);
+        let (mut adam, ids) = mlp.make_optimizer(AdamConfig {
+            learning_rate: config.learning_rate,
+            ..Default::default()
+        });
 
-            // Optional validation split: a deterministic shuffled holdout.
-            let mut all: Vec<usize> = (0..n).collect();
-            rand_ext::shuffle(&mut rng, &mut all);
-            let holdout = ((n as f64) * config.validation_fraction.clamp(0.0, 0.5)) as usize;
-            let (validation_idx, train_idx) = all.split_at(holdout);
-            let validation_idx = validation_idx.to_vec();
-            let mut order: Vec<usize> = train_idx.to_vec();
-            if order.is_empty() {
-                order = (0..n).collect();
-            }
-            (
-                0,
-                rng,
-                mlp,
-                adam,
-                ids,
-                validation_idx,
-                order,
-                Vec::with_capacity(config.epochs),
-                Vec::with_capacity(config.epochs),
-                None::<(f64, Mlp)>,
-                0usize,
-            )
-        };
+        // Optional validation split: a deterministic shuffled holdout.
+        let mut all: Vec<usize> = (0..n).collect();
+        rand_ext::shuffle(&mut rng, &mut all);
+        let holdout = ((n as f64) * config.validation_fraction.clamp(0.0, 0.5)) as usize;
+        let (validation_idx, train_idx) = all.split_at(holdout);
+        let mut order: Vec<usize> = train_idx.to_vec();
+        if order.is_empty() {
+            order = (0..n).collect();
+        }
+        let mut training_loss = Vec::with_capacity(config.epochs);
+        let mut validation_loss = Vec::with_capacity(config.epochs);
+        let mut best: Option<(f64, Mlp)> = None;
+        let mut stale_epochs = 0usize;
         // Per-step buffers, reused for the whole run: the batch, the forward
         // caches, the weight transposes and the gradients.
         let (mut x, mut d_out) = (Matrix::default(), Matrix::default());
         let (mut cache, mut weights_t, mut grads) = Default::default();
-        for epoch in start_epoch..config.epochs {
-            // Early stopping is checked at the top of the iteration (rather
-            // than breaking mid-epoch) so a resumed run that restored
-            // `stale_epochs` at the stopping point halts identically.
+        for epoch in 0..config.epochs {
             if let Some(patience) = config.early_stopping_patience {
                 if stale_epochs >= patience.max(1) {
                     break;
@@ -339,7 +220,7 @@ impl NnPcc {
 
             if !validation_idx.is_empty() {
                 let mut val_loss = 0.0;
-                for &i in &validation_idx {
+                for &i in validation_idx {
                     let mut out = [0.0; 2];
                     mlp.forward_row(&rows[i], &mut out);
                     val_loss +=
@@ -358,28 +239,12 @@ impl NnPcc {
                     }
                 }
             }
-
-            if let Some(on_epoch) = on_epoch.as_mut() {
-                on_epoch(&NnTrainCheckpoint {
-                    epoch: epoch + 1,
-                    rng_state: rng.state(),
-                    mlp: mlp.clone(),
-                    adam: adam.clone(),
-                    ids: ids.clone(),
-                    validation_idx: validation_idx.clone(),
-                    order: order.clone(),
-                    best: best.clone(),
-                    stale_epochs,
-                    training_loss: training_loss.clone(),
-                    validation_loss: validation_loss.clone(),
-                })?;
-            }
         }
         if let Some((_, best_mlp)) = best {
             mlp = best_mlp;
         }
 
-        Ok(Self { mlp, feature_scaler, param_scaler, training_loss, validation_loss })
+        Self { mlp, feature_scaler, param_scaler, training_loss, validation_loss }
     }
 
     /// Predict the power-law PCC for job-level features. The features
@@ -547,55 +412,6 @@ mod tests {
         let model = NnPcc::train(&ds, &quick(5));
         assert!(model.validation_loss.is_empty());
         assert_eq!(model.training_loss.len(), 5);
-    }
-
-    #[test]
-    fn kill_and_resume_is_bit_identical_at_every_epoch() {
-        let ds = dataset(40, 29);
-        let config = NnTrainConfig {
-            epochs: 12,
-            validation_fraction: 0.25,
-            early_stopping_patience: Some(3),
-            ..Default::default()
-        };
-        let full = NnPcc::train(&ds, &config);
-        let executed = full.training_loss.len();
-        assert!(executed >= 2, "want several epochs to kill at");
-
-        for kill_at in 1..=executed {
-            let mut taken: Option<NnTrainCheckpoint> = None;
-            let halted =
-                NnPcc::train_with_teacher_resumable(&ds, &config, None, None, &mut |ckpt| {
-                    if ckpt.epoch == kill_at {
-                        taken = Some(ckpt.clone());
-                        Err(())
-                    } else {
-                        Ok(())
-                    }
-                });
-            assert!(halted.is_err(), "kill at epoch {kill_at} should halt");
-            let ckpt = taken.unwrap();
-
-            // The checkpoint must survive the wire format it will be
-            // persisted through.
-            let bytes = crate::codec::to_bytes(&ckpt).unwrap();
-            let ckpt: NnTrainCheckpoint = crate::codec::from_bytes(&bytes).unwrap();
-
-            let resumed =
-                NnPcc::train_with_teacher_resumable(&ds, &config, None, Some(ckpt), &mut |_| {
-                    Ok::<(), ()>(())
-                })
-                .unwrap();
-            assert_eq!(resumed.training_loss, full.training_loss, "kill at {kill_at}");
-            assert_eq!(resumed.validation_loss, full.validation_loss, "kill at {kill_at}");
-            for e in ds.examples.iter().take(8) {
-                assert_eq!(
-                    resumed.predict_pcc(&e.features),
-                    full.predict_pcc(&e.features),
-                    "kill at {kill_at}"
-                );
-            }
-        }
     }
 
     /// `predict_pcc` answers as the allocating recipe did, to the bit, on

@@ -60,11 +60,6 @@ impl PowerLawPcc {
         log_rt.exp()
     }
 
-    /// Predicted run times over a range of token counts.
-    pub fn predict_range(&self, tokens: impl IntoIterator<Item = u32>) -> Vec<(u32, f64)> {
-        tokens.into_iter().map(|t| (t, self.predict(t))).collect()
-    }
-
     /// Whether the curve is monotonically non-increasing in tokens
     /// (`a` and `b` have inconsistent signs; with `b > 0` that is `a <= 0`).
     pub fn is_non_increasing(&self) -> bool {

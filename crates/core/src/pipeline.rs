@@ -28,8 +28,8 @@ use crate::augment::AugmentConfig;
 use crate::dataset::Dataset;
 use crate::featurize::featurize_job;
 use crate::models::{
-    NnPcc, NnTrainCheckpoint, NnTrainConfig, PccPredictor, PredictedPcc, ScoringInput, XgbRuntime,
-    XgbTrainConfig, XgboostPl, XgboostSs,
+    NnPcc, NnTrainConfig, PccPredictor, PredictedPcc, ScoringInput, XgbRuntime, XgbTrainConfig,
+    XgboostPl, XgboostSs,
 };
 use crate::codec::{self, Wire};
 use crate::pcc::PowerLawPcc;
@@ -37,8 +37,6 @@ use scope_sim::{AmdahlModel, Job, StageGraph};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use tasq_ml::gbdt::BoosterCheckpoint;
 use tasq_obs::sync::{Rank, RwLock};
 use tasq_resil::chaos::mix64;
 use tasq_resil::{snapshot, ResilError};
@@ -526,22 +524,21 @@ impl TasqPipeline {
     /// and NN fits are independent of each other, so they run as the two
     /// halves of one [`tasq_par::Pool::join`]: XGBoost on the calling
     /// thread, the NN on a helper when `pool` has a second thread, each
-    /// on one thread (the booster's split search gets
-    /// `Pool::sequential()`, which grows the same trees at any thread
-    /// count). Each fit is deterministic on its own, so the artifacts are
-    /// the same bytes whatever `pool` is, and they are registered XGBoost
-    /// first, NN second.
+    /// on one thread. Each fit is deterministic on its own, so the
+    /// artifacts are the same bytes whatever `pool` is, and they are
+    /// registered XGBoost first, NN second.
     ///
-    /// With a sink, the run commits durable records once both gates have
-    /// passed: the `manifest`, the `dataset` digest, one `gbdt` record
-    /// per boosting round, one `nn` record per epoch, and the `done`
-    /// fingerprint (see [`CheckpointSink`]). A directory that already
-    /// holds this run's records is resumed: the finished work is restored
-    /// instead of redone, and the artifacts are bit-identical to an
-    /// uninterrupted run's. One that holds another run's records is
-    /// refused with [`PipelineError::CheckpointMismatch`]. The two fits
-    /// commit side by side, and a planted kill still stops the run where
-    /// a sequential one would stop ([`CheckpointSink::open`]).
+    /// With a sink, the run commits five durable records once both gates
+    /// have passed: the `manifest`, the `dataset` digest, the finished
+    /// `gbdt` and `nn` models, and the `done` fingerprint (see
+    /// [`CheckpointSink`]). A directory that already holds this run's
+    /// records is resumed: a recovered model is used as it is, and only a
+    /// model whose record is missing is fitted, from the rebuilt dataset.
+    /// The fits are deterministic, so the artifacts are bit-identical to
+    /// an uninterrupted run's. One that holds another run's records is
+    /// refused with [`PipelineError::CheckpointMismatch`]. The caller
+    /// commits both models after the fits, `gbdt` first, so a planted kill
+    /// stops every run at the same record ([`CheckpointSink::open`]).
     pub fn train_with_sink(
         &self,
         repository: &JobRepository,
@@ -591,26 +588,31 @@ impl TasqPipeline {
                 return Err(PipelineError::InvalidTargetPcc { job_id: example.job_id, detail });
             }
         }
-        let (gbdt_resume, nn_resume) = match sink.as_deref_mut() {
+        let (recovered_xgb, recovered_nn) = match sink.as_deref_mut() {
             Some(sink) => {
                 let workload_digest = digest_bytes(&codec::to_bytes(&jobs)?);
                 sink.begin(workload_digest, &dataset, &self.config)?
             }
             None => (None, None),
         };
-        let fits = {
-            let sink = sink.as_deref();
-            pool.join(
-                || fit_xgb(&dataset, &self.config.xgb, sink, gbdt_resume),
-                || fit_nn(&dataset, &self.config.nn, sink, nn_resume),
-            )
-        };
+        let (fitted_xgb, fitted_nn) = (recovered_xgb.is_none(), recovered_nn.is_none());
+        let fits = pool.join(
+            || recovered_xgb.unwrap_or_else(|| fit_xgb(&dataset, &self.config.xgb)),
+            || recovered_nn.unwrap_or_else(|| fit_nn(&dataset, &self.config.nn)),
+        );
         let (xgb, nn) = match fits {
-            // XGBoost's error first: it is the first fit in sequential order.
-            Ok((xgb, nn)) => (xgb?, nn?),
+            Ok(models) => models,
             // A fit panicked: a bug, re-raised on the caller as before.
             Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
         };
+        if let Some(sink) = sink.as_deref_mut() {
+            if fitted_xgb {
+                sink.commit(STAGE_GBDT, &xgb)?;
+            }
+            if fitted_nn {
+                sink.commit(STAGE_NN, &nn)?;
+            }
+        }
         store.register(XGB_MODEL_NAME, &xgb)?;
         store.register(NN_MODEL_NAME, &nn)?;
         if let Some(sink) = sink {
@@ -634,54 +636,25 @@ fn first_failure<T, E>(
     items.iter().zip(verdicts).find_map(|(item, verdict)| verdict.map(|e| (item, e)))
 }
 
-/// The `gbdt` fit: [`XgbRuntime::train`], or under a sink the same
-/// ensemble committed after every boosting round and resumed from
-/// `resume`. The split search stays on the calling thread.
-fn fit_xgb(
-    dataset: &Dataset,
-    config: &XgbTrainConfig,
-    sink: Option<&CheckpointSink>,
-    resume: Option<BoosterCheckpoint>,
-) -> Result<XgbRuntime, PipelineError> {
+/// The `gbdt` fit, [`XgbRuntime::train`], under its span.
+fn fit_xgb(dataset: &Dataset, config: &XgbTrainConfig) -> XgbRuntime {
     use tasq_obs::{span, FieldValue, Level};
     let examples = FieldValue::U64(dataset.len() as u64);
     let _span = span(Level::Info, "pipeline_fit_xgb", &[("examples", examples)]);
-    let Some(sink) = sink else {
-        return Ok(XgbRuntime::train(dataset, config));
-    };
-    let (rows, targets) = dataset.xgb_rows();
-    let booster = tasq_ml::gbdt::Booster::train_resumable_with_pool(
-        &rows,
-        &targets,
-        &XgbRuntime::booster_config(config),
-        &tasq_par::Pool::sequential(),
-        resume,
-        &mut |checkpoint| sink.commit(STAGE_GBDT, sink.gbdt_commit(checkpoint.round), checkpoint),
-    )?;
-    Ok(XgbRuntime::from_booster(booster))
+    XgbRuntime::train(dataset, config)
 }
 
-/// The `nn` fit: [`NnPcc::train`], or under a sink the same network
-/// committed after every epoch and resumed from `resume`.
-fn fit_nn(
-    dataset: &Dataset,
-    config: &NnTrainConfig,
-    sink: Option<&CheckpointSink>,
-    resume: Option<NnTrainCheckpoint>,
-) -> Result<NnPcc, PipelineError> {
+/// The `nn` fit, [`NnPcc::train`], under its span.
+fn fit_nn(dataset: &Dataset, config: &NnTrainConfig) -> NnPcc {
     use tasq_obs::{span, FieldValue, Level};
     let examples = FieldValue::U64(dataset.len() as u64);
     let _span = span(Level::Info, "pipeline_fit_nn", &[("examples", examples)]);
-    let Some(sink) = sink else {
-        return Ok(NnPcc::train(dataset, config));
-    };
-    NnPcc::train_with_teacher_resumable(dataset, config, None, resume, &mut |checkpoint| {
-        sink.commit(STAGE_NN, sink.nn_commit(checkpoint.epoch), checkpoint)
-    })
+    NnPcc::train(dataset, config)
 }
 
-/// Stages of a checkpointed run, in pipeline order.
-const CHECKPOINT_STAGES: [&str; 5] = ["manifest", "dataset", "gbdt", "nn", "done"];
+/// Stages of a checkpointed run, in pipeline order: each commits one
+/// record, once.
+pub const CHECKPOINT_STAGES: [&str; 5] = ["manifest", "dataset", "gbdt", "nn", "done"];
 const STAGE_MANIFEST: &str = CHECKPOINT_STAGES[0];
 const STAGE_DATASET: &str = CHECKPOINT_STAGES[1];
 const STAGE_GBDT: &str = CHECKPOINT_STAGES[2];
@@ -723,17 +696,16 @@ struct DoneRecord {
 /// Where a checkpointed [`TasqPipeline`] run commits its progress.
 ///
 /// The sink owns a directory holding one atomic snapshot per stage,
-/// `<dir>/<stage>.ckpt` ([`tasq_resil::snapshot`]): each commit replaces
-/// the stage's file with its newest record, which is all a resume reads.
-/// Every commit goes through here, so the counters are exact, and the
-/// commit count is an atomic: the `gbdt` and `nn` fits commit from two
-/// threads at once. The public fields are what a run reports.
+/// `<dir>/<stage>.ckpt` ([`tasq_resil::snapshot`]), each written once
+/// with the stage's one record: the `gbdt` and `nn` records are the
+/// finished models, in their artifact encoding. Every commit is made on
+/// the calling thread and goes through here, so the count is exact. The
+/// public fields are what a run reports.
 pub struct CheckpointSink {
     dir: PathBuf,
     kill_after: Option<u64>,
     dataset_digest: u64,
-    order: CommitOrder,
-    committed: AtomicU64,
+    committed: u64,
     /// Stages whose record was recovered from the directory (0 on a cold
     /// run).
     pub recovered_stages: usize,
@@ -744,34 +716,14 @@ pub struct CheckpointSink {
     pub fingerprint: u64,
 }
 
-/// Where each fit's commits fall in the order a sequential run makes
-/// them, once the stages are recovered: the `manifest` and `dataset`
-/// commits, then the remaining `gbdt` rounds, then the remaining `nn`
-/// epochs, then `done`.
-#[derive(Debug, Default, Clone, Copy)]
-struct CommitOrder {
-    /// Commits this run made before the fits.
-    before_fits: u64,
-    /// The round the `gbdt` stage resumed from (0 on a cold stage).
-    gbdt_from: u64,
-    /// Rounds the `gbdt` fit commits this run.
-    gbdt_commits: u64,
-    /// The epoch the `nn` stage resumed from.
-    nn_from: u64,
-}
-
 impl CheckpointSink {
     /// A sink over `dir` (created if absent), resuming whatever stages it
     /// holds.
     ///
     /// `kill_after` plants the chaos harness's process death: the run
-    /// stops with [`PipelineError::Killed`] once it has made that many
-    /// commits (at least one), leaving exactly the records a sequential run (the `gbdt`
-    /// fit, then the `nn` fit) leaves there. The fits commit side by
-    /// side, so each commit is numbered by its place in that sequential
-    /// order: a fit whose next commit comes after the kill stops without
-    /// writing it, and the fit that writes the kill's commit returns
-    /// `Killed`, with that commit's stage and count.
+    /// stops with [`PipelineError::Killed`] right after its commit number
+    /// `kill_after` (at least one) this run, with that commit's stage and
+    /// count, leaving the records a process killed there would leave.
     pub fn open(dir: impl Into<PathBuf>, kill_after: Option<u64>) -> Result<Self, ResilError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -779,8 +731,7 @@ impl CheckpointSink {
             dir,
             kill_after: kill_after.map(|kill| kill.max(1)),
             dataset_digest: 0,
-            order: CommitOrder::default(),
-            committed: AtomicU64::new(0),
+            committed: 0,
             recovered_stages: 0,
             resumed: false,
             fingerprint: 0,
@@ -799,8 +750,7 @@ impl CheckpointSink {
 
     /// Records this run committed.
     pub fn commits(&self) -> u64 {
-        // Read between the fits or after them: the join orders it.
-        self.committed.load(Ordering::Relaxed)
+        self.committed
     }
 
     /// Load and decode `stage`'s committed record, if it has one.
@@ -815,52 +765,16 @@ impl CheckpointSink {
         codec::from_bytes(&bytes).map(Some).map_err(|e| failed(e.to_string()))
     }
 
-    /// The place of the commit after this run's last one, for the stages
-    /// committed outside the fits.
-    fn next_commit(&self) -> u64 {
-        self.commits() + 1
-    }
-
-    /// The place of the `gbdt` commit of round `round` (counted from 1).
-    fn gbdt_commit(&self, round: usize) -> u64 {
-        self.order.before_fits + (round as u64).saturating_sub(self.order.gbdt_from)
-    }
-
-    /// The place of the `nn` commit of epoch `epoch` (counted from 1).
-    fn nn_commit(&self, epoch: usize) -> u64 {
-        let CommitOrder { before_fits, gbdt_commits, nn_from, .. } = self.order;
-        before_fits + gbdt_commits + (epoch as u64).saturating_sub(nn_from)
-    }
-
-    /// The planted kill, at commit `kill`: its stage is the one that
-    /// commit falls in.
-    fn killed_at(&self, kill: u64) -> PipelineError {
-        let stage = if kill <= self.order.before_fits + self.order.gbdt_commits {
-            STAGE_GBDT
-        } else {
-            STAGE_NN
-        };
-        PipelineError::Killed { stage, commits: kill }
-    }
-
-    /// Durably replace `stage`'s record with commit number `place` of
-    /// this run; the planted kill strikes after its commit, and a commit
-    /// that would come after it is not written.
-    fn commit<T: Wire>(
-        &self,
-        stage: &'static str,
-        place: u64,
-        record: &T,
-    ) -> Result<(), PipelineError> {
-        match self.kill_after {
-            Some(kill) if place > kill => return Err(self.killed_at(kill)),
-            _ => {}
-        }
+    /// Durably write `stage`'s record; the planted kill strikes right
+    /// after its commit.
+    fn commit<T: Wire>(&mut self, stage: &'static str, record: &T) -> Result<(), PipelineError> {
         snapshot::commit(&self.stage_path(stage), &codec::to_bytes(record)?)
             .map_err(|e| PipelineError::Checkpoint { stage, detail: e.to_string() })?;
-        self.committed.fetch_add(1, Ordering::Relaxed);
+        self.committed += 1;
         match self.kill_after {
-            Some(kill) if place == kill => Err(PipelineError::Killed { stage, commits: kill }),
+            Some(kill) if self.committed == kill => {
+                Err(PipelineError::Killed { stage, commits: kill })
+            }
             _ => Ok(()),
         }
     }
@@ -880,18 +794,18 @@ impl CheckpointSink {
                 stage,
                 detail,
             }),
-            None => self.commit(stage, self.next_commit(), record).map(|()| false),
+            None => self.commit(stage, record).map(|()| false),
         }
     }
 
     /// The `manifest` and `dataset` stages, then the `gbdt` and `nn`
-    /// records the fits resume from, which fix the order of their commits.
+    /// models already committed, which the run uses instead of fitting.
     fn begin(
         &mut self,
         workload_digest: u64,
         dataset: &Dataset,
         config: &PipelineConfig,
-    ) -> Result<(Option<BoosterCheckpoint>, Option<NnTrainCheckpoint>), PipelineError> {
+    ) -> Result<(Option<XgbRuntime>, Option<NnPcc>), PipelineError> {
         // `Debug` prints every field, each float in its shortest
         // round-trip form, so equal digests mean equal configurations.
         let manifest = ManifestRecord {
@@ -910,16 +824,7 @@ impl CheckpointSink {
             .fold(0, |digest, x| mix64(digest, x.to_bits()));
         let record = DatasetRecord { examples: dataset.len() as u64, digest: self.dataset_digest };
         self.check_or_commit(STAGE_DATASET, &record, "the rebuilt dataset differs")?;
-        let gbdt: Option<BoosterCheckpoint> = self.recover(STAGE_GBDT)?;
-        let nn: Option<NnTrainCheckpoint> = self.recover(STAGE_NN)?;
-        let gbdt_from = gbdt.as_ref().map_or(0, |c| c.round as u64);
-        self.order = CommitOrder {
-            before_fits: self.commits(),
-            gbdt_from,
-            gbdt_commits: (config.xgb.num_rounds as u64).saturating_sub(gbdt_from),
-            nn_from: nn.as_ref().map_or(0, |c| c.epoch as u64),
-        };
-        Ok((gbdt, nn))
+        Ok((self.recover(STAGE_GBDT)?, self.recover(STAGE_NN)?))
     }
 
     /// The `done` stage: seal the run with its fingerprint.
@@ -1764,27 +1669,24 @@ mod tests {
         }
     }
 
-    /// A kill after every commit count, on one thread (the fits one after
-    /// the other) and on two (the fits side by side, committing from two
-    /// threads): both report the same stage and count, leave the same
-    /// files with the same bytes, and resume to the uninterrupted run's
-    /// fingerprint. A resumed directory is killed once more at each count
-    /// of its own run, so the commit order of a resumed `gbdt` and `nn`
-    /// stage is covered too.
+    /// A kill after each of the five commits, on one thread (the fits one
+    /// after the other) and on two (side by side): both report that
+    /// commit's stage and count and leave the uninterrupted run's first
+    /// files, byte for byte. The killed directory is killed once more
+    /// after each of the resumed run's own commits, so a resume that fits
+    /// both models, one or none is covered too, and a full resume reaches
+    /// the uninterrupted run's fingerprint and files.
     #[test]
     fn kill_at_every_commit_and_resume_is_bit_identical() {
         let jobs = jobs(6, 3);
         let config = tiny_config();
-        let (one, two) = (tasq_par::Pool::sequential(), tasq_par::Pool::new(2));
+        let pools = [tasq_par::Pool::sequential(), tasq_par::Pool::new(2)];
 
         let reference_dir = checkpoint_dir("reference");
         let reference = train_checkpointed(&jobs, &config, &reference_dir, None).unwrap();
         assert!(!reference.resumed);
-        assert_eq!(reference.recovered_stages, 0);
-
-        // Total commits of an uninterrupted run bounds the kill sweep.
-        let total = reference.commits();
-        assert!(total > 4, "expected multi-stage commit trail, got {total}");
+        assert_eq!((reference.commits(), reference.recovered_stages), (5, 0));
+        let reference_files = directory_bytes(&reference_dir);
 
         let killed = |pool, dir: &Path, kill| {
             match train_checkpointed_on(pool, &jobs, &config, dir, Some(kill)) {
@@ -1792,59 +1694,55 @@ mod tests {
                 other => panic!("kill {kill} did not fire: {:?}", other.map(|s| s.commits())),
             }
         };
-        let mut stages = Vec::new();
-        for kill in 1..=total {
-            let (sequential_dir, chaos_dir) =
-                (checkpoint_dir(&format!("kill{kill}-t1")), checkpoint_dir(&format!("kill{kill}")));
-            let sequential = killed(&one, &sequential_dir, kill);
-            assert_eq!(sequential.1, kill, "kill {kill}");
-            assert_eq!(killed(&two, &chaos_dir, kill), sequential, "kill {kill}");
-            assert_eq!(
-                directory_bytes(&chaos_dir),
-                directory_bytes(&sequential_dir),
-                "kill {kill}: the records left differ"
-            );
-            stages.push(sequential.0);
-            // Resume from what the kill left, killed once more after each
-            // of the resumed run's own commits.
-            let left = directory_bytes(&chaos_dir);
-            for again in 1.. {
-                for dir in [&chaos_dir, &sequential_dir] {
-                    restore(dir, &left);
-                }
-                let sink = match train_checkpointed_on(&two, &jobs, &config, &chaos_dir, Some(again))
-                {
-                    Err(PipelineError::Killed { stage, commits }) => {
-                        let sequential = killed(&one, &sequential_dir, again);
-                        assert_eq!((stage, commits), sequential, "kill {kill}, then {again}");
-                        assert_eq!(
-                            directory_bytes(&chaos_dir),
-                            directory_bytes(&sequential_dir),
-                            "kill {kill}, then {again}: the records left differ"
-                        );
-                        continue;
-                    }
-                    resumed => resumed.unwrap(),
-                };
-                // The planted kill lies past the resumed run's last commit.
-                assert_eq!(sink.commits(), again - 1, "kill {kill}, then {again}");
-                assert_eq!(sink.fingerprint, reference.fingerprint, "kill {kill}, then {again}");
-                break;
+        for (kill, stage) in (1..).zip(CHECKPOINT_STAGES) {
+            let dir = checkpoint_dir(&format!("kill{kill}"));
+            let stages = &CHECKPOINT_STAGES[..kill as usize];
+            let left: Vec<_> = reference_files
+                .iter()
+                .filter(|(name, _)| stages.iter().any(|s| *name == format!("{s}.ckpt")))
+                .cloned()
+                .collect();
+            for pool in &pools {
+                let what = format!("kill {kill} on {} threads", pool.threads());
+                assert_eq!(killed(pool, &dir, kill), (stage, kill), "{what}");
+                assert_eq!(directory_bytes(&dir), left, "{what}: the records left differ");
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            restore(&chaos_dir, &left);
-            let resumed = train_checkpointed(&jobs, &config, &chaos_dir, None).unwrap();
-            assert_eq!(
-                resumed.fingerprint, reference.fingerprint,
-                "kill after {kill} commits diverged"
-            );
-            let _ = std::fs::remove_dir_all(&chaos_dir);
-            let _ = std::fs::remove_dir_all(&sequential_dir);
-        }
-        // The sweep reached every stage.
-        for stage in CHECKPOINT_STAGES {
-            assert!(stages.contains(&stage), "no kill in `{stage}`: {stages:?}");
+            for pool in &pools {
+                let what = format!("kill {kill}, resumed on {} threads", pool.threads());
+                for again in 1..=5 - kill {
+                    restore(&dir, &left);
+                    let next = CHECKPOINT_STAGES[(kill + again) as usize - 1];
+                    assert_eq!(killed(pool, &dir, again), (next, again), "{what}, then {again}");
+                }
+                restore(&dir, &left);
+                let resumed = train_checkpointed_on(pool, &jobs, &config, &dir, None).unwrap();
+                assert!(resumed.resumed, "{what}");
+                assert_eq!((resumed.recovered_stages, resumed.commits()), (stages.len(), 5 - kill));
+                assert_eq!(resumed.fingerprint, reference.fingerprint, "{what}");
+                assert_eq!(directory_bytes(&dir), reference_files, "{what}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
         let _ = std::fs::remove_dir_all(&reference_dir);
+    }
+
+    /// A cold run commits exactly five records however long its fits
+    /// run: the commit count does not grow with the boosting rounds or
+    /// the epochs.
+    #[test]
+    fn a_cold_run_commits_five_records_at_any_fit_length() {
+        let jobs = jobs(5, 17);
+        for (rounds, epochs) in [(6, 4), (30, 20)] {
+            let mut config = tiny_config();
+            config.xgb.num_rounds = rounds;
+            config.nn.epochs = epochs;
+            let dir = checkpoint_dir(&format!("five-{rounds}"));
+            let sink = train_checkpointed(&jobs, &config, &dir, None).unwrap();
+            assert_eq!(sink.commits(), 5, "{rounds} rounds, {epochs} epochs");
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), CHECKPOINT_STAGES.len());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// The registered artifacts are the same bytes on one, two and three
@@ -1882,6 +1780,10 @@ mod tests {
         }
     }
 
+    /// A crash in the middle of the commit after the kill's leaves that
+    /// stage's image, cut short, in its temp and no committed file: the
+    /// resume never reads the temp, and its own commit of the stage
+    /// replaces it.
     #[test]
     fn torn_temp_after_kill_still_resumes_bit_identically() {
         let jobs = jobs(5, 9);
@@ -1896,21 +1798,22 @@ mod tests {
         else {
             panic!("kill did not fire")
         };
-        // A crash in the stage's next commit leaves a torn temp beside the
-        // committed file: the committed image, cut short.
-        let path = chaos_dir.join(format!("{stage}.ckpt"));
-        let image = std::fs::read(&path).unwrap();
+        assert_eq!(stage, STAGE_GBDT);
+        // The `nn` commit the kill cut short: the uninterrupted run's image.
+        let image = std::fs::read(reference_dir.join(format!("{STAGE_NN}.ckpt"))).unwrap();
         assert!(image.len() > 7);
+        let path = chaos_dir.join(format!("{STAGE_NN}.ckpt"));
         let tmp = snapshot::tmp_path(&path);
         std::fs::write(&tmp, &image[..image.len() - 7]).unwrap();
 
         let resumed = train_checkpointed(&jobs, &config, &chaos_dir, None).unwrap();
         assert!(resumed.resumed);
-        // `manifest`, `dataset` and the killed `gbdt` stage were committed.
-        assert_eq!((stage, resumed.recovered_stages), (STAGE_GBDT, 3));
+        // `manifest`, `dataset` and `gbdt` were committed; `nn` was fitted.
+        assert_eq!((resumed.recovered_stages, resumed.commits()), (3, 2));
         assert_eq!(resumed.fingerprint, reference.fingerprint);
-        // The stage's next commit replaced the torn temp.
+        // The stage's commit replaced the torn temp.
         assert!(!tmp.exists());
+        assert_eq!(std::fs::read(&path).unwrap(), image);
         let _ = std::fs::remove_dir_all(&chaos_dir);
         let _ = std::fs::remove_dir_all(&reference_dir);
     }
@@ -1922,24 +1825,9 @@ mod tests {
         let dir = checkpoint_dir("one-snapshot");
         let sink = train_checkpointed(&jobs, &config, &dir, None).unwrap();
 
-        // Each stage's last record, rebuilt without a sink.
+        // Each stage's record, rebuilt without a sink: the fitted models
+        // in their artifact encoding.
         let dataset = Dataset::build_with_pool(&jobs, &config.augment, &tasq_par::Pool::new(2));
-        let (rows, targets) = dataset.xgb_rows();
-        let mut last_round = Vec::new();
-        tasq_ml::gbdt::Booster::train_resumable_with_pool(
-            &rows,
-            &targets,
-            &XgbRuntime::booster_config(&config.xgb),
-            &tasq_par::Pool::new(2),
-            None,
-            &mut |checkpoint| codec::to_bytes(checkpoint).map(|bytes| last_round = bytes),
-        )
-        .unwrap();
-        let mut last_epoch = Vec::new();
-        NnPcc::train_with_teacher_resumable(&dataset, &config.nn, None, None, &mut |checkpoint| {
-            codec::to_bytes(checkpoint).map(|bytes| last_epoch = bytes)
-        })
-        .unwrap();
         let manifest = ManifestRecord {
             workload_digest: digest_bytes(&codec::to_bytes(&jobs).unwrap()),
             config_digest: digest_bytes(format!("{config:?}").as_bytes()),
@@ -1951,8 +1839,8 @@ mod tests {
                 digest: sink.dataset_digest,
             })
             .unwrap(),
-            last_round,
-            last_epoch,
+            codec::to_bytes(&XgbRuntime::train(&dataset, &config.xgb)).unwrap(),
+            codec::to_bytes(&NnPcc::train(&dataset, &config.nn)).unwrap(),
             codec::to_bytes(&DoneRecord { fingerprint: sink.fingerprint }).unwrap(),
         ];
         for (stage, record) in CHECKPOINT_STAGES.iter().zip(&records) {

@@ -6,7 +6,6 @@ use super::tree::{GrowthParams, Tree};
 use crate::rand_ext;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::convert::Infallible;
 use tasq_codec::{CodecError, Wire};
 
 /// Hyper-parameters for [`Booster::train`].
@@ -49,34 +48,6 @@ impl Default for BoosterConfig {
             seed: 0,
         }
     }
-}
-
-/// A checkpoint callback of the round loop; an `Err` halts training.
-type OnRound<'a, E> = &'a mut dyn FnMut(&BoosterCheckpoint) -> Result<(), E>;
-
-/// Mid-training state captured after each completed boosting round.
-///
-/// Everything the round loop carries across iterations is here — the
-/// completed-round count, the subsampling RNG's raw state, the per-row
-/// margins, the trees grown so far and the loss curve — while the
-/// binned dataset and gradients are recomputed deterministically from
-/// the inputs. Feeding a checkpoint back into
-/// [`Booster::train_resumable_with_pool`] replays the remaining rounds
-/// bit-identically to a run that was never interrupted.
-#[derive(Debug, Clone, Wire)]
-pub struct BoosterCheckpoint {
-    /// Boosting rounds completed.
-    pub round: usize,
-    /// Raw subsampling-RNG state after `round` rounds.
-    pub rng_state: [u64; 4],
-    /// Base margin (recomputable, carried for validation).
-    pub base_score: f64,
-    /// Per-row raw margins after `round` rounds.
-    pub raw: Vec<f64>,
-    /// Trees grown so far.
-    pub trees: Vec<Tree>,
-    /// Mean training loss per completed round.
-    pub training_loss: Vec<f64>,
 }
 
 /// A trained gradient-boosted tree ensemble.
@@ -141,62 +112,6 @@ impl Booster {
     /// Panics if lengths mismatch, the dataset is empty, or a Gamma
     /// objective is given non-positive targets.
     pub fn train(rows: &[Vec<f64>], targets: &[f64], config: &BoosterConfig) -> Self {
-        Self::train_with_pool(rows, targets, config, &tasq_par::Pool::sequential())
-    }
-
-    /// [`Booster::train`] with the per-feature split search of every tree
-    /// fanned out over `pool`. The round loop, subsampling RNG stream and
-    /// prediction updates are untouched, and the split search reduces
-    /// deterministically, so the trained ensemble is bit-identical to the
-    /// sequential one at any thread count.
-    ///
-    /// # Panics
-    /// As [`Booster::train`].
-    pub fn train_with_pool(
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        config: &BoosterConfig,
-        pool: &tasq_par::Pool,
-    ) -> Self {
-        let Ok(booster) = Self::fit::<Infallible>(rows, targets, config, pool, None, None);
-        booster
-    }
-
-    /// [`Booster::train_with_pool`] with per-round checkpointing.
-    ///
-    /// After every completed round the freshly captured
-    /// [`BoosterCheckpoint`] is handed to `on_round`; an `Err` halts
-    /// training right there (a failed commit, or the crash-injection hook
-    /// the chaos harness uses) and is returned. Passing a previous checkpoint as
-    /// `resume` skips its completed rounds and restores the subsampling
-    /// RNG mid-stream, so an interrupted-and-resumed run grows exactly
-    /// the trees an uninterrupted one would — bit for bit.
-    ///
-    /// # Panics
-    /// As [`Booster::train`], and if `resume` does not match the
-    /// dataset's row count or its own round count.
-    pub fn train_resumable_with_pool<E>(
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        config: &BoosterConfig,
-        pool: &tasq_par::Pool,
-        resume: Option<BoosterCheckpoint>,
-        on_round: &mut dyn FnMut(&BoosterCheckpoint) -> Result<(), E>,
-    ) -> Result<Self, E> {
-        Self::fit(rows, targets, config, pool, resume, Some(on_round))
-    }
-
-    /// The round loop behind both entry points. A checkpoint is built
-    /// only when there is an `on_round` to hand it to, and an `Err` from
-    /// `on_round` halts training with that error.
-    fn fit<E>(
-        rows: &[Vec<f64>],
-        targets: &[f64],
-        config: &BoosterConfig,
-        pool: &tasq_par::Pool,
-        resume: Option<BoosterCheckpoint>,
-        mut on_round: Option<OnRound<'_, E>>,
-    ) -> Result<Self, E> {
         assert_eq!(rows.len(), targets.len(), "Booster::train: length mismatch");
         assert!(!rows.is_empty(), "Booster::train: empty dataset");
         if config.objective.requires_positive_targets() {
@@ -210,26 +125,10 @@ impl Booster {
         let data = BinnedDataset::new(&mapper, rows);
 
         let base_score = config.objective.base_score(targets);
-        let (start_round, mut rng, mut raw, mut trees, mut training_loss) = match resume {
-            Some(ckpt) => {
-                assert_eq!(ckpt.raw.len(), n, "Booster::resume: row count mismatch");
-                assert_eq!(ckpt.trees.len(), ckpt.round, "Booster::resume: round mismatch");
-                (
-                    ckpt.round,
-                    StdRng::from_state(ckpt.rng_state),
-                    ckpt.raw,
-                    ckpt.trees,
-                    ckpt.training_loss,
-                )
-            }
-            None => (
-                0,
-                StdRng::seed_from_u64(config.seed),
-                vec![base_score; n],
-                Vec::with_capacity(config.num_rounds),
-                Vec::with_capacity(config.num_rounds),
-            ),
-        };
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut raw = vec![base_score; n];
+        let mut trees = Vec::with_capacity(config.num_rounds);
+        let mut training_loss = Vec::with_capacity(config.num_rounds);
         let mut grads = vec![0.0; n];
         let mut hess = vec![0.0; n];
 
@@ -241,7 +140,7 @@ impl Booster {
         };
 
         let all: Vec<usize> = (0..n).collect();
-        for round in start_round..config.num_rounds {
+        for round in 0..config.num_rounds {
             let _span = tasq_obs::span(
                 tasq_obs::Level::Debug,
                 "gbdt_round",
@@ -259,33 +158,37 @@ impl Booster {
             } else {
                 all.clone()
             };
-            let tree = Tree::grow_with_pool(&data, &mapper, &grads, &hess, &sample, &growth, pool);
+            let tree = Tree::grow(&data, &mapper, &grads, &hess, &sample, &growth);
             for (i, r) in raw.iter_mut().enumerate() {
                 *r += config.learning_rate * tree.predict_row(&rows[i]);
             }
             trees.push(tree);
             training_loss.push(Self::mean_loss(config.objective, &raw, targets));
-
-            if let Some(on_round) = on_round.as_mut() {
-                on_round(&BoosterCheckpoint {
-                    round: round + 1,
-                    rng_state: rng.state(),
-                    base_score,
-                    raw: raw.clone(),
-                    trees: trees.clone(),
-                    training_loss: training_loss.clone(),
-                })?;
-            }
         }
 
-        Ok(Self {
+        Self {
             objective: config.objective,
             base_score,
             learning_rate: config.learning_rate,
             trees,
             num_features: mapper.num_features(),
             training_loss,
-        })
+        }
+    }
+
+    /// [`Booster::train`], for callers that hold a pool. The pool is
+    /// unused: every tree's split search runs on the calling thread, so
+    /// the ensemble is the same at any thread count.
+    ///
+    /// # Panics
+    /// As [`Booster::train`].
+    pub fn train_with_pool(
+        rows: &[Vec<f64>],
+        targets: &[f64],
+        config: &BoosterConfig,
+        _pool: &tasq_par::Pool,
+    ) -> Self {
+        Self::train(rows, targets, config)
     }
 
     fn mean_loss(objective: Objective, raw: &[f64], targets: &[f64]) -> f64 {
@@ -453,99 +356,6 @@ mod tests {
         let b1 = Booster::train(&rows, &targets, &config);
         let b2 = Booster::train(&rows, &targets, &config);
         assert_eq!(b1.predict(&rows), b2.predict(&rows));
-    }
-
-    /// `train_with_pool` equals `train` to the bit on both sides of the
-    /// fan-out threshold: at the benchmark's shape, where every node now
-    /// searches sequentially, and at a shape whose root and upper nodes
-    /// still take the one-task-per-feature arm.
-    #[test]
-    fn parallel_split_search_bit_identical_to_sequential() {
-        use super::super::tree::split_search_fans_out;
-        let pool2 = tasq_par::Pool::new(2);
-        for (num_rows, num_features, fans_out) in [(2400, 51, false), (4200, 128, true)] {
-            assert_eq!(split_search_fans_out(&pool2, num_rows, num_features), fans_out);
-            assert!(!split_search_fans_out(&tasq_par::Pool::sequential(), num_rows, num_features));
-
-            let mut rng = StdRng::seed_from_u64(11);
-            let rows: Vec<Vec<f64>> = (0..num_rows)
-                .map(|_| (0..num_features).map(|_| rng.gen_range(-5.0..5.0)).collect())
-                .collect();
-            let targets: Vec<f64> =
-                rows.iter().map(|r| r[0] * 3.0 - r[7] * r[7] + r[13].sin() * 4.0).collect();
-            // Every row in every round, so the root is `num_rows` wide.
-            let config = BoosterConfig {
-                num_rounds: 3,
-                max_depth: 3,
-                subsample: 1.0,
-                seed: 7,
-                ..Default::default()
-            };
-            let seq = Booster::train(&rows, &targets, &config);
-            for threads in [2, 4] {
-                let pool = tasq_par::Pool::new(threads);
-                let par = Booster::train_with_pool(&rows, &targets, &config, &pool);
-                let bits = |b: &Booster| -> Vec<u64> {
-                    b.predict(&rows[..200]).iter().map(|p| p.to_bits()).collect()
-                };
-                assert_eq!(bits(&seq), bits(&par), "{num_rows}x{num_features}, threads={threads}");
-                assert_eq!(seq.total_nodes(), par.total_nodes());
-                assert_eq!(seq.feature_importance(), par.feature_importance());
-            }
-        }
-    }
-
-    #[test]
-    fn kill_and_resume_is_bit_identical_at_every_round() {
-        // Subsample < 1.0 so the RNG stream is actually exercised: the
-        // restored generator must continue mid-stream, not restart.
-        let rows: Vec<Vec<f64>> = (0..120).map(|i| vec![i as f64, (i * 3 % 7) as f64]).collect();
-        let targets: Vec<f64> = rows.iter().map(|r| r[0] * 2.0 + r[1] * r[1]).collect();
-        let config =
-            BoosterConfig { num_rounds: 8, subsample: 0.6, seed: 17, ..Default::default() };
-        let pool = tasq_par::Pool::sequential();
-        let baseline = Booster::train_with_pool(&rows, &targets, &config, &pool);
-        let baseline_bits: Vec<u64> =
-            baseline.predict(&rows).iter().map(|p| p.to_bits()).collect();
-
-        for kill_at in 1..config.num_rounds {
-            // "Crash" after `kill_at` rounds, keeping the last checkpoint.
-            let mut saved = None;
-            let halted = Booster::train_resumable_with_pool(
-                &rows,
-                &targets,
-                &config,
-                &pool,
-                None,
-                &mut |ckpt| {
-                    saved = Some(ckpt.clone());
-                    if ckpt.round < kill_at { Ok(()) } else { Err(()) }
-                },
-            );
-            assert!(halted.is_err(), "kill_at {kill_at}: training should have halted");
-            let ckpt = saved.expect("at least one checkpoint");
-            assert_eq!(ckpt.round, kill_at);
-
-            // Resume and finish; the ensemble must match bit for bit.
-            let resumed = Booster::train_resumable_with_pool(
-                &rows,
-                &targets,
-                &config,
-                &pool,
-                Some(ckpt),
-                &mut |_| Ok::<(), ()>(()),
-            )
-            .expect("resumed training should finish");
-            let resumed_bits: Vec<u64> =
-                resumed.predict(&rows).iter().map(|p| p.to_bits()).collect();
-            assert_eq!(baseline_bits, resumed_bits, "kill_at {kill_at}");
-            assert_eq!(baseline.total_nodes(), resumed.total_nodes());
-            assert_eq!(
-                baseline.training_loss.len(),
-                resumed.training_loss.len(),
-                "loss curve must cover all rounds"
-            );
-        }
     }
 
     #[test]

@@ -15,6 +15,6 @@ mod objective;
 mod tree;
 
 pub use binning::{BinMapper, BinnedDataset};
-pub use booster::{Booster, BoosterCheckpoint, BoosterConfig};
+pub use booster::{Booster, BoosterConfig};
 pub use objective::Objective;
 pub use tree::Tree;

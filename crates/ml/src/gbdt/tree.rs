@@ -3,33 +3,6 @@
 use super::binning::{BinMapper, BinnedDataset};
 use crate::kernels;
 use tasq_codec::{CodecError, Wire};
-use tasq_par::Pool;
-
-/// Below this many (sample x feature) histogram accumulations the split
-/// search of a node runs sequentially even on a multi-thread pool.
-///
-/// Derived from the pool's dispatch cost, not tuned. On the 2-vCPU
-/// reference box (release, min or median of repeated runs) one fan-out
-/// costs ≈ 38 µs with two threads (≈ 75 µs with four), and the one-pass
-/// row-major scan does an accumulation in ≈ 1.05 ns (a 2 400 x 51 root
-/// in ≈ 130 µs). When the second vCPU is stolen the whole dispatch is
-/// loss, so the threshold keeps that loss ≤ 7 %: `38 µs / (0.07 x
-/// 1.05 ns) ≈ 517k`, rounded up to `2^19` (≈ 0.55 ms of scan, 14
-/// dispatches). The ratio of the two costs barely moved from the
-/// per-feature scan (55 µs / 1.5 ns), so neither did the constant. The
-/// fanned-out arm returns ≈ 1.06x at `2^19` and 1.2–1.6x at `2^20` on
-/// two threads: each task re-reads every row of the node for its own
-/// features. The value before `2^19`, 4096, sent 6 µs scans through an
-/// 80 µs dispatch at every node of every tree (`par.ratio.gbdt`
-/// 0.34–0.50). A paper-sized fit (122k at the root) never fans out.
-const PAR_SPLIT_MIN_WORK: usize = 1 << 19;
-
-/// Whether a node of `rows` samples searches its split on `pool`'s
-/// threads (one contiguous feature range per thread) or on the caller
-/// alone.
-pub(super) fn split_search_fans_out(pool: &Pool, rows: usize, num_features: usize) -> bool {
-    pool.threads() > 1 && rows * num_features >= PAR_SPLIT_MIN_WORK
-}
 
 /// A node in a [`Tree`]. Leaves carry a weight; internal nodes carry a
 /// split on `feature <= threshold`.
@@ -320,14 +293,13 @@ struct Grower<'a> {
     grads: &'a [f64],
     hess: &'a [f64],
     params: &'a GrowthParams,
-    pool: &'a Pool,
 }
 
 /// The buffers every node of one tree reuses.
 struct Buffers {
     /// The right side of a partition, while the left is compacted.
     partition: Vec<usize>,
-    /// Every feature's histogram, for a node searched on the caller.
+    /// Every feature's histogram.
     hist: Histograms,
 }
 
@@ -344,25 +316,7 @@ impl Tree {
         samples: &[usize],
         params: &GrowthParams,
     ) -> Self {
-        Self::grow_with_pool(data, mapper, grads, hess, samples, params, &Pool::sequential())
-    }
-
-    /// [`Tree::grow`] with the histogram/split search of a large node
-    /// fanned out over `pool`, one contiguous feature range per task.
-    /// Per-feature candidates are reduced in ascending feature order with
-    /// the same strict-greater tie-break as the sequential scan, so the
-    /// grown tree is bit-identical at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn grow_with_pool(
-        data: &BinnedDataset,
-        mapper: &BinMapper,
-        grads: &[f64],
-        hess: &[f64],
-        samples: &[usize],
-        params: &GrowthParams,
-        pool: &Pool,
-    ) -> Self {
-        let grower = Grower { data, mapper, grads, hess, params, pool };
+        let grower = Grower { data, mapper, grads, hess, params };
         let mut tree = Tree { nodes: vec![Node::Leaf { weight: 0.0 }] };
         // One index buffer for the whole tree: each node owns a contiguous
         // slice of it, which a split partitions in place into its
@@ -469,13 +423,9 @@ impl Grower<'_> {
     }
 
     /// The node's best split over `columns`, and the columns its
-    /// children search. On the caller, `hist` takes every column's
-    /// histogram in one pass over `indices`, and the children search only
-    /// the columns they can split on ([`Histograms::best_splits`]). A
-    /// fanned-out search gives each task a
-    /// contiguous run of columns and its own buffer, the candidates come
-    /// back in feature order for the same lowest-feature-wins reduction,
-    /// and the children search every column this node did.
+    /// children search: `hist` takes every column's histogram in one pass
+    /// over `indices`, and the children search only the columns they can
+    /// split on ([`Histograms::best_splits`]).
     fn find_best_split(
         &self,
         indices: &[usize],
@@ -484,27 +434,11 @@ impl Grower<'_> {
         hist: &mut Histograms,
         columns: &[Column],
     ) -> (Option<SplitCandidate>, Vec<Column>) {
-        let Grower { data, grads, hess, params, pool, .. } = *self;
-        if !split_search_fans_out(pool, indices.len(), data.num_features()) {
-            hist.fill(data, grads, hess, indices, columns);
-            let mut spread = Vec::with_capacity(columns.len());
-            let best =
-                best_of(hist.best_splits(total_grad, total_hess, params, columns, &mut spread));
-            return (best, spread);
-        }
-        let per_task = columns.len().div_ceil(pool.threads()).max(1);
-        let runs: Vec<&[Column]> = columns.chunks(per_task).collect();
-        let per_run = match pool.par_map_grain(&runs, 1, |_, run| {
-            let mut hist = Histograms::new(run);
-            hist.fill(data, grads, hess, indices, run);
-            hist.best_splits(total_grad, total_hess, params, run, &mut Vec::new())
-                .collect::<Vec<_>>()
-        }) {
-            Ok(v) => v,
-            // The scan cannot panic on valid binned data; runtime bug.
-            Err(e) => std::panic::resume_unwind(Box::new(e.to_string())),
-        };
-        (best_of(per_run.into_iter().flatten()), columns.to_vec())
+        let Grower { data, grads, hess, params, .. } = *self;
+        hist.fill(data, grads, hess, indices, columns);
+        let mut spread = Vec::with_capacity(columns.len());
+        let best = best_of(hist.best_splits(total_grad, total_hess, params, columns, &mut spread));
+        (best, spread)
     }
 }
 
@@ -564,7 +498,7 @@ mod reference {
         samples: &[usize],
         params: &GrowthParams,
     ) -> Tree {
-        let grower = Grower { data, mapper, grads, hess, params, pool: &Pool::sequential() };
+        let grower = Grower { data, mapper, grads, hess, params };
         let mut tree = Tree { nodes: vec![Node::Leaf { weight: 0.0 }] };
         grow_node(&grower, &mut tree, 0, &mut samples.to_vec(), 0);
         tree
@@ -819,22 +753,18 @@ mod tests {
     /// The row-major, one-pass split search grows the same trees as the
     /// per-feature scan it replaced: random shapes with 1-, 2- and
     /// 64-bin features, all rows or a shuffled subsample, unit or varied
-    /// hessians, on pools of 1, 2 and 4 threads, with roots on both sides
-    /// of the fan-out threshold. Node bits cover the node count, the
-    /// split counts and every prediction; predictions are checked too.
+    /// hessians, and two wide roots (8300 x 64, 2600 x 202). Node bits
+    /// cover the node count, the split counts and every prediction;
+    /// predictions are checked too.
     #[test]
     fn row_major_split_search_matches_the_per_feature_reference() {
         let mut rng = StdRng::seed_from_u64(0x7472_6565);
-        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
         for case in 0..40 {
             let (n, nf) = match case {
                 0 => (8300, 64),
                 1 => (2600, 202),
                 _ => (rng.gen_range(2..400), rng.gen_range(1..12)),
             };
-            let fans_out = n * nf >= PAR_SPLIT_MIN_WORK;
-            assert_eq!(split_search_fans_out(&pools[1], n, nf), fans_out);
-            assert_eq!(fans_out, case < 2, "case {case}: {n}x{nf}");
             let columns: Vec<Vec<f64>> = (0..nf).map(|_| column(&mut rng, n)).collect();
             let rows: Vec<Vec<f64>> =
                 (0..n).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
@@ -863,40 +793,22 @@ mod tests {
             // split, so the root's winning gain is compared to the bit too.
             let (total_grad, total_hess) =
                 samples.iter().fold((0.0, 0.0), |(g, h), &i| (g + grads[i], h + hess[i]));
-            let grower = |pool| Grower {
-                data: &data,
-                mapper: &mapper,
-                grads: &grads,
-                hess: &hess,
-                params: &params,
-                pool,
-            };
+            let grower =
+                Grower { data: &data, mapper: &mapper, grads: &grads, hess: &hess, params: &params };
             let bits = |c: Option<SplitCandidate>| {
                 c.map(|c| (c.feature, c.bin_threshold, c.gain.to_bits()))
             };
-            let oracle_root = bits(reference::find_best_split(
-                &grower(&pools[0]),
-                &samples,
-                total_grad,
-                total_hess,
-            ));
-            for pool in &pools {
-                let tree =
-                    Tree::grow_with_pool(&data, &mapper, &grads, &hess, &samples, &params, pool);
-                let what = format!("case {case}: {n}x{nf}, {} threads", pool.threads());
-                assert_eq!(node_bits(&tree), node_bits(&oracle), "{what}");
-                assert_eq!(predictions(&tree), predictions(&oracle), "{what}");
-                let columns = root_columns(&mapper);
-                let mut hist = Histograms::new(&columns);
-                let (root, _) = grower(pool).find_best_split(
-                    &samples,
-                    total_grad,
-                    total_hess,
-                    &mut hist,
-                    &columns,
-                );
-                assert_eq!(bits(root), oracle_root, "{what}");
-            }
+            let oracle_root =
+                bits(reference::find_best_split(&grower, &samples, total_grad, total_hess));
+            let tree = Tree::grow(&data, &mapper, &grads, &hess, &samples, &params);
+            let what = format!("case {case}: {n}x{nf}");
+            assert_eq!(node_bits(&tree), node_bits(&oracle), "{what}");
+            assert_eq!(predictions(&tree), predictions(&oracle), "{what}");
+            let columns = root_columns(&mapper);
+            let mut hist = Histograms::new(&columns);
+            let (root, _) =
+                grower.find_best_split(&samples, total_grad, total_hess, &mut hist, &columns);
+            assert_eq!(bits(root), oracle_root, "{what}");
         }
     }
 

@@ -57,11 +57,6 @@ impl KMeans {
         nearest_centroid(&self.centroids, point).0
     }
 
-    /// Predict assignments for every row of `data`.
-    pub fn predict_batch(&self, data: &Matrix) -> Vec<usize> {
-        (0..data.rows()).map(|r| self.predict(data.row(r))).collect()
-    }
-
     /// Cluster sizes over the training assignments.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.k()];

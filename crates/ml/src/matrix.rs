@@ -101,11 +101,6 @@ impl Matrix {
         Self { rows: 1, cols: values.len(), data: values.to_vec() }
     }
 
-    /// Create an n x 1 column vector.
-    pub fn col_vector(values: &[f64]) -> Self {
-        Self { rows: values.len(), cols: 1, data: values.to_vec() }
-    }
-
     /// Identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
@@ -352,13 +347,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Element-wise map in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

@@ -6,14 +6,13 @@
 
 use crate::kernels::{self, AdamCoeffs, AdamUpdate};
 use crate::matrix::Matrix;
-use tasq_codec::Wire;
 
 /// Handle to a parameter tensor registered with an [`Adam`] optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Wire)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamId(usize);
 
 /// Hyper-parameters for [`Adam`].
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct AdamConfig {
     /// Learning rate (alpha).
     pub learning_rate: f64,
@@ -44,7 +43,7 @@ impl Default for AdamConfig {
 }
 
 /// Adam optimizer state over a set of registered parameter tensors.
-#[derive(Debug, Clone, Wire)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     config: AdamConfig,
     first_moments: Vec<Matrix>,

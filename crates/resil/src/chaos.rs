@@ -2,7 +2,7 @@
 //!
 //! A [`ChaosPlan`] is a pure function of `(preset, seed)`: every fault it
 //! injects — the checkpoint after which the trainer "dies", the bytes
-//! its torn commit temp is short by, the request sequence numbers where
+//! its next, torn commit temp is short by, the request sequence numbers where
 //! serving workers panic, the NN-tier fault window, the deadline storm —
 //! is derived with the SplitMix64 finalizer, so a chaos run replays
 //! bit-identically and its report can be asserted on in CI.
@@ -40,9 +40,11 @@ pub struct ChaosPlan {
     /// Seed the derivations used.
     pub seed: u64,
     /// Training: simulate process death after this many checkpoint
-    /// commits (counted across stages).
+    /// commits. A checkpointed run commits five records, one per stage,
+    /// so each preset's kill lands in `1..=4`: after it, the resume
+    /// still has a record to commit.
     pub kill_after_checkpoints: Option<u64>,
-    /// Training: after the kill, leave the killed stage's image, short by
+    /// Training: after the kill, leave the next stage's image, short by
     /// this many bytes, in its commit temp (a crash mid-commit).
     pub torn_tail_bytes: Option<u64>,
     /// Serving: miss sequence numbers whose scoring panics.
@@ -72,11 +74,13 @@ impl ChaosPlan {
         match name {
             "none" => {}
             "mild" => {
-                plan.kill_after_checkpoints = Some(2 + mix64(seed, 1) % 6);
+                // After a model's commit: the resume refits at most one.
+                plan.kill_after_checkpoints = Some(3 + mix64(seed, 1) % 2);
                 plan.worker_panics = vec![16 + mix64(seed, 2) % 32];
             }
             "production" => {
-                plan.kill_after_checkpoints = Some(3 + mix64(seed, 1) % 8);
+                // After the dataset's commit or a model's.
+                plan.kill_after_checkpoints = Some(2 + mix64(seed, 1) % 3);
                 plan.torn_tail_bytes = Some(1 + mix64(seed, 5) % 24);
                 plan.worker_panics =
                     vec![16 + mix64(seed, 2) % 32, 200 + mix64(seed, 3) % 32];
@@ -92,7 +96,8 @@ impl ChaosPlan {
                 });
             }
             "adversarial" => {
-                plan.kill_after_checkpoints = Some(1 + mix64(seed, 1) % 12);
+                // As early as right after the manifest.
+                plan.kill_after_checkpoints = Some(1 + mix64(seed, 1) % 4);
                 plan.torn_tail_bytes = Some(1 + mix64(seed, 5) % 64);
                 plan.worker_panics = (0..4)
                     .map(|i| 16 + i * 72 + mix64(seed, 16 + i) % 48)
@@ -144,6 +149,18 @@ mod tests {
         let b = ChaosPlan::preset("production", 2).unwrap();
         assert_ne!(format!("{a:?}"), format!("{b:?}"), "seed ignored");
         assert!(ChaosPlan::preset("bogus", 1).is_none());
+    }
+
+    #[test]
+    fn every_planted_kill_leaves_the_resume_work_to_do() {
+        for name in PRESET_NAMES {
+            for seed in 0..64 {
+                let plan = ChaosPlan::preset(name, seed).unwrap();
+                if let Some(kill) = plan.kill_after_checkpoints {
+                    assert!((1..=4).contains(&kill), "{name} seed {seed}: kill after {kill}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -208,11 +208,6 @@ impl JobPlan {
         adj
     }
 
-    /// Edge list (shared representation for GNN input).
-    pub fn edge_list(&self) -> &[(usize, usize)] {
-        &self.edges
-    }
-
     /// Total estimated cost at the root (max over roots' subtree costs).
     pub fn total_cost(&self) -> f64 {
         self.roots()

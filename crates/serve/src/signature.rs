@@ -95,14 +95,6 @@ impl PlanSignature {
         Self(lanes.finish())
     }
 
-    /// Signature of a bare plan (no request context); useful for
-    /// plan-level dedup in analysis tooling.
-    pub fn of_plan(plan: &JobPlan) -> Self {
-        let mut lanes = Lanes::new();
-        hash_plan(&mut lanes, plan);
-        Self(lanes.finish())
-    }
-
     /// Mix a model-registry generation into the signature, producing the
     /// cache key. Entries cached under an old generation become
     /// unreachable the moment a hot-swap lands, without any coordinated
